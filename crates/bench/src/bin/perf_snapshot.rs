@@ -43,9 +43,9 @@
 //! `spilled_bytes`, `spill_segments`, `sleep_flushes`), the totals gain the
 //! summed `peak_accounted_bytes`, and the snapshot records the process's
 //! final `resident_bytes` (informational — OS- and allocator-dependent).
-//! `--compare` reads v1 through v5 files and diffs whatever metrics the two
-//! snapshots share, so the committed baselines stay usable across schema
-//! bumps. Besides the per-test counters (which now include the
+//! `--compare` reads v5 files only (anything else is refused) and diffs the
+//! (model, test) entries the two snapshots share. Besides the per-test
+//! counters (which now include the
 //! deterministic `peak_accounted_bytes` — the peak-memory regression gate),
 //! it *gates* two walls: the adaptive parallelism (a candidate whose total
 //! parallel operational wall time exceeds the sequential wall time beyond
@@ -435,6 +435,9 @@ fn today() -> String {
 
 // ---- snapshot comparison ---------------------------------------------------
 
+/// The snapshot schema this binary writes and the only one `--compare` reads.
+const SCHEMA: &str = "gam-perf-snapshot/v5";
+
 /// The deterministic effort counters a comparison grades (path within a
 /// per-test entry, lower is better). Wall times are reported but never fail
 /// the comparison — they are machine- and load-dependent.
@@ -478,6 +481,7 @@ fn test_entries(snapshot: &Json) -> Vec<(String, String, &Json)> {
     out
 }
 
+/// Loads a snapshot for `--compare`, refusing anything but [`SCHEMA`].
 fn load_snapshot(path: &str) -> Json {
     let payload = match std::fs::read_to_string(path) {
         Ok(payload) => payload,
@@ -486,13 +490,19 @@ fn load_snapshot(path: &str) -> Json {
             std::process::exit(2);
         }
     };
-    match Json::parse(&payload) {
+    let snapshot = match Json::parse(&payload) {
         Ok(snapshot) => snapshot,
         Err(err) => {
             eprintln!("perf_snapshot: cannot parse {path}: {err}");
             std::process::exit(2);
         }
+    };
+    let schema = snapshot.get("schema").and_then(Json::as_str).unwrap_or("no schema");
+    if schema != SCHEMA {
+        eprintln!("perf_snapshot: {path} is {schema}; --compare reads {SCHEMA} only");
+        std::process::exit(2);
     }
+    snapshot
 }
 
 /// Prints every counter `--compare` gates, with the gate semantics — the
@@ -502,16 +512,13 @@ fn list_gates() {
     for (label, _) in GRADED {
         println!("  {label}");
     }
-    println!("  (operational.memory.peak_accounted_bytes is present from v5 snapshots on;");
-    println!("  against an older baseline the entry is skipped, like any missing metric)");
     println!("snapshot-level gate:");
     println!("  totals.wall_us_operational_parallel <= totals.wall_us_operational_sequential x threshold");
     println!(
         "  obs.library_wall_us_disarmed <= baseline disarmed wall x {OBS_OVERHEAD_THRESHOLD:.2}"
     );
-    println!("    (baseline = its obs.library_wall_us_disarmed, or wall_us_axiomatic +");
-    println!("    wall_us_operational_sequential for pre-v4 snapshots; only gated when");
-    println!("    both snapshots measured the same workload — same test and model counts)");
+    println!("    (only gated when both snapshots measured the same workload — same test");
+    println!("    and model counts)");
     println!();
     println!("semantics: a counter regresses when candidate > baseline x threshold");
     println!("(default 1.25); improvements beyond 1/threshold are reported but never");
@@ -525,18 +532,6 @@ fn list_gates() {
 /// off, so any larger movement on the same workload is a broken disarm path,
 /// not noise (the recorded wall is a best-of-three pass).
 const OBS_OVERHEAD_THRESHOLD: f64 = 1.02;
-
-/// A snapshot's disarmed suite wall: the `obs` section when present, else
-/// the pre-v4 equivalent (axiomatic + sequential operational totals — the
-/// same work `suite_pass` times).
-fn disarmed_wall(snapshot: &Json) -> Option<u64> {
-    lookup(snapshot, &["obs", "library_wall_us_disarmed"]).and_then(Json::as_u64).or_else(|| {
-        let ax = lookup(snapshot, &["totals", "wall_us_axiomatic"]).and_then(Json::as_u64)?;
-        let seq = lookup(snapshot, &["totals", "wall_us_operational_sequential"])
-            .and_then(Json::as_u64)?;
-        Some(ax + seq)
-    })
-}
 
 /// The disarmed-overhead gate; pushes onto `regressions` when it fails.
 fn gate_obs_overhead(old: &Json, new: &Json, regressions: &mut Vec<String>) {
@@ -555,7 +550,8 @@ fn gate_obs_overhead(old: &Json, new: &Json, regressions: &mut Vec<String>) {
         );
         return;
     }
-    let Some(baseline) = disarmed_wall(old) else {
+    let Some(baseline) = lookup(old, &["obs", "library_wall_us_disarmed"]).and_then(Json::as_u64)
+    else {
         println!("compare: obs gate skipped (baseline has no disarmed wall)");
         return;
     };
@@ -641,14 +637,12 @@ fn compare_snapshots(old: &Json, new: &Json, threshold: f64, obs_gate: bool) -> 
                 );
             }
         }
-        for wall in ["wall_us_sequential", "wall_us"] {
-            if let (Some(old_wall), Some(new_wall)) = (
-                lookup(old_entry, &["operational", wall]).and_then(Json::as_u64),
-                lookup(new_entry, &["operational", wall]).and_then(Json::as_u64),
-            ) {
-                total_old_wall += old_wall;
-                total_new_wall += new_wall;
-            }
+        if let (Some(old_wall), Some(new_wall)) = (
+            lookup(old_entry, &["operational", "wall_us_sequential"]).and_then(Json::as_u64),
+            lookup(new_entry, &["operational", "wall_us_sequential"]).and_then(Json::as_u64),
+        ) {
+            total_old_wall += old_wall;
+            total_new_wall += new_wall;
         }
     }
     // The adaptive-parallelism gate: on the candidate snapshot the parallel
@@ -825,7 +819,7 @@ fn main() {
     };
 
     let snapshot = Json::object([
-        ("schema", Json::from("gam-perf-snapshot/v5")),
+        ("schema", Json::from(SCHEMA)),
         ("date", Json::from(date.as_str())),
         ("quick", Json::from(quick)),
         ("explorer_parallelism", Json::UInt(parallelism as u64)),

@@ -317,7 +317,7 @@ impl<S: ComposedState> ComponentArena<S> {
     /// by one equality check against the parent's interned component and
     /// reuse its id without hashing or cloning anything.
     ///
-    /// The production drivers use the label-directed
+    /// The explorer uses the label-directed
     /// [`ComponentArena::intern_touched`] instead; this comparison-based
     /// form stays as the test surface for the sharing machinery itself.
     #[cfg(test)]
@@ -352,36 +352,16 @@ impl<S: ComposedState> ComponentArena<S> {
     ///
     /// Soundness rests on the `LabeledMachine` contract that a rule mutates
     /// only the acting thread's private state and the declared shared
-    /// memory; debug builds assert it component by component.
+    /// memory; debug builds assert it component by component — except for
+    /// a `sparse` state (see `LabeledMachine::labeled_successors_sparse_into`),
+    /// whose components outside the mask hold stale buffer content and are
+    /// never read at all.
     pub(crate) fn intern_touched(
         &mut self,
         state: &S,
         parent: u32,
         touched: Touched,
-    ) -> Result<(u32, bool), SpillError> {
-        self.intern_touched_impl(state, parent, touched, true)
-    }
-
-    /// [`ComponentArena::intern_touched`] for *sparse* successor states
-    /// (see `LabeledMachine::labeled_successors_sparse_into`): components
-    /// outside the mask hold stale buffer content rather than copies of
-    /// the parent's, so the debug verification of the untouched components
-    /// is skipped — they are never read at all.
-    pub(crate) fn intern_touched_sparse(
-        &mut self,
-        state: &S,
-        parent: u32,
-        touched: Touched,
-    ) -> Result<(u32, bool), SpillError> {
-        self.intern_touched_impl(state, parent, touched, false)
-    }
-
-    fn intern_touched_impl(
-        &mut self,
-        state: &S,
-        parent: u32,
-        touched: Touched,
-        assert_untouched: bool,
+        sparse: bool,
     ) -> Result<(u32, bool), SpillError> {
         debug_assert_eq!(state.procs().len() + 1, self.stride, "constant component count");
         self.fill_scratch_from(parent)?;
@@ -396,7 +376,7 @@ impl<S: ComposedState> ComponentArena<S> {
             }
         } else {
             debug_assert!(
-                !assert_untouched || *self.mems.get(self.scratch[0]) == *state.memory(),
+                sparse || *self.mems.get(self.scratch[0]) == *state.memory(),
                 "a non-writing action must leave the shared memory intact"
             );
         }
@@ -411,7 +391,7 @@ impl<S: ComposedState> ComponentArena<S> {
                 }
             } else {
                 debug_assert!(
-                    !assert_untouched || *self.procs.get(self.scratch[1 + index]) == *proc,
+                    sparse || *self.procs.get(self.scratch[1 + index]) == *proc,
                     "an action must leave other threads' private state intact"
                 );
             }
@@ -495,7 +475,7 @@ impl<S: ComposedState> ComponentArena<S> {
 
     /// Reassembles every interned state in slot order, cloning `template`
     /// for the buffers (used when a sequential exploration escalates to the
-    /// sharded-parallel driver — escalation is disabled once memory
+    /// sharded continuation — escalation is disabled once memory
     /// budgeting is armed, so no row can be cold here).
     pub(crate) fn export_states(&mut self, template: &S) -> Vec<S> {
         assert_eq!(self.spilled_rows, 0, "cannot export a partially spilled arena");

@@ -13,7 +13,6 @@ use gam_isa::litmus::{LitmusTest, Outcome};
 
 use crate::explore::{Exploration, ExploreError, Explorer, ExplorerConfig};
 use crate::gam::{GamConfig, GamMachine};
-use crate::machine::LabeledMachine;
 use crate::sc::ScMachine;
 use crate::tso::TsoMachine;
 
@@ -80,7 +79,7 @@ impl OperationalChecker {
 
     /// Attaches a memory-pressure configuration (budget, spill directory,
     /// checkpoint plan) to the underlying explorer. Arming any part of it
-    /// pins the exploration to the deterministic sequential drivers.
+    /// pins the exploration to the deterministic sequential driver.
     #[must_use]
     pub fn with_memory(mut self, memory: crate::explore::MemoryConfig) -> Self {
         self.explorer = self.explorer.with_memory(memory);
@@ -124,27 +123,23 @@ impl OperationalChecker {
     /// Returns an error if the model has no operational machine or the
     /// exploration exceeds its limits.
     pub fn explore(&self, test: &LitmusTest) -> Result<Exploration, OperationalError> {
-        // All three machines route through the component-interned drivers
-        // (`explore_composed`): visited states are rows of hash-consed
-        // component ids instead of full clones.
         match self.model {
-            ModelKind::Sc => Ok(self.explorer.explore_composed(&ScMachine::new(test))?),
-            ModelKind::Tso => Ok(self.explorer.explore_composed(&TsoMachine::new(test))?),
-            ModelKind::Gam => Ok(self
-                .explorer
-                .explore_composed(&GamMachine::with_config(test, GamConfig::gam()))?),
-            ModelKind::Gam0 => Ok(self
-                .explorer
-                .explore_composed(&GamMachine::with_config(test, GamConfig::gam0()))?),
+            ModelKind::Sc => Ok(self.explorer.explore(&ScMachine::new(test))?),
+            ModelKind::Tso => Ok(self.explorer.explore(&TsoMachine::new(test))?),
+            ModelKind::Gam => {
+                Ok(self.explorer.explore(&GamMachine::with_config(test, GamConfig::gam()))?)
+            }
+            ModelKind::Gam0 => {
+                Ok(self.explorer.explore(&GamMachine::with_config(test, GamConfig::gam0()))?)
+            }
             ModelKind::GamArm => Err(OperationalError::UnsupportedModel { model: self.model }),
         }
     }
 
-    /// Exhaustively explores the test on the pre-refactor plain-state
-    /// reference path (full-state interning, sequential, honouring the
-    /// configured [`crate::Reduction`]). The differential test-suites
-    /// compare the production component-interned exploration against this
-    /// oracle.
+    /// Exhaustively explores the test on the explorer's reference oracle
+    /// (full-state interning, sequential, honouring the configured
+    /// [`crate::Reduction`]). The differential test-suites compare the
+    /// component-arena exploration against it.
     ///
     /// # Errors
     ///
@@ -189,20 +184,14 @@ impl OperationalChecker {
     pub fn find_witness(&self, test: &LitmusTest) -> Result<Option<Outcome>, OperationalError> {
         let matches = |outcome: &Outcome| test.condition().matched_by(outcome);
         match self.model {
-            ModelKind::Sc => {
-                Ok(self.explorer.find_outcome_composed(&ScMachine::new(test), matches)?)
-            }
-            ModelKind::Tso => {
-                Ok(self.explorer.find_outcome_composed(&TsoMachine::new(test), matches)?)
-            }
-            ModelKind::Gam => Ok(self.explorer.find_outcome_composed(
-                &GamMachine::with_config(test, GamConfig::gam()),
-                matches,
-            )?),
-            ModelKind::Gam0 => Ok(self.explorer.find_outcome_composed(
-                &GamMachine::with_config(test, GamConfig::gam0()),
-                matches,
-            )?),
+            ModelKind::Sc => Ok(self.explorer.find_outcome(&ScMachine::new(test), matches)?),
+            ModelKind::Tso => Ok(self.explorer.find_outcome(&TsoMachine::new(test), matches)?),
+            ModelKind::Gam => Ok(self
+                .explorer
+                .find_outcome(&GamMachine::with_config(test, GamConfig::gam()), matches)?),
+            ModelKind::Gam0 => Ok(self
+                .explorer
+                .find_outcome(&GamMachine::with_config(test, GamConfig::gam0()), matches)?),
             ModelKind::GamArm => Err(OperationalError::UnsupportedModel { model: self.model }),
         }
     }
@@ -218,18 +207,6 @@ impl OperationalChecker {
     /// See [`OperationalChecker::explore`].
     pub fn is_allowed(&self, test: &LitmusTest) -> Result<bool, OperationalError> {
         Ok(self.find_witness(test)?.is_some())
-    }
-
-    /// Convenience: run a specific machine for a test regardless of the
-    /// checker's model (useful for differential experiments).
-    pub fn explore_machine<M: LabeledMachine + Sync>(
-        &self,
-        machine: &M,
-    ) -> Result<Exploration, OperationalError>
-    where
-        M::State: Send,
-    {
-        Ok(self.explorer.explore(machine)?)
     }
 }
 

@@ -1,25 +1,23 @@
 //! Exhaustive exploration of an abstract machine's state space.
 //!
-//! The explorer performs a memoised search over the transition graph of an
-//! [`AbstractMachine`], collecting the outcome of every reachable final
+//! The explorer performs a memoised search over the transition graph of a
+//! [`LabeledMachine`], collecting the outcome of every reachable final
 //! state. Litmus-test state spaces are finite (bounded ROBs, bounded
 //! programs), so the search is exact; configurable limits guard against
 //! pathological inputs.
 //!
-//! Three performance mechanisms sit under the search. States are *interned*:
-//! an arena stores each distinct state exactly once and an `FxHash`-keyed
-//! index maps state hashes to arena slots, so the frontier and the visited
-//! set carry 4-byte indices instead of duplicated machine configurations, and
-//! every state is hashed once with a fast, deterministic hash
-//! ([`rustc_hash::FxHasher`]) instead of twice with SipHash. When
-//! [`ExplorerConfig::parallelism`] is above one, the frontier is sharded by
-//! state hash across that many worker threads: each shard owns the states
-//! whose hash lands in it (so deduplication stays lock-local), idle workers
-//! pull expansion batches from a shared injector queue, and the per-worker
-//! outcome sets are merged at the end.
+//! There is **one driver**: a sequential depth-first search over a
+//! component arena (`ComponentArena`), which stores every visited state as
+//! a row of hash-consed component ids so unchanged per-proc states and
+//! memories are shared across the visited set. It carries everything a
+//! production run needs: the memory governor and its spill ladder,
+//! periodic checkpoint snapshots and resume, interrupt polling, the early
+//! exit at the first witness, and the escalation below.
 //!
-//! The third mechanism is **partial-order and symmetry reduction** over the
-//! labels of a [`LabeledMachine`], selected by [`Reduction`]:
+//! The reduction mode ([`Reduction`]) is *data* in that driver, following
+//! the standard view of partial-order reduction: an unreduced search is the
+//! degenerate case where the persistent set holds every enabled action and
+//! every sleep set is empty. The reduced modes add:
 //!
 //! * **Persistent sets** — when every enabled action of some thread is
 //!   thread-private (`ActionKind::Local` / `ActionKind::Fence`), those
@@ -38,7 +36,24 @@
 //!   states differing only in semantically dead fields (e.g. the recorded
 //!   prediction of a resolved branch) collapse to one arena slot.
 //!
-//! Soundness of the whole stack rests on the [`LabeledMachine`] contract
+//! Under [`Reduction::Off`] the driver keeps its cheap path: *sparse*
+//! successors ([`LabeledMachine::labeled_successors_sparse_into`]) and no
+//! per-slot sleep bookkeeping at all.
+//!
+//! With [`ExplorerConfig::parallelism`] above one, a run whose state count
+//! passes [`ExplorerConfig::parallel_threshold`] hands its visited set and
+//! frontier to **one sharded continuation**: the frontier is sharded by
+//! state hash across that many worker threads, each shard owns the states
+//! whose hash lands in it (so deduplication stays lock-local), idle workers
+//! pull expansion batches from a shared injector queue, and the per-worker
+//! outcome sets are merged at the end. It stores full states and reports no
+//! arena occupancy.
+//!
+//! Finally, [`Explorer::explore_reference`] is a small full-state
+//! **reference oracle** — same search, plain interning, no governor — that
+//! the differential test-suites compare the arena driver against.
+//!
+//! Soundness of the reduction rests on the [`LabeledMachine`] contract
 //! (thread-local guards, honest memory-address labels): under it, the
 //! reduced search reaches exactly the final states of the full search, which
 //! the repository pins with differential tests over the entire litmus
@@ -58,14 +73,15 @@ use rustc_hash::{FxBuildHasher, FxHashMap};
 
 use crate::arena::{ComponentArena, ComposedState, Touched};
 use crate::codec;
-use crate::machine::{AbstractMachine, Action, ActionKind, Footprint, LabeledMachine};
+use crate::machine::{Action, ActionKind, Footprint, LabeledMachine};
 use crate::spill::{SpillError, SpillStore};
 
 /// The partial-order/symmetry reduction mode of the exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Reduction {
-    /// Visit every interleaving (the PR 2 behaviour); the baseline the
-    /// reduced modes are differentially tested against.
+    /// Visit every interleaving: the persistent set is every enabled action
+    /// and every sleep set is empty. The baseline the reduced modes are
+    /// differentially tested against.
     #[default]
     Off,
     /// Persistent-set + sleep-set partial-order reduction over transition
@@ -114,20 +130,24 @@ impl fmt::Display for Reduction {
 pub struct ExplorerConfig {
     /// Maximum number of distinct states to visit before giving up.
     pub max_states: usize,
-    /// Number of worker threads exploring the state space (clamped to at
-    /// least 1; 1 means sequential exploration). Composes multiplicatively
-    /// with any suite-level parallelism (e.g. `Engine::run_suite` workers) —
-    /// keep the product near the core count.
+    /// Number of worker threads of the sharded continuation (1 means the
+    /// sequential driver runs every exploration to completion). Above 1, a
+    /// run that outgrows [`ExplorerConfig::parallel_threshold`] hands its
+    /// visited set to that many workers over full states — no component
+    /// sharing, no memory governor, and `states_visited`/
+    /// `transitions_pruned` run-dependent under reduction. Composes
+    /// multiplicatively with any suite-level parallelism (e.g.
+    /// `Engine::run_suite` workers) — keep the product near the core count.
     pub parallelism: usize,
     /// The adaptive-sharding trigger: with `parallelism > 1`, exploration
     /// still *starts* sequentially and only escalates to the sharded
-    /// parallel driver once this many distinct states have been interned
+    /// continuation once this many distinct states have been interned
     /// with frontier work remaining — the running state count is the one
     /// state-count estimate that is always right. Litmus-scale spaces
     /// (hundreds of states, microseconds of work) finish sequentially and
     /// never pay thread spawn/handoff overhead; big spaces amortize the
     /// one-time migration of the visited set into the shards. `0` shards
-    /// immediately (the pre-adaptive behaviour, used by the driver tests).
+    /// after the first expansion (the sharded-continuation tests use it).
     pub parallel_threshold: usize,
     /// The partial-order/symmetry reduction mode.
     pub reduction: Reduction,
@@ -161,14 +181,13 @@ impl ExplorerConfig {
 }
 
 /// Memory budgeting, spill-to-disk and intra-exploration checkpointing for
-/// the *composed sequential* drivers (the production path of
-/// `OperationalChecker`).
+/// the sequential driver.
 ///
 /// Arming either the budget or a checkpoint plan forces the exploration to
-/// stay sequential (the adaptive escalation to the sharded parallel driver
-/// is disabled): the budget ladder and checkpoint snapshots rely on the
-/// deterministic single-frontier search. The plain full-state drivers ignore
-/// this configuration entirely.
+/// stay sequential (the adaptive escalation to the sharded continuation is
+/// disabled): the budget ladder and checkpoint snapshots rely on the
+/// deterministic single-frontier search. The reference oracle ignores this
+/// configuration entirely.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryConfig {
     /// Hard in-RAM budget in *accounted* bytes (see
@@ -199,7 +218,7 @@ impl MemoryConfig {
 pub type SnapshotSink = Arc<dyn Fn(&[u8]) + Send + Sync>;
 
 /// Periodic intra-exploration checkpointing: every `every_expansions`
-/// expansions the sequential composed driver encodes its complete search
+/// expansions the sequential driver encodes its complete search
 /// state (arena, frontier, outcomes, reduction bookkeeping) and hands the
 /// bytes to `sink`. A run killed between snapshots resumes from `resume`
 /// with counters identical to an uninterrupted run — the search is
@@ -314,10 +333,9 @@ pub struct Exploration {
     /// Number of enabled transitions the reduction skipped (persistent-set
     /// and sleep-set prunes). Zero under [`Reduction::Off`].
     pub transitions_pruned: usize,
-    /// Structure-sharing statistics of the component arena. `None` when the
-    /// run used plain full-state interning (the generic [`Explorer::explore`]
-    /// path, the reference oracle, and explorations that escalated to the
-    /// sharded parallel driver).
+    /// Structure-sharing statistics of the component arena. `None` exactly
+    /// when the run escalated to the sharded continuation, which stores
+    /// full states (and from the reference oracle, which does too).
     pub arena: Option<crate::arena::ArenaOccupancy>,
     /// Memory-pressure statistics. `Some` only when a
     /// [`MemoryConfig::max_bytes`] budget was armed.
@@ -328,10 +346,11 @@ pub struct Exploration {
 #[derive(Debug, Clone, Default)]
 pub struct Explorer {
     config: ExplorerConfig,
-    /// Cooperative interruption source, polled in every expansion loop at
-    /// [`INTERRUPT_POLL_MASK`] cadence. Defaults to never triggering.
+    /// Cooperative interruption source, polled by the driver at
+    /// [`INTERRUPT_POLL_MASK`] cadence and by every sharded worker once per
+    /// batch. Defaults to never triggering.
     interrupt: Interrupt,
-    /// Memory budgeting / spilling / checkpointing (composed drivers only).
+    /// Memory budgeting / spilling / checkpointing (sequential driver only).
     memory: MemoryConfig,
 }
 
@@ -588,77 +607,236 @@ const MAX_CHAIN: usize = 64;
 const HANDOFF_BATCH: usize = 16;
 
 /// An early-exit predicate over final-state outcomes (`Sync` so the
-/// parallel drivers can consult it from every worker).
+/// sharded workers can consult it).
 type StopFn<'a> = &'a (dyn Fn(&Outcome) -> bool + Sync);
 
-/// Chain compression: advances a freshly produced successor (in place)
-/// through states whose persistent set is a *singleton*, without interning
-/// the intermediates.
-///
-/// A state with a one-action persistent set has exactly one outgoing
-/// transition in the reduced graph — it is pure bookkeeping on the way to
-/// the next genuine choice point, and interning it would only grow
-/// `states_visited`. The sleep set is carried along (each chained action
-/// drops the entries it is dependent with), and a chained action found in
-/// the sleep set prunes the whole remaining chain — the standard sleep-set
-/// argument: that continuation is explored from a sibling subtree.
-///
-/// `buf` is the caller's scratch successor buffer (the
-/// [`LabeledMachine::labeled_successors_into`] reuse contract applies);
-/// the chosen successor is *swapped* out of it, so a whole chain advances
-/// without a single state allocation. Returns `Ok(false)` when the chain
-/// was sleep-pruned, `Ok(true)` when `state`/`sleep` hold the chain's end.
-fn compress_chain_into<M: LabeledMachine>(
-    machine: &M,
-    state: &mut M::State,
-    sleep: &mut ActionSet,
-    touched: &mut Touched,
-    canon: bool,
-    pruned: &mut usize,
-    buf: &mut Vec<(Action, M::State)>,
-) -> Result<bool, ExploreError> {
-    for _ in 0..MAX_CHAIN {
-        if machine.is_final(state) {
-            break;
+/// The reduction of one search, as data: persistent-set choice, sleep-set
+/// inheritance and singleton-chain compression under the reduced modes,
+/// and the degenerate "every action, empty sleep sets" under
+/// [`Reduction::Off`]. The driver, the oracle and each sharded worker own
+/// one, so its scratch buffers are reused across expansions.
+struct Reducer<'m, M: LabeledMachine> {
+    machine: &'m M,
+    reduction: Reduction,
+    /// Actions already explored from the state being expanded: later
+    /// siblings independent of them inherit them as sleep entries.
+    explored: Vec<Action>,
+    /// Scratch successor buffer of the chain compressor.
+    chain_buf: Vec<(Action, M::State)>,
+    /// The sleep set of the state being expanded, filled by
+    /// [`SleepBook::claim`] (always empty under [`Reduction::Off`]).
+    asleep: ActionSet,
+    /// The sleep set the successor last passed to [`Reducer::reduce`]
+    /// inherits (always empty under [`Reduction::Off`]).
+    sleep: ActionSet,
+    /// Enabled transitions skipped so far (persistent-set, sleep-set and
+    /// chain prunes).
+    pruned: usize,
+}
+
+impl<'m, M: LabeledMachine> Reducer<'m, M> {
+    fn new(machine: &'m M, reduction: Reduction) -> Self {
+        let (explored, chain_buf) = (Vec::new(), Vec::new());
+        let (asleep, sleep) = (ActionSet::new(), ActionSet::new());
+        Reducer { machine, reduction, explored, chain_buf, asleep, sleep, pruned: 0 }
+    }
+
+    /// The initial state, canonicalized when the mode canonicalizes.
+    fn initial_state(&self) -> M::State {
+        let mut state = self.machine.initial_state();
+        if self.reduction.canonicalizes() {
+            self.machine.canonicalize_in_place(&mut state);
         }
-        machine.labeled_successors_into(state, buf);
-        if buf.is_empty() {
-            return Err(ExploreError::Deadlock);
+        state
+    }
+
+    /// Starts the expansion of `state`: picks its persistent set.
+    fn begin(&mut self, state: &M::State, succ: &[(Action, M::State)]) -> Chosen {
+        self.explored.clear();
+        if self.reduction.is_reduced() {
+            choose_persistent(self.machine, state, succ)
+        } else {
+            Chosen::All
         }
-        let Chosen::Single(action) = choose_persistent(machine, state, buf) else {
-            break;
-        };
-        if sleep.contains(&action) {
-            *pruned += 1;
-            return Ok(false);
+    }
+
+    /// Processes the successor `state` reached by `action` from a state
+    /// expanded with persistent set `chosen` and sleep set
+    /// [`Reducer::asleep`], in place:
+    /// prunes it when `action` is outside the persistent set or asleep,
+    /// else canonicalizes it, derives the sleep set it inherits, and
+    /// advances it through states whose persistent set is a *singleton*
+    /// without interning them (chain compression).
+    ///
+    /// A one-action persistent set leaves exactly one outgoing transition in
+    /// the reduced graph — pure bookkeeping on the way to the next genuine
+    /// choice point, which interning would only add to `states_visited`.
+    /// Each chained action drops the sleep entries it is dependent with,
+    /// and a chained action found asleep prunes the rest of the chain (the
+    /// standard sleep-set argument: that continuation is explored from a
+    /// sibling subtree).
+    ///
+    /// Returns `None` when the successor was pruned, else the components
+    /// the fired actions may have touched; the inherited sleep set is left
+    /// in [`Reducer::sleep`].
+    // Out of line: inlined into the sequential driver, the chain loop
+    // slowed its unreduced hot loop by ~3% on big corpus explorations.
+    #[inline(never)]
+    fn reduce(
+        &mut self,
+        chosen: Chosen,
+        action: Action,
+        state: &mut M::State,
+    ) -> Result<Option<Touched>, ExploreError> {
+        let mut touched = Touched::from_action(&action);
+        if !self.reduction.is_reduced() {
+            return Ok(Some(touched));
         }
-        *pruned += buf.len() - 1;
-        let chosen = buf
-            .iter_mut()
-            .find(|(candidate, _)| *candidate == action)
-            .expect("the chosen singleton is enabled");
-        std::mem::swap(state, &mut chosen.1);
-        touched.add_action(&action);
+        if !chosen.keeps(&action) || self.asleep.contains(&action) {
+            self.pruned += 1;
+            return Ok(None);
+        }
+        let canon = self.reduction.canonicalizes();
+        let Reducer { machine, explored, chain_buf, asleep, sleep, pruned, .. } = self;
         if canon {
             machine.canonicalize_in_place(state);
         }
-        sleep.retain(|b| machine.independent(&action, b));
+        // The successor sleeps on every inherited or earlier-explored action
+        // it is independent of: those orderings are covered by the sibling
+        // subtrees.
+        *sleep = ActionSet::new();
+        for b in asleep.as_slice().iter().chain(explored.iter()) {
+            if machine.independent(&action, b) {
+                sleep.push(*b);
+            }
+        }
+        sleep.sort_dedup();
+        explored.push(action);
+
+        for _ in 0..MAX_CHAIN {
+            if machine.is_final(state) {
+                break;
+            }
+            machine.labeled_successors_into(state, chain_buf);
+            if chain_buf.is_empty() {
+                return Err(ExploreError::Deadlock);
+            }
+            let Chosen::Single(next) = choose_persistent(*machine, state, chain_buf) else {
+                break;
+            };
+            if sleep.contains(&next) {
+                *pruned += 1;
+                return Ok(None);
+            }
+            *pruned += chain_buf.len() - 1;
+            let chosen = chain_buf
+                .iter_mut()
+                .find(|(candidate, _)| *candidate == next)
+                .expect("the chosen singleton is enabled");
+            std::mem::swap(state, &mut chosen.1);
+            touched.add_action(&next);
+            if canon {
+                machine.canonicalize_in_place(state);
+            }
+            sleep.retain(|b| machine.independent(&next, b));
+        }
+        Ok(Some(touched))
     }
-    Ok(true)
 }
 
-/// What a sequential exploration phase produced: a complete answer, or the
-/// accumulated search state handed over to a sharded parallel driver
+/// The per-slot sleep-set bookkeeping of an exploration, parallel to its
+/// visited set: the smallest sleep set each slot has been reached with,
+/// and the sleep set of its last expansion (`None` = never expanded).
+///
+/// Each stored set only shrinks, and a slot is re-queued exactly when it
+/// shrinks, so every visit's obligations are met and the search
+/// terminates. Under [`Reduction::Off`] the book stays empty: every claim
+/// is a first expansion with an empty sleep set, and no revisit re-queues.
+struct SleepBook {
+    reduced: bool,
+    sleep_sets: Vec<ActionSet>,
+    expanded_with: Vec<Option<ActionSet>>,
+}
+
+impl SleepBook {
+    fn new(reduced: bool) -> Self {
+        SleepBook { reduced, sleep_sets: Vec::new(), expanded_with: Vec::new() }
+    }
+
+    /// Claims `slot` for expansion: copies its sleep set into `asleep` and
+    /// returns whether this is its first expansion, or `None` when an
+    /// expansion with an equal or smaller sleep set already covered it.
+    #[inline]
+    fn claim(&mut self, slot: u32, asleep: &mut ActionSet) -> Option<bool> {
+        if !self.reduced {
+            return Some(true);
+        }
+        let stored = &self.sleep_sets[slot as usize];
+        let previous = &mut self.expanded_with[slot as usize];
+        if previous.as_ref().is_some_and(|previous| previous.is_subset(stored)) {
+            return None;
+        }
+        asleep.clone_from(stored);
+        Some(previous.replace(stored.clone()).is_none())
+    }
+
+    /// Registers a freshly interned slot reached with sleep set `sleep`.
+    #[inline]
+    fn push(&mut self, sleep: &ActionSet) {
+        if self.reduced {
+            self.sleep_sets.push(sleep.clone());
+            self.expanded_with.push(None);
+        }
+    }
+
+    /// Records a revisit of `slot` with sleep set `sleep`; true when the
+    /// stored set shrank and the slot must be expanded again.
+    #[inline]
+    fn revisit(&mut self, slot: u32, sleep: &ActionSet) -> bool {
+        if !self.reduced {
+            return false;
+        }
+        let stored = &mut self.sleep_sets[slot as usize];
+        if stored.is_subset(sleep) {
+            return false;
+        }
+        *stored = stored.intersect(sleep);
+        true
+    }
+
+    /// The accounted footprint (inline sizes only — lengths, never
+    /// capacities, so the figure survives a checkpoint resume).
+    fn bytes(&self) -> usize {
+        self.sleep_sets.len() * std::mem::size_of::<ActionSet>()
+            + self.expanded_with.len() * std::mem::size_of::<Option<ActionSet>>()
+    }
+
+    /// Drops every heap-backed entry. Sound: an emptied sleep set or a
+    /// cleared expansion cache only causes redundant re-expansion, never a
+    /// missed state.
+    fn flush_heap(&mut self) {
+        for set in &mut self.sleep_sets {
+            if set.is_heap() {
+                *set = ActionSet::new();
+            }
+        }
+        for entry in &mut self.expanded_with {
+            if entry.as_ref().is_some_and(ActionSet::is_heap) {
+                *entry = None;
+            }
+        }
+    }
+}
+
+/// What the sequential driver produced: a complete answer, or the
+/// accumulated search state handed over to the sharded continuation
 /// because the state count passed [`ExplorerConfig::parallel_threshold`].
 enum SeqOutcome<S> {
     Finished(Exploration, Option<Outcome>),
     Escalated(Seed<S>),
 }
 
-/// Everything a sequential phase migrates into the parallel drivers on
-/// escalation: the visited set (slot order preserved), the unexpanded
-/// frontier as slots into it, and the partial results.
-/// Periodic progress reporting for the sequential drivers.
+/// Periodic progress reporting for the sequential driver.
 ///
 /// Construction samples the arming flag once; a disarmed ticker's
 /// [`ProgressTicker::tick`] is a branch on a local bool, so the hot loop
@@ -703,21 +881,17 @@ fn note_escalation<S>(seed: &Seed<S>) {
     );
 }
 
+/// Everything the sequential driver migrates into the sharded continuation
+/// on escalation: the visited set (slot order preserved) with its sleep
+/// bookkeeping, the unexpanded frontier as slots into it, and the partial
+/// results.
 struct Seed<S> {
     states: Vec<S>,
+    book: SleepBook,
     pending: Vec<u32>,
     outcomes: BTreeSet<Outcome>,
     final_states: usize,
     pruned: usize,
-    /// Per-slot reduction bookkeeping (reduced explorations only).
-    sleep: Option<SleepSeed>,
-}
-
-/// The per-slot sleep-set bookkeeping of a reduced exploration, parallel to
-/// [`Seed::states`].
-struct SleepSeed {
-    sleep_sets: Vec<ActionSet>,
-    expanded_with: Vec<Option<ActionSet>>,
 }
 
 /// Soft watermark of the memory ladder: degradation starts at 80% of the
@@ -738,11 +912,12 @@ const MIN_RESIDENT_ROWS: usize = 256;
 const FLUSH_SPACING_STATES: usize = 1024;
 
 /// Snapshot driver tags ([`CheckpointPlan`] payload versioning within the
-/// `gam-explore-checkpoint/v1` record that wraps these bytes).
+/// `gam-explore-checkpoint/v1` record that wraps these bytes): an unreduced
+/// search, and a reduced one whose sleep bookkeeping follows the frontier.
 const SNAP_COMPOSED: u8 = 1;
 const SNAP_REDUCED: u8 = 2;
 
-/// The memory governor of a budgeted composed exploration: refreshes the
+/// The memory governor of a budgeted exploration: refreshes the
 /// [`MemoryAccountant`] at poll cadence and walks the degradation ladder
 /// (flush sleep caches → spill cold rows → hard stop).
 struct MemGovernor {
@@ -802,48 +977,26 @@ impl MemGovernor {
 
     /// One governance round at poll cadence: refresh the accounts, degrade
     /// while over the soft watermark, stop the run at the hard limit.
-    ///
-    /// `sleep` carries the reduced driver's per-slot bookkeeping (the
-    /// unreduced driver passes `None`). Flushing it is sound: an emptied
-    /// sleep set or a cleared expansion cache only causes redundant
-    /// re-expansion, never a missed state.
     fn govern<S: ComposedState>(
         &mut self,
         arena: &mut ComponentArena<S>,
         frontier_len: usize,
-        sleep: Option<(&mut Vec<ActionSet>, &mut Vec<Option<ActionSet>>)>,
+        book: &mut SleepBook,
     ) -> Result<(), StopReason> {
-        let sleep_bytes = sleep.as_ref().map_or(0, |(sets, expanded)| {
-            sets.len() * std::mem::size_of::<ActionSet>()
-                + expanded.len() * std::mem::size_of::<Option<ActionSet>>()
-        });
+        let sleep_bytes = book.bytes();
         let mut total = self.refresh(arena, frontier_len, sleep_bytes);
         if total < self.soft_bytes {
             return Ok(());
         }
-        // Rung 1: drop the heap-backed sleep bookkeeping. The accounted
-        // total only tracks the inline footprint, so this rung relieves real
-        // RSS without moving the deterministic figure — the ladder does not
-        // wait on it.
-        if let Some((sets, expanded)) = sleep {
-            if arena.len() >= self.next_flush_ok_at {
-                for set in sets.iter_mut() {
-                    if set.is_heap() {
-                        *set = ActionSet::new();
-                    }
-                }
-                for entry in expanded.iter_mut() {
-                    if entry.as_ref().is_some_and(ActionSet::is_heap) {
-                        *entry = None;
-                    }
-                }
-                self.acct.sleep_flushes += 1;
-                self.next_flush_ok_at = arena.len() + FLUSH_SPACING_STATES;
-                gam_obs::trace::event(
-                    "explore.sleep_flush",
-                    &[("states", arena.len().to_string())],
-                );
-            }
+        // Rung 1 (reduced runs): drop the heap-backed sleep bookkeeping. The
+        // accounted total only tracks the inline footprint, so this rung
+        // relieves real RSS without moving the deterministic figure — the
+        // ladder does not wait on it.
+        if book.reduced && arena.len() >= self.next_flush_ok_at {
+            book.flush_heap();
+            self.acct.sleep_flushes += 1;
+            self.next_flush_ok_at = arena.len() + FLUSH_SPACING_STATES;
+            gam_obs::trace::event("explore.sleep_flush", &[("states", arena.len().to_string())]);
         }
         // Rung 2: spill the oldest resident rows until back under the soft
         // watermark (or out of spillable rows). A write failure stops
@@ -989,7 +1142,7 @@ fn decode_outcome(input: &mut &[u8]) -> Option<Outcome> {
     Some(pairs.into_iter().collect())
 }
 
-/// The decoded search state of a composed sequential driver, mid-run.
+/// The decoded search state of the sequential driver, mid-run.
 struct SeqSnapshot<S: ComposedState> {
     expansions: usize,
     final_states: usize,
@@ -997,27 +1150,25 @@ struct SeqSnapshot<S: ComposedState> {
     outcomes: BTreeSet<Outcome>,
     arena: ComponentArena<S>,
     stack: Vec<u32>,
-    /// `(sleep_sets, expanded_with)` — [`SNAP_REDUCED`] snapshots only.
-    sleep: Option<(Vec<ActionSet>, Vec<Option<ActionSet>>)>,
+    book: SleepBook,
 }
 
-/// Encodes the complete search state of a composed sequential driver.
-/// Everything a resumed run needs to continue with identical counters is
-/// here; accounted-memory peaks are deliberately *not* (they restart from
-/// the resumed footprint).
-#[allow(clippy::too_many_arguments)] // a plain serialization point, not an API
+/// Encodes the complete search state of the sequential driver, tagged
+/// [`SNAP_REDUCED`] (with the sleep bookkeeping) or [`SNAP_COMPOSED`]
+/// (without). Everything a resumed run needs to continue with identical
+/// counters is here; accounted-memory peaks are deliberately *not* (they
+/// restart from the resumed footprint).
 fn encode_snapshot<S: ComposedState>(
-    tag: u8,
     expansions: usize,
     final_states: usize,
     pruned: usize,
     outcomes: &BTreeSet<Outcome>,
     arena: &ComponentArena<S>,
     stack: &[u32],
-    sleep: Option<(&[ActionSet], &[Option<ActionSet>])>,
+    book: &SleepBook,
 ) -> Vec<u8> {
     let mut out = Vec::new();
-    codec::put_u8(&mut out, tag);
+    codec::put_u8(&mut out, if book.reduced { SNAP_REDUCED } else { SNAP_COMPOSED });
     codec::put_usize(&mut out, expansions);
     codec::put_usize(&mut out, final_states);
     codec::put_usize(&mut out, pruned);
@@ -1030,13 +1181,13 @@ fn encode_snapshot<S: ComposedState>(
     for &slot in stack {
         codec::put_u32(&mut out, slot);
     }
-    if let Some((sleep_sets, expanded_with)) = sleep {
-        codec::put_usize(&mut out, sleep_sets.len());
-        for set in sleep_sets {
+    if book.reduced {
+        codec::put_usize(&mut out, book.sleep_sets.len());
+        for set in &book.sleep_sets {
             encode_action_set(set, &mut out);
         }
-        codec::put_usize(&mut out, expanded_with.len());
-        for entry in expanded_with {
+        codec::put_usize(&mut out, book.expanded_with.len());
+        for entry in &book.expanded_with {
             match entry {
                 Some(set) => {
                     codec::put_u8(&mut out, 1);
@@ -1049,18 +1200,19 @@ fn encode_snapshot<S: ComposedState>(
     out
 }
 
-/// Decodes an [`encode_snapshot`] payload, re-reading spilled segments from
-/// `spill_dir` to rebuild the dedup index.
+/// Decodes an [`encode_snapshot`] payload of a run with the given
+/// reduction, re-reading spilled segments from `spill_dir` to rebuild the
+/// dedup index.
 fn decode_snapshot<S: ComposedState>(
     bytes: &[u8],
-    expected_tag: u8,
+    reduced: bool,
     num_procs: usize,
     spill_dir: Option<&std::path::Path>,
 ) -> Result<SeqSnapshot<S>, String> {
     let truncated = || "truncated exploration snapshot".to_string();
     let input = &mut &bytes[..];
     let tag = codec::take_u8(input).ok_or_else(truncated)?;
-    if tag != expected_tag {
+    if tag != if reduced { SNAP_REDUCED } else { SNAP_COMPOSED } {
         return Err(format!("snapshot driver tag {tag} does not match this run"));
     }
     let expansions = codec::take_usize(input).ok_or_else(truncated)?;
@@ -1081,33 +1233,29 @@ fn decode_snapshot<S: ComposedState>(
         }
         stack.push(slot);
     }
-    let sleep = if tag == SNAP_REDUCED {
+    let mut book = SleepBook::new(reduced);
+    if reduced {
         let sets_len = codec::take_usize(input).ok_or_else(truncated)?;
-        let mut sleep_sets = Vec::with_capacity(sets_len);
         for _ in 0..sets_len {
-            sleep_sets.push(decode_action_set(input).ok_or_else(truncated)?);
+            book.sleep_sets.push(decode_action_set(input).ok_or_else(truncated)?);
         }
         let expanded_len = codec::take_usize(input).ok_or_else(truncated)?;
-        let mut expanded_with = Vec::with_capacity(expanded_len);
         for _ in 0..expanded_len {
             let entry = match codec::take_u8(input).ok_or_else(truncated)? {
                 0 => None,
                 1 => Some(decode_action_set(input).ok_or_else(truncated)?),
                 _ => return Err("bad expansion-cache flag in snapshot".to_string()),
             };
-            expanded_with.push(entry);
+            book.expanded_with.push(entry);
         }
-        if sleep_sets.len() != arena.len() || expanded_with.len() != arena.len() {
+        if book.sleep_sets.len() != arena.len() || book.expanded_with.len() != arena.len() {
             return Err("snapshot sleep bookkeeping does not cover the arena".to_string());
         }
-        Some((sleep_sets, expanded_with))
-    } else {
-        None
-    };
+    }
     if !input.is_empty() {
         return Err("trailing bytes after exploration snapshot".to_string());
     }
-    Ok(SeqSnapshot { expansions, final_states, pruned, outcomes, arena, stack, sleep })
+    Ok(SeqSnapshot { expansions, final_states, pruned, outcomes, arena, stack, book })
 }
 
 impl Explorer {
@@ -1118,8 +1266,8 @@ impl Explorer {
     }
 
     /// Attaches a cooperative [`Interrupt`] (cancel token and/or wall-clock
-    /// deadline). Every expansion loop — sequential and sharded — polls it
-    /// and stops with [`ExploreError::Interrupted`], carrying the partial
+    /// deadline). Both the driver and the sharded continuation poll it and
+    /// stop with [`ExploreError::Interrupted`], carrying the partial
     /// outcomes collected so far.
     #[must_use]
     pub fn with_interrupt(mut self, interrupt: Interrupt) -> Self {
@@ -1129,9 +1277,9 @@ impl Explorer {
 
     /// Attaches a [`MemoryConfig`]: a hard accounted-byte budget with a
     /// spill-to-disk degradation ladder, and/or intra-exploration
-    /// checkpointing. Only the composed sequential drivers honour it; arming
-    /// a budget or a checkpoint plan disables the escalation to the sharded
-    /// parallel driver (the run stays sequential and deterministic).
+    /// checkpointing. Arming a budget or a checkpoint plan disables the
+    /// escalation to the sharded continuation (the run stays sequential
+    /// and deterministic).
     #[must_use]
     pub fn with_memory(mut self, memory: MemoryConfig) -> Self {
         self.memory = memory;
@@ -1150,63 +1298,40 @@ impl Explorer {
         &self.memory
     }
 
-    /// The escalation budget of a sequential phase: `None` runs sequential
-    /// to completion, `Some(n)` hands over to the sharded drivers once more
-    /// than `n` states are interned with frontier work remaining. Memory
-    /// budgets and checkpoint plans pin the run to the sequential driver.
+    /// The escalation budget of the sequential driver: `None` runs it to
+    /// completion, `Some(n)` hands over to the sharded continuation once
+    /// more than `n` states are interned with frontier work remaining.
+    /// Memory budgets and checkpoint plans pin the run to the driver.
     fn escalation(&self) -> Option<usize> {
         (self.config.parallelism > 1 && !self.memory.armed())
             .then_some(self.config.parallel_threshold)
     }
 
     /// Exhaustively explores the machine and collects every reachable final
-    /// outcome, with the configured [`Reduction`], storing full states in
-    /// the visited set.
+    /// outcome, with the configured [`Reduction`].
     ///
-    /// With [`ExplorerConfig::parallelism`] above 1 the exploration is
-    /// *adaptive*: it starts sequentially and escalates to the sharded
-    /// parallel driver only once the state count passes
+    /// Visited states are stored as rows of hash-consed component ids
+    /// ([`crate::arena::ComponentArena`]), so unchanged per-proc states and
+    /// memory maps are shared across the whole visited set and successor
+    /// deduplication hashes only the components an expansion actually
+    /// changed. With [`ExplorerConfig::parallelism`] above 1 the
+    /// exploration is *adaptive*: it starts sequentially and escalates to
+    /// the sharded continuation only once the state count passes
     /// [`ExplorerConfig::parallel_threshold`] — small state spaces never
-    /// pay thread overhead. Machines whose state implements
-    /// [`crate::arena::ComposedState`] should prefer
-    /// [`Explorer::explore_composed`], which additionally shares state
-    /// components across the visited set.
-    ///
-    /// The `Sync`/`Send` bounds exist for the parallel mode; a machine with a
-    /// thread-bound state can still use
-    /// [`Explorer::explore_sequential`] directly.
+    /// pay thread overhead.
     ///
     /// # Errors
     ///
     /// Returns [`ExploreError::StateLimitExceeded`] if the state space is
-    /// larger than the configured limit, and [`ExploreError::Deadlock`] if a
-    /// non-final state has no successor.
-    pub fn explore<M: LabeledMachine + Sync>(
-        &self,
-        machine: &M,
-    ) -> Result<Exploration, ExploreError>
-    where
-        M::State: Send,
-    {
-        self.run_plain(machine, None).map(|(exploration, _)| exploration)
-    }
-
-    /// [`Explorer::explore`] over the component arena: visited states are
-    /// stored as rows of hash-consed component ids
-    /// ([`crate::arena::ComponentArena`]), so unchanged per-proc states and
-    /// memory maps are shared across the whole visited set and successor
-    /// deduplication hashes only the components an expansion actually
-    /// changed. This is the production path of `OperationalChecker`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Explorer::explore`].
-    pub fn explore_composed<M>(&self, machine: &M) -> Result<Exploration, ExploreError>
+    /// larger than the configured limit, [`ExploreError::Deadlock`] if a
+    /// non-final state has no successor, and [`ExploreError::Interrupted`]
+    /// when the interrupt or the memory budget stops the search.
+    pub fn explore<M>(&self, machine: &M) -> Result<Exploration, ExploreError>
     where
         M: LabeledMachine + Sync,
         M::State: ComposedState + Send,
     {
-        self.run_composed(machine, None).map(|(exploration, _)| exploration)
+        self.run(machine, None).map(|(exploration, _)| exploration)
     }
 
     /// Searches for a final state whose outcome satisfies `matches` and
@@ -1231,55 +1356,17 @@ impl Explorer {
     ) -> Result<Option<Outcome>, ExploreError>
     where
         M: LabeledMachine + Sync,
-        M::State: Send,
-        F: Fn(&Outcome) -> bool + Sync,
-    {
-        let stop: StopFn = &matches;
-        self.run_plain(machine, Some(stop)).map(|(_, witness)| witness)
-    }
-
-    /// [`Explorer::find_outcome`] over the component arena (see
-    /// [`Explorer::explore_composed`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Explorer::find_outcome`].
-    pub fn find_outcome_composed<M, F>(
-        &self,
-        machine: &M,
-        matches: F,
-    ) -> Result<Option<Outcome>, ExploreError>
-    where
-        M: LabeledMachine + Sync,
         M::State: ComposedState + Send,
         F: Fn(&Outcome) -> bool + Sync,
     {
         let stop: StopFn = &matches;
-        self.run_composed(machine, Some(stop)).map(|(_, witness)| witness)
+        self.run(machine, Some(stop)).map(|(_, witness)| witness)
     }
 
-    /// Single-threaded exploration, available without the thread-safety
-    /// bounds of [`Explorer::explore`] (ignores
-    /// [`ExplorerConfig::parallelism`] and [`ExplorerConfig::reduction`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Explorer::explore`].
-    pub fn explore_sequential<M: AbstractMachine>(
-        &self,
-        machine: &M,
-    ) -> Result<Exploration, ExploreError> {
-        match self.seq_plain(machine, None, None)? {
-            SeqOutcome::Finished(exploration, _) => Ok(exploration),
-            SeqOutcome::Escalated(_) => unreachable!("no escalation budget was given"),
-        }
-    }
-
-    /// The pre-refactor plain-state sequential path, honouring the
-    /// configured [`Reduction`] but never sharding: full states in the
-    /// visited set, no component interning. Kept as the reference oracle
-    /// the differential test-suites compare the component-interned
-    /// production path against.
+    /// The reference oracle: the same search as [`Explorer::explore`] with
+    /// the configured [`Reduction`], but over plain full-state interning,
+    /// sequential, without memory governance, interrupts or an early exit.
+    /// The differential test-suites compare the arena driver against it.
     ///
     /// # Errors
     ///
@@ -1289,61 +1376,59 @@ impl Explorer {
         &self,
         machine: &M,
     ) -> Result<Exploration, ExploreError> {
-        let result = match self.config.reduction {
-            Reduction::Off => self.seq_plain(machine, None, None)?,
-            mode => self.seq_plain_reduced(machine, mode.canonicalizes(), None, None)?,
-        };
-        match result {
-            SeqOutcome::Finished(exploration, _) => Ok(exploration),
-            SeqOutcome::Escalated(_) => unreachable!("no escalation budget was given"),
-        }
-    }
-
-    /// Dispatch over plain full-state storage.
-    fn run_plain<M: LabeledMachine + Sync>(
-        &self,
-        machine: &M,
-        stop: Option<StopFn>,
-    ) -> Result<(Exploration, Option<Outcome>), ExploreError>
-    where
-        M::State: Send,
-    {
-        fault::hit("explore");
-        match self.config.reduction {
-            Reduction::Off => {
-                let outcome = {
-                    let _phase = gam_obs::phase("explore_seq");
-                    self.seq_plain(machine, stop, self.escalation())?
-                };
-                match outcome {
-                    SeqOutcome::Finished(exploration, witness) => Ok((exploration, witness)),
-                    SeqOutcome::Escalated(seed) => {
-                        note_escalation(&seed);
-                        let _phase = gam_obs::phase("explore_sharded");
-                        self.parallel_seeded(machine, stop, seed)
-                    }
-                }
+        let mut reducer = Reducer::new(machine, self.config.reduction);
+        let mut book = SleepBook::new(self.config.reduction.is_reduced());
+        let mut visited: InternedStates<M::State> = InternedStates::default();
+        let (root, _) = visited.intern(reducer.initial_state());
+        book.push(&ActionSet::new());
+        let mut stack = vec![root];
+        let mut succ: Vec<(Action, M::State)> = Vec::new();
+        let mut outcomes = BTreeSet::new();
+        let mut final_states = 0usize;
+        while let Some(slot) = stack.pop() {
+            let Some(first_expansion) = book.claim(slot, &mut reducer.asleep) else { continue };
+            let state = visited.get(slot);
+            machine.labeled_successors_into(state, &mut succ);
+            if machine.is_final(state) {
+                final_states += usize::from(first_expansion);
+                outcomes.insert(machine.outcome(state));
+            } else if succ.is_empty() {
+                return Err(ExploreError::Deadlock);
             }
-            mode => {
-                let canon = mode.canonicalizes();
-                let outcome = {
-                    let _phase = gam_obs::phase("explore_seq");
-                    self.seq_plain_reduced(machine, canon, stop, self.escalation())?
-                };
-                match outcome {
-                    SeqOutcome::Finished(exploration, witness) => Ok((exploration, witness)),
-                    SeqOutcome::Escalated(seed) => {
-                        note_escalation(&seed);
-                        let _phase = gam_obs::phase("explore_sharded");
-                        self.parallel_reduced_seeded(machine, canon, stop, seed)
+            let chosen = reducer.begin(state, &succ);
+            for (action, next) in &mut succ {
+                if reducer.reduce(chosen, *action, next)?.is_none() {
+                    continue;
+                }
+                let (next_slot, is_new) = visited.intern_ref(next);
+                if is_new {
+                    if visited.len() > self.config.max_states {
+                        return Err(ExploreError::StateLimitExceeded {
+                            limit: self.config.max_states,
+                            states_visited: visited.len(),
+                            partial_outcomes: outcomes,
+                        });
                     }
+                    book.push(&reducer.sleep);
+                    stack.push(next_slot);
+                } else if book.revisit(next_slot, &reducer.sleep) {
+                    stack.push(next_slot);
                 }
             }
         }
+        Ok(Exploration {
+            outcomes,
+            states_visited: visited.len(),
+            final_states,
+            transitions_pruned: reducer.pruned,
+            arena: None,
+            memory: None,
+        })
     }
 
-    /// Dispatch over the component arena.
-    fn run_composed<M>(
+    /// The one dispatcher: the sequential driver, then — if it escalated —
+    /// the sharded continuation.
+    fn run<M>(
         &self,
         machine: &M,
         stop: Option<StopFn>,
@@ -1353,137 +1438,30 @@ impl Explorer {
         M::State: ComposedState + Send,
     {
         fault::hit("explore");
-        match self.config.reduction {
-            Reduction::Off => {
-                let outcome = {
-                    let _phase = gam_obs::phase("explore_seq");
-                    self.seq_composed(machine, stop, self.escalation())?
-                };
-                match outcome {
-                    SeqOutcome::Finished(exploration, witness) => Ok((exploration, witness)),
-                    SeqOutcome::Escalated(seed) => {
-                        note_escalation(&seed);
-                        let _phase = gam_obs::phase("explore_sharded");
-                        self.parallel_seeded(machine, stop, seed)
-                    }
-                }
-            }
-            mode => {
-                let canon = mode.canonicalizes();
-                let outcome = {
-                    let _phase = gam_obs::phase("explore_seq");
-                    self.seq_composed_reduced(machine, canon, stop, self.escalation())?
-                };
-                match outcome {
-                    SeqOutcome::Finished(exploration, witness) => Ok((exploration, witness)),
-                    SeqOutcome::Escalated(seed) => {
-                        note_escalation(&seed);
-                        let _phase = gam_obs::phase("explore_sharded");
-                        self.parallel_reduced_seeded(machine, canon, stop, seed)
-                    }
-                }
-            }
-        }
-    }
-
-    /// The unreduced sequential driver over plain full-state interning.
-    fn seq_plain<M: AbstractMachine>(
-        &self,
-        machine: &M,
-        stop: Option<StopFn>,
-        escalate: Option<usize>,
-    ) -> Result<SeqOutcome<M::State>, ExploreError> {
-        let mut visited: InternedStates<M::State> = InternedStates::default();
-        let mut stack: Vec<u32> = Vec::new();
-        let mut outcomes = BTreeSet::new();
-        let mut final_states = 0usize;
-
-        let initial = machine.initial_state();
-        stack.push(visited.insert(initial).expect("initial state is new"));
-
-        let interrupt_armed = self.interrupt.is_armed();
-        let progress = ProgressTicker::new();
-        let mut expansions = 0usize;
-        while let Some(index) = stack.pop() {
-            if interrupt_armed && expansions & INTERRUPT_POLL_MASK == 0 {
-                if let Some(reason) = self.interrupt.triggered() {
-                    return Err(ExploreError::Interrupted {
-                        reason,
-                        states_visited: visited.len(),
-                        partial_outcomes: outcomes,
-                    });
-                }
-            }
-            progress.tick(expansions, visited.len(), stack.len());
-            expansions += 1;
-            // The borrow of the interned state ends with each call, so the
-            // arena can keep growing while the successors are inserted.
-            let successors = machine.successors(visited.get(index));
-            if machine.is_final(visited.get(index)) {
-                // A state can be final while still having enabled rules (e.g.
-                // a fetch past the interesting instructions); record it
-                // either way.
-                final_states += 1;
-                let outcome = machine.outcome(visited.get(index));
-                if stop.is_some_and(|matches| matches(&outcome)) {
-                    outcomes.insert(outcome.clone());
-                    let exploration = Exploration {
-                        outcomes,
-                        states_visited: visited.len(),
-                        final_states,
-                        transitions_pruned: 0,
-                        arena: None,
-                        memory: None,
-                    };
-                    return Ok(SeqOutcome::Finished(exploration, Some(outcome)));
-                }
-                outcomes.insert(outcome);
-            } else if successors.is_empty() {
-                return Err(ExploreError::Deadlock);
-            }
-            for next in successors {
-                if let Some(new_index) = visited.insert(next) {
-                    if visited.len() > self.config.max_states {
-                        return Err(ExploreError::StateLimitExceeded {
-                            limit: self.config.max_states,
-                            states_visited: visited.len(),
-                            partial_outcomes: outcomes,
-                        });
-                    }
-                    stack.push(new_index);
-                }
-            }
-            if let Some(threshold) = escalate {
-                if visited.len() > threshold && !stack.is_empty() {
-                    return Ok(SeqOutcome::Escalated(Seed {
-                        states: visited.into_states(),
-                        pending: stack,
-                        outcomes,
-                        final_states,
-                        pruned: 0,
-                        sleep: None,
-                    }));
-                }
-            }
-        }
-
-        let exploration = Exploration {
-            outcomes,
-            states_visited: visited.len(),
-            final_states,
-            transitions_pruned: 0,
-            arena: None,
-            memory: None,
+        let outcome = {
+            let _phase = gam_obs::phase("explore_seq");
+            self.sequential(machine, stop, self.escalation())?
         };
-        Ok(SeqOutcome::Finished(exploration, None))
+        match outcome {
+            SeqOutcome::Finished(exploration, witness) => Ok((exploration, witness)),
+            SeqOutcome::Escalated(seed) => {
+                note_escalation(&seed);
+                let _phase = gam_obs::phase("explore_sharded");
+                self.sharded(machine, stop, seed)
+            }
+        }
     }
 
-    /// The unreduced sequential driver over the component arena: the
-    /// expansion state is reassembled into one scratch buffer, successors
-    /// are produced through the pooled
-    /// [`LabeledMachine::labeled_successors_into`] buffer, and every
-    /// successor is deduplicated against its parent's component row.
-    fn seq_composed<M>(
+    /// The sequential driver over the component arena.
+    ///
+    /// The expansion state is reassembled into one scratch buffer,
+    /// successors are produced through the pooled
+    /// [`LabeledMachine::labeled_successors_into`] buffer (the sparse form
+    /// under [`Reduction::Off`], whose successors are valid only in the
+    /// components their label touches), and every successor is
+    /// deduplicated against its parent's component row through that same
+    /// label-derived mask.
+    fn sequential<M>(
         &self,
         machine: &M,
         stop: Option<StopFn>,
@@ -1493,46 +1471,55 @@ impl Explorer {
         M: LabeledMachine,
         M::State: ComposedState,
     {
-        let mut current = machine.initial_state();
+        let reduced = self.config.reduction.is_reduced();
+        let mut reducer = Reducer::new(machine, self.config.reduction);
+        let mut current = reducer.initial_state();
         let num_procs = current.procs().len();
-        let (mut arena, mut stack, mut outcomes, mut final_states, mut expansions) =
-            match self.try_resume::<M::State>(SNAP_COMPOSED, num_procs) {
-                Some(snap) => {
-                    (snap.arena, snap.stack, snap.outcomes, snap.final_states, snap.expansions)
-                }
-                None => {
-                    let mut arena: ComponentArena<M::State> = ComponentArena::new(num_procs);
-                    let root = arena.intern_root(&current);
-                    (arena, vec![root], BTreeSet::new(), 0usize, 0usize)
-                }
-            };
+        // A fresh run starts from the snapshot of expansion zero.
+        let snap = self.try_resume(reduced, num_procs).unwrap_or_else(|| {
+            let mut arena = ComponentArena::new(num_procs);
+            let root = arena.intern_root(&current);
+            let mut book = SleepBook::new(reduced);
+            book.push(&ActionSet::new());
+            SeqSnapshot {
+                expansions: 0,
+                final_states: 0,
+                pruned: 0,
+                outcomes: BTreeSet::new(),
+                arena,
+                stack: vec![root],
+                book,
+            }
+        });
+        let SeqSnapshot {
+            mut expansions,
+            mut final_states,
+            pruned,
+            mut outcomes,
+            mut arena,
+            mut stack,
+            mut book,
+        } = snap;
+        reducer.pruned = pruned;
         self.arm_spill(&mut arena, num_procs);
         let mut governor = MemGovernor::new(&self.memory);
         let plan = self.memory.checkpoint.clone();
         let hard_budget = self.memory.max_bytes.unwrap_or(0);
         let mut succ: Vec<(Action, M::State)> = Vec::new();
+        let mut witness = None;
 
-        let interrupt_armed = self.interrupt.is_armed();
         let progress = ProgressTicker::new();
         loop {
             if expansions & INTERRUPT_POLL_MASK == 0 {
-                if interrupt_armed {
-                    if let Some(reason) = self.interrupt.triggered() {
-                        return Err(ExploreError::Interrupted {
-                            reason,
-                            states_visited: arena.len(),
-                            partial_outcomes: outcomes,
-                        });
-                    }
-                }
-                if let Some(gov) = governor.as_mut() {
-                    if let Err(reason) = gov.govern(&mut arena, stack.len(), None) {
-                        return Err(ExploreError::Interrupted {
-                            reason,
-                            states_visited: arena.len(),
-                            partial_outcomes: outcomes,
-                        });
-                    }
+                let reason = self.interrupt.triggered().or_else(|| {
+                    governor.as_mut()?.govern(&mut arena, stack.len(), &mut book).err()
+                });
+                if let Some(reason) = reason {
+                    return Err(ExploreError::Interrupted {
+                        reason,
+                        states_visited: arena.len(),
+                        partial_outcomes: outcomes,
+                    });
                 }
             }
             if let Some(plan) = &plan {
@@ -1540,53 +1527,60 @@ impl Explorer {
                     && expansions != 0
                     && expansions % plan.every_expansions == 0
                 {
-                    let bytes = encode_snapshot(
-                        SNAP_COMPOSED,
+                    (plan.sink)(&encode_snapshot(
                         expansions,
                         final_states,
-                        0,
+                        reducer.pruned,
                         &outcomes,
                         &arena,
                         &stack,
-                        None,
-                    );
-                    (plan.sink)(&bytes);
+                        &book,
+                    ));
                 }
             }
             let Some(slot) = stack.pop() else { break };
             progress.tick(expansions, arena.len(), stack.len());
             expansions += 1;
+            let Some(first_expansion) = book.claim(slot, &mut reducer.asleep) else { continue };
+
             arena
                 .load(slot, &mut current)
                 .map_err(|err| spill_read_interrupt(hard_budget, arena.len(), &outcomes, &err))?;
-            // Sparse successors: each is valid only in the components its
-            // action touched — exactly the components `intern_touched`
-            // consults below. Nothing else ever reads them.
-            machine.labeled_successors_sparse_into(&current, &mut succ);
+            if reduced {
+                machine.labeled_successors_into(&current, &mut succ);
+            } else {
+                machine.labeled_successors_sparse_into(&current, &mut succ);
+            }
             if machine.is_final(&current) {
-                final_states += 1;
+                final_states += usize::from(first_expansion);
                 let outcome = machine.outcome(&current);
                 if stop.is_some_and(|matches| matches(&outcome)) {
-                    outcomes.insert(outcome.clone());
-                    let exploration = Exploration {
-                        outcomes,
-                        states_visited: arena.len(),
-                        final_states,
-                        transitions_pruned: 0,
-                        arena: Some(arena.occupancy()),
-                        memory: governor.as_ref().map(MemGovernor::stats),
-                    };
-                    return Ok(SeqOutcome::Finished(exploration, Some(outcome)));
+                    witness = Some(outcome.clone());
+                    outcomes.insert(outcome);
+                    break;
                 }
                 outcomes.insert(outcome);
             } else if succ.is_empty() {
                 return Err(ExploreError::Deadlock);
             }
-            for (action, next) in &succ {
+
+            let chosen = reducer.begin(&current, &succ);
+            for (action, next) in &mut succ {
+                // The unreduced search bypasses the reducer: this is the hot
+                // loop of every production exploration, and the reducer's
+                // answer under `Off` is exactly the action's own mask.
+                let touched = if reduced {
+                    let Some(touched) = reducer.reduce(chosen, *action, next)? else {
+                        continue;
+                    };
+                    touched
+                } else {
+                    Touched::from_action(action)
+                };
                 let (next_slot, is_new) =
-                    arena.intern_touched_sparse(next, slot, Touched::from_action(action)).map_err(
-                        |err| spill_read_interrupt(hard_budget, arena.len(), &outcomes, &err),
-                    )?;
+                    arena.intern_touched(next, slot, touched, !reduced).map_err(|err| {
+                        spill_read_interrupt(hard_budget, arena.len(), &outcomes, &err)
+                    })?;
                 if is_new {
                     if arena.len() > self.config.max_states {
                         return Err(ExploreError::StateLimitExceeded {
@@ -1595,20 +1589,21 @@ impl Explorer {
                             partial_outcomes: outcomes,
                         });
                     }
+                    book.push(&reducer.sleep);
+                    stack.push(next_slot);
+                } else if book.revisit(next_slot, &reducer.sleep) {
                     stack.push(next_slot);
                 }
             }
-            if let Some(threshold) = escalate {
-                if arena.len() > threshold && !stack.is_empty() {
-                    return Ok(SeqOutcome::Escalated(Seed {
-                        states: arena.export_states(&current),
-                        pending: stack,
-                        outcomes,
-                        final_states,
-                        pruned: 0,
-                        sleep: None,
-                    }));
-                }
+            if escalate.is_some_and(|threshold| arena.len() > threshold) && !stack.is_empty() {
+                return Ok(SeqOutcome::Escalated(Seed {
+                    states: arena.export_states(&current),
+                    book,
+                    pending: stack,
+                    outcomes,
+                    final_states,
+                    pruned: reducer.pruned,
+                }));
             }
         }
 
@@ -1616,20 +1611,24 @@ impl Explorer {
             outcomes,
             states_visited: arena.len(),
             final_states,
-            transitions_pruned: 0,
+            transitions_pruned: reducer.pruned,
             arena: Some(arena.occupancy()),
             memory: governor.as_ref().map(MemGovernor::stats),
         };
-        Ok(SeqOutcome::Finished(exploration, None))
+        Ok(SeqOutcome::Finished(exploration, witness))
     }
 
     /// Decodes the configured resume snapshot, if any. An undecodable or
     /// mismatched snapshot is reported on the trace stream and ignored — the
     /// exploration restarts from scratch, which is sound (just slower).
-    fn try_resume<S: ComposedState>(&self, tag: u8, num_procs: usize) -> Option<SeqSnapshot<S>> {
+    fn try_resume<S: ComposedState>(
+        &self,
+        reduced: bool,
+        num_procs: usize,
+    ) -> Option<SeqSnapshot<S>> {
         let plan = self.memory.checkpoint.as_ref()?;
         let bytes = plan.resume.as_ref()?;
-        match decode_snapshot(bytes, tag, num_procs, self.memory.spill_dir.as_deref()) {
+        match decode_snapshot(bytes, reduced, num_procs, self.memory.spill_dir.as_deref()) {
             Ok(snap) => {
                 gam_obs::trace::event(
                     "explore.resume",
@@ -1664,424 +1663,9 @@ impl Explorer {
         }
     }
 
-    /// The reduced sequential driver over plain full-state interning:
-    /// persistent sets + sleep sets, with optional canonicalization and an
-    /// optional early-exit predicate.
-    ///
-    /// Each interned state stores the smallest sleep set it has been reached
-    /// with; reaching it again with a sleep set that is not a superset
-    /// shrinks the stored set to the intersection and re-queues the state,
-    /// so every visit's exploration obligations are eventually met. The
-    /// stored set shrinks strictly on every re-queue, so the search
-    /// terminates.
-    fn seq_plain_reduced<M: LabeledMachine>(
-        &self,
-        machine: &M,
-        canon: bool,
-        stop: Option<StopFn>,
-        escalate: Option<usize>,
-    ) -> Result<SeqOutcome<M::State>, ExploreError> {
-        let mut visited: InternedStates<M::State> = InternedStates::default();
-        // Per-slot reduction book-keeping, parallel to the arena: the
-        // smallest sleep set seen, and the sleep set of the last expansion
-        // (`None` = never expanded).
-        let mut sleep_sets: Vec<ActionSet> = Vec::new();
-        let mut expanded_with: Vec<Option<ActionSet>> = Vec::new();
-        let mut stack: Vec<u32> = Vec::new();
-        let mut succ: Vec<(Action, M::State)> = Vec::new();
-        let mut chain_buf: Vec<(Action, M::State)> = Vec::new();
-        let mut explored: Vec<Action> = Vec::new();
-        let mut outcomes = BTreeSet::new();
-        let mut final_states = 0usize;
-        let mut pruned = 0usize;
-
-        let initial = {
-            let mut state = machine.initial_state();
-            if canon {
-                machine.canonicalize_in_place(&mut state);
-            }
-            state
-        };
-        // A scratch state the chain compressor advances through; primed
-        // with arbitrary buffers of the right shape.
-        let mut chain_state = initial.clone();
-        let (slot, _) = visited.intern(initial);
-        sleep_sets.push(ActionSet::new());
-        expanded_with.push(None);
-        stack.push(slot);
-
-        let interrupt_armed = self.interrupt.is_armed();
-        let progress = ProgressTicker::new();
-        let mut expansions = 0usize;
-        while let Some(slot) = stack.pop() {
-            if interrupt_armed && expansions & INTERRUPT_POLL_MASK == 0 {
-                if let Some(reason) = self.interrupt.triggered() {
-                    return Err(ExploreError::Interrupted {
-                        reason,
-                        states_visited: visited.len(),
-                        partial_outcomes: outcomes,
-                    });
-                }
-            }
-            progress.tick(expansions, visited.len(), stack.len());
-            expansions += 1;
-            let z = sleep_sets[slot as usize].clone();
-            if let Some(previous) = &expanded_with[slot as usize] {
-                if previous.is_subset(&z) {
-                    // Already expanded with an equal or smaller sleep set:
-                    // the pending obligations were covered.
-                    continue;
-                }
-            }
-            let first_expansion = expanded_with[slot as usize].is_none();
-            expanded_with[slot as usize] = Some(z.clone());
-
-            machine.labeled_successors_into(visited.get(slot), &mut succ);
-            if machine.is_final(visited.get(slot)) {
-                if first_expansion {
-                    final_states += 1;
-                }
-                let outcome = machine.outcome(visited.get(slot));
-                if stop.is_some_and(|matches| matches(&outcome)) {
-                    outcomes.insert(outcome.clone());
-                    let exploration = Exploration {
-                        outcomes,
-                        states_visited: visited.len(),
-                        final_states,
-                        transitions_pruned: pruned,
-                        arena: None,
-                        memory: None,
-                    };
-                    return Ok(SeqOutcome::Finished(exploration, Some(outcome)));
-                }
-                outcomes.insert(outcome);
-            } else if succ.is_empty() {
-                return Err(ExploreError::Deadlock);
-            }
-
-            let chosen = choose_persistent(machine, visited.get(slot), &succ);
-            explored.clear();
-            #[allow(clippy::needless_range_loop)] // succ[index].1 is swapped out below
-            for index in 0..succ.len() {
-                let action = succ[index].0;
-                if !chosen.keeps(&action) {
-                    pruned += 1; // persistent-set prune
-                    continue;
-                }
-                if z.contains(&action) {
-                    pruned += 1; // sleep-set prune
-                    continue;
-                }
-                // Steal the successor out of the pooled buffer (its slot is
-                // refilled by the next expansion's `clone_from`).
-                std::mem::swap(&mut chain_state, &mut succ[index].1);
-                if canon {
-                    machine.canonicalize_in_place(&mut chain_state);
-                }
-                // The successor sleeps on every earlier-explored or inherited
-                // action it is independent of: those orderings are covered by
-                // the sibling subtrees.
-                let mut inherited = ActionSet::new();
-                for b in z.as_slice().iter().chain(explored.iter()) {
-                    if machine.independent(&action, b) {
-                        inherited.push(*b);
-                    }
-                }
-                inherited.sort_dedup();
-
-                let mut touched = Touched::from_action(&action);
-                if !compress_chain_into(
-                    machine,
-                    &mut chain_state,
-                    &mut inherited,
-                    &mut touched,
-                    canon,
-                    &mut pruned,
-                    &mut chain_buf,
-                )? {
-                    explored.push(action);
-                    continue;
-                }
-
-                let (next_slot, is_new) = visited.intern_ref(&chain_state);
-                if is_new {
-                    if visited.len() > self.config.max_states {
-                        return Err(ExploreError::StateLimitExceeded {
-                            limit: self.config.max_states,
-                            states_visited: visited.len(),
-                            partial_outcomes: outcomes,
-                        });
-                    }
-                    sleep_sets.push(inherited);
-                    expanded_with.push(None);
-                    stack.push(next_slot);
-                } else {
-                    let stored = &sleep_sets[next_slot as usize];
-                    if !stored.is_subset(&inherited) {
-                        sleep_sets[next_slot as usize] = stored.intersect(&inherited);
-                        stack.push(next_slot);
-                    }
-                }
-                explored.push(action);
-            }
-            if let Some(threshold) = escalate {
-                if visited.len() > threshold && !stack.is_empty() {
-                    return Ok(SeqOutcome::Escalated(Seed {
-                        states: visited.into_states(),
-                        pending: stack,
-                        outcomes,
-                        final_states,
-                        pruned,
-                        sleep: Some(SleepSeed { sleep_sets, expanded_with }),
-                    }));
-                }
-            }
-        }
-
-        let exploration = Exploration {
-            outcomes,
-            states_visited: visited.len(),
-            final_states,
-            transitions_pruned: pruned,
-            arena: None,
-            memory: None,
-        };
-        Ok(SeqOutcome::Finished(exploration, None))
-    }
-
-    /// The reduced sequential driver over the component arena (the
-    /// production reduced path — see [`Explorer::seq_plain_reduced`] for
-    /// the sleep-set discipline it shares).
-    fn seq_composed_reduced<M>(
-        &self,
-        machine: &M,
-        canon: bool,
-        stop: Option<StopFn>,
-        escalate: Option<usize>,
-    ) -> Result<SeqOutcome<M::State>, ExploreError>
-    where
-        M: LabeledMachine,
-        M::State: ComposedState,
-    {
-        let mut current = {
-            let mut state = machine.initial_state();
-            if canon {
-                machine.canonicalize_in_place(&mut state);
-            }
-            state
-        };
-        let num_procs = current.procs().len();
-        let resumed = self.try_resume::<M::State>(SNAP_REDUCED, num_procs);
-        let (mut arena, mut stack, mut outcomes, mut final_states, mut pruned, mut expansions);
-        let (mut sleep_sets, mut expanded_with): (Vec<ActionSet>, Vec<Option<ActionSet>>);
-        match resumed {
-            Some(snap) => {
-                arena = snap.arena;
-                stack = snap.stack;
-                outcomes = snap.outcomes;
-                final_states = snap.final_states;
-                pruned = snap.pruned;
-                expansions = snap.expansions;
-                let sleep = snap.sleep.expect("reduced snapshot carries sleep bookkeeping");
-                sleep_sets = sleep.0;
-                expanded_with = sleep.1;
-            }
-            None => {
-                arena = ComponentArena::new(num_procs);
-                let root = arena.intern_root(&current);
-                stack = vec![root];
-                outcomes = BTreeSet::new();
-                final_states = 0;
-                pruned = 0;
-                expansions = 0;
-                sleep_sets = vec![ActionSet::new()];
-                expanded_with = vec![None];
-            }
-        }
-        self.arm_spill(&mut arena, num_procs);
-        let mut governor = MemGovernor::new(&self.memory);
-        let plan = self.memory.checkpoint.clone();
-        let hard_budget = self.memory.max_bytes.unwrap_or(0);
-        let mut succ: Vec<(Action, M::State)> = Vec::new();
-        let mut chain_buf: Vec<(Action, M::State)> = Vec::new();
-        let mut explored: Vec<Action> = Vec::new();
-        let mut chain_state = current.clone();
-
-        let interrupt_armed = self.interrupt.is_armed();
-        let progress = ProgressTicker::new();
-        loop {
-            if expansions & INTERRUPT_POLL_MASK == 0 {
-                if interrupt_armed {
-                    if let Some(reason) = self.interrupt.triggered() {
-                        return Err(ExploreError::Interrupted {
-                            reason,
-                            states_visited: arena.len(),
-                            partial_outcomes: outcomes,
-                        });
-                    }
-                }
-                if let Some(gov) = governor.as_mut() {
-                    if let Err(reason) = gov.govern(
-                        &mut arena,
-                        stack.len(),
-                        Some((&mut sleep_sets, &mut expanded_with)),
-                    ) {
-                        return Err(ExploreError::Interrupted {
-                            reason,
-                            states_visited: arena.len(),
-                            partial_outcomes: outcomes,
-                        });
-                    }
-                }
-            }
-            if let Some(plan) = &plan {
-                if plan.every_expansions != 0
-                    && expansions != 0
-                    && expansions % plan.every_expansions == 0
-                {
-                    let bytes = encode_snapshot(
-                        SNAP_REDUCED,
-                        expansions,
-                        final_states,
-                        pruned,
-                        &outcomes,
-                        &arena,
-                        &stack,
-                        Some((sleep_sets.as_slice(), expanded_with.as_slice())),
-                    );
-                    (plan.sink)(&bytes);
-                }
-            }
-            let Some(slot) = stack.pop() else { break };
-            progress.tick(expansions, arena.len(), stack.len());
-            expansions += 1;
-            let z = sleep_sets[slot as usize].clone();
-            if let Some(previous) = &expanded_with[slot as usize] {
-                if previous.is_subset(&z) {
-                    continue;
-                }
-            }
-            let first_expansion = expanded_with[slot as usize].is_none();
-            expanded_with[slot as usize] = Some(z.clone());
-
-            arena
-                .load(slot, &mut current)
-                .map_err(|err| spill_read_interrupt(hard_budget, arena.len(), &outcomes, &err))?;
-            machine.labeled_successors_into(&current, &mut succ);
-            if machine.is_final(&current) {
-                if first_expansion {
-                    final_states += 1;
-                }
-                let outcome = machine.outcome(&current);
-                if stop.is_some_and(|matches| matches(&outcome)) {
-                    outcomes.insert(outcome.clone());
-                    let exploration = Exploration {
-                        outcomes,
-                        states_visited: arena.len(),
-                        final_states,
-                        transitions_pruned: pruned,
-                        arena: Some(arena.occupancy()),
-                        memory: governor.as_ref().map(MemGovernor::stats),
-                    };
-                    return Ok(SeqOutcome::Finished(exploration, Some(outcome)));
-                }
-                outcomes.insert(outcome);
-            } else if succ.is_empty() {
-                return Err(ExploreError::Deadlock);
-            }
-
-            let chosen = choose_persistent(machine, &current, &succ);
-            explored.clear();
-            #[allow(clippy::needless_range_loop)] // succ[index].1 is swapped out below
-            for index in 0..succ.len() {
-                let action = succ[index].0;
-                if !chosen.keeps(&action) {
-                    pruned += 1; // persistent-set prune
-                    continue;
-                }
-                if z.contains(&action) {
-                    pruned += 1; // sleep-set prune
-                    continue;
-                }
-                std::mem::swap(&mut chain_state, &mut succ[index].1);
-                if canon {
-                    machine.canonicalize_in_place(&mut chain_state);
-                }
-                let mut inherited = ActionSet::new();
-                for b in z.as_slice().iter().chain(explored.iter()) {
-                    if machine.independent(&action, b) {
-                        inherited.push(*b);
-                    }
-                }
-                inherited.sort_dedup();
-
-                // The mask starts at the expanding action and widens with
-                // every compressed chain step, so the intern below touches
-                // exactly the components some fired rule could have changed.
-                let mut touched = Touched::from_action(&action);
-                if !compress_chain_into(
-                    machine,
-                    &mut chain_state,
-                    &mut inherited,
-                    &mut touched,
-                    canon,
-                    &mut pruned,
-                    &mut chain_buf,
-                )? {
-                    explored.push(action);
-                    continue;
-                }
-
-                let (next_slot, is_new) =
-                    arena.intern_touched(&chain_state, slot, touched).map_err(|err| {
-                        spill_read_interrupt(hard_budget, arena.len(), &outcomes, &err)
-                    })?;
-                if is_new {
-                    if arena.len() > self.config.max_states {
-                        return Err(ExploreError::StateLimitExceeded {
-                            limit: self.config.max_states,
-                            states_visited: arena.len(),
-                            partial_outcomes: outcomes,
-                        });
-                    }
-                    sleep_sets.push(inherited);
-                    expanded_with.push(None);
-                    stack.push(next_slot);
-                } else {
-                    let stored = &sleep_sets[next_slot as usize];
-                    if !stored.is_subset(&inherited) {
-                        sleep_sets[next_slot as usize] = stored.intersect(&inherited);
-                        stack.push(next_slot);
-                    }
-                }
-                explored.push(action);
-            }
-            if let Some(threshold) = escalate {
-                if arena.len() > threshold && !stack.is_empty() {
-                    return Ok(SeqOutcome::Escalated(Seed {
-                        states: arena.export_states(&current),
-                        pending: stack,
-                        outcomes,
-                        final_states,
-                        pruned,
-                        sleep: Some(SleepSeed { sleep_sets, expanded_with }),
-                    }));
-                }
-            }
-        }
-
-        let exploration = Exploration {
-            outcomes,
-            states_visited: arena.len(),
-            final_states,
-            transitions_pruned: pruned,
-            arena: Some(arena.occupancy()),
-            memory: governor.as_ref().map(MemGovernor::stats),
-        };
-        Ok(SeqOutcome::Finished(exploration, None))
-    }
-
-    /// Sharded-frontier parallel exploration, continuing from `seed`.
+    /// The sharded continuation: continues the search from `seed` with
+    /// [`ExplorerConfig::parallelism`] workers over a hash-sharded visited
+    /// set carrying each shard's slice of the sleep bookkeeping.
     ///
     /// Dedup stays lock-local (each shard owns the states whose hash lands
     /// in it); cross-shard successor handoffs are *batched*: a worker
@@ -2089,10 +1673,18 @@ impl Explorer {
     /// successor into per-destination outboxes, and flushes each outbox
     /// with a single lock acquisition — one lock per destination shard per
     /// round instead of one per successor. Idle workers spin-yield rather
-    /// than parking: explorations that reach this driver at all are past
-    /// the adaptive threshold, and a condvar handshake per frontier item
-    /// would cost more than the spin.
-    fn parallel_seeded<M: AbstractMachine + Sync>(
+    /// than parking: explorations that reach the continuation at all are
+    /// past the adaptive threshold, and a condvar handshake per frontier
+    /// item would cost more than the spin.
+    ///
+    /// Under [`Reduction::Off`] the counters equal the sequential driver's.
+    /// Under reduction the persistent-set choice is a pure function of the
+    /// state, but sleep sets are not (a state reached first by a different
+    /// worker can sleep on a different action set), which makes
+    /// `states_visited`/`transitions_pruned` run-dependent. The *outcome
+    /// set* stays exact either way — the re-expansion-on-smaller-sleep-set
+    /// discipline guarantees every obligation is eventually explored.
+    fn sharded<M: LabeledMachine + Sync>(
         &self,
         machine: &M,
         stop: Option<StopFn>,
@@ -2101,29 +1693,48 @@ impl Explorer {
     where
         M::State: Send,
     {
+        struct Shard<S> {
+            states: InternedStates<S>,
+            book: SleepBook,
+        }
+
         let workers = self.config.parallelism;
-        let shards: Vec<Mutex<InternedStates<M::State>>> =
-            (0..workers).map(|_| Mutex::new(InternedStates::default())).collect();
+        let reduced = seed.book.reduced;
+        let shards: Vec<Mutex<Shard<M::State>>> = (0..workers)
+            .map(|_| {
+                Mutex::new(Shard {
+                    states: InternedStates::default(),
+                    book: SleepBook::new(reduced),
+                })
+            })
+            .collect();
         let shard_of = |hash: u64| (hash % workers as u64) as usize;
         let seeding_hasher = FxBuildHasher::default();
 
-        // Migrate the sequential phase's visited set into the shards,
-        // remembering each slot's new (shard, index) address so the pending
-        // frontier can be requeued.
+        // Migrate the sequential phase's visited set (and, when reduced, its
+        // sleep bookkeeping) into the shards, remembering each slot's new
+        // (shard, index) address so the pending frontier can be requeued.
         let mut address: Vec<(u32, u32)> = Vec::with_capacity(seed.states.len());
         {
             let mut locked: Vec<_> =
                 shards.iter().map(|shard| shard.lock().expect("shard lock")).collect();
+            let mut entries = seed.book.sleep_sets.into_iter().zip(seed.book.expanded_with);
             for state in seed.states {
                 let hash = seeding_hasher.hash_one(&state);
                 let target = shard_of(hash);
-                let (index, _) = locked[target].intern_hashed(hash, state);
+                let shard = &mut locked[target];
+                let (index, _) = shard.states.intern_hashed(hash, state);
+                if let Some((sleep, expanded)) = entries.next() {
+                    shard.book.sleep_sets.push(sleep);
+                    shard.book.expanded_with.push(expanded);
+                }
                 address.push((target as u32, index));
             }
         }
 
         let visited_count = AtomicUsize::new(address.len());
         let final_count = AtomicUsize::new(seed.final_states);
+        let pruned_count = AtomicUsize::new(seed.pruned);
         let witness: Mutex<Option<Outcome>> = Mutex::new(None);
         // Frontier items not yet fully expanded; exploration is complete when
         // this drains to zero (a worker only decrements *after* registering
@@ -2134,7 +1745,6 @@ impl Explorer {
         let injector: Mutex<Vec<(u32, u32)>> =
             Mutex::new(seed.pending.iter().map(|&slot| address[slot as usize]).collect());
         let deadlocked = AtomicBool::new(false);
-        let interrupt_armed = self.interrupt.is_armed();
         let interrupted: Mutex<Option<StopReason>> = Mutex::new(None);
         let merged: Mutex<BTreeSet<Outcome>> = Mutex::new(seed.outcomes);
 
@@ -2142,231 +1752,20 @@ impl Explorer {
             for _ in 0..workers {
                 scope.spawn(|| {
                     let hasher = FxBuildHasher::default();
-                    let mut local: Vec<(u32, u32)> = Vec::new();
-                    let mut outcomes = BTreeSet::new();
-                    let mut batch: Vec<(u32, u32)> = Vec::new();
-                    let mut outbox: Vec<Vec<(u64, M::State)>> =
-                        (0..workers).map(|_| Vec::new()).collect();
-                    loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if interrupt_armed {
-                            if let Some(reason) = self.interrupt.triggered() {
-                                *interrupted.lock().expect("interrupt lock") = Some(reason);
-                                abort.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                        while batch.len() < HANDOFF_BATCH {
-                            match local.pop() {
-                                Some(item) => batch.push(item),
-                                None => break,
-                            }
-                        }
-                        if batch.is_empty() {
-                            let mut queue = injector.lock().expect("injector lock");
-                            if queue.is_empty() {
-                                drop(queue);
-                                if in_flight.load(Ordering::SeqCst) == 0 {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                                continue;
-                            }
-                            let take = (queue.len() / 2).clamp(1, HANDOFF_BATCH);
-                            let from = queue.len().saturating_sub(take);
-                            batch.extend(queue.drain(from..));
-                        }
-
-                        let expanded = batch.len();
-                        for (shard, index) in batch.drain(..) {
-                            let state = shards[shard as usize]
-                                .lock()
-                                .expect("shard lock")
-                                .get(index)
-                                .clone();
-                            let successors = machine.successors(&state);
-                            if machine.is_final(&state) {
-                                final_count.fetch_add(1, Ordering::Relaxed);
-                                let outcome = machine.outcome(&state);
-                                if stop.is_some_and(|matches| matches(&outcome)) {
-                                    *witness.lock().expect("witness lock") = Some(outcome.clone());
-                                    abort.store(true, Ordering::Relaxed);
-                                }
-                                outcomes.insert(outcome);
-                            } else if successors.is_empty() {
-                                deadlocked.store(true, Ordering::Relaxed);
-                                abort.store(true, Ordering::Relaxed);
-                            }
-                            for next in successors {
-                                let hash = hasher.hash_one(&next);
-                                outbox[shard_of(hash)].push((hash, next));
-                            }
-                        }
-                        // Batched handoff: one lock per destination shard.
-                        let mut new_work = 0usize;
-                        for (target, pending) in outbox.iter_mut().enumerate() {
-                            if pending.is_empty() {
-                                continue;
-                            }
-                            let mut shard = shards[target].lock().expect("shard lock");
-                            for (hash, state) in pending.drain(..) {
-                                if let Some(new_index) = shard.insert_hashed(hash, state) {
-                                    if visited_count.fetch_add(1, Ordering::Relaxed) + 1
-                                        > self.config.max_states
-                                    {
-                                        abort.store(true, Ordering::Relaxed);
-                                    }
-                                    local.push((target as u32, new_index));
-                                    new_work += 1;
-                                }
-                            }
-                        }
-                        in_flight.fetch_add(new_work, Ordering::SeqCst);
-                        in_flight.fetch_sub(expanded, Ordering::SeqCst);
-                        // Keep other workers fed: spill half of a large local
-                        // stack into the shared injector.
-                        if local.len() > 64 {
-                            let spill: Vec<_> = local.drain(..local.len() / 2).collect();
-                            injector.lock().expect("injector lock").extend(spill);
-                        }
-                    }
-                    merged.lock().expect("outcome lock").append(&mut outcomes);
-                });
-            }
-        });
-
-        let outcomes = merged.into_inner().expect("outcome lock");
-        let states_visited = visited_count.load(Ordering::Relaxed);
-        let witness = witness.into_inner().expect("witness lock");
-        let exploration = Exploration {
-            outcomes,
-            states_visited,
-            final_states: final_count.load(Ordering::Relaxed),
-            transitions_pruned: 0,
-            arena: None,
-            memory: None,
-        };
-        if let Some(witness) = witness {
-            // The early exit aborted the workers on purpose; the partial
-            // exploration plus the witness is the answer.
-            return Ok((exploration, Some(witness)));
-        }
-        if deadlocked.load(Ordering::Relaxed) {
-            return Err(ExploreError::Deadlock);
-        }
-        if let Some(reason) = interrupted.into_inner().expect("interrupt lock") {
-            return Err(ExploreError::Interrupted {
-                reason,
-                states_visited,
-                partial_outcomes: exploration.outcomes,
-            });
-        }
-        if abort.load(Ordering::Relaxed) {
-            return Err(ExploreError::StateLimitExceeded {
-                limit: self.config.max_states,
-                states_visited,
-                partial_outcomes: exploration.outcomes,
-            });
-        }
-        Ok((exploration, None))
-    }
-
-    /// The reduced parallel driver: the sharded frontier of
-    /// [`Explorer::parallel_seeded`] carrying per-state sleep sets inside
-    /// each shard, with the same batched successor handoffs.
-    ///
-    /// The persistent-set choice is a pure function of the state, so it is
-    /// arrival-order independent; sleep sets are not (a state reached first
-    /// by a different worker can sleep on a different action set), which
-    /// makes `states_visited`/`transitions_pruned` run-dependent under
-    /// parallel reduction. The *outcome set* stays exact either way — the
-    /// re-expansion-on-smaller-sleep-set discipline guarantees every
-    /// obligation is eventually explored — and the repository pins outcome
-    /// equality against [`Reduction::Off`] for the full litmus library.
-    fn parallel_reduced_seeded<M: LabeledMachine + Sync>(
-        &self,
-        machine: &M,
-        canon: bool,
-        stop: Option<StopFn>,
-        seed: Seed<M::State>,
-    ) -> Result<(Exploration, Option<Outcome>), ExploreError>
-    where
-        M::State: Send,
-    {
-        struct Shard<S> {
-            states: InternedStates<S>,
-            sleep_sets: Vec<ActionSet>,
-            expanded_with: Vec<Option<ActionSet>>,
-        }
-        impl<S> Default for Shard<S> {
-            fn default() -> Self {
-                Shard {
-                    states: InternedStates::default(),
-                    sleep_sets: Vec::new(),
-                    expanded_with: Vec::new(),
-                }
-            }
-        }
-
-        let workers = self.config.parallelism;
-        let shards: Vec<Mutex<Shard<M::State>>> =
-            (0..workers).map(|_| Mutex::new(Shard::default())).collect();
-        let shard_of = |hash: u64| (hash % workers as u64) as usize;
-        let seeding_hasher = FxBuildHasher::default();
-
-        let sleep_seed = seed.sleep.expect("reduced escalation carries sleep bookkeeping");
-        let mut address: Vec<(u32, u32)> = Vec::with_capacity(seed.states.len());
-        {
-            let mut locked: Vec<_> =
-                shards.iter().map(|shard| shard.lock().expect("shard lock")).collect();
-            for ((state, sleep_set), expanded) in
-                seed.states.into_iter().zip(sleep_seed.sleep_sets).zip(sleep_seed.expanded_with)
-            {
-                let hash = seeding_hasher.hash_one(&state);
-                let target = shard_of(hash);
-                let shard = &mut locked[target];
-                let (index, _) = shard.states.intern_hashed(hash, state);
-                shard.sleep_sets.push(sleep_set);
-                shard.expanded_with.push(expanded);
-                address.push((target as u32, index));
-            }
-        }
-
-        let visited_count = AtomicUsize::new(address.len());
-        let final_count = AtomicUsize::new(seed.final_states);
-        let pruned_count = AtomicUsize::new(seed.pruned);
-        let witness: Mutex<Option<Outcome>> = Mutex::new(None);
-        let in_flight = AtomicUsize::new(seed.pending.len());
-        let abort = AtomicBool::new(false);
-        let injector: Mutex<Vec<(u32, u32)>> =
-            Mutex::new(seed.pending.iter().map(|&slot| address[slot as usize]).collect());
-        let deadlocked = AtomicBool::new(false);
-        let interrupt_armed = self.interrupt.is_armed();
-        let interrupted: Mutex<Option<StopReason>> = Mutex::new(None);
-        let merged: Mutex<BTreeSet<Outcome>> = Mutex::new(seed.outcomes);
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let hasher = FxBuildHasher::default();
+                    let mut reducer = Reducer::new(machine, self.config.reduction);
                     let mut local: Vec<(u32, u32)> = Vec::new();
                     let mut outcomes = BTreeSet::new();
                     let mut batch: Vec<(u32, u32)> = Vec::new();
                     let mut outbox: Vec<Vec<(u64, M::State, ActionSet)>> =
                         (0..workers).map(|_| Vec::new()).collect();
-                    let mut chain_buf: Vec<(Action, M::State)> = Vec::new();
                     loop {
                         if abort.load(Ordering::Relaxed) {
                             break;
                         }
-                        if interrupt_armed {
-                            if let Some(reason) = self.interrupt.triggered() {
-                                *interrupted.lock().expect("interrupt lock") = Some(reason);
-                                abort.store(true, Ordering::Relaxed);
-                                break;
-                            }
+                        if let Some(reason) = self.interrupt.triggered() {
+                            *interrupted.lock().expect("interrupt lock") = Some(reason);
+                            abort.store(true, Ordering::Relaxed);
+                            break;
                         }
                         while batch.len() < HANDOFF_BATCH {
                             match local.pop() {
@@ -2396,27 +1795,17 @@ impl Explorer {
                             // equal or smaller expansion already happened.
                             let claimed = {
                                 let mut shard = shards[shard_index as usize].lock().expect("shard");
-                                let z = shard.sleep_sets[slot as usize].clone();
-                                let skip = shard.expanded_with[slot as usize]
-                                    .as_ref()
-                                    .is_some_and(|previous| previous.is_subset(&z));
-                                if skip {
-                                    None
-                                } else {
-                                    let first = shard.expanded_with[slot as usize].is_none();
-                                    shard.expanded_with[slot as usize] = Some(z.clone());
-                                    Some((shard.states.get(slot).clone(), z, first))
-                                }
+                                let claim = shard.book.claim(slot, &mut reducer.asleep);
+                                claim.map(|first| (shard.states.get(slot).clone(), first))
                             };
-                            let Some((state, z, first_expansion)) = claimed else {
+                            let Some((state, first_expansion)) = claimed else {
                                 continue;
                             };
 
                             let labeled = machine.labeled_successors(&state);
                             if machine.is_final(&state) {
-                                if first_expansion {
-                                    final_count.fetch_add(1, Ordering::Relaxed);
-                                }
+                                final_count
+                                    .fetch_add(usize::from(first_expansion), Ordering::Relaxed);
                                 let outcome = machine.outcome(&state);
                                 if stop.is_some_and(|matches| matches(&outcome)) {
                                     *witness.lock().expect("witness lock") = Some(outcome.clone());
@@ -2428,57 +1817,21 @@ impl Explorer {
                                 abort.store(true, Ordering::Relaxed);
                             }
 
-                            let chosen = choose_persistent(machine, &state, &labeled);
-                            let mut explored: Vec<Action> = Vec::new();
-                            for (action, successor) in labeled {
-                                if !chosen.keeps(&action) {
-                                    pruned_count.fetch_add(1, Ordering::Relaxed);
-                                    continue;
-                                }
-                                if z.contains(&action) {
-                                    pruned_count.fetch_add(1, Ordering::Relaxed);
-                                    continue;
-                                }
-                                let mut successor = successor;
-                                if canon {
-                                    machine.canonicalize_in_place(&mut successor);
-                                }
-                                let mut inherited = ActionSet::new();
-                                for b in z.as_slice().iter().chain(explored.iter()) {
-                                    if machine.independent(&action, b) {
-                                        inherited.push(*b);
-                                    }
-                                }
-                                inherited.sort_dedup();
-
-                                let mut chain_pruned = 0usize;
-                                let mut touched = Touched::from_action(&action);
-                                let kept = match compress_chain_into(
-                                    machine,
-                                    &mut successor,
-                                    &mut inherited,
-                                    &mut touched,
-                                    canon,
-                                    &mut chain_pruned,
-                                    &mut chain_buf,
-                                ) {
-                                    Ok(kept) => kept,
-                                    Err(ExploreError::Deadlock) => {
+                            let chosen = reducer.begin(&state, &labeled);
+                            for (action, mut successor) in labeled {
+                                match reducer.reduce(chosen, action, &mut successor) {
+                                    Ok(Some(_)) => {}
+                                    Ok(None) => continue,
+                                    Err(_) => {
+                                        // Chains only fail by deadlock.
                                         deadlocked.store(true, Ordering::Relaxed);
                                         abort.store(true, Ordering::Relaxed);
                                         break 'items;
                                     }
-                                    Err(_) => unreachable!("chains only fail by deadlock"),
-                                };
-                                pruned_count.fetch_add(chain_pruned, Ordering::Relaxed);
-                                if !kept {
-                                    explored.push(action);
-                                    continue;
                                 }
-
                                 let hash = hasher.hash_one(&successor);
-                                outbox[shard_of(hash)].push((hash, successor, inherited));
-                                explored.push(action);
+                                let sleep = reducer.sleep.clone();
+                                outbox[shard_of(hash)].push((hash, successor, sleep));
                             }
                         }
                         // Batched handoff: one lock per destination shard.
@@ -2488,36 +1841,32 @@ impl Explorer {
                                 continue;
                             }
                             let mut shard = shards[target].lock().expect("shard lock");
-                            for (hash, state, inherited) in pending.drain(..) {
+                            for (hash, state, sleep) in pending.drain(..) {
                                 let (next_slot, is_new) = shard.states.intern_hashed(hash, state);
                                 if is_new {
-                                    shard.sleep_sets.push(inherited);
-                                    shard.expanded_with.push(None);
+                                    shard.book.push(&sleep);
                                     if visited_count.fetch_add(1, Ordering::Relaxed) + 1
                                         > self.config.max_states
                                     {
                                         abort.store(true, Ordering::Relaxed);
                                     }
-                                    local.push((target as u32, next_slot));
-                                    new_work += 1;
-                                } else {
-                                    let stored = &shard.sleep_sets[next_slot as usize];
-                                    if !stored.is_subset(&inherited) {
-                                        shard.sleep_sets[next_slot as usize] =
-                                            stored.intersect(&inherited);
-                                        local.push((target as u32, next_slot));
-                                        new_work += 1;
-                                    }
+                                } else if !shard.book.revisit(next_slot, &sleep) {
+                                    continue;
                                 }
+                                local.push((target as u32, next_slot));
+                                new_work += 1;
                             }
                         }
                         in_flight.fetch_add(new_work, Ordering::SeqCst);
                         in_flight.fetch_sub(expanded, Ordering::SeqCst);
+                        // Keep other workers fed: spill half of a large local
+                        // stack into the shared injector.
                         if local.len() > 64 {
                             let spill: Vec<_> = local.drain(..local.len() / 2).collect();
                             injector.lock().expect("injector lock").extend(spill);
                         }
                     }
+                    pruned_count.fetch_add(reducer.pruned, Ordering::Relaxed);
                     merged.lock().expect("outcome lock").append(&mut outcomes);
                 });
             }
@@ -2535,6 +1884,8 @@ impl Explorer {
             memory: None,
         };
         if let Some(witness) = witness {
+            // The early exit aborted the workers on purpose; the partial
+            // exploration plus the witness is the answer.
             return Ok((exploration, Some(witness)));
         }
         if deadlocked.load(Ordering::Relaxed) {
@@ -2661,31 +2012,12 @@ impl<S: std::hash::Hash + Eq> InternedStates<S> {
         (slot, true)
     }
 
-    /// Inserts a state, returning its fresh arena slot, or `None` if an equal
-    /// state was already interned.
-    pub(crate) fn insert(&mut self, state: S) -> Option<u32> {
-        let hash = self.hasher.hash_one(&state);
-        self.insert_hashed(hash, state)
-    }
-
-    /// Like `insert` with the hash precomputed.
-    pub(crate) fn insert_hashed(&mut self, hash: u64, state: S) -> Option<u32> {
-        let (slot, is_new) = self.intern_hashed(hash, state);
-        is_new.then_some(slot)
-    }
-
     pub(crate) fn get(&self, slot: u32) -> &S {
         &self.arena[slot as usize]
     }
 
     pub(crate) fn len(&self) -> usize {
         self.arena.len()
-    }
-
-    /// Consumes the set, returning the states in slot order (escalation
-    /// hands them to the sharded parallel drivers).
-    pub(crate) fn into_states(self) -> Vec<S> {
-        self.arena
     }
 }
 
@@ -2694,6 +2026,71 @@ mod tests {
     use super::*;
     use crate::machine::AbstractMachine;
     use gam_isa::litmus::Outcome;
+
+    /// Test-only [`ComposedState`] for the toy machines' states: no shared
+    /// memory, and either the whole state as the one proc component or one
+    /// proc component per array element (thread `t` owns element `t`).
+    macro_rules! toy_components {
+        ($state:ty, $proc:ty, $procs:expr, $procs_mut:expr) => {
+            impl ComposedState for $state {
+                type Mem = [u8; 0];
+                type Proc = $proc;
+
+                fn memory(&self) -> &[u8; 0] {
+                    &[]
+                }
+
+                fn memory_mut(&mut self) -> &mut [u8; 0] {
+                    &mut []
+                }
+
+                fn procs(&self) -> &[$proc] {
+                    $procs(self)
+                }
+
+                fn procs_mut(&mut self) -> &mut [$proc] {
+                    $procs_mut(self)
+                }
+
+                fn mem_bytes(_mem: &[u8; 0]) -> usize {
+                    0
+                }
+
+                fn proc_bytes(_proc: &$proc) -> usize {
+                    std::mem::size_of::<$proc>()
+                }
+
+                fn encode_mem(_mem: &[u8; 0], _out: &mut Vec<u8>) {}
+
+                fn decode_mem(_input: &mut &[u8]) -> Option<[u8; 0]> {
+                    Some([])
+                }
+
+                fn encode_proc(_proc: &$proc, _out: &mut Vec<u8>) {
+                    unreachable!("toy explorations are never checkpointed")
+                }
+
+                fn decode_proc(_input: &mut &[u8]) -> Option<$proc> {
+                    None
+                }
+            }
+        };
+    }
+
+    toy_components!(u8, u8, std::slice::from_ref, std::slice::from_mut);
+    toy_components!(u32, u32, std::slice::from_ref, std::slice::from_mut);
+    toy_components!(Colliding, Colliding, std::slice::from_ref, std::slice::from_mut);
+    toy_components!([u8; 2], u8, <[u8; 2]>::as_slice, <[u8; 2]>::as_mut_slice);
+    toy_components!([bool; 2], bool, <[bool; 2]>::as_slice, <[bool; 2]>::as_mut_slice);
+
+    /// Labels single-threaded successors as thread 0's local steps.
+    fn local_steps<S>(successors: Vec<S>) -> Vec<(Action, S)> {
+        successors
+            .into_iter()
+            .enumerate()
+            .map(|(ordinal, next)| (Action::local(0, ordinal as u32), next))
+            .collect()
+    }
 
     /// A diamond-shaped machine with two final states.
     #[derive(Debug)]
@@ -2704,14 +2101,6 @@ mod tests {
 
         fn initial_state(&self) -> u8 {
             0
-        }
-
-        fn successors(&self, state: &u8) -> Vec<u8> {
-            match state {
-                0 => vec![1, 2],
-                1 | 2 => vec![3],
-                _ => vec![],
-            }
         }
 
         fn is_final(&self, state: &u8) -> bool {
@@ -2729,11 +2118,11 @@ mod tests {
 
     impl LabeledMachine for Diamond {
         fn labeled_successors(&self, state: &u8) -> Vec<(Action, u8)> {
-            self.successors(state)
-                .into_iter()
-                .enumerate()
-                .map(|(ordinal, next)| (Action::local(0, ordinal as u32), next))
-                .collect()
+            local_steps(match state {
+                0 => vec![1, 2],
+                1 | 2 => vec![3],
+                _ => vec![],
+            })
         }
     }
 
@@ -2746,10 +2135,6 @@ mod tests {
 
         fn initial_state(&self) -> u8 {
             0
-        }
-
-        fn successors(&self, _state: &u8) -> Vec<u8> {
-            vec![]
         }
 
         fn is_final(&self, _state: &u8) -> bool {
@@ -2786,16 +2171,6 @@ mod tests {
             0
         }
 
-        fn successors(&self, state: &u32) -> Vec<u32> {
-            if *state == 0 {
-                (1..=self.fanout).collect()
-            } else if *state <= self.fanout {
-                (1..=self.fanout).map(|leaf| self.fanout * *state + leaf).collect()
-            } else {
-                vec![]
-            }
-        }
-
         fn is_final(&self, state: &u32) -> bool {
             *state > self.fanout
         }
@@ -2811,11 +2186,13 @@ mod tests {
 
     impl LabeledMachine for Wide {
         fn labeled_successors(&self, state: &u32) -> Vec<(Action, u32)> {
-            self.successors(state)
-                .into_iter()
-                .enumerate()
-                .map(|(ordinal, next)| (Action::local(0, ordinal as u32), next))
-                .collect()
+            local_steps(if *state == 0 {
+                (1..=self.fanout).collect()
+            } else if *state <= self.fanout {
+                (1..=self.fanout).map(|leaf| self.fanout * *state + leaf).collect()
+            } else {
+                vec![]
+            })
         }
     }
 
@@ -2828,21 +2205,17 @@ mod tests {
     }
 
     impl AbstractMachine for TwoLocalCounters {
-        type State = (u8, u8);
+        type State = [u8; 2];
 
-        fn initial_state(&self) -> (u8, u8) {
-            (0, 0)
+        fn initial_state(&self) -> [u8; 2] {
+            [0, 0]
         }
 
-        fn successors(&self, state: &(u8, u8)) -> Vec<(u8, u8)> {
-            self.labeled_successors(state).into_iter().map(|(_, next)| next).collect()
+        fn is_final(&self, state: &[u8; 2]) -> bool {
+            state[0] == self.len && state[1] == self.len
         }
 
-        fn is_final(&self, state: &(u8, u8)) -> bool {
-            state.0 == self.len && state.1 == self.len
-        }
-
-        fn outcome(&self, _state: &(u8, u8)) -> Outcome {
+        fn outcome(&self, _state: &[u8; 2]) -> Outcome {
             Outcome::new()
         }
 
@@ -2852,13 +2225,13 @@ mod tests {
     }
 
     impl LabeledMachine for TwoLocalCounters {
-        fn labeled_successors(&self, state: &(u8, u8)) -> Vec<(Action, (u8, u8))> {
+        fn labeled_successors(&self, state: &[u8; 2]) -> Vec<(Action, [u8; 2])> {
             let mut out = Vec::new();
-            if state.0 < self.len {
-                out.push((Action::local(0, u32::from(state.0)), (state.0 + 1, state.1)));
+            if state[0] < self.len {
+                out.push((Action::local(0, u32::from(state[0])), [state[0] + 1, state[1]]));
             }
-            if state.1 < self.len {
-                out.push((Action::local(1, u32::from(state.1)), (state.0, state.1 + 1)));
+            if state[1] < self.len {
+                out.push((Action::local(1, u32::from(state[1])), [state[0], state[1] + 1]));
             }
             out
         }
@@ -2871,21 +2244,17 @@ mod tests {
     struct DisjointWrites;
 
     impl AbstractMachine for DisjointWrites {
-        type State = (bool, bool);
+        type State = [bool; 2];
 
-        fn initial_state(&self) -> (bool, bool) {
-            (false, false)
+        fn initial_state(&self) -> [bool; 2] {
+            [false, false]
         }
 
-        fn successors(&self, state: &(bool, bool)) -> Vec<(bool, bool)> {
-            self.labeled_successors(state).into_iter().map(|(_, next)| next).collect()
+        fn is_final(&self, state: &[bool; 2]) -> bool {
+            state[0] && state[1]
         }
 
-        fn is_final(&self, state: &(bool, bool)) -> bool {
-            state.0 && state.1
-        }
-
-        fn outcome(&self, _state: &(bool, bool)) -> Outcome {
+        fn outcome(&self, _state: &[bool; 2]) -> Outcome {
             Outcome::new()
         }
 
@@ -2895,13 +2264,13 @@ mod tests {
     }
 
     impl LabeledMachine for DisjointWrites {
-        fn labeled_successors(&self, state: &(bool, bool)) -> Vec<(Action, (bool, bool))> {
+        fn labeled_successors(&self, state: &[bool; 2]) -> Vec<(Action, [bool; 2])> {
             let mut out = Vec::new();
-            if !state.0 {
-                out.push((Action::commit(0, 0, 100), (true, state.1)));
+            if !state[0] {
+                out.push((Action::commit(0, 0, 100), [true, state[1]]));
             }
-            if !state.1 {
-                out.push((Action::commit(1, 0, 200), (state.0, true)));
+            if !state[1] {
+                out.push((Action::commit(1, 0, 200), [state[0], true]));
             }
             out
         }
@@ -2969,21 +2338,17 @@ mod tests {
     }
 
     impl AbstractMachine for TwoSharedCounters {
-        type State = (u8, u8);
+        type State = [u8; 2];
 
-        fn initial_state(&self) -> (u8, u8) {
-            (0, 0)
+        fn initial_state(&self) -> [u8; 2] {
+            [0, 0]
         }
 
-        fn successors(&self, state: &(u8, u8)) -> Vec<(u8, u8)> {
-            self.labeled_successors(state).into_iter().map(|(_, next)| next).collect()
+        fn is_final(&self, state: &[u8; 2]) -> bool {
+            state[0] == self.len && state[1] == self.len
         }
 
-        fn is_final(&self, state: &(u8, u8)) -> bool {
-            state.0 == self.len && state.1 == self.len
-        }
-
-        fn outcome(&self, _state: &(u8, u8)) -> Outcome {
+        fn outcome(&self, _state: &[u8; 2]) -> Outcome {
             Outcome::new()
         }
 
@@ -2993,13 +2358,13 @@ mod tests {
     }
 
     impl LabeledMachine for TwoSharedCounters {
-        fn labeled_successors(&self, state: &(u8, u8)) -> Vec<(Action, (u8, u8))> {
+        fn labeled_successors(&self, state: &[u8; 2]) -> Vec<(Action, [u8; 2])> {
             let mut out = Vec::new();
-            if state.0 < self.len {
-                out.push((Action::commit(0, u32::from(state.0), 100), (state.0 + 1, state.1)));
+            if state[0] < self.len {
+                out.push((Action::commit(0, u32::from(state[0]), 100), [state[0] + 1, state[1]]));
             }
-            if state.1 < self.len {
-                out.push((Action::commit(1, u32::from(state.1), 200), (state.0, state.1 + 1)));
+            if state[1] < self.len {
+                out.push((Action::commit(1, u32::from(state[1]), 200), [state[0], state[1] + 1]));
             }
             out
         }
@@ -3025,22 +2390,17 @@ mod tests {
     }
 
     impl AbstractMachine for CancelAfter {
-        type State = (u8, u8);
+        type State = [u8; 2];
 
-        fn initial_state(&self) -> (u8, u8) {
+        fn initial_state(&self) -> [u8; 2] {
             self.inner.initial_state()
         }
 
-        fn successors(&self, state: &(u8, u8)) -> Vec<(u8, u8)> {
-            self.bump();
-            self.inner.successors(state)
-        }
-
-        fn is_final(&self, state: &(u8, u8)) -> bool {
+        fn is_final(&self, state: &[u8; 2]) -> bool {
             self.inner.is_final(state)
         }
 
-        fn outcome(&self, state: &(u8, u8)) -> Outcome {
+        fn outcome(&self, state: &[u8; 2]) -> Outcome {
             self.inner.outcome(state)
         }
 
@@ -3050,15 +2410,15 @@ mod tests {
     }
 
     impl LabeledMachine for CancelAfter {
-        fn labeled_successors(&self, state: &(u8, u8)) -> Vec<(Action, (u8, u8))> {
+        fn labeled_successors(&self, state: &[u8; 2]) -> Vec<(Action, [u8; 2])> {
             self.bump();
             self.inner.labeled_successors(state)
         }
     }
 
     #[test]
-    fn cancellation_reaches_the_sharded_parallel_drivers() {
-        // Threshold 0 escalates to the sharded driver after the first
+    fn cancellation_reaches_the_sharded_continuation() {
+        // Threshold 0 escalates to the sharded continuation after the first
         // sequential expansion; the cancel fires from inside the machine at
         // expansion 600 — long past the escalation, long before the ~1681
         // expansions the 41x41 grid needs — so only a parallel worker's
@@ -3109,14 +2469,6 @@ mod tests {
             0
         }
 
-        fn successors(&self, state: &u8) -> Vec<u8> {
-            match state {
-                0 => vec![1, 2],
-                1 => vec![3],
-                _ => vec![],
-            }
-        }
-
         fn is_final(&self, state: &u8) -> bool {
             *state == 3
         }
@@ -3132,11 +2484,11 @@ mod tests {
 
     impl LabeledMachine for DeepStuck {
         fn labeled_successors(&self, state: &u8) -> Vec<(Action, u8)> {
-            self.successors(state)
-                .into_iter()
-                .enumerate()
-                .map(|(ordinal, next)| (Action::local(0, ordinal as u32), next))
-                .collect()
+            local_steps(match state {
+                0 => vec![1, 2],
+                1 => vec![3],
+                _ => vec![],
+            })
         }
     }
 
@@ -3276,6 +2628,8 @@ mod tests {
     fn parallel_matches_sequential_on_a_wide_tree() {
         let machine = Wide { fanout: 40 };
         let sequential = Explorer::default().explore(&machine).unwrap();
+        // A sharded run stores full states, so it reports no arena.
+        let unshared = Exploration { arena: None, ..sequential.clone() };
         for workers in [2, 4, 8] {
             let parallel = Explorer::new(ExplorerConfig {
                 parallelism: workers,
@@ -3284,7 +2638,7 @@ mod tests {
             })
             .explore(&machine)
             .unwrap();
-            assert_eq!(parallel, sequential, "{workers} workers");
+            assert_eq!(parallel, unshared, "{workers} workers");
         }
         assert_eq!(sequential.states_visited, 1 + 40 + 40 * 40);
         assert_eq!(sequential.final_states, 40 * 40);
@@ -3296,6 +2650,7 @@ mod tests {
         // migrates the visited set into the shards, and finishes parallel.
         let machine = Wide { fanout: 40 };
         let sequential = Explorer::default().explore(&machine).unwrap();
+        let unshared = Exploration { arena: None, ..sequential.clone() };
         for threshold in [1, 5, 100, 1_000] {
             let adaptive = Explorer::new(ExplorerConfig {
                 parallelism: 4,
@@ -3304,7 +2659,7 @@ mod tests {
             })
             .explore(&machine)
             .unwrap();
-            assert_eq!(adaptive, sequential, "threshold {threshold}");
+            assert_eq!(adaptive, unshared, "threshold {threshold}");
         }
     }
 
@@ -3436,9 +2791,11 @@ mod tests {
     #[test]
     fn interned_states_deduplicate_and_index() {
         let mut set: InternedStates<u64> = InternedStates::default();
-        let a = set.insert(10).expect("new");
-        assert_eq!(set.insert(10), None);
-        let b = set.insert(11).expect("new");
+        let (a, new_a) = set.intern(10);
+        assert!(new_a);
+        assert_eq!(set.intern_ref(&10), (a, false));
+        let (b, new_b) = set.intern(11);
+        assert!(new_b);
         assert_ne!(a, b);
         assert_eq!(*set.get(a), 10);
         assert_eq!(*set.get(b), 11);
@@ -3463,15 +2820,19 @@ mod tests {
     fn interned_states_survive_full_hash_collisions() {
         let mut set: InternedStates<Colliding> = InternedStates::default();
         // Distinct states with identical hashes each get their own slot.
-        let slots: Vec<u32> =
-            (0..64).map(|n| set.insert(Colliding(n)).expect("distinct state is new")).collect();
+        let slots: Vec<u32> = (0..64)
+            .map(|n| {
+                let (slot, is_new) = set.intern(Colliding(n));
+                assert!(is_new, "a distinct state is new");
+                slot
+            })
+            .collect();
         assert_eq!(set.len(), 64);
         for (n, slot) in slots.iter().enumerate() {
             assert_eq!(*set.get(*slot), Colliding(n as u32));
         }
         // Equal states are still deduplicated through the collision chain.
         for n in 0..64 {
-            assert_eq!(set.insert(Colliding(n)), None);
             assert_eq!(set.intern(Colliding(n)), (slots[n as usize], false));
         }
         assert_eq!(set.len(), 64);
@@ -3490,14 +2851,6 @@ mod tests {
             Colliding(0)
         }
 
-        fn successors(&self, state: &Colliding) -> Vec<Colliding> {
-            match state.0 {
-                0 => vec![Colliding(1), Colliding(2)],
-                1 | 2 => vec![Colliding(3)],
-                _ => vec![],
-            }
-        }
-
         fn is_final(&self, state: &Colliding) -> bool {
             state.0 == 3
         }
@@ -3513,11 +2866,11 @@ mod tests {
 
     impl LabeledMachine for CollidingMachine {
         fn labeled_successors(&self, state: &Colliding) -> Vec<(Action, Colliding)> {
-            self.successors(state)
-                .into_iter()
-                .enumerate()
-                .map(|(ordinal, next)| (Action::local(0, ordinal as u32), next))
-                .collect()
+            local_steps(match state.0 {
+                0 => vec![Colliding(1), Colliding(2)],
+                1 | 2 => vec![Colliding(3)],
+                _ => vec![],
+            })
         }
     }
 

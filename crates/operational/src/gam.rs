@@ -703,10 +703,6 @@ impl AbstractMachine for GamMachine {
         GamState { memory: self.initial_memory.clone(), procs }
     }
 
-    fn successors(&self, state: &GamState) -> Vec<GamState> {
-        self.labeled_successors(state).into_iter().map(|(_, next)| next).collect()
-    }
-
     fn is_final(&self, state: &GamState) -> bool {
         state.procs.iter().enumerate().all(|(proc, p)| {
             p.pc >= self.thread(proc).len() && p.rob.iter().all(|entry| entry.done)
@@ -1007,10 +1003,11 @@ mod tests {
     }
 
     #[test]
-    fn labels_project_onto_successors_and_classify_rules() {
+    fn pooled_successors_match_fresh_ones_and_labels_are_unique() {
         for test in [library::dekker(), library::mp_addr(), library::mp_fences()] {
             let machine = GamMachine::new(&test);
             let mut frontier = vec![machine.initial_state()];
+            let mut pooled = Vec::new();
             let mut steps = 0;
             while let Some(state) = frontier.pop() {
                 if steps > 200 {
@@ -1018,10 +1015,11 @@ mod tests {
                 }
                 steps += 1;
                 let labeled = machine.labeled_successors(&state);
+                machine.labeled_successors_into(&state, &mut pooled);
                 assert_eq!(
-                    labeled.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>(),
-                    machine.successors(&state),
-                    "{}: labeled successors must project onto the unlabeled API",
+                    labeled,
+                    pooled,
+                    "{}: the pooled buffer must yield the fresh successors",
                     test.name()
                 );
                 let mut seen = std::collections::BTreeSet::new();

@@ -2,16 +2,14 @@
 //!
 //! Two layers of machine definition live here:
 //!
-//! * [`AbstractMachine`] — the original opaque interface: a state type and a
-//!   `successors` function. Sufficient for exhaustive search, but the
-//!   explorer cannot tell *which* rule produced a successor, so every
-//!   interleaving of commuting steps must be visited.
-//! * [`LabeledMachine`] — the labeled-transition refinement: every enabled
-//!   rule firing is named by an [`Action`] carrying the acting thread, the
-//!   step kind and (for memory accesses) the address. The explorer exploits
-//!   the labels for partial-order reduction: two actions of different
-//!   threads that do not conflict on a memory address commute, so only one
-//!   of their orders needs to be explored.
+//! * [`AbstractMachine`] — the state type, the initial state, finality and
+//!   the outcome projection of one litmus test's machine.
+//! * [`LabeledMachine`] — its transitions: every enabled rule firing is
+//!   named by an [`Action`] carrying the acting thread, the step kind and
+//!   (for memory accesses) the address. The explorer exploits the labels
+//!   for partial-order reduction: two actions of different threads that do
+//!   not conflict on a memory address commute, so only one of their orders
+//!   needs to be explored.
 
 use std::hash::Hash;
 
@@ -32,12 +30,6 @@ pub trait AbstractMachine {
 
     /// The initial configuration.
     fn initial_state(&self) -> Self::State;
-
-    /// All configurations reachable from `state` in one rule firing.
-    ///
-    /// Returning an empty vector means no rule is enabled; if the state is
-    /// not final this indicates deadlock, which the explorer reports.
-    fn successors(&self, state: &Self::State) -> Vec<Self::State>;
 
     /// Returns true when the machine has completely executed the program.
     fn is_final(&self, state: &Self::State) -> bool;
@@ -236,7 +228,7 @@ impl Footprint {
     }
 }
 
-/// An [`AbstractMachine`] whose transitions are labeled with [`Action`]s,
+/// The transitions of an [`AbstractMachine`], labeled with [`Action`]s,
 /// enabling partial-order reduction in the explorer.
 ///
 /// # Contract
@@ -244,9 +236,9 @@ impl Footprint {
 /// Implementations must uphold, for the default independence oracle and the
 /// reduced exploration modes to be sound:
 ///
-/// 1. **Determinism per label** — [`LabeledMachine::apply`] of an enabled
-///    action yields exactly one successor (non-determinism is expressed by
-///    *multiple* enabled actions, each with a distinct label).
+/// 1. **Determinism per label** — an enabled action yields exactly one
+///    successor (non-determinism is expressed by *multiple* enabled
+///    actions, each with a distinct label).
 /// 2. **Thread-local guards and labels** — whether an action is enabled, and
 ///    its label, may depend only on the acting thread's private state.
 ///    Shared memory may influence only the *effect* of an action, and any
@@ -265,10 +257,8 @@ impl Footprint {
 pub trait LabeledMachine: AbstractMachine {
     /// Every enabled rule firing, as `(label, resulting state)` pairs.
     ///
-    /// The projection of the pairs onto states must equal
-    /// [`AbstractMachine::successors`] (same multiset, same order) — the
-    /// unlabeled interface is kept as the compatibility surface for callers
-    /// that do not care about labels.
+    /// An empty vector means no rule is enabled; if the state is not final
+    /// this indicates deadlock, which the explorer reports.
     ///
     /// Deliberately *not* defaulted in terms of
     /// [`LabeledMachine::labeled_successors_into`]: mutually-recursive
@@ -301,10 +291,10 @@ pub trait LabeledMachine: AbstractMachine {
     /// state is only guaranteed valid in the components its action label
     /// names (the acting thread's private component, plus the shared
     /// memory for writing kinds); everything else may hold stale buffer
-    /// content. Exclusively for the unreduced component-arena driver,
-    /// which deduplicates successors through exactly that label-derived
-    /// mask and never reads the rest. The default produces full states,
-    /// which is always sound.
+    /// content. Exclusively for the explorer's unreduced search, which
+    /// deduplicates successors through exactly that label-derived mask and
+    /// never reads the rest. The default produces full states, which is
+    /// always sound.
     #[doc(hidden)]
     fn labeled_successors_sparse_into(
         &self,
@@ -312,20 +302,6 @@ pub trait LabeledMachine: AbstractMachine {
         out: &mut Vec<(Action, Self::State)>,
     ) {
         self.labeled_successors_into(state, out);
-    }
-
-    /// The labels of every enabled rule firing.
-    fn enabled(&self, state: &Self::State) -> Vec<Action> {
-        self.labeled_successors(state).into_iter().map(|(action, _)| action).collect()
-    }
-
-    /// Fires one enabled action, or returns `None` if `action` is not
-    /// enabled in `state`.
-    fn apply(&self, state: &Self::State, action: &Action) -> Option<Self::State> {
-        self.labeled_successors(state)
-            .into_iter()
-            .find(|(candidate, _)| candidate == action)
-            .map(|(_, next)| next)
     }
 
     /// The independence oracle: may the two actions be reordered without
@@ -405,9 +381,9 @@ pub trait LabeledMachine: AbstractMachine {
 /// In *sparse* mode ([`SuccBuf::new_sparse`]) a reused slot clones only
 /// the components the [`Action`] label says the rule may touch — the
 /// acting thread's component, plus the memory for writing kinds. The
-/// resulting states are valid *only* in those components; the unreduced
-/// component-arena driver, which deduplicates successors purely through
-/// the same label-derived mask, is the one consumer. Rules may therefore
+/// resulting states are valid *only* in those components; the explorer's
+/// unreduced search, which deduplicates successors purely through the same
+/// label-derived mask, is the one consumer. Rules may therefore
 /// read or mutate `next` only inside the acting thread's component and
 /// the declared memory — which clause 3 of the [`LabeledMachine`]
 /// contract requires of them anyway.
@@ -477,14 +453,6 @@ mod tests {
             self.start
         }
 
-        fn successors(&self, state: &u8) -> Vec<u8> {
-            if *state == 0 {
-                vec![]
-            } else {
-                vec![state - 1]
-            }
-        }
-
         fn is_final(&self, state: &u8) -> bool {
             *state == 0
         }
@@ -500,7 +468,11 @@ mod tests {
 
     impl LabeledMachine for Countdown {
         fn labeled_successors(&self, state: &u8) -> Vec<(Action, u8)> {
-            self.successors(state).into_iter().map(|next| (Action::local(0, 0), next)).collect()
+            if *state == 0 {
+                vec![]
+            } else {
+                vec![(Action::local(0, 0), state - 1)]
+            }
         }
     }
 
@@ -509,22 +481,14 @@ mod tests {
         let machine = Countdown { start: 2 };
         let s0 = machine.initial_state();
         assert!(!machine.is_final(&s0));
-        let s1 = machine.successors(&s0);
-        assert_eq!(s1, vec![1]);
-        let s2 = machine.successors(&s1[0]);
-        assert!(machine.is_final(&s2[0]));
-        assert!(machine.successors(&s2[0]).is_empty());
+        assert_eq!(machine.labeled_successors(&s0), vec![(Action::local(0, 0), 1)]);
+        let mut buf = Vec::new();
+        machine.labeled_successors_into(&1, &mut buf);
+        assert_eq!(buf, vec![(Action::local(0, 0), 0)]);
+        assert!(machine.is_final(&0));
+        assert!(machine.labeled_successors(&0).is_empty());
         assert_eq!(machine.name(), "countdown");
-        assert!(machine.outcome(&s2[0]).is_empty());
-    }
-
-    #[test]
-    fn labeled_defaults_derive_from_labeled_successors() {
-        let machine = Countdown { start: 1 };
-        assert_eq!(machine.enabled(&1), vec![Action::local(0, 0)]);
-        assert_eq!(machine.apply(&1, &Action::local(0, 0)), Some(0));
-        assert_eq!(machine.apply(&1, &Action::local(0, 9)), None);
-        assert_eq!(machine.apply(&0, &Action::local(0, 0)), None);
+        assert!(machine.outcome(&0).is_empty());
         // Default canonicalization is the identity.
         assert_eq!(machine.canonicalize(1), 1);
     }

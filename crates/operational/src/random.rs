@@ -21,7 +21,7 @@ use gam_isa::prelude::{Addr, AluOp, FenceKind, Loc, Operand, ProcId, Program, Re
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::machine::AbstractMachine;
+use crate::machine::LabeledMachine;
 
 /// Generates `count` deterministic random litmus tests from `seed`.
 ///
@@ -268,21 +268,21 @@ impl RandomWalker {
 
     /// Runs one random execution and returns its outcome, or `None` if the
     /// step bound was reached before a final state.
-    pub fn run_once<M: AbstractMachine>(&mut self, machine: &M) -> Option<Outcome> {
+    pub fn run_once<M: LabeledMachine>(&mut self, machine: &M) -> Option<Outcome> {
         let mut state = machine.initial_state();
         for _ in 0..self.max_steps {
-            let successors = machine.successors(&state);
+            let successors = machine.labeled_successors(&state);
             if successors.is_empty() {
                 return machine.is_final(&state).then(|| machine.outcome(&state));
             }
             let choice = self.rng.gen_range(0..successors.len());
-            state = successors.into_iter().nth(choice).expect("index in range");
+            state = successors.into_iter().nth(choice).expect("index in range").1;
         }
         None
     }
 
     /// Runs `runs` random executions and returns a histogram of outcomes.
-    pub fn sample<M: AbstractMachine>(
+    pub fn sample<M: LabeledMachine>(
         &mut self,
         machine: &M,
         runs: usize,

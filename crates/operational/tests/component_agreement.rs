@@ -1,9 +1,9 @@
 //! Component-interned exploration must be observationally identical to the
-//! pre-refactor plain-state path.
+//! plain full-state reference oracle.
 //!
-//! The production drivers store visited states as rows of hash-consed
-//! component ids (`ComponentArena`), deduplicate successors through
-//! label-derived touched-component masks, and reuse pooled successor
+//! The explorer's driver stores visited states as rows of hash-consed
+//! component ids (`ComponentArena`), deduplicates successors through
+//! label-derived touched-component masks, and reuses pooled successor
 //! buffers. Any bug in that machinery — a stale component id, an action
 //! label under-reporting what its rule touches, a sparse successor leaking
 //! into a consumer that reads untouched components, a `clone_from` that
@@ -11,9 +11,11 @@
 //! exploration diverge from plain full-state interning. This suite pins the
 //! two against each other: the full litmus library and randomly generated
 //! *branchy* programs (speculation, mispredictions, squash-and-refetch),
-//! under every machine model, with and without `Reduction::SleepPlusCanon`.
+//! under every machine model and every `Reduction` — so the unreduced
+//! search, which runs through the same driver as the reduced ones, is
+//! covered alongside `Sleep` and `SleepPlusCanon`.
 //!
-//! The sequential drivers are deterministic and structurally identical, so
+//! The driver and the oracle are deterministic and run the same search, so
 //! the pin is exact: not just outcome sets but `states_visited`,
 //! `final_states` and `transitions_pruned` must match the oracle.
 
@@ -58,8 +60,8 @@ fn assert_composed_matches_reference(kind: ModelKind, reduction: Reduction, test
         "{kind}/{}/{reduction}: prune counts diverge",
         test.name()
     );
-    // The oracle stores full states; the production path must report its
-    // sharing statistics, and they must be internally consistent.
+    // The oracle stores full states; the driver must report its sharing
+    // statistics, and they must be internally consistent.
     assert!(reference.arena.is_none(), "the reference path does no component interning");
     let occupancy = composed.arena.expect("composed explorations report arena occupancy");
     assert_eq!(occupancy.states, composed.states_visited);
@@ -201,12 +203,11 @@ proptest! {
 
     /// Differential property: on random branchy programs the
     /// component-interned exploration matches the plain-state oracle
-    /// exactly, for every machine model, with and without
-    /// `Reduction::SleepPlusCanon`.
+    /// exactly, for every machine model and every reduction.
     #[test]
     fn random_branchy_programs_match_the_reference(test in two_threads_possibly_branchy()) {
         for kind in MACHINE_MODELS {
-            for reduction in [Reduction::Off, Reduction::SleepPlusCanon] {
+            for reduction in Reduction::ALL {
                 assert_composed_matches_reference(kind, reduction, &test);
             }
         }

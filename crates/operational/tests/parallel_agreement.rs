@@ -40,6 +40,7 @@ fn assert_parallel_matches(kind: ModelKind, parallelism: usize) {
             "{kind}/{}: final-state counts diverge",
             test.name()
         );
+        assert!(p.arena.is_none(), "{kind}/{}: a sharded run reports no arena", test.name());
     }
 }
 
@@ -120,7 +121,7 @@ fn adaptive_default_stays_sequential_on_litmus_scale_spaces() {
         let s = sequential.explore(&test).unwrap();
         let p = adaptive.explore(&test).unwrap();
         assert_eq!(s, p, "{}", test.name());
-        let occupancy = s.arena.expect("composed sequential explorations report occupancy");
+        let occupancy = s.arena.expect("sequential explorations report occupancy");
         assert_eq!(occupancy.states, s.states_visited, "{}", test.name());
         assert!(
             occupancy.distinct_components() <= 1 + 2 * s.states_visited,

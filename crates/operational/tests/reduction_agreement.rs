@@ -1,7 +1,7 @@
 //! Reduced exploration must be observationally identical to unreduced
 //! exploration: for every litmus test in the library, under every model with
-//! an abstract machine ({SC, TSO, GAM, GAM0}), in both the sequential and
-//! the sharded-parallel drivers, `Reduction::Sleep` and
+//! an abstract machine ({SC, TSO, GAM, GAM0}), in both the sequential driver
+//! and the sharded continuation, `Reduction::Sleep` and
 //! `Reduction::SleepPlusCanon` must produce exactly the outcome set of
 //! `Reduction::Off`.
 //!

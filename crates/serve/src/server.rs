@@ -206,6 +206,10 @@ struct Metrics {
     warnings_total: Counter,
     /// Requests that exceeded [`ServeConfig::slow_threshold`].
     slow_requests_total: Counter,
+    /// Responses that could not be written back (the client went away or
+    /// the write timed out). Registry-only: rendered by the Prometheus
+    /// format, not part of the JSON document.
+    write_errors_total: Counter,
     per_model: [Counter; ModelKind::ALL.len()],
     /// Per-endpoint request latency, microseconds.
     latency: [Histogram; ENDPOINTS.len()],
@@ -233,6 +237,7 @@ impl Metrics {
             memory_resident_bytes: registry.gauge("serve.memory_resident_bytes"),
             warnings_total: counter("serve.warnings_total"),
             slow_requests_total: counter("serve.slow_requests_total"),
+            write_errors_total: counter("serve.write_errors_total"),
             per_model: std::array::from_fn(|i| {
                 registry.counter(&format!("serve.checks.{}", model_name(ModelKind::ALL[i])))
             }),
@@ -572,12 +577,16 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Handles one connection end to end: arm socket timeouts, assign the
-/// request its trace id, read the request, route it, write the response
-/// (the trace id is echoed back in `X-Gam-Trace-Id`), then record the
-/// endpoint latency and — past [`ServeConfig::slow_threshold`] — a
-/// slow-log entry. A read that exceeds the server-side timeout is answered
-/// with `408 Request Timeout` (and counted) rather than holding the worker
-/// hostage to a slow or half-open client.
+/// request its trace id, read the request, route it, record the endpoint
+/// latency and — past [`ServeConfig::slow_threshold`] — a slow-log entry,
+/// then write the response (the trace id is echoed back in
+/// `X-Gam-Trace-Id`). Recording comes first so that a client reading
+/// `/metrics` or `/debug/slow` after its response always finds its own
+/// request there; the recorded latency therefore ends when the response is
+/// ready, and failed writes are counted on their own. A read that exceeds
+/// the server-side timeout is answered with `408 Request Timeout` (and
+/// counted) rather than holding the worker hostage to a slow or half-open
+/// client.
 fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     shared.metrics.requests_total.inc();
     let _ = stream.set_read_timeout(Some(shared.read_timeout));
@@ -602,7 +611,19 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
             ("other", String::new(), String::new(), response)
         }
     };
-    let _ = write_response(
+    let wall = start.elapsed();
+    let wall_us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
+    shared.metrics.record_latency(endpoint, wall_us);
+    if wall >= shared.slow_threshold {
+        shared.note_slow(SlowEntry {
+            trace_id: trace_hex.clone(),
+            method,
+            path,
+            status: response.status,
+            wall_us,
+        });
+    }
+    let written = write_response(
         &mut stream,
         response.status,
         response.reason,
@@ -610,21 +631,12 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         response.content_type,
         &response.body,
     );
-    let wall = start.elapsed();
-    let wall_us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
-    shared.metrics.record_latency(endpoint, wall_us);
+    if written.is_err() {
+        shared.metrics.write_errors_total.inc();
+    }
     span.arg("endpoint", endpoint);
     span.arg("status", response.status);
     drop(span);
-    if wall >= shared.slow_threshold {
-        shared.note_slow(SlowEntry {
-            trace_id: trace_hex,
-            method,
-            path,
-            status: response.status,
-            wall_us,
-        });
-    }
     trace::set_trace_id(0);
 }
 

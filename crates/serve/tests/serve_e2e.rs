@@ -114,6 +114,42 @@ fn every_response_carries_a_unique_trace_id_and_slow_requests_are_logged() {
 }
 
 #[test]
+fn each_request_is_recorded_before_its_response_goes_out() {
+    // A client that reads the slow log right after its response must find
+    // its own request there, every time: the server records latency and the
+    // slow-log entry before writing the response, not after.
+    let scratch = Scratch::new("record-first");
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        queue_depth: 16,
+        cache_path: scratch.0.clone(),
+        cache_capacity: 256,
+        slow_threshold: std::time::Duration::ZERO,
+        ..ServeConfig::default()
+    };
+    let (server, _) = Server::start(&config).expect("server starts");
+    let addr = server.local_addr().to_string();
+
+    for round in 0..50 {
+        let response = request(&addr, "GET", "/healthz", None).expect("healthz answers");
+        let id = response.header("x-gam-trace-id").expect("trace id").to_string();
+        let (_, slow) = json_body(&addr, "GET", "/debug/slow", None);
+        let entries = slow.get("entries").and_then(Json::as_array).expect("entries");
+        assert!(
+            entries.iter().any(|e| e.get("trace_id").and_then(Json::as_str) == Some(&id)),
+            "round {round}: the slow log misses the request just answered ({id})"
+        );
+    }
+
+    // Failed response writes have a counter of their own.
+    let scrape = request(&addr, "GET", "/metrics?format=prometheus", None).expect("scrape");
+    assert!(scrape.body.contains("serve_write_errors_total"), "{}", scrape.body);
+
+    server.shutdown();
+}
+
+#[test]
 fn healthz_and_unknown_routes() {
     let scratch = Scratch::new("health");
     let server = start(&scratch);
