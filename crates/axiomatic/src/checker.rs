@@ -51,13 +51,11 @@ pub struct Witness {
     pub memory_order: Vec<InstrRef>,
 }
 
-/// Search statistics of one checking run, the raw material of the perf
-/// trajectory (`perf_snapshot` in `gam-bench`).
+/// Search statistics of one checking run: deterministic work counters,
+/// reported per layer by the benchmark (`gam-perfbench`) and pinned to
+/// literal values by the umbrella crate's `tests/search_counters.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CheckStats {
-    /// Size of the unpruned read-from assignment space
-    /// `(stores + 1) ^ loads`, saturated at `u128::MAX`.
-    pub assignments_naive: u128,
     /// Read-from assignments actually enumerated (after address pruning).
     pub assignments_enumerated: u64,
     /// Enumerated assignments that survived value propagation and produced a
@@ -65,19 +63,6 @@ pub struct CheckStats {
     pub assignments_concretized: u64,
     /// Valid memory orders visited across all assignments.
     pub orders_visited: u64,
-}
-
-impl CheckStats {
-    /// The pruning factor `naive / enumerated` (1 when nothing was pruned;
-    /// `None` for load-free programs with an empty assignment space).
-    #[must_use]
-    pub fn pruning_factor(&self) -> Option<f64> {
-        if self.assignments_enumerated == 0 {
-            return None;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        Some(self.assignments_naive as f64 / self.assignments_enumerated as f64)
-    }
 }
 
 /// Tunable limits of the checker.
@@ -284,8 +269,7 @@ impl AxiomaticChecker {
             SearchStrategy::Optimized => RfAssignments::address_pruned(test, &index),
             SearchStrategy::Reference => RfAssignments::new(&index),
         };
-        let mut stats =
-            CheckStats { assignments_naive: assignments.naive_total(), ..CheckStats::default() };
+        let mut stats = CheckStats::default();
         // One edge-relation allocation recycled across every assignment.
         let mut scratch = Relation::new(events);
         let mut stop = false;

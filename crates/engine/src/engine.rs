@@ -166,22 +166,11 @@ impl EngineBuilder {
     /// whole-test-per-worker than to shard), and each exploration *can*
     /// itself go parallel — adaptively: sharding only kicks in once a
     /// test's running state count passes
-    /// [`EngineBuilder::explorer_parallel_threshold`], so small state
-    /// spaces never pay thread overhead.
+    /// [`ExplorerConfig::parallel_threshold`], so small state spaces never
+    /// pay thread overhead.
     #[must_use]
     pub fn explorer_parallelism(mut self, parallelism: usize) -> Self {
         self.explorer_config.parallelism = parallelism.max(1);
-        self
-    }
-
-    /// Sets the adaptive-sharding trigger of the per-test explorer: with
-    /// [`EngineBuilder::explorer_parallelism`] above 1, an exploration
-    /// still starts sequentially and escalates to the sharded parallel
-    /// driver only after interning this many states with frontier work
-    /// remaining. `0` shards immediately (the pre-adaptive behaviour).
-    #[must_use]
-    pub fn explorer_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.explorer_config.parallel_threshold = threshold;
         self
     }
 
@@ -627,19 +616,22 @@ mod tests {
         // Forced sharding (threshold 0) and adaptive sharding (default
         // threshold, never reached at litmus scale) both reproduce the
         // sequential verdicts and outcome sets.
-        for threshold in [Some(0), None] {
-            let mut builder = Engine::builder()
+        for threshold in [0, ExplorerConfig::default().parallel_threshold] {
+            let report = Engine::builder()
                 .model(ModelKind::Gam)
                 .backend(Backend::Operational)
-                .explorer_parallelism(4);
-            if let Some(threshold) = threshold {
-                builder = builder.explorer_parallel_threshold(threshold);
-            }
-            let report = builder.build().unwrap().run_suite(&tests);
+                .explorer_config(ExplorerConfig {
+                    parallel_threshold: threshold,
+                    ..ExplorerConfig::default()
+                })
+                .explorer_parallelism(4)
+                .build()
+                .unwrap()
+                .run_suite(&tests);
             assert!(report.all_ok());
             for (seq, par) in baseline.reports.iter().zip(&report.reports) {
-                assert_eq!(seq.verdict, par.verdict, "{:?}/{}", threshold, seq.test);
-                assert_eq!(seq.outcomes, par.outcomes, "{:?}/{}", threshold, seq.test);
+                assert_eq!(seq.verdict, par.verdict, "{}/{}", threshold, seq.test);
+                assert_eq!(seq.outcomes, par.outcomes, "{}/{}", threshold, seq.test);
             }
         }
     }

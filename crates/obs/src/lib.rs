@@ -23,7 +23,8 @@
 //!
 //! Everything is disarmed by default and costs one or two relaxed atomic
 //! loads per call site — the same "free when off" contract as
-//! `gam_core::fault::hit`, pinned by the `perf_snapshot` overhead gate.
+//! `gam_core::fault::hit`. The benchmark's traced runs report what arming
+//! costs (`trace.overhead_share` in `gam-perfbench`).
 //!
 //! Two small cross-cutting channels ride along: [`progress!`] (periodic
 //! `progress:` lines on stderr for `--progress`) and [`warn!`] — the single

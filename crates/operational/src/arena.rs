@@ -26,7 +26,7 @@
 //!
 //! The arena reports its sharing through [`ArenaOccupancy`]: how many
 //! distinct components back how many states, and the bytes actually
-//! interned — the numbers `perf_snapshot` publishes per test.
+//! interned — the numbers `tests/explorer_counters.rs` pins per test.
 
 use std::hash::{BuildHasher, Hash};
 use std::path::Path;
@@ -118,7 +118,7 @@ pub trait ComposedState: Clone + Eq + Hash {
 }
 
 /// Sharing statistics of a [`ComponentArena`] (or, degenerately, of a plain
-/// full-state arena), reported through `Exploration` and `perf_snapshot`.
+/// full-state arena), reported through `Exploration`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArenaOccupancy {
     /// Interned states (equals `Exploration::states_visited` at the end).

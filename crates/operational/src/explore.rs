@@ -165,13 +165,6 @@ impl Default for ExplorerConfig {
 }
 
 impl ExplorerConfig {
-    /// The default limits with the machine's available hardware parallelism.
-    #[must_use]
-    pub fn parallel() -> Self {
-        let n = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        ExplorerConfig { parallelism: n, ..ExplorerConfig::default() }
-    }
-
     /// The default limits with the strongest reduction
     /// ([`Reduction::SleepPlusCanon`]).
     #[must_use]

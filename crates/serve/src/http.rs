@@ -14,6 +14,11 @@ use gam_core::fault;
 /// giant upload); 4 MiB comfortably holds any litmus corpus batch.
 pub const MAX_BODY: usize = 4 << 20;
 
+/// Maximum accepted request head (request line plus headers): a client
+/// streaming one endless header line is refused at this point instead of
+/// growing the worker's buffer until the read timeout fires.
+pub const MAX_HEAD: usize = 64 << 10;
+
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
 pub struct Request {
@@ -45,8 +50,8 @@ impl Request {
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on malformed request lines/headers or an
-/// oversized body, and propagates socket errors.
+/// Returns `InvalidData` on malformed request lines/headers, an oversized
+/// head or an oversized body, and propagates socket errors.
 pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     // Fault-injection point: `http.read` (delay simulates a slow client on
     // the wire; kill simulates a connection torn mid-request).
@@ -54,8 +59,8 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
         return Err(io::Error::new(io::ErrorKind::ConnectionAborted, "injected fault: http.read"));
     }
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let mut head_left = MAX_HEAD;
+    let line = read_head_line(&mut reader, &mut head_left)?;
     let mut parts = line.split_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
         (Some(method), Some(path)) => (method.to_ascii_uppercase(), path.to_string()),
@@ -64,8 +69,7 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     let mut headers = Vec::new();
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header)?;
+        let header = read_head_line(&mut reader, &mut head_left)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -123,6 +127,17 @@ pub fn write_response(
     response.push_str(body);
     stream.write_all(response.as_bytes())?;
     stream.flush()
+}
+
+/// Reads one line of the request head, charging its bytes to `left`; a head
+/// that runs past [`MAX_HEAD`] without ending its line is `InvalidData`.
+fn read_head_line(reader: &mut impl BufRead, left: &mut usize) -> io::Result<String> {
+    let mut line = String::new();
+    *left -= reader.take(*left as u64).read_line(&mut line)?;
+    if *left == 0 && !line.ends_with('\n') {
+        return Err(bad_data("request head too large"));
+    }
+    Ok(line)
 }
 
 fn bad_data(message: &str) -> io::Error {

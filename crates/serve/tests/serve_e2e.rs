@@ -1,10 +1,13 @@
 //! End-to-end tests against a live server: health, raw-text and JSON
 //! checks, canonicalizing cache hits, batch checking, metrics consistency,
-//! persistence across a restart, and bind-failure reporting.
+//! persistence across a restart, bind-failure reporting, and a bounded
+//! request head.
 
 use std::fs;
-use std::net::TcpListener;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::time::Duration;
 
 use gam_core::ModelKind;
 use gam_engine::{Engine, Json};
@@ -166,6 +169,36 @@ fn healthz_and_unknown_routes() {
     let (status, _) = json_body(&addr, "POST", "/check", Some("not a litmus test"));
     assert_eq!(status, 400);
 
+    server.shutdown();
+}
+
+#[test]
+fn an_endless_header_line_is_refused_and_the_server_keeps_answering() {
+    let scratch = Scratch::new("head-cap");
+    let server = start(&scratch);
+    let addr = server.local_addr().to_string();
+
+    // One 1 MiB header line: the server must stop reading at its head cap
+    // and answer 400, not buffer the line until its read timeout fires.
+    let mut stream = TcpStream::connect(&addr).expect("connects");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("client timeout");
+    let mut head = b"GET /healthz HTTP/1.1\r\nX-Filler: ".to_vec();
+    head.resize(head.len() + (1 << 20), b'a');
+    let mut writer = stream.try_clone().expect("clones");
+    // The server may close mid-upload, so a failed write is expected.
+    let upload = std::thread::spawn(move || {
+        let _ = writer.write_all(&head);
+    });
+    let mut response = Vec::new();
+    // A reset after the response arrived still leaves the response read.
+    let _ = stream.read_to_end(&mut response);
+    upload.join().expect("upload thread");
+    let response = String::from_utf8_lossy(&response);
+    assert!(response.starts_with("HTTP/1.1 400"), "expected 400, got: {response:.200}");
+    assert!(response.contains("request head too large"), "typed reason: {response:.200}");
+
+    let (status, _) = json_body(&addr, "GET", "/healthz", None);
+    assert_eq!(status, 200);
     server.shutdown();
 }
 
