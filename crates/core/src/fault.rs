@@ -6,7 +6,7 @@
 //! `cache.journal.append` for write-ahead-journal appends, `cache.compact`
 //! for the journal truncation after a compaction snapshot), run checkpoints
 //! (`checkpoint.write`), arena spill segments (`spill.write` before a cold
-//! segment lands on disk, `spill.read` before a spilled segment is reloaded),
+//! segment lands on disk, `spill.read` before each spill block reload),
 //! the HTTP I/O paths (`http.read`, `http.write`) and
 //! the CLI's trace export (`obs.export`, between the tmp write and the
 //! rename) each call [`hit`] with a stable point name. With no plan installed a hit

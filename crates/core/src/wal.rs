@@ -47,7 +47,8 @@ use std::path::{Path, PathBuf};
 /// damaged header.
 pub const MAX_FRAME: usize = 16 << 20;
 
-const FRAME_HEADER: usize = 8;
+/// Bytes of a frame header: payload length and CRC, both `u32` LE.
+pub const FRAME_HEADER: usize = 8;
 
 const CRC_TABLE: [u32; 256] = crc_table();
 
@@ -99,6 +100,32 @@ pub struct Recovery {
     pub damage: Option<String>,
 }
 
+/// Decodes the frame at the start of `bytes`: its payload and the frame's
+/// total length (header included). A torn or corrupted frame is an `Err`
+/// describing the damage. Never panics on arbitrary input.
+///
+/// # Errors
+///
+/// A partial header, a length beyond [`MAX_FRAME`], a partial payload, or a
+/// CRC mismatch.
+pub fn decode_frame(bytes: &[u8]) -> Result<(&[u8], usize), String> {
+    let Some((header, body)) = bytes.split_first_chunk::<FRAME_HEADER>() else {
+        return Err(format!("torn tail: {}-byte partial frame header", bytes.len()));
+    };
+    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+    let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    if len > MAX_FRAME {
+        return Err(format!("corrupt frame header: length {len} exceeds {MAX_FRAME}"));
+    }
+    let payload = body
+        .get(..len)
+        .ok_or_else(|| format!("torn tail: {} of {len} payload bytes present", body.len()))?;
+    if crc32(payload) != crc {
+        return Err("corrupt frame: CRC mismatch".to_string());
+    }
+    Ok((payload, FRAME_HEADER + len))
+}
+
 /// Scans `bytes` as a sequence of frames, stopping at the first torn or
 /// corrupted one. Never panics on arbitrary input.
 #[must_use]
@@ -107,33 +134,16 @@ pub fn scan(bytes: &[u8]) -> Recovery {
     let mut pos = 0usize;
     let mut damage = None;
     while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        if remaining < FRAME_HEADER {
-            damage = Some(format!("torn tail: {remaining}-byte partial frame header"));
-            break;
+        match decode_frame(&bytes[pos..]) {
+            Ok((payload, len)) => {
+                frames.push(payload.to_vec());
+                pos += len;
+            }
+            Err(message) => {
+                damage = Some(message);
+                break;
+            }
         }
-        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-            as usize;
-        let crc =
-            u32::from_le_bytes([bytes[pos + 4], bytes[pos + 5], bytes[pos + 6], bytes[pos + 7]]);
-        if len > MAX_FRAME {
-            damage = Some(format!("corrupt frame header: length {len} exceeds {MAX_FRAME}"));
-            break;
-        }
-        if remaining - FRAME_HEADER < len {
-            damage = Some(format!(
-                "torn tail: {} of {len} payload bytes present",
-                remaining - FRAME_HEADER
-            ));
-            break;
-        }
-        let payload = &bytes[pos + FRAME_HEADER..pos + FRAME_HEADER + len];
-        if crc32(payload) != crc {
-            damage = Some("corrupt frame: CRC mismatch".to_string());
-            break;
-        }
-        frames.push(payload.to_vec());
-        pos += FRAME_HEADER + len;
     }
     Recovery { frames, valid_len: pos, damage }
 }

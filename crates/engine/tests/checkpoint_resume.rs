@@ -31,6 +31,8 @@ fn unit(value: u64) -> Json {
 
 #[test]
 fn recorded_units_survive_reopen_and_duplicates_take_the_last_writer() {
+    // Fault plans are process-wide: no `checkpoint.write` kill may land here.
+    let _guard = fault::exclusive();
     let scratch = Scratch::new("roundtrip");
     let (mut checkpoint, warning) = RunCheckpoint::open(&scratch.0).expect("open fresh");
     assert!(warning.is_none());
@@ -68,6 +70,7 @@ fn recorded_units_survive_reopen_and_duplicates_take_the_last_writer() {
 
 #[test]
 fn a_torn_tail_costs_only_the_record_being_written() {
+    let _guard = fault::exclusive();
     let scratch = Scratch::new("torn");
     let (mut checkpoint, _) = RunCheckpoint::open(&scratch.0).expect("open");
     checkpoint.record("unit/1", unit(1)).expect("record");

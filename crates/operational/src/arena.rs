@@ -19,8 +19,10 @@
 //! Under memory pressure the id-row table is *segmented*: the oldest rows
 //! can be spilled to CRC-framed disk segments ([`crate::spill`]) while the
 //! hash index keeps covering every slot, so spilled states still
-//! deduplicate — a cold row is only re-read when a hash collision forces a
-//! full comparison or a spilled frontier entry is expanded. Methods that
+//! deduplicate. The index holds hashes, not rows, so every revisit of a
+//! spilled state re-reads its cold row for the full comparison, as does
+//! the expansion of a spilled frontier entry; each read costs one 4 KiB
+//! CRC-checked block of a segment. Methods that
 //! may touch cold rows are fallible: a lost or injected-faulty segment
 //! surfaces as a [`SpillError`] the explorer degrades on, never a panic.
 //!
@@ -270,6 +272,11 @@ impl<S: ComposedState> ComponentArena<S> {
         Ok(words * std::mem::size_of::<u32>())
     }
 
+    /// Frame bytes the spill layer has read back from disk.
+    pub(crate) fn spill_read_bytes(&self) -> usize {
+        self.spill.as_ref().map_or(0, SpillStore::read_bytes)
+    }
+
     /// The spill manifest for a checkpoint snapshot.
     fn spill_manifest(&self) -> Vec<(String, usize)> {
         self.spill.as_ref().map(SpillStore::manifest).unwrap_or_default()
@@ -401,7 +408,7 @@ impl<S: ComposedState> ComponentArena<S> {
 
     /// Deduplicates the row in `scratch` against the state table. Cold
     /// candidate slots (same hash, row on disk) are compared by reloading
-    /// their segment — the one place dedup may touch the disk.
+    /// their row's block — the one place dedup may touch the disk.
     fn intern_scratch_row(&mut self) -> Result<(u32, bool), SpillError> {
         let hash = self.hasher.hash_one(&self.scratch);
         let slot = u32::try_from(self.len()).expect("state count fits u32");
@@ -576,8 +583,8 @@ impl<S: ComposedState> ComponentArena<S> {
         }
 
         // Rebuild the hash index in slot order: resident rows directly,
-        // cold rows through their segments (sequential, so the one-segment
-        // cache makes this a linear read per segment).
+        // cold rows through their segments (sequential, so each block is
+        // read once).
         let mut row_buf: Vec<u32> = Vec::with_capacity(stride);
         for slot in 0..arena.len() {
             if slot < arena.spilled_rows {
@@ -683,6 +690,8 @@ mod tests {
         let before = arena.len();
         let expected = arena.export_states(&initial);
 
+        // Fault plans are process-wide: keep the spill fault tests out.
+        let _guard = gam_core::fault::exclusive();
         let dir = std::env::temp_dir().join(format!("gam-arena-spill-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         arena.arm_spill(SpillStore::new(&dir, 1 + initial.procs().len()).unwrap());
@@ -715,6 +724,7 @@ mod tests {
         for (_, successor) in machine.labeled_successors(&initial) {
             arena.intern(&successor, root).unwrap();
         }
+        let _guard = gam_core::fault::exclusive();
         let dir =
             std::env::temp_dir().join(format!("gam-arena-snapshot-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

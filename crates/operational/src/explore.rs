@@ -250,6 +250,9 @@ pub struct MemoryStats {
     pub spilled_bytes: usize,
     /// Spill segment files written.
     pub spill_segments: usize,
+    /// Bytes of spill block frames read back from disk (this incarnation
+    /// only: a resumed run counts its own reads).
+    pub spill_read_bytes: usize,
     /// Times the sleep-set caches were flushed under pressure.
     pub sleep_flushes: usize,
 }
@@ -892,9 +895,9 @@ struct Seed<S> {
 const SOFT_WATERMARK_NUM: usize = 4;
 const SOFT_WATERMARK_DEN: usize = 5;
 
-/// Rows moved per spill segment. Large enough that segment files amortize
-/// their framing and the one-segment read cache covers real locality; small
-/// enough that one spill round reacts to pressure promptly.
+/// Rows moved per spill segment. Large enough that one spill round writes
+/// few files; small enough that it reacts to pressure promptly. Reads do
+/// not scale with it: a cold row costs one 4 KiB block of its segment.
 const SPILL_CHUNK_ROWS: usize = 64 * 1024;
 
 /// Rows always kept resident: the hot tail the DFS is actively revisiting.
@@ -959,11 +962,12 @@ impl MemGovernor {
         self.acct.note_peak()
     }
 
-    fn stats(&self) -> MemoryStats {
+    fn stats<S: ComposedState>(&self, arena: &ComponentArena<S>) -> MemoryStats {
         MemoryStats {
             peak_bytes: self.acct.peak_bytes,
             spilled_bytes: self.acct.spilled_bytes,
             spill_segments: self.acct.spill_segments,
+            spill_read_bytes: arena.spill_read_bytes(),
             sleep_flushes: self.acct.sleep_flushes,
         }
     }
@@ -1606,7 +1610,7 @@ impl Explorer {
             final_states,
             transitions_pruned: reducer.pruned,
             arena: Some(arena.occupancy()),
-            memory: governor.as_ref().map(MemGovernor::stats),
+            memory: governor.as_ref().map(|governor| governor.stats(&arena)),
         };
         Ok(SeqOutcome::Finished(exploration, witness))
     }
@@ -1649,7 +1653,12 @@ impl Explorer {
         }
         let Some(dir) = &self.memory.spill_dir else { return };
         match SpillStore::new(dir, 1 + num_procs) {
-            Ok(store) => arena.arm_spill(store),
+            Ok(mut store) => {
+                if self.memory.checkpoint.is_some() {
+                    store.keep_names();
+                }
+                arena.arm_spill(store);
+            }
             Err(err) => {
                 gam_obs::trace::event("explore.spill_dir_failed", &[("error", err.message)]);
             }

@@ -1084,6 +1084,7 @@ fn bench_row_json(
         pairs.push(("peak_accounted_bytes", Json::UInt(memory.peak_bytes as u64)));
         pairs.push(("spilled_bytes", Json::UInt(memory.spilled_bytes as u64)));
         pairs.push(("spill_segments", Json::UInt(memory.spill_segments as u64)));
+        pairs.push(("spill_read_bytes", Json::UInt(memory.spill_read_bytes as u64)));
         pairs.push(("sleep_flushes", Json::UInt(memory.sleep_flushes as u64)));
     }
     // A content fingerprint of the complete outcome set, so the
@@ -1153,8 +1154,9 @@ fn cmd_bench(args: &[String]) -> Result<bool, String> {
             model,
             ExplorerConfig { parallelism: explorer_workers, ..ExplorerConfig::default() },
         )
-        // The bench loop is serial, so every model reuses one spill
-        // directory safely: segment files are overwritten store-by-store.
+        // Every model shares one spill directory: live stores name their
+        // segments apart, and a finished store's names pass to the next,
+        // so segment files are overwritten store-by-store.
         .with_memory(gam_operational::MemoryConfig {
             max_bytes: mem_budget,
             spill_dir: spill_dir.clone(),
