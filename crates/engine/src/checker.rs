@@ -1,4 +1,4 @@
-//! The unified, object-safe [`Checker`] trait.
+//! The unified, object-safe [`Checker`] trait and its one entry point.
 //!
 //! Both formal backends — the axiomatic enumerator and the operational
 //! explorer — implement this trait, so every consumer (the [`crate::Engine`]
@@ -6,10 +6,16 @@
 //! semantics through one polymorphic API. This is the code-level counterpart
 //! of the paper's Theorem 1: the two definitions answer exactly the same
 //! questions, so they deserve exactly the same interface.
+//!
+//! A check is one call, [`Checker::run`]: a test, a [`Query`] saying how
+//! much the search must find, a [`CheckBudget`] and a [`CancelToken`]. It
+//! answers with an [`Answer`]: the three-valued verdict, the outcome set
+//! the query produced, the states visited and — when the search stopped
+//! early — why.
 
 use std::collections::BTreeSet;
 
-use gam_axiomatic::{AxiomaticChecker, CheckError, Verdict};
+use gam_axiomatic::{AxiomaticChecker, CheckError};
 use gam_core::{CancelToken, ModelKind, StopReason};
 use gam_isa::litmus::{LitmusTest, Outcome};
 use gam_operational::{ExploreError, OperationalChecker, OperationalError};
@@ -17,6 +23,110 @@ use gam_operational::{ExploreError, OperationalChecker, OperationalError};
 use crate::engine::Backend;
 use crate::error::EngineError;
 use crate::session::{CheckBudget, SessionVerdict};
+
+/// How much a check must find.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Query {
+    /// Decide the condition of interest: the search stops at the first
+    /// witness, and only a forbidden verdict pays for the whole space.
+    Verdict,
+    /// Enumerate the complete allowed-outcome set.
+    Outcomes,
+}
+
+/// What one [`Checker::run`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Answer {
+    /// The three-valued verdict. An early stop without a witness is
+    /// [`SessionVerdict::Inconclusive`], which owns the partial outcomes; an
+    /// early stop whose partial outcomes already hold a witness is
+    /// `Allowed`, which is sound because both backends only ever emit
+    /// outcomes of consistent executions.
+    pub verdict: SessionVerdict,
+    /// The outcomes the query produced: the allowed-outcome set for
+    /// [`Query::Outcomes`] (partial when `stop` is set), the witness for
+    /// [`Query::Verdict`]. Empty when the verdict is inconclusive.
+    pub outcomes: BTreeSet<Outcome>,
+    /// Distinct states the search visited (operational backend; the
+    /// axiomatic enumerator reports 0).
+    pub states_visited: usize,
+    /// Why the search stopped before its natural end, if it did.
+    pub stop: Option<StopReason>,
+}
+
+impl Answer {
+    /// The answer of a search that ran to its natural end.
+    fn finished(test: &LitmusTest, outcomes: BTreeSet<Outcome>, states_visited: usize) -> Answer {
+        Answer {
+            verdict: SessionVerdict::conclusive(test, &outcomes),
+            outcomes,
+            states_visited,
+            stop: None,
+        }
+    }
+
+    /// The answer of a search stopped early with `partial` outcomes.
+    fn stopped(
+        test: &LitmusTest,
+        partial: BTreeSet<Outcome>,
+        states_visited: usize,
+        reason: StopReason,
+    ) -> Answer {
+        let stop = Some(reason);
+        if partial.iter().any(|outcome| test.condition().matched_by(outcome)) {
+            return Answer {
+                verdict: SessionVerdict::Allowed,
+                outcomes: partial,
+                states_visited,
+                stop,
+            };
+        }
+        let verdict =
+            SessionVerdict::Inconclusive { partial_outcomes: partial, states_visited, reason };
+        Answer { verdict, outcomes: BTreeSet::new(), states_visited, stop }
+    }
+
+    /// The answer, if the search ran to its natural end; otherwise the
+    /// early stop as the error the blocking API reports for it — the
+    /// `backend`'s own interrupt or state-limit error, carrying the partial
+    /// outcomes.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Axiomatic`] or [`EngineError::Operational`] when
+    /// [`Answer::stop`] is set.
+    pub fn complete(self, backend: Backend, test: &LitmusTest) -> Result<Answer, EngineError> {
+        let Some(reason) = self.stop else { return Ok(self) };
+        let (partial_outcomes, states_visited) = match self.verdict {
+            SessionVerdict::Inconclusive { partial_outcomes, states_visited, .. } => {
+                (partial_outcomes, states_visited)
+            }
+            _ => (self.outcomes, self.states_visited),
+        };
+        let test = test.name().to_string();
+        Err(match (backend, reason) {
+            (Backend::Axiomatic, reason) => {
+                CheckError::Interrupted { test, reason, partial_outcomes }.into()
+            }
+            (Backend::Operational, StopReason::StateBudget { limit }) => {
+                OperationalError::Explore(ExploreError::StateLimitExceeded {
+                    limit,
+                    states_visited,
+                    partial_outcomes,
+                })
+                .into()
+            }
+            (Backend::Operational, reason) => {
+                OperationalError::Explore(ExploreError::Interrupted {
+                    reason,
+                    states_visited,
+                    partial_outcomes,
+                })
+                .into()
+            }
+        })
+    }
+}
 
 /// A memory-model checker for one model, behind one of the two backends.
 ///
@@ -40,38 +150,23 @@ pub trait Checker: Send + Sync {
     /// ad-hoc per-backend capability functions.
     fn supports(&self, model: ModelKind) -> bool;
 
-    /// The complete set of outcomes the model allows for the test.
-    fn allowed_outcomes(&self, test: &LitmusTest) -> Result<BTreeSet<Outcome>, EngineError>;
-
-    /// Decides whether the test's condition of interest is allowed.
-    fn check(&self, test: &LitmusTest) -> Result<Verdict, EngineError>;
-
-    /// Searches for an outcome matching the test's condition of interest and
-    /// returns it as a witness, or `None` when the condition is forbidden.
-    fn find_witness(&self, test: &LitmusTest) -> Result<Option<Outcome>, EngineError>;
-
-    /// Decides the test's condition of interest under a [`CheckBudget`] and
-    /// a [`CancelToken`], answering with a three-valued [`SessionVerdict`]:
-    /// budget exhaustion and cancellation surface as
-    /// [`SessionVerdict::Inconclusive`] carrying the partial outcome set,
-    /// not as errors.
+    /// Runs `query` on the test under `budget`, polling `cancel`.
     ///
-    /// Budgeted checks enumerate the full outcome set (no first-witness
-    /// early exit) so that an interrupted run has meaningful partial
-    /// outcomes to report; if the partial set already contains a witness
-    /// the verdict is promoted to `Allowed`, which is sound because both
-    /// backends only ever emit outcomes of consistent executions.
+    /// Cancellation, an exhausted budget and the explorer's state limit
+    /// stop the search early; they are part of the [`Answer`] (see
+    /// [`Answer::stop`]), not errors.
     ///
     /// # Errors
     ///
-    /// Propagates backend errors other than interruption and state-limit
-    /// exhaustion (e.g. unsupported models, over-limit event counts).
-    fn check_budgeted(
+    /// Every other backend error (unsupported models or features,
+    /// over-limit event counts, deadlocks).
+    fn run(
         &self,
         test: &LitmusTest,
+        query: Query,
         budget: &CheckBudget,
         cancel: CancelToken,
-    ) -> Result<SessionVerdict, EngineError>;
+    ) -> Result<Answer, EngineError>;
 }
 
 impl Checker for AxiomaticChecker {
@@ -92,34 +187,26 @@ impl Checker for AxiomaticChecker {
         true
     }
 
-    fn allowed_outcomes(&self, test: &LitmusTest) -> Result<BTreeSet<Outcome>, EngineError> {
-        Ok(AxiomaticChecker::allowed_outcomes(self, test)?)
-    }
-
-    fn check(&self, test: &LitmusTest) -> Result<Verdict, EngineError> {
-        Ok(AxiomaticChecker::check(self, test)?)
-    }
-
-    fn find_witness(&self, test: &LitmusTest) -> Result<Option<Outcome>, EngineError> {
-        Ok(AxiomaticChecker::find_witness(self, test)?.map(|witness| witness.outcome))
-    }
-
-    fn check_budgeted(
+    fn run(
         &self,
         test: &LitmusTest,
+        query: Query,
         budget: &CheckBudget,
         cancel: CancelToken,
-    ) -> Result<SessionVerdict, EngineError> {
-        // Rebuild the checker with the budget's interrupt attached; the
-        // axiomatic enumerator has no state count, so `max_states` is
-        // ignored here (see [`CheckBudget::max_states`]).
-        let checker =
-            AxiomaticChecker::with_config(AxiomaticChecker::model(self).clone(), self.config())
-                .with_interrupt(budget.interrupt(cancel));
-        match checker.allowed_outcomes(test) {
-            Ok(outcomes) => Ok(SessionVerdict::conclusive(test, &outcomes)),
+    ) -> Result<Answer, EngineError> {
+        // The axiomatic enumerator has no state count, so `max_states` and
+        // `max_bytes` do not apply here (see [`CheckBudget`]).
+        let checker = self.clone().with_interrupt(budget.interrupt(cancel));
+        let outcomes = match query {
+            Query::Outcomes => checker.allowed_outcomes(test),
+            Query::Verdict => checker
+                .find_witness(test)
+                .map(|witness| witness.map(|witness| witness.outcome).into_iter().collect()),
+        };
+        match outcomes {
+            Ok(outcomes) => Ok(Answer::finished(test, outcomes, 0)),
             Err(CheckError::Interrupted { reason, partial_outcomes, .. }) => {
-                Ok(SessionVerdict::from_partial(test, partial_outcomes, 0, reason))
+                Ok(Answer::stopped(test, partial_outcomes, 0, reason))
             }
             Err(err) => Err(err.into()),
         }
@@ -143,30 +230,13 @@ impl Checker for OperationalChecker {
         OperationalChecker::supports(model)
     }
 
-    fn allowed_outcomes(&self, test: &LitmusTest) -> Result<BTreeSet<Outcome>, EngineError> {
-        Ok(OperationalChecker::allowed_outcomes(self, test)?)
-    }
-
-    fn check(&self, test: &LitmusTest) -> Result<Verdict, EngineError> {
-        // `is_allowed` decides through the explorer's early-exit witness
-        // search: an allowed verdict stops at the first matching final state.
-        Ok(if OperationalChecker::is_allowed(self, test)? {
-            Verdict::Allowed
-        } else {
-            Verdict::Forbidden
-        })
-    }
-
-    fn find_witness(&self, test: &LitmusTest) -> Result<Option<Outcome>, EngineError> {
-        Ok(OperationalChecker::find_witness(self, test)?)
-    }
-
-    fn check_budgeted(
+    fn run(
         &self,
         test: &LitmusTest,
+        query: Query,
         budget: &CheckBudget,
         cancel: CancelToken,
-    ) -> Result<SessionVerdict, EngineError> {
+    ) -> Result<Answer, EngineError> {
         // Rebuild the explorer with the budget's state cap, memory cap and
         // interrupt. The checker's own memory config (spill directory,
         // checkpoint plan) carries over; the budget's byte cap overrides.
@@ -181,18 +251,24 @@ impl Checker for OperationalChecker {
         let checker = OperationalChecker::with_config(OperationalChecker::model(self), config)
             .with_interrupt(budget.interrupt(cancel))
             .with_memory(memory);
-        match checker.allowed_outcomes(test) {
-            Ok(outcomes) => Ok(SessionVerdict::conclusive(test, &outcomes)),
+        let searched = match query {
+            Query::Outcomes => checker.explore(test).map(|e| (e.outcomes, e.states_visited)),
+            Query::Verdict => checker
+                .find_witness(test)
+                .map(|(e, witness)| (witness.into_iter().collect(), e.states_visited)),
+        };
+        match searched {
+            Ok((outcomes, states_visited)) => Ok(Answer::finished(test, outcomes, states_visited)),
             Err(OperationalError::Explore(ExploreError::Interrupted {
                 reason,
                 states_visited,
                 partial_outcomes,
-            })) => Ok(SessionVerdict::from_partial(test, partial_outcomes, states_visited, reason)),
+            })) => Ok(Answer::stopped(test, partial_outcomes, states_visited, reason)),
             Err(OperationalError::Explore(ExploreError::StateLimitExceeded {
                 limit,
                 states_visited,
                 partial_outcomes,
-            })) => Ok(SessionVerdict::from_partial(
+            })) => Ok(Answer::stopped(
                 test,
                 partial_outcomes,
                 states_visited,
@@ -216,15 +292,22 @@ mod tests {
         ]
     }
 
+    fn run(checker: &dyn Checker, test: &LitmusTest, query: Query) -> Answer {
+        checker.run(test, query, &CheckBudget::none(), CancelToken::new()).unwrap()
+    }
+
     #[test]
     fn both_backends_answer_identically_through_the_trait() {
         let test = library::dekker();
         for checker in checkers(ModelKind::Gam) {
             assert_eq!(checker.model(), ModelKind::Gam);
-            assert_eq!(checker.check(&test).unwrap(), Verdict::Allowed);
-            let witness = checker.find_witness(&test).unwrap().expect("allowed => witness");
-            assert!(test.condition().matched_by(&witness));
-            assert!(checker.allowed_outcomes(&test).unwrap().contains(&witness));
+            let verdict = run(&*checker, &test, Query::Verdict);
+            assert_eq!(verdict.verdict, SessionVerdict::Allowed);
+            assert_eq!(verdict.stop, None);
+            let witness = verdict.outcomes.first().expect("allowed => witness");
+            assert_eq!(verdict.outcomes.len(), 1, "a verdict query yields one witness");
+            assert!(test.condition().matched_by(witness));
+            assert!(run(&*checker, &test, Query::Outcomes).outcomes.contains(witness));
         }
     }
 
@@ -245,8 +328,9 @@ mod tests {
     fn forbidden_conditions_have_no_witness() {
         let test = library::corr();
         for checker in checkers(ModelKind::Gam) {
-            assert_eq!(checker.check(&test).unwrap(), Verdict::Forbidden);
-            assert!(checker.find_witness(&test).unwrap().is_none());
+            let answer = run(&*checker, &test, Query::Verdict);
+            assert_eq!(answer.verdict, SessionVerdict::Forbidden);
+            assert!(answer.outcomes.is_empty());
         }
     }
 
@@ -254,5 +338,39 @@ mod tests {
     fn names_distinguish_backends() {
         let names: Vec<&str> = checkers(ModelKind::Sc).iter().map(|c| c.name()).collect();
         assert_eq!(names, ["axiomatic", "operational"]);
+    }
+
+    #[test]
+    fn early_stops_are_answers_and_complete_turns_them_into_backend_errors() {
+        // A state cap of 1 stops iriw's exploration before any final state.
+        let test = library::iriw();
+        let checker = OperationalChecker::new(ModelKind::Gam);
+        let budget = CheckBudget::none().with_max_states(1);
+        for query in [Query::Verdict, Query::Outcomes] {
+            let answer = checker.run(&test, query, &budget, CancelToken::new()).unwrap();
+            assert_eq!(answer.stop, Some(StopReason::StateBudget { limit: 1 }), "{query:?}");
+            assert!(!answer.verdict.is_conclusive(), "{query:?}");
+            let err = answer.complete(Backend::Operational, &test).unwrap_err();
+            assert!(err.to_string().contains("exceeded the limit of 1 states"), "{query:?}: {err}");
+        }
+        // A cancelled axiomatic check stops at its first poll.
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let axiomatic = AxiomaticChecker::new(model::gam());
+        let answer = axiomatic.run(&test, Query::Outcomes, &CheckBudget::none(), cancel).unwrap();
+        assert_eq!(answer.stop, Some(StopReason::Cancelled));
+        let err = answer.complete(Backend::Axiomatic, &test).unwrap_err();
+        assert!(matches!(err, EngineError::Axiomatic(CheckError::Interrupted { .. })), "{err}");
+    }
+
+    #[test]
+    fn a_witness_among_partial_outcomes_is_conclusive() {
+        let test = library::dekker();
+        let witness = run(&OperationalChecker::new(ModelKind::Gam), &test, Query::Verdict).outcomes;
+        let answer = Answer::stopped(&test, witness.clone(), 7, StopReason::Cancelled);
+        assert_eq!(answer.verdict, SessionVerdict::Allowed);
+        assert_eq!(answer.outcomes, witness);
+        let answer = Answer::stopped(&test, BTreeSet::new(), 7, StopReason::Cancelled);
+        assert!(matches!(answer.verdict, SessionVerdict::Inconclusive { states_visited: 7, .. }));
     }
 }

@@ -1,6 +1,7 @@
 //! The [`Engine`] facade: backend selection, configuration and parallel
 //! litmus-suite execution.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -8,10 +9,10 @@ use std::time::Instant;
 
 use gam_axiomatic::{AxiomaticChecker, CheckerConfig, Verdict};
 use gam_core::{model, CancelToken, ModelKind};
-use gam_isa::litmus::LitmusTest;
+use gam_isa::litmus::{LitmusTest, Outcome};
 use gam_operational::{ExplorerConfig, MemoryConfig, OperationalChecker, Reduction};
 
-use crate::checker::Checker;
+use crate::checker::{Answer, Checker, Query};
 use crate::error::EngineError;
 use crate::report::{SuiteReport, TestReport};
 use crate::session::{check_job, CheckBudget, CheckHandle, SessionOutcome, SessionPool};
@@ -302,73 +303,68 @@ impl Engine {
         self.parallelism
     }
 
-    /// Decides whether the test's condition of interest is allowed.
+    /// Runs `query` on the test under `budget`: the one path every check
+    /// takes to the backend. It opens the check's `engine.check` trace span
+    /// and fences the backend, so a panicking checker answers with
+    /// [`EngineError::Panicked`] instead of unwinding into the caller.
+    /// Early stops (budget, state limit) are part of the [`Answer`].
     ///
     /// # Errors
     ///
-    /// Propagates the backend's [`EngineError`].
+    /// Propagates backend errors other than early stops, plus
+    /// [`EngineError::Panicked`].
+    pub fn run(
+        &self,
+        test: &LitmusTest,
+        query: Query,
+        budget: &CheckBudget,
+    ) -> Result<Answer, EngineError> {
+        run_fenced(&*self.checker, test, query, budget, CancelToken::new())
+    }
+
+    /// Decides whether the test's condition of interest is allowed,
+    /// stopping at the first witness.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the backend's [`EngineError`]; an early stop (state
+    /// limit, memory budget) is the backend's error, see
+    /// [`Answer::complete`].
     pub fn check(&self, test: &LitmusTest) -> Result<Verdict, EngineError> {
-        let mut span = gam_obs::trace::span("engine.check");
-        span.arg("test", test.name());
-        span.arg("backend", self.backend());
-        self.checker.check(test)
+        let answer = self.run_to_end(test, Query::Verdict)?;
+        Ok(answer.verdict.as_verdict().expect("a complete answer is conclusive"))
     }
 
     /// The complete allowed-outcome set of the test.
     ///
     /// # Errors
     ///
-    /// Propagates the backend's [`EngineError`].
-    pub fn allowed_outcomes(
-        &self,
-        test: &LitmusTest,
-    ) -> Result<std::collections::BTreeSet<gam_isa::litmus::Outcome>, EngineError> {
-        let mut span = gam_obs::trace::span("engine.allowed_outcomes");
-        span.arg("test", test.name());
-        self.checker.allowed_outcomes(test)
+    /// See [`Engine::check`].
+    pub fn allowed_outcomes(&self, test: &LitmusTest) -> Result<BTreeSet<Outcome>, EngineError> {
+        Ok(self.run_to_end(test, Query::Outcomes)?.outcomes)
     }
 
-    /// A witness outcome for the test's condition of interest, if allowed.
+    fn run_to_end(&self, test: &LitmusTest, query: Query) -> Result<Answer, EngineError> {
+        self.run(test, query, &CheckBudget::none())?.complete(self.backend(), test)
+    }
+
+    /// Decides the test under a [`CheckBudget`] by enumerating its outcome
+    /// set, blocking until the check finishes, is cancelled from another
+    /// thread, or exhausts the budget — whichever comes first. Budget
+    /// exhaustion answers with [`crate::SessionVerdict::Inconclusive`]
+    /// carrying the partial outcomes.
     ///
     /// # Errors
     ///
-    /// Propagates the backend's [`EngineError`].
-    pub fn find_witness(
-        &self,
-        test: &LitmusTest,
-    ) -> Result<Option<gam_isa::litmus::Outcome>, EngineError> {
-        self.checker.find_witness(test)
-    }
-
-    /// Decides the test under a [`CheckBudget`], blocking until the check
-    /// finishes, is cancelled from another thread, or exhausts the budget —
-    /// whichever comes first. Budget exhaustion answers with
-    /// [`crate::SessionVerdict::Inconclusive`] carrying the partial
-    /// outcomes; a panicking checker answers with
-    /// [`EngineError::Panicked`] instead of unwinding into the caller.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend errors other than interruption and state-limit
-    /// exhaustion, plus [`EngineError::Panicked`].
+    /// See [`Engine::run`].
     pub fn check_budgeted(
         &self,
         test: &LitmusTest,
         budget: &CheckBudget,
     ) -> Result<SessionOutcome, EngineError> {
         let start = Instant::now();
-        let mut span = gam_obs::trace::span("engine.check");
-        span.arg("test", test.name());
-        span.arg("backend", self.backend());
-        let cancel = CancelToken::new();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.checker.check_budgeted(test, budget, cancel)
-        }));
-        match result {
-            Ok(Ok(verdict)) => Ok(SessionOutcome { verdict, wall: start.elapsed() }),
-            Ok(Err(err)) => Err(err),
-            Err(payload) => Err(EngineError::panicked(&*payload)),
-        }
+        let answer = self.run(test, Query::Outcomes, budget)?;
+        Ok(SessionOutcome { verdict: answer.verdict, wall: start.elapsed() })
     }
 
     /// Submits an unbudgeted (but cancellable, panic-isolated) check to the
@@ -380,10 +376,11 @@ impl Engine {
     }
 
     /// Submits a budgeted check to the engine's session worker pool and
-    /// returns immediately with a [`CheckHandle`]. The pool has
-    /// [`Engine::parallelism`] workers and is started on first use; checks
-    /// queue FIFO behind busy workers. The budget's wall clock starts when
-    /// the check starts executing, not when it is submitted.
+    /// returns immediately with a [`CheckHandle`]; the check runs like
+    /// [`Engine::check_budgeted`]. The pool has [`Engine::parallelism`]
+    /// workers and is started on first use; checks queue FIFO behind busy
+    /// workers. The budget's wall clock starts when the check starts
+    /// executing, not when it is submitted.
     #[must_use]
     pub fn submit_budgeted(&self, test: &LitmusTest, budget: CheckBudget) -> CheckHandle {
         let (job, handle) = check_job(Arc::clone(&self.checker), test, budget);
@@ -400,7 +397,7 @@ impl Engine {
     /// aborting the run.
     #[must_use]
     pub fn run_suite(&self, tests: &[LitmusTest]) -> SuiteReport {
-        self.run_suite_mode(tests, SuiteMode::Full)
+        self.run_suite_query(tests, Query::Outcomes)
     }
 
     /// Like [`Engine::run_suite`], but only decides each test's verdict,
@@ -411,10 +408,10 @@ impl Engine {
     /// matrices); it is substantially cheaper on tests with many executions.
     #[must_use]
     pub fn run_suite_verdicts(&self, tests: &[LitmusTest]) -> SuiteReport {
-        self.run_suite_mode(tests, SuiteMode::VerdictsOnly)
+        self.run_suite_query(tests, Query::Verdict)
     }
 
-    fn run_suite_mode(&self, tests: &[LitmusTest], mode: SuiteMode) -> SuiteReport {
+    fn run_suite_query(&self, tests: &[LitmusTest], query: Query) -> SuiteReport {
         let start = Instant::now();
         let total = tests.len();
         let workers = self.parallelism.min(total.max(1));
@@ -422,7 +419,6 @@ impl Engine {
         slots.resize_with(total, || None);
         let slots = Mutex::new(slots);
         let next = AtomicUsize::new(0);
-        let checker: &dyn Checker = &*self.checker;
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -431,7 +427,11 @@ impl Engine {
                     if index >= total {
                         break;
                     }
-                    let report = run_one(checker, &tests[index], mode);
+                    let test = &tests[index];
+                    let start = Instant::now();
+                    let result = self.run(test, query, &CheckBudget::none());
+                    let report =
+                        TestReport::new(test, self.backend(), query, result, start.elapsed());
                     slots.lock().expect("suite slot lock")[index] = Some(report);
                 });
             }
@@ -454,52 +454,24 @@ impl Engine {
     }
 }
 
-/// How much work a suite run does per test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SuiteMode {
-    /// Enumerate the complete allowed-outcome set.
-    Full,
-    /// Decide the verdict only (first-witness early exit); outcomes stay empty.
-    VerdictsOnly,
-}
-
-/// Checks one test, capturing errors (including caught panics) and wall
-/// time. The `catch_unwind` fence is what lets a suite run survive a
-/// panicking checker: the panic becomes the report's `error` field and the
-/// suite worker moves on to the next test.
-fn run_one(checker: &dyn Checker, test: &LitmusTest, mode: SuiteMode) -> TestReport {
-    let start = Instant::now();
+/// The fenced check behind [`Engine::run`] and the session jobs: the
+/// `engine.check` span and the only `catch_unwind` on the check path, so a
+/// panicking checker becomes [`EngineError::Panicked`] and the caller (a
+/// suite worker, a session worker, a serve worker) moves on.
+pub(crate) fn run_fenced(
+    checker: &dyn Checker,
+    test: &LitmusTest,
+    query: Query,
+    budget: &CheckBudget,
+    cancel: CancelToken,
+) -> Result<Answer, EngineError> {
     let mut span = gam_obs::trace::span("engine.check");
     span.arg("test", test.name());
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match mode {
-        SuiteMode::Full => checker.allowed_outcomes(test).map(|outcomes| {
-            let allowed = outcomes.iter().any(|outcome| test.condition().matched_by(outcome));
-            (if allowed { Verdict::Allowed } else { Verdict::Forbidden }, outcomes)
-        }),
-        SuiteMode::VerdictsOnly => {
-            checker.check(test).map(|verdict| (verdict, std::collections::BTreeSet::new()))
-        }
-    }));
-    let result = match result {
-        Ok(result) => result,
-        Err(payload) => Err(EngineError::panicked(&*payload)),
-    };
-    match result {
-        Ok((verdict, outcomes)) => TestReport {
-            test: test.name().to_string(),
-            verdict: Some(verdict),
-            outcomes,
-            error: None,
-            wall: start.elapsed(),
-        },
-        Err(err) => TestReport {
-            test: test.name().to_string(),
-            verdict: None,
-            outcomes: std::collections::BTreeSet::new(),
-            error: Some(err.to_string()),
-            wall: start.elapsed(),
-        },
-    }
+    span.arg("backend", checker.backend());
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        checker.run(test, query, budget, cancel)
+    }))
+    .unwrap_or_else(|payload| Err(EngineError::panicked(&*payload)))
 }
 
 #[cfg(test)]
@@ -534,7 +506,8 @@ mod tests {
         for backend in Backend::ALL {
             let engine = Engine::builder().model(ModelKind::Gam).backend(backend).build().unwrap();
             assert_eq!(engine.check(&test).unwrap(), Verdict::Allowed);
-            assert!(engine.find_witness(&test).unwrap().is_some());
+            let answer = engine.run(&test, Query::Verdict, &CheckBudget::none()).unwrap();
+            assert!(test.condition().matched_by(answer.outcomes.first().expect("a witness")));
         }
     }
 

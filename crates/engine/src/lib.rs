@@ -8,13 +8,16 @@
 //!
 //! * [`Checker`] — an object-safe trait implemented by both
 //!   [`gam_axiomatic::AxiomaticChecker`] and
-//!   [`gam_operational::OperationalChecker`]: verdicts, complete
-//!   allowed-outcome sets, witnesses and capability queries through one
-//!   interface;
+//!   [`gam_operational::OperationalChecker`], with one check method,
+//!   [`Checker::run`]: a [`Query`] (`Verdict` stops at the first witness,
+//!   `Outcomes` enumerates the complete allowed set) under a
+//!   [`CheckBudget`], answered by an [`Answer`];
 //! * [`EngineError`] — the unified error type both backends convert into;
-//! * [`Engine`] / [`EngineBuilder`] — backend and model selection plus a
-//!   parallel suite runner that fans litmus tests out over a thread pool and
-//!   returns a structured, JSON-serializable [`SuiteReport`];
+//! * [`Engine`] / [`EngineBuilder`] — backend and model selection, the one
+//!   fenced entry point [`Engine::run`] every check goes through (the
+//!   blocking, budgeted, submitted and suite APIs are thin calls into it),
+//!   and a parallel suite runner that fans litmus tests out over a thread
+//!   pool and returns a structured, JSON-serializable [`SuiteReport`];
 //! * [`json`] — a dependency-free JSON tree ([`Json`], [`ToJson`]) used for
 //!   machine-readable result export;
 //! * [`session`] — budgeted, cancellable, panic-isolated check sessions:
@@ -31,7 +34,7 @@
 //! # Quick start
 //!
 //! ```
-//! use gam_engine::{Backend, Engine};
+//! use gam_engine::{Backend, CheckBudget, Engine, Query, SessionVerdict};
 //! use gam_core::ModelKind;
 //! use gam_isa::litmus::library;
 //!
@@ -44,6 +47,11 @@
 //!         .build()
 //!         .unwrap();
 //!     assert!(engine.check(&test).unwrap().is_allowed());
+//!     // The same check through the one entry point: the verdict query
+//!     // stops at its first witness and returns it.
+//!     let answer = engine.run(&test, Query::Verdict, &CheckBudget::none()).unwrap();
+//!     assert_eq!(answer.verdict, SessionVerdict::Allowed);
+//!     assert!(test.condition().matched_by(answer.outcomes.first().unwrap()));
 //! }
 //!
 //! // Run a whole suite in parallel and inspect the structured report.
@@ -65,7 +73,7 @@ pub mod json;
 pub mod report;
 pub mod session;
 
-pub use checker::Checker;
+pub use checker::{Answer, Checker, Query};
 pub use checkpoint::{RunCheckpoint, CHECKPOINT_SCHEMA, EXPLORE_CHECKPOINT_SCHEMA};
 pub use engine::{Backend, Engine, EngineBuilder};
 pub use error::EngineError;

@@ -6,9 +6,11 @@ use std::time::Duration;
 
 use gam_axiomatic::Verdict;
 use gam_core::ModelKind;
-use gam_isa::litmus::Outcome;
+use gam_isa::litmus::{LitmusTest, Outcome};
 
+use crate::checker::{Answer, Query};
 use crate::engine::Backend;
+use crate::error::EngineError;
 use crate::json::{Json, ToJson};
 
 /// The result of checking one litmus test.
@@ -28,6 +30,29 @@ pub struct TestReport {
 }
 
 impl TestReport {
+    /// The report of one [`crate::Engine::run`] of `query` without a
+    /// budget: a verdict, or the error — an early stop included (see
+    /// [`Answer::complete`]). Only a [`Query::Outcomes`] run reports its
+    /// outcome set.
+    #[must_use]
+    pub fn new(
+        test: &LitmusTest,
+        backend: Backend,
+        query: Query,
+        result: Result<Answer, EngineError>,
+        wall: Duration,
+    ) -> TestReport {
+        let (verdict, outcomes, error) = match result.and_then(|a| a.complete(backend, test)) {
+            Ok(answer) => (
+                answer.verdict.as_verdict(),
+                if query == Query::Outcomes { answer.outcomes } else { BTreeSet::new() },
+                None,
+            ),
+            Err(err) => (None, BTreeSet::new(), Some(err.to_string())),
+        };
+        TestReport { test: test.name().to_string(), verdict, outcomes, error, wall }
+    }
+
     /// Returns true if the backend produced a verdict (no error).
     #[must_use]
     pub fn is_ok(&self) -> bool {

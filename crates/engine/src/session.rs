@@ -12,8 +12,8 @@
 //!   accumulated before the stop and the [`StopReason`];
 //! * [`CheckHandle`] — the future-like handle returned by
 //!   [`crate::Engine::submit`]: cancel it, poll it, or block on the result;
-//! * a lazily-started session worker pool inside the engine whose workers
-//!   wrap every check in [`std::panic::catch_unwind`], so a panicking
+//! * a lazily-started session worker pool inside the engine whose jobs run
+//!   through the same panic fence as [`crate::Engine::run`], so a panicking
 //!   checker surfaces as [`crate::EngineError::Panicked`] instead of killing
 //!   the worker.
 //!
@@ -52,6 +52,7 @@ use std::time::{Duration, Instant};
 use gam_core::{CancelToken, Interrupt, StopReason};
 use gam_isa::litmus::{LitmusTest, Outcome};
 
+use crate::checker::Query;
 use crate::error::EngineError;
 
 /// Per-check resource limits.
@@ -147,22 +148,6 @@ impl SessionVerdict {
             SessionVerdict::Allowed
         } else {
             SessionVerdict::Forbidden
-        }
-    }
-
-    /// Derives the verdict from a *partial* outcome set: `Allowed` if it
-    /// already contains a witness, `Inconclusive` otherwise.
-    #[must_use]
-    pub fn from_partial(
-        test: &LitmusTest,
-        partial_outcomes: BTreeSet<Outcome>,
-        states_visited: usize,
-        reason: StopReason,
-    ) -> SessionVerdict {
-        if partial_outcomes.iter().any(|outcome| test.condition().matched_by(outcome)) {
-            SessionVerdict::Allowed
-        } else {
-            SessionVerdict::Inconclusive { partial_outcomes, states_visited, reason }
         }
     }
 
@@ -396,17 +381,8 @@ pub(crate) fn check_job(
     let job: Job = Box::new(move || {
         gam_obs::trace::set_trace_id(trace_id);
         let start = Instant::now();
-        let mut span = gam_obs::trace::span("engine.session");
-        span.arg("test", test.name());
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            checker.check_budgeted(&test, &budget, cancel.clone())
-        }));
-        drop(span);
-        let result = match result {
-            Ok(Ok(verdict)) => Ok(SessionOutcome { verdict, wall: start.elapsed() }),
-            Ok(Err(err)) => Err(err),
-            Err(payload) => Err(EngineError::panicked(&*payload)),
-        };
+        let result = crate::engine::run_fenced(&*checker, &test, Query::Outcomes, &budget, cancel)
+            .map(|answer| SessionOutcome { verdict: answer.verdict, wall: start.elapsed() });
         shared.complete(result);
     });
     (job, handle)
@@ -440,20 +416,19 @@ mod tests {
     fn session_verdict_helpers_and_display() {
         let test = library::dekker();
         let witness = Engine::axiomatic(ModelKind::Gam)
-            .find_witness(&test)
+            .run(&test, Query::Verdict, &CheckBudget::none())
             .unwrap()
-            .expect("dekker is allowed under GAM");
+            .outcomes;
+        assert_eq!(witness.len(), 1, "dekker is allowed under GAM");
         let mut outcomes = BTreeSet::new();
         assert_eq!(SessionVerdict::conclusive(&test, &outcomes), SessionVerdict::Forbidden);
-        outcomes.insert(witness.clone());
+        outcomes.extend(witness);
         assert_eq!(SessionVerdict::conclusive(&test, &outcomes), SessionVerdict::Allowed);
-        // A witness inside a *partial* set is still conclusive.
-        assert_eq!(
-            SessionVerdict::from_partial(&test, outcomes, 7, StopReason::Cancelled),
-            SessionVerdict::Allowed
-        );
-        let inconclusive =
-            SessionVerdict::from_partial(&test, BTreeSet::new(), 7, StopReason::Cancelled);
+        let inconclusive = SessionVerdict::Inconclusive {
+            partial_outcomes: BTreeSet::new(),
+            states_visited: 7,
+            reason: StopReason::Cancelled,
+        };
         assert!(!inconclusive.is_conclusive());
         assert_eq!(inconclusive.as_verdict(), None);
         assert_eq!(

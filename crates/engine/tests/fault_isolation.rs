@@ -140,3 +140,27 @@ fn injected_delay_exhausts_a_wall_budget() {
         other => panic!("expected an inconclusive verdict, got {other}"),
     }
 }
+
+#[test]
+fn the_blocking_entry_points_fence_panics_too() {
+    let _guard = fault::exclusive();
+    // `check` and `allowed_outcomes` reach the backend through the same
+    // fenced path as the budgeted checks: a panicking backend is a typed
+    // error, never an unwind into the caller.
+    for (spec, engine) in [
+        ("axiomatic=panic", Engine::axiomatic(ModelKind::Gam)),
+        ("explore=panic", Engine::operational(ModelKind::Gam).expect("operational engine")),
+    ] {
+        fault::install(spec).expect("valid fault spec");
+        let test = library::mp();
+        let checked = panic::catch_unwind(panic::AssertUnwindSafe(|| {
+            quiet_panics(|| (engine.check(&test), engine.allowed_outcomes(&test)))
+        }));
+        fault::reset();
+        let (verdict, outcomes) = checked.unwrap_or_else(|_| panic!("{spec}: the panic escaped"));
+        assert!(matches!(verdict, Err(EngineError::Panicked { .. })), "{spec}: {verdict:?}");
+        assert!(matches!(outcomes, Err(EngineError::Panicked { .. })), "{spec}: {outcomes:?}");
+        // Disarmed, the same engine answers.
+        assert!(engine.check(&test).is_ok(), "{spec}");
+    }
+}

@@ -11,8 +11,10 @@ use std::fmt;
 use gam_core::ModelKind;
 use gam_isa::litmus::{LitmusTest, Outcome};
 
-use crate::explore::{Exploration, ExploreError, Explorer, ExplorerConfig};
+use crate::arena::ComposedState;
+use crate::explore::{Exploration, ExploreError, Explorer, ExplorerConfig, StopFn};
 use crate::gam::{GamConfig, GamMachine};
+use crate::machine::LabeledMachine;
 use crate::sc::ScMachine;
 use crate::tso::TsoMachine;
 
@@ -116,6 +118,44 @@ impl OperationalChecker {
         !matches!(model, ModelKind::GamArm)
     }
 
+    /// The one per-model dispatch: builds the test's machine for the
+    /// checker's model and runs one search on it — the arena driver, which
+    /// stops at the first final outcome `stop` accepts (if given), or with
+    /// `reference` the full-state oracle.
+    fn search(
+        &self,
+        test: &LitmusTest,
+        stop: Option<StopFn>,
+        reference: bool,
+    ) -> Result<(Exploration, Option<Outcome>), OperationalError> {
+        fn on<M: LabeledMachine + Sync>(
+            explorer: &Explorer,
+            machine: &M,
+            stop: Option<StopFn>,
+            reference: bool,
+        ) -> Result<(Exploration, Option<Outcome>), ExploreError>
+        where
+            M::State: ComposedState + Send,
+        {
+            if reference {
+                explorer.explore_reference(machine).map(|exploration| (exploration, None))
+            } else {
+                explorer.run(machine, stop)
+            }
+        }
+        let explorer = &self.explorer;
+        let gam = |config| GamMachine::with_config(test, config);
+        Ok(match self.model {
+            ModelKind::Sc => on(explorer, &ScMachine::new(test), stop, reference),
+            ModelKind::Tso => on(explorer, &TsoMachine::new(test), stop, reference),
+            ModelKind::Gam => on(explorer, &gam(GamConfig::gam()), stop, reference),
+            ModelKind::Gam0 => on(explorer, &gam(GamConfig::gam0()), stop, reference),
+            ModelKind::GamArm => {
+                return Err(OperationalError::UnsupportedModel { model: self.model })
+            }
+        }?)
+    }
+
     /// Exhaustively explores the test under the model.
     ///
     /// # Errors
@@ -123,17 +163,7 @@ impl OperationalChecker {
     /// Returns an error if the model has no operational machine or the
     /// exploration exceeds its limits.
     pub fn explore(&self, test: &LitmusTest) -> Result<Exploration, OperationalError> {
-        match self.model {
-            ModelKind::Sc => Ok(self.explorer.explore(&ScMachine::new(test))?),
-            ModelKind::Tso => Ok(self.explorer.explore(&TsoMachine::new(test))?),
-            ModelKind::Gam => {
-                Ok(self.explorer.explore(&GamMachine::with_config(test, GamConfig::gam()))?)
-            }
-            ModelKind::Gam0 => {
-                Ok(self.explorer.explore(&GamMachine::with_config(test, GamConfig::gam0()))?)
-            }
-            ModelKind::GamArm => Err(OperationalError::UnsupportedModel { model: self.model }),
-        }
+        Ok(self.search(test, None, false)?.0)
     }
 
     /// Exhaustively explores the test on the explorer's reference oracle
@@ -146,17 +176,7 @@ impl OperationalChecker {
     /// See [`OperationalChecker::explore`].
     #[doc(hidden)]
     pub fn explore_reference(&self, test: &LitmusTest) -> Result<Exploration, OperationalError> {
-        match self.model {
-            ModelKind::Sc => Ok(self.explorer.explore_reference(&ScMachine::new(test))?),
-            ModelKind::Tso => Ok(self.explorer.explore_reference(&TsoMachine::new(test))?),
-            ModelKind::Gam => Ok(self
-                .explorer
-                .explore_reference(&GamMachine::with_config(test, GamConfig::gam()))?),
-            ModelKind::Gam0 => Ok(self
-                .explorer
-                .explore_reference(&GamMachine::with_config(test, GamConfig::gam0()))?),
-            ModelKind::GamArm => Err(OperationalError::UnsupportedModel { model: self.model }),
-        }
+        Ok(self.search(test, None, true)?.0)
     }
 
     /// The set of final outcomes reachable on the operational machine.
@@ -173,27 +193,21 @@ impl OperationalChecker {
 
     /// Searches for a reachable final outcome matching the test's condition
     /// of interest, stopping at the *first* witness instead of exhausting
-    /// the state space. `None` means the exploration completed without a
-    /// match — the condition is forbidden.
+    /// the state space. Returns the search's [`Exploration`] (its counters
+    /// cover the states visited up to the stop) and the witness; `None`
+    /// means the exploration completed without a match — the condition is
+    /// forbidden.
     ///
     /// # Errors
     ///
     /// See [`OperationalChecker::explore`]. A state-limit abort before a
     /// witness was found is an error: the condition was neither proven
     /// reachable nor exhausted.
-    pub fn find_witness(&self, test: &LitmusTest) -> Result<Option<Outcome>, OperationalError> {
-        let matches = |outcome: &Outcome| test.condition().matched_by(outcome);
-        match self.model {
-            ModelKind::Sc => Ok(self.explorer.find_outcome(&ScMachine::new(test), matches)?),
-            ModelKind::Tso => Ok(self.explorer.find_outcome(&TsoMachine::new(test), matches)?),
-            ModelKind::Gam => Ok(self
-                .explorer
-                .find_outcome(&GamMachine::with_config(test, GamConfig::gam()), matches)?),
-            ModelKind::Gam0 => Ok(self
-                .explorer
-                .find_outcome(&GamMachine::with_config(test, GamConfig::gam0()), matches)?),
-            ModelKind::GamArm => Err(OperationalError::UnsupportedModel { model: self.model }),
-        }
+    pub fn find_witness(
+        &self,
+        test: &LitmusTest,
+    ) -> Result<(Exploration, Option<Outcome>), OperationalError> {
+        self.search(test, Some(&|outcome: &Outcome| test.condition().matched_by(outcome)), false)
     }
 
     /// Returns true if the test's condition of interest is reachable.
@@ -206,7 +220,7 @@ impl OperationalChecker {
     ///
     /// See [`OperationalChecker::explore`].
     pub fn is_allowed(&self, test: &LitmusTest) -> Result<bool, OperationalError> {
-        Ok(self.find_witness(test)?.is_some())
+        Ok(self.find_witness(test)?.1.is_some())
     }
 }
 

@@ -604,7 +604,7 @@ const HANDOFF_BATCH: usize = 16;
 
 /// An early-exit predicate over final-state outcomes (`Sync` so the
 /// sharded workers can consult it).
-type StopFn<'a> = &'a (dyn Fn(&Outcome) -> bool + Sync);
+pub(crate) type StopFn<'a> = &'a (dyn Fn(&Outcome) -> bool + Sync);
 
 /// The reduction of one search, as data: persistent-set choice, sleep-set
 /// inheritance and singleton-chain compression under the reduced modes,
@@ -1332,15 +1332,16 @@ impl Explorer {
     }
 
     /// Searches for a final state whose outcome satisfies `matches` and
-    /// returns that outcome, or `None` after exhausting the (possibly
-    /// reduced) state space without a match.
+    /// returns the search's [`Exploration`] together with that outcome, or
+    /// with `None` after exhausting the (possibly reduced) state space
+    /// without a match.
     ///
-    /// This is the early-exit entry point behind `check`/`find_witness`: the
-    /// search stops at the *first* matching final state instead of
-    /// enumerating the complete outcome set, and honours the configured
-    /// [`Reduction`] and the adaptive parallelism — a forbidden verdict
-    /// still has to exhaust the state space, so the sharded workers matter
-    /// exactly there.
+    /// This is the early-exit search behind verdict queries: it stops at
+    /// the *first* matching final state instead of enumerating the complete
+    /// outcome set, so the exploration's counters cover only the states
+    /// visited before the stop. It honours the configured [`Reduction`] and
+    /// the adaptive parallelism — a forbidden verdict still has to exhaust
+    /// the state space, so the sharded workers matter exactly there.
     ///
     /// # Errors
     ///
@@ -1350,14 +1351,13 @@ impl Explorer {
         &self,
         machine: &M,
         matches: F,
-    ) -> Result<Option<Outcome>, ExploreError>
+    ) -> Result<(Exploration, Option<Outcome>), ExploreError>
     where
         M: LabeledMachine + Sync,
         M::State: ComposedState + Send,
         F: Fn(&Outcome) -> bool + Sync,
     {
-        let stop: StopFn = &matches;
-        self.run(machine, Some(stop)).map(|(_, witness)| witness)
+        self.run(machine, Some(&matches))
     }
 
     /// The reference oracle: the same search as [`Explorer::explore`] with
@@ -1425,7 +1425,7 @@ impl Explorer {
 
     /// The one dispatcher: the sequential driver, then — if it escalated —
     /// the sharded continuation.
-    fn run<M>(
+    pub(crate) fn run<M>(
         &self,
         machine: &M,
         stop: Option<StopFn>,
@@ -2615,9 +2615,10 @@ mod tests {
                     parallel_threshold: 0,
                     ..Default::default()
                 });
-                let witness = explorer.find_outcome(&machine, |_| true).unwrap();
+                let (early, witness) = explorer.find_outcome(&machine, |_| true).unwrap();
                 assert_eq!(witness, Some(Outcome::new()), "{reduction}/{parallelism}");
-                let missing = explorer.find_outcome(&machine, |_| false).unwrap();
+                assert!(early.states_visited < 1 + 40 + 40 * 40, "{reduction}/{parallelism}");
+                let (_, missing) = explorer.find_outcome(&machine, |_| false).unwrap();
                 assert_eq!(missing, None, "{reduction}/{parallelism}: exhaustion without a match");
             }
         }

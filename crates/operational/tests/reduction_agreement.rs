@@ -131,7 +131,7 @@ fn early_exit_verdicts_match_full_exploration() {
                     "{kind}/{}: early-exit verdict diverges under {reduction}",
                     test.name()
                 );
-                match fast.find_witness(&test).unwrap() {
+                match fast.find_witness(&test).unwrap().1 {
                     Some(witness) => {
                         assert!(expected, "{kind}/{}: spurious witness", test.name());
                         assert!(

@@ -8,10 +8,15 @@
 //! * `POST /check`   — one test (raw `.litmus` text, or a JSON envelope
 //!   with per-request models/backends/budget); answered from the cache
 //!   keyed by the canonical hash whenever possible.
-//! * `POST /batch`   — many tests; cache misses are fanned out through the
-//!   engine's adaptive suite scheduler ([`Engine::run_suite_verdicts`]).
+//! * `POST /batch`   — many tests, each (test, model, backend) cell
+//!   answered exactly like a `/check` cell.
 //! * `POST /shutdown` — graceful drain: the CLI observes the request, stops
 //!   accepting, drains in-flight work and persists the cache.
+//!
+//! Every cache miss, on either endpoint, is one [`Engine::run`] call: the
+//! engine's single fenced check path, asked for the verdict or for the
+//! full outcome set ([`Query`]) and answering with the states it visited,
+//! which the cache records as the entry's recomputation cost.
 //!
 //! Overload is handled in two stages. Under sustained pressure (standing
 //! queue at least half the configured depth) the service first *degrades*:
@@ -45,12 +50,11 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use gam_core::{ModelKind, StopReason};
-use gam_engine::{Backend, CheckBudget, Engine, EngineError, Json, SessionVerdict};
+use gam_engine::{Answer, Backend, CheckBudget, Engine, EngineError, Json, Query, SessionVerdict};
 use gam_frontend::{canonical_hash, parse_litmus};
 use gam_isa::litmus::LitmusTest;
 use gam_obs::metrics::{Counter, Histogram, Registry};
 use gam_obs::trace;
-use gam_operational::{ExplorerConfig, OperationalChecker};
 
 use crate::cache::{CacheEntry, OutcomeCache};
 use crate::http::{read_request, write_response, Request};
@@ -887,8 +891,8 @@ struct CheckOptions {
 }
 
 impl CheckOptions {
-    /// Whether any budget is armed — budgeted requests take the session path
-    /// (budget exhaustion is an inconclusive row, not an error row).
+    /// Whether any budget is armed — budgeted requests enumerate outcome
+    /// sets, and budget exhaustion is an inconclusive row, not an error row.
     fn budgeted(&self) -> bool {
         self.budget_states.is_some()
             || self.budget_wall_ms.is_some()
@@ -1007,73 +1011,15 @@ fn check_one(shared: &Shared, test: &LitmusTest, options: &CheckOptions) -> Json
     let mut results = Vec::new();
     for &model in &options.models {
         for &backend in &options.backends {
-            let base = [
-                ("model", Json::Str(model_name(model).to_string())),
-                ("backend", Json::Str(backend_name(backend).to_string())),
-            ];
-            if !backend.supports(model) {
-                results.push(Json::object(base.into_iter().chain([(
-                    "error",
-                    Json::Str(format!(
-                        "backend {} does not support {}",
-                        backend_name(backend),
-                        model
-                    )),
-                )])));
-                continue;
-            }
-            let key = OutcomeCache::key(&hash, model_name(model), backend_name(backend));
-            let cached = {
-                let _phase = gam_obs::phase("cache_lookup");
-                let (entry, warning) = shared.cache.lock().expect("cache lock").lookup(&key);
-                warn_cache(&shared.metrics, warning);
-                entry
+            // Unbudgeted operational checks enumerate the outcome set: their
+            // cached state counts, and so eviction order, rank the full
+            // exploration.
+            let query = if options.budgeted() || backend == Backend::Operational {
+                Query::Outcomes
+            } else {
+                Query::Verdict
             };
-            if let Some(entry) = cached {
-                shared.metrics.record_hit(model);
-                results.push(Json::object(base.into_iter().chain([
-                    ("verdict", verdict_json(entry.allowed)),
-                    ("cached", Json::Bool(true)),
-                    ("wall_us", Json::UInt(entry.wall_us)),
-                    ("states", Json::UInt(entry.states)),
-                ])));
-                continue;
-            }
-            match compute_miss(test, model, backend, options) {
-                MissOutcome::Conclusive(entry) => {
-                    shared.metrics.record_miss(model, entry.states, entry.wall_us);
-                    warn_cache(
-                        &shared.metrics,
-                        shared.cache.lock().expect("cache lock").insert(key, entry.clone()),
-                    );
-                    results.push(Json::object(base.into_iter().chain([
-                        ("verdict", verdict_json(entry.allowed)),
-                        ("cached", Json::Bool(false)),
-                        ("wall_us", Json::UInt(entry.wall_us)),
-                        ("states", Json::UInt(entry.states)),
-                    ])));
-                }
-                MissOutcome::Inconclusive { reason, states_visited, partial_outcomes, wall_us } => {
-                    shared.metrics.record_inconclusive(model, reason);
-                    results.push(Json::object(base.into_iter().chain(inconclusive_fields(
-                        reason,
-                        states_visited,
-                        partial_outcomes,
-                        wall_us,
-                    ))));
-                }
-                MissOutcome::Panicked(message) => {
-                    shared.metrics.record_panicked(model);
-                    results.push(Json::object(
-                        base.into_iter().chain([("error", Json::Str(message))]),
-                    ));
-                }
-                MissOutcome::Error(message) => {
-                    results.push(Json::object(
-                        base.into_iter().chain([("error", Json::Str(message))]),
-                    ));
-                }
-            }
+            results.push(result_row(shared, test, &hash, model, backend, query, options));
         }
     }
     Json::object([
@@ -1083,116 +1029,102 @@ fn check_one(shared: &Shared, test: &LitmusTest, options: &CheckOptions) -> Json
     ])
 }
 
-fn verdict_json(allowed: bool) -> Json {
-    Json::Str(if allowed { "allowed" } else { "forbidden" }.to_string())
-}
-
-/// How one cache miss resolved.
-enum MissOutcome {
-    /// The check finished; the entry is cacheable.
-    Conclusive(CacheEntry),
-    /// A budget ran out or the check was cancelled before the verdict was
-    /// known — reported to the client, counted, never cached.
-    Inconclusive { reason: StopReason, states_visited: u64, partial_outcomes: u64, wall_us: u64 },
-    /// The checker panicked; the panic was caught and rendered.
-    Panicked(String),
-    /// An ordinary checker error (unsupported feature, too many events, …).
-    Error(String),
-}
-
-/// The JSON fields of an inconclusive result row.
-fn inconclusive_fields(
-    reason: StopReason,
-    states_visited: u64,
-    partial_outcomes: u64,
-    wall_us: u64,
-) -> [(&'static str, Json); 6] {
-    [
-        ("verdict", Json::Str("inconclusive".to_string())),
-        ("reason", Json::Str(reason.to_string())),
-        ("cached", Json::Bool(false)),
-        ("wall_us", Json::UInt(wall_us)),
-        ("states", Json::UInt(states_visited)),
-        ("partial_outcomes", Json::UInt(partial_outcomes)),
-    ]
-}
-
-/// Computes a cache miss.
+/// The result row of one (test, model, backend) cell, counted in the
+/// metrics: the cached entry when there is one, otherwise a miss computed
+/// through [`Engine::run`] and cached when conclusive.
 ///
-/// Budgeted requests (`budget_states`/`budget_wall_ms`) take the engine's
-/// session path ([`Engine::check_budgeted`]): budget exhaustion becomes an
-/// [`MissOutcome::Inconclusive`] carrying partial outcomes instead of an
-/// error. Unbudgeted requests keep the original path — the operational
-/// backend goes through the explorer directly so the entry records real
-/// `states_visited` (the engine's `Checker` trait deliberately hides them);
-/// the axiomatic backend goes through the engine. Both paths are
-/// panic-isolated: a panicking checker yields [`MissOutcome::Panicked`], not
-/// a dead worker.
-fn compute_miss(
+/// With a budget (`budget_states`/`budget_wall_ms`/`budget_max_bytes`), an
+/// early stop is an `inconclusive` row carrying the partial outcome count,
+/// never cached; without one it is an error row, as on the blocking API. A
+/// panicking checker is an error row and a `panics_total` tick, never a
+/// dead worker: the engine fences every check.
+fn result_row(
+    shared: &Shared,
     test: &LitmusTest,
+    hash: &str,
     model: ModelKind,
     backend: Backend,
+    query: Query,
     options: &CheckOptions,
-) -> MissOutcome {
-    if options.budgeted() {
-        let engine = match Engine::builder().model(model).backend(backend).build() {
-            Ok(engine) => engine,
-            Err(err) => return MissOutcome::Error(err.to_string()),
-        };
-        return match engine.check_budgeted(test, &options.budget()) {
-            Ok(outcome) => {
-                let wall_us = u64::try_from(outcome.wall.as_micros()).unwrap_or(u64::MAX);
-                match outcome.verdict {
-                    SessionVerdict::Inconclusive { partial_outcomes, states_visited, reason } => {
-                        MissOutcome::Inconclusive {
-                            reason,
-                            states_visited: states_visited as u64,
-                            partial_outcomes: partial_outcomes.len() as u64,
-                            wall_us,
-                        }
-                    }
-                    verdict => {
-                        let allowed = verdict
-                            .as_verdict()
-                            .map(|v| v.is_allowed())
-                            .expect("non-inconclusive session verdict is conclusive");
-                        // The session path enumerates outcomes without
-                        // reporting state counts; cost ranks by wall time.
-                        MissOutcome::Conclusive(CacheEntry { allowed, wall_us, states: 0, hits: 0 })
-                    }
-                }
-            }
-            Err(EngineError::Panicked { payload }) => {
-                MissOutcome::Panicked(EngineError::Panicked { payload }.to_string())
-            }
-            Err(err) => MissOutcome::Error(err.to_string()),
-        };
+) -> Json {
+    let mut row = vec![
+        ("model", Json::Str(model_name(model).to_string())),
+        ("backend", Json::Str(backend_name(backend).to_string())),
+    ];
+    if !backend.supports(model) {
+        let message = format!("backend {} does not support {}", backend_name(backend), model);
+        row.push(("error", Json::Str(message)));
+        return Json::object(row);
+    }
+    let key = OutcomeCache::key(hash, model_name(model), backend_name(backend));
+    let cached = {
+        let _phase = gam_obs::phase("cache_lookup");
+        let (entry, warning) = shared.cache.lock().expect("cache lock").lookup(&key);
+        warn_cache(&shared.metrics, warning);
+        entry
+    };
+    if let Some(entry) = cached {
+        shared.metrics.record_hit(model);
+        row.extend(entry_fields(&entry, true));
+        return Json::object(row);
     }
     let start = Instant::now();
-    let computed = catch_unwind(AssertUnwindSafe(|| -> Result<(bool, u64), String> {
-        match backend {
-            Backend::Operational => {
-                let checker = OperationalChecker::with_config(model, ExplorerConfig::default());
-                let exploration = checker.explore(test).map_err(|err| err.to_string())?;
-                let allowed =
-                    exploration.outcomes.iter().any(|outcome| test.condition().matched_by(outcome));
-                Ok((allowed, exploration.states_visited as u64))
-            }
-            Backend::Axiomatic => {
-                let verdict =
-                    Engine::axiomatic(model).check(test).map_err(|err| err.to_string())?;
-                Ok((verdict.is_allowed(), 0))
-            }
-        }
-    }));
-    let wall_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    match computed {
-        Ok(Ok((allowed, states))) => {
-            MissOutcome::Conclusive(CacheEntry { allowed, wall_us, states, hits: 0 })
-        }
-        Ok(Err(message)) => MissOutcome::Error(message),
-        Err(payload) => MissOutcome::Panicked(EngineError::panicked(&*payload).to_string()),
+    let mut answer = Engine::builder()
+        .model(model)
+        .backend(backend)
+        .build()
+        .and_then(|engine| engine.run(test, query, &options.budget()));
+    if !options.budgeted() {
+        answer = answer.and_then(|answer| answer.complete(backend, test));
     }
+    let wall_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+    match answer {
+        Ok(Answer {
+            verdict: SessionVerdict::Inconclusive { partial_outcomes, states_visited, reason },
+            ..
+        }) => {
+            shared.metrics.record_inconclusive(model, reason);
+            row.extend([
+                ("verdict", Json::Str("inconclusive".to_string())),
+                ("reason", Json::Str(reason.to_string())),
+                ("cached", Json::Bool(false)),
+                ("wall_us", Json::UInt(wall_us)),
+                ("states", Json::UInt(states_visited as u64)),
+                ("partial_outcomes", Json::UInt(partial_outcomes.len() as u64)),
+            ]);
+        }
+        Ok(answer) => {
+            let entry = CacheEntry {
+                allowed: answer.verdict == SessionVerdict::Allowed,
+                wall_us,
+                states: answer.states_visited as u64,
+                hits: 0,
+            };
+            shared.metrics.record_miss(model, entry.states, entry.wall_us);
+            row.extend(entry_fields(&entry, false));
+            warn_cache(
+                &shared.metrics,
+                shared.cache.lock().expect("cache lock").insert(key, entry),
+            );
+        }
+        Err(err) => {
+            if matches!(err, EngineError::Panicked { .. }) {
+                shared.metrics.record_panicked(model);
+            }
+            row.push(("error", Json::Str(err.to_string())));
+        }
+    }
+    Json::object(row)
+}
+
+/// The JSON fields of a conclusive result row.
+fn entry_fields(entry: &CacheEntry, cached: bool) -> [(&'static str, Json); 4] {
+    [
+        ("verdict", Json::Str(if entry.allowed { "allowed" } else { "forbidden" }.to_string())),
+        ("cached", Json::Bool(cached)),
+        ("wall_us", Json::UInt(entry.wall_us)),
+        ("states", Json::UInt(entry.states)),
+    ]
 }
 
 fn handle_batch(shared: &Shared, request: &Request) -> RouteResponse {
@@ -1225,162 +1157,18 @@ fn handle_batch(shared: &Shared, request: &Request) -> RouteResponse {
     ok_response(&Json::object([("ok", Json::Bool(true)), ("results", Json::Array(results))]))
 }
 
-/// The `/batch` core: per (model, backend) pair, split the tests into cache
-/// hits and misses, fan the misses out through the engine's adaptive suite
-/// scheduler (verdict-only mode stops each test at its first witness), then
-/// assemble per-test results in input order.
+/// The `/batch` core: every (model, backend) pair of every test through
+/// the same cell path as `/check`, assembled per test in input order.
+/// Unbudgeted misses ask for the verdict only, stopping each test at its
+/// first witness.
 fn batch_check(shared: &Shared, tests: &[LitmusTest], options: &CheckOptions) -> Vec<Json> {
+    let query = if options.budgeted() { Query::Outcomes } else { Query::Verdict };
     let hashes: Vec<String> = tests.iter().map(|t| canonical_hash(t).to_string()).collect();
-    // results[test][pair] assembled as JSON rows at the end.
     let mut rows: Vec<Vec<Json>> = vec![Vec::new(); tests.len()];
     for &model in &options.models {
         for &backend in &options.backends {
-            let base = |extra: Vec<(&str, Json)>| {
-                Json::object(
-                    [
-                        ("model", Json::Str(model_name(model).to_string())),
-                        ("backend", Json::Str(backend_name(backend).to_string())),
-                    ]
-                    .into_iter()
-                    .chain(extra),
-                )
-            };
-            if !backend.supports(model) {
-                let message =
-                    format!("backend {} does not support {}", backend_name(backend), model);
-                for row in &mut rows {
-                    row.push(base(vec![("error", Json::Str(message.clone()))]));
-                }
-                continue;
-            }
-            // Split hits from misses under one lock acquisition.
-            let mut miss_indices = Vec::new();
-            let mut hit_entries: Vec<Option<CacheEntry>> = Vec::with_capacity(tests.len());
-            {
-                let _phase = gam_obs::phase("cache_lookup");
-                let mut cache = shared.cache.lock().expect("cache lock");
-                for hash in &hashes {
-                    let key = OutcomeCache::key(hash, model_name(model), backend_name(backend));
-                    let (entry, warning) = cache.lookup(&key);
-                    warn_cache(&shared.metrics, warning);
-                    if entry.is_none() {
-                        miss_indices.push(hit_entries.len());
-                    }
-                    hit_entries.push(entry);
-                }
-            }
-            // Fan the misses out. Budgeted batches go test-by-test through
-            // the session path (each test gets its own budget and its own
-            // inconclusive/panicked accounting); unbudgeted batches keep the
-            // adaptive suite scheduler.
-            let mut miss_results: Vec<Option<MissOutcome>> =
-                std::iter::repeat_with(|| None).take(tests.len()).collect();
-            if options.budgeted() {
-                for &index in &miss_indices {
-                    miss_results[index] =
-                        Some(compute_miss(&tests[index], model, backend, options));
-                }
-            } else if !miss_indices.is_empty() {
-                let miss_tests: Vec<LitmusTest> =
-                    miss_indices.iter().map(|&i| tests[i].clone()).collect();
-                match Engine::builder().model(model).backend(backend).build() {
-                    Ok(engine) => {
-                        let report = engine.run_suite_verdicts(&miss_tests);
-                        for (&index, test_report) in miss_indices.iter().zip(&report.reports) {
-                            let wall_us =
-                                u64::try_from(test_report.wall.as_micros()).unwrap_or(u64::MAX);
-                            miss_results[index] =
-                                Some(match (test_report.verdict, &test_report.error) {
-                                    (Some(verdict), _) => MissOutcome::Conclusive(CacheEntry {
-                                        allowed: verdict.is_allowed(),
-                                        wall_us,
-                                        // The scheduler's early-exit mode does not
-                                        // report states; cost falls back to wall time.
-                                        states: 0,
-                                        hits: 0,
-                                    }),
-                                    // The suite runner renders caught panics
-                                    // through `EngineError::Panicked` — detect
-                                    // them by their stable prefix so the batch
-                                    // path counts panics exactly like `/check`.
-                                    (None, Some(error))
-                                        if error.starts_with("the checker panicked") =>
-                                    {
-                                        MissOutcome::Panicked(error.clone())
-                                    }
-                                    (None, Some(error)) => MissOutcome::Error(error.clone()),
-                                    (None, None) => MissOutcome::Error(
-                                        "backend produced no verdict".to_string(),
-                                    ),
-                                });
-                        }
-                    }
-                    Err(err) => {
-                        let message = err.to_string();
-                        for &index in &miss_indices {
-                            miss_results[index] = Some(MissOutcome::Error(message.clone()));
-                        }
-                    }
-                }
-            }
-            // Assemble this pair's column.
-            for (index, row) in rows.iter_mut().enumerate() {
-                if let Some(entry) = &hit_entries[index] {
-                    shared.metrics.record_hit(model);
-                    row.push(base(vec![
-                        ("verdict", verdict_json(entry.allowed)),
-                        ("cached", Json::Bool(true)),
-                        ("wall_us", Json::UInt(entry.wall_us)),
-                        ("states", Json::UInt(entry.states)),
-                    ]));
-                    continue;
-                }
-                match miss_results[index].take() {
-                    Some(MissOutcome::Conclusive(entry)) => {
-                        shared.metrics.record_miss(model, entry.states, entry.wall_us);
-                        let key = OutcomeCache::key(
-                            &hashes[index],
-                            model_name(model),
-                            backend_name(backend),
-                        );
-                        warn_cache(
-                            &shared.metrics,
-                            shared.cache.lock().expect("cache lock").insert(key, entry.clone()),
-                        );
-                        row.push(base(vec![
-                            ("verdict", verdict_json(entry.allowed)),
-                            ("cached", Json::Bool(false)),
-                            ("wall_us", Json::UInt(entry.wall_us)),
-                            ("states", Json::UInt(entry.states)),
-                        ]));
-                    }
-                    Some(MissOutcome::Inconclusive {
-                        reason,
-                        states_visited,
-                        partial_outcomes,
-                        wall_us,
-                    }) => {
-                        shared.metrics.record_inconclusive(model, reason);
-                        row.push(base(
-                            inconclusive_fields(reason, states_visited, partial_outcomes, wall_us)
-                                .into_iter()
-                                .collect(),
-                        ));
-                    }
-                    Some(MissOutcome::Panicked(message)) => {
-                        shared.metrics.record_panicked(model);
-                        row.push(base(vec![("error", Json::Str(message))]));
-                    }
-                    Some(MissOutcome::Error(message)) => {
-                        row.push(base(vec![("error", Json::Str(message))]));
-                    }
-                    None => {
-                        row.push(base(vec![(
-                            "error",
-                            Json::Str("internal: miss result missing".to_string()),
-                        )]));
-                    }
-                }
+            for ((test, hash), row) in tests.iter().zip(&hashes).zip(&mut rows) {
+                row.push(result_row(shared, test, hash, model, backend, query, options));
             }
         }
     }

@@ -1,0 +1,71 @@
+//! Every conclusive cache miss records what it cost to compute.
+//!
+//! Eviction ranks entries by `wall_us × max(states, 1)`, so an entry
+//! stored with `states: 0` looks as cheap as its wall time alone and is
+//! evicted ahead of entries that cost as much to recompute. Budgeted
+//! `/check` misses and `/batch` misses must persist the states their
+//! search visited, like unbudgeted `/check` misses do.
+
+use gam_engine::Json;
+use gam_frontend::print_litmus;
+use gam_isa::litmus::library;
+use gam_serve::http::request;
+use gam_serve::journal::journal_path_for;
+use gam_serve::{ServeConfig, Server};
+
+/// `(cached, states, verdict)` of the first row of a `/check` or `/batch`
+/// response.
+fn post(server: &Server, path: &str, body: &Json) -> (bool, u64, String) {
+    let addr = server.local_addr().to_string();
+    let response = request(&addr, "POST", path, Some(&body.to_string())).expect("request");
+    assert_eq!(response.status, 200, "{}", response.body);
+    let json = Json::parse(&response.body).expect("JSON response");
+    let result = match json.get("results").and_then(Json::as_array) {
+        Some(tests) => &tests[0],
+        None => json.get("result").expect("result"),
+    };
+    let row = &result.get("results").and_then(Json::as_array).expect("results")[0];
+    (
+        row.get("cached") == Some(&Json::Bool(true)),
+        row.get("states").and_then(Json::as_u64).expect("states"),
+        row.get("verdict").and_then(Json::as_str).expect("verdict").to_string(),
+    )
+}
+
+#[test]
+fn budgeted_check_and_batch_misses_persist_their_state_counts() {
+    let cache_path =
+        std::env::temp_dir().join(format!("gam-serve-costs-{}.json", std::process::id()));
+    let clean = || {
+        let _ = std::fs::remove_file(journal_path_for(&cache_path));
+        let _ = std::fs::remove_file(&cache_path);
+    };
+    clean();
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        cache_path: cache_path.clone(),
+        ..ServeConfig::default()
+    };
+    let budgeted = Json::object([
+        ("litmus", Json::Str(print_litmus(&library::mp()))),
+        ("budget_wall_ms", Json::UInt(60_000)),
+    ]);
+    let batch =
+        Json::object([("tests", Json::array([Json::Str(print_litmus(&library::dekker()))]))]);
+
+    let server = Server::start(&config).expect("server starts").0;
+    let (cached, check_states, check_verdict) = post(&server, "/check", &budgeted);
+    assert!(!cached && check_states > 0, "a budgeted operational miss reports its states");
+    let (cached, batch_states, batch_verdict) = post(&server, "/batch", &batch);
+    assert!(!cached && batch_states > 0, "a batch operational miss reports its states");
+    server.shutdown();
+
+    // After a restart both entries answer from the persisted cache with
+    // the state counts their misses recorded.
+    let server = Server::start(&config).expect("server restarts").0;
+    assert_eq!(post(&server, "/check", &budgeted), (true, check_states, check_verdict));
+    assert_eq!(post(&server, "/batch", &batch), (true, batch_states, batch_verdict));
+    server.shutdown();
+    clean();
+}

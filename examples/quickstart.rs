@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use gam::core::{model, ModelKind};
-use gam::engine::{Backend, Engine};
+use gam::engine::{Backend, CheckBudget, Engine, Query};
 use gam::isa::litmus::LitmusTest;
 use gam::isa::prelude::*;
 
@@ -46,15 +46,16 @@ fn main() {
         .build()
         .expect("GAM has an abstract machine");
     let outcomes = operational.allowed_outcomes(&test).expect("explorable");
-    let witness = operational.find_witness(&test).expect("explorable");
+    // A verdict query stops at the first witness and answers with it.
+    let answer = operational.run(&test, Query::Verdict, &CheckBudget::none()).expect("explorable");
     println!();
     println!(
-        "GAM abstract machine ({} backend): {} reachable outcomes, stale-data outcome reachable: {}",
+        "GAM abstract machine ({} backend): {} reachable outcomes, stale-data outcome {}",
         operational.checker().name(),
         outcomes.len(),
-        witness.is_some()
+        answer.verdict
     );
-    if let Some(outcome) = witness {
+    for outcome in &answer.outcomes {
         println!("  witness outcome: {outcome}");
     }
     println!();

@@ -75,10 +75,9 @@
 //! request the server sheds even after the retry budget is *counted*, not
 //! an error.
 //!
-//! `check --time-budget MS` runs each (model, backend) pair through the
-//! engine's budgeted session API: a check that exhausts its wall budget
-//! reports INCONCLUSIVE with its partial outcomes instead of running
-//! open-ended.
+//! `check --time-budget MS` enumerates each (model, backend) pair's outcome
+//! set under a wall budget: a check that exhausts it reports INCONCLUSIVE
+//! with its partial outcomes instead of running open-ended.
 //!
 //! `check --mem-budget BYTES` and `bench --mem-budget BYTES` cap the
 //! operational explorer's accounted in-RAM footprint. Over the soft
@@ -115,7 +114,10 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use gam_core::ModelKind;
-use gam_engine::{Backend, Engine, Json, SuiteReport, ToJson, Verdict};
+use gam_engine::{
+    Answer, Backend, CheckBudget, Engine, Json, Query, SessionVerdict, SuiteReport, TestReport,
+    ToJson, Verdict,
+};
 use gam_frontend::{export_library, parse_litmus, print_litmus, Corpus};
 use gam_isa::litmus::LitmusTest;
 use gam_operational::{ExplorerConfig, OperationalChecker};
@@ -695,6 +697,20 @@ fn json_report(
 // subcommands
 // ---------------------------------------------------------------------------
 
+/// `gam check`: one sequential loop over the supported (model, backend)
+/// pairs, each pair one [`Engine::run`] of the parsed test.
+///
+/// Plain checks ask for the verdict alone and report each pair as a
+/// single-test suite report, diffed across backends and — for an
+/// unmodified library test — against the paper's expectation table.
+/// `--time-budget`, `--mem-budget` and `--checkpoint` make the loop
+/// enumerate outcome sets instead: an exhausted budget surfaces as an
+/// INCONCLUSIVE row carrying partial outcomes (exit 3) instead of an
+/// open-ended run, and with a checkpoint every finished pair is logged
+/// before the next one starts while pairs already on the log are replayed
+/// from it — verdicts are deterministic, so a resumed run's rows are
+/// identical to an uninterrupted run's. Expectation diffing is skipped
+/// there: a budgeted verdict may be partial by design.
 fn cmd_check(args: &[String]) -> Result<Status, String> {
     let Some(path) = positional(args) else {
         return Err("`gam check` needs a FILE argument".to_string());
@@ -715,101 +731,27 @@ fn cmd_check(args: &[String]) -> Result<Status, String> {
         Some(list) => parse_backends(&list)?,
         None => Backend::ALL.to_vec(),
     };
-    let workers = parallelism(args)?;
+    // One test runs one pair at a time; `--jobs` is validated, not used.
+    parallelism(args)?;
     let explorer_workers = explorer_threads(args)?;
     let budget_ms = match arg_value(args, "--time-budget") {
         Some(ms) => Some(ms.parse().map_err(|_| format!("invalid --time-budget `{ms}`"))?),
         None => None,
     };
-    let (mem_budget, _) = memory_flags(args)?;
-    let wants_checkpoint =
-        arg_value(args, "--checkpoint").is_some() || arg_value(args, "--resume").is_some();
-    if budget_ms.is_some() || mem_budget.is_some() || wants_checkpoint {
-        // The budgeted (wall or memory) and checkpointed paths run the pairs
-        // sequentially through the session API — checkpointing needs the
-        // unit-at-a-time loop so each completed pair lands on disk before
-        // the next one starts, and an armed memory budget forces the
-        // explorer sequential anyway.
-        return cmd_check_sequential(
-            args,
-            path,
-            &test,
-            &models,
-            &backends,
-            explorer_workers,
-            budget_ms,
-        );
-    }
-    let use_expectations = !arg_flag(args, "--no-expectations");
-    let tests = [test];
-    let reports = run_matrix(&tests, path, &models, &backends, workers, explorer_workers)?;
-    let mismatches = diff_reports(&tests, &models, &reports, |name, model| {
-        // The built-in paper table applies only when the parsed test *is*
-        // the library test of that name — a user-written variant that merely
-        // reuses a library name (e.g. a custom `dekker`) must not be diffed
-        // against the paper's verdicts.
-        if !use_expectations {
-            return None;
-        }
-        let library_test = gam_isa::litmus::library::by_name(name)?;
-        if library_test != tests[0] {
-            return None;
-        }
-        gam_verify::expectations::expectation_for(name).map(|e| e.allowed(model))
-    });
-    if arg_flag(args, "--json") {
-        println!("{}", json_report(path, &models, &reports, &mismatches, &[]));
-    } else {
-        print!("{}", print_litmus(&tests[0]));
-        println!();
-        for ((model, backend), report) in &reports {
-            let row = report.report_for(tests[0].name()).expect("single-test suite");
-            match (&row.verdict, &row.error) {
-                (Some(verdict), _) => {
-                    println!("{:<8} {:<12} {verdict}", model.to_string(), backend.name());
-                }
-                (None, error) => println!(
-                    "{:<8} {:<12} ERROR: {}",
-                    model.to_string(),
-                    backend.name(),
-                    error.as_deref().unwrap_or("no verdict")
-                ),
-            }
-        }
-        for m in &mismatches {
-            println!("MISMATCH {} under {}: {}", m.test, m.model, m.detail);
-        }
-    }
-    Ok(Status::from_clean(mismatches.is_empty()))
-}
-
-/// The sequential path of `gam check`, taken for `--time-budget` and/or
-/// `--checkpoint`: each supported (model, backend) pair runs one at a time
-/// through the engine's session API. With a budget, a blow-up in the state
-/// space surfaces as an INCONCLUSIVE row carrying partial outcomes (exit 3)
-/// instead of an open-ended run. With a checkpoint, every finished pair is
-/// logged before the next one starts, and pairs already on the log are
-/// replayed from it — verdicts are deterministic, so a resumed run's rows
-/// are identical to an uninterrupted run's. Expectation diffing is skipped —
-/// a budgeted verdict may be partial by design.
-fn cmd_check_sequential(
-    args: &[String],
-    path: &str,
-    test: &LitmusTest,
-    models: &[ModelKind],
-    backends: &[Backend],
-    explorer_workers: usize,
-    budget_ms: Option<u64>,
-) -> Result<Status, String> {
-    let mut budget = gam_engine::CheckBudget::none();
+    let (mem_budget, spill_dir) = memory_flags(args)?;
+    let budgeted = budget_ms.is_some()
+        || mem_budget.is_some()
+        || arg_value(args, "--checkpoint").is_some()
+        || arg_value(args, "--resume").is_some();
+    let query = if budgeted { Query::Outcomes } else { Query::Verdict };
+    let mut budget = CheckBudget::none();
     if let Some(ms) = budget_ms {
         budget = budget.with_max_wall(std::time::Duration::from_millis(ms));
     }
-    let (mem_budget, spill_dir) = memory_flags(args)?;
     if let Some(bytes) = mem_budget {
         budget = budget.with_max_bytes(bytes);
     }
-    let checkpoint_every = match arg_value(args, "--checkpoint-every") {
+    let checkpoint_every = match arg_value(args, "--checkpoint-every").filter(|_| budgeted) {
         None => 65_536usize,
         Some(n) => n.parse().map_err(|_| format!("invalid --checkpoint-every `{n}`"))?,
     };
@@ -817,10 +759,11 @@ fn cmd_check_sequential(
     // inside the exploration loop; a mutex keeps the two writers ordered.
     let checkpoint =
         std::sync::Arc::new(std::sync::Mutex::new(open_checkpoint(args, "gam check")?));
-    let hash = gam_frontend::canonical_hash(test).to_string();
-    let mut rows: Vec<Json> = Vec::new();
-    for &model in models {
-        for &backend in backends {
+    let hash = gam_frontend::canonical_hash(&test).to_string();
+    let mut rows: Vec<((ModelKind, Backend), Json)> = Vec::new();
+    let mut reports = BTreeMap::new();
+    for &model in &models {
+        for &backend in &backends {
             if !backend.supports(model) {
                 continue;
             }
@@ -830,7 +773,7 @@ fn cmd_check_sequential(
             if let Some(recorded) =
                 lock_checkpoint(&checkpoint).as_ref().and_then(|c| c.completed(&key)).cloned()
             {
-                rows.push(recorded);
+                rows.push(((model, backend), recorded));
                 continue;
             }
             // Intra-exploration snapshots: only meaningful with a checkpoint
@@ -877,47 +820,84 @@ fn cmd_check_sequential(
                 });
             }
             let engine = builder.build().map_err(|err| err.to_string())?;
+            let start = Instant::now();
+            let result = engine.run(&test, query, &budget);
+            let wall = start.elapsed();
+            // Without a budget an early stop (the explorer's state limit) is
+            // an error, as everywhere on the blocking path.
+            let result =
+                if budgeted { result } else { result.and_then(|a| a.complete(backend, &test)) };
             let base =
                 [("model", Json::from(model.to_string())), ("backend", Json::from(backend.name()))];
-            let row = match engine.check_budgeted(test, &budget) {
-                Ok(outcome) => match &outcome.verdict {
-                    gam_engine::SessionVerdict::Inconclusive {
-                        partial_outcomes,
-                        states_visited,
-                        reason,
-                    } => Json::object(base.into_iter().chain([
-                        ("verdict", Json::from("inconclusive")),
-                        ("reason", Json::from(reason.to_string())),
-                        ("states_visited", Json::UInt(*states_visited as u64)),
-                        ("partial_outcomes", Json::UInt(partial_outcomes.len() as u64)),
-                        ("wall_us", Json::UInt(micros(outcome.wall))),
-                    ])),
-                    verdict => Json::object(base.into_iter().chain([
-                        ("verdict", Json::from(verdict.to_string())),
-                        ("wall_us", Json::UInt(micros(outcome.wall))),
-                    ])),
-                },
+            let row = match &result {
+                Ok(Answer {
+                    verdict:
+                        SessionVerdict::Inconclusive { partial_outcomes, states_visited, reason },
+                    ..
+                }) => Json::object(base.into_iter().chain([
+                    ("verdict", Json::from("inconclusive")),
+                    ("reason", Json::from(reason.to_string())),
+                    ("states_visited", Json::UInt(*states_visited as u64)),
+                    ("partial_outcomes", Json::UInt(partial_outcomes.len() as u64)),
+                    ("wall_us", Json::UInt(micros(wall))),
+                ])),
+                Ok(answer) => Json::object(base.into_iter().chain([
+                    ("verdict", Json::from(answer.verdict.to_string())),
+                    ("wall_us", Json::UInt(micros(wall))),
+                ])),
                 Err(error) => {
                     Json::object(base.into_iter().chain([("error", Json::from(error.to_string()))]))
                 }
             };
-            // Errored pairs stay off the log so a resume retries them;
-            // inconclusive ones are recorded — rerunning with the same
-            // budget would only reproduce the same partial answer.
-            if row.get("error").is_none() {
-                record_unit(&mut lock_checkpoint(&checkpoint), &key, &row);
+            if budgeted {
+                // Errored pairs stay off the log so a resume retries them;
+                // inconclusive ones are recorded — rerunning with the same
+                // budget would only reproduce the same partial answer.
+                if row.get("error").is_none() {
+                    record_unit(&mut lock_checkpoint(&checkpoint), &key, &row);
+                }
+            } else {
+                let report = TestReport::new(&test, backend, query, result, wall);
+                let suite = SuiteReport {
+                    suite: Some(path.clone()),
+                    backend,
+                    model,
+                    parallelism: 1,
+                    wall,
+                    reports: vec![report],
+                };
+                reports.insert((model, backend), suite);
             }
-            rows.push(row);
+            rows.push(((model, backend), row));
         }
     }
     if rows.is_empty() {
         return Err("no supported (model, backend) combination selected".to_string());
     }
+    if !budgeted {
+        // A plain check lists each pair once, in (model, backend) order.
+        rows.sort_by_key(|(pair, _)| *pair);
+        rows.dedup_by_key(|(pair, _)| *pair);
+    }
+    let rows: Vec<Json> = rows.into_iter().map(|(_, row)| row).collect();
+    let use_expectations = !budgeted && !arg_flag(args, "--no-expectations");
+    let mismatches = diff_reports(std::slice::from_ref(&test), &models, &reports, |name, model| {
+        // The built-in paper table applies only when the parsed test *is*
+        // the library test of that name — a user-written variant that merely
+        // reuses a library name (e.g. a custom `dekker`) must not be diffed
+        // against the paper's verdicts.
+        if !use_expectations || gam_isa::litmus::library::by_name(name)? != test {
+            return None;
+        }
+        gam_verify::expectations::expectation_for(name).map(|e| e.allowed(model))
+    });
     let any_error = rows.iter().any(|row| row.get("error").is_some());
     let any_inconclusive =
         rows.iter().any(|row| row.get("verdict").and_then(Json::as_str) == Some("inconclusive"));
-    if arg_flag(args, "--json") {
-        let mut fields = vec![("suite", Json::from(path))];
+    if arg_flag(args, "--json") && !budgeted {
+        println!("{}", json_report(path, &models, &reports, &mismatches, &[]));
+    } else if arg_flag(args, "--json") {
+        let mut fields = vec![("suite", Json::from(path.as_str()))];
         if let Some(ms) = budget_ms {
             fields.push(("time_budget_ms", Json::UInt(ms)));
         }
@@ -934,7 +914,7 @@ fn cmd_check_sequential(
         ]);
         println!("{}", Json::object(fields));
     } else {
-        print!("{}", print_litmus(test));
+        print!("{}", print_litmus(&test));
         println!();
         for row in &rows {
             let model = row.get("model").and_then(Json::as_str).unwrap_or("?");
@@ -955,8 +935,13 @@ fn cmd_check_sequential(
                 );
             }
         }
+        for m in &mismatches {
+            println!("MISMATCH {} under {}: {}", m.test, m.model, m.detail);
+        }
     }
-    Ok(if any_error {
+    Ok(if !budgeted {
+        Status::from_clean(mismatches.is_empty())
+    } else if any_error {
         Status::Findings
     } else if any_inconclusive {
         Status::Inconclusive

@@ -13,13 +13,21 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gam::axiomatic::AxiomaticChecker;
 use gam::core::{model, ModelKind};
-use gam::engine::{Backend, Checker, Engine, EngineError};
-use gam::isa::litmus::library;
+use gam::engine::{
+    Answer, Backend, CancelToken, CheckBudget, Checker, Engine, EngineError, Query, SessionVerdict,
+};
+use gam::isa::litmus::{library, LitmusTest};
 use gam::operational::OperationalChecker;
 
 /// Both backends for one model, erased to the unified trait.
 fn checkers_for(kind: ModelKind) -> [Box<dyn Checker>; 2] {
     [Box::new(AxiomaticChecker::new(model::by_kind(kind))), Box::new(OperationalChecker::new(kind))]
+}
+
+fn run(checker: &dyn Checker, test: &LitmusTest, query: Query) -> Result<Answer, EngineError> {
+    let answer = checker.run(test, query, &CheckBudget::none(), CancelToken::new())?;
+    assert_eq!(answer.stop, None, "{}: an unbudgeted check runs to its end", test.name());
+    Ok(answer)
 }
 
 /// Drives every library test through both backends via `dyn Checker` (work
@@ -38,33 +46,36 @@ fn assert_backends_agree(kind: ModelKind) {
                 }
                 let test = &tests[index];
                 let name = test.name();
-                let ax = axiomatic
-                    .allowed_outcomes(test)
-                    .unwrap_or_else(|e| panic!("{kind}/{name}: axiomatic failed: {e}"));
-                let op = operational
-                    .allowed_outcomes(test)
-                    .unwrap_or_else(|e| panic!("{kind}/{name}: operational failed: {e}"));
+                let ax = run(&*axiomatic, test, Query::Outcomes)
+                    .unwrap_or_else(|e| panic!("{kind}/{name}: axiomatic failed: {e}"))
+                    .outcomes;
+                let op = run(&*operational, test, Query::Outcomes)
+                    .unwrap_or_else(|e| panic!("{kind}/{name}: operational failed: {e}"))
+                    .outcomes;
                 assert_eq!(
                     ax, op,
                     "{kind}/{name}: allowed-outcome sets differ between the backends"
                 );
 
-                let ax_verdict = axiomatic.check(test).expect("axiomatic verdict");
-                let op_verdict = operational.check(test).expect("operational verdict");
-                assert_eq!(ax_verdict, op_verdict, "{kind}/{name}: verdicts differ");
-
-                // A witness exists iff the condition is allowed, on both
-                // backends, and is a member of the (shared) outcome set.
-                for checker in [&axiomatic, &operational] {
-                    let witness = checker.find_witness(test).expect("witness query");
+                // A verdict query answers with its witness: one exists iff
+                // the condition is allowed, on both backends, and it is a
+                // member of the (shared) outcome set.
+                let ax_verdict = run(&*axiomatic, test, Query::Verdict).expect("axiomatic verdict");
+                let op_verdict =
+                    run(&*operational, test, Query::Verdict).expect("operational verdict");
+                assert_eq!(
+                    ax_verdict.verdict, op_verdict.verdict,
+                    "{kind}/{name}: verdicts differ"
+                );
+                for answer in [&ax_verdict, &op_verdict] {
                     assert_eq!(
-                        witness.is_some(),
-                        ax_verdict.is_allowed(),
+                        !answer.outcomes.is_empty(),
+                        ax_verdict.verdict == SessionVerdict::Allowed,
                         "{kind}/{name}: witness presence disagrees with the verdict"
                     );
-                    if let Some(outcome) = witness {
-                        assert!(test.condition().matched_by(&outcome));
-                        assert!(ax.contains(&outcome));
+                    for outcome in &answer.outcomes {
+                        assert!(test.condition().matched_by(outcome));
+                        assert!(ax.contains(outcome));
                     }
                 }
             });
@@ -113,4 +124,19 @@ fn capability_gaps_are_uniform_across_the_trait() {
         })
     ));
     assert!(Engine::axiomatic(ModelKind::GamArm).check(&library::dekker()).is_ok());
+}
+
+/// The `Outcomes` answer counts exactly the states the explorer visits:
+/// the serve cache records this count as an entry's recomputation cost, so
+/// routing a check through the trait must not change it.
+#[test]
+fn outcome_answers_count_the_explorers_states() {
+    for kind in [ModelKind::Sc, ModelKind::Tso, ModelKind::Gam, ModelKind::Gam0] {
+        let checker = OperationalChecker::new(kind);
+        for test in library::all_tests() {
+            let explored = checker.explore(&test).expect("explores").states_visited;
+            let answer = run(&checker, &test, Query::Outcomes).expect("runs");
+            assert_eq!(answer.states_visited, explored, "{kind}/{}", test.name());
+        }
+    }
 }

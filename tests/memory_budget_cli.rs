@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
-use gam_engine::Json;
+use gam_engine::{Json, RunCheckpoint};
 
 /// A budget inside big-003's spill window: above the non-spillable floor
 /// (states x ~32 bytes of table/frontier overhead), below the uncapped
@@ -212,7 +212,9 @@ fn a_sigkilled_budgeted_check_resumes_mid_exploration_to_the_same_report() {
         .to_string();
 
     // The victim: same run, checkpointed with frequent intra-exploration
-    // snapshots, SIGKILLed once the checkpoint shows a snapshot landed.
+    // snapshots, SIGKILLed once the checkpoint holds a complete snapshot
+    // record. A size threshold is not enough: the kill could land inside
+    // the first snapshot append, and the resume would restart from scratch.
     let spill_b = Scratch::new("resume-victim-spill");
     let checkpoint = Scratch::new("resume-ckpt");
     let mut child = gam()
@@ -229,8 +231,11 @@ fn a_sigkilled_budgeted_check_resumes_mid_exploration_to_the_same_report() {
         .spawn()
         .expect("gam check spawns");
     let deadline = Instant::now() + Duration::from_secs(120);
+    let copy = Scratch::new("resume-ckpt-copy");
     loop {
-        let progressed = std::fs::metadata(&checkpoint.0).map(|m| m.len() > 1_000).unwrap_or(false);
+        // Recover a copy, never the live file: opening truncates a torn tail.
+        let progressed = std::fs::copy(&checkpoint.0, &copy.0).is_ok()
+            && RunCheckpoint::open(&copy.0).is_ok_and(|(log, _)| !log.is_empty());
         let exited = child.try_wait().expect("try_wait").is_some();
         if progressed || exited {
             break;
