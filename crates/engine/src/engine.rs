@@ -4,18 +4,18 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use gam_axiomatic::{AxiomaticChecker, CheckerConfig, Verdict};
 use gam_core::{model, CancelToken, ModelKind};
 use gam_isa::litmus::{LitmusTest, Outcome};
-use gam_operational::{ExplorerConfig, MemoryConfig, OperationalChecker, Reduction};
+use gam_operational::{ExplorerConfig, MemoryConfig, OperationalChecker};
 
 use crate::checker::{Answer, Checker, Query};
 use crate::error::EngineError;
 use crate::report::{SuiteReport, TestReport};
-use crate::session::{check_job, CheckBudget, CheckHandle, SessionOutcome, SessionPool};
+use crate::session::CheckBudget;
 
 /// The two formal backends of the reproduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -149,15 +149,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Caps the operational explorer's accounted memory footprint
-    /// (operational backend only). See [`CheckBudget::max_bytes`] for the
-    /// per-check override.
-    #[must_use]
-    pub fn explorer_mem_budget(mut self, max_bytes: usize) -> Self {
-        self.explorer_memory.max_bytes = Some(max_bytes);
-        self
-    }
-
     /// Sets the number of worker threads the operational explorer shards
     /// each test's state-space frontier across (operational backend only;
     /// clamped to at least 1). This composes with
@@ -175,17 +166,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Selects the operational explorer's partial-order/symmetry reduction
-    /// mode (operational backend only). Reduced exploration produces the
-    /// same outcome sets while visiting a fraction of the interleavings —
-    /// the agreement is pinned by the reduction test-suite for the whole
-    /// litmus library.
-    #[must_use]
-    pub fn reduction(mut self, reduction: Reduction) -> Self {
-        self.explorer_config.reduction = reduction;
-        self
-    }
-
     /// Builds the engine.
     ///
     /// # Errors
@@ -196,17 +176,17 @@ impl EngineBuilder {
         if !self.backend.supports(self.model) {
             return Err(EngineError::UnsupportedModel { backend: self.backend, model: self.model });
         }
-        let checker: Arc<dyn Checker> = match self.backend {
-            Backend::Axiomatic => Arc::new(AxiomaticChecker::with_config(
+        let checker: Box<dyn Checker> = match self.backend {
+            Backend::Axiomatic => Box::new(AxiomaticChecker::with_config(
                 model::by_kind(self.model),
                 self.axiomatic_config,
             )),
-            Backend::Operational => Arc::new(
+            Backend::Operational => Box::new(
                 OperationalChecker::with_config(self.model, self.explorer_config)
                     .with_memory(self.explorer_memory),
             ),
         };
-        Ok(Engine { checker, parallelism: self.parallelism, sessions: OnceLock::new() })
+        Ok(Engine { checker, parallelism: self.parallelism })
     }
 }
 
@@ -233,12 +213,8 @@ impl EngineBuilder {
 /// assert!(report.all_ok());
 /// ```
 pub struct Engine {
-    checker: Arc<dyn Checker>,
+    checker: Box<dyn Checker>,
     parallelism: usize,
-    /// The session worker pool behind [`Engine::submit`], started lazily on
-    /// first submission so blocking-only engines never spawn threads.
-    /// Dropping the engine drains the queue and joins the workers.
-    sessions: OnceLock<SessionPool>,
 }
 
 impl fmt::Debug for Engine {
@@ -305,9 +281,10 @@ impl Engine {
 
     /// Runs `query` on the test under `budget`: the one path every check
     /// takes to the backend. It opens the check's `engine.check` trace span
-    /// and fences the backend, so a panicking checker answers with
-    /// [`EngineError::Panicked`] instead of unwinding into the caller.
-    /// Early stops (budget, state limit) are part of the [`Answer`].
+    /// and holds the only `catch_unwind` on the check path, so a panicking
+    /// checker answers with [`EngineError::Panicked`] and the caller (a
+    /// suite worker, a serve worker) moves on. Early stops (budget, state
+    /// limit) are part of the [`Answer`].
     ///
     /// # Errors
     ///
@@ -319,7 +296,13 @@ impl Engine {
         query: Query,
         budget: &CheckBudget,
     ) -> Result<Answer, EngineError> {
-        run_fenced(&*self.checker, test, query, budget, CancelToken::new())
+        let mut span = gam_obs::trace::span("engine.check");
+        span.arg("test", test.name());
+        span.arg("backend", self.backend());
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.checker.run(test, query, budget, CancelToken::new())
+        }))
+        .unwrap_or_else(|payload| Err(EngineError::panicked(&*payload)))
     }
 
     /// Decides whether the test's condition of interest is allowed,
@@ -349,10 +332,28 @@ impl Engine {
     }
 
     /// Decides the test under a [`CheckBudget`] by enumerating its outcome
-    /// set, blocking until the check finishes, is cancelled from another
-    /// thread, or exhausts the budget — whichever comes first. Budget
+    /// set, blocking until the check finishes or exhausts the budget,
+    /// whichever comes first: `run(test, Query::Outcomes, budget)`. Budget
     /// exhaustion answers with [`crate::SessionVerdict::Inconclusive`]
     /// carrying the partial outcomes.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use std::time::Duration;
+    /// use gam_engine::{CheckBudget, Engine, SessionVerdict};
+    /// use gam_isa::litmus::library;
+    ///
+    /// let engine = Engine::axiomatic(gam_core::ModelKind::Gam);
+    /// // A generous budget completes and agrees with the unbudgeted check.
+    /// let budget = CheckBudget::none().with_max_wall(Duration::from_secs(60));
+    /// let answer = engine.check_budgeted(&library::dekker(), &budget).unwrap();
+    /// assert_eq!(answer.verdict, SessionVerdict::Allowed);
+    /// // A zero budget stops at the first poll with a partial verdict.
+    /// let budget = CheckBudget::none().with_max_wall(Duration::ZERO);
+    /// let answer = engine.check_budgeted(&library::dekker(), &budget).unwrap();
+    /// assert!(!answer.verdict.is_conclusive());
+    /// ```
     ///
     /// # Errors
     ///
@@ -361,31 +362,8 @@ impl Engine {
         &self,
         test: &LitmusTest,
         budget: &CheckBudget,
-    ) -> Result<SessionOutcome, EngineError> {
-        let start = Instant::now();
-        let answer = self.run(test, Query::Outcomes, budget)?;
-        Ok(SessionOutcome { verdict: answer.verdict, wall: start.elapsed() })
-    }
-
-    /// Submits an unbudgeted (but cancellable, panic-isolated) check to the
-    /// engine's session worker pool and returns immediately with a
-    /// [`CheckHandle`].
-    #[must_use]
-    pub fn submit(&self, test: &LitmusTest) -> CheckHandle {
-        self.submit_budgeted(test, CheckBudget::none())
-    }
-
-    /// Submits a budgeted check to the engine's session worker pool and
-    /// returns immediately with a [`CheckHandle`]; the check runs like
-    /// [`Engine::check_budgeted`]. The pool has [`Engine::parallelism`]
-    /// workers and is started on first use; checks queue FIFO behind busy
-    /// workers. The budget's wall clock starts when the check starts
-    /// executing, not when it is submitted.
-    #[must_use]
-    pub fn submit_budgeted(&self, test: &LitmusTest, budget: CheckBudget) -> CheckHandle {
-        let (job, handle) = check_job(Arc::clone(&self.checker), test, budget);
-        self.sessions.get_or_init(|| SessionPool::new(self.parallelism)).submit(job);
-        handle
+    ) -> Result<Answer, EngineError> {
+        self.run(test, Query::Outcomes, budget)
     }
 
     /// Runs a whole litmus suite, fanning tests out over the configured
@@ -452,26 +430,6 @@ impl Engine {
             reports,
         }
     }
-}
-
-/// The fenced check behind [`Engine::run`] and the session jobs: the
-/// `engine.check` span and the only `catch_unwind` on the check path, so a
-/// panicking checker becomes [`EngineError::Panicked`] and the caller (a
-/// suite worker, a session worker, a serve worker) moves on.
-pub(crate) fn run_fenced(
-    checker: &dyn Checker,
-    test: &LitmusTest,
-    query: Query,
-    budget: &CheckBudget,
-    cancel: CancelToken,
-) -> Result<Answer, EngineError> {
-    let mut span = gam_obs::trace::span("engine.check");
-    span.arg("test", test.name());
-    span.arg("backend", checker.backend());
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        checker.run(test, query, budget, cancel)
-    }))
-    .unwrap_or_else(|payload| Err(EngineError::panicked(&*payload)))
 }
 
 #[cfg(test)]
@@ -561,19 +519,17 @@ mod tests {
             .build()
             .unwrap()
             .run_suite(&tests);
-        for reduction in [Reduction::Sleep, Reduction::SleepPlusCanon] {
-            let reduced = Engine::builder()
-                .model(ModelKind::Gam)
-                .backend(Backend::Operational)
-                .reduction(reduction)
-                .build()
-                .unwrap()
-                .run_suite(&tests);
-            assert!(reduced.all_ok());
-            for (full, fast) in baseline.reports.iter().zip(&reduced.reports) {
-                assert_eq!(full.verdict, fast.verdict, "{reduction}/{}", full.test);
-                assert_eq!(full.outcomes, fast.outcomes, "{reduction}/{}", full.test);
-            }
+        let reduced = Engine::builder()
+            .model(ModelKind::Gam)
+            .backend(Backend::Operational)
+            .explorer_config(ExplorerConfig::reduced())
+            .build()
+            .unwrap()
+            .run_suite(&tests);
+        assert!(reduced.all_ok());
+        for (full, fast) in baseline.reports.iter().zip(&reduced.reports) {
+            assert_eq!(full.verdict, fast.verdict, "{}", full.test);
+            assert_eq!(full.outcomes, fast.outcomes, "{}", full.test);
         }
     }
 

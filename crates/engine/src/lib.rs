@@ -15,17 +15,16 @@
 //! * [`EngineError`] — the unified error type both backends convert into;
 //! * [`Engine`] / [`EngineBuilder`] — backend and model selection, the one
 //!   fenced entry point [`Engine::run`] every check goes through (the
-//!   blocking, budgeted, submitted and suite APIs are thin calls into it),
-//!   and a parallel suite runner that fans litmus tests out over a thread
-//!   pool and returns a structured, JSON-serializable [`SuiteReport`];
+//!   blocking, budgeted and suite APIs are thin calls into it), and a
+//!   parallel suite runner that fans litmus tests out over a thread pool
+//!   and returns a structured, JSON-serializable [`SuiteReport`];
 //! * [`json`] — a dependency-free JSON tree ([`Json`], [`ToJson`]) used for
 //!   machine-readable result export;
-//! * [`session`] — budgeted, cancellable, panic-isolated check sessions:
-//!   [`Engine::submit`] returns a [`CheckHandle`] whose check runs on a
-//!   worker pool under a [`CheckBudget`], answers with a three-valued
-//!   [`SessionVerdict`] (budget exhaustion is an *inconclusive verdict with
-//!   partial outcomes*, not an error) and survives panicking checkers via
-//!   [`EngineError::Panicked`];
+//! * [`session`] — per-check limits ([`CheckBudget`]) and the three-valued
+//!   [`SessionVerdict`]: budget exhaustion is an *inconclusive verdict with
+//!   partial outcomes*, not an error. [`Engine::check_budgeted`] is the
+//!   budgeted shorthand of [`Engine::run`], whose panic fence turns a
+//!   panicking checker into [`EngineError::Panicked`];
 //! * [`checkpoint`] — crash-durable run checkpoints ([`RunCheckpoint`]): an
 //!   append-only CRC-framed log of completed work units that lets
 //!   `gam check --checkpoint` / `gam bench --resume` continue a killed run,
@@ -79,7 +78,7 @@ pub use engine::{Backend, Engine, EngineBuilder};
 pub use error::EngineError;
 pub use json::{Json, JsonParseError, ToJson};
 pub use report::{SuiteReport, TestReport};
-pub use session::{CheckBudget, CheckHandle, SessionOutcome, SessionVerdict};
+pub use session::{CheckBudget, SessionVerdict};
 
 // Re-exported so facade users can name verdicts and configs without
 // depending on the backend crates directly.

@@ -2,9 +2,9 @@
 //!
 //! These tests arm `gam_core::fault` plans that make the backends panic
 //! mid-check and assert the engine's robustness contract: a panicking
-//! checker surfaces as a typed [`EngineError::Panicked`], the session
-//! worker pool survives and keeps answering, and suite runs report the
-//! panic as a per-test error instead of dying.
+//! checker surfaces as a typed [`EngineError::Panicked`], the same engine
+//! keeps answering, and suite runs report the panic as a per-test error
+//! instead of dying.
 //!
 //! The fault plan is process-global, so every test takes
 //! [`fault::exclusive`] for its whole `install`..`reset` span.
@@ -61,35 +61,6 @@ fn injected_axiomatic_panic_is_a_typed_error() {
 
     fault::reset();
     assert!(engine.check_budgeted(&test, &CheckBudget::none()).is_ok());
-}
-
-#[test]
-fn session_pool_workers_survive_panicking_jobs() {
-    let _guard = fault::exclusive();
-    let engine = Engine::builder()
-        .model(ModelKind::Gam)
-        .backend(Backend::Operational)
-        .parallelism(1)
-        .build()
-        .expect("single-worker engine");
-    let test = library::corr();
-
-    // Three panicking submissions in a row onto the single worker thread —
-    // each must come back as a typed error, never as a dead worker or a
-    // hung handle.
-    fault::install("explore=panic").expect("valid fault spec");
-    quiet_panics(|| {
-        for _ in 0..3 {
-            let handle = engine.submit(&test);
-            let err = handle.wait().expect_err("armed submission must fail");
-            assert!(matches!(err, EngineError::Panicked { .. }), "got {err}");
-        }
-    });
-
-    // The same worker (parallelism 1) then answers a clean submission.
-    fault::reset();
-    let outcome = engine.submit(&test).wait().expect("worker survived the panics");
-    assert_eq!(outcome.verdict.to_string(), "forbidden", "corr is forbidden under GAM");
 }
 
 #[test]

@@ -10,9 +10,9 @@
 //! Spans nest per thread: each thread keeps a stack of open span ids, a new
 //! span's parent is the top of the stack, and every record carries a stable
 //! small integer thread id. A *trace id* — one per logical operation, e.g.
-//! one HTTP request or one CLI invocation — is thread-local too; engine
-//! session workers re-install the submitter's trace id before running a job
-//! so a request's spans correlate across threads ([`set_trace_id`]).
+//! one HTTP request or one CLI invocation — is thread-local too: the thread
+//! that handles the operation installs it ([`set_trace_id`]), and every span
+//! the thread records until it is cleared carries it.
 //!
 //! [`export_chrome`] renders the buffer in the Chrome `trace_event` JSON
 //! format (an object with a `traceEvents` array of `"X"` complete events),
@@ -168,12 +168,6 @@ pub fn next_trace_id() -> u64 {
 /// Installs `trace_id` as the current thread's logical-operation id.
 pub fn set_trace_id(trace_id: u64) {
     THREAD.with(|t| t.borrow_mut().trace_id = trace_id);
-}
-
-/// The current thread's logical-operation id (0 if none was set).
-#[must_use]
-pub fn current_trace_id() -> u64 {
-    THREAD.with(|t| t.borrow().trace_id)
 }
 
 /// Formats a trace id the way headers and logs carry it: 16 hex digits.

@@ -31,10 +31,6 @@
 //!   *transitions* (re-expansions), not states. Revisiting an interned state
 //!   with a sleep set that is not a superset of the stored one re-expands it
 //!   with the intersection, which keeps the search exact.
-//! * **Canonicalization** ([`Reduction::SleepPlusCanon`]) — states are
-//!   rewritten by [`LabeledMachine::canonicalize`] before interning, so
-//!   states differing only in semantically dead fields (e.g. the recorded
-//!   prediction of a resolved branch) collapse to one arena slot.
 //!
 //! Under [`Reduction::Off`] the driver keeps its cheap path: *sparse*
 //! successors ([`LabeledMachine::labeled_successors_sparse_into`]) and no
@@ -76,7 +72,7 @@ use crate::codec;
 use crate::machine::{Action, ActionKind, Footprint, LabeledMachine};
 use crate::spill::{SpillError, SpillStore};
 
-/// The partial-order/symmetry reduction mode of the exploration.
+/// The partial-order reduction mode of the exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Reduction {
     /// Visit every interleaving: the persistent set is every enabled action
@@ -87,14 +83,11 @@ pub enum Reduction {
     /// Persistent-set + sleep-set partial-order reduction over transition
     /// labels.
     Sleep,
-    /// [`Reduction::Sleep`] plus state canonicalization
-    /// ([`LabeledMachine::canonicalize`]) before interning.
-    SleepPlusCanon,
 }
 
 impl Reduction {
     /// All modes, in increasing aggressiveness.
-    pub const ALL: [Reduction; 3] = [Reduction::Off, Reduction::Sleep, Reduction::SleepPlusCanon];
+    pub const ALL: [Reduction; 2] = [Reduction::Off, Reduction::Sleep];
 
     /// Is any reduction active?
     #[must_use]
@@ -102,19 +95,12 @@ impl Reduction {
         !matches!(self, Reduction::Off)
     }
 
-    /// Does the mode canonicalize states before interning?
-    #[must_use]
-    pub fn canonicalizes(self) -> bool {
-        matches!(self, Reduction::SleepPlusCanon)
-    }
-
-    /// A short lowercase name (`"off"` / `"sleep"` / `"sleep+canon"`).
+    /// A short lowercase name (`"off"` / `"sleep"`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             Reduction::Off => "off",
             Reduction::Sleep => "sleep",
-            Reduction::SleepPlusCanon => "sleep+canon",
         }
     }
 }
@@ -149,7 +135,7 @@ pub struct ExplorerConfig {
     /// one-time migration of the visited set into the shards. `0` shards
     /// after the first expansion (the sharded-continuation tests use it).
     pub parallel_threshold: usize,
-    /// The partial-order/symmetry reduction mode.
+    /// The partial-order reduction mode.
     pub reduction: Reduction,
 }
 
@@ -165,11 +151,11 @@ impl Default for ExplorerConfig {
 }
 
 impl ExplorerConfig {
-    /// The default limits with the strongest reduction
-    /// ([`Reduction::SleepPlusCanon`]).
+    /// The default limits with the partial-order reduction
+    /// ([`Reduction::Sleep`]).
     #[must_use]
     pub fn reduced() -> Self {
-        ExplorerConfig { reduction: Reduction::SleepPlusCanon, ..ExplorerConfig::default() }
+        ExplorerConfig { reduction: Reduction::Sleep, ..ExplorerConfig::default() }
     }
 }
 
@@ -185,13 +171,14 @@ impl ExplorerConfig {
 pub struct MemoryConfig {
     /// Hard in-RAM budget in *accounted* bytes (see
     /// [`gam_core::MemoryAccountant`] — deterministic figures, not allocator
-    /// truth). At 80% the degradation ladder starts (sleep-cache flush, then
-    /// cold-row spilling); at 100% after every degradation step the
-    /// exploration stops with [`StopReason::MemoryBudget`].
+    /// truth). At 80% the degradation ladder starts: a reduced run flushes
+    /// its sleep-set caches, then cold rows spill. Above 100% after every
+    /// degradation step the exploration stops with
+    /// [`StopReason::MemoryBudget`].
     pub max_bytes: Option<usize>,
     /// Directory for cold arena segments. Without it (or without
-    /// `max_bytes`) nothing is ever spilled and the ladder skips straight
-    /// from cache flushing to the hard stop.
+    /// `max_bytes`) nothing is ever spilled and the ladder goes straight to
+    /// the hard stop.
     pub spill_dir: Option<PathBuf>,
     /// Intra-exploration checkpointing: periodic snapshots of the full
     /// search state, enabling mid-exploration resume after a crash.
@@ -321,8 +308,7 @@ impl std::error::Error for ExploreError {}
 pub struct Exploration {
     /// The set of outcomes of all reachable final states.
     pub outcomes: BTreeSet<Outcome>,
-    /// Number of distinct states visited (canonical states under
-    /// [`Reduction::SleepPlusCanon`]).
+    /// Number of distinct states visited.
     pub states_visited: usize,
     /// Number of reachable final states (counted once per distinct state).
     pub final_states: usize,
@@ -637,15 +623,6 @@ impl<'m, M: LabeledMachine> Reducer<'m, M> {
         Reducer { machine, reduction, explored, chain_buf, asleep, sleep, pruned: 0 }
     }
 
-    /// The initial state, canonicalized when the mode canonicalizes.
-    fn initial_state(&self) -> M::State {
-        let mut state = self.machine.initial_state();
-        if self.reduction.canonicalizes() {
-            self.machine.canonicalize_in_place(&mut state);
-        }
-        state
-    }
-
     /// Starts the expansion of `state`: picks its persistent set.
     fn begin(&mut self, state: &M::State, succ: &[(Action, M::State)]) -> Chosen {
         self.explored.clear();
@@ -660,9 +637,9 @@ impl<'m, M: LabeledMachine> Reducer<'m, M> {
     /// expanded with persistent set `chosen` and sleep set
     /// [`Reducer::asleep`], in place:
     /// prunes it when `action` is outside the persistent set or asleep,
-    /// else canonicalizes it, derives the sleep set it inherits, and
-    /// advances it through states whose persistent set is a *singleton*
-    /// without interning them (chain compression).
+    /// else derives the sleep set it inherits and advances it through
+    /// states whose persistent set is a *singleton* without interning them
+    /// (chain compression).
     ///
     /// A one-action persistent set leaves exactly one outgoing transition in
     /// the reduced graph — pure bookkeeping on the way to the next genuine
@@ -692,11 +669,7 @@ impl<'m, M: LabeledMachine> Reducer<'m, M> {
             self.pruned += 1;
             return Ok(None);
         }
-        let canon = self.reduction.canonicalizes();
         let Reducer { machine, explored, chain_buf, asleep, sleep, pruned, .. } = self;
-        if canon {
-            machine.canonicalize_in_place(state);
-        }
         // The successor sleeps on every inherited or earlier-explored action
         // it is independent of: those orderings are covered by the sibling
         // subtrees.
@@ -731,9 +704,6 @@ impl<'m, M: LabeledMachine> Reducer<'m, M> {
                 .expect("the chosen singleton is enabled");
             std::mem::swap(state, &mut chosen.1);
             touched.add_action(&next);
-            if canon {
-                machine.canonicalize_in_place(state);
-            }
             sleep.retain(|b| machine.independent(&next, b));
         }
         Ok(Some(touched))
@@ -1025,8 +995,10 @@ impl MemGovernor {
             }
         }
         // Rung 3: every degradation step taken (or unavailable) and still
-        // over the hard limit — stop with sound partial outcomes.
-        if total >= self.max_bytes {
+        // over the hard limit — stop with sound partial outcomes. A total
+        // equal to the budget fits it, so a budget of a run's reported peak
+        // lets that run finish.
+        if total > self.max_bytes {
             return Err(StopReason::MemoryBudget { budget: self.max_bytes });
         }
         Ok(())
@@ -1376,7 +1348,7 @@ impl Explorer {
         let mut reducer = Reducer::new(machine, self.config.reduction);
         let mut book = SleepBook::new(self.config.reduction.is_reduced());
         let mut visited: InternedStates<M::State> = InternedStates::default();
-        let (root, _) = visited.intern(reducer.initial_state());
+        let (root, _) = visited.intern(machine.initial_state());
         book.push(&ActionSet::new());
         let mut stack = vec![root];
         let mut succ: Vec<(Action, M::State)> = Vec::new();
@@ -1470,7 +1442,7 @@ impl Explorer {
     {
         let reduced = self.config.reduction.is_reduced();
         let mut reducer = Reducer::new(machine, self.config.reduction);
-        let mut current = reducer.initial_state();
+        let mut current = machine.initial_state();
         let num_procs = current.procs().len();
         // A fresh run starts from the snapshot of expansion zero.
         let snap = self.try_resume(reduced, num_procs).unwrap_or_else(|| {
@@ -1604,13 +1576,19 @@ impl Explorer {
             }
         }
 
+        // Polls run every few hundred expansions, so the final structures
+        // are accounted here: `peak_bytes` is then a true high-water mark.
+        let memory = governor.as_mut().map(|governor| {
+            governor.refresh(&arena, stack.len(), book.bytes());
+            governor.stats(&arena)
+        });
         let exploration = Exploration {
             outcomes,
             states_visited: arena.len(),
             final_states,
             transitions_pruned: reducer.pruned,
             arena: Some(arena.occupancy()),
-            memory: governor.as_ref().map(|governor| governor.stats(&arena)),
+            memory,
         };
         Ok(SeqOutcome::Finished(exploration, witness))
     }
@@ -2315,7 +2293,7 @@ mod tests {
 
     #[test]
     fn expired_wall_budget_interrupts_every_driver() {
-        for reduction in [Reduction::Off, Reduction::Sleep, Reduction::SleepPlusCanon] {
+        for reduction in Reduction::ALL {
             let explorer = Explorer::new(ExplorerConfig { reduction, ..Default::default() })
                 .with_interrupt(Interrupt::none().with_wall_budget(std::time::Duration::ZERO));
             match explorer.explore(&TwoLocalCounters { len: 16 }) {
@@ -2425,7 +2403,7 @@ mod tests {
         // expansion 600 — long past the escalation, long before the ~1681
         // expansions the 41x41 grid needs — so only a parallel worker's
         // poll can observe it.
-        for reduction in [Reduction::Off, Reduction::SleepPlusCanon] {
+        for reduction in Reduction::ALL {
             let token = gam_core::CancelToken::new();
             let machine = CancelAfter {
                 inner: TwoSharedCounters { len: 40 },
@@ -2506,13 +2484,12 @@ mod tests {
 
     #[test]
     fn reduced_deadlock_is_reported() {
-        for reduction in [Reduction::Sleep, Reduction::SleepPlusCanon] {
-            let explorer = Explorer::new(ExplorerConfig { reduction, ..Default::default() });
-            assert_eq!(explorer.explore(&Stuck), Err(ExploreError::Deadlock), "{reduction}");
-            let parallel =
-                Explorer::new(ExplorerConfig { reduction, parallelism: 4, ..Default::default() });
-            assert_eq!(parallel.explore(&Stuck), Err(ExploreError::Deadlock), "{reduction}");
-        }
+        let reduction = Reduction::Sleep;
+        let explorer = Explorer::new(ExplorerConfig { reduction, ..Default::default() });
+        assert_eq!(explorer.explore(&Stuck), Err(ExploreError::Deadlock), "{reduction}");
+        let parallel =
+            Explorer::new(ExplorerConfig { reduction, parallelism: 4, ..Default::default() });
+        assert_eq!(parallel.explore(&Stuck), Err(ExploreError::Deadlock), "{reduction}");
     }
 
     #[test]
@@ -2553,21 +2530,16 @@ mod tests {
         // thread 0 first: the reduced space is one path of 2·len+1 states.
         // A limit below that still aborts with accurate statistics and the
         // partial outcomes collected so far.
-        for reduction in [Reduction::Sleep, Reduction::SleepPlusCanon] {
-            let explorer =
-                Explorer::new(ExplorerConfig { max_states: 5, reduction, ..Default::default() });
-            match explorer.explore(&TwoLocalCounters { len: 9 }) {
-                Err(ExploreError::StateLimitExceeded {
-                    limit,
-                    states_visited,
-                    partial_outcomes,
-                }) => {
-                    assert_eq!(limit, 5, "{reduction}");
-                    assert_eq!(states_visited, 6, "{reduction}: abort on the tripping insert");
-                    assert!(partial_outcomes.is_empty(), "{reduction}: no final state yet");
-                }
-                other => panic!("{reduction}: expected a state-limit error, got {other:?}"),
+        let reduction = Reduction::Sleep;
+        let explorer =
+            Explorer::new(ExplorerConfig { max_states: 5, reduction, ..Default::default() });
+        match explorer.explore(&TwoLocalCounters { len: 9 }) {
+            Err(ExploreError::StateLimitExceeded { limit, states_visited, partial_outcomes }) => {
+                assert_eq!(limit, 5, "{reduction}");
+                assert_eq!(states_visited, 6, "{reduction}: abort on the tripping insert");
+                assert!(partial_outcomes.is_empty(), "{reduction}: no final state yet");
             }
+            other => panic!("{reduction}: expected a state-limit error, got {other:?}"),
         }
     }
 
@@ -2683,23 +2655,22 @@ mod tests {
     fn parallel_reduced_matches_sequential_outcomes() {
         let machine = TwoLocalCounters { len: 6 };
         let baseline = Explorer::default().explore(&machine).unwrap();
-        for reduction in [Reduction::Sleep, Reduction::SleepPlusCanon] {
-            for workers in [2, 4] {
-                let reduced = Explorer::new(ExplorerConfig {
-                    parallelism: workers,
-                    reduction,
-                    parallel_threshold: 0,
-                    ..Default::default()
-                })
-                .explore(&machine)
-                .unwrap();
-                assert_eq!(reduced.outcomes, baseline.outcomes, "{reduction}/{workers}");
-                assert_eq!(reduced.final_states, 1, "{reduction}/{workers}");
-                assert!(
-                    reduced.states_visited <= baseline.states_visited,
-                    "{reduction}/{workers}: reduction may only shrink the space"
-                );
-            }
+        let reduction = Reduction::Sleep;
+        for workers in [2, 4] {
+            let reduced = Explorer::new(ExplorerConfig {
+                parallelism: workers,
+                reduction,
+                parallel_threshold: 0,
+                ..Default::default()
+            })
+            .explore(&machine)
+            .unwrap();
+            assert_eq!(reduced.outcomes, baseline.outcomes, "{reduction}/{workers}");
+            assert_eq!(reduced.final_states, 1, "{reduction}/{workers}");
+            assert!(
+                reduced.states_visited <= baseline.states_visited,
+                "{reduction}/{workers}: reduction may only shrink the space"
+            );
         }
     }
 
@@ -2736,13 +2707,10 @@ mod tests {
     fn reduction_names_and_accessors() {
         assert_eq!(Reduction::Off.to_string(), "off");
         assert_eq!(Reduction::Sleep.to_string(), "sleep");
-        assert_eq!(Reduction::SleepPlusCanon.to_string(), "sleep+canon");
         assert!(!Reduction::Off.is_reduced());
         assert!(Reduction::Sleep.is_reduced());
-        assert!(!Reduction::Sleep.canonicalizes());
-        assert!(Reduction::SleepPlusCanon.canonicalizes());
         assert_eq!(Reduction::default(), Reduction::Off);
-        assert_eq!(ExplorerConfig::reduced().reduction, Reduction::SleepPlusCanon);
+        assert_eq!(ExplorerConfig::reduced().reduction, Reduction::Sleep);
     }
 
     #[test]

@@ -833,27 +833,6 @@ impl LabeledMachine for GamMachine {
     fn labeled_successors_sparse_into(&self, state: &GamState, out: &mut Vec<(Action, GamState)>) {
         self.successors_into_buf(state, SuccBuf::new_sparse(out));
     }
-
-    /// Scrubs semantically dead fields so symmetric states intern to one
-    /// arena slot: the `predicted_target` of a *done* entry is never read
-    /// again by any rule (only Execute-Branch consults it, and only on
-    /// not-done entries), yet it records *how* a branch reached its resolved
-    /// state — a correctly predicted branch and a mispredicted, squashed and
-    /// refetched one otherwise differ in this one field forever.
-    fn canonicalize(&self, mut state: GamState) -> GamState {
-        self.canonicalize_in_place(&mut state);
-        state
-    }
-
-    fn canonicalize_in_place(&self, state: &mut GamState) {
-        for proc in &mut state.procs {
-            for entry in &mut proc.rob {
-                if entry.done {
-                    entry.predicted_target = 0;
-                }
-            }
-        }
-    }
 }
 
 impl GamMachine {
@@ -1054,21 +1033,6 @@ mod tests {
         }
         assert!(kinds.contains(&ActionKind::Local), "SAStLd forwarding is thread-private");
         assert!(kinds.contains(&ActionKind::MemoryRead), "a forwarding miss reads memory");
-    }
-
-    #[test]
-    fn canonicalization_scrubs_resolved_predictions_only() {
-        let test = library::dekker();
-        let machine = GamMachine::new(&test);
-        let mut state = machine.initial_state();
-        state.procs[0].rob[0].done = true;
-        state.procs[0].rob[0].predicted_target = 7;
-        state.procs[0].rob[1].predicted_target = 9;
-        let canon = machine.canonicalize(state.clone());
-        assert_eq!(canon.procs[0].rob[0].predicted_target, 0, "done entries are scrubbed");
-        assert_eq!(canon.procs[0].rob[1].predicted_target, 9, "pending entries are untouched");
-        // Idempotence.
-        assert_eq!(machine.canonicalize(canon.clone()), canon);
     }
 
     #[test]

@@ -344,28 +344,6 @@ pub trait LabeledMachine: AbstractMachine {
     fn future_footprint(&self, _state: &Self::State, _thread: usize) -> Footprint {
         Footprint::top()
     }
-
-    /// Rewrites a state into a canonical representative of its symmetry
-    /// class: semantically dead fields (e.g. the recorded branch prediction
-    /// of an already-resolved ROB entry) are scrubbed so that states whose
-    /// futures and observations are identical intern to one arena slot.
-    ///
-    /// Must be idempotent, preserve [`AbstractMachine::is_final`],
-    /// [`AbstractMachine::outcome`] and the labeled successor relation up to
-    /// canonicalization. The default is the identity.
-    ///
-    /// Must compute the same function as
-    /// [`LabeledMachine::canonicalize_in_place`] — override both or
-    /// neither.
-    fn canonicalize(&self, state: Self::State) -> Self::State {
-        state
-    }
-
-    /// In-place form of [`LabeledMachine::canonicalize`], used by the
-    /// explorer's hot paths so canonicalization never moves or reallocates
-    /// the state. The default is the identity; machines overriding
-    /// `canonicalize` must override this consistently (and vice versa).
-    fn canonicalize_in_place(&self, _state: &mut Self::State) {}
 }
 
 /// The writing half of the [`LabeledMachine::labeled_successors_into`]
@@ -489,8 +467,6 @@ mod tests {
         assert!(machine.labeled_successors(&0).is_empty());
         assert_eq!(machine.name(), "countdown");
         assert!(machine.outcome(&0).is_empty());
-        // Default canonicalization is the identity.
-        assert_eq!(machine.canonicalize(1), 1);
     }
 
     #[test]

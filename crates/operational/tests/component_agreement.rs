@@ -12,8 +12,8 @@
 //! two against each other: the full litmus library and randomly generated
 //! *branchy* programs (speculation, mispredictions, squash-and-refetch),
 //! under every machine model and every `Reduction` — so the unreduced
-//! search, which runs through the same driver as the reduced ones, is
-//! covered alongside `Sleep` and `SleepPlusCanon`.
+//! search, which runs through the same driver as the reduced one, is
+//! covered alongside `Sleep`.
 //!
 //! The driver and the oracle are deterministic and run the same search, so
 //! the pin is exact: not just outcome sets but `states_visited`,

@@ -1,15 +1,13 @@
 //! Reduced exploration must be observationally identical to unreduced
 //! exploration: for every litmus test in the library, under every model with
 //! an abstract machine ({SC, TSO, GAM, GAM0}), in both the sequential driver
-//! and the sharded continuation, `Reduction::Sleep` and
-//! `Reduction::SleepPlusCanon` must produce exactly the outcome set of
-//! `Reduction::Off`.
+//! and the sharded continuation, `Reduction::Sleep` must produce exactly
+//! the outcome set of `Reduction::Off`.
 //!
-//! This is the correctness pin of the partial-order/symmetry reduction, the
-//! same way `parallel_agreement.rs` pins the sharded frontier: a persistent
-//! set that is not actually persistent, an unsound independence claim, a
-//! sleep set kept across a dependent action, or a canonicalization that
-//! merges semantically distinct states would all surface here as a missing
+//! This is the correctness pin of the partial-order reduction, the same way
+//! `parallel_agreement.rs` pins the sharded frontier: a persistent set that
+//! is not actually persistent, an unsound independence claim, or a sleep
+//! set kept across a dependent action would all surface here as a missing
 //! or extra outcome. A differential property test over randomly generated
 //! dependent-address programs and a branchy hand-built program extend the
 //! coverage beyond the library, and the early-exit `check`/`find_witness`
@@ -69,34 +67,20 @@ fn sequential_sleep_agrees_on_the_full_library() {
 }
 
 #[test]
-fn sequential_sleep_canon_agrees_on_the_full_library() {
-    for kind in MACHINE_MODELS {
-        assert_reduction_agrees(kind, Reduction::SleepPlusCanon, 1);
-    }
-}
-
-#[test]
 fn parallel_sleep_agrees_on_the_full_library() {
     for kind in MACHINE_MODELS {
         assert_reduction_agrees(kind, Reduction::Sleep, 4);
     }
 }
 
+/// The acceptance bar of the reduction work: under GAM with `Sleep`, at
+/// least four library tests must shed half of their states. Pinning the
+/// concrete tests keeps a silent regression of the persistent sets or the
+/// chain compression from slipping through.
 #[test]
-fn parallel_sleep_canon_agrees_on_the_full_library() {
-    for kind in MACHINE_MODELS {
-        assert_reduction_agrees(kind, Reduction::SleepPlusCanon, 4);
-    }
-}
-
-/// The acceptance bar of the reduction work: under GAM with
-/// `SleepPlusCanon`, at least four library tests must shed half of their
-/// states. Pinning the concrete tests keeps a silent regression of the
-/// persistent sets or the chain compression from slipping through.
-#[test]
-fn gam_sleep_canon_halves_at_least_four_library_tests() {
+fn gam_sleep_halves_at_least_four_library_tests() {
     let baseline = OperationalChecker::new(ModelKind::Gam);
-    let reduced = checker(ModelKind::Gam, Reduction::SleepPlusCanon, 1);
+    let reduced = checker(ModelKind::Gam, Reduction::Sleep, 1);
     let mut halved = Vec::new();
     for test in library::all_tests() {
         let full = baseline.explore(&test).unwrap();
@@ -152,9 +136,8 @@ fn early_exit_verdicts_match_full_exploration() {
     }
 }
 
-/// A branchy program (speculation, misprediction squashes, canonicalized
-/// predictions) explored under every mode: branches exercise the non-eager
-/// fetch path and the `SleepPlusCanon` prediction scrubbing.
+/// A branchy program (speculation, misprediction squashes) explored under
+/// every mode: branches exercise the non-eager fetch path.
 #[test]
 fn branchy_program_agrees_across_modes() {
     let a = Loc::new("a");
@@ -175,14 +158,13 @@ fn branchy_program_agrees_across_modes() {
         .build();
     for kind in MACHINE_MODELS {
         let baseline = OperationalChecker::new(kind).explore(&test).unwrap();
-        for reduction in [Reduction::Sleep, Reduction::SleepPlusCanon] {
-            for parallelism in [1, 4] {
-                let fast = checker(kind, reduction, parallelism).explore(&test).unwrap();
-                assert_eq!(
-                    baseline.outcomes, fast.outcomes,
-                    "{kind}: branchy outcomes diverge under {reduction}/{parallelism}"
-                );
-            }
+        let reduction = Reduction::Sleep;
+        for parallelism in [1, 4] {
+            let fast = checker(kind, reduction, parallelism).explore(&test).unwrap();
+            assert_eq!(
+                baseline.outcomes, fast.outcomes,
+                "{kind}: branchy outcomes diverge under {reduction}/{parallelism}"
+            );
         }
     }
 }
@@ -297,19 +279,18 @@ proptest! {
     fn random_programs_agree_across_modes(test in two_dependent_threads()) {
         for kind in MACHINE_MODELS {
             let baseline = OperationalChecker::new(kind).explore(&test).unwrap();
-            for reduction in [Reduction::Sleep, Reduction::SleepPlusCanon] {
-                let fast = checker(kind, reduction, 1).explore(&test).unwrap();
-                prop_assert_eq!(
-                    &baseline.outcomes, &fast.outcomes,
-                    "{}/{}: sequential reduced outcomes diverge", kind, reduction
-                );
-                prop_assert!(fast.states_visited <= baseline.states_visited);
-                let parallel = checker(kind, reduction, 4).explore(&test).unwrap();
-                prop_assert_eq!(
-                    &baseline.outcomes, &parallel.outcomes,
-                    "{}/{}: parallel reduced outcomes diverge", kind, reduction
-                );
-            }
+            let reduction = Reduction::Sleep;
+            let fast = checker(kind, reduction, 1).explore(&test).unwrap();
+            prop_assert_eq!(
+                &baseline.outcomes, &fast.outcomes,
+                "{}/{}: sequential reduced outcomes diverge", kind, reduction
+            );
+            prop_assert!(fast.states_visited <= baseline.states_visited);
+            let parallel = checker(kind, reduction, 4).explore(&test).unwrap();
+            prop_assert_eq!(
+                &baseline.outcomes, &parallel.outcomes,
+                "{}/{}: parallel reduced outcomes diverge", kind, reduction
+            );
         }
     }
 }

@@ -19,15 +19,15 @@ const BUDGET_PERCENT: usize = 85;
 /// One row per `test model`: `states spilled_bytes spill_segments
 /// spill_read_bytes` of the capped run.
 const COUNTERS: &str = "
-big-000 sc   | 2451 32944 3 122688
-big-000 tso  | 17350 270528 8 8740872
-big-000 gam  | 36848 581792 13 49339728
-big-000 gam0 | 67760 1077504 20 69801248
-big-001 sc   | 3481 49248 3 73584
-big-001 tso  | 24206 381104 9 2474920
-big-001 gam  | 51940 823504 16 51764168
-big-001 gam0 | 51940 823504 16 51764168
-big-002 sc   | 6572 98400 5 108568
+big-000 sc   | 2451 32944 2 123120
+big-000 tso  | 17350 270528 7 7863200
+big-000 gam  | 36848 581792 12 48567840
+big-000 gam0 | 67760 1077504 20 70537640
+big-001 sc   | 3481 49248 3 44856
+big-001 tso  | 24206 381104 9 2480056
+big-001 gam  | 51940 823504 16 51122072
+big-001 gam0 | 51940 823504 16 51122072
+big-002 sc   | 6572 98400 4 104320
 big-002 tso  | 42601 676016 13 2740544
 big-002 gam  | 48488 770208 16 24459608
 big-002 gam0 | 88616 1413200 24 35154800

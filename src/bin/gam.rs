@@ -229,9 +229,9 @@ const USAGE: &str = "usage:
                        its partial outcomes and the command exits 3
   --mem-budget BYTES   check/bench: accounted-byte budget per operational
                        exploration; over the soft watermark the explorer
-                       degrades (sleep-cache flush, then spill with
-                       --spill-dir), at the hard limit the check reports
-                       INCONCLUSIVE (memory budget) and check exits 3
+                       spills cold states (with --spill-dir), over the hard
+                       limit the check reports INCONCLUSIVE (memory budget)
+                       and check exits 3
   --spill-dir DIR      check/bench: directory for cold visited-state
                        segments spilled under memory pressure (needs
                        --mem-budget; without it the ladder skips spilling)
