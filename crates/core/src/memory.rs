@@ -35,8 +35,8 @@ pub struct MemoryAccountant {
     pub index_bytes: usize,
     /// Bytes held by the DFS frontier / work stack.
     pub frontier_bytes: usize,
-    /// Bytes held by sleep-set and expansion-cache bookkeeping
-    /// (partial-order reduction only).
+    /// Bytes held by the sleep-set bookkeeping: per-state set ids and the
+    /// deduplicated table of sets (partial-order reduction only).
     pub sleep_bytes: usize,
     /// Bytes that have been spilled to disk (excluded from [`total`]).
     ///
@@ -48,7 +48,7 @@ pub struct MemoryAccountant {
     ///
     /// [`total`]: MemoryAccountant::total
     pub peak_bytes: usize,
-    /// Times the sleep-set caches were flushed under memory pressure.
+    /// Times the sleep-set table was compacted under memory pressure.
     pub sleep_flushes: usize,
 }
 

@@ -436,6 +436,7 @@ impl Engine {
 mod tests {
     use super::*;
     use gam_isa::litmus::library;
+    use gam_operational::Reduction;
 
     #[test]
     fn builder_defaults_and_accessors() {
@@ -516,13 +517,17 @@ mod tests {
         let baseline = Engine::builder()
             .model(ModelKind::Gam)
             .backend(Backend::Operational)
+            .explorer_config(ExplorerConfig {
+                reduction: Reduction::Off,
+                ..ExplorerConfig::default()
+            })
             .build()
             .unwrap()
             .run_suite(&tests);
+        // The default explorer is the reduced one.
         let reduced = Engine::builder()
             .model(ModelKind::Gam)
             .backend(Backend::Operational)
-            .explorer_config(ExplorerConfig::reduced())
             .build()
             .unwrap()
             .run_suite(&tests);

@@ -359,16 +359,12 @@ impl<S: ComposedState> ComponentArena<S> {
     ///
     /// Soundness rests on the `LabeledMachine` contract that a rule mutates
     /// only the acting thread's private state and the declared shared
-    /// memory; debug builds assert it component by component — except for
-    /// a `sparse` state (see `LabeledMachine::labeled_successors_sparse_into`),
-    /// whose components outside the mask hold stale buffer content and are
-    /// never read at all.
+    /// memory; debug builds assert it component by component.
     pub(crate) fn intern_touched(
         &mut self,
         state: &S,
         parent: u32,
         touched: Touched,
-        sparse: bool,
     ) -> Result<(u32, bool), SpillError> {
         debug_assert_eq!(state.procs().len() + 1, self.stride, "constant component count");
         self.fill_scratch_from(parent)?;
@@ -383,7 +379,7 @@ impl<S: ComposedState> ComponentArena<S> {
             }
         } else {
             debug_assert!(
-                sparse || *self.mems.get(self.scratch[0]) == *state.memory(),
+                *self.mems.get(self.scratch[0]) == *state.memory(),
                 "a non-writing action must leave the shared memory intact"
             );
         }
@@ -398,7 +394,7 @@ impl<S: ComposedState> ComponentArena<S> {
                 }
             } else {
                 debug_assert!(
-                    sparse || *self.procs.get(self.scratch[1 + index]) == *proc,
+                    *self.procs.get(self.scratch[1 + index]) == *proc,
                     "an action must leave other threads' private state intact"
                 );
             }

@@ -32,9 +32,13 @@
 //!   with a sleep set that is not a superset of the stored one re-expands it
 //!   with the intersection, which keeps the search exact.
 //!
-//! Under [`Reduction::Off`] the driver keeps its cheap path: *sparse*
-//! successors ([`LabeledMachine::labeled_successors_sparse_into`]) and no
-//! per-slot sleep bookkeeping at all.
+//! [`Reduction::Sleep`] is the default; [`Reduction::Off`] is the
+//! differential reference the tests name explicitly. Either way the search
+//! is *label-first*: the persistent set is chosen from the enabled action
+//! labels ([`LabeledMachine::enabled_actions`]) and only the successors it
+//! keeps are built ([`LabeledMachine::successor_into`]). The reduced
+//! search's per-slot sleep bookkeeping is two `u32` ids into a
+//! deduplicated table of sets; the unreduced one keeps none.
 //!
 //! With [`ExplorerConfig::parallelism`] above one, a run whose state count
 //! passes [`ExplorerConfig::parallel_threshold`] hands its visited set and
@@ -69,19 +73,19 @@ use rustc_hash::{FxBuildHasher, FxHashMap};
 
 use crate::arena::{ComponentArena, ComposedState, Touched};
 use crate::codec;
-use crate::machine::{Action, ActionKind, Footprint, LabeledMachine};
+use crate::machine::{Action, ActionKind, LabeledMachine};
 use crate::spill::{SpillError, SpillStore};
 
 /// The partial-order reduction mode of the exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Reduction {
     /// Visit every interleaving: the persistent set is every enabled action
-    /// and every sleep set is empty. The baseline the reduced modes are
-    /// differentially tested against.
-    #[default]
+    /// and every sleep set is empty. The differential reference the reduced
+    /// mode is tested against; no production run uses it.
     Off,
     /// Persistent-set + sleep-set partial-order reduction over transition
-    /// labels.
+    /// labels (the default).
+    #[default]
     Sleep,
 }
 
@@ -135,7 +139,7 @@ pub struct ExplorerConfig {
     /// one-time migration of the visited set into the shards. `0` shards
     /// after the first expansion (the sharded-continuation tests use it).
     pub parallel_threshold: usize,
-    /// The partial-order reduction mode.
+    /// The partial-order reduction mode ([`Reduction::Sleep`] by default).
     pub reduction: Reduction,
 }
 
@@ -145,17 +149,8 @@ impl Default for ExplorerConfig {
             max_states: 5_000_000,
             parallelism: 1,
             parallel_threshold: 8_192,
-            reduction: Reduction::Off,
+            reduction: Reduction::Sleep,
         }
-    }
-}
-
-impl ExplorerConfig {
-    /// The default limits with the partial-order reduction
-    /// ([`Reduction::Sleep`]).
-    #[must_use]
-    pub fn reduced() -> Self {
-        ExplorerConfig { reduction: Reduction::Sleep, ..ExplorerConfig::default() }
     }
 }
 
@@ -171,9 +166,9 @@ impl ExplorerConfig {
 pub struct MemoryConfig {
     /// Hard in-RAM budget in *accounted* bytes (see
     /// [`gam_core::MemoryAccountant`] — deterministic figures, not allocator
-    /// truth). At 80% the degradation ladder starts: a reduced run flushes
-    /// its sleep-set caches, then cold rows spill. Above 100% after every
-    /// degradation step the exploration stops with
+    /// truth). At 80% the degradation ladder starts: a reduced run (the
+    /// default) compacts its table of sleep sets, then cold rows spill.
+    /// Above 100% after every degradation step the exploration stops with
     /// [`StopReason::MemoryBudget`].
     pub max_bytes: Option<usize>,
     /// Directory for cold arena segments. Without it (or without
@@ -240,7 +235,7 @@ pub struct MemoryStats {
     /// Bytes of spill block frames read back from disk (this incarnation
     /// only: a resumed run counts its own reads).
     pub spill_read_bytes: usize,
-    /// Times the sleep-set caches were flushed under pressure.
+    /// Times the table of sleep sets was compacted under pressure.
     pub sleep_flushes: usize,
 }
 
@@ -421,9 +416,12 @@ impl ActionSet {
         }
     }
 
-    /// Is the set heap-backed (i.e. would dropping it free memory)?
-    pub(crate) fn is_heap(&self) -> bool {
-        matches!(self.repr, ActionSetRepr::Heap(_))
+    /// Accounted bytes beyond the inline footprint: the heap-backed actions.
+    fn heap_bytes(&self) -> usize {
+        match &self.repr {
+            ActionSetRepr::Inline { .. } => 0,
+            ActionSetRepr::Heap(items) => items.len() * std::mem::size_of::<Action>(),
+        }
     }
 
     /// Sorts and deduplicates, restoring the set invariant after pushes.
@@ -475,6 +473,12 @@ impl PartialEq for ActionSet {
 
 impl Eq for ActionSet {}
 
+impl std::hash::Hash for ActionSet {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
 /// A persistent set chosen for one state expansion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Chosen {
@@ -510,8 +514,8 @@ impl Chosen {
 /// 2. **Thread** — a thread whose enabled actions are all thread-private
 ///    (`ActionKind::Local`/`ActionKind::Fence`), or whose memory actions
 ///    are all footprint-disjoint from every other active thread: a read
-///    must miss the others' may-write sets, a write must miss their
-///    may-access sets ([`LabeledMachine::future_footprint`]).
+///    must miss the others' future writes, a write any of their future
+///    accesses ([`LabeledMachine::may_conflict_later`]).
 /// 3. **All** — no candidate qualifies; the state expands fully.
 ///
 /// Only threads with an enabled action are consulted: guards are
@@ -522,9 +526,11 @@ impl Chosen {
 fn choose_persistent<M: LabeledMachine>(
     machine: &M,
     state: &M::State,
-    labeled: &[(Action, M::State)],
+    labels: &[Action],
+    threads: &mut Vec<u32>,
 ) -> Chosen {
-    let mut threads: Vec<u32> = labeled.iter().map(|(action, _)| action.thread).collect();
+    threads.clear();
+    threads.extend(labels.iter().map(|action| action.thread));
     threads.sort_unstable();
     threads.dedup();
     if threads.len() <= 1 {
@@ -532,40 +538,33 @@ fn choose_persistent<M: LabeledMachine>(
         // nothing to prune.
         return Chosen::All;
     }
-    let mut footprints: Option<Vec<(u32, Footprint)>> = None;
-    let mut cross_thread_safe = |machine: &M, action: &Action| -> bool {
-        if !action.kind.touches_memory() {
-            return true;
-        }
-        let footprints = footprints.get_or_insert_with(|| {
-            threads
-                .iter()
-                .map(|&thread| (thread, machine.future_footprint(state, thread as usize)))
-                .collect()
-        });
-        footprints.iter().all(|(other, footprint)| {
-            *other == action.thread
-                || if action.kind.writes_memory() {
-                    !footprint.may_access(action.addr)
-                } else {
-                    !footprint.may_write(action.addr)
-                }
-        })
+    let threads = &threads[..];
+    let cross_thread_safe = |action: &Action| -> bool {
+        !action.kind.touches_memory()
+            || threads.iter().all(|&other| {
+                other == action.thread
+                    || !machine.may_conflict_later(
+                        state,
+                        other as usize,
+                        action.addr,
+                        action.kind.writes_memory(),
+                    )
+            })
     };
 
     // Tier 1: a singleton.
-    for (action, _) in labeled {
-        if machine.own_thread_independent(state, action) && cross_thread_safe(machine, action) {
+    for action in labels {
+        if machine.own_thread_independent(state, action) && cross_thread_safe(action) {
             return Chosen::Single(*action);
         }
     }
     // Tier 2: a whole thread.
-    'candidate: for &candidate in &threads {
-        for (action, _) in labeled {
+    'candidate: for &candidate in threads {
+        for action in labels {
             if action.thread != candidate {
                 continue;
             }
-            if !cross_thread_safe(machine, action) {
+            if !cross_thread_safe(action) {
                 continue 'candidate;
             }
         }
@@ -593,22 +592,33 @@ const HANDOFF_BATCH: usize = 16;
 pub(crate) type StopFn<'a> = &'a (dyn Fn(&Outcome) -> bool + Sync);
 
 /// The reduction of one search, as data: persistent-set choice, sleep-set
-/// inheritance and singleton-chain compression under the reduced modes,
-/// and the degenerate "every action, empty sleep sets" under
-/// [`Reduction::Off`]. The driver, the oracle and each sharded worker own
-/// one, so its scratch buffers are reused across expansions.
+/// inheritance and singleton-chain compression under the reduced mode, and
+/// the degenerate "every action, empty sleep sets" under [`Reduction::Off`].
+/// The search is *label-first*: [`Reducer::begin`] lists the enabled
+/// actions without building any state, the persistent set is chosen from
+/// those labels, and [`Reducer::successor`] builds only the successors the
+/// reduction keeps — one per step of a singleton chain. The sequential
+/// driver, the oracle and each sharded worker own one, so
+/// its scratch buffers are reused across expansions.
 struct Reducer<'m, M: LabeledMachine> {
     machine: &'m M,
     reduction: Reduction,
+    /// The enabled actions of the state being expanded, in the machine's
+    /// order (filled by [`Reducer::begin`]).
+    labels: Vec<Action>,
     /// Actions already explored from the state being expanded: later
     /// siblings independent of them inherit them as sleep entries.
     explored: Vec<Action>,
-    /// Scratch successor buffer of the chain compressor.
-    chain_buf: Vec<(Action, M::State)>,
+    /// Scratch of the chain compressor: the enabled actions of the chained
+    /// state, and a state buffer its successor is built into.
+    chain_labels: Vec<Action>,
+    chain_next: Option<M::State>,
+    /// Scratch of the persistent-set choice: the active threads.
+    threads: Vec<u32>,
     /// The sleep set of the state being expanded, filled by
     /// [`SleepBook::claim`] (always empty under [`Reduction::Off`]).
     asleep: ActionSet,
-    /// The sleep set the successor last passed to [`Reducer::reduce`]
+    /// The sleep set the successor last built by [`Reducer::successor`]
     /// inherits (always empty under [`Reduction::Off`]).
     sleep: ActionSet,
     /// Enabled transitions skipped so far (persistent-set, sleep-set and
@@ -618,28 +628,39 @@ struct Reducer<'m, M: LabeledMachine> {
 
 impl<'m, M: LabeledMachine> Reducer<'m, M> {
     fn new(machine: &'m M, reduction: Reduction) -> Self {
-        let (explored, chain_buf) = (Vec::new(), Vec::new());
-        let (asleep, sleep) = (ActionSet::new(), ActionSet::new());
-        Reducer { machine, reduction, explored, chain_buf, asleep, sleep, pruned: 0 }
+        Reducer {
+            machine,
+            reduction,
+            labels: Vec::new(),
+            explored: Vec::new(),
+            chain_labels: Vec::new(),
+            chain_next: None,
+            threads: Vec::new(),
+            asleep: ActionSet::new(),
+            sleep: ActionSet::new(),
+            pruned: 0,
+        }
     }
 
-    /// Starts the expansion of `state`: picks its persistent set.
-    fn begin(&mut self, state: &M::State, succ: &[(Action, M::State)]) -> Chosen {
+    /// Starts the expansion of `state`: lists its enabled actions into
+    /// [`Reducer::labels`] and picks its persistent set from them.
+    fn begin(&mut self, state: &M::State) -> Chosen {
         self.explored.clear();
+        self.machine.enabled_actions(state, &mut self.labels);
         if self.reduction.is_reduced() {
-            choose_persistent(self.machine, state, succ)
+            choose_persistent(self.machine, state, &self.labels, &mut self.threads)
         } else {
             Chosen::All
         }
     }
 
-    /// Processes the successor `state` reached by `action` from a state
-    /// expanded with persistent set `chosen` and sleep set
-    /// [`Reducer::asleep`], in place:
-    /// prunes it when `action` is outside the persistent set or asleep,
-    /// else derives the sleep set it inherits and advances it through
-    /// states whose persistent set is a *singleton* without interning them
-    /// (chain compression).
+    /// Builds into `next` the successor of `parent` (expanded with
+    /// persistent set `chosen` and sleep set [`Reducer::asleep`]) reached
+    /// by `action`, unless the reduction prunes it: when `action` is
+    /// outside the persistent set or asleep, nothing is built. A kept
+    /// successor inherits a sleep set and is advanced through states whose
+    /// persistent set is a *singleton* without interning them (chain
+    /// compression); each chain step builds exactly its one successor.
     ///
     /// A one-action persistent set leaves exactly one outgoing transition in
     /// the reduced graph — pure bookkeeping on the way to the next genuine
@@ -652,24 +673,25 @@ impl<'m, M: LabeledMachine> Reducer<'m, M> {
     /// Returns `None` when the successor was pruned, else the components
     /// the fired actions may have touched; the inherited sleep set is left
     /// in [`Reducer::sleep`].
-    // Out of line: inlined into the sequential driver, the chain loop
-    // slowed its unreduced hot loop by ~3% on big corpus explorations.
-    #[inline(never)]
-    fn reduce(
+    fn successor(
         &mut self,
         chosen: Chosen,
         action: Action,
-        state: &mut M::State,
+        parent: &M::State,
+        next: &mut M::State,
     ) -> Result<Option<Touched>, ExploreError> {
-        let mut touched = Touched::from_action(&action);
-        if !self.reduction.is_reduced() {
-            return Ok(Some(touched));
-        }
-        if !chosen.keeps(&action) || self.asleep.contains(&action) {
+        let Reducer { machine, explored, chain_labels, chain_next, threads, asleep, sleep, .. } =
+            self;
+        let reduced = self.reduction.is_reduced();
+        if reduced && (!chosen.keeps(&action) || asleep.contains(&action)) {
             self.pruned += 1;
             return Ok(None);
         }
-        let Reducer { machine, explored, chain_buf, asleep, sleep, pruned, .. } = self;
+        machine.successor_into(parent, &action, next);
+        let mut touched = Touched::from_action(&action);
+        if !reduced {
+            return Ok(Some(touched));
+        }
         // The successor sleeps on every inherited or earlier-explored action
         // it is independent of: those orderings are covered by the sibling
         // subtrees.
@@ -683,36 +705,49 @@ impl<'m, M: LabeledMachine> Reducer<'m, M> {
         explored.push(action);
 
         for _ in 0..MAX_CHAIN {
-            if machine.is_final(state) {
+            if machine.is_final(next) {
                 break;
             }
-            machine.labeled_successors_into(state, chain_buf);
-            if chain_buf.is_empty() {
+            machine.enabled_actions(next, chain_labels);
+            if chain_labels.is_empty() {
                 return Err(ExploreError::Deadlock);
             }
-            let Chosen::Single(next) = choose_persistent(*machine, state, chain_buf) else {
+            let Chosen::Single(step) = choose_persistent(*machine, next, chain_labels, threads)
+            else {
                 break;
             };
-            if sleep.contains(&next) {
-                *pruned += 1;
+            if sleep.contains(&step) {
+                self.pruned += 1;
                 return Ok(None);
             }
-            *pruned += chain_buf.len() - 1;
-            let chosen = chain_buf
-                .iter_mut()
-                .find(|(candidate, _)| *candidate == next)
-                .expect("the chosen singleton is enabled");
-            std::mem::swap(state, &mut chosen.1);
-            touched.add_action(&next);
-            sleep.retain(|b| machine.independent(&next, b));
+            self.pruned += chain_labels.len() - 1;
+            let built = chain_next.get_or_insert_with(|| next.clone());
+            machine.successor_into(next, &step, built);
+            std::mem::swap(next, built);
+            touched.add_action(&step);
+            sleep.retain(|b| machine.independent(&step, b));
         }
         Ok(Some(touched))
     }
 }
 
+/// The id of the empty sleep set in every [`SleepBook`] table.
+const EMPTY_SET: u32 = 0;
+
+/// A [`SleepBook`] expansion entry of a slot that was never expanded.
+const NOT_EXPANDED: u32 = u32::MAX;
+
+/// Accounted bytes of one [`SleepBook`] table entry besides its heap-backed
+/// actions: the inline set plus its hash-index entry.
+const SLEEP_TABLE_ENTRY_BYTES: usize =
+    std::mem::size_of::<ActionSet>() + std::mem::size_of::<(u64, Bucket)>();
+
 /// The per-slot sleep-set bookkeeping of an exploration, parallel to its
 /// visited set: the smallest sleep set each slot has been reached with,
-/// and the sleep set of its last expansion (`None` = never expanded).
+/// and the sleep set of its last expansion ([`NOT_EXPANDED`] = never).
+/// Both are `u32` ids into a deduplicated table of sets, so a slot costs
+/// 8 bytes however big its sets are; a reduced search meets only a few
+/// distinct sets, and most slots name the empty one.
 ///
 /// Each stored set only shrinks, and a slot is re-queued exactly when it
 /// shrinks, so every visit's obligations are met and the search
@@ -720,13 +755,43 @@ impl<'m, M: LabeledMachine> Reducer<'m, M> {
 /// is a first expansion with an empty sleep set, and no revisit re-queues.
 struct SleepBook {
     reduced: bool,
-    sleep_sets: Vec<ActionSet>,
-    expanded_with: Vec<Option<ActionSet>>,
+    /// Every distinct set a slot names or named, once; id 0 is the empty set.
+    table: InternedStates<ActionSet>,
+    /// Accounted bytes of `table` (length-based, so a resumed run that
+    /// decodes the same table reports the same figure).
+    table_bytes: usize,
+    /// Per slot: the id of the smallest sleep set it has been reached with.
+    sleep: Vec<u32>,
+    /// Per slot: the id of the sleep set of its last expansion, or
+    /// [`NOT_EXPANDED`].
+    expanded: Vec<u32>,
 }
 
 impl SleepBook {
     fn new(reduced: bool) -> Self {
-        SleepBook { reduced, sleep_sets: Vec::new(), expanded_with: Vec::new() }
+        let mut book = SleepBook {
+            reduced,
+            table: InternedStates::default(),
+            table_bytes: 0,
+            sleep: Vec::new(),
+            expanded: Vec::new(),
+        };
+        if reduced {
+            book.intern(&ActionSet::new());
+        }
+        book
+    }
+
+    /// The table id of `set`, adding it when new.
+    fn intern(&mut self, set: &ActionSet) -> u32 {
+        if set.as_slice().is_empty() && !self.table.is_empty() {
+            return EMPTY_SET;
+        }
+        let (id, is_new) = self.table.intern_ref(set);
+        if is_new {
+            self.table_bytes += SLEEP_TABLE_ENTRY_BYTES + set.heap_bytes();
+        }
+        id
     }
 
     /// Claims `slot` for expansion: copies its sleep set into `asleep` and
@@ -737,21 +802,25 @@ impl SleepBook {
         if !self.reduced {
             return Some(true);
         }
-        let stored = &self.sleep_sets[slot as usize];
-        let previous = &mut self.expanded_with[slot as usize];
-        if previous.as_ref().is_some_and(|previous| previous.is_subset(stored)) {
+        let stored = self.sleep[slot as usize];
+        let previous = std::mem::replace(&mut self.expanded[slot as usize], stored);
+        // The stored set only shrinks after an expansion recorded it, so
+        // the last expansion covers it exactly when it is the same set —
+        // and equal sets share one id.
+        if previous == stored {
             return None;
         }
-        asleep.clone_from(stored);
-        Some(previous.replace(stored.clone()).is_none())
+        asleep.clone_from(self.table.get(stored));
+        Some(previous == NOT_EXPANDED)
     }
 
     /// Registers a freshly interned slot reached with sleep set `sleep`.
     #[inline]
     fn push(&mut self, sleep: &ActionSet) {
         if self.reduced {
-            self.sleep_sets.push(sleep.clone());
-            self.expanded_with.push(None);
+            let id = self.intern(sleep);
+            self.sleep.push(id);
+            self.expanded.push(NOT_EXPANDED);
         }
     }
 
@@ -762,34 +831,64 @@ impl SleepBook {
         if !self.reduced {
             return false;
         }
-        let stored = &mut self.sleep_sets[slot as usize];
+        let stored_id = self.sleep[slot as usize];
+        if stored_id == EMPTY_SET {
+            return false;
+        }
+        let stored = self.table.get(stored_id);
         if stored.is_subset(sleep) {
             return false;
         }
-        *stored = stored.intersect(sleep);
+        let shrunk = stored.intersect(sleep);
+        self.sleep[slot as usize] = self.intern(&shrunk);
         true
     }
 
-    /// The accounted footprint (inline sizes only — lengths, never
-    /// capacities, so the figure survives a checkpoint resume).
-    fn bytes(&self) -> usize {
-        self.sleep_sets.len() * std::mem::size_of::<ActionSet>()
-            + self.expanded_with.len() * std::mem::size_of::<Option<ActionSet>>()
+    /// Appends slot `slot` of `from` (a book of the same reduction) to this
+    /// book, re-interning its sets into this book's table.
+    fn adopt(&mut self, from: &SleepBook, slot: usize) {
+        if !self.reduced {
+            return;
+        }
+        let sleep = self.intern(from.table.get(from.sleep[slot]));
+        let expanded = match from.expanded[slot] {
+            NOT_EXPANDED => NOT_EXPANDED,
+            id => self.intern(from.table.get(id)),
+        };
+        self.sleep.push(sleep);
+        self.expanded.push(expanded);
     }
 
-    /// Drops every heap-backed entry. Sound: an emptied sleep set or a
-    /// cleared expansion cache only causes redundant re-expansion, never a
-    /// missed state.
-    fn flush_heap(&mut self) {
-        for set in &mut self.sleep_sets {
-            if set.is_heap() {
-                *set = ActionSet::new();
-            }
+    /// The accounted footprint: two ids per slot plus the table (lengths,
+    /// never capacities, so the figure survives a checkpoint resume).
+    fn bytes(&self) -> usize {
+        (self.sleep.len() + self.expanded.len()) * std::mem::size_of::<u32>() + self.table_bytes
+    }
+
+    /// Compacts the table to the sets some slot still names: a set a
+    /// shrinking revisit replaced is dropped, the rest are renumbered in
+    /// slot order. Lossless — every slot keeps its sets, so the search goes
+    /// on exactly as it would have.
+    fn compact(&mut self) {
+        if !self.reduced {
+            return;
         }
-        for entry in &mut self.expanded_with {
-            if entry.as_ref().is_some_and(ActionSet::is_heap) {
-                *entry = None;
+        let old = std::mem::take(&mut self.table);
+        self.table_bytes = 0;
+        self.intern(&ActionSet::new());
+        let mut renumbered = vec![NOT_EXPANDED; old.len()];
+        renumbered[EMPTY_SET as usize] = EMPTY_SET;
+        for id in self.sleep.iter_mut().chain(self.expanded.iter_mut()) {
+            if *id == NOT_EXPANDED {
+                continue;
             }
+            let new_id = &mut renumbered[*id as usize];
+            if *new_id == NOT_EXPANDED {
+                let set = old.get(*id);
+                *new_id = self.table.intern_ref(set).0;
+                self.table_bytes += SLEEP_TABLE_ENTRY_BYTES + set.heap_bytes();
+            }
+            *id = *new_id;
         }
     }
 }
@@ -873,19 +972,21 @@ const SPILL_CHUNK_ROWS: usize = 64 * 1024;
 /// Rows always kept resident: the hot tail the DFS is actively revisiting.
 const MIN_RESIDENT_ROWS: usize = 256;
 
-/// Minimum interned-state growth between two sleep-cache flushes, so the
-/// ladder's first rung does not spin when flushing frees little.
+/// Minimum interned-state growth between two sleep-table compactions, so
+/// the ladder's first rung does not spin when compacting frees little.
 const FLUSH_SPACING_STATES: usize = 1024;
 
 /// Snapshot driver tags ([`CheckpointPlan`] payload versioning within the
 /// `gam-explore-checkpoint/v1` record that wraps these bytes): an unreduced
-/// search, and a reduced one whose sleep bookkeeping follows the frontier.
+/// search, and a reduced one whose interned sleep bookkeeping follows the
+/// frontier. Tag 2 was the reduced encoding with inline per-slot sets; a
+/// snapshot carrying it no longer decodes, so its run restarts.
 const SNAP_COMPOSED: u8 = 1;
-const SNAP_REDUCED: u8 = 2;
+const SNAP_REDUCED: u8 = 3;
 
 /// The memory governor of a budgeted exploration: refreshes the
 /// [`MemoryAccountant`] at poll cadence and walks the degradation ladder
-/// (flush sleep caches → spill cold rows → hard stop).
+/// (compact the sleep table → spill cold rows → hard stop).
 struct MemGovernor {
     max_bytes: usize,
     soft_bytes: usize,
@@ -893,7 +994,7 @@ struct MemGovernor {
     /// Cleared after a spill *write* failure: rows stay resident from then
     /// on (already-written segments remain readable).
     spill_enabled: bool,
-    /// Arena size at which the next sleep-cache flush is allowed.
+    /// Arena size at which the next sleep-table compaction is allowed.
     next_flush_ok_at: usize,
 }
 
@@ -950,21 +1051,21 @@ impl MemGovernor {
         frontier_len: usize,
         book: &mut SleepBook,
     ) -> Result<(), StopReason> {
-        let sleep_bytes = book.bytes();
-        let mut total = self.refresh(arena, frontier_len, sleep_bytes);
+        let mut total = self.refresh(arena, frontier_len, book.bytes());
         if total < self.soft_bytes {
             return Ok(());
         }
-        // Rung 1 (reduced runs): drop the heap-backed sleep bookkeeping. The
-        // accounted total only tracks the inline footprint, so this rung
-        // relieves real RSS without moving the deterministic figure — the
-        // ladder does not wait on it.
+        // Rung 1 (reduced runs): compact the sleep table to the sets some
+        // slot still names. Lossless, so the search is unchanged; the
+        // accounted total drops by the dropped sets.
         if book.reduced && arena.len() >= self.next_flush_ok_at {
-            book.flush_heap();
+            book.compact();
             self.acct.sleep_flushes += 1;
             self.next_flush_ok_at = arena.len() + FLUSH_SPACING_STATES;
             gam_obs::trace::event("explore.sleep_flush", &[("states", arena.len().to_string())]);
+            total = self.refresh(arena, frontier_len, book.bytes());
         }
+        let sleep_bytes = book.bytes();
         // Rung 2: spill the oldest resident rows until back under the soft
         // watermark (or out of spillable rows). A write failure stops
         // spilling for good but never the exploration.
@@ -1151,18 +1252,14 @@ fn encode_snapshot<S: ComposedState>(
         codec::put_u32(&mut out, slot);
     }
     if book.reduced {
-        codec::put_usize(&mut out, book.sleep_sets.len());
-        for set in &book.sleep_sets {
-            encode_action_set(set, &mut out);
+        codec::put_usize(&mut out, book.table.len());
+        for id in 0..book.table.len() {
+            encode_action_set(book.table.get(id as u32), &mut out);
         }
-        codec::put_usize(&mut out, book.expanded_with.len());
-        for entry in &book.expanded_with {
-            match entry {
-                Some(set) => {
-                    codec::put_u8(&mut out, 1);
-                    encode_action_set(set, &mut out);
-                }
-                None => codec::put_u8(&mut out, 0),
+        for ids in [&book.sleep, &book.expanded] {
+            codec::put_usize(&mut out, ids.len());
+            for &id in ids {
+                codec::put_u32(&mut out, id);
             }
         }
     }
@@ -1205,20 +1302,24 @@ fn decode_snapshot<S: ComposedState>(
     let mut book = SleepBook::new(reduced);
     if reduced {
         let sets_len = codec::take_usize(input).ok_or_else(truncated)?;
-        for _ in 0..sets_len {
-            book.sleep_sets.push(decode_action_set(input).ok_or_else(truncated)?);
+        for index in 0..sets_len {
+            let set = decode_action_set(input).ok_or_else(truncated)?;
+            if book.intern(&set) as usize != index {
+                return Err("snapshot sleep table is not deduplicated".to_string());
+            }
         }
-        let expanded_len = codec::take_usize(input).ok_or_else(truncated)?;
-        for _ in 0..expanded_len {
-            let entry = match codec::take_u8(input).ok_or_else(truncated)? {
-                0 => None,
-                1 => Some(decode_action_set(input).ok_or_else(truncated)?),
-                _ => return Err("bad expansion-cache flag in snapshot".to_string()),
-            };
-            book.expanded_with.push(entry);
-        }
-        if book.sleep_sets.len() != arena.len() || book.expanded_with.len() != arena.len() {
-            return Err("snapshot sleep bookkeeping does not cover the arena".to_string());
+        for (ids, unset_ok) in [(&mut book.sleep, false), (&mut book.expanded, true)] {
+            let len = codec::take_usize(input).ok_or_else(truncated)?;
+            if len != arena.len() {
+                return Err("snapshot sleep bookkeeping does not cover the arena".to_string());
+            }
+            for _ in 0..len {
+                let id = codec::take_u32(input).ok_or_else(truncated)?;
+                if (id as usize) >= sets_len && !(unset_ok && id == NOT_EXPANDED) {
+                    return Err(format!("snapshot names unknown sleep set {id}"));
+                }
+                ids.push(id);
+            }
         }
     }
     if !input.is_empty() {
@@ -1351,25 +1452,26 @@ impl Explorer {
         let (root, _) = visited.intern(machine.initial_state());
         book.push(&ActionSet::new());
         let mut stack = vec![root];
-        let mut succ: Vec<(Action, M::State)> = Vec::new();
+        let mut state = machine.initial_state();
+        let mut next = machine.initial_state();
         let mut outcomes = BTreeSet::new();
         let mut final_states = 0usize;
         while let Some(slot) = stack.pop() {
             let Some(first_expansion) = book.claim(slot, &mut reducer.asleep) else { continue };
-            let state = visited.get(slot);
-            machine.labeled_successors_into(state, &mut succ);
-            if machine.is_final(state) {
+            state.clone_from(visited.get(slot));
+            let chosen = reducer.begin(&state);
+            if machine.is_final(&state) {
                 final_states += usize::from(first_expansion);
-                outcomes.insert(machine.outcome(state));
-            } else if succ.is_empty() {
+                outcomes.insert(machine.outcome(&state));
+            } else if reducer.labels.is_empty() {
                 return Err(ExploreError::Deadlock);
             }
-            let chosen = reducer.begin(state, &succ);
-            for (action, next) in &mut succ {
-                if reducer.reduce(chosen, *action, next)?.is_none() {
+            for index in 0..reducer.labels.len() {
+                let action = reducer.labels[index];
+                if reducer.successor(chosen, action, &state, &mut next)?.is_none() {
                     continue;
                 }
-                let (next_slot, is_new) = visited.intern_ref(next);
+                let (next_slot, is_new) = visited.intern_ref(&next);
                 if is_new {
                     if visited.len() > self.config.max_states {
                         return Err(ExploreError::StateLimitExceeded {
@@ -1423,13 +1525,11 @@ impl Explorer {
 
     /// The sequential driver over the component arena.
     ///
-    /// The expansion state is reassembled into one scratch buffer,
-    /// successors are produced through the pooled
-    /// [`LabeledMachine::labeled_successors_into`] buffer (the sparse form
-    /// under [`Reduction::Off`], whose successors are valid only in the
-    /// components their label touches), and every successor is
-    /// deduplicated against its parent's component row through that same
-    /// label-derived mask.
+    /// The expansion state is reassembled into one scratch buffer, the
+    /// search is label-first ([`Reducer`]): only the successors the
+    /// reduction keeps are built, each into one reused buffer, and every
+    /// successor is deduplicated against its parent's component row
+    /// through the label-derived mask of the actions that reached it.
     fn sequential<M>(
         &self,
         machine: &M,
@@ -1474,7 +1574,7 @@ impl Explorer {
         let mut governor = MemGovernor::new(&self.memory);
         let plan = self.memory.checkpoint.clone();
         let hard_budget = self.memory.max_bytes.unwrap_or(0);
-        let mut succ: Vec<(Action, M::State)> = Vec::new();
+        let mut next = machine.initial_state();
         let mut witness = None;
 
         let progress = ProgressTicker::new();
@@ -1515,11 +1615,7 @@ impl Explorer {
             arena
                 .load(slot, &mut current)
                 .map_err(|err| spill_read_interrupt(hard_budget, arena.len(), &outcomes, &err))?;
-            if reduced {
-                machine.labeled_successors_into(&current, &mut succ);
-            } else {
-                machine.labeled_successors_sparse_into(&current, &mut succ);
-            }
+            let chosen = reducer.begin(&current);
             if machine.is_final(&current) {
                 final_states += usize::from(first_expansion);
                 let outcome = machine.outcome(&current);
@@ -1529,25 +1625,17 @@ impl Explorer {
                     break;
                 }
                 outcomes.insert(outcome);
-            } else if succ.is_empty() {
+            } else if reducer.labels.is_empty() {
                 return Err(ExploreError::Deadlock);
             }
 
-            let chosen = reducer.begin(&current, &succ);
-            for (action, next) in &mut succ {
-                // The unreduced search bypasses the reducer: this is the hot
-                // loop of every production exploration, and the reducer's
-                // answer under `Off` is exactly the action's own mask.
-                let touched = if reduced {
-                    let Some(touched) = reducer.reduce(chosen, *action, next)? else {
-                        continue;
-                    };
-                    touched
-                } else {
-                    Touched::from_action(action)
+            for index in 0..reducer.labels.len() {
+                let action = reducer.labels[index];
+                let Some(touched) = reducer.successor(chosen, action, &current, &mut next)? else {
+                    continue;
                 };
                 let (next_slot, is_new) =
-                    arena.intern_touched(next, slot, touched, !reduced).map_err(|err| {
+                    arena.intern_touched(&next, slot, touched).map_err(|err| {
                         spill_read_interrupt(hard_budget, arena.len(), &outcomes, &err)
                     })?;
                 if is_new {
@@ -1698,16 +1786,12 @@ impl Explorer {
         {
             let mut locked: Vec<_> =
                 shards.iter().map(|shard| shard.lock().expect("shard lock")).collect();
-            let mut entries = seed.book.sleep_sets.into_iter().zip(seed.book.expanded_with);
-            for state in seed.states {
+            for (slot, state) in seed.states.into_iter().enumerate() {
                 let hash = seeding_hasher.hash_one(&state);
                 let target = shard_of(hash);
                 let shard = &mut locked[target];
                 let (index, _) = shard.states.intern_hashed(hash, state);
-                if let Some((sleep, expanded)) = entries.next() {
-                    shard.book.sleep_sets.push(sleep);
-                    shard.book.expanded_with.push(expanded);
-                }
+                shard.book.adopt(&seed.book, slot);
                 address.push((target as u32, index));
             }
         }
@@ -1733,6 +1817,9 @@ impl Explorer {
                 scope.spawn(|| {
                     let hasher = FxBuildHasher::default();
                     let mut reducer = Reducer::new(machine, self.config.reduction);
+                    // A built state that the reduction then pruned (its
+                    // chain ran into a sleeping action) is reused.
+                    let mut spare: Option<M::State> = None;
                     let mut local: Vec<(u32, u32)> = Vec::new();
                     let mut outcomes = BTreeSet::new();
                     let mut batch: Vec<(u32, u32)> = Vec::new();
@@ -1782,7 +1869,7 @@ impl Explorer {
                                 continue;
                             };
 
-                            let labeled = machine.labeled_successors(&state);
+                            let chosen = reducer.begin(&state);
                             if machine.is_final(&state) {
                                 final_count
                                     .fetch_add(usize::from(first_expansion), Ordering::Relaxed);
@@ -1792,16 +1879,20 @@ impl Explorer {
                                     abort.store(true, Ordering::Relaxed);
                                 }
                                 outcomes.insert(outcome);
-                            } else if labeled.is_empty() {
+                            } else if reducer.labels.is_empty() {
                                 deadlocked.store(true, Ordering::Relaxed);
                                 abort.store(true, Ordering::Relaxed);
                             }
 
-                            let chosen = reducer.begin(&state, &labeled);
-                            for (action, mut successor) in labeled {
-                                match reducer.reduce(chosen, action, &mut successor) {
+                            for index in 0..reducer.labels.len() {
+                                let action = reducer.labels[index];
+                                let mut successor = spare.take().unwrap_or_else(|| state.clone());
+                                match reducer.successor(chosen, action, &state, &mut successor) {
                                     Ok(Some(_)) => {}
-                                    Ok(None) => continue,
+                                    Ok(None) => {
+                                        spare = Some(successor);
+                                        continue;
+                                    }
                                     Err(_) => {
                                         // Chains only fail by deadlock.
                                         deadlocked.store(true, Ordering::Relaxed);
@@ -1998,6 +2089,10 @@ impl<S: std::hash::Hash + Eq> InternedStates<S> {
 
     pub(crate) fn len(&self) -> usize {
         self.arena.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.arena.is_empty()
     }
 }
 
@@ -2254,6 +2349,11 @@ mod tests {
             }
             out
         }
+    }
+
+    /// The unreduced reference configuration.
+    fn unreduced() -> ExplorerConfig {
+        ExplorerConfig { reduction: Reduction::Off, ..ExplorerConfig::default() }
     }
 
     #[test]
@@ -2546,9 +2646,9 @@ mod tests {
     #[test]
     fn persistent_sets_collapse_independent_local_threads() {
         let machine = TwoLocalCounters { len: 4 };
-        let full = Explorer::default().explore(&machine).unwrap();
+        let full = Explorer::new(unreduced()).explore(&machine).unwrap();
         assert_eq!(full.states_visited, 25, "the full space is the 5x5 grid");
-        let reduced = Explorer::new(ExplorerConfig::reduced()).explore(&machine).unwrap();
+        let reduced = Explorer::default().explore(&machine).unwrap();
         assert_eq!(reduced.outcomes, full.outcomes);
         assert_eq!(
             reduced.states_visited, 9,
@@ -2560,7 +2660,7 @@ mod tests {
     #[test]
     fn sleep_sets_prune_commuting_diamonds() {
         let machine = DisjointWrites;
-        let full = Explorer::default().explore(&machine).unwrap();
+        let full = Explorer::new(unreduced()).explore(&machine).unwrap();
         let reduced =
             Explorer::new(ExplorerConfig { reduction: Reduction::Sleep, ..Default::default() })
                 .explore(&machine)
@@ -2595,7 +2695,7 @@ mod tests {
             }
         }
         // The full exploration still reports the whole space.
-        let full = Explorer::default().explore(&machine).unwrap();
+        let full = Explorer::new(unreduced()).explore(&machine).unwrap();
         assert_eq!(full.states_visited, 1 + 40 + 40 * 40);
     }
 
@@ -2654,7 +2754,7 @@ mod tests {
     #[test]
     fn parallel_reduced_matches_sequential_outcomes() {
         let machine = TwoLocalCounters { len: 6 };
-        let baseline = Explorer::default().explore(&machine).unwrap();
+        let baseline = Explorer::new(unreduced()).explore(&machine).unwrap();
         let reduction = Reduction::Sleep;
         for workers in [2, 4] {
             let reduced = Explorer::new(ExplorerConfig {
@@ -2709,8 +2809,8 @@ mod tests {
         assert_eq!(Reduction::Sleep.to_string(), "sleep");
         assert!(!Reduction::Off.is_reduced());
         assert!(Reduction::Sleep.is_reduced());
-        assert_eq!(Reduction::default(), Reduction::Off);
-        assert_eq!(ExplorerConfig::reduced().reduction, Reduction::Sleep);
+        assert_eq!(Reduction::default(), Reduction::Sleep);
+        assert_eq!(ExplorerConfig::default().reduction, Reduction::Sleep);
     }
 
     #[test]
@@ -2842,6 +2942,49 @@ mod tests {
                 1 | 2 => vec![Colliding(3)],
                 _ => vec![],
             })
+        }
+    }
+
+    /// Every snapshot of a checkpointed run resumes to the uninterrupted
+    /// run's outcomes and counters under both reductions, and emits the
+    /// uninterrupted run's snapshots from there on; a snapshot carrying the
+    /// retired reduced tag (2) is ignored and its run restarts from scratch.
+    #[test]
+    fn every_snapshot_resumes_to_the_uninterrupted_counters() {
+        let machine = crate::gam::GamMachine::new(&gam_isa::litmus::library::iriw());
+        let counters = |e: &Exploration| {
+            (e.outcomes.clone(), e.states_visited, e.final_states, e.transitions_pruned)
+        };
+        for reduction in Reduction::ALL {
+            let snapshots: Arc<Mutex<Vec<Vec<u8>>>> = Arc::default();
+            let taken = Arc::clone(&snapshots);
+            let sink: SnapshotSink =
+                Arc::new(move |bytes: &[u8]| taken.lock().expect("sink").push(bytes.to_vec()));
+            let run = |resume: Option<Vec<u8>>| {
+                let checkpoint = CheckpointPlan {
+                    every_expansions: 8,
+                    sink: Arc::clone(&sink),
+                    resume: resume.map(Arc::new),
+                };
+                let memory = MemoryConfig { checkpoint: Some(checkpoint), ..Default::default() };
+                let config = ExplorerConfig { reduction, ..Default::default() };
+                let exploration = Explorer::new(config).with_memory(memory).explore(&machine);
+                let emitted = std::mem::take(&mut *snapshots.lock().expect("sink"));
+                (exploration.expect("explores"), emitted)
+            };
+            let (full, all) = run(None);
+            assert!(all.len() >= 3, "{reduction}: {} snapshots", all.len());
+            for (index, snapshot) in all.iter().enumerate() {
+                let (resumed, emitted) = run(Some(snapshot.clone()));
+                assert_eq!(counters(&resumed), counters(&full), "{reduction}: snapshot {index}");
+                // The resumed run re-emits the snapshot it starts from.
+                assert!(emitted == all[index..], "{reduction}: snapshots after {index}");
+            }
+            let mut retired = all[all.len() / 2].clone();
+            retired[0] = 2;
+            let (restarted, emitted) = run(Some(retired));
+            assert_eq!(counters(&restarted), counters(&full), "{reduction}: retired tag");
+            assert!(emitted == all, "{reduction}: a retired snapshot restarts the run");
         }
     }
 

@@ -1,5 +1,5 @@
 //! Static address-footprint precomputation for the machines'
-//! [`LabeledMachine::future_footprint`](crate::machine::LabeledMachine::future_footprint)
+//! [`LabeledMachine::may_conflict_later`](crate::machine::LabeledMachine::may_conflict_later)
 //! implementations.
 //!
 //! The value-set dataflow pass of the axiomatic backend

@@ -30,7 +30,7 @@ use gam_isa::{Instruction, MemAccessType, Operand, Program, Reg, ThreadProgram, 
 
 use crate::codec;
 use crate::footprint;
-use crate::machine::{AbstractMachine, Action, Footprint, LabeledMachine, SuccBuf};
+use crate::machine::{AbstractMachine, Action, LabeledMachine, SuccBuf};
 use crate::mem::Memory;
 
 /// Rule tags packed into [`Action::id`] (`tag | rob_index << 3`) so that the
@@ -50,6 +50,13 @@ mod tag {
 /// fetches) into an action id.
 fn act_id(rule: u32, ordinal: usize) -> u32 {
     rule | (ordinal as u32) << 3
+}
+
+/// Does `instr` write `reg` (is `reg` in its write set)? The rule guards
+/// ask this of every older ROB entry, so it must not allocate the way
+/// `Instruction::write_set` does.
+fn writes_reg(instr: &Instruction, reg: Reg) -> bool {
+    matches!(instr, Instruction::Alu { dst, .. } | Instruction::Load { dst, .. } if *dst == reg)
 }
 
 /// Configuration of the GAM abstract machine.
@@ -322,7 +329,7 @@ impl GamMachine {
     ) -> Option<Value> {
         for older in rob[..index].iter().rev() {
             let instr = self.instruction(proc, older);
-            if instr.write_set().contains(&reg) {
+            if writes_reg(instr, reg) {
                 return if older.done { Some(older.result) } else { None };
             }
         }
@@ -418,7 +425,11 @@ impl GamMachine {
         }
         let (entry, predictions) = self.fetch_entry(proc, pc);
         for predicted in predictions {
-            let next = out.push_from(state, Action::local(proc, act_id(tag::FETCH, predicted)));
+            let Some(next) =
+                out.push_from(state, Action::local(proc, act_id(tag::FETCH, predicted)))
+            else {
+                continue;
+            };
             let mut fetched = entry;
             fetched.predicted_target = predicted;
             next.procs[proc].rob.push(fetched);
@@ -443,7 +454,9 @@ impl GamMachine {
         else {
             return;
         };
-        let next = out.push_from(state, Action::local(proc, act_id(tag::ALU, index)));
+        let Some(next) = out.push_from(state, Action::local(proc, act_id(tag::ALU, index))) else {
+            return;
+        };
         let entry = &mut next.procs[proc].rob[index];
         entry.result = op.apply(a, b);
         entry.done = true;
@@ -473,7 +486,10 @@ impl GamMachine {
             entry.instr_index + 1
         };
         let predicted = entry.predicted_target;
-        let next = out.push_from(state, Action::local(proc, act_id(tag::BRANCH, index)));
+        let Some(next) = out.push_from(state, Action::local(proc, act_id(tag::BRANCH, index)))
+        else {
+            return;
+        };
         next.procs[proc].rob[index].done = true;
         if actual != predicted {
             next.procs[proc].rob.truncate(index + 1);
@@ -503,7 +519,10 @@ impl GamMachine {
         if !older_done {
             return;
         }
-        let next = out.push_from(state, Action::fence(proc, act_id(tag::FENCE, index)));
+        let Some(next) = out.push_from(state, Action::fence(proc, act_id(tag::FENCE, index)))
+        else {
+            return;
+        };
         next.procs[proc].rob[index].done = true;
     }
 
@@ -563,7 +582,9 @@ impl GamMachine {
             },
             None => (state.memory.read(addr), Action::read(proc, act_id(tag::LOAD, index), addr)),
         };
-        let next = out.push_from(state, action);
+        let Some(next) = out.push_from(state, action) else {
+            return;
+        };
         let entry = &mut next.procs[proc].rob[index];
         entry.result = value;
         entry.done = true;
@@ -587,7 +608,10 @@ impl GamMachine {
         let Some(value) = self.operand_value(proc, rob, index, data) else {
             return;
         };
-        let next = out.push_from(state, Action::local(proc, act_id(tag::STORE_DATA, index)));
+        let Some(next) = out.push_from(state, Action::local(proc, act_id(tag::STORE_DATA, index)))
+        else {
+            return;
+        };
         let entry = &mut next.procs[proc].rob[index];
         entry.data = value;
         entry.data_avail = true;
@@ -631,7 +655,11 @@ impl GamMachine {
             return;
         }
         let data = entry.data;
-        let next = out.push_from(state, Action::commit(proc, act_id(tag::STORE, index), addr));
+        let Some(next) =
+            out.push_from(state, Action::commit(proc, act_id(tag::STORE, index), addr))
+        else {
+            return;
+        };
         next.memory.write(addr, data);
         let entry = &mut next.procs[proc].rob[index];
         entry.result = data;
@@ -660,7 +688,9 @@ impl GamMachine {
         };
         let addr = addr_expr.evaluate(base).raw();
 
-        let next = out.push_from(state, Action::local(proc, act_id(tag::ADDR, index)));
+        let Some(next) = out.push_from(state, Action::local(proc, act_id(tag::ADDR, index))) else {
+            return;
+        };
         {
             let entry = &mut next.procs[proc].rob[index];
             entry.addr_avail = true;
@@ -719,9 +749,7 @@ impl AbstractMachine for GamMachine {
                         .rob
                         .iter()
                         .rev()
-                        .find(|entry| {
-                            entry.done && self.instruction(p, entry).write_set().contains(reg)
-                        })
+                        .find(|entry| entry.done && writes_reg(self.instruction(p, entry), *reg))
                         .map(|entry| entry.result)
                         .unwrap_or(Value::ZERO)
                 }
@@ -781,12 +809,12 @@ impl LabeledMachine for GamMachine {
     ///
     /// Branchy programs fetch speculatively and squash across branches, so
     /// any unfinished thread is conservatively unbounded there.
-    fn future_footprint(&self, state: &GamState, thread: usize) -> Footprint {
+    fn may_conflict_later(&self, state: &GamState, thread: usize, addr: u64, write: bool) -> bool {
         let proc = &state.procs[thread];
         if !self.eager_fetch {
             let finished =
                 proc.pc >= self.thread(thread).len() && proc.rob.iter().all(|entry| entry.done);
-            return if finished { Footprint::empty() } else { Footprint::top() };
+            return !finished;
         }
         let unstable_from = proc
             .rob
@@ -796,47 +824,53 @@ impl LabeledMachine for GamMachine {
                 (instr.is_load() || instr.is_store()) && !entry.addr_avail
             })
             .unwrap_or(usize::MAX);
-        let mut footprint = Footprint::empty();
-        for (index, entry) in proc.rob.iter().enumerate() {
+        proc.rob.iter().enumerate().any(|(index, entry)| {
+            // Stores conflict with any access; loads only with a write.
             let instr = self.instruction(thread, entry);
-            let target = if instr.is_load() {
-                &mut footprint.reads
-            } else if instr.is_store() {
-                &mut footprint.writes
-            } else {
-                continue;
-            };
-            if index < unstable_from {
-                if !entry.done {
-                    // Older than every unresolved address: the address is
-                    // known (by definition of `unstable_from`) and the entry
-                    // cannot be squashed.
-                    target.insert(entry.addr);
-                }
-            } else {
-                target.union_with(&self.static_addrs[thread][entry.instr_index]);
+            if !(instr.is_store() || write && instr.is_load()) {
+                return false;
             }
-        }
-        footprint
+            if index < unstable_from {
+                // Older than every unresolved address: the address is known
+                // (by definition of `unstable_from`) and the entry cannot be
+                // squashed.
+                !entry.done && entry.addr == addr
+            } else {
+                self.static_addrs[thread][entry.instr_index].may_contain(addr)
+            }
+        })
     }
 
     fn labeled_successors(&self, state: &GamState) -> Vec<(Action, GamState)> {
         let mut out = Vec::new();
-        self.labeled_successors_into(state, &mut out);
+        self.successors_into_buf(state, SuccBuf::new(&mut out));
         out
     }
 
-    fn labeled_successors_into(&self, state: &GamState, out: &mut Vec<(Action, GamState)>) {
-        self.successors_into_buf(state, SuccBuf::new(out));
+    fn enabled_actions(&self, state: &GamState, out: &mut Vec<Action>) {
+        self.successors_into_buf(state, SuccBuf::labels(out));
     }
 
-    fn labeled_successors_sparse_into(&self, state: &GamState, out: &mut Vec<(Action, GamState)>) {
-        self.successors_into_buf(state, SuccBuf::new_sparse(out));
+    /// Fires the one rule the label's tag and ROB index name.
+    fn successor_into(&self, state: &GamState, action: &Action, out: &mut GamState) {
+        let (proc, index) = (action.thread as usize, (action.id >> 3) as usize);
+        let mut buf = SuccBuf::one(*action, out);
+        match action.id & 7 {
+            tag::FETCH => self.rule_fetch(state, proc, &mut buf),
+            tag::ALU => self.rule_execute_alu(state, proc, index, &mut buf),
+            tag::BRANCH => self.rule_execute_branch(state, proc, index, &mut buf),
+            tag::FENCE => self.rule_execute_fence(state, proc, index, &mut buf),
+            tag::LOAD => self.rule_execute_load(state, proc, index, &mut buf),
+            tag::STORE_DATA => self.rule_compute_store_data(state, proc, index, &mut buf),
+            tag::STORE => self.rule_execute_store(state, proc, index, &mut buf),
+            _ => self.rule_compute_mem_addr(state, proc, index, &mut buf),
+        }
+        buf.finish();
     }
 }
 
 impl GamMachine {
-    /// The rule pass shared by the full and sparse successor entry points.
+    /// The rule pass shared by every successor entry point.
     fn successors_into_buf(&self, state: &GamState, mut buf: SuccBuf<'_, GamState>) {
         for proc in 0..self.program.num_threads() {
             if !self.eager_fetch {
@@ -954,12 +988,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn branchy_program_squashes_on_misprediction() {
+    /// P1: r1 = Ld [a]; if r1 != 0 goto skip; St [b] 1; skip:
+    /// P2: St [a] 1
+    /// If the load reads 1 the store to b must not happen.
+    fn branch_squash_test() -> LitmusTest {
         use gam_isa::{Addr, BranchCond, Loc, ProcId};
-        // P1: r1 = Ld [a]; if r1 != 0 goto skip; St [b] 1; skip:
-        // P2: St [a] 1
-        // If the load reads 1 the store to b must not happen.
         let a = Loc::new("a");
         let b = Loc::new("b");
         let mut p1 = gam_isa::ThreadProgram::builder(ProcId::new(0));
@@ -970,10 +1003,15 @@ mod tests {
         let mut p2 = gam_isa::ThreadProgram::builder(ProcId::new(1));
         p2.store(Addr::loc(a), Operand::imm(1));
         let program = Program::new(vec![p1.build(), p2.build()]);
-        let test = LitmusTest::builder("branch-squash", program)
+        LitmusTest::builder("branch-squash", program)
             .expect_reg(ProcId::new(0), Reg::new(1), 1u64)
             .expect_mem(b, 1u64)
-            .build();
+            .build()
+    }
+
+    #[test]
+    fn branchy_program_squashes_on_misprediction() {
+        let test = branch_squash_test();
         // r1 = 1 together with b = 1 would mean the squashed store escaped.
         assert!(!reachable(&test, GamConfig::gam()));
         // Both r1 = 0 (store b happens) and r1 = 1 (store b suppressed) exist.
@@ -982,11 +1020,15 @@ mod tests {
     }
 
     #[test]
-    fn pooled_successors_match_fresh_ones_and_labels_are_unique() {
-        for test in [library::dekker(), library::mp_addr(), library::mp_fences()] {
+    fn label_first_successors_match_fresh_ones_and_labels_are_unique() {
+        // Between them the programs fire every rule: lb+data computes store
+        // data, and the branchy one fetches speculatively.
+        let tests =
+            [library::dekker(), library::mp_addr(), library::mp_fences(), library::lb_data()];
+        for test in tests.into_iter().chain([branch_squash_test()]) {
             let machine = GamMachine::new(&test);
             let mut frontier = vec![machine.initial_state()];
-            let mut pooled = Vec::new();
+            let (mut labels, mut pooled) = (Vec::new(), machine.initial_state());
             let mut steps = 0;
             while let Some(state) = frontier.pop() {
                 if steps > 200 {
@@ -994,16 +1036,15 @@ mod tests {
                 }
                 steps += 1;
                 let labeled = machine.labeled_successors(&state);
-                machine.labeled_successors_into(&state, &mut pooled);
-                assert_eq!(
-                    labeled,
-                    pooled,
-                    "{}: the pooled buffer must yield the fresh successors",
-                    test.name()
-                );
+                machine.enabled_actions(&state, &mut labels);
+                let fresh: Vec<Action> = labeled.iter().map(|(action, _)| *action).collect();
+                assert_eq!(labels, fresh, "{}: the labels are the fresh ones", test.name());
                 let mut seen = std::collections::BTreeSet::new();
                 for (action, next) in labeled {
                     assert!(seen.insert(action), "{}: duplicate label {action:?}", test.name());
+                    // One reused state: every build overwrites the last.
+                    machine.successor_into(&state, &action, &mut pooled);
+                    assert_eq!(pooled, next, "{}: {action:?} builds its successor", test.name());
                     frontier.push(next);
                 }
             }

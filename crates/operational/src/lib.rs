@@ -56,7 +56,7 @@ pub use explore::{
     Reduction,
 };
 pub use gam::{GamConfig, GamMachine};
-pub use machine::{AbstractMachine, Action, ActionKind, AddrSet, Footprint, LabeledMachine};
+pub use machine::{AbstractMachine, Action, ActionKind, LabeledMachine};
 pub use mem::{Memory, RegFile};
 pub use random::{big_tests, stress_tests, RandomWalker};
 pub use sc::ScMachine;

@@ -151,7 +151,7 @@ impl Action {
 
 /// An over-approximated set of shared-memory addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AddrSet {
+pub(crate) enum AddrSet {
     /// Any address (the analysis could not bound the set).
     Top,
     /// Exactly the listed addresses (possibly empty).
@@ -160,29 +160,20 @@ pub enum AddrSet {
 
 impl AddrSet {
     /// The empty set.
-    #[must_use]
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         AddrSet::Set(std::collections::BTreeSet::new())
     }
 
     /// May the set contain `addr`?
-    #[must_use]
-    pub fn may_contain(&self, addr: u64) -> bool {
+    pub(crate) fn may_contain(&self, addr: u64) -> bool {
         match self {
             AddrSet::Top => true,
             AddrSet::Set(set) => set.contains(&addr),
         }
     }
 
-    /// Adds one address.
-    pub fn insert(&mut self, addr: u64) {
-        if let AddrSet::Set(set) = self {
-            set.insert(addr);
-        }
-    }
-
     /// Unions another set into this one.
-    pub fn union_with(&mut self, other: &AddrSet) {
+    pub(crate) fn union_with(&mut self, other: &AddrSet) {
         match (self, other) {
             (this @ AddrSet::Set(_), AddrSet::Top) => *this = AddrSet::Top,
             (AddrSet::Set(this), AddrSet::Set(other)) => this.extend(other.iter().copied()),
@@ -195,36 +186,25 @@ impl AddrSet {
 /// perform: the addresses it may read and the addresses it may write, in
 /// *any* continuation from the state the footprint was computed in.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Footprint {
+pub(crate) struct Footprint {
     /// Addresses the thread may still read.
-    pub reads: AddrSet,
+    pub(crate) reads: AddrSet,
     /// Addresses the thread may still write.
-    pub writes: AddrSet,
+    pub(crate) writes: AddrSet,
 }
 
 impl Footprint {
     /// A thread with no remaining shared-memory accesses.
-    #[must_use]
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Footprint { reads: AddrSet::empty(), writes: AddrSet::empty() }
     }
 
-    /// A thread about which nothing is known (the sound default).
-    #[must_use]
-    pub fn top() -> Self {
-        Footprint { reads: AddrSet::Top, writes: AddrSet::Top }
-    }
-
-    /// May the thread still write `addr`?
-    #[must_use]
-    pub fn may_write(&self, addr: u64) -> bool {
-        self.writes.may_contain(addr)
-    }
-
-    /// May the thread still read or write `addr`?
-    #[must_use]
-    pub fn may_access(&self, addr: u64) -> bool {
-        self.reads.may_contain(addr) || self.writes.may_contain(addr)
+    /// May the thread still access `addr` in a way that conflicts with
+    /// another thread's access there — a write, or any access when that
+    /// one writes (`write`)? The answer of
+    /// [`LabeledMachine::may_conflict_later`] for in-order machines.
+    pub(crate) fn may_conflict(&self, addr: u64, write: bool) -> bool {
+        self.writes.may_contain(addr) || write && self.reads.may_contain(addr)
     }
 }
 
@@ -259,49 +239,39 @@ pub trait LabeledMachine: AbstractMachine {
     ///
     /// An empty vector means no rule is enabled; if the state is not final
     /// this indicates deadlock, which the explorer reports.
-    ///
-    /// Deliberately *not* defaulted in terms of
-    /// [`LabeledMachine::labeled_successors_into`]: mutually-recursive
-    /// defaults would let an impl overriding neither compile and then
-    /// overflow the stack at runtime. Buffer-first machines implement this
-    /// as a one-line delegation into a fresh vector.
     fn labeled_successors(&self, state: &Self::State) -> Vec<(Action, Self::State)>;
 
-    /// Every enabled rule firing, written into `out` — the allocation-free
-    /// twin of [`LabeledMachine::labeled_successors`].
+    /// The labels of every enabled rule firing, in the order
+    /// [`LabeledMachine::labeled_successors`] yields them, without building
+    /// any successor state. The reduced search picks its persistent set
+    /// from these labels and then builds only the successors it keeps
+    /// ([`LabeledMachine::successor_into`]).
     ///
-    /// **Buffer-reuse contract.** On entry `out` may still hold the entries
-    /// of a previous expansion; implementations overwrite those entries in
-    /// place (via `Clone::clone_from`, which reuses their heap buffers) and
-    /// truncate or extend to the new successor count. Callers therefore
-    /// must *not* clear `out` between calls — clearing drops the pooled
-    /// states and reintroduces exactly the per-successor allocation churn
-    /// this method removes. On return `out` holds the same pairs, in the
-    /// same order, as [`LabeledMachine::labeled_successors`].
-    ///
-    /// The default delegates to [`LabeledMachine::labeled_successors`]
-    /// (allocating); the shipped machines implement this method directly
-    /// and derive the allocating form from it.
-    fn labeled_successors_into(&self, state: &Self::State, out: &mut Vec<(Action, Self::State)>) {
+    /// The default derives the labels from
+    /// [`LabeledMachine::labeled_successors`] (allocating every successor);
+    /// the shipped machines run their guards only.
+    fn enabled_actions(&self, state: &Self::State, out: &mut Vec<Action>) {
         out.clear();
-        out.extend(self.labeled_successors(state));
+        out.extend(self.labeled_successors(state).into_iter().map(|(action, _)| action));
     }
 
-    /// Like [`LabeledMachine::labeled_successors_into`], but each produced
-    /// state is only guaranteed valid in the components its action label
-    /// names (the acting thread's private component, plus the shared
-    /// memory for writing kinds); everything else may hold stale buffer
-    /// content. Exclusively for the explorer's unreduced search, which
-    /// deduplicates successors through exactly that label-derived mask and
-    /// never reads the rest. The default produces full states, which is
-    /// always sound.
-    #[doc(hidden)]
-    fn labeled_successors_sparse_into(
-        &self,
-        state: &Self::State,
-        out: &mut Vec<(Action, Self::State)>,
-    ) {
-        self.labeled_successors_into(state, out);
+    /// Writes the successor of `state` under the enabled `action` into
+    /// `out`, overwriting whatever `out` held (through `Clone::clone_from`,
+    /// so a reused `out` keeps its heap buffers).
+    ///
+    /// # Panics
+    ///
+    /// May panic when `action` is not enabled in `state`. The default
+    /// builds every successor through
+    /// [`LabeledMachine::labeled_successors`] and keeps the matching one;
+    /// the shipped machines fire that one rule.
+    fn successor_into(&self, state: &Self::State, action: &Action, out: &mut Self::State) {
+        let (_, next) = self
+            .labeled_successors(state)
+            .into_iter()
+            .find(|(candidate, _)| candidate == action)
+            .expect("the action is enabled");
+        *out = next;
     }
 
     /// The independence oracle: may the two actions be reordered without
@@ -320,8 +290,9 @@ pub trait LabeledMachine: AbstractMachine {
     /// are enabled, without disabling any of them?
     ///
     /// When it additionally cannot conflict with any other thread (it is
-    /// thread-private, or its address is outside every other active thread's
-    /// [`LabeledMachine::future_footprint`]), the explorer may fire it as a
+    /// thread-private, or no other active thread can conflict on its address
+    /// later: [`LabeledMachine::may_conflict_later`]), the explorer may fire
+    /// it as a
     /// *singleton persistent set*: alone, deferring every sibling action —
     /// the strongest state-pruning step the reduction has. The default
     /// `false` disables singleton selection, which is always sound.
@@ -329,86 +300,103 @@ pub trait LabeledMachine: AbstractMachine {
         false
     }
 
-    /// Over-approximates the shared-memory addresses `thread` may still read
-    /// or write in *any* continuation from `state`.
+    /// May `thread` still perform, in *any* continuation from `state`, a
+    /// shared-memory access to `addr` that conflicts with another thread's
+    /// access there: any read or write when that access writes (`write`),
+    /// a write otherwise? It over-approximates the thread's future
+    /// accesses, asked one address at a time so the explorer's hot loop
+    /// builds no address sets.
     ///
-    /// The explorer uses footprints to widen its persistent sets: a thread
-    /// whose every enabled action is either thread-private or touches only
-    /// addresses outside every other active thread's footprint can be
-    /// explored alone — no other thread will ever interfere with it.
-    /// Footprints must cover the thread's currently enabled accesses, any
+    /// The explorer uses it to widen its persistent sets: a thread whose
+    /// every enabled action is either thread-private or touches only
+    /// addresses no other active thread may conflict on later can be
+    /// explored alone — no other thread will ever interfere with it. The
+    /// answer must cover the thread's currently enabled accesses, any
     /// re-execution a squash can trigger, and every dynamically computed
     /// address (a static value-set bound is the usual source). The default
-    /// returns [`Footprint::top`], which is always sound and simply disables
-    /// the footprint widening.
-    fn future_footprint(&self, _state: &Self::State, _thread: usize) -> Footprint {
-        Footprint::top()
+    /// `true` is always sound and simply disables the widening.
+    fn may_conflict_later(
+        &self,
+        _state: &Self::State,
+        _thread: usize,
+        _addr: u64,
+        _write: bool,
+    ) -> bool {
+        true
     }
 }
 
-/// The writing half of the [`LabeledMachine::labeled_successors_into`]
-/// buffer-reuse contract, shared by the three machines' rule functions.
+/// The sink of the three machines' rule functions: each rule checks its
+/// guard, computes its label and its inputs from the parent state, and asks
+/// [`SuccBuf::push_from`] for a successor slot to write its effect into.
+/// What the sink does with the firing depends on how it was built:
 ///
-/// `push_from` hands the rule a successor slot already holding a clone of
-/// the parent state: slots left over from the caller's previous expansion
-/// are overwritten through `Clone::clone_from` (reusing their memory, ROB,
-/// register-file and store-buffer allocations), and only a buffer that has
-/// never been this full allocates. `finish` truncates the buffer to the
-/// entries actually pushed.
-///
-/// In *sparse* mode ([`SuccBuf::new_sparse`]) a reused slot clones only
-/// the components the [`Action`] label says the rule may touch — the
-/// acting thread's component, plus the memory for writing kinds. The
-/// resulting states are valid *only* in those components; the explorer's
-/// unreduced search, which deduplicates successors purely through the same
-/// label-derived mask, is the one consumer. Rules may therefore
-/// read or mutate `next` only inside the acting thread's component and
-/// the declared memory — which clause 3 of the [`LabeledMachine`]
-/// contract requires of them anyway.
-pub(crate) struct SuccBuf<'a, S: crate::arena::ComposedState> {
-    out: &'a mut Vec<(Action, S)>,
-    filled: usize,
-    sparse: bool,
+/// * [`SuccBuf::new`] collects `(label, successor)` pairs
+///   ([`LabeledMachine::labeled_successors`]).
+/// * [`SuccBuf::labels`] records the labels and builds no state
+///   ([`LabeledMachine::enabled_actions`]).
+/// * [`SuccBuf::one`] builds the successor of one chosen label into a
+///   single state through `Clone::clone_from`, which reuses its heap
+///   buffers, and skips every other firing
+///   ([`LabeledMachine::successor_into`]).
+pub(crate) struct SuccBuf<'a, S: Clone> {
+    sink: Sink<'a, S>,
 }
 
-impl<'a, S: crate::arena::ComposedState> SuccBuf<'a, S> {
+enum Sink<'a, S> {
+    Pairs(&'a mut Vec<(Action, S)>),
+    Labels(&'a mut Vec<Action>),
+    One { action: Action, out: &'a mut S, built: bool },
+}
+
+impl<'a, S: Clone> SuccBuf<'a, S> {
     pub(crate) fn new(out: &'a mut Vec<(Action, S)>) -> Self {
-        SuccBuf { out, filled: 0, sparse: false }
+        SuccBuf { sink: Sink::Pairs(out) }
     }
 
-    pub(crate) fn new_sparse(out: &'a mut Vec<(Action, S)>) -> Self {
-        SuccBuf { out, filled: 0, sparse: true }
+    pub(crate) fn labels(out: &'a mut Vec<Action>) -> Self {
+        out.clear();
+        SuccBuf { sink: Sink::Labels(out) }
     }
 
-    /// Appends a successor initialized to a clone of `parent` under `action`
-    /// and returns it for the rule to mutate.
-    pub(crate) fn push_from(&mut self, parent: &S, action: Action) -> &mut S {
-        if self.filled < self.out.len() {
-            let entry = &mut self.out[self.filled];
-            entry.0 = action;
-            let thread = action.thread as usize;
-            if self.sparse && thread < parent.procs().len() {
-                if action.kind.writes_memory() {
-                    entry.1.memory_mut().clone_from(parent.memory());
-                }
-                entry.1.procs_mut()[thread].clone_from(&parent.procs()[thread]);
-            } else {
-                entry.1.clone_from(parent);
+    pub(crate) fn one(action: Action, out: &'a mut S) -> Self {
+        SuccBuf { sink: Sink::One { action, out, built: false } }
+    }
+
+    /// Records a firing labeled `action` and returns a successor slot
+    /// initialized to a clone of `parent` for the rule to mutate, or `None`
+    /// when this sink builds no state for it.
+    pub(crate) fn push_from(&mut self, parent: &S, action: Action) -> Option<&mut S> {
+        match &mut self.sink {
+            Sink::Pairs(out) => {
+                out.push((action, parent.clone()));
+                out.last_mut().map(|(_, next)| next)
             }
-        } else {
-            // A slot that never existed has no buffers to reuse — a full
-            // clone materializes them (also keeps sparse entries shaped
-            // like states, so later sparse reuse can index every proc).
-            self.out.push((action, parent.clone()));
+            Sink::Labels(out) => {
+                out.push(action);
+                None
+            }
+            Sink::One { action: wanted, out, built } => {
+                if action != *wanted {
+                    return None;
+                }
+                out.clone_from(parent);
+                *built = true;
+                Some(&mut **out)
+            }
         }
-        self.filled += 1;
-        &mut self.out[self.filled - 1].1
     }
 
-    /// Trims the buffer to the pushed entries. Must be called exactly once,
-    /// after the last rule ran.
+    /// Ends the rule pass. Must be called exactly once, after the last rule
+    /// ran.
+    ///
+    /// # Panics
+    ///
+    /// When [`SuccBuf::one`]'s action was not enabled.
     pub(crate) fn finish(self) {
-        self.out.truncate(self.filled);
+        if let Sink::One { action, built, .. } = self.sink {
+            assert!(built, "{action:?} is not enabled in this state");
+        }
     }
 }
 
@@ -460,9 +448,12 @@ mod tests {
         let s0 = machine.initial_state();
         assert!(!machine.is_final(&s0));
         assert_eq!(machine.labeled_successors(&s0), vec![(Action::local(0, 0), 1)]);
-        let mut buf = Vec::new();
-        machine.labeled_successors_into(&1, &mut buf);
-        assert_eq!(buf, vec![(Action::local(0, 0), 0)]);
+        let mut labels = Vec::new();
+        machine.enabled_actions(&1, &mut labels);
+        assert_eq!(labels, vec![Action::local(0, 0)]);
+        let mut next = 7;
+        machine.successor_into(&1, &Action::local(0, 0), &mut next);
+        assert_eq!(next, 0);
         assert!(machine.is_final(&0));
         assert!(machine.labeled_successors(&0).is_empty());
         assert_eq!(machine.name(), "countdown");

@@ -11,7 +11,7 @@ use gam_isa::{Instruction, Operand, Program, Reg, ThreadProgram, Value};
 
 use crate::codec;
 use crate::footprint;
-use crate::machine::{AbstractMachine, Action, Footprint, LabeledMachine};
+use crate::machine::{AbstractMachine, Action, Footprint, LabeledMachine, SuccBuf};
 use crate::mem::{Memory, RegFile};
 
 /// Sequential per-processor state: a register file and a program counter.
@@ -206,79 +206,99 @@ impl AbstractMachine for ScMachine {
 }
 
 impl LabeledMachine for ScMachine {
-    fn future_footprint(&self, state: &ScState, thread: usize) -> Footprint {
+    fn may_conflict_later(&self, state: &ScState, thread: usize, addr: u64, write: bool) -> bool {
         // In-order execution: the future accesses are exactly the remaining
         // program suffix (the whole thread when branches can jump back).
         let suffix = &self.suffix[thread];
-        suffix[state.procs[thread].pc.min(suffix.len() - 1)].clone()
+        suffix[state.procs[thread].pc.min(suffix.len() - 1)].may_conflict(addr, write)
     }
 
     fn labeled_successors(&self, state: &ScState) -> Vec<(Action, ScState)> {
         let mut out = Vec::new();
-        self.labeled_successors_into(state, &mut out);
+        self.successors_into_buf(state, SuccBuf::new(&mut out));
         out
     }
 
-    fn labeled_successors_into(&self, state: &ScState, out: &mut Vec<(Action, ScState)>) {
-        self.successors_into_buf(state, crate::machine::SuccBuf::new(out));
+    fn enabled_actions(&self, state: &ScState, out: &mut Vec<Action>) {
+        self.successors_into_buf(state, SuccBuf::labels(out));
     }
 
-    fn labeled_successors_sparse_into(&self, state: &ScState, out: &mut Vec<(Action, ScState)>) {
-        self.successors_into_buf(state, crate::machine::SuccBuf::new_sparse(out));
+    fn successor_into(&self, state: &ScState, action: &Action, out: &mut ScState) {
+        // Each processor has exactly one enabled step: its thread's rule.
+        let mut buf = SuccBuf::one(*action, out);
+        self.thread_rule(state, action.thread as usize, &mut buf);
+        buf.finish();
     }
 }
 
 impl ScMachine {
-    /// The rule pass shared by the full and sparse successor entry points.
-    fn successors_into_buf(&self, state: &ScState, mut buf: crate::machine::SuccBuf<'_, ScState>) {
-        for (proc_index, proc) in state.procs.iter().enumerate() {
-            let thread = &self.program.threads()[proc_index];
-            if proc.pc >= thread.len() {
-                continue;
-            }
-            let instr = &thread.instructions()[proc.pc];
-            // The action id is the program counter of the executed
-            // instruction: each processor has exactly one enabled step, and
-            // another thread's independent action never moves this pc, so
-            // the label is stable. Every rule input is read from the parent
-            // state *before* the successor slot is taken from the pool.
-            let id = proc.pc as u32;
-            match instr {
-                Instruction::Alu { dst, op, lhs, rhs } => {
-                    let value = op.apply(proc.operand(lhs), proc.operand(rhs));
-                    let next = buf.push_from(state, Action::local(proc_index, id));
-                    let next_proc = &mut next.procs[proc_index];
-                    next_proc.regs.write(*dst, value);
-                    next_proc.pc += 1;
-                }
-                Instruction::Load { dst, addr } => {
-                    let address = addr.evaluate(proc.operand(&addr.base)).raw();
-                    let value = state.memory.read(address);
-                    let next = buf.push_from(state, Action::read(proc_index, id, address));
-                    let next_proc = &mut next.procs[proc_index];
-                    next_proc.regs.write(*dst, value);
-                    next_proc.pc += 1;
-                }
-                Instruction::Store { addr, data } => {
-                    let address = addr.evaluate(proc.operand(&addr.base)).raw();
-                    let value = proc.operand(data);
-                    let next = buf.push_from(state, Action::commit(proc_index, id, address));
-                    next.memory.write(address, value);
-                    next.procs[proc_index].pc += 1;
-                }
-                Instruction::Fence { .. } => {
-                    let next = buf.push_from(state, Action::fence(proc_index, id));
-                    next.procs[proc_index].pc += 1;
-                }
-                Instruction::Branch { cond, lhs, rhs, .. } => {
-                    let taken = cond.holds(proc.operand(lhs), proc.operand(rhs));
-                    let target = next_pc(thread, proc.pc, taken, instr);
-                    let next = buf.push_from(state, Action::local(proc_index, id));
-                    next.procs[proc_index].pc = target;
-                }
-            }
+    /// The rule pass shared by every successor entry point.
+    fn successors_into_buf(&self, state: &ScState, mut buf: SuccBuf<'_, ScState>) {
+        for proc_index in 0..state.procs.len() {
+            self.thread_rule(state, proc_index, &mut buf);
         }
         buf.finish();
+    }
+
+    /// Fires the next instruction of one processor, if it has one.
+    fn thread_rule(&self, state: &ScState, proc_index: usize, buf: &mut SuccBuf<'_, ScState>) {
+        let proc = &state.procs[proc_index];
+        let thread = &self.program.threads()[proc_index];
+        if proc.pc >= thread.len() {
+            return;
+        }
+        let instr = &thread.instructions()[proc.pc];
+        // The action id is the program counter of the executed
+        // instruction: each processor has exactly one enabled step, and
+        // another thread's independent action never moves this pc, so
+        // the label is stable. Every rule input is read from the parent
+        // state *before* the successor slot is taken from the pool.
+        let id = proc.pc as u32;
+        match instr {
+            Instruction::Alu { dst, op, lhs, rhs } => {
+                let value = op.apply(proc.operand(lhs), proc.operand(rhs));
+                let Some(next) = buf.push_from(state, Action::local(proc_index, id)) else {
+                    return;
+                };
+                let next_proc = &mut next.procs[proc_index];
+                next_proc.regs.write(*dst, value);
+                next_proc.pc += 1;
+            }
+            Instruction::Load { dst, addr } => {
+                let address = addr.evaluate(proc.operand(&addr.base)).raw();
+                let value = state.memory.read(address);
+                let Some(next) = buf.push_from(state, Action::read(proc_index, id, address)) else {
+                    return;
+                };
+                let next_proc = &mut next.procs[proc_index];
+                next_proc.regs.write(*dst, value);
+                next_proc.pc += 1;
+            }
+            Instruction::Store { addr, data } => {
+                let address = addr.evaluate(proc.operand(&addr.base)).raw();
+                let value = proc.operand(data);
+                let Some(next) = buf.push_from(state, Action::commit(proc_index, id, address))
+                else {
+                    return;
+                };
+                next.memory.write(address, value);
+                next.procs[proc_index].pc += 1;
+            }
+            Instruction::Fence { .. } => {
+                let Some(next) = buf.push_from(state, Action::fence(proc_index, id)) else {
+                    return;
+                };
+                next.procs[proc_index].pc += 1;
+            }
+            Instruction::Branch { cond, lhs, rhs, .. } => {
+                let taken = cond.holds(proc.operand(lhs), proc.operand(rhs));
+                let target = next_pc(thread, proc.pc, taken, instr);
+                let Some(next) = buf.push_from(state, Action::local(proc_index, id)) else {
+                    return;
+                };
+                next.procs[proc_index].pc = target;
+            }
+        }
     }
 }
 

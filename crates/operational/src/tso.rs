@@ -13,7 +13,7 @@ use gam_isa::{Instruction, MemAccessType, Program, Value};
 
 use crate::codec;
 use crate::footprint;
-use crate::machine::{AbstractMachine, Action, Footprint, LabeledMachine};
+use crate::machine::{AbstractMachine, Action, Footprint, LabeledMachine, SuccBuf};
 use crate::mem::Memory;
 use crate::sc::{next_pc, SeqProcState};
 
@@ -25,7 +25,7 @@ pub struct TsoMachine {
     observed: Vec<Observation>,
     /// `suffix[proc][pc]`: the memory accesses the thread's remaining
     /// instructions can perform; pending store-buffer entries are added
-    /// dynamically in `future_footprint`.
+    /// dynamically in `may_conflict_later`.
     suffix: Vec<Vec<Footprint>>,
 }
 
@@ -226,113 +226,126 @@ impl LabeledMachine for TsoMachine {
         }
     }
 
-    fn future_footprint(&self, state: &TsoState, thread: usize) -> Footprint {
+    fn may_conflict_later(&self, state: &TsoState, thread: usize, addr: u64, write: bool) -> bool {
         // Instructions execute in order, so the instruction-level future is
         // the program suffix; every buffered store is a write still waiting
-        // to drain into shared memory.
+        // to drain into shared memory, which conflicts with any access.
         let proc = &state.procs[thread];
         let suffix = &self.suffix[thread];
-        let mut footprint = suffix[proc.seq.pc.min(suffix.len() - 1)].clone();
-        for &(addr, _) in &proc.store_buffer {
-            footprint.writes.insert(addr);
-        }
-        footprint
+        suffix[proc.seq.pc.min(suffix.len() - 1)].may_conflict(addr, write)
+            || proc.store_buffer.iter().any(|&(buffered, _)| buffered == addr)
     }
 
     fn labeled_successors(&self, state: &TsoState) -> Vec<(Action, TsoState)> {
         let mut out = Vec::new();
-        self.labeled_successors_into(state, &mut out);
+        self.successors_into_buf(state, SuccBuf::new(&mut out));
         out
     }
 
-    fn labeled_successors_into(&self, state: &TsoState, out: &mut Vec<(Action, TsoState)>) {
-        self.successors_into_buf(state, crate::machine::SuccBuf::new(out));
+    fn enabled_actions(&self, state: &TsoState, out: &mut Vec<Action>) {
+        self.successors_into_buf(state, SuccBuf::labels(out));
     }
 
-    fn labeled_successors_sparse_into(&self, state: &TsoState, out: &mut Vec<(Action, TsoState)>) {
-        self.successors_into_buf(state, crate::machine::SuccBuf::new_sparse(out));
+    fn successor_into(&self, state: &TsoState, action: &Action, out: &mut TsoState) {
+        // A processor has at most two enabled actions (its drain and its
+        // next instruction); its rules pick the one the label names.
+        let mut buf = SuccBuf::one(*action, out);
+        self.thread_rules(state, action.thread as usize, &mut buf);
+        buf.finish();
     }
 }
 
 impl TsoMachine {
-    /// The rule pass shared by the full and sparse successor entry points.
-    fn successors_into_buf(
-        &self,
-        state: &TsoState,
-        mut buf: crate::machine::SuccBuf<'_, TsoState>,
-    ) {
-        for (proc_index, proc) in state.procs.iter().enumerate() {
-            let thread = &self.program.threads()[proc_index];
+    /// The rule pass shared by every successor entry point.
+    fn successors_into_buf(&self, state: &TsoState, mut buf: SuccBuf<'_, TsoState>) {
+        for proc_index in 0..state.procs.len() {
+            self.thread_rules(state, proc_index, &mut buf);
+        }
+        buf.finish();
+    }
 
-            // Drain rule: publish the oldest store-buffer entry to memory.
-            // Id 0 is reserved for the drain; instruction executions use
-            // pc + 1 so the two never collide.
-            if let Some(&(addr, value)) = proc.store_buffer.first() {
-                let next = buf.push_from(state, Action::drain(proc_index, 0, addr));
+    /// Fires one processor's drain and next instruction, where enabled.
+    fn thread_rules(&self, state: &TsoState, proc_index: usize, buf: &mut SuccBuf<'_, TsoState>) {
+        let proc = &state.procs[proc_index];
+        let thread = &self.program.threads()[proc_index];
+
+        // Drain rule: publish the oldest store-buffer entry to memory.
+        // Id 0 is reserved for the drain; instruction executions use
+        // pc + 1 so the two never collide.
+        if let Some(&(addr, value)) = proc.store_buffer.first() {
+            if let Some(next) = buf.push_from(state, Action::drain(proc_index, 0, addr)) {
                 next.procs[proc_index].store_buffer.remove(0);
                 next.memory.write(addr, value);
             }
+        }
 
-            if proc.seq.pc >= thread.len() {
-                continue;
+        if proc.seq.pc >= thread.len() {
+            return;
+        }
+        let id = proc.seq.pc as u32 + 1;
+        let instr = &thread.instructions()[proc.seq.pc];
+        match instr {
+            Instruction::Alu { dst, op, lhs, rhs } => {
+                let value = op.apply(proc.seq.operand(lhs), proc.seq.operand(rhs));
+                let Some(next) = buf.push_from(state, Action::local(proc_index, id)) else {
+                    return;
+                };
+                let p = &mut next.procs[proc_index];
+                p.seq.regs.write(*dst, value);
+                p.seq.pc += 1;
             }
-            let id = proc.seq.pc as u32 + 1;
-            let instr = &thread.instructions()[proc.seq.pc];
-            match instr {
-                Instruction::Alu { dst, op, lhs, rhs } => {
-                    let value = op.apply(proc.seq.operand(lhs), proc.seq.operand(rhs));
-                    let next = buf.push_from(state, Action::local(proc_index, id));
-                    let p = &mut next.procs[proc_index];
-                    p.seq.regs.write(*dst, value);
-                    p.seq.pc += 1;
-                }
-                Instruction::Load { dst, addr } => {
-                    let address = addr.evaluate(proc.seq.operand(&addr.base)).raw();
-                    let value = self.read(state, proc_index, address);
-                    // A load satisfied by forwarding from the processor's own
-                    // store buffer never touches shared memory, so it is a
-                    // thread-private step; only a buffer miss reads memory.
-                    let forwarded =
-                        proc.store_buffer.iter().any(|(buffered, _)| *buffered == address);
-                    let action = if forwarded {
-                        Action::local(proc_index, id)
-                    } else {
-                        Action::read(proc_index, id, address)
+            Instruction::Load { dst, addr } => {
+                let address = addr.evaluate(proc.seq.operand(&addr.base)).raw();
+                let value = self.read(state, proc_index, address);
+                // A load satisfied by forwarding from the processor's own
+                // store buffer never touches shared memory, so it is a
+                // thread-private step; only a buffer miss reads memory.
+                let forwarded = proc.store_buffer.iter().any(|(buffered, _)| *buffered == address);
+                let action = if forwarded {
+                    Action::local(proc_index, id)
+                } else {
+                    Action::read(proc_index, id, address)
+                };
+                let Some(next) = buf.push_from(state, action) else {
+                    return;
+                };
+                let p = &mut next.procs[proc_index];
+                p.seq.regs.write(*dst, value);
+                p.seq.pc += 1;
+            }
+            Instruction::Store { addr, data } => {
+                let address = addr.evaluate(proc.seq.operand(&addr.base)).raw();
+                let value = proc.seq.operand(data);
+                // Enqueueing only touches the private buffer; the shared
+                // write happens later, at drain time.
+                let Some(next) = buf.push_from(state, Action::local(proc_index, id)) else {
+                    return;
+                };
+                let p = &mut next.procs[proc_index];
+                p.store_buffer.push((address, value));
+                p.seq.pc += 1;
+            }
+            Instruction::Fence { kind } => {
+                // Only store->load ordering is not already guaranteed by TSO;
+                // such a fence waits for the store buffer to drain.
+                let needs_drain =
+                    kind.before == MemAccessType::Store && kind.after == MemAccessType::Load;
+                if !needs_drain || proc.store_buffer.is_empty() {
+                    let Some(next) = buf.push_from(state, Action::fence(proc_index, id)) else {
+                        return;
                     };
-                    let next = buf.push_from(state, action);
-                    let p = &mut next.procs[proc_index];
-                    p.seq.regs.write(*dst, value);
-                    p.seq.pc += 1;
+                    next.procs[proc_index].seq.pc += 1;
                 }
-                Instruction::Store { addr, data } => {
-                    let address = addr.evaluate(proc.seq.operand(&addr.base)).raw();
-                    let value = proc.seq.operand(data);
-                    // Enqueueing only touches the private buffer; the shared
-                    // write happens later, at drain time.
-                    let next = buf.push_from(state, Action::local(proc_index, id));
-                    let p = &mut next.procs[proc_index];
-                    p.store_buffer.push((address, value));
-                    p.seq.pc += 1;
-                }
-                Instruction::Fence { kind } => {
-                    // Only store->load ordering is not already guaranteed by TSO;
-                    // such a fence waits for the store buffer to drain.
-                    let needs_drain =
-                        kind.before == MemAccessType::Store && kind.after == MemAccessType::Load;
-                    if !needs_drain || proc.store_buffer.is_empty() {
-                        let next = buf.push_from(state, Action::fence(proc_index, id));
-                        next.procs[proc_index].seq.pc += 1;
-                    }
-                }
-                Instruction::Branch { cond, lhs, rhs, .. } => {
-                    let taken = cond.holds(proc.seq.operand(lhs), proc.seq.operand(rhs));
-                    let target = next_pc(thread, proc.seq.pc, taken, instr);
-                    let next = buf.push_from(state, Action::local(proc_index, id));
-                    next.procs[proc_index].seq.pc = target;
-                }
+            }
+            Instruction::Branch { cond, lhs, rhs, .. } => {
+                let taken = cond.holds(proc.seq.operand(lhs), proc.seq.operand(rhs));
+                let target = next_pc(thread, proc.seq.pc, taken, instr);
+                let Some(next) = buf.push_from(state, Action::local(proc_index, id)) else {
+                    return;
+                };
+                next.procs[proc_index].seq.pc = target;
             }
         }
-        buf.finish();
     }
 }
 

@@ -38,7 +38,7 @@ fn checker(kind: ModelKind, reduction: Reduction, parallelism: usize) -> Operati
 }
 
 fn assert_reduction_agrees(kind: ModelKind, reduction: Reduction, parallelism: usize) {
-    let baseline = OperationalChecker::new(kind);
+    let baseline = checker(kind, Reduction::Off, 1);
     let reduced = checker(kind, reduction, parallelism);
     for test in library::all_tests() {
         let full = baseline.explore(&test).expect("unreduced exploration succeeds");
@@ -79,7 +79,7 @@ fn parallel_sleep_agrees_on_the_full_library() {
 /// chain compression from slipping through.
 #[test]
 fn gam_sleep_halves_at_least_four_library_tests() {
-    let baseline = OperationalChecker::new(ModelKind::Gam);
+    let baseline = checker(ModelKind::Gam, Reduction::Off, 1);
     let reduced = checker(ModelKind::Gam, Reduction::Sleep, 1);
     let mut halved = Vec::new();
     for test in library::all_tests() {
@@ -103,7 +103,7 @@ fn gam_sleep_halves_at_least_four_library_tests() {
 #[test]
 fn early_exit_verdicts_match_full_exploration() {
     for kind in MACHINE_MODELS {
-        let baseline = OperationalChecker::new(kind);
+        let baseline = checker(kind, Reduction::Off, 1);
         for reduction in Reduction::ALL {
             let fast = checker(kind, reduction, 1);
             for test in library::all_tests() {
@@ -157,7 +157,7 @@ fn branchy_program_agrees_across_modes() {
         .observe_mem(b)
         .build();
     for kind in MACHINE_MODELS {
-        let baseline = OperationalChecker::new(kind).explore(&test).unwrap();
+        let baseline = checker(kind, Reduction::Off, 1).explore(&test).unwrap();
         let reduction = Reduction::Sleep;
         for parallelism in [1, 4] {
             let fast = checker(kind, reduction, parallelism).explore(&test).unwrap();
@@ -278,7 +278,7 @@ proptest! {
     #[test]
     fn random_programs_agree_across_modes(test in two_dependent_threads()) {
         for kind in MACHINE_MODELS {
-            let baseline = OperationalChecker::new(kind).explore(&test).unwrap();
+            let baseline = checker(kind, Reduction::Off, 1).explore(&test).unwrap();
             let reduction = Reduction::Sleep;
             let fast = checker(kind, reduction, 1).explore(&test).unwrap();
             prop_assert_eq!(
