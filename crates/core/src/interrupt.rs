@@ -60,8 +60,8 @@ pub enum StopReason {
         /// The state-count limit that was reached.
         limit: usize,
     },
-    /// The memory budget ran out and every degradation step (sleep-table
-    /// compaction, spill-to-disk) was already taken or unavailable.
+    /// The memory budget ran out and every degradation step (spill-to-disk)
+    /// was already taken or unavailable.
     MemoryBudget {
         /// The byte budget that was exceeded.
         budget: usize,

@@ -48,8 +48,6 @@ pub struct MemoryAccountant {
     ///
     /// [`total`]: MemoryAccountant::total
     pub peak_bytes: usize,
-    /// Times the sleep-set table was compacted under memory pressure.
-    pub sleep_flushes: usize,
 }
 
 impl MemoryAccountant {

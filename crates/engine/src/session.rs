@@ -46,8 +46,7 @@ pub struct CheckBudget {
     pub max_wall: Option<Duration>,
     /// Cap on the explorer's accounted memory footprint in bytes
     /// (operational backend only). Nearing the cap first degrades the
-    /// search (the default reduced search compacts its table of sleep
-    /// sets, then cold rows spill when a spill directory is configured);
+    /// search (cold rows spill when a spill directory is configured);
     /// crossing it stops the check with [`StopReason::MemoryBudget`].
     pub max_bytes: Option<usize>,
 }

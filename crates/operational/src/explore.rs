@@ -37,8 +37,9 @@
 //! is *label-first*: the persistent set is chosen from the enabled action
 //! labels ([`LabeledMachine::enabled_actions`]) and only the successors it
 //! keeps are built ([`LabeledMachine::successor_into`]). The reduced
-//! search's per-slot sleep bookkeeping is two `u32` ids into a
-//! deduplicated table of sets; the unreduced one keeps none.
+//! search's per-slot sleep bookkeeping is a `u32` id into a deduplicated
+//! table of sets and one expansion-state byte; the unreduced one keeps
+//! none.
 //!
 //! With [`ExplorerConfig::parallelism`] above one, a run whose state count
 //! passes [`ExplorerConfig::parallel_threshold`] hands its visited set and
@@ -166,8 +167,9 @@ impl Default for ExplorerConfig {
 pub struct MemoryConfig {
     /// Hard in-RAM budget in *accounted* bytes (see
     /// [`gam_core::MemoryAccountant`] — deterministic figures, not allocator
-    /// truth). At 80% the degradation ladder starts: a reduced run (the
-    /// default) compacts its table of sleep sets, then cold rows spill.
+    /// truth). At 80% the degradation ladder starts: cold rows spill.
+    /// The sleep-set bookkeeping of a reduced run (the default) counts
+    /// towards the budget but stays resident.
     /// Above 100% after every degradation step the exploration stops with
     /// [`StopReason::MemoryBudget`].
     pub max_bytes: Option<usize>,
@@ -235,7 +237,9 @@ pub struct MemoryStats {
     /// Bytes of spill block frames read back from disk (this incarnation
     /// only: a resumed run counts its own reads).
     pub spill_read_bytes: usize,
-    /// Times the table of sleep sets was compacted under pressure.
+    /// Always 0: the memory ladder has no sleep-set rung (spilling arena
+    /// rows is its first). Kept so reports that name the column still
+    /// build.
     pub sleep_flushes: usize,
 }
 
@@ -734,8 +738,28 @@ impl<'m, M: LabeledMachine> Reducer<'m, M> {
 /// The id of the empty sleep set in every [`SleepBook`] table.
 const EMPTY_SET: u32 = 0;
 
-/// A [`SleepBook`] expansion entry of a slot that was never expanded.
-const NOT_EXPANDED: u32 = u32::MAX;
+/// Where a slot stands against its stored sleep set in a [`SleepBook`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum Expansion {
+    /// Never expanded.
+    Pending = 0,
+    /// Expanded with the sleep set it stores now.
+    Current = 1,
+    /// Expanded, but the stored sleep set shrank since: due again.
+    Stale = 2,
+}
+
+impl Expansion {
+    fn from_u8(byte: u8) -> Option<Expansion> {
+        match byte {
+            0 => Some(Expansion::Pending),
+            1 => Some(Expansion::Current),
+            2 => Some(Expansion::Stale),
+            _ => None,
+        }
+    }
+}
 
 /// Accounted bytes of one [`SleepBook`] table entry besides its heap-backed
 /// actions: the inline set plus its hash-index entry.
@@ -744,10 +768,10 @@ const SLEEP_TABLE_ENTRY_BYTES: usize =
 
 /// The per-slot sleep-set bookkeeping of an exploration, parallel to its
 /// visited set: the smallest sleep set each slot has been reached with,
-/// and the sleep set of its last expansion ([`NOT_EXPANDED`] = never).
-/// Both are `u32` ids into a deduplicated table of sets, so a slot costs
-/// 8 bytes however big its sets are; a reduced search meets only a few
-/// distinct sets, and most slots name the empty one.
+/// as a `u32` id into a deduplicated table of sets, and whether the slot
+/// was expanded with that set. A slot costs 5 bytes however big its set
+/// is; a big reduced search meets a few hundred distinct sets, and most
+/// slots name the empty one.
 ///
 /// Each stored set only shrinks, and a slot is re-queued exactly when it
 /// shrinks, so every visit's obligations are met and the search
@@ -762,9 +786,8 @@ struct SleepBook {
     table_bytes: usize,
     /// Per slot: the id of the smallest sleep set it has been reached with.
     sleep: Vec<u32>,
-    /// Per slot: the id of the sleep set of its last expansion, or
-    /// [`NOT_EXPANDED`].
-    expanded: Vec<u32>,
+    /// Per slot: whether it was expanded with that set.
+    expanded: Vec<Expansion>,
 }
 
 impl SleepBook {
@@ -802,16 +825,12 @@ impl SleepBook {
         if !self.reduced {
             return Some(true);
         }
-        let stored = self.sleep[slot as usize];
-        let previous = std::mem::replace(&mut self.expanded[slot as usize], stored);
-        // The stored set only shrinks after an expansion recorded it, so
-        // the last expansion covers it exactly when it is the same set —
-        // and equal sets share one id.
-        if previous == stored {
+        let previous = std::mem::replace(&mut self.expanded[slot as usize], Expansion::Current);
+        if previous == Expansion::Current {
             return None;
         }
-        asleep.clone_from(self.table.get(stored));
-        Some(previous == NOT_EXPANDED)
+        asleep.clone_from(self.table.get(self.sleep[slot as usize]));
+        Some(previous == Expansion::Pending)
     }
 
     /// Registers a freshly interned slot reached with sleep set `sleep`.
@@ -820,7 +839,7 @@ impl SleepBook {
         if self.reduced {
             let id = self.intern(sleep);
             self.sleep.push(id);
-            self.expanded.push(NOT_EXPANDED);
+            self.expanded.push(Expansion::Pending);
         }
     }
 
@@ -841,55 +860,31 @@ impl SleepBook {
         }
         let shrunk = stored.intersect(sleep);
         self.sleep[slot as usize] = self.intern(&shrunk);
+        let expanded = &mut self.expanded[slot as usize];
+        if *expanded == Expansion::Current {
+            *expanded = Expansion::Stale;
+        }
         true
     }
 
     /// Appends slot `slot` of `from` (a book of the same reduction) to this
-    /// book, re-interning its sets into this book's table.
+    /// book, re-interning its set into this book's table.
     fn adopt(&mut self, from: &SleepBook, slot: usize) {
         if !self.reduced {
             return;
         }
         let sleep = self.intern(from.table.get(from.sleep[slot]));
-        let expanded = match from.expanded[slot] {
-            NOT_EXPANDED => NOT_EXPANDED,
-            id => self.intern(from.table.get(id)),
-        };
         self.sleep.push(sleep);
-        self.expanded.push(expanded);
+        self.expanded.push(from.expanded[slot]);
     }
 
-    /// The accounted footprint: two ids per slot plus the table (lengths,
-    /// never capacities, so the figure survives a checkpoint resume).
+    /// The accounted footprint: an id and a state byte per slot plus the
+    /// table (lengths, never capacities, so the figure survives a
+    /// checkpoint resume).
     fn bytes(&self) -> usize {
-        (self.sleep.len() + self.expanded.len()) * std::mem::size_of::<u32>() + self.table_bytes
-    }
-
-    /// Compacts the table to the sets some slot still names: a set a
-    /// shrinking revisit replaced is dropped, the rest are renumbered in
-    /// slot order. Lossless — every slot keeps its sets, so the search goes
-    /// on exactly as it would have.
-    fn compact(&mut self) {
-        if !self.reduced {
-            return;
-        }
-        let old = std::mem::take(&mut self.table);
-        self.table_bytes = 0;
-        self.intern(&ActionSet::new());
-        let mut renumbered = vec![NOT_EXPANDED; old.len()];
-        renumbered[EMPTY_SET as usize] = EMPTY_SET;
-        for id in self.sleep.iter_mut().chain(self.expanded.iter_mut()) {
-            if *id == NOT_EXPANDED {
-                continue;
-            }
-            let new_id = &mut renumbered[*id as usize];
-            if *new_id == NOT_EXPANDED {
-                let set = old.get(*id);
-                *new_id = self.table.intern_ref(set).0;
-                self.table_bytes += SLEEP_TABLE_ENTRY_BYTES + set.heap_bytes();
-            }
-            *id = *new_id;
-        }
+        self.sleep.len() * std::mem::size_of::<u32>()
+            + self.expanded.len() * std::mem::size_of::<Expansion>()
+            + self.table_bytes
     }
 }
 
@@ -972,10 +967,6 @@ const SPILL_CHUNK_ROWS: usize = 64 * 1024;
 /// Rows always kept resident: the hot tail the DFS is actively revisiting.
 const MIN_RESIDENT_ROWS: usize = 256;
 
-/// Minimum interned-state growth between two sleep-table compactions, so
-/// the ladder's first rung does not spin when compacting frees little.
-const FLUSH_SPACING_STATES: usize = 1024;
-
 /// Snapshot driver tags ([`CheckpointPlan`] payload versioning within the
 /// `gam-explore-checkpoint/v1` record that wraps these bytes): an unreduced
 /// search, and a reduced one whose interned sleep bookkeeping follows the
@@ -986,7 +977,7 @@ const SNAP_REDUCED: u8 = 3;
 
 /// The memory governor of a budgeted exploration: refreshes the
 /// [`MemoryAccountant`] at poll cadence and walks the degradation ladder
-/// (compact the sleep table → spill cold rows → hard stop).
+/// (spill cold rows → hard stop).
 struct MemGovernor {
     max_bytes: usize,
     soft_bytes: usize,
@@ -994,8 +985,6 @@ struct MemGovernor {
     /// Cleared after a spill *write* failure: rows stay resident from then
     /// on (already-written segments remain readable).
     spill_enabled: bool,
-    /// Arena size at which the next sleep-table compaction is allowed.
-    next_flush_ok_at: usize,
 }
 
 impl MemGovernor {
@@ -1006,7 +995,6 @@ impl MemGovernor {
             soft_bytes: max_bytes / SOFT_WATERMARK_DEN * SOFT_WATERMARK_NUM,
             acct: MemoryAccountant::new(),
             spill_enabled: true,
-            next_flush_ok_at: 0,
         })
     }
 
@@ -1039,7 +1027,7 @@ impl MemGovernor {
             spilled_bytes: self.acct.spilled_bytes,
             spill_segments: self.acct.spill_segments,
             spill_read_bytes: arena.spill_read_bytes(),
-            sleep_flushes: self.acct.sleep_flushes,
+            sleep_flushes: 0,
         }
     }
 
@@ -1049,24 +1037,13 @@ impl MemGovernor {
         &mut self,
         arena: &mut ComponentArena<S>,
         frontier_len: usize,
-        book: &mut SleepBook,
+        sleep_bytes: usize,
     ) -> Result<(), StopReason> {
-        let mut total = self.refresh(arena, frontier_len, book.bytes());
+        let mut total = self.refresh(arena, frontier_len, sleep_bytes);
         if total < self.soft_bytes {
             return Ok(());
         }
-        // Rung 1 (reduced runs): compact the sleep table to the sets some
-        // slot still names. Lossless, so the search is unchanged; the
-        // accounted total drops by the dropped sets.
-        if book.reduced && arena.len() >= self.next_flush_ok_at {
-            book.compact();
-            self.acct.sleep_flushes += 1;
-            self.next_flush_ok_at = arena.len() + FLUSH_SPACING_STATES;
-            gam_obs::trace::event("explore.sleep_flush", &[("states", arena.len().to_string())]);
-            total = self.refresh(arena, frontier_len, book.bytes());
-        }
-        let sleep_bytes = book.bytes();
-        // Rung 2: spill the oldest resident rows until back under the soft
+        // Rung 1: spill the oldest resident rows until back under the soft
         // watermark (or out of spillable rows). A write failure stops
         // spilling for good but never the exploration.
         while total >= self.soft_bytes
@@ -1095,7 +1072,7 @@ impl MemGovernor {
                 }
             }
         }
-        // Rung 3: every degradation step taken (or unavailable) and still
+        // Rung 2: every degradation step taken (or unavailable) and still
         // over the hard limit — stop with sound partial outcomes. A total
         // equal to the budget fits it, so a budget of a run's reported peak
         // lets that run finish.
@@ -1256,11 +1233,10 @@ fn encode_snapshot<S: ComposedState>(
         for id in 0..book.table.len() {
             encode_action_set(book.table.get(id as u32), &mut out);
         }
-        for ids in [&book.sleep, &book.expanded] {
-            codec::put_usize(&mut out, ids.len());
-            for &id in ids {
-                codec::put_u32(&mut out, id);
-            }
+        codec::put_usize(&mut out, book.sleep.len());
+        for (&id, &expanded) in book.sleep.iter().zip(&book.expanded) {
+            codec::put_u32(&mut out, id);
+            codec::put_u8(&mut out, expanded as u8);
         }
     }
     out
@@ -1308,18 +1284,20 @@ fn decode_snapshot<S: ComposedState>(
                 return Err("snapshot sleep table is not deduplicated".to_string());
             }
         }
-        for (ids, unset_ok) in [(&mut book.sleep, false), (&mut book.expanded, true)] {
-            let len = codec::take_usize(input).ok_or_else(truncated)?;
-            if len != arena.len() {
-                return Err("snapshot sleep bookkeeping does not cover the arena".to_string());
+        let len = codec::take_usize(input).ok_or_else(truncated)?;
+        if len != arena.len() {
+            return Err("snapshot sleep bookkeeping does not cover the arena".to_string());
+        }
+        for _ in 0..len {
+            let id = codec::take_u32(input).ok_or_else(truncated)?;
+            if (id as usize) >= sets_len {
+                return Err(format!("snapshot names unknown sleep set {id}"));
             }
-            for _ in 0..len {
-                let id = codec::take_u32(input).ok_or_else(truncated)?;
-                if (id as usize) >= sets_len && !(unset_ok && id == NOT_EXPANDED) {
-                    return Err(format!("snapshot names unknown sleep set {id}"));
-                }
-                ids.push(id);
-            }
+            let byte = codec::take_u8(input).ok_or_else(truncated)?;
+            let expanded = Expansion::from_u8(byte)
+                .ok_or_else(|| format!("snapshot has unknown expansion state {byte}"))?;
+            book.sleep.push(id);
+            book.expanded.push(expanded);
         }
     }
     if !input.is_empty() {
@@ -1581,7 +1559,7 @@ impl Explorer {
         loop {
             if expansions & INTERRUPT_POLL_MASK == 0 {
                 let reason = self.interrupt.triggered().or_else(|| {
-                    governor.as_mut()?.govern(&mut arena, stack.len(), &mut book).err()
+                    governor.as_mut()?.govern(&mut arena, stack.len(), book.bytes()).err()
                 });
                 if let Some(reason) = reason {
                     return Err(ExploreError::Interrupted {

@@ -45,7 +45,7 @@ big-002 gam0 | 88616 1413200 24 35154800
 /// The same columns for the capped runs under the default reduction.
 const COUNTERS_SLEEP: &str = "
 big-000 gam  | 3937 57280 6 1610216
-big-000 gam0 | 6097 92864 8 4222776
+big-000 gam0 | 6097 92864 8 4658616
 big-001 gam  | 6036 91376 7 5844448
 big-001 gam0 | 6036 91376 7 5844448
 big-002 gam  | 3569 50176 5 1636960

@@ -81,10 +81,9 @@
 //!
 //! `check --mem-budget BYTES` and `bench --mem-budget BYTES` cap the
 //! operational explorer's accounted in-RAM footprint. Over the soft
-//! watermark the explorer degrades — its table of sleep sets is compacted
-//! (the explorer runs the sleep-set reduction), then (with `--spill-dir
-//! DIR`) cold visited-state rows spill to CRC-framed segment files — and
-//! only when degradation cannot free enough does the check stop
+//! watermark the explorer degrades — with `--spill-dir DIR`, cold
+//! visited-state rows spill to CRC-framed segment files — and only when
+//! degradation cannot free enough does the check stop
 //! with INCONCLUSIVE (memory budget) and its partial outcomes. Spilling
 //! changes nothing about the verdicts: a capped run that completes via
 //! spill reports exactly the outcome sets of an uncapped run.
@@ -230,10 +229,9 @@ const USAGE: &str = "usage:
                        its partial outcomes and the command exits 3
   --mem-budget BYTES   check/bench: accounted-byte budget per operational
                        exploration; over the soft watermark the explorer
-                       compacts its sleep-set table, then spills cold
-                       states (with --spill-dir); over the hard limit the
-                       check reports INCONCLUSIVE (memory budget) and
-                       check exits 3
+                       spills cold states (with --spill-dir), over the hard
+                       limit the check reports INCONCLUSIVE (memory budget)
+                       and check exits 3
   --spill-dir DIR      check/bench: directory for cold visited-state
                        segments spilled under memory pressure (needs
                        --mem-budget; without it the ladder skips spilling)
@@ -1072,7 +1070,6 @@ fn bench_row_json(
         pairs.push(("spilled_bytes", Json::UInt(memory.spilled_bytes as u64)));
         pairs.push(("spill_segments", Json::UInt(memory.spill_segments as u64)));
         pairs.push(("spill_read_bytes", Json::UInt(memory.spill_read_bytes as u64)));
-        pairs.push(("sleep_flushes", Json::UInt(memory.sleep_flushes as u64)));
     }
     // A content fingerprint of the complete outcome set, so the
     // checkpoint round-trip test can assert a resumed run reproduced the

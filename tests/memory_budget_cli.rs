@@ -20,10 +20,19 @@ use std::time::{Duration, Instant};
 use gam_engine::{Json, RunCheckpoint};
 
 /// A budget inside big-003's spill window under the default (reduced)
-/// GAM search: below the uncapped peak of 182,624 accounted bytes, and
-/// above the floor of about 146,000 under which spilling arena rows no
+/// GAM search: below the uncapped peak of 176,657 accounted bytes, and
+/// above the floor of about 140,000 under which spilling arena rows no
 /// longer suffices, so the exploration can only finish by spilling.
 const BIG_003_WINDOW_BUDGET: &str = "164000";
+
+/// Expansions between two intra-exploration snapshots of the resume test:
+/// the capped big-003 GAM run (1,989 states) spans several of them.
+const SNAPSHOT_EVERY: &str = "256";
+
+/// Pause before every checkpoint append of the resume test's victim, so
+/// the kill that follows its first snapshot lands mid-exploration: the
+/// victim cannot record its completed unit sooner than this after it.
+const VICTIM_APPEND_DELAY: &str = "checkpoint.write=delay:500";
 
 /// A budget below any big test's floor: trips before the witness search
 /// reaches a matching final state, so the verdict must be inconclusive.
@@ -195,7 +204,7 @@ fn an_injected_spill_read_fault_degrades_soundly() {
 #[test]
 fn a_sigkilled_budgeted_check_resumes_mid_exploration_to_the_same_report() {
     // Ground truth: an uninterrupted capped run (spill makes the window
-    // budget completable, and slows the run enough to kill it mid-flight).
+    // budget completable).
     let spill_a = Scratch::new("resume-truth-spill");
     let truth = gam()
         .args(["check"])
@@ -216,9 +225,12 @@ fn a_sigkilled_budgeted_check_resumes_mid_exploration_to_the_same_report() {
     // snapshots, SIGKILLed once the checkpoint holds a complete snapshot
     // record. A size threshold is not enough: the kill could land inside
     // the first snapshot append, and the resume would restart from scratch.
+    // Every append of the victim waits first, so it is still exploring
+    // (or waiting to append its next snapshot) when the kill lands.
     let spill_b = Scratch::new("resume-victim-spill");
     let checkpoint = Scratch::new("resume-ckpt");
     let mut child = gam()
+        .env("GAM_FAULTS", VICTIM_APPEND_DELAY)
         .args(["check"])
         .arg(big_test("big-003.litmus"))
         .args(["--models", "gam", "--backends", "operational", "--json"])
@@ -226,7 +238,7 @@ fn a_sigkilled_budgeted_check_resumes_mid_exploration_to_the_same_report() {
         .arg(&spill_b.0)
         .args(["--checkpoint"])
         .arg(&checkpoint.0)
-        .args(["--checkpoint-every", "2048"])
+        .args(["--checkpoint-every", SNAPSHOT_EVERY])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -237,15 +249,16 @@ fn a_sigkilled_budgeted_check_resumes_mid_exploration_to_the_same_report() {
         // Recover a copy, never the live file: opening truncates a torn tail.
         let progressed = std::fs::copy(&checkpoint.0, &copy.0).is_ok()
             && RunCheckpoint::open(&copy.0).is_ok_and(|(log, _)| !log.is_empty());
-        let exited = child.try_wait().expect("try_wait").is_some();
-        if progressed || exited {
+        if progressed {
             break;
         }
+        assert!(
+            child.try_wait().expect("try_wait").is_none(),
+            "the victim exited before it snapshotted its exploration"
+        );
         assert!(Instant::now() < deadline, "check never snapshotted its exploration");
         std::thread::sleep(Duration::from_millis(2));
     }
-    // Racing the kill against completion is fine: a finished victim makes
-    // the resume a completed-unit replay, which must still match.
     let _ = child.kill();
     let _ = child.wait();
 
@@ -257,7 +270,7 @@ fn a_sigkilled_budgeted_check_resumes_mid_exploration_to_the_same_report() {
         .arg(&spill_b.0)
         .args(["--checkpoint"])
         .arg(&checkpoint.0)
-        .args(["--checkpoint-every", "2048"])
+        .args(["--checkpoint-every", SNAPSHOT_EVERY])
         .output()
         .expect("gam check resumes");
     assert_no_panic(&resumed);
@@ -267,12 +280,9 @@ fn a_sigkilled_budgeted_check_resumes_mid_exploration_to_the_same_report() {
         Some(truth_verdict.as_str()),
         "the resumed run must reproduce the uninterrupted verdict"
     );
-    // Unless the victim won the race outright, the resume either picked up
-    // the in-flight snapshot or replayed the completed unit — both leave
-    // their mark on stderr.
     let stderr = String::from_utf8_lossy(&resumed.stderr);
     assert!(
-        stderr.contains("mid-exploration") || stderr.contains("resuming 1 completed"),
-        "the resume must consume the checkpoint: {stderr}"
+        stderr.contains("mid-exploration"),
+        "the resume must continue from the victim's snapshot: {stderr}"
     );
 }
