@@ -514,19 +514,23 @@ impl Chosen {
 ///    cannot conflict with any other active thread (it is thread-private,
 ///    or its address misses every other footprint) commutes with every
 ///    action any sequence of non-chosen actions can ever contain; it is a
-///    one-element persistent set and is explored alone.
+///    one-element persistent set and is explored alone. The first such
+///    label wins.
 /// 2. **Thread** — a thread whose enabled actions are all thread-private
 ///    (`ActionKind::Local`/`ActionKind::Fence`), or whose memory actions
 ///    are all footprint-disjoint from every other active thread: a read
 ///    must miss the others' future writes, a write any of their future
-///    accesses ([`LabeledMachine::may_conflict_later`]).
+///    accesses ([`LabeledMachine::may_conflict_later`]). The lowest such
+///    thread wins.
 /// 3. **All** — no candidate qualifies; the state expands fully.
 ///
 /// Only threads with an enabled action are consulted: guards are
 /// thread-local, so a thread without one can never be woken by another
-/// thread and will never act again. The choice is a pure function of the
-/// state, which keeps reduced exploration deterministic in the sequential
-/// driver.
+/// thread and will never act again. The label order groups each thread's
+/// labels in ascending thread order, so one walk over the labels settles
+/// both tiers, asking each label's cross-thread safety at most once. The
+/// choice is a pure function of the state, which keeps reduced exploration
+/// deterministic in the sequential driver.
 fn choose_persistent<M: LabeledMachine>(
     machine: &M,
     state: &M::State,
@@ -535,7 +539,6 @@ fn choose_persistent<M: LabeledMachine>(
 ) -> Chosen {
     threads.clear();
     threads.extend(labels.iter().map(|action| action.thread));
-    threads.sort_unstable();
     threads.dedup();
     if threads.len() <= 1 {
         // A single active thread is vacuously persistent — and there is
@@ -556,25 +559,30 @@ fn choose_persistent<M: LabeledMachine>(
             })
     };
 
-    // Tier 1: a singleton.
-    for action in labels {
-        if machine.own_thread_independent(state, action) && cross_thread_safe(action) {
-            return Chosen::Single(*action);
+    // The tier-2 answer so far, and whether every label of the current
+    // thread's run has been safe so far.
+    let mut whole_thread = None;
+    let mut run_safe = true;
+    for (index, action) in labels.iter().enumerate() {
+        if index > 0 && labels[index - 1].thread != action.thread {
+            if run_safe && whole_thread.is_none() {
+                whole_thread = Some(labels[index - 1].thread);
+            }
+            run_safe = true;
+        }
+        let single = machine.own_thread_independent(state, action);
+        if single || run_safe && whole_thread.is_none() {
+            let safe = cross_thread_safe(action);
+            if single && safe {
+                return Chosen::Single(*action);
+            }
+            run_safe &= safe;
         }
     }
-    // Tier 2: a whole thread.
-    'candidate: for &candidate in threads {
-        for action in labels {
-            if action.thread != candidate {
-                continue;
-            }
-            if !cross_thread_safe(action) {
-                continue 'candidate;
-            }
-        }
-        return Chosen::Thread(candidate);
+    if run_safe && whole_thread.is_none() {
+        whole_thread = labels.last().map(|action| action.thread);
     }
-    Chosen::All
+    whole_thread.map_or(Chosen::All, Chosen::Thread)
 }
 
 /// Bound on singleton-chain compression steps between interned states.
@@ -601,9 +609,10 @@ pub(crate) type StopFn<'a> = &'a (dyn Fn(&Outcome) -> bool + Sync);
 /// The search is *label-first*: [`Reducer::begin`] lists the enabled
 /// actions without building any state, the persistent set is chosen from
 /// those labels, and [`Reducer::successor`] builds only the successors the
-/// reduction keeps — one per step of a singleton chain. The sequential
-/// driver, the oracle and each sharded worker own one, so
-/// its scratch buffers are reused across expansions.
+/// reduction keeps — one per step of a singleton chain, which relabels only
+/// the thread that stepped. The sequential driver, the oracle and each
+/// sharded worker own one, so its scratch buffers are reused across
+/// expansions.
 struct Reducer<'m, M: LabeledMachine> {
     machine: &'m M,
     reduction: Reduction,
@@ -664,7 +673,12 @@ impl<'m, M: LabeledMachine> Reducer<'m, M> {
     /// outside the persistent set or asleep, nothing is built. A kept
     /// successor inherits a sleep set and is advanced through states whose
     /// persistent set is a *singleton* without interning them (chain
-    /// compression); each chain step builds exactly its one successor.
+    /// compression); each chain step builds exactly its one successor and
+    /// relabels only the stepping thread. By contract 2 of
+    /// [`LabeledMachine`] a step leaves every other thread's labels as they
+    /// were, so a chained state's labels are its predecessor's with the
+    /// stepping thread's run replaced ([`relabel`]); `parent`'s are
+    /// [`Reducer::labels`].
     ///
     /// A one-action persistent set leaves exactly one outgoing transition in
     /// the reduced graph — pure bookkeeping on the way to the next genuine
@@ -684,8 +698,17 @@ impl<'m, M: LabeledMachine> Reducer<'m, M> {
         parent: &M::State,
         next: &mut M::State,
     ) -> Result<Option<Touched>, ExploreError> {
-        let Reducer { machine, explored, chain_labels, chain_next, threads, asleep, sleep, .. } =
-            self;
+        let Reducer {
+            machine,
+            labels,
+            explored,
+            chain_labels,
+            chain_next,
+            threads,
+            asleep,
+            sleep,
+            ..
+        } = self;
         let reduced = self.reduction.is_reduced();
         if reduced && (!chosen.keeps(&action) || asleep.contains(&action)) {
             self.pruned += 1;
@@ -708,11 +731,24 @@ impl<'m, M: LabeledMachine> Reducer<'m, M> {
         sleep.sort_dedup();
         explored.push(action);
 
-        for _ in 0..MAX_CHAIN {
+        let mut stepped = action.thread;
+        for link in 0..MAX_CHAIN {
             if machine.is_final(next) {
                 break;
             }
-            machine.enabled_actions(next, chain_labels);
+            if link == 0 {
+                chain_labels.clone_from(labels);
+            }
+            relabel(*machine, next, stepped, chain_labels);
+            debug_assert_eq!(
+                *chain_labels,
+                {
+                    let mut fresh = Vec::new();
+                    machine.enabled_actions(next, &mut fresh);
+                    fresh
+                },
+                "the spliced labels are the state's fresh ones"
+            );
             if chain_labels.is_empty() {
                 return Err(ExploreError::Deadlock);
             }
@@ -730,9 +766,30 @@ impl<'m, M: LabeledMachine> Reducer<'m, M> {
             std::mem::swap(next, built);
             touched.add_action(&step);
             sleep.retain(|b| machine.independent(&step, b));
+            stepped = step.thread;
         }
         Ok(Some(touched))
     }
+}
+
+/// Turns `labels`, those of a state from which one step of `thread` reached
+/// `state`, into the labels of `state`: `thread`'s run is replaced by its
+/// [`LabeledMachine::thread_actions`] in `state`. Sound by contract 2 and
+/// the label order of [`LabeledMachine`], which keep every other run, and
+/// its position, unchanged.
+fn relabel<M: LabeledMachine>(
+    machine: &M,
+    state: &M::State,
+    thread: u32,
+    labels: &mut Vec<Action>,
+) {
+    let start = labels.partition_point(|action| action.thread < thread);
+    let end = start + labels[start..].partition_point(|action| action.thread == thread);
+    labels.drain(start..end);
+    let later = labels.len() - start;
+    machine.thread_actions(state, thread as usize, labels);
+    // [later runs | new run] -> [new run | later runs]
+    labels[start..].rotate_left(later);
 }
 
 /// The id of the empty sleep set in every [`SleepBook`] table.

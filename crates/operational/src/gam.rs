@@ -25,12 +25,14 @@
 //! [`GamConfig::same_address_load_load`] switches the SALdLd enforcement on
 //! (GAM) or off (GAM0), mirroring the two models' operational definitions.
 
+use std::cell::RefCell;
+
 use gam_isa::litmus::{LitmusTest, Observation, Outcome};
 use gam_isa::{Instruction, MemAccessType, Operand, Program, Reg, ThreadProgram, Value};
 
 use crate::codec;
 use crate::footprint;
-use crate::machine::{AbstractMachine, Action, LabeledMachine, SuccBuf};
+use crate::machine::{AbstractMachine, Action, AddrSet, LabeledMachine, SuccBuf};
 use crate::mem::Memory;
 
 /// Rule tags packed into [`Action::id`] (`tag | rob_index << 3`) so that the
@@ -52,11 +54,203 @@ fn act_id(rule: u32, ordinal: usize) -> u32 {
     rule | (ordinal as u32) << 3
 }
 
-/// Does `instr` write `reg` (is `reg` in its write set)? The rule guards
-/// ask this of every older ROB entry, so it must not allocate the way
-/// `Instruction::write_set` does.
+/// Does `instr` write `reg` (is `reg` in its write set)? The outcome
+/// projection asks this of ROB entries, youngest first, so it must not
+/// allocate the way `Instruction::write_set` does.
 fn writes_reg(instr: &Instruction, reg: Reg) -> bool {
     matches!(instr, Instruction::Alu { dst, .. } | Instruction::Load { dst, .. } if *dst == reg)
+}
+
+/// An instruction input as the rules read it: an immediate, or the slot in
+/// [`Older::regs`] of the register it names.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    Imm(Value),
+    Reg(usize),
+}
+
+/// What an instruction is to the rule dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    Alu,
+    Branch,
+    Fence,
+    Load,
+    Store,
+}
+
+/// Order-guard bits: what a not-done older entry holds back
+/// ([`Older::held`], [`Decoded::raises`], [`Decoded::waits`]).
+mod held {
+    /// A load (Execute-Fence of a `FenceLY`).
+    pub const LOAD: u8 = 1;
+    /// A store (Execute-Fence of a `FenceSY`).
+    pub const STORE: u8 = 1 << 1;
+    /// A fence ordering younger loads (FenceOrd of Execute-Load).
+    pub const LOADS_FENCE: u8 = 1 << 2;
+    /// A fence ordering younger stores (FenceOrd of Execute-Store).
+    pub const STORES_FENCE: u8 = 1 << 3;
+    /// A branch (BrSt).
+    pub const BRANCH: u8 = 1 << 4;
+    /// A memory instruction whose address is unknown (AddrSt).
+    pub const UNRESOLVED: u8 = 1 << 5;
+}
+
+/// What the rules and [`LabeledMachine::may_conflict_later`] read of one
+/// instruction, decoded once when the machine is built.
+#[derive(Debug, Clone, Copy)]
+struct Decoded {
+    role: Role,
+    /// The [`held`] bits a not-done entry of it raises for younger entries
+    /// (besides [`held::UNRESOLVED`], which depends on the entry).
+    raises: u8,
+    /// The [`held`] bits its own order guard waits on: a fence waits for
+    /// the older accesses it orders, a load for older fences ordering
+    /// loads, a store for older branches, fences ordering stores and
+    /// unresolved addresses.
+    waits: u8,
+    /// The slot in [`Older::regs`] of the register it writes; one that
+    /// writes none names the scratch slot past the registers, which no
+    /// input reads.
+    dst: usize,
+    /// Its inputs: ALU and branch `[lhs, rhs]`, load `[address base, 0]`,
+    /// store `[address base, data]`, fence `[0, 0]`.
+    srcs: [Src; 2],
+}
+
+/// One thread's decoded program.
+#[derive(Debug, Clone)]
+struct ThreadTable {
+    /// The length of [`Older::regs`]: one slot per register the thread
+    /// names, plus the scratch slot.
+    slots: usize,
+    /// `instrs[idx]` decodes the instruction at `idx`.
+    instrs: Vec<Decoded>,
+    /// `addrs[idx]`: the value-set bound on the addresses the instruction at
+    /// `idx` can touch, in any execution (empty for non-memory ones).
+    addrs: Vec<AddrSet>,
+}
+
+impl ThreadTable {
+    fn new(thread: &ThreadProgram, addrs: Vec<AddrSet>) -> Self {
+        let mut regs: Vec<Reg> = thread
+            .instructions()
+            .iter()
+            .flat_map(|instr| instr.read_set().into_iter().chain(instr.write_set()))
+            .collect();
+        regs.sort_unstable();
+        regs.dedup();
+        let slot = |reg: &Reg| regs.binary_search(reg).expect("every named register has a slot");
+        let src = |operand: &Operand| match operand {
+            Operand::Imm(v) => Src::Imm(*v),
+            Operand::Reg(reg) => Src::Reg(slot(reg)),
+        };
+        let zero = Src::Imm(Value::ZERO);
+        let instrs = thread
+            .instructions()
+            .iter()
+            .map(|instr| {
+                let (role, raises, waits, srcs) = match instr {
+                    Instruction::Alu { lhs, rhs, .. } => (Role::Alu, 0, 0, [src(lhs), src(rhs)]),
+                    Instruction::Branch { lhs, rhs, .. } => {
+                        (Role::Branch, held::BRANCH, 0, [src(lhs), src(rhs)])
+                    }
+                    Instruction::Fence { kind } => {
+                        let bit = |ty, load, store| match ty {
+                            MemAccessType::Load => load,
+                            MemAccessType::Store => store,
+                        };
+                        let raises = bit(kind.after, held::LOADS_FENCE, held::STORES_FENCE);
+                        (Role::Fence, raises, bit(kind.before, held::LOAD, held::STORE), [zero; 2])
+                    }
+                    Instruction::Load { addr, .. } => {
+                        (Role::Load, held::LOAD, held::LOADS_FENCE, [src(&addr.base), zero])
+                    }
+                    Instruction::Store { addr, data } => {
+                        let waits = held::BRANCH | held::STORES_FENCE | held::UNRESOLVED;
+                        (Role::Store, held::STORE, waits, [src(&addr.base), src(data)])
+                    }
+                };
+                let dst = instr.write_set().first().map_or(regs.len(), slot);
+                Decoded { role, raises, waits, dst, srcs }
+            })
+            .collect();
+        ThreadTable { slots: regs.len() + 1, instrs, addrs }
+    }
+}
+
+/// A not-done memory entry whose address is known, as [`Older`] keeps it:
+/// its ROB index, its address, and whether it is a store.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    index: usize,
+    addr: u64,
+    store: bool,
+}
+
+/// What the rule guards of one ROB entry read of the entries older than
+/// it, folded entry by entry in one forward pass over the ROB
+/// ([`Older::fold`]). Every rule reads its guard from here, so a thread's
+/// whole rule pass is one walk of its ROB.
+#[derive(Debug)]
+struct Older {
+    /// Per register slot: the result of the youngest older entry that
+    /// writes the register, `None` while that entry is not done, zero (the
+    /// initial register state) when no entry does.
+    regs: Vec<Option<Value>>,
+    /// The [`held`] bits some older not-done entry raises.
+    held: u8,
+    /// The older not-done memory entries whose address is known, oldest
+    /// first (SALdLd, SAStLd, SAMemSt).
+    in_flight: Vec<InFlight>,
+}
+
+impl Older {
+    /// The context of a ROB's oldest entry, in a thread whose
+    /// [`ThreadTable::slots`] is `slots`: nothing older.
+    fn reset(&mut self, slots: usize) {
+        self.regs.clear();
+        self.regs.resize(slots, Some(Value::ZERO));
+        self.held = 0;
+        self.in_flight.clear();
+    }
+
+    /// The value of an input: `None` while its register's youngest older
+    /// writer is not done.
+    fn value(&self, src: Src) -> Option<Value> {
+        match src {
+            Src::Imm(v) => Some(v),
+            Src::Reg(slot) => self.regs[slot],
+        }
+    }
+
+    /// Does an older not-done entry hold back an entry decoded as
+    /// `decoded`'s order guard?
+    fn holds(&self, decoded: &Decoded) -> bool {
+        self.held & decoded.waits != 0
+    }
+
+    /// Extends the context past `entry`, the ROB entry at `index`. Whether
+    /// an entry is done, and whether its address is known, follow no
+    /// pattern a branch predictor can learn, so both are folded in as data.
+    fn fold(&mut self, decoded: &Decoded, entry: &RobEntry, index: usize) {
+        let pending = !entry.done;
+        self.regs[decoded.dst] = if pending { None } else { Some(entry.result) };
+        let memory = matches!(decoded.role, Role::Load | Role::Store);
+        let raised = decoded.raises | (held::UNRESOLVED * u8::from(memory & !entry.addr_avail));
+        self.held |= raised & 0u8.wrapping_sub(u8::from(pending));
+        if memory & pending & entry.addr_avail {
+            let store = decoded.role == Role::Store;
+            self.in_flight.push(InFlight { index, addr: entry.addr, store });
+        }
+    }
+}
+
+thread_local! {
+    /// The calling thread's guard context, reused by every rule pass so a
+    /// pass allocates nothing once its buffers have grown.
+    static OLDER: RefCell<Older> =
+        const { RefCell::new(Older { regs: Vec::new(), held: 0, in_flight: Vec::new() }) };
 }
 
 /// Configuration of the GAM abstract machine.
@@ -269,10 +463,10 @@ pub struct GamMachine {
     /// without changing the reachable outcomes (the Fetch rule has no guard
     /// and enabling an entry earlier never disables an older entry's rule).
     eager_fetch: bool,
-    /// `static_addrs[proc][idx]`: the value-set bound on the addresses the
-    /// memory instruction at that position can touch, in any execution
-    /// (drives the explorer's footprint-based partial-order reduction).
-    static_addrs: Vec<Vec<crate::machine::AddrSet>>,
+    /// `tables[proc]`: the thread's decoded program (register slots, the
+    /// load/store table and the value-set address bounds that drive the
+    /// explorer's footprint-based partial-order reduction).
+    tables: Vec<ThreadTable>,
     name: String,
 }
 
@@ -298,7 +492,13 @@ impl GamMachine {
             observed: test.observed().to_vec(),
             config,
             eager_fetch,
-            static_addrs: footprint::instr_addr_sets(test),
+            tables: test
+                .program()
+                .threads()
+                .iter()
+                .zip(footprint::instr_addr_sets(test))
+                .map(|(thread, addrs)| ThreadTable::new(thread, addrs))
+                .collect(),
             name,
         }
     }
@@ -317,36 +517,8 @@ impl GamMachine {
         &self.thread(proc).instructions()[entry.instr_index]
     }
 
-    /// The value of a register as seen by ROB entry `index`: the result of the
-    /// youngest older done entry that writes it, `None` if that entry is not
-    /// done yet, or zero if no older entry writes it (initial register state).
-    fn register_value(
-        &self,
-        proc: usize,
-        rob: &[RobEntry],
-        index: usize,
-        reg: Reg,
-    ) -> Option<Value> {
-        for older in rob[..index].iter().rev() {
-            let instr = self.instruction(proc, older);
-            if writes_reg(instr, reg) {
-                return if older.done { Some(older.result) } else { None };
-            }
-        }
-        Some(Value::ZERO)
-    }
-
-    fn operand_value(
-        &self,
-        proc: usize,
-        rob: &[RobEntry],
-        index: usize,
-        operand: &Operand,
-    ) -> Option<Value> {
-        match operand {
-            Operand::Imm(v) => Some(*v),
-            Operand::Reg(r) => self.register_value(proc, rob, index, *r),
-        }
+    fn decoded(&self, proc: usize, entry: &RobEntry) -> &Decoded {
+        &self.tables[proc].instrs[entry.instr_index]
     }
 
     /// Fetches one instruction into the ROB of `proc`, resolving constant
@@ -416,6 +588,9 @@ impl GamMachine {
     }
 
     // ----- rule guards and actions -------------------------------------------------
+    //
+    // Every rule on ROB entry `index` reads its guard from `older`, the
+    // context folded over `rob[..index]`.
 
     fn rule_fetch(&self, state: &GamState, proc: usize, out: &mut SuccBuf<'_, GamState>) {
         let thread = self.thread(proc);
@@ -442,16 +617,15 @@ impl GamMachine {
         state: &GamState,
         proc: usize,
         index: usize,
+        older: &Older,
         out: &mut SuccBuf<'_, GamState>,
     ) {
-        let rob = &state.procs[proc].rob;
-        let entry = &rob[index];
-        let Instruction::Alu { op, lhs, rhs, .. } = self.instruction(proc, entry) else {
+        let entry = &state.procs[proc].rob[index];
+        let Instruction::Alu { op, .. } = self.instruction(proc, entry) else {
             return;
         };
-        let (Some(a), Some(b)) =
-            (self.operand_value(proc, rob, index, lhs), self.operand_value(proc, rob, index, rhs))
-        else {
+        let [lhs, rhs] = self.decoded(proc, entry).srcs;
+        let (Some(a), Some(b)) = (older.value(lhs), older.value(rhs)) else {
             return;
         };
         let Some(next) = out.push_from(state, Action::local(proc, act_id(tag::ALU, index))) else {
@@ -467,16 +641,15 @@ impl GamMachine {
         state: &GamState,
         proc: usize,
         index: usize,
+        older: &Older,
         out: &mut SuccBuf<'_, GamState>,
     ) {
-        let rob = &state.procs[proc].rob;
-        let entry = &rob[index];
-        let Instruction::Branch { cond, lhs, rhs, target } = self.instruction(proc, entry) else {
+        let entry = &state.procs[proc].rob[index];
+        let Instruction::Branch { cond, target, .. } = self.instruction(proc, entry) else {
             return;
         };
-        let (Some(a), Some(b)) =
-            (self.operand_value(proc, rob, index, lhs), self.operand_value(proc, rob, index, rhs))
-        else {
+        let [lhs, rhs] = self.decoded(proc, entry).srcs;
+        let (Some(a), Some(b)) = (older.value(lhs), older.value(rhs)) else {
             return;
         };
         let thread = self.thread(proc);
@@ -503,20 +676,15 @@ impl GamMachine {
         state: &GamState,
         proc: usize,
         index: usize,
+        older: &Older,
         out: &mut SuccBuf<'_, GamState>,
     ) {
-        let rob = &state.procs[proc].rob;
-        let entry = &rob[index];
-        let Instruction::Fence { kind } = self.instruction(proc, entry) else {
+        let entry = &state.procs[proc].rob[index];
+        let Instruction::Fence { .. } = self.instruction(proc, entry) else {
             return;
         };
-        let older_done = rob[..index].iter().all(|older| {
-            match self.instruction(proc, older).mem_access_type() {
-                Some(ty) if kind.orders_older(ty) => older.done,
-                _ => true,
-            }
-        });
-        if !older_done {
+        // All older memory instructions of the fence's X type are done.
+        if older.holds(self.decoded(proc, entry)) {
             return;
         }
         let Some(next) = out.push_from(state, Action::fence(proc, act_id(tag::FENCE, index)))
@@ -531,6 +699,7 @@ impl GamMachine {
         state: &GamState,
         proc: usize,
         index: usize,
+        older: &Older,
         out: &mut SuccBuf<'_, GamState>,
     ) {
         let rob = &state.procs[proc].rob;
@@ -538,29 +707,16 @@ impl GamMachine {
         let Instruction::Load { .. } = self.instruction(proc, entry) else {
             return;
         };
-        if !entry.addr_avail {
+        // The address is known, and all older fences ordering younger
+        // loads are done.
+        if !entry.addr_avail || older.holds(self.decoded(proc, entry)) {
             return;
         }
-        // All older fences ordering younger loads must be done.
-        let fences_done = rob[..index].iter().all(|older| match self.instruction(proc, older) {
-            Instruction::Fence { kind } if kind.orders_younger(MemAccessType::Load) => older.done,
-            _ => true,
-        });
-        if !fences_done {
-            return;
-        }
-        // Search older entries, youngest first, for the first not-done
-        // same-address memory instruction.
+        // The youngest older not-done same-address memory instruction, if
+        // any, blocks or forwards (older loads count only under SALdLd).
         let addr = entry.addr;
-        let blocker = rob[..index].iter().rev().find(|older| {
-            if !older.addr_avail || older.addr != addr || older.done {
-                return false;
-            }
-            match self.instruction(proc, older) {
-                Instruction::Load { .. } => self.config.same_address_load_load,
-                Instruction::Store { .. } => true,
-                _ => false,
-            }
+        let blocker = older.in_flight.iter().rev().find(|inflight| {
+            inflight.addr == addr && (inflight.store || self.config.same_address_load_load)
         });
         // A load satisfied by forwarding from an older in-flight store of
         // the same processor never touches shared memory, so it is a
@@ -568,18 +724,16 @@ impl GamMachine {
         // distinction depends solely on the processor's own ROB, keeping the
         // label stable across other threads' independent actions.
         let (value, action) = match blocker {
-            Some(older) => match self.instruction(proc, older) {
-                Instruction::Load { .. } => return, // stall on an older not-done load (SALdLd)
-                Instruction::Store { .. } => {
-                    if older.data_avail {
-                        // Forward from the store (SAStLd).
-                        (older.data, Action::local(proc, act_id(tag::LOAD, index)))
-                    } else {
-                        return; // stall until the store data is known
-                    }
+            // Stall on an older not-done load (SALdLd).
+            Some(InFlight { store: false, .. }) => return,
+            Some(&InFlight { index: store, .. }) => {
+                let store = &rob[store];
+                if !store.data_avail {
+                    return; // stall until the store data is known
                 }
-                _ => unreachable!("blocker is a memory instruction"),
-            },
+                // Forward from the store (SAStLd).
+                (store.data, Action::local(proc, act_id(tag::LOAD, index)))
+            }
             None => (state.memory.read(addr), Action::read(proc, act_id(tag::LOAD, index), addr)),
         };
         let Some(next) = out.push_from(state, action) else {
@@ -595,17 +749,17 @@ impl GamMachine {
         state: &GamState,
         proc: usize,
         index: usize,
+        older: &Older,
         out: &mut SuccBuf<'_, GamState>,
     ) {
-        let rob = &state.procs[proc].rob;
-        let entry = &rob[index];
+        let entry = &state.procs[proc].rob[index];
         if entry.data_avail {
             return;
         }
-        let Instruction::Store { data, .. } = self.instruction(proc, entry) else {
+        let Instruction::Store { .. } = self.instruction(proc, entry) else {
             return;
         };
-        let Some(value) = self.operand_value(proc, rob, index, data) else {
+        let Some(value) = older.value(self.decoded(proc, entry).srcs[1]) else {
             return;
         };
         let Some(next) = out.push_from(state, Action::local(proc, act_id(tag::STORE_DATA, index)))
@@ -622,10 +776,10 @@ impl GamMachine {
         state: &GamState,
         proc: usize,
         index: usize,
+        older: &Older,
         out: &mut SuccBuf<'_, GamState>,
     ) {
-        let rob = &state.procs[proc].rob;
-        let entry = &rob[index];
+        let entry = &state.procs[proc].rob[index];
         let Instruction::Store { .. } = self.instruction(proc, entry) else {
             return;
         };
@@ -633,25 +787,13 @@ impl GamMachine {
             return;
         }
         let addr = entry.addr;
-        let guards_hold = rob[..index].iter().all(|older| {
-            let instr = self.instruction(proc, older);
-            match instr {
-                // Guard 3 (BrSt): all older branches are done.
-                Instruction::Branch { .. } => older.done,
-                // Guard 6 (FenceOrd): all older fences ordering younger stores are done.
-                Instruction::Fence { kind } => {
-                    !kind.orders_younger(MemAccessType::Store) || older.done
-                }
-                // Guards 4 and 5 (AddrSt, SAMemSt): all older memory
-                // instructions have known addresses, and same-address ones
-                // are done.
-                Instruction::Load { .. } | Instruction::Store { .. } => {
-                    older.addr_avail && (older.addr != addr || older.done)
-                }
-                Instruction::Alu { .. } => true,
-            }
-        });
-        if !guards_hold {
+        // Guard 3 (BrSt): all older branches are done. Guard 6 (FenceOrd):
+        // all older fences ordering younger stores are done. Guards 4 and 5
+        // (AddrSt, SAMemSt): all older memory instructions have known
+        // addresses, and same-address ones are done.
+        if older.holds(self.decoded(proc, entry))
+            || older.in_flight.iter().any(|inflight| inflight.addr == addr)
+        {
             return;
         }
         let data = entry.data;
@@ -671,10 +813,10 @@ impl GamMachine {
         state: &GamState,
         proc: usize,
         index: usize,
+        older: &Older,
         out: &mut SuccBuf<'_, GamState>,
     ) {
-        let rob = &state.procs[proc].rob;
-        let entry = &rob[index];
+        let entry = &state.procs[proc].rob[index];
         if entry.addr_avail {
             return;
         }
@@ -683,7 +825,7 @@ impl GamMachine {
             Instruction::Load { addr, .. } | Instruction::Store { addr, .. } => addr,
             _ => return,
         };
-        let Some(base) = self.operand_value(proc, rob, index, &addr_expr.base) else {
+        let Some(base) = older.value(self.decoded(proc, entry).srcs[0]) else {
             return;
         };
         let addr = addr_expr.evaluate(base).raw();
@@ -718,6 +860,53 @@ impl GamMachine {
                 }
             }
         }
+    }
+
+    /// Fires every enabled rule of the ROB entry at `index` (not done).
+    /// One dispatch on the instruction kind; each rule keeps its own
+    /// guard, so the firings (and their order) are exactly those of
+    /// running every rule unconditionally.
+    fn entry_rules(
+        &self,
+        state: &GamState,
+        proc: usize,
+        index: usize,
+        older: &Older,
+        out: &mut SuccBuf<'_, GamState>,
+    ) {
+        match self.decoded(proc, &state.procs[proc].rob[index]).role {
+            Role::Alu => self.rule_execute_alu(state, proc, index, older, out),
+            Role::Branch => self.rule_execute_branch(state, proc, index, older, out),
+            Role::Fence => self.rule_execute_fence(state, proc, index, older, out),
+            Role::Load => {
+                self.rule_execute_load(state, proc, index, older, out);
+                self.rule_compute_mem_addr(state, proc, index, older, out);
+            }
+            Role::Store => {
+                self.rule_compute_store_data(state, proc, index, older, out);
+                self.rule_execute_store(state, proc, index, older, out);
+                self.rule_compute_mem_addr(state, proc, index, older, out);
+            }
+        }
+    }
+
+    /// One processor's rule pass: Fetch (unless fetching eagerly), then the
+    /// rules of every not-done ROB entry, oldest first, in one walk that
+    /// folds each entry into the context of the younger ones.
+    fn thread_rules(&self, state: &GamState, proc: usize, out: &mut SuccBuf<'_, GamState>) {
+        if !self.eager_fetch {
+            self.rule_fetch(state, proc, out);
+        }
+        let table = &self.tables[proc];
+        OLDER.with_borrow_mut(|older| {
+            older.reset(table.slots);
+            for (index, entry) in state.procs[proc].rob.iter().enumerate() {
+                if !entry.done {
+                    self.entry_rules(state, proc, index, older, out);
+                }
+                older.fold(&table.instrs[entry.instr_index], entry, index);
+            }
+        });
     }
 }
 
@@ -769,8 +958,9 @@ impl LabeledMachine for GamMachine {
     /// An action at the *oldest incomplete* ROB position is independent of
     /// everything else its thread can do, for most rules:
     ///
-    /// * every rule's guard scans only *older* entries, so a younger entry's
-    ///   action can never disable or relabel an older entry's action;
+    /// * every rule's guard reads only the context of *older* entries, so a
+    ///   younger entry's action can never disable or relabel an older
+    ///   entry's action;
     /// * with every older entry done, the action's register inputs are
     ///   fixed, and nothing remains that could squash it (squash victims are
     ///   always younger than the resolving entry);
@@ -816,95 +1006,81 @@ impl LabeledMachine for GamMachine {
                 proc.pc >= self.thread(thread).len() && proc.rob.iter().all(|entry| entry.done);
             return !finished;
         }
-        let unstable_from = proc
-            .rob
-            .iter()
-            .position(|entry| {
-                let instr = self.instruction(thread, entry);
-                (instr.is_load() || instr.is_store()) && !entry.addr_avail
-            })
-            .unwrap_or(usize::MAX);
-        proc.rob.iter().enumerate().any(|(index, entry)| {
+        // One pass, oldest first: `unstable` turns on at the first memory
+        // entry whose address is still unknown and stays on.
+        let table = &self.tables[thread];
+        let mut unstable = false;
+        proc.rob.iter().any(|entry| {
+            let load = match table.instrs[entry.instr_index].role {
+                Role::Load => true,
+                Role::Store => false,
+                _ => return false,
+            };
+            unstable |= !entry.addr_avail;
             // Stores conflict with any access; loads only with a write.
-            let instr = self.instruction(thread, entry);
-            if !(instr.is_store() || write && instr.is_load()) {
+            if load && !write {
                 return false;
             }
-            if index < unstable_from {
-                // Older than every unresolved address: the address is known
-                // (by definition of `unstable_from`) and the entry cannot be
-                // squashed.
-                !entry.done && entry.addr == addr
+            if unstable {
+                table.addrs[entry.instr_index].may_contain(addr)
             } else {
-                self.static_addrs[thread][entry.instr_index].may_contain(addr)
+                // Older than every unresolved address: the address is known
+                // and the entry cannot be squashed.
+                !entry.done && entry.addr == addr
             }
         })
     }
 
     fn labeled_successors(&self, state: &GamState) -> Vec<(Action, GamState)> {
         let mut out = Vec::new();
-        self.successors_into_buf(state, SuccBuf::new(&mut out));
+        let mut buf = SuccBuf::new(&mut out);
+        for proc in 0..state.procs.len() {
+            self.thread_rules(state, proc, &mut buf);
+        }
+        buf.finish();
         out
     }
 
     fn enabled_actions(&self, state: &GamState, out: &mut Vec<Action>) {
-        self.successors_into_buf(state, SuccBuf::labels(out));
+        out.clear();
+        for proc in 0..state.procs.len() {
+            self.thread_actions(state, proc, out);
+        }
     }
 
-    /// Fires the one rule the label's tag and ROB index name.
+    fn thread_actions(&self, state: &GamState, thread: usize, out: &mut Vec<Action>) {
+        let mut buf = SuccBuf::labels(out);
+        self.thread_rules(state, thread, &mut buf);
+        buf.finish();
+    }
+
+    /// Folds the context of the ROB entry the label names and fires the
+    /// one rule its tag names.
     fn successor_into(&self, state: &GamState, action: &Action, out: &mut GamState) {
         let (proc, index) = (action.thread as usize, (action.id >> 3) as usize);
         let mut buf = SuccBuf::one(*action, out);
-        match action.id & 7 {
-            tag::FETCH => self.rule_fetch(state, proc, &mut buf),
-            tag::ALU => self.rule_execute_alu(state, proc, index, &mut buf),
-            tag::BRANCH => self.rule_execute_branch(state, proc, index, &mut buf),
-            tag::FENCE => self.rule_execute_fence(state, proc, index, &mut buf),
-            tag::LOAD => self.rule_execute_load(state, proc, index, &mut buf),
-            tag::STORE_DATA => self.rule_compute_store_data(state, proc, index, &mut buf),
-            tag::STORE => self.rule_execute_store(state, proc, index, &mut buf),
-            _ => self.rule_compute_mem_addr(state, proc, index, &mut buf),
-        }
-        buf.finish();
-    }
-}
-
-impl GamMachine {
-    /// The rule pass shared by every successor entry point.
-    fn successors_into_buf(&self, state: &GamState, mut buf: SuccBuf<'_, GamState>) {
-        for proc in 0..self.program.num_threads() {
-            if !self.eager_fetch {
-                self.rule_fetch(state, proc, &mut buf);
-            }
-            for index in 0..state.procs[proc].rob.len() {
-                let entry = &state.procs[proc].rob[index];
-                if entry.done {
-                    // Completed entries only participate as context for others,
-                    // except stores whose data rule has already fired.
-                    continue;
+        let rule = action.id & 7;
+        if rule == tag::FETCH {
+            self.rule_fetch(state, proc, &mut buf);
+        } else {
+            let table = &self.tables[proc];
+            OLDER.with_borrow_mut(|older| {
+                older.reset(table.slots);
+                for (older_index, entry) in state.procs[proc].rob[..index].iter().enumerate() {
+                    older.fold(&table.instrs[entry.instr_index], entry, older_index);
                 }
-                // One dispatch on the instruction kind; each rule keeps its
-                // own guard, so the set of enabled firings (and their order)
-                // is exactly that of running every rule unconditionally.
-                match self.instruction(proc, entry) {
-                    Instruction::Alu { .. } => self.rule_execute_alu(state, proc, index, &mut buf),
-                    Instruction::Branch { .. } => {
-                        self.rule_execute_branch(state, proc, index, &mut buf);
+                match rule {
+                    tag::ALU => self.rule_execute_alu(state, proc, index, older, &mut buf),
+                    tag::BRANCH => self.rule_execute_branch(state, proc, index, older, &mut buf),
+                    tag::FENCE => self.rule_execute_fence(state, proc, index, older, &mut buf),
+                    tag::LOAD => self.rule_execute_load(state, proc, index, older, &mut buf),
+                    tag::STORE_DATA => {
+                        self.rule_compute_store_data(state, proc, index, older, &mut buf);
                     }
-                    Instruction::Fence { .. } => {
-                        self.rule_execute_fence(state, proc, index, &mut buf);
-                    }
-                    Instruction::Load { .. } => {
-                        self.rule_execute_load(state, proc, index, &mut buf);
-                        self.rule_compute_mem_addr(state, proc, index, &mut buf);
-                    }
-                    Instruction::Store { .. } => {
-                        self.rule_compute_store_data(state, proc, index, &mut buf);
-                        self.rule_execute_store(state, proc, index, &mut buf);
-                        self.rule_compute_mem_addr(state, proc, index, &mut buf);
-                    }
+                    tag::STORE => self.rule_execute_store(state, proc, index, older, &mut buf),
+                    _ => self.rule_compute_mem_addr(state, proc, index, older, &mut buf),
                 }
-            }
+            });
         }
         buf.finish();
     }
@@ -1017,38 +1193,6 @@ mod tests {
         // Both r1 = 0 (store b happens) and r1 = 1 (store b suppressed) exist.
         let all = outcomes(&test, GamConfig::gam());
         assert!(all.len() >= 2);
-    }
-
-    #[test]
-    fn label_first_successors_match_fresh_ones_and_labels_are_unique() {
-        // Between them the programs fire every rule: lb+data computes store
-        // data, and the branchy one fetches speculatively.
-        let tests =
-            [library::dekker(), library::mp_addr(), library::mp_fences(), library::lb_data()];
-        for test in tests.into_iter().chain([branch_squash_test()]) {
-            let machine = GamMachine::new(&test);
-            let mut frontier = vec![machine.initial_state()];
-            let (mut labels, mut pooled) = (Vec::new(), machine.initial_state());
-            let mut steps = 0;
-            while let Some(state) = frontier.pop() {
-                if steps > 200 {
-                    break;
-                }
-                steps += 1;
-                let labeled = machine.labeled_successors(&state);
-                machine.enabled_actions(&state, &mut labels);
-                let fresh: Vec<Action> = labeled.iter().map(|(action, _)| *action).collect();
-                assert_eq!(labels, fresh, "{}: the labels are the fresh ones", test.name());
-                let mut seen = std::collections::BTreeSet::new();
-                for (action, next) in labeled {
-                    assert!(seen.insert(action), "{}: duplicate label {action:?}", test.name());
-                    // One reused state: every build overwrites the last.
-                    machine.successor_into(&state, &action, &mut pooled);
-                    assert_eq!(pooled, next, "{}: {action:?} builds its successor", test.name());
-                    frontier.push(next);
-                }
-            }
-        }
     }
 
     #[test]

@@ -234,6 +234,16 @@ impl Footprint {
 /// neither enables or disables the other. That is exactly what
 /// [`LabeledMachine::independent`] reports and what the explorer's
 /// persistent/sleep sets exploit.
+///
+/// # Label order
+///
+/// [`LabeledMachine::enabled_actions`] (and so
+/// [`LabeledMachine::labeled_successors`]) lists the labels grouped by
+/// thread in ascending thread order, each thread's run in
+/// [`LabeledMachine::thread_actions`] order. With contract 2 this lets the
+/// explorer relabel a state reached by one thread's step by replacing only
+/// that thread's run of its parent's labels: every other run is unchanged,
+/// and so is its position.
 pub trait LabeledMachine: AbstractMachine {
     /// Every enabled rule firing, as `(label, resulting state)` pairs.
     ///
@@ -241,18 +251,36 @@ pub trait LabeledMachine: AbstractMachine {
     /// this indicates deadlock, which the explorer reports.
     fn labeled_successors(&self, state: &Self::State) -> Vec<(Action, Self::State)>;
 
-    /// The labels of every enabled rule firing, in the order
-    /// [`LabeledMachine::labeled_successors`] yields them, without building
-    /// any successor state. The reduced search picks its persistent set
-    /// from these labels and then builds only the successors it keeps
+    /// Replaces the contents of `out` with the labels of every enabled rule
+    /// firing, in the order [`LabeledMachine::labeled_successors`] yields
+    /// them (see the label order above), without building any successor
+    /// state. The reduced search picks its persistent set from these labels
+    /// and then builds only the successors it keeps
     /// ([`LabeledMachine::successor_into`]).
     ///
     /// The default derives the labels from
     /// [`LabeledMachine::labeled_successors`] (allocating every successor);
-    /// the shipped machines run their guards only.
+    /// the shipped machines clear `out` once and append each thread's
+    /// [`LabeledMachine::thread_actions`], running their guards only.
     fn enabled_actions(&self, state: &Self::State, out: &mut Vec<Action>) {
         out.clear();
         out.extend(self.labeled_successors(state).into_iter().map(|(action, _)| action));
+    }
+
+    /// Appends to `out` the labels of `thread`'s enabled rule firings, in
+    /// the order [`LabeledMachine::enabled_actions`] lists them: that list
+    /// is the concatenation of this one over the threads in ascending
+    /// order. By contract 2 the run depends only on `thread`'s private
+    /// state, which is what lets the explorer relabel only the thread that
+    /// stepped.
+    ///
+    /// The default filters [`LabeledMachine::enabled_actions`] and exists
+    /// for toy machines only; the shipped machines run `thread`'s rule pass
+    /// alone.
+    fn thread_actions(&self, state: &Self::State, thread: usize, out: &mut Vec<Action>) {
+        let mut all = Vec::new();
+        self.enabled_actions(state, &mut all);
+        out.extend(all.into_iter().filter(|action| action.thread as usize == thread));
     }
 
     /// Writes the successor of `state` under the enabled `action` into
@@ -333,8 +361,9 @@ pub trait LabeledMachine: AbstractMachine {
 ///
 /// * [`SuccBuf::new`] collects `(label, successor)` pairs
 ///   ([`LabeledMachine::labeled_successors`]).
-/// * [`SuccBuf::labels`] records the labels and builds no state
-///   ([`LabeledMachine::enabled_actions`]).
+/// * [`SuccBuf::labels`] appends the labels and builds no state
+///   ([`LabeledMachine::thread_actions`], and so
+///   [`LabeledMachine::enabled_actions`]).
 /// * [`SuccBuf::one`] builds the successor of one chosen label into a
 ///   single state through `Clone::clone_from`, which reuses its heap
 ///   buffers, and skips every other firing
@@ -355,7 +384,6 @@ impl<'a, S: Clone> SuccBuf<'a, S> {
     }
 
     pub(crate) fn labels(out: &'a mut Vec<Action>) -> Self {
-        out.clear();
         SuccBuf { sink: Sink::Labels(out) }
     }
 
@@ -448,9 +476,13 @@ mod tests {
         let s0 = machine.initial_state();
         assert!(!machine.is_final(&s0));
         assert_eq!(machine.labeled_successors(&s0), vec![(Action::local(0, 0), 1)]);
-        let mut labels = Vec::new();
+        let mut labels = vec![Action::local(5, 5)];
         machine.enabled_actions(&1, &mut labels);
         assert_eq!(labels, vec![Action::local(0, 0)]);
+        machine.thread_actions(&1, 0, &mut labels);
+        assert_eq!(labels, vec![Action::local(0, 0); 2], "thread_actions appends");
+        machine.thread_actions(&1, 1, &mut labels);
+        assert_eq!(labels.len(), 2, "thread 1 has no labels");
         let mut next = 7;
         machine.successor_into(&1, &Action::local(0, 0), &mut next);
         assert_eq!(next, 0);

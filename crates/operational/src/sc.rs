@@ -215,12 +215,25 @@ impl LabeledMachine for ScMachine {
 
     fn labeled_successors(&self, state: &ScState) -> Vec<(Action, ScState)> {
         let mut out = Vec::new();
-        self.successors_into_buf(state, SuccBuf::new(&mut out));
+        let mut buf = SuccBuf::new(&mut out);
+        for thread in 0..state.procs.len() {
+            self.thread_rule(state, thread, &mut buf);
+        }
+        buf.finish();
         out
     }
 
     fn enabled_actions(&self, state: &ScState, out: &mut Vec<Action>) {
-        self.successors_into_buf(state, SuccBuf::labels(out));
+        out.clear();
+        for thread in 0..state.procs.len() {
+            self.thread_actions(state, thread, out);
+        }
+    }
+
+    fn thread_actions(&self, state: &ScState, thread: usize, out: &mut Vec<Action>) {
+        let mut buf = SuccBuf::labels(out);
+        self.thread_rule(state, thread, &mut buf);
+        buf.finish();
     }
 
     fn successor_into(&self, state: &ScState, action: &Action, out: &mut ScState) {
@@ -232,14 +245,6 @@ impl LabeledMachine for ScMachine {
 }
 
 impl ScMachine {
-    /// The rule pass shared by every successor entry point.
-    fn successors_into_buf(&self, state: &ScState, mut buf: SuccBuf<'_, ScState>) {
-        for proc_index in 0..state.procs.len() {
-            self.thread_rule(state, proc_index, &mut buf);
-        }
-        buf.finish();
-    }
-
     /// Fires the next instruction of one processor, if it has one.
     fn thread_rule(&self, state: &ScState, proc_index: usize, buf: &mut SuccBuf<'_, ScState>) {
         let proc = &state.procs[proc_index];

@@ -238,12 +238,25 @@ impl LabeledMachine for TsoMachine {
 
     fn labeled_successors(&self, state: &TsoState) -> Vec<(Action, TsoState)> {
         let mut out = Vec::new();
-        self.successors_into_buf(state, SuccBuf::new(&mut out));
+        let mut buf = SuccBuf::new(&mut out);
+        for thread in 0..state.procs.len() {
+            self.thread_rules(state, thread, &mut buf);
+        }
+        buf.finish();
         out
     }
 
     fn enabled_actions(&self, state: &TsoState, out: &mut Vec<Action>) {
-        self.successors_into_buf(state, SuccBuf::labels(out));
+        out.clear();
+        for thread in 0..state.procs.len() {
+            self.thread_actions(state, thread, out);
+        }
+    }
+
+    fn thread_actions(&self, state: &TsoState, thread: usize, out: &mut Vec<Action>) {
+        let mut buf = SuccBuf::labels(out);
+        self.thread_rules(state, thread, &mut buf);
+        buf.finish();
     }
 
     fn successor_into(&self, state: &TsoState, action: &Action, out: &mut TsoState) {
@@ -256,14 +269,6 @@ impl LabeledMachine for TsoMachine {
 }
 
 impl TsoMachine {
-    /// The rule pass shared by every successor entry point.
-    fn successors_into_buf(&self, state: &TsoState, mut buf: SuccBuf<'_, TsoState>) {
-        for proc_index in 0..state.procs.len() {
-            self.thread_rules(state, proc_index, &mut buf);
-        }
-        buf.finish();
-    }
-
     /// Fires one processor's drain and next instruction, where enabled.
     fn thread_rules(&self, state: &TsoState, proc_index: usize, buf: &mut SuccBuf<'_, TsoState>) {
         let proc = &state.procs[proc_index];
