@@ -36,10 +36,13 @@
 //! differential reference the tests name explicitly. Either way the search
 //! is *label-first*: the persistent set is chosen from the enabled action
 //! labels ([`LabeledMachine::enabled_actions`]) and only the successors it
-//! keeps are built ([`LabeledMachine::successor_into`]). The reduced
-//! search's per-slot sleep bookkeeping is a `u32` id into a deduplicated
-//! table of sets and one expansion-state byte; the unreduced one keeps
-//! none.
+//! keeps are built ([`LabeledMachine::successor_into`]). A singleton-chain
+//! step relabels only the thread that stepped
+//! ([`LabeledMachine::thread_actions`]), and the sequential driver expands
+//! the state a chain stopped at with the labels and persistent set the
+//! chain already computed there. The reduced search's per-slot sleep
+//! bookkeeping is a `u32` id into a deduplicated table of sets and one
+//! expansion-state byte; the unreduced one keeps none.
 //!
 //! With [`ExplorerConfig::parallelism`] above one, a run whose state count
 //! passes [`ExplorerConfig::parallel_threshold`] hands its visited set and
@@ -612,7 +615,8 @@ pub(crate) type StopFn<'a> = &'a (dyn Fn(&Outcome) -> bool + Sync);
 /// reduction keeps — one per step of a singleton chain, which relabels only
 /// the thread that stepped. The sequential driver, the oracle and each
 /// sharded worker own one, so its scratch buffers are reused across
-/// expansions.
+/// expansions; the sequential driver also hands the labels a chain stopped
+/// with on to the expansion of that state ([`Reducer::begin_at`]).
 struct Reducer<'m, M: LabeledMachine> {
     machine: &'m M,
     reduction: Reduction,
@@ -626,6 +630,15 @@ struct Reducer<'m, M: LabeledMachine> {
     /// state, and a state buffer its successor is built into.
     chain_labels: Vec<Action>,
     chain_next: Option<M::State>,
+    /// The persistent set of the state the last successor's chain stopped
+    /// at, when the chain chose one there (its labels are then
+    /// `chain_labels`).
+    stopped: Option<Chosen>,
+    /// That set and labels, handed on with the slot the state was interned
+    /// at ([`Reducer::interned`]): the depth-first driver usually expands
+    /// that slot next, and [`Reducer::begin_at`] reuses them.
+    ahead: Option<(u32, Chosen)>,
+    ahead_labels: Vec<Action>,
     /// Scratch of the persistent-set choice: the active threads.
     threads: Vec<u32>,
     /// The sleep set of the state being expanded, filled by
@@ -648,6 +661,9 @@ impl<'m, M: LabeledMachine> Reducer<'m, M> {
             explored: Vec::new(),
             chain_labels: Vec::new(),
             chain_next: None,
+            stopped: None,
+            ahead: None,
+            ahead_labels: Vec::new(),
             threads: Vec::new(),
             asleep: ActionSet::new(),
             sleep: ActionSet::new(),
@@ -664,6 +680,38 @@ impl<'m, M: LabeledMachine> Reducer<'m, M> {
             choose_persistent(self.machine, state, &self.labels, &mut self.threads)
         } else {
             Chosen::All
+        }
+    }
+
+    /// [`Reducer::begin`] for the state interned at `slot`, taking its
+    /// labels and persistent set from the chain that stopped there when
+    /// they were handed on with that slot. Both are functions of the state
+    /// alone, so reusing them changes nothing the search does.
+    fn begin_at(&mut self, slot: u32, state: &M::State) -> Chosen {
+        let Some((_, chosen)) = self.ahead.take_if(|(ahead, _)| *ahead == slot) else {
+            return self.begin(state);
+        };
+        self.explored.clear();
+        std::mem::swap(&mut self.labels, &mut self.ahead_labels);
+        debug_assert_eq!(
+            (self.labels.clone(), chosen),
+            {
+                let mut fresh = Vec::new();
+                self.machine.enabled_actions(state, &mut fresh);
+                let fresh_chosen = choose_persistent(self.machine, state, &fresh, &mut Vec::new());
+                (fresh, fresh_chosen)
+            },
+            "the handed-on labels and persistent set are the state's fresh ones"
+        );
+        chosen
+    }
+
+    /// Notes that the successor [`Reducer::successor`] last built was
+    /// interned as the new slot `slot`.
+    fn interned(&mut self, slot: u32) {
+        if let Some(chosen) = self.stopped.take() {
+            std::mem::swap(&mut self.chain_labels, &mut self.ahead_labels);
+            self.ahead = Some((slot, chosen));
         }
     }
 
@@ -704,11 +752,13 @@ impl<'m, M: LabeledMachine> Reducer<'m, M> {
             explored,
             chain_labels,
             chain_next,
+            stopped,
             threads,
             asleep,
             sleep,
             ..
         } = self;
+        *stopped = None;
         let reduced = self.reduction.is_reduced();
         if reduced && (!chosen.keeps(&action) || asleep.contains(&action)) {
             self.pruned += 1;
@@ -752,8 +802,9 @@ impl<'m, M: LabeledMachine> Reducer<'m, M> {
             if chain_labels.is_empty() {
                 return Err(ExploreError::Deadlock);
             }
-            let Chosen::Single(step) = choose_persistent(*machine, next, chain_labels, threads)
-            else {
+            let chosen = choose_persistent(*machine, next, chain_labels, threads);
+            let Chosen::Single(step) = chosen else {
+                *stopped = Some(chosen);
                 break;
             };
             if sleep.contains(&step) {
@@ -1650,7 +1701,7 @@ impl Explorer {
             arena
                 .load(slot, &mut current)
                 .map_err(|err| spill_read_interrupt(hard_budget, arena.len(), &outcomes, &err))?;
-            let chosen = reducer.begin(&current);
+            let chosen = reducer.begin_at(slot, &current);
             if machine.is_final(&current) {
                 final_states += usize::from(first_expansion);
                 let outcome = machine.outcome(&current);
@@ -1683,6 +1734,7 @@ impl Explorer {
                     }
                     book.push(&reducer.sleep);
                     stack.push(next_slot);
+                    reducer.interned(next_slot);
                 } else if book.revisit(next_slot, &reducer.sleep) {
                     stack.push(next_slot);
                 }
