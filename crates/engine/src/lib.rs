@@ -85,5 +85,5 @@ pub use session::{CheckBudget, SessionVerdict};
 pub use gam_axiomatic::{CheckerConfig, Verdict};
 pub use gam_core::{CancelToken, Interrupt, StopReason};
 pub use gam_operational::{
-    ArenaOccupancy, CheckpointPlan, ExplorerConfig, MemoryConfig, MemoryStats, Reduction,
+    ArenaOccupancy, CheckpointPlan, ExplorerConfig, MemoryConfig, MemoryStats,
 };

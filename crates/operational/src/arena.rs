@@ -614,9 +614,114 @@ impl<S: ComposedState> ComponentArena<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gam::{GamMachine, GamState};
+    use crate::gam::{GamConfig, GamMachine, GamState};
     use crate::machine::{AbstractMachine, LabeledMachine};
-    use gam_isa::litmus::library;
+    use crate::sc::ScMachine;
+    use crate::tso::TsoMachine;
+    use gam_isa::litmus::{library, LitmusTest};
+
+    /// Walks the whole unreduced state graph of `machine` depth-first and
+    /// interns every successor twice: into a [`ComponentArena`] through
+    /// [`ComponentArena::intern_touched`] with the label-derived mask, and
+    /// into a plain full-state set. The two must answer the same `(slot,
+    /// is_new)` at every step, and [`ComponentArena::load`] must reassemble
+    /// every state it expands. Each successor is also stepped once more by
+    /// every action enabled there, and the two-step state is interned from
+    /// the first state with the union of both masks: the mask a compressed
+    /// chain hands the arena. The walk must intern exactly the states the
+    /// unreduced reference search reaches; their number is returned.
+    fn assert_touched_interning_matches_full_states<M>(machine: &M) -> usize
+    where
+        M: LabeledMachine,
+        M::State: ComposedState + std::fmt::Debug,
+    {
+        let initial = machine.initial_state();
+        let mut arena: ComponentArena<M::State> = ComponentArena::new(initial.procs().len());
+        let mut full: InternedStates<M::State> = InternedStates::default();
+        assert_eq!(arena.intern_root(&initial), full.intern(initial.clone()).0);
+        let mut stack = vec![0];
+        let (mut state, mut next, mut after) = (initial.clone(), initial.clone(), initial);
+        let (mut labels, mut later) = (Vec::new(), Vec::new());
+        while let Some(slot) = stack.pop() {
+            arena.load(slot, &mut state).unwrap();
+            assert_eq!(state, *full.get(slot), "{}: slot {slot} reassembles", machine.name());
+            machine.enabled_actions(&state, &mut labels);
+            for action in &labels {
+                machine.successor_into(&state, action, &mut next);
+                let touched = Touched::from_action(action);
+                let interned = arena.intern_touched(&next, slot, touched).unwrap();
+                assert_eq!(interned, full.intern_ref(&next), "{}: {action:?}", machine.name());
+                if interned.1 {
+                    stack.push(interned.0);
+                }
+                machine.enabled_actions(&next, &mut later);
+                for second in &later {
+                    machine.successor_into(&next, second, &mut after);
+                    let mut chain = touched;
+                    chain.add_action(second);
+                    let interned = arena.intern_touched(&after, slot, chain).unwrap();
+                    assert_eq!(
+                        interned,
+                        full.intern_ref(&after),
+                        "{}: {action:?} then {second:?}",
+                        machine.name()
+                    );
+                    if interned.1 {
+                        stack.push(interned.0);
+                    }
+                }
+            }
+        }
+        let oracle = crate::oracle::explore_unreduced(machine, usize::MAX).unwrap();
+        assert_eq!(arena.len(), oracle.states_visited, "{}: every state", machine.name());
+        arena.len()
+    }
+
+    /// Two threads that each branch on a load of `a` around a store:
+    /// speculation, misprediction squashes and refetches rewrite whole
+    /// proc components.
+    fn branchy() -> LitmusTest {
+        use gam_isa::prelude::*;
+        let (a, b) = (Loc::new("a"), Loc::new("b"));
+        let mut p0 = ThreadProgram::builder(ProcId::new(0));
+        p0.load(Reg::new(1), Addr::loc(a))
+            .branch(BranchCond::Ne, Operand::reg(Reg::new(1)), Operand::imm(0), "skip")
+            .store(Addr::loc(b), Operand::imm(1))
+            .label("skip")
+            .load(Reg::new(2), Addr::loc(b));
+        let mut p1 = ThreadProgram::builder(ProcId::new(1));
+        p1.store(Addr::loc(a), Operand::imm(1))
+            .load(Reg::new(1), Addr::loc(b))
+            .branch(BranchCond::Eq, Operand::reg(Reg::new(1)), Operand::imm(0), "end")
+            .store(Addr::loc(a), Operand::imm(2))
+            .label("end");
+        let program = Program::new(vec![p0.build(), p1.build()]);
+        LitmusTest::builder("branchy-arena", program)
+            .observe_reg(ProcId::new(0), Reg::new(1))
+            .observe_reg(ProcId::new(0), Reg::new(2))
+            .observe_reg(ProcId::new(1), Reg::new(1))
+            .observe_mem(a)
+            .observe_mem(b)
+            .build()
+    }
+
+    #[test]
+    fn touched_interning_matches_full_state_interning_on_every_machine() {
+        for test in library::all_tests() {
+            assert_touched_interning_matches_full_states(&ScMachine::new(&test));
+            assert_touched_interning_matches_full_states(&TsoMachine::new(&test));
+            assert_touched_interning_matches_full_states(&GamMachine::new(&test));
+            let gam0 = GamMachine::with_config(&test, GamConfig::gam0());
+            assert_touched_interning_matches_full_states(&gam0);
+        }
+        let test = branchy();
+        for config in [GamConfig::gam(), GamConfig::gam0()] {
+            let states = assert_touched_interning_matches_full_states(&GamMachine::with_config(
+                &test, config,
+            ));
+            assert!(states > 100, "the branchy program has {states} states");
+        }
+    }
 
     #[test]
     fn successors_share_unchanged_components_with_their_parent() {

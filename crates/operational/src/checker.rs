@@ -15,6 +15,7 @@ use crate::arena::ComposedState;
 use crate::explore::{Exploration, ExploreError, Explorer, ExplorerConfig, StopFn};
 use crate::gam::{GamConfig, GamMachine};
 use crate::machine::LabeledMachine;
+use crate::oracle;
 use crate::sc::ScMachine;
 use crate::tso::TsoMachine;
 
@@ -119,9 +120,9 @@ impl OperationalChecker {
     }
 
     /// The one per-model dispatch: builds the test's machine for the
-    /// checker's model and runs one search on it — the arena driver, which
+    /// checker's model and runs one search on it — the explorer, which
     /// stops at the first final outcome `stop` accepts (if given), or with
-    /// `reference` the full-state oracle.
+    /// `reference` the unreduced search of [`crate::oracle`].
     fn search(
         &self,
         test: &LitmusTest,
@@ -138,7 +139,8 @@ impl OperationalChecker {
             M::State: ComposedState + Send,
         {
             if reference {
-                explorer.explore_reference(machine).map(|exploration| (exploration, None))
+                oracle::explore_unreduced(machine, explorer.config().max_states)
+                    .map(|exploration| (exploration, None))
             } else {
                 explorer.run(machine, stop)
             }
@@ -166,10 +168,11 @@ impl OperationalChecker {
         Ok(self.search(test, None, false)?.0)
     }
 
-    /// Exhaustively explores the test on the explorer's reference oracle
-    /// (full-state interning, sequential, honouring the configured
-    /// [`crate::Reduction`]). The differential test-suites compare the
-    /// component-arena exploration against it.
+    /// Exhaustively explores the test with the unreduced reference search
+    /// of [`crate::oracle`], which visits every interleaving over full
+    /// states and honours only [`ExplorerConfig::max_states`]. The
+    /// differential test-suites compare [`OperationalChecker::explore`]
+    /// against it.
     ///
     /// # Errors
     ///

@@ -6,18 +6,14 @@
 //! programs), so the search is exact; configurable limits guard against
 //! pathological inputs.
 //!
-//! There is **one driver**: a sequential depth-first search over a
+//! There is **one search**: a sequential depth-first search over a
 //! component arena (`ComponentArena`), which stores every visited state as
 //! a row of hash-consed component ids so unchanged per-proc states and
 //! memories are shared across the visited set. It carries everything a
 //! production run needs: the memory governor and its spill ladder,
 //! periodic checkpoint snapshots and resume, interrupt polling, the early
-//! exit at the first witness, and the escalation below.
-//!
-//! The reduction mode ([`Reduction`]) is *data* in that driver, following
-//! the standard view of partial-order reduction: an unreduced search is the
-//! degenerate case where the persistent set holds every enabled action and
-//! every sleep set is empty. The reduced modes add:
+//! exit at the first witness, and the escalation below. It always applies
+//! the persistent-set and sleep-set partial-order reduction:
 //!
 //! * **Persistent sets** — when every enabled action of some thread is
 //!   thread-private (`ActionKind::Local` / `ActionKind::Fence`), those
@@ -32,17 +28,14 @@
 //!   with a sleep set that is not a superset of the stored one re-expands it
 //!   with the intersection, which keeps the search exact.
 //!
-//! [`Reduction::Sleep`] is the default; [`Reduction::Off`] is the
-//! differential reference the tests name explicitly. Either way the search
-//! is *label-first*: the persistent set is chosen from the enabled action
-//! labels ([`LabeledMachine::enabled_actions`]) and only the successors it
-//! keeps are built ([`LabeledMachine::successor_into`]). A singleton-chain
-//! step relabels only the thread that stepped
+//! The search is *label-first*: the persistent set is chosen from the
+//! enabled action labels ([`LabeledMachine::enabled_actions`]) and only the
+//! successors it keeps are built ([`LabeledMachine::successor_into`]). A
+//! singleton-chain step relabels only the thread that stepped
 //! ([`LabeledMachine::thread_actions`]), and the sequential driver expands
 //! the state a chain stopped at with the labels and persistent set the
-//! chain already computed there. The reduced search's per-slot sleep
-//! bookkeeping is a `u32` id into a deduplicated table of sets and one
-//! expansion-state byte; the unreduced one keeps none.
+//! chain already computed there. The per-slot sleep bookkeeping is a `u32`
+//! id into a deduplicated table of sets and one expansion-state byte.
 //!
 //! With [`ExplorerConfig::parallelism`] above one, a run whose state count
 //! passes [`ExplorerConfig::parallel_threshold`] hands its visited set and
@@ -53,15 +46,12 @@
 //! outcome sets are merged at the end. It stores full states and reports no
 //! arena occupancy.
 //!
-//! Finally, [`Explorer::explore_reference`] is a small full-state
-//! **reference oracle** — same search, plain interning, no governor — that
-//! the differential test-suites compare the arena driver against.
-//!
 //! Soundness of the reduction rests on the [`LabeledMachine`] contract
 //! (thread-local guards, honest memory-address labels): under it, the
-//! reduced search reaches exactly the final states of the full search, which
-//! the repository pins with differential tests over the entire litmus
-//! library and randomly generated programs.
+//! reduced search reaches exactly the final states of the full search. The
+//! repository pins that with differential tests against the unreduced
+//! reference search of [`crate::oracle`] over the entire litmus library,
+//! the checked-in corpora and randomly generated programs.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -80,45 +70,6 @@ use crate::codec;
 use crate::machine::{Action, ActionKind, LabeledMachine};
 use crate::spill::{SpillError, SpillStore};
 
-/// The partial-order reduction mode of the exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Reduction {
-    /// Visit every interleaving: the persistent set is every enabled action
-    /// and every sleep set is empty. The differential reference the reduced
-    /// mode is tested against; no production run uses it.
-    Off,
-    /// Persistent-set + sleep-set partial-order reduction over transition
-    /// labels (the default).
-    #[default]
-    Sleep,
-}
-
-impl Reduction {
-    /// All modes, in increasing aggressiveness.
-    pub const ALL: [Reduction; 2] = [Reduction::Off, Reduction::Sleep];
-
-    /// Is any reduction active?
-    #[must_use]
-    pub fn is_reduced(self) -> bool {
-        !matches!(self, Reduction::Off)
-    }
-
-    /// A short lowercase name (`"off"` / `"sleep"`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Reduction::Off => "off",
-            Reduction::Sleep => "sleep",
-        }
-    }
-}
-
-impl fmt::Display for Reduction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Limits and resources of the exhaustive exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExplorerConfig {
@@ -129,7 +80,8 @@ pub struct ExplorerConfig {
     /// run that outgrows [`ExplorerConfig::parallel_threshold`] hands its
     /// visited set to that many workers over full states — no component
     /// sharing, no memory governor, and `states_visited`/
-    /// `transitions_pruned` run-dependent under reduction. Composes
+    /// `transitions_pruned` run-dependent (sleep sets depend on which
+    /// worker reaches a state first). Composes
     /// multiplicatively with any suite-level parallelism (e.g.
     /// `Engine::run_suite` workers) — keep the product near the core count.
     pub parallelism: usize,
@@ -143,18 +95,11 @@ pub struct ExplorerConfig {
     /// one-time migration of the visited set into the shards. `0` shards
     /// after the first expansion (the sharded-continuation tests use it).
     pub parallel_threshold: usize,
-    /// The partial-order reduction mode ([`Reduction::Sleep`] by default).
-    pub reduction: Reduction,
 }
 
 impl Default for ExplorerConfig {
     fn default() -> Self {
-        ExplorerConfig {
-            max_states: 5_000_000,
-            parallelism: 1,
-            parallel_threshold: 8_192,
-            reduction: Reduction::Sleep,
-        }
+        ExplorerConfig { max_states: 5_000_000, parallelism: 1, parallel_threshold: 8_192 }
     }
 }
 
@@ -164,15 +109,14 @@ impl Default for ExplorerConfig {
 /// Arming either the budget or a checkpoint plan forces the exploration to
 /// stay sequential (the adaptive escalation to the sharded continuation is
 /// disabled): the budget ladder and checkpoint snapshots rely on the
-/// deterministic single-frontier search. The reference oracle ignores this
-/// configuration entirely.
+/// deterministic single-frontier search.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryConfig {
     /// Hard in-RAM budget in *accounted* bytes (see
     /// [`gam_core::MemoryAccountant`] — deterministic figures, not allocator
     /// truth). At 80% the degradation ladder starts: cold rows spill.
-    /// The sleep-set bookkeeping of a reduced run (the default) counts
-    /// towards the budget but stays resident.
+    /// The sleep-set bookkeeping counts towards the budget but stays
+    /// resident.
     /// Above 100% after every degradation step the exploration stops with
     /// [`StopReason::MemoryBudget`].
     pub max_bytes: Option<usize>,
@@ -314,12 +258,13 @@ pub struct Exploration {
     pub states_visited: usize,
     /// Number of reachable final states (counted once per distinct state).
     pub final_states: usize,
-    /// Number of enabled transitions the reduction skipped (persistent-set
-    /// and sleep-set prunes). Zero under [`Reduction::Off`].
+    /// Number of enabled transitions the reduction skipped (persistent-set,
+    /// sleep-set and chain prunes). Zero from the unreduced reference
+    /// search of [`crate::oracle`].
     pub transitions_pruned: usize,
-    /// Structure-sharing statistics of the component arena. `None` exactly
-    /// when the run escalated to the sharded continuation, which stores
-    /// full states (and from the reference oracle, which does too).
+    /// Structure-sharing statistics of the component arena. `None` when
+    /// the run escalated to the sharded continuation, and from the
+    /// reference search of [`crate::oracle`]: both store full states.
     pub arena: Option<crate::arena::ArenaOccupancy>,
     /// Memory-pressure statistics. `Some` only when a
     /// [`MemoryConfig::max_bytes`] budget was armed.
@@ -606,20 +551,18 @@ const HANDOFF_BATCH: usize = 16;
 /// sharded workers can consult it).
 pub(crate) type StopFn<'a> = &'a (dyn Fn(&Outcome) -> bool + Sync);
 
-/// The reduction of one search, as data: persistent-set choice, sleep-set
-/// inheritance and singleton-chain compression under the reduced mode, and
-/// the degenerate "every action, empty sleep sets" under [`Reduction::Off`].
-/// The search is *label-first*: [`Reducer::begin`] lists the enabled
-/// actions without building any state, the persistent set is chosen from
-/// those labels, and [`Reducer::successor`] builds only the successors the
-/// reduction keeps — one per step of a singleton chain, which relabels only
-/// the thread that stepped. The sequential driver, the oracle and each
-/// sharded worker own one, so its scratch buffers are reused across
-/// expansions; the sequential driver also hands the labels a chain stopped
-/// with on to the expansion of that state ([`Reducer::begin_at`]).
+/// The reduction of one search: persistent-set choice, sleep-set
+/// inheritance and singleton-chain compression. The search is
+/// *label-first*: [`Reducer::begin`] lists the enabled actions without
+/// building any state, the persistent set is chosen from those labels, and
+/// [`Reducer::successor`] builds only the successors the reduction keeps —
+/// one per step of a singleton chain, which relabels only the thread that
+/// stepped. The sequential driver and each sharded worker own one, so its
+/// scratch buffers are reused across expansions; the sequential driver
+/// also hands the labels a chain stopped with on to the expansion of that
+/// state ([`Reducer::begin_at`]).
 struct Reducer<'m, M: LabeledMachine> {
     machine: &'m M,
-    reduction: Reduction,
     /// The enabled actions of the state being expanded, in the machine's
     /// order (filled by [`Reducer::begin`]).
     labels: Vec<Action>,
@@ -642,10 +585,10 @@ struct Reducer<'m, M: LabeledMachine> {
     /// Scratch of the persistent-set choice: the active threads.
     threads: Vec<u32>,
     /// The sleep set of the state being expanded, filled by
-    /// [`SleepBook::claim`] (always empty under [`Reduction::Off`]).
+    /// [`SleepBook::claim`].
     asleep: ActionSet,
     /// The sleep set the successor last built by [`Reducer::successor`]
-    /// inherits (always empty under [`Reduction::Off`]).
+    /// inherits.
     sleep: ActionSet,
     /// Enabled transitions skipped so far (persistent-set, sleep-set and
     /// chain prunes).
@@ -653,10 +596,9 @@ struct Reducer<'m, M: LabeledMachine> {
 }
 
 impl<'m, M: LabeledMachine> Reducer<'m, M> {
-    fn new(machine: &'m M, reduction: Reduction) -> Self {
+    fn new(machine: &'m M) -> Self {
         Reducer {
             machine,
-            reduction,
             labels: Vec::new(),
             explored: Vec::new(),
             chain_labels: Vec::new(),
@@ -676,11 +618,7 @@ impl<'m, M: LabeledMachine> Reducer<'m, M> {
     fn begin(&mut self, state: &M::State) -> Chosen {
         self.explored.clear();
         self.machine.enabled_actions(state, &mut self.labels);
-        if self.reduction.is_reduced() {
-            choose_persistent(self.machine, state, &self.labels, &mut self.threads)
-        } else {
-            Chosen::All
-        }
+        choose_persistent(self.machine, state, &self.labels, &mut self.threads)
     }
 
     /// [`Reducer::begin`] for the state interned at `slot`, taking its
@@ -759,16 +697,12 @@ impl<'m, M: LabeledMachine> Reducer<'m, M> {
             ..
         } = self;
         *stopped = None;
-        let reduced = self.reduction.is_reduced();
-        if reduced && (!chosen.keeps(&action) || asleep.contains(&action)) {
+        if !chosen.keeps(&action) || asleep.contains(&action) {
             self.pruned += 1;
             return Ok(None);
         }
         machine.successor_into(parent, &action, next);
         let mut touched = Touched::from_action(&action);
-        if !reduced {
-            return Ok(Some(touched));
-        }
         // The successor sleeps on every inherited or earlier-explored action
         // it is independent of: those orderings are covered by the sibling
         // subtrees.
@@ -878,15 +812,13 @@ const SLEEP_TABLE_ENTRY_BYTES: usize =
 /// visited set: the smallest sleep set each slot has been reached with,
 /// as a `u32` id into a deduplicated table of sets, and whether the slot
 /// was expanded with that set. A slot costs 5 bytes however big its set
-/// is; a big reduced search meets a few hundred distinct sets, and most
-/// slots name the empty one.
+/// is; a big search meets a few hundred distinct sets, and most slots name
+/// the empty one.
 ///
 /// Each stored set only shrinks, and a slot is re-queued exactly when it
 /// shrinks, so every visit's obligations are met and the search
-/// terminates. Under [`Reduction::Off`] the book stays empty: every claim
-/// is a first expansion with an empty sleep set, and no revisit re-queues.
+/// terminates.
 struct SleepBook {
-    reduced: bool,
     /// Every distinct set a slot names or named, once; id 0 is the empty set.
     table: InternedStates<ActionSet>,
     /// Accounted bytes of `table` (length-based, so a resumed run that
@@ -899,17 +831,14 @@ struct SleepBook {
 }
 
 impl SleepBook {
-    fn new(reduced: bool) -> Self {
+    fn new() -> Self {
         let mut book = SleepBook {
-            reduced,
             table: InternedStates::default(),
             table_bytes: 0,
             sleep: Vec::new(),
             expanded: Vec::new(),
         };
-        if reduced {
-            book.intern(&ActionSet::new());
-        }
+        book.intern(&ActionSet::new());
         book
     }
 
@@ -930,9 +859,6 @@ impl SleepBook {
     /// expansion with an equal or smaller sleep set already covered it.
     #[inline]
     fn claim(&mut self, slot: u32, asleep: &mut ActionSet) -> Option<bool> {
-        if !self.reduced {
-            return Some(true);
-        }
         let previous = std::mem::replace(&mut self.expanded[slot as usize], Expansion::Current);
         if previous == Expansion::Current {
             return None;
@@ -944,20 +870,15 @@ impl SleepBook {
     /// Registers a freshly interned slot reached with sleep set `sleep`.
     #[inline]
     fn push(&mut self, sleep: &ActionSet) {
-        if self.reduced {
-            let id = self.intern(sleep);
-            self.sleep.push(id);
-            self.expanded.push(Expansion::Pending);
-        }
+        let id = self.intern(sleep);
+        self.sleep.push(id);
+        self.expanded.push(Expansion::Pending);
     }
 
     /// Records a revisit of `slot` with sleep set `sleep`; true when the
     /// stored set shrank and the slot must be expanded again.
     #[inline]
     fn revisit(&mut self, slot: u32, sleep: &ActionSet) -> bool {
-        if !self.reduced {
-            return false;
-        }
         let stored_id = self.sleep[slot as usize];
         if stored_id == EMPTY_SET {
             return false;
@@ -975,12 +896,9 @@ impl SleepBook {
         true
     }
 
-    /// Appends slot `slot` of `from` (a book of the same reduction) to this
-    /// book, re-interning its set into this book's table.
+    /// Appends slot `slot` of `from` to this book, re-interning its set
+    /// into this book's table.
     fn adopt(&mut self, from: &SleepBook, slot: usize) {
-        if !self.reduced {
-            return;
-        }
         let sleep = self.intern(from.table.get(from.sleep[slot]));
         self.sleep.push(sleep);
         self.expanded.push(from.expanded[slot]);
@@ -1075,13 +993,12 @@ const SPILL_CHUNK_ROWS: usize = 64 * 1024;
 /// Rows always kept resident: the hot tail the DFS is actively revisiting.
 const MIN_RESIDENT_ROWS: usize = 256;
 
-/// Snapshot driver tags ([`CheckpointPlan`] payload versioning within the
-/// `gam-explore-checkpoint/v1` record that wraps these bytes): an unreduced
-/// search, and a reduced one whose interned sleep bookkeeping follows the
-/// frontier. Tag 2 was the reduced encoding with inline per-slot sets; a
-/// snapshot carrying it no longer decodes, so its run restarts.
-const SNAP_COMPOSED: u8 = 1;
-const SNAP_REDUCED: u8 = 3;
+/// The snapshot tag ([`CheckpointPlan`] payload versioning within the
+/// `gam-explore-checkpoint/v1` record that wraps these bytes): the search
+/// state with its interned sleep bookkeeping after the frontier. Retired
+/// tags — 1, an unreduced search, and 2, inline per-slot sleep sets — no
+/// longer decode, so a run resuming from one restarts.
+const SNAP_TAG: u8 = 3;
 
 /// The memory governor of a budgeted exploration: refreshes the
 /// [`MemoryAccountant`] at poll cadence and walks the degradation ladder
@@ -1309,8 +1226,7 @@ struct SeqSnapshot<S: ComposedState> {
 }
 
 /// Encodes the complete search state of the sequential driver, tagged
-/// [`SNAP_REDUCED`] (with the sleep bookkeeping) or [`SNAP_COMPOSED`]
-/// (without). Everything a resumed run needs to continue with identical
+/// [`SNAP_TAG`]. Everything a resumed run needs to continue with identical
 /// counters is here; accounted-memory peaks are deliberately *not* (they
 /// restart from the resumed footprint).
 fn encode_snapshot<S: ComposedState>(
@@ -1323,7 +1239,7 @@ fn encode_snapshot<S: ComposedState>(
     book: &SleepBook,
 ) -> Vec<u8> {
     let mut out = Vec::new();
-    codec::put_u8(&mut out, if book.reduced { SNAP_REDUCED } else { SNAP_COMPOSED });
+    codec::put_u8(&mut out, SNAP_TAG);
     codec::put_usize(&mut out, expansions);
     codec::put_usize(&mut out, final_states);
     codec::put_usize(&mut out, pruned);
@@ -1336,34 +1252,30 @@ fn encode_snapshot<S: ComposedState>(
     for &slot in stack {
         codec::put_u32(&mut out, slot);
     }
-    if book.reduced {
-        codec::put_usize(&mut out, book.table.len());
-        for id in 0..book.table.len() {
-            encode_action_set(book.table.get(id as u32), &mut out);
-        }
-        codec::put_usize(&mut out, book.sleep.len());
-        for (&id, &expanded) in book.sleep.iter().zip(&book.expanded) {
-            codec::put_u32(&mut out, id);
-            codec::put_u8(&mut out, expanded as u8);
-        }
+    codec::put_usize(&mut out, book.table.len());
+    for id in 0..book.table.len() {
+        encode_action_set(book.table.get(id as u32), &mut out);
+    }
+    codec::put_usize(&mut out, book.sleep.len());
+    for (&id, &expanded) in book.sleep.iter().zip(&book.expanded) {
+        codec::put_u32(&mut out, id);
+        codec::put_u8(&mut out, expanded as u8);
     }
     out
 }
 
-/// Decodes an [`encode_snapshot`] payload of a run with the given
-/// reduction, re-reading spilled segments from `spill_dir` to rebuild the
-/// dedup index.
+/// Decodes an [`encode_snapshot`] payload, re-reading spilled segments
+/// from `spill_dir` to rebuild the dedup index.
 fn decode_snapshot<S: ComposedState>(
     bytes: &[u8],
-    reduced: bool,
     num_procs: usize,
     spill_dir: Option<&std::path::Path>,
 ) -> Result<SeqSnapshot<S>, String> {
     let truncated = || "truncated exploration snapshot".to_string();
     let input = &mut &bytes[..];
     let tag = codec::take_u8(input).ok_or_else(truncated)?;
-    if tag != if reduced { SNAP_REDUCED } else { SNAP_COMPOSED } {
-        return Err(format!("snapshot driver tag {tag} does not match this run"));
+    if tag != SNAP_TAG {
+        return Err(format!("snapshot tag {tag} is not {SNAP_TAG}"));
     }
     let expansions = codec::take_usize(input).ok_or_else(truncated)?;
     let final_states = codec::take_usize(input).ok_or_else(truncated)?;
@@ -1383,30 +1295,28 @@ fn decode_snapshot<S: ComposedState>(
         }
         stack.push(slot);
     }
-    let mut book = SleepBook::new(reduced);
-    if reduced {
-        let sets_len = codec::take_usize(input).ok_or_else(truncated)?;
-        for index in 0..sets_len {
-            let set = decode_action_set(input).ok_or_else(truncated)?;
-            if book.intern(&set) as usize != index {
-                return Err("snapshot sleep table is not deduplicated".to_string());
-            }
+    let mut book = SleepBook::new();
+    let sets_len = codec::take_usize(input).ok_or_else(truncated)?;
+    for index in 0..sets_len {
+        let set = decode_action_set(input).ok_or_else(truncated)?;
+        if book.intern(&set) as usize != index {
+            return Err("snapshot sleep table is not deduplicated".to_string());
         }
-        let len = codec::take_usize(input).ok_or_else(truncated)?;
-        if len != arena.len() {
-            return Err("snapshot sleep bookkeeping does not cover the arena".to_string());
+    }
+    let len = codec::take_usize(input).ok_or_else(truncated)?;
+    if len != arena.len() {
+        return Err("snapshot sleep bookkeeping does not cover the arena".to_string());
+    }
+    for _ in 0..len {
+        let id = codec::take_u32(input).ok_or_else(truncated)?;
+        if (id as usize) >= sets_len {
+            return Err(format!("snapshot names unknown sleep set {id}"));
         }
-        for _ in 0..len {
-            let id = codec::take_u32(input).ok_or_else(truncated)?;
-            if (id as usize) >= sets_len {
-                return Err(format!("snapshot names unknown sleep set {id}"));
-            }
-            let byte = codec::take_u8(input).ok_or_else(truncated)?;
-            let expanded = Expansion::from_u8(byte)
-                .ok_or_else(|| format!("snapshot has unknown expansion state {byte}"))?;
-            book.sleep.push(id);
-            book.expanded.push(expanded);
-        }
+        let byte = codec::take_u8(input).ok_or_else(truncated)?;
+        let expanded = Expansion::from_u8(byte)
+            .ok_or_else(|| format!("snapshot has unknown expansion state {byte}"))?;
+        book.sleep.push(id);
+        book.expanded.push(expanded);
     }
     if !input.is_empty() {
         return Err("trailing bytes after exploration snapshot".to_string());
@@ -1463,8 +1373,8 @@ impl Explorer {
             .then_some(self.config.parallel_threshold)
     }
 
-    /// Exhaustively explores the machine and collects every reachable final
-    /// outcome, with the configured [`Reduction`].
+    /// Exhaustively explores the machine, under the partial-order
+    /// reduction, and collects every reachable final outcome.
     ///
     /// Visited states are stored as rows of hash-consed component ids
     /// ([`crate::arena::ComponentArena`]), so unchanged per-proc states and
@@ -1492,15 +1402,15 @@ impl Explorer {
 
     /// Searches for a final state whose outcome satisfies `matches` and
     /// returns the search's [`Exploration`] together with that outcome, or
-    /// with `None` after exhausting the (possibly reduced) state space
+    /// with `None` after exhausting the (reduced) state space
     /// without a match.
     ///
     /// This is the early-exit search behind verdict queries: it stops at
     /// the *first* matching final state instead of enumerating the complete
     /// outcome set, so the exploration's counters cover only the states
-    /// visited before the stop. It honours the configured [`Reduction`] and
-    /// the adaptive parallelism — a forbidden verdict still has to exhaust
-    /// the state space, so the sharded workers matter exactly there.
+    /// visited before the stop. It honours the adaptive parallelism — a
+    /// forbidden verdict still has to exhaust the state space, so the
+    /// sharded workers matter exactly there.
     ///
     /// # Errors
     ///
@@ -1517,70 +1427,6 @@ impl Explorer {
         F: Fn(&Outcome) -> bool + Sync,
     {
         self.run(machine, Some(&matches))
-    }
-
-    /// The reference oracle: the same search as [`Explorer::explore`] with
-    /// the configured [`Reduction`], but over plain full-state interning,
-    /// sequential, without memory governance, interrupts or an early exit.
-    /// The differential test-suites compare the arena driver against it.
-    ///
-    /// # Errors
-    ///
-    /// See [`Explorer::explore`].
-    #[doc(hidden)]
-    pub fn explore_reference<M: LabeledMachine>(
-        &self,
-        machine: &M,
-    ) -> Result<Exploration, ExploreError> {
-        let mut reducer = Reducer::new(machine, self.config.reduction);
-        let mut book = SleepBook::new(self.config.reduction.is_reduced());
-        let mut visited: InternedStates<M::State> = InternedStates::default();
-        let (root, _) = visited.intern(machine.initial_state());
-        book.push(&ActionSet::new());
-        let mut stack = vec![root];
-        let mut state = machine.initial_state();
-        let mut next = machine.initial_state();
-        let mut outcomes = BTreeSet::new();
-        let mut final_states = 0usize;
-        while let Some(slot) = stack.pop() {
-            let Some(first_expansion) = book.claim(slot, &mut reducer.asleep) else { continue };
-            state.clone_from(visited.get(slot));
-            let chosen = reducer.begin(&state);
-            if machine.is_final(&state) {
-                final_states += usize::from(first_expansion);
-                outcomes.insert(machine.outcome(&state));
-            } else if reducer.labels.is_empty() {
-                return Err(ExploreError::Deadlock);
-            }
-            for index in 0..reducer.labels.len() {
-                let action = reducer.labels[index];
-                if reducer.successor(chosen, action, &state, &mut next)?.is_none() {
-                    continue;
-                }
-                let (next_slot, is_new) = visited.intern_ref(&next);
-                if is_new {
-                    if visited.len() > self.config.max_states {
-                        return Err(ExploreError::StateLimitExceeded {
-                            limit: self.config.max_states,
-                            states_visited: visited.len(),
-                            partial_outcomes: outcomes,
-                        });
-                    }
-                    book.push(&reducer.sleep);
-                    stack.push(next_slot);
-                } else if book.revisit(next_slot, &reducer.sleep) {
-                    stack.push(next_slot);
-                }
-            }
-        }
-        Ok(Exploration {
-            outcomes,
-            states_visited: visited.len(),
-            final_states,
-            transitions_pruned: reducer.pruned,
-            arena: None,
-            memory: None,
-        })
     }
 
     /// The one dispatcher: the sequential driver, then — if it escalated —
@@ -1626,15 +1472,14 @@ impl Explorer {
         M: LabeledMachine,
         M::State: ComposedState,
     {
-        let reduced = self.config.reduction.is_reduced();
-        let mut reducer = Reducer::new(machine, self.config.reduction);
+        let mut reducer = Reducer::new(machine);
         let mut current = machine.initial_state();
         let num_procs = current.procs().len();
         // A fresh run starts from the snapshot of expansion zero.
-        let snap = self.try_resume(reduced, num_procs).unwrap_or_else(|| {
+        let snap = self.try_resume(num_procs).unwrap_or_else(|| {
             let mut arena = ComponentArena::new(num_procs);
             let root = arena.intern_root(&current);
-            let mut book = SleepBook::new(reduced);
+            let mut book = SleepBook::new();
             book.push(&ActionSet::new());
             SeqSnapshot {
                 expansions: 0,
@@ -1771,14 +1616,10 @@ impl Explorer {
     /// Decodes the configured resume snapshot, if any. An undecodable or
     /// mismatched snapshot is reported on the trace stream and ignored — the
     /// exploration restarts from scratch, which is sound (just slower).
-    fn try_resume<S: ComposedState>(
-        &self,
-        reduced: bool,
-        num_procs: usize,
-    ) -> Option<SeqSnapshot<S>> {
+    fn try_resume<S: ComposedState>(&self, num_procs: usize) -> Option<SeqSnapshot<S>> {
         let plan = self.memory.checkpoint.as_ref()?;
         let bytes = plan.resume.as_ref()?;
-        match decode_snapshot(bytes, reduced, num_procs, self.memory.spill_dir.as_deref()) {
+        match decode_snapshot(bytes, num_procs, self.memory.spill_dir.as_deref()) {
             Ok(snap) => {
                 gam_obs::trace::event(
                     "explore.resume",
@@ -1832,13 +1673,12 @@ impl Explorer {
     /// past the adaptive threshold, and a condvar handshake per frontier
     /// item would cost more than the spin.
     ///
-    /// Under [`Reduction::Off`] the counters equal the sequential driver's.
-    /// Under reduction the persistent-set choice is a pure function of the
-    /// state, but sleep sets are not (a state reached first by a different
-    /// worker can sleep on a different action set), which makes
-    /// `states_visited`/`transitions_pruned` run-dependent. The *outcome
-    /// set* stays exact either way — the re-expansion-on-smaller-sleep-set
-    /// discipline guarantees every obligation is eventually explored.
+    /// The persistent-set choice is a pure function of the state, but sleep
+    /// sets are not (a state reached first by a different worker can sleep
+    /// on a different action set), which makes `states_visited`/
+    /// `transitions_pruned` run-dependent. The *outcome set* stays exact —
+    /// the re-expansion-on-smaller-sleep-set discipline guarantees every
+    /// obligation is eventually explored.
     fn sharded<M: LabeledMachine + Sync>(
         &self,
         machine: &M,
@@ -1854,20 +1694,16 @@ impl Explorer {
         }
 
         let workers = self.config.parallelism;
-        let reduced = seed.book.reduced;
         let shards: Vec<Mutex<Shard<M::State>>> = (0..workers)
             .map(|_| {
-                Mutex::new(Shard {
-                    states: InternedStates::default(),
-                    book: SleepBook::new(reduced),
-                })
+                Mutex::new(Shard { states: InternedStates::default(), book: SleepBook::new() })
             })
             .collect();
         let shard_of = |hash: u64| (hash % workers as u64) as usize;
         let seeding_hasher = FxBuildHasher::default();
 
-        // Migrate the sequential phase's visited set (and, when reduced, its
-        // sleep bookkeeping) into the shards, remembering each slot's new
+        // Migrate the sequential phase's visited set and its sleep
+        // bookkeeping into the shards, remembering each slot's new
         // (shard, index) address so the pending frontier can be requeued.
         let mut address: Vec<(u32, u32)> = Vec::with_capacity(seed.states.len());
         {
@@ -1903,7 +1739,7 @@ impl Explorer {
             for _ in 0..workers {
                 scope.spawn(|| {
                     let hasher = FxBuildHasher::default();
-                    let mut reducer = Reducer::new(machine, self.config.reduction);
+                    let mut reducer = Reducer::new(machine);
                     // A built state that the reduction then pruned (its
                     // chain ran into a sleeping action) is reused.
                     let mut spare: Option<M::State> = None;
@@ -2438,9 +2274,9 @@ mod tests {
         }
     }
 
-    /// The unreduced reference configuration.
-    fn unreduced() -> ExplorerConfig {
-        ExplorerConfig { reduction: Reduction::Off, ..ExplorerConfig::default() }
+    /// The unreduced reference search, without a state limit.
+    fn unreduced<M: LabeledMachine>(machine: &M) -> Exploration {
+        crate::oracle::explore_unreduced(machine, usize::MAX).expect("the oracle explores")
     }
 
     #[test]
@@ -2450,6 +2286,21 @@ mod tests {
         assert_eq!(exploration.final_states, 1);
         assert_eq!(exploration.outcomes.len(), 1);
         assert_eq!(exploration.transitions_pruned, 0);
+        let full = unreduced(&Diamond);
+        assert_eq!(
+            (full.outcomes, full.states_visited, full.final_states),
+            (exploration.outcomes, 4, 1),
+            "the oracle visits the same four states"
+        );
+    }
+
+    #[test]
+    fn the_oracle_reports_deadlocks_and_its_state_limit() {
+        assert_eq!(crate::oracle::explore_unreduced(&Stuck, 10), Err(ExploreError::Deadlock));
+        match crate::oracle::explore_unreduced(&Diamond, 2) {
+            Err(ExploreError::StateLimitExceeded { limit: 2, states_visited: 3, .. }) => {}
+            other => panic!("expected a state-limit error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -2479,26 +2330,21 @@ mod tests {
     }
 
     #[test]
-    fn expired_wall_budget_interrupts_every_driver() {
-        for reduction in Reduction::ALL {
-            let explorer = Explorer::new(ExplorerConfig { reduction, ..Default::default() })
-                .with_interrupt(Interrupt::none().with_wall_budget(std::time::Duration::ZERO));
-            match explorer.explore(&TwoLocalCounters { len: 16 }) {
-                Err(ExploreError::Interrupted { reason, .. }) => {
-                    assert!(
-                        matches!(reason, StopReason::WallBudget { .. }),
-                        "{reduction}: wrong reason {reason:?}"
-                    );
-                }
-                other => panic!("{reduction}: expected interruption, got {other:?}"),
+    fn expired_wall_budget_interrupts_the_search() {
+        let explorer = Explorer::default()
+            .with_interrupt(Interrupt::none().with_wall_budget(std::time::Duration::ZERO));
+        match explorer.explore(&TwoLocalCounters { len: 16 }) {
+            Err(ExploreError::Interrupted { reason, .. }) => {
+                assert!(matches!(reason, StopReason::WallBudget { .. }), "wrong reason {reason:?}");
             }
+            other => panic!("expected interruption, got {other:?}"),
         }
     }
 
     /// The [`TwoLocalCounters`] grid with *shared-memory commit* labels to
     /// distinct addresses: persistent sets cannot collapse it (no action is
-    /// thread-private), so every driver — reduced or not — visits all
-    /// `(len+1)^2` states and performs that many expansions.
+    /// thread-private), so the search visits all `(len+1)^2` states and
+    /// performs that many expansions.
     #[derive(Debug)]
     struct TwoSharedCounters {
         len: u8,
@@ -2590,26 +2436,18 @@ mod tests {
         // expansion 600 — long past the escalation, long before the ~1681
         // expansions the 41x41 grid needs — so only a parallel worker's
         // poll can observe it.
-        for reduction in Reduction::ALL {
-            let token = gam_core::CancelToken::new();
-            let machine = CancelAfter {
-                inner: TwoSharedCounters { len: 40 },
-                token: token.clone(),
-                after: 600,
-                expansions: AtomicUsize::new(0),
-            };
-            let config = ExplorerConfig {
-                parallelism: 2,
-                parallel_threshold: 0,
-                reduction,
-                ..Default::default()
-            };
-            let explorer =
-                Explorer::new(config).with_interrupt(Interrupt::none().with_cancel(token));
-            match explorer.explore(&machine) {
-                Err(ExploreError::Interrupted { reason: StopReason::Cancelled, .. }) => {}
-                other => panic!("{reduction}: expected cancellation, got {other:?}"),
-            }
+        let token = gam_core::CancelToken::new();
+        let machine = CancelAfter {
+            inner: TwoSharedCounters { len: 40 },
+            token: token.clone(),
+            after: 600,
+            expansions: AtomicUsize::new(0),
+        };
+        let config = ExplorerConfig { parallelism: 2, parallel_threshold: 0, ..Default::default() };
+        let explorer = Explorer::new(config).with_interrupt(Interrupt::none().with_cancel(token));
+        match explorer.explore(&machine) {
+            Err(ExploreError::Interrupted { reason: StopReason::Cancelled, .. }) => {}
+            other => panic!("expected cancellation, got {other:?}"),
         }
     }
 
@@ -2670,16 +2508,6 @@ mod tests {
     }
 
     #[test]
-    fn reduced_deadlock_is_reported() {
-        let reduction = Reduction::Sleep;
-        let explorer = Explorer::new(ExplorerConfig { reduction, ..Default::default() });
-        assert_eq!(explorer.explore(&Stuck), Err(ExploreError::Deadlock), "{reduction}");
-        let parallel =
-            Explorer::new(ExplorerConfig { reduction, parallelism: 4, ..Default::default() });
-        assert_eq!(parallel.explore(&Stuck), Err(ExploreError::Deadlock), "{reduction}");
-    }
-
-    #[test]
     fn state_limit_reports_accurate_statistics() {
         let explorer = Explorer::new(ExplorerConfig { max_states: 2, ..Default::default() });
         match explorer.explore(&Diamond) {
@@ -2717,23 +2545,21 @@ mod tests {
         // thread 0 first: the reduced space is one path of 2·len+1 states.
         // A limit below that still aborts with accurate statistics and the
         // partial outcomes collected so far.
-        let reduction = Reduction::Sleep;
-        let explorer =
-            Explorer::new(ExplorerConfig { max_states: 5, reduction, ..Default::default() });
+        let explorer = Explorer::new(ExplorerConfig { max_states: 5, ..Default::default() });
         match explorer.explore(&TwoLocalCounters { len: 9 }) {
             Err(ExploreError::StateLimitExceeded { limit, states_visited, partial_outcomes }) => {
-                assert_eq!(limit, 5, "{reduction}");
-                assert_eq!(states_visited, 6, "{reduction}: abort on the tripping insert");
-                assert!(partial_outcomes.is_empty(), "{reduction}: no final state yet");
+                assert_eq!(limit, 5);
+                assert_eq!(states_visited, 6, "abort on the tripping insert");
+                assert!(partial_outcomes.is_empty(), "no final state yet");
             }
-            other => panic!("{reduction}: expected a state-limit error, got {other:?}"),
+            other => panic!("expected a state-limit error, got {other:?}"),
         }
     }
 
     #[test]
     fn persistent_sets_collapse_independent_local_threads() {
         let machine = TwoLocalCounters { len: 4 };
-        let full = Explorer::new(unreduced()).explore(&machine).unwrap();
+        let full = unreduced(&machine);
         assert_eq!(full.states_visited, 25, "the full space is the 5x5 grid");
         let reduced = Explorer::default().explore(&machine).unwrap();
         assert_eq!(reduced.outcomes, full.outcomes);
@@ -2747,11 +2573,8 @@ mod tests {
     #[test]
     fn sleep_sets_prune_commuting_diamonds() {
         let machine = DisjointWrites;
-        let full = Explorer::new(unreduced()).explore(&machine).unwrap();
-        let reduced =
-            Explorer::new(ExplorerConfig { reduction: Reduction::Sleep, ..Default::default() })
-                .explore(&machine)
-                .unwrap();
+        let full = unreduced(&machine);
+        let reduced = Explorer::default().explore(&machine).unwrap();
         assert_eq!(reduced.outcomes, full.outcomes);
         // Sleep sets alone do not remove states (all four corners of the
         // diamond stay reachable), but they skip the second interleaving of
@@ -2766,24 +2589,21 @@ mod tests {
         // early exit must trigger long before the 1 + 40 + 1600 states of
         // the full space are interned.
         let machine = Wide { fanout: 40 };
-        for reduction in Reduction::ALL {
-            for parallelism in [1, 4] {
-                let explorer = Explorer::new(ExplorerConfig {
-                    reduction,
-                    parallelism,
-                    parallel_threshold: 0,
-                    ..Default::default()
-                });
-                let (early, witness) = explorer.find_outcome(&machine, |_| true).unwrap();
-                assert_eq!(witness, Some(Outcome::new()), "{reduction}/{parallelism}");
-                assert!(early.states_visited < 1 + 40 + 40 * 40, "{reduction}/{parallelism}");
-                let (_, missing) = explorer.find_outcome(&machine, |_| false).unwrap();
-                assert_eq!(missing, None, "{reduction}/{parallelism}: exhaustion without a match");
-            }
+        for parallelism in [1, 4] {
+            let explorer = Explorer::new(ExplorerConfig {
+                parallelism,
+                parallel_threshold: 0,
+                ..Default::default()
+            });
+            let (early, witness) = explorer.find_outcome(&machine, |_| true).unwrap();
+            assert_eq!(witness, Some(Outcome::new()), "{parallelism}");
+            assert!(early.states_visited < 1 + 40 + 40 * 40, "{parallelism}");
+            let (exhausted, missing) = explorer.find_outcome(&machine, |_| false).unwrap();
+            assert_eq!(missing, None, "{parallelism}: exhaustion without a match");
+            // Exhaustion without a match reports the whole space.
+            assert_eq!(exhausted.states_visited, unreduced(&machine).states_visited);
         }
-        // The full exploration still reports the whole space.
-        let full = Explorer::new(unreduced()).explore(&machine).unwrap();
-        assert_eq!(full.states_visited, 1 + 40 + 40 * 40);
+        assert_eq!(unreduced(&machine).states_visited, 1 + 40 + 40 * 40);
     }
 
     #[test]
@@ -2841,34 +2661,28 @@ mod tests {
     #[test]
     fn parallel_reduced_matches_sequential_outcomes() {
         let machine = TwoLocalCounters { len: 6 };
-        let baseline = Explorer::new(unreduced()).explore(&machine).unwrap();
-        let reduction = Reduction::Sleep;
+        let baseline = unreduced(&machine);
         for workers in [2, 4] {
             let reduced = Explorer::new(ExplorerConfig {
                 parallelism: workers,
-                reduction,
                 parallel_threshold: 0,
                 ..Default::default()
             })
             .explore(&machine)
             .unwrap();
-            assert_eq!(reduced.outcomes, baseline.outcomes, "{reduction}/{workers}");
-            assert_eq!(reduced.final_states, 1, "{reduction}/{workers}");
+            assert_eq!(reduced.outcomes, baseline.outcomes, "{workers}");
+            assert_eq!(reduced.final_states, 1, "{workers}");
             assert!(
                 reduced.states_visited <= baseline.states_visited,
-                "{reduction}/{workers}: reduction may only shrink the space"
+                "{workers}: reduction may only shrink the space"
             );
         }
     }
 
     #[test]
     fn parallel_state_limit_aborts() {
-        let explorer = Explorer::new(ExplorerConfig {
-            max_states: 10,
-            parallelism: 4,
-            parallel_threshold: 0,
-            ..Default::default()
-        });
+        let explorer =
+            Explorer::new(ExplorerConfig { max_states: 10, parallelism: 4, parallel_threshold: 0 });
         match explorer.explore(&Wide { fanout: 40 }) {
             Err(ExploreError::StateLimitExceeded { limit, states_visited, .. }) => {
                 assert_eq!(limit, 10);
@@ -2888,16 +2702,6 @@ mod tests {
         };
         assert!(err.to_string().contains('7'));
         assert!(err.to_string().contains('9'));
-    }
-
-    #[test]
-    fn reduction_names_and_accessors() {
-        assert_eq!(Reduction::Off.to_string(), "off");
-        assert_eq!(Reduction::Sleep.to_string(), "sleep");
-        assert!(!Reduction::Off.is_reduced());
-        assert!(Reduction::Sleep.is_reduced());
-        assert_eq!(Reduction::default(), Reduction::Sleep);
-        assert_eq!(ExplorerConfig::default().reduction, Reduction::Sleep);
     }
 
     #[test]
@@ -3033,62 +2837,61 @@ mod tests {
     }
 
     /// Every snapshot of a checkpointed run resumes to the uninterrupted
-    /// run's outcomes and counters under both reductions, and emits the
-    /// uninterrupted run's snapshots from there on; a snapshot carrying the
-    /// retired reduced tag (2) is ignored and its run restarts from scratch.
+    /// run's outcomes and counters, and emits the uninterrupted run's
+    /// snapshots from there on; a snapshot carrying a retired tag (1, the
+    /// unreduced search; 2, inline per-slot sleep sets) is ignored and its
+    /// run restarts from scratch.
     #[test]
     fn every_snapshot_resumes_to_the_uninterrupted_counters() {
         let machine = crate::gam::GamMachine::new(&gam_isa::litmus::library::iriw());
         let counters = |e: &Exploration| {
             (e.outcomes.clone(), e.states_visited, e.final_states, e.transitions_pruned)
         };
-        for reduction in Reduction::ALL {
-            let snapshots: Arc<Mutex<Vec<Vec<u8>>>> = Arc::default();
-            let taken = Arc::clone(&snapshots);
-            let sink: SnapshotSink =
-                Arc::new(move |bytes: &[u8]| taken.lock().expect("sink").push(bytes.to_vec()));
-            let run = |resume: Option<Vec<u8>>| {
-                let checkpoint = CheckpointPlan {
-                    every_expansions: 8,
-                    sink: Arc::clone(&sink),
-                    resume: resume.map(Arc::new),
-                };
-                let memory = MemoryConfig { checkpoint: Some(checkpoint), ..Default::default() };
-                let config = ExplorerConfig { reduction, ..Default::default() };
-                let exploration = Explorer::new(config).with_memory(memory).explore(&machine);
-                let emitted = std::mem::take(&mut *snapshots.lock().expect("sink"));
-                (exploration.expect("explores"), emitted)
+        let snapshots: Arc<Mutex<Vec<Vec<u8>>>> = Arc::default();
+        let taken = Arc::clone(&snapshots);
+        let sink: SnapshotSink =
+            Arc::new(move |bytes: &[u8]| taken.lock().expect("sink").push(bytes.to_vec()));
+        let run = |resume: Option<Vec<u8>>| {
+            let checkpoint = CheckpointPlan {
+                every_expansions: 8,
+                sink: Arc::clone(&sink),
+                resume: resume.map(Arc::new),
             };
-            let (full, all) = run(None);
-            assert!(all.len() >= 3, "{reduction}: {} snapshots", all.len());
-            for (index, snapshot) in all.iter().enumerate() {
-                let (resumed, emitted) = run(Some(snapshot.clone()));
-                assert_eq!(counters(&resumed), counters(&full), "{reduction}: snapshot {index}");
-                // The resumed run re-emits the snapshot it starts from.
-                assert!(emitted == all[index..], "{reduction}: snapshots after {index}");
-            }
+            let memory = MemoryConfig { checkpoint: Some(checkpoint), ..Default::default() };
+            let exploration = Explorer::default().with_memory(memory).explore(&machine);
+            let emitted = std::mem::take(&mut *snapshots.lock().expect("sink"));
+            (exploration.expect("explores"), emitted)
+        };
+        let (full, all) = run(None);
+        assert!(all.len() >= 3, "{} snapshots", all.len());
+        for (index, snapshot) in all.iter().enumerate() {
+            let (resumed, emitted) = run(Some(snapshot.clone()));
+            assert_eq!(counters(&resumed), counters(&full), "snapshot {index}");
+            // The resumed run re-emits the snapshot it starts from.
+            assert!(emitted == all[index..], "snapshots after {index}");
+        }
+        for tag in [1, 2] {
             let mut retired = all[all.len() / 2].clone();
-            retired[0] = 2;
+            retired[0] = tag;
             let (restarted, emitted) = run(Some(retired));
-            assert_eq!(counters(&restarted), counters(&full), "{reduction}: retired tag");
-            assert!(emitted == all, "{reduction}: a retired snapshot restarts the run");
+            assert_eq!(counters(&restarted), counters(&full), "retired tag {tag}");
+            assert!(emitted == all, "a snapshot with retired tag {tag} restarts the run");
         }
     }
 
     #[test]
     fn exploration_is_exact_under_full_hash_collisions() {
-        for reduction in Reduction::ALL {
-            for workers in [1, 4] {
-                let explorer = Explorer::new(ExplorerConfig {
-                    parallelism: workers,
-                    reduction,
-                    parallel_threshold: 0,
-                    ..Default::default()
-                });
-                let exploration = explorer.explore(&CollidingMachine).unwrap();
-                assert_eq!(exploration.states_visited, 4, "{reduction}/{workers}");
-                assert_eq!(exploration.final_states, 1, "{reduction}/{workers}");
-            }
+        let full = unreduced(&CollidingMachine);
+        assert_eq!((full.states_visited, full.final_states), (4, 1), "the oracle");
+        for workers in [1, 4] {
+            let explorer = Explorer::new(ExplorerConfig {
+                parallelism: workers,
+                parallel_threshold: 0,
+                ..Default::default()
+            });
+            let exploration = explorer.explore(&CollidingMachine).unwrap();
+            assert_eq!(exploration.states_visited, 4, "{workers}");
+            assert_eq!(exploration.final_states, 1, "{workers}");
         }
     }
 }

@@ -44,6 +44,8 @@ mod footprint;
 pub mod gam;
 pub mod machine;
 pub mod mem;
+#[doc(hidden)]
+pub mod oracle;
 pub mod random;
 pub mod sc;
 mod spill;
@@ -53,7 +55,6 @@ pub use arena::{ArenaOccupancy, ComposedState};
 pub use checker::{OperationalChecker, OperationalError};
 pub use explore::{
     CheckpointPlan, Exploration, ExploreError, Explorer, ExplorerConfig, MemoryConfig, MemoryStats,
-    Reduction,
 };
 pub use gam::{GamConfig, GamMachine};
 pub use machine::{AbstractMachine, Action, ActionKind, LabeledMachine};

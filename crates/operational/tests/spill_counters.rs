@@ -4,14 +4,10 @@
 //! accounted peak with a spill directory, must finish with the outcome set
 //! of the uncapped run, spill, and report exactly the counters below:
 //! `states_visited`, `spilled_bytes`, `spill_segments` and
-//! `spill_read_bytes`. Two tables:
-//!
-//! * [`COUNTERS_OFF`]: every machine model under `Reduction::Off`. The
-//!   unreduced search is the spill layer's main pin: its big state spaces
-//!   spill under every model, TSO included.
-//! * [`COUNTERS_SLEEP`]: GAM and GAM0 under the default reduction. Reduced
-//!   SC and TSO runs have a few hundred states, so the governor, which
-//!   polls once per 256 expansions, has nothing to spill there.
+//! `spill_read_bytes`, in [`COUNTERS_SLEEP`] for GAM and GAM0. SC and TSO
+//! runs of these tests have a few hundred states, so the governor, which
+//! polls once per 256 expansions, has nothing to spill there. The GAM and
+//! GAM0 runs still write several segments each and read megabytes back.
 //!
 //! The search and the spill schedule are deterministic, so the first three
 //! counters move only when *what the explorer or the governor does*
@@ -20,29 +16,13 @@
 //! and says why.
 
 use gam_core::ModelKind;
-use gam_operational::{big_tests, ExplorerConfig, MemoryConfig, OperationalChecker, Reduction};
+use gam_operational::{big_tests, MemoryConfig, OperationalChecker};
 
 /// The capped budget as a share of each pair's accounted peak, in percent.
 const BUDGET_PERCENT: usize = 85;
 
 /// One row per `test model`: `states spilled_bytes spill_segments
-/// spill_read_bytes` of the capped `Reduction::Off` run.
-const COUNTERS_OFF: &str = "
-big-000 sc   | 2451 32944 2 123120
-big-000 tso  | 17350 270528 7 7863200
-big-000 gam  | 36848 581792 12 48567840
-big-000 gam0 | 67760 1077504 20 70537640
-big-001 sc   | 3481 49248 3 44856
-big-001 tso  | 24206 381104 9 2480056
-big-001 gam  | 51940 823504 16 51122072
-big-001 gam0 | 51940 823504 16 51122072
-big-002 sc   | 6572 98400 4 104320
-big-002 tso  | 42601 676016 13 2740544
-big-002 gam  | 48488 770208 16 24459608
-big-002 gam0 | 88616 1413200 24 35154800
-";
-
-/// The same columns for the capped runs under the default reduction.
+/// spill_read_bytes` of the capped run.
 const COUNTERS_SLEEP: &str = "
 big-000 gam  | 3937 57280 6 1610216
 big-000 gam0 | 6097 92864 8 4658616
@@ -62,22 +42,17 @@ fn model(tag: &str) -> ModelKind {
     }
 }
 
-/// The four counters of the capped run of `test` under `kind` and
-/// `reduction`, after checking its outcome set against the uncapped run's.
-fn counters(
-    kind: ModelKind,
-    reduction: Reduction,
-    test: &gam_isa::litmus::LitmusTest,
-) -> [usize; 4] {
-    let checker = || {
-        OperationalChecker::with_config(kind, ExplorerConfig { reduction, ..Default::default() })
-    };
+/// The four counters of the capped run of `test` under `kind`, after
+/// checking its outcome set against the uncapped run's.
+fn counters(kind: ModelKind, test: &gam_isa::litmus::LitmusTest) -> [usize; 4] {
     let roomy = MemoryConfig { max_bytes: Some(1 << 40), ..MemoryConfig::default() };
-    let uncapped =
-        checker().with_memory(roomy).explore(test).expect("a roomy budget never stops the search");
+    let uncapped = OperationalChecker::new(kind)
+        .with_memory(roomy)
+        .explore(test)
+        .expect("a roomy budget never stops the search");
     let peak = uncapped.memory.expect("budgeted runs report memory").peak_bytes;
     let dir = std::env::temp_dir().join(format!(
-        "gam-spill-counters-{}-{kind}-{reduction}-{}",
+        "gam-spill-counters-{}-{kind}-{}",
         test.name(),
         std::process::id()
     ));
@@ -87,51 +62,40 @@ fn counters(
         spill_dir: Some(dir.clone()),
         checkpoint: None,
     };
-    let capped = checker().with_memory(capped).explore(test).unwrap_or_else(|err| {
-        panic!("{kind}/{reduction}/{}: the capped run completes: {err}", test.name())
-    });
+    let capped = OperationalChecker::new(kind)
+        .with_memory(capped)
+        .explore(test)
+        .unwrap_or_else(|err| panic!("{kind}/{}: the capped run completes: {err}", test.name()));
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(
         capped.outcomes,
         uncapped.outcomes,
-        "{kind}/{reduction}/{}: the capped run must find the uncapped outcome set",
+        "{kind}/{}: the capped run must find the uncapped outcome set",
         test.name()
     );
     let memory = capped.memory.expect("budgeted runs report memory");
-    assert!(memory.spill_segments > 0, "{kind}/{reduction}/{}: the capped run spills", test.name());
+    assert!(memory.spill_segments > 0, "{kind}/{}: the capped run spills", test.name());
     [capped.states_visited, memory.spilled_bytes, memory.spill_segments, memory.spill_read_bytes]
 }
 
-/// Checks every row of `table` under `reduction`; returns the row count.
-fn check_table(table: &str, reduction: Reduction) -> usize {
+#[test]
+fn capped_reduced_gam_explorations_spill_and_match_the_pinned_counters() {
     let tests = big_tests(2024, 3);
     let mut rows = 0;
     let mut mismatches = Vec::new();
-    for line in table.lines().filter(|line| !line.trim().is_empty()) {
+    for line in COUNTERS_SLEEP.lines().filter(|line| !line.trim().is_empty()) {
         let (key, values) = line.split_once('|').expect("a `key | values` row");
         let mut key = key.split_whitespace();
         let (name, tag) = (key.next().expect("a test name"), key.next().expect("a model tag"));
         let test = tests.iter().find(|test| test.name() == name).expect("a big test");
         let expected: Vec<usize> =
             values.split_whitespace().map(|n| n.parse().expect("a count")).collect();
-        let actual = counters(model(tag), reduction, test);
+        let actual = counters(model(tag), test);
         if expected != actual {
             mismatches.push(format!("{name} {tag}: expected {expected:?}, got {actual:?}"));
         }
         rows += 1;
     }
-    assert!(mismatches.is_empty(), "{reduction} counter drift:\n{}", mismatches.join("\n"));
-    rows
-}
-
-#[test]
-fn capped_big_explorations_match_the_pinned_spill_counters() {
-    let rows = check_table(COUNTERS_OFF, Reduction::Off);
-    assert_eq!(rows, 3 * 4, "every big test under every machine model");
-}
-
-#[test]
-fn capped_reduced_gam_explorations_spill_and_match_the_pinned_counters() {
-    let rows = check_table(COUNTERS_SLEEP, Reduction::Sleep);
+    assert!(mismatches.is_empty(), "counter drift:\n{}", mismatches.join("\n"));
     assert_eq!(rows, 3 * 2, "every big test under GAM and GAM0");
 }

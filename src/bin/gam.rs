@@ -489,9 +489,6 @@ fn open_checkpoint(
     Ok(Some(checkpoint))
 }
 
-/// Records one completed work unit, warning instead of failing: the
-/// checkpoint exists to protect the run, so losing it must never sink the
-/// run it protects.
 /// Locks a shared checkpoint, shrugging off poisoning: the only writers are
 /// `record_unit` and the exploration-snapshot sink, and both tolerate a
 /// half-finished peer (the log itself is torn-record safe).
@@ -501,6 +498,9 @@ fn lock_checkpoint(
     checkpoint.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Records one completed work unit, warning instead of failing: the
+/// checkpoint exists to protect the run, so losing it must never sink the
+/// run it protects.
 fn record_unit(checkpoint: &mut Option<gam_engine::RunCheckpoint>, key: &str, result: &Json) {
     if let Some(checkpoint) = checkpoint.as_mut() {
         if let Err(err) = checkpoint.record(key, result.clone()) {

@@ -1,10 +1,11 @@
-//! The default explorer (the sleep-set reduction) against the unreduced
+//! The explorer (the sleep-set reduction) against the unreduced reference
 //! search, beyond the library: every program of `tests/corpus-stress` and
 //! `tests/corpus-big`, under every model with an abstract machine ({SC,
 //! TSO, GAM, GAM0}), must give exactly the outcome set of
-//! `Reduction::Off`. These are the programs `gam run`, `check`, `bench`
-//! and `serve` explore by default; `reduction_agreement.rs` pins the
-//! library and random programs.
+//! `OperationalChecker::explore_reference`, which visits every
+//! interleaving and shares no code with the explorer. These are the
+//! programs `gam run`, `check`, `bench` and `serve` explore;
+//! `reduction_agreement.rs` pins the library and random programs.
 //!
 //! A release test: the unreduced side explores about a million states, so
 //! a debug build skips it.
@@ -14,7 +15,7 @@ use std::path::PathBuf;
 use gam_core::ModelKind;
 use gam_frontend::parse_litmus;
 use gam_isa::litmus::LitmusTest;
-use gam_operational::{ExplorerConfig, OperationalChecker, Reduction};
+use gam_operational::OperationalChecker;
 
 const MACHINE_MODELS: [ModelKind; 4] =
     [ModelKind::Sc, ModelKind::Tso, ModelKind::Gam, ModelKind::Gam0];
@@ -36,23 +37,18 @@ fn corpus(dir: &str) -> Vec<LitmusTest> {
         .collect()
 }
 
-fn assert_default_agrees_with_off(dir: &str) {
+fn assert_explorer_agrees_with_the_oracle(dir: &str) {
     let tests = corpus(dir);
     assert!(!tests.is_empty(), "{dir} holds litmus tests");
-    assert_eq!(ExplorerConfig::default().reduction, Reduction::Sleep, "the default is reduced");
     let mut diverged = Vec::new();
     for kind in MACHINE_MODELS {
-        let off = OperationalChecker::with_config(
-            kind,
-            ExplorerConfig { reduction: Reduction::Off, ..ExplorerConfig::default() },
-        );
-        let default = OperationalChecker::new(kind);
+        let checker = OperationalChecker::new(kind);
         for test in &tests {
-            let full = off.explore(test).expect("unreduced exploration succeeds");
-            let reduced = default.explore(test).expect("default exploration succeeds");
+            let full = checker.explore_reference(test).expect("the oracle explores");
+            let reduced = checker.explore(test).expect("the explorer explores");
             if full.outcomes != reduced.outcomes {
                 diverged.push(format!(
-                    "{}/{kind}: {} outcomes unreduced, {} by default",
+                    "{}/{kind}: {} outcomes unreduced, {} reduced",
                     test.name(),
                     full.outcomes.len(),
                     reduced.outcomes.len()
@@ -65,12 +61,12 @@ fn assert_default_agrees_with_off(dir: &str) {
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release test: run with --release")]
-fn the_default_explorer_agrees_with_off_on_the_stress_corpus() {
-    assert_default_agrees_with_off("tests/corpus-stress");
+fn the_explorer_agrees_with_the_oracle_on_the_stress_corpus() {
+    assert_explorer_agrees_with_the_oracle("tests/corpus-stress");
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release test: run with --release")]
-fn the_default_explorer_agrees_with_off_on_the_big_corpus() {
-    assert_default_agrees_with_off("tests/corpus-big");
+fn the_explorer_agrees_with_the_oracle_on_the_big_corpus() {
+    assert_explorer_agrees_with_the_oracle("tests/corpus-big");
 }
