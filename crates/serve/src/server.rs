@@ -899,6 +899,17 @@ impl CheckOptions {
             || self.budget_max_bytes.is_some()
     }
 
+    /// What a miss asks its checker for: a budgeted check enumerates the
+    /// outcomes it reaches (an early stop reports them as partial), any
+    /// other check stops at its first witness.
+    fn query(&self) -> Query {
+        if self.budgeted() {
+            Query::Outcomes
+        } else {
+            Query::Verdict
+        }
+    }
+
     fn budget(&self) -> CheckBudget {
         let mut budget = CheckBudget::none();
         if let Some(states) = self.budget_states {
@@ -1011,15 +1022,7 @@ fn check_one(shared: &Shared, test: &LitmusTest, options: &CheckOptions) -> Json
     let mut results = Vec::new();
     for &model in &options.models {
         for &backend in &options.backends {
-            // Unbudgeted operational checks enumerate the outcome set: their
-            // cached state counts, and so eviction order, rank the full
-            // exploration.
-            let query = if options.budgeted() || backend == Backend::Operational {
-                Query::Outcomes
-            } else {
-                Query::Verdict
-            };
-            results.push(result_row(shared, test, &hash, model, backend, query, options));
+            results.push(result_row(shared, test, &hash, model, backend, options));
         }
     }
     Json::object([
@@ -1031,7 +1034,9 @@ fn check_one(shared: &Shared, test: &LitmusTest, options: &CheckOptions) -> Json
 
 /// The result row of one (test, model, backend) cell, counted in the
 /// metrics: the cached entry when there is one, otherwise a miss computed
-/// through [`Engine::run`] and cached when conclusive.
+/// through [`Engine::run`] and cached when conclusive. An unbudgeted miss
+/// asks for the verdict only, so its `states` (and its eviction cost)
+/// count the states the verdict needed, not the whole space.
 ///
 /// With a budget (`budget_states`/`budget_wall_ms`/`budget_max_bytes`), an
 /// early stop is an `inconclusive` row carrying the partial outcome count,
@@ -1044,7 +1049,6 @@ fn result_row(
     hash: &str,
     model: ModelKind,
     backend: Backend,
-    query: Query,
     options: &CheckOptions,
 ) -> Json {
     let mut row = vec![
@@ -1073,7 +1077,7 @@ fn result_row(
         .model(model)
         .backend(backend)
         .build()
-        .and_then(|engine| engine.run(test, query, &options.budget()));
+        .and_then(|engine| engine.run(test, options.query(), &options.budget()));
     if !options.budgeted() {
         answer = answer.and_then(|answer| answer.complete(backend, test));
     }
@@ -1159,16 +1163,13 @@ fn handle_batch(shared: &Shared, request: &Request) -> RouteResponse {
 
 /// The `/batch` core: every (model, backend) pair of every test through
 /// the same cell path as `/check`, assembled per test in input order.
-/// Unbudgeted misses ask for the verdict only, stopping each test at its
-/// first witness.
 fn batch_check(shared: &Shared, tests: &[LitmusTest], options: &CheckOptions) -> Vec<Json> {
-    let query = if options.budgeted() { Query::Outcomes } else { Query::Verdict };
     let hashes: Vec<String> = tests.iter().map(|t| canonical_hash(t).to_string()).collect();
     let mut rows: Vec<Vec<Json>> = vec![Vec::new(); tests.len()];
     for &model in &options.models {
         for &backend in &options.backends {
             for ((test, hash), row) in tests.iter().zip(&hashes).zip(&mut rows) {
-                row.push(result_row(shared, test, hash, model, backend, query, options));
+                row.push(result_row(shared, test, hash, model, backend, options));
             }
         }
     }

@@ -5,10 +5,16 @@
 //! evicted ahead of entries that cost as much to recompute. Budgeted
 //! `/check` misses and `/batch` misses must persist the states their
 //! search visited, like unbudgeted `/check` misses do.
+//!
+//! An unbudgeted miss asks for the verdict only, so the states it records
+//! are the states the verdict needed: an allowed operational verdict stops
+//! at its first witness, a forbidden one pays for the whole space.
 
+use gam_core::ModelKind;
 use gam_engine::Json;
 use gam_frontend::print_litmus;
 use gam_isa::litmus::library;
+use gam_operational::OperationalChecker;
 use gam_serve::http::request;
 use gam_serve::journal::journal_path_for;
 use gam_serve::{ServeConfig, Server};
@@ -32,21 +38,59 @@ fn post(server: &Server, path: &str, body: &Json) -> (bool, u64, String) {
     )
 }
 
-#[test]
-fn budgeted_check_and_batch_misses_persist_their_state_counts() {
+/// A one-worker server over a fresh cache file named after `tag`, and the
+/// closure that removes that file and its journal.
+fn fresh_config(tag: &str) -> (ServeConfig, impl Fn()) {
     let cache_path =
-        std::env::temp_dir().join(format!("gam-serve-costs-{}.json", std::process::id()));
-    let clean = || {
-        let _ = std::fs::remove_file(journal_path_for(&cache_path));
-        let _ = std::fs::remove_file(&cache_path);
+        std::env::temp_dir().join(format!("gam-serve-{tag}-{}.json", std::process::id()));
+    let clean = {
+        let cache_path = cache_path.clone();
+        move || {
+            let _ = std::fs::remove_file(journal_path_for(&cache_path));
+            let _ = std::fs::remove_file(&cache_path);
+        }
     };
     clean();
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
-        cache_path: cache_path.clone(),
+        cache_path,
         ..ServeConfig::default()
     };
+    (config, clean)
+}
+
+#[test]
+fn unbudgeted_operational_misses_record_the_states_their_verdict_needed() {
+    let (config, clean) = fresh_config("verdict-costs");
+    let server = Server::start(&config).expect("server starts").0;
+    let explorer = OperationalChecker::new(ModelKind::Gam);
+    // A bare litmus body checks GAM on the operational backend, unbudgeted.
+    for (test, verdict) in [(library::mp(), "allowed"), (library::mp_addr(), "forbidden")] {
+        let full = explorer.explore(&test).expect("explores").states_visited as u64;
+        let body = Json::object([("litmus", Json::Str(print_litmus(&test)))]);
+        let (cached, states, answer) = post(&server, "/check", &body);
+        assert!(!cached, "{}: a cold check is a miss", test.name());
+        assert_eq!(answer, verdict, "{}", test.name());
+        if verdict == "allowed" {
+            assert!(
+                states > 0 && states < full,
+                "{}: an allowed verdict stops at its witness ({states} of {full} states)",
+                test.name()
+            );
+        } else {
+            assert_eq!(states, full, "{}: a forbidden verdict explores everything", test.name());
+        }
+        // The verdict-only answer is conclusive, so it is cached as it was.
+        assert_eq!(post(&server, "/check", &body), (true, states, answer), "{}", test.name());
+    }
+    server.shutdown();
+    clean();
+}
+
+#[test]
+fn budgeted_check_and_batch_misses_persist_their_state_counts() {
+    let (config, clean) = fresh_config("costs");
     let budgeted = Json::object([
         ("litmus", Json::Str(print_litmus(&library::mp()))),
         ("budget_wall_ms", Json::UInt(60_000)),
