@@ -18,10 +18,8 @@
 //! exactly the same consistent executions while being orders of magnitude
 //! smaller on real litmus tests.
 
-use std::collections::BTreeSet;
-
 use gam_isa::litmus::LitmusTest;
-use gam_isa::{Instruction, Operand, Program, Reg};
+use gam_isa::{AluOp, Instruction, Operand, Reg};
 
 use crate::execution::{InstrRef, ProgramIndex, RfCandidate};
 
@@ -148,30 +146,81 @@ impl Iterator for RfAssignments {
     }
 }
 
-/// A set of possible 64-bit values: either a small explicit set or `Top`
-/// (unknown / too many to track).
-type ValueSet = Option<BTreeSet<u64>>;
-
 /// Sets larger than this widen to `Top`; litmus-scale programs stay far
 /// below it.
 const MAX_SET: usize = 16;
 
-fn widen(set: BTreeSet<u64>) -> ValueSet {
-    if set.len() > MAX_SET {
-        None
-    } else {
-        Some(set)
+/// At most [`MAX_SET`] possible 64-bit values, kept sorted inline so that
+/// the analysis allocates nothing per set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SmallSet {
+    len: u8,
+    values: [u64; MAX_SET],
+}
+
+impl SmallSet {
+    const EMPTY: SmallSet = SmallSet { len: 0, values: [0; MAX_SET] };
+
+    fn one(value: u64) -> SmallSet {
+        let mut set = SmallSet::EMPTY;
+        set.insert(value);
+        set
+    }
+
+    fn as_slice(&self) -> &[u64] {
+        &self.values[..usize::from(self.len)]
+    }
+
+    /// Adds `value`; returns false when the set would outgrow [`MAX_SET`].
+    fn insert(&mut self, value: u64) -> bool {
+        let len = usize::from(self.len);
+        match self.values[..len].binary_search(&value) {
+            Ok(_) => true,
+            Err(_) if len == MAX_SET => false,
+            Err(at) => {
+                self.values.copy_within(at..len, at + 1);
+                self.values[at] = value;
+                self.len += 1;
+                true
+            }
+        }
+    }
+
+    /// Adds every value of `other`; returns false on overflow.
+    fn extend(&mut self, other: &SmallSet) -> bool {
+        other.as_slice().iter().all(|&value| self.insert(value))
     }
 }
 
-/// Applies a binary operation pointwise over two value sets.
-fn apply_sets(op: impl Fn(u64, u64) -> u64 + Copy, lhs: &ValueSet, rhs: &ValueSet) -> ValueSet {
-    match (lhs, rhs) {
-        (Some(a), Some(b)) if a.len() * b.len() <= MAX_SET * MAX_SET => {
-            widen(a.iter().flat_map(|&x| b.iter().map(move |&y| op(x, y))).collect())
+/// A set of possible values: a small explicit set, or `None` for `Top`
+/// (unknown, or too many to track).
+type ValueSet = Option<SmallSet>;
+
+/// Whether two sorted slices share no value.
+fn is_disjoint(a: &[u64], b: &[u64]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return false,
         }
-        _ => None,
     }
+    true
+}
+
+/// Applies a binary operation pointwise over two value sets.
+fn apply_sets(op: impl Fn(u64, u64) -> u64, lhs: ValueSet, rhs: ValueSet) -> ValueSet {
+    let (lhs, rhs) = (lhs?, rhs?);
+    let mut out = SmallSet::EMPTY;
+    for &x in lhs.as_slice() {
+        for &y in rhs.as_slice() {
+            if !out.insert(op(x, y)) {
+                return None;
+            }
+        }
+    }
+    Some(out)
 }
 
 /// Statically possible addresses (and values) of a program's instructions,
@@ -187,9 +236,11 @@ fn apply_sets(op: impl Fn(u64, u64) -> u64 + Copy, lhs: &ValueSet, rhs: &ValueSe
 /// prove a read-from pairing impossible.
 #[derive(Debug, Clone)]
 pub struct StaticAddrs {
-    /// `addrs[proc][idx]`: possible addresses of the memory instruction at
-    /// that position (`None` for unknown, and for non-memory instructions).
-    addrs: Vec<Vec<ValueSet>>,
+    /// The flat index of each thread's first instruction.
+    starts: Vec<usize>,
+    /// Possible addresses of the memory instruction at each flat index
+    /// (`None` for unknown; empty for non-memory instructions).
+    addrs: Vec<ValueSet>,
 }
 
 impl StaticAddrs {
@@ -197,15 +248,15 @@ impl StaticAddrs {
     #[must_use]
     pub fn analyze(test: &LitmusTest) -> Self {
         let program = test.program();
+        let mut analysis = Analysis::new(test);
         if program.has_branches() {
             // The checker never enumerates branchy programs; map everything
             // to "unknown" instead of reasoning about control flow.
-            let addrs = program.threads().iter().map(|thread| vec![None; thread.len()]).collect();
-            return StaticAddrs { addrs };
+            analysis.addrs.fill(None);
+        } else {
+            while analysis.pass() {}
         }
-        let mut state = Analysis::new(program);
-        while state.pass(test) {}
-        StaticAddrs { addrs: state.addrs }
+        StaticAddrs { starts: analysis.starts, addrs: analysis.addrs }
     }
 
     /// The statically resolved address of the instruction at `(proc, idx)`:
@@ -213,164 +264,210 @@ impl StaticAddrs {
     /// `None` when it is dynamic (or the instruction is not a memory access).
     #[must_use]
     pub fn address_of(&self, proc: usize, idx: usize) -> Option<u64> {
-        match &self.addrs[proc][idx] {
-            Some(set) if set.len() == 1 => set.first().copied(),
+        match self.possible_addresses(proc, idx) {
+            Some(&[addr]) => Some(addr),
             _ => None,
         }
     }
 
     /// The full set of addresses the memory instruction at `(proc, idx)` may
-    /// touch: `Some(set)` when the analysis bounded it, `None` when the
-    /// address is unbounded (or the instruction is not a memory access).
+    /// touch, sorted: `Some(set)` when the analysis bounded it (empty for a
+    /// non-memory instruction), `None` when the address is unbounded.
     ///
     /// This is the interface the operational explorer's footprint-based
     /// partial-order reduction consumes: a thread's future accesses are the
     /// union of these sets over its not-yet-performed memory instructions.
     #[must_use]
-    pub fn possible_addresses(&self, proc: usize, idx: usize) -> Option<&BTreeSet<u64>> {
-        self.addrs[proc][idx].as_ref()
+    pub fn possible_addresses(&self, proc: usize, idx: usize) -> Option<&[u64]> {
+        self.addrs[self.starts[proc] + idx].as_ref().map(SmallSet::as_slice)
     }
 
     /// Returns true unless the analysis proves the two memory instructions
     /// can never touch the same address.
     #[must_use]
     pub fn may_alias(&self, a: InstrRef, b: InstrRef) -> bool {
-        match (&self.addrs[a.proc][a.idx], &self.addrs[b.proc][b.idx]) {
-            (Some(x), Some(y)) => !x.is_disjoint(y),
+        match (self.possible_addresses(a.proc, a.idx), self.possible_addresses(b.proc, b.idx)) {
+            (Some(x), Some(y)) => !is_disjoint(x, y),
             _ => true,
         }
     }
 }
 
-/// The mutable state of the value-set fixpoint.
-struct Analysis {
-    /// Possible result values per instruction (ALU result, load value, store
-    /// data).
-    values: Vec<Vec<ValueSet>>,
-    /// Possible addresses per memory instruction.
-    addrs: Vec<Vec<ValueSet>>,
-    /// Every store in the program, for the load transfer function.
-    stores: Vec<InstrRef>,
+/// Where an operand's value comes from, resolved once per program: an
+/// immediate (an unwritten register reads as the immediate zero), or the
+/// flat index of the youngest older instruction that writes the register.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    Imm(u64),
+    Writer(usize),
 }
 
-impl Analysis {
-    fn new(program: &Program) -> Self {
-        let empty: Vec<Vec<ValueSet>> = program
-            .threads()
-            .iter()
-            .map(|thread| vec![Some(BTreeSet::new()); thread.len()])
-            .collect();
-        let stores = program
-            .iter_instructions()
-            .filter(|(_, _, instr)| instr.is_store())
-            .map(|(proc, idx, _)| InstrRef::new(proc.index(), idx))
-            .collect();
-        Analysis { values: empty.clone(), addrs: empty, stores }
+/// The transfer function of one instruction, with its operands resolved.
+#[derive(Debug, Clone, Copy)]
+enum Transfer {
+    Alu {
+        op: AluOp,
+        lhs: Source,
+        rhs: Source,
+    },
+    Load {
+        proc: usize,
+        base: Source,
+        offset: u64,
+    },
+    Store {
+        base: Source,
+        offset: u64,
+        data: Source,
+    },
+    /// Fences and branches: the value zero, no address.
+    Zero,
+}
+
+/// The mutable state of the value-set fixpoint, over the program's
+/// instructions in flat (thread-major, program-order) order.
+struct Analysis<'t> {
+    test: &'t LitmusTest,
+    starts: Vec<usize>,
+    transfers: Vec<Transfer>,
+    /// Possible result values per instruction (ALU result, load value, store
+    /// data).
+    values: Vec<ValueSet>,
+    /// Possible addresses per memory instruction.
+    addrs: Vec<ValueSet>,
+    /// Every store in the program, as `(proc, flat index)`, for the load
+    /// transfer function.
+    stores: Vec<(usize, usize)>,
+}
+
+impl<'t> Analysis<'t> {
+    fn new(test: &'t LitmusTest) -> Self {
+        let threads = test.program().threads();
+        let total = threads.iter().map(|thread| thread.len()).sum();
+        let mut starts = Vec::with_capacity(threads.len());
+        let mut transfers = Vec::with_capacity(total);
+        let mut stores = Vec::new();
+        // The youngest writer of each register so far in the current thread.
+        let mut writers: Vec<(Reg, usize)> = Vec::new();
+        for (proc, thread) in threads.iter().enumerate() {
+            starts.push(transfers.len());
+            writers.clear();
+            for instr in thread.instructions() {
+                let flat = transfers.len();
+                let source = |op: &Operand| match op {
+                    Operand::Imm(v) => Source::Imm(v.raw()),
+                    Operand::Reg(reg) => writers
+                        .iter()
+                        .find(|(written, _)| written == reg)
+                        .map_or(Source::Imm(0), |&(_, writer)| Source::Writer(writer)),
+                };
+                let (transfer, dst) = match instr {
+                    Instruction::Alu { dst, op, lhs, rhs } => {
+                        (Transfer::Alu { op: *op, lhs: source(lhs), rhs: source(rhs) }, Some(dst))
+                    }
+                    Instruction::Load { dst, addr } => {
+                        let base = source(&addr.base);
+                        (Transfer::Load { proc, base, offset: addr.offset }, Some(dst))
+                    }
+                    Instruction::Store { addr, data } => {
+                        stores.push((proc, flat));
+                        let (base, data) = (source(&addr.base), source(data));
+                        (Transfer::Store { base, offset: addr.offset, data }, None)
+                    }
+                    Instruction::Fence { .. } | Instruction::Branch { .. } => {
+                        (Transfer::Zero, None)
+                    }
+                };
+                transfers.push(transfer);
+                if let Some(&dst) = dst {
+                    match writers.iter_mut().find(|(written, _)| *written == dst) {
+                        Some(entry) => entry.1 = flat,
+                        None => writers.push((dst, flat)),
+                    }
+                }
+            }
+        }
+        let empty = vec![Some(SmallSet::EMPTY); total];
+        Analysis { test, starts, transfers, values: empty.clone(), addrs: empty, stores }
     }
 
-    /// The value set of an operand read by the instruction at
-    /// `(proc, idx)`: an immediate, the youngest older writer of the
-    /// register, or zero for an unwritten register.
-    fn operand(&self, program: &Program, proc: usize, idx: usize, op: &Operand) -> ValueSet {
-        match op {
-            Operand::Imm(v) => Some([v.raw()].into()),
-            Operand::Reg(reg) => self.register(program, proc, idx, *reg),
+    fn value(&self, source: Source) -> ValueSet {
+        match source {
+            Source::Imm(v) => Some(SmallSet::one(v)),
+            Source::Writer(writer) => self.values[writer],
         }
     }
 
-    fn register(&self, program: &Program, proc: usize, idx: usize, reg: Reg) -> ValueSet {
-        let thread = &program.threads()[proc];
-        let writer = (0..idx).rev().find(|&i| thread.instructions()[i].write_set().contains(&reg));
-        match writer {
-            Some(i) => self.values[proc][i].clone(),
-            None => Some([0].into()),
-        }
+    /// The possible addresses `base + offset`.
+    fn address(&self, base: Source, offset: u64) -> ValueSet {
+        apply_sets(u64::wrapping_add, self.value(base), Some(SmallSet::one(offset)))
     }
 
     /// One monotone pass over every instruction; returns true if any set
     /// grew.
-    fn pass(&mut self, test: &LitmusTest) -> bool {
-        let program = test.program();
+    fn pass(&mut self) -> bool {
         let mut changed = false;
-        for (proc_id, idx, instr) in program.iter_instructions() {
-            let proc = proc_id.index();
-            let (value, addr) = match instr {
-                Instruction::Alu { op, lhs, rhs, .. } => {
-                    let lhs = self.operand(program, proc, idx, lhs);
-                    let rhs = self.operand(program, proc, idx, rhs);
-                    let op = *op;
-                    let apply = move |a: u64, b: u64| op.apply(a.into(), b.into()).raw();
-                    (apply_sets(apply, &lhs, &rhs), None)
+        for flat in 0..self.transfers.len() {
+            let (value, addr) = match self.transfers[flat] {
+                Transfer::Alu { op, lhs, rhs } => {
+                    let apply = |a: u64, b: u64| op.apply(a.into(), b.into()).raw();
+                    (apply_sets(apply, self.value(lhs), self.value(rhs)), None)
                 }
-                Instruction::Load { addr, .. } => {
-                    let base = self.operand(program, proc, idx, &addr.base);
-                    let addresses =
-                        apply_sets(u64::wrapping_add, &base, &Some([addr.offset].into()));
-                    let value = self.load_value(test, InstrRef::new(proc, idx), &addresses);
-                    (value, Some(addresses))
+                Transfer::Load { proc, base, offset } => {
+                    let addresses = self.address(base, offset);
+                    (self.load_value(proc, flat, addresses.as_ref()), Some(addresses))
                 }
-                Instruction::Store { addr, data } => {
-                    let base = self.operand(program, proc, idx, &addr.base);
-                    let addresses =
-                        apply_sets(u64::wrapping_add, &base, &Some([addr.offset].into()));
-                    (self.operand(program, proc, idx, data), Some(addresses))
+                Transfer::Store { base, offset, data } => {
+                    (self.value(data), Some(self.address(base, offset)))
                 }
-                Instruction::Fence { .. } | Instruction::Branch { .. } => (Some([0].into()), None),
+                Transfer::Zero => (Some(SmallSet::one(0)), None),
             };
-            changed |= grow(&mut self.values[proc][idx], value);
+            changed |= grow(&mut self.values[flat], value);
             if let Some(addresses) = addr {
-                changed |= grow(&mut self.addrs[proc][idx], addresses);
+                changed |= grow(&mut self.addrs[flat], addresses);
             }
         }
         changed
     }
 
-    /// The possible values of a load: initial values of its possible
-    /// addresses plus the data of every store it may read from.
-    fn load_value(&self, test: &LitmusTest, load: InstrRef, addresses: &ValueSet) -> ValueSet {
-        let Some(address_set) = addresses else { return None };
-        let mut out: BTreeSet<u64> =
-            address_set.iter().map(|&a| test.initial_value(a).raw()).collect();
-        for &store in &self.stores {
-            if store.proc == load.proc && store.idx > load.idx {
-                continue;
-            }
-            let store_addrs = &self.addrs[store.proc][store.idx];
-            let aliases = match store_addrs {
-                Some(set) => !set.is_disjoint(address_set),
-                None => true,
-            };
-            if !aliases {
-                continue;
-            }
-            match &self.values[store.proc][store.idx] {
-                Some(data) => out.extend(data.iter().copied()),
-                None => return None,
+    /// The possible values of the load at `load` in thread `proc`: initial
+    /// values of its possible addresses plus the data of every store it may
+    /// read from.
+    fn load_value(&self, proc: usize, load: usize, addresses: Option<&SmallSet>) -> ValueSet {
+        let addresses = addresses?;
+        let mut out = SmallSet::EMPTY;
+        for &address in addresses.as_slice() {
+            if !out.insert(self.test.initial_value(address).raw()) {
+                return None;
             }
         }
-        widen(out)
+        for &(store_proc, store) in &self.stores {
+            if store_proc == proc && store > load {
+                continue;
+            }
+            if let Some(store_addrs) = &self.addrs[store] {
+                if is_disjoint(store_addrs.as_slice(), addresses.as_slice()) {
+                    continue;
+                }
+            }
+            if !out.extend(self.values[store].as_ref()?) {
+                return None;
+            }
+        }
+        Some(out)
     }
 }
 
 /// Grows `slot` to include `update` (sets only ever grow towards `Top`);
 /// returns true if the slot changed.
 fn grow(slot: &mut ValueSet, update: ValueSet) -> bool {
-    match (&mut *slot, update) {
-        (None, _) => false,
-        (Some(_), None) => {
-            *slot = None;
-            true
-        }
-        (Some(current), Some(new)) => {
-            let before = current.len();
-            current.extend(new);
-            if current.len() > MAX_SET {
-                *slot = None;
-                return true;
-            }
-            current.len() != before
-        }
+    let Some(current) = slot else { return false };
+    let before = current.len;
+    if update.is_some_and(|new| current.extend(&new)) {
+        return current.len != before;
     }
+    *slot = None;
+    true
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@ pub(crate) fn instr_addr_sets(test: &LitmusTest) -> Vec<Vec<AddrSet>> {
                 .map(|(idx, instr)| {
                     if instr.is_load() || instr.is_store() {
                         match analysis.possible_addresses(proc, idx) {
-                            Some(set) => AddrSet::Set(set.clone()),
+                            Some(set) => AddrSet::Set(set.iter().copied().collect()),
                             None => AddrSet::Top,
                         }
                     } else {
