@@ -49,10 +49,19 @@
 //! branches (only `Eq`/`Ne` exist, both preserved by injective renaming) and
 //! observed: all of those see the renamed address consistently.
 //!
-//! The canonical text is rendered by the round-trip-pinned pretty-printer
-//! ([`crate::printer::print_litmus_with`]), so `parse(canonical_text(t))`
-//! reproduces the canonical test exactly and the hash is a hash of real,
-//! valid `.litmus` syntax — inspectable with `gam print`.
+//! The canonical text is what the round-trip-pinned pretty-printer
+//! ([`crate::printer::print_litmus_with`]) prints for the canonical test, so
+//! `parse(canonical_text(t))` reproduces the canonical test exactly and the
+//! hash is a hash of real, valid `.litmus` syntax — inspectable with `gam
+//! print`.
+//!
+//! # The search over thread orders
+//!
+//! Register and label renaming do not depend on the thread order, so they
+//! are done once. Each order then only names the locations and writes its
+//! text, with the printer's own writers, into a reused buffer, comparing it
+//! with the smallest text so far as it goes; an order is dropped at the
+//! first line that compares larger. Only the winning order's test is built.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -61,7 +70,7 @@ use gam_isa::litmus::{LitmusTest, Observation};
 use gam_isa::{Addr, AluOp, Instruction, Loc, Operand, ProcId, Program, Reg, ThreadProgram, Value};
 
 use crate::names::NameTable;
-use crate::printer::print_litmus_with;
+use crate::printer::{write_condition, write_head, write_init, write_locations, Columns};
 
 /// Threads up to this count are canonicalized by exhaustive permutation
 /// (5! = 120 renderings); larger programs fall back to a deterministic
@@ -102,24 +111,17 @@ pub struct CanonicalForm {
 #[must_use]
 pub fn canonical_form(test: &LitmusTest) -> CanonicalForm {
     let _phase = gam_obs::phase("canon");
-    let renamable = renamable_addresses(test);
-    let n = test.program().num_threads();
-    let orders: Vec<Vec<usize>> = if n <= MAX_PERMUTED_THREADS {
-        permutations(n)
-    } else {
-        vec![skeleton_order(test, renamable.as_ref())]
-    };
-    orders
-        .into_iter()
-        .map(|order| normal_form(test, &order, renamable.as_ref()))
-        .min_by(|a, b| a.text.cmp(&b.text))
-        .expect("at least one thread order")
+    let prepared = Prepared::new(test);
+    let (order, text) = prepared.search();
+    CanonicalForm { test: prepared.build(&order), text }
 }
 
-/// The canonical `.litmus` text of a test (see [`canonical_form`]).
+/// The canonical `.litmus` text of a test (see [`canonical_form`]). Only
+/// the winning thread order's text is built; no test is.
 #[must_use]
 pub fn canonical_text(test: &LitmusTest) -> String {
-    canonical_form(test).text
+    let _phase = gam_obs::phase("canon");
+    Prepared::new(test).search().1
 }
 
 /// The canonical test itself (see [`canonical_form`]).
@@ -342,62 +344,422 @@ fn renamable_addresses(test: &LitmusTest) -> Option<BTreeSet<u64>> {
 }
 
 // ---------------------------------------------------------------------------
-// Normal form under one thread order
+// The search over thread orders
 // ---------------------------------------------------------------------------
 
-/// Renaming state threaded through one normal-form construction.
-struct Renamer {
-    /// Old address → canonical address; only addresses in `renamable` are
-    /// mapped, everything else is identity.
-    addr_map: BTreeMap<u64, u64>,
-    /// Canonical `(name, address)` pool, assigned in first-use order.
-    pool: Vec<(String, u64)>,
-    next_addr: usize,
+/// The name every canonical test carries.
+const CANONICAL_NAME: &str = "canon";
+
+/// A test with the renaming that does not depend on the thread order done
+/// once: registers and labels are renamed per thread, observed registers
+/// along with them. Only the location renaming (first use across the
+/// ordered threads) and the thread positions change between orders.
+struct Prepared<'t> {
+    test: &'t LitmusTest,
+    /// The addresses the screen lets us rename (empty when it bailed).
     renamable: BTreeSet<u64>,
+    /// Every thread with registers and labels renamed, addresses untouched.
+    threads: Vec<ThreadProgram>,
+    /// Per thread, the renamable addresses its instructions use, in
+    /// first-use order.
+    uses: Vec<Vec<u64>>,
+    /// Renamable addresses no instruction uses, in the order they take
+    /// canonical names after the used ones.
+    leftovers: Vec<u64>,
+    /// Canonical location addresses, handed out in order.
+    pool: Vec<u64>,
+    /// Prints the pool's addresses as their canonical names.
+    names: NameTable,
+    /// The observed quantities and the condition, registers renamed; a
+    /// register observation still names its thread's original index.
+    observed: Vec<Observation>,
+    condition: Vec<(Observation, Value)>,
 }
 
-impl Renamer {
-    fn new(renamable: Option<&BTreeSet<u64>>) -> Self {
-        let renamable = renamable.cloned().unwrap_or_default();
-        Renamer {
-            addr_map: BTreeMap::new(),
-            pool: canonical_pool(renamable.len()),
-            next_addr: 0,
+/// Buffers one order's rendering reuses from the previous one.
+#[derive(Default)]
+struct Scratch {
+    /// Renamable address → canonical address, in naming order.
+    addr_map: Vec<(u64, u64)>,
+    /// The canonical position of each original thread.
+    positions: Vec<usize>,
+    initial: Vec<(u64, Value)>,
+    columns: Columns,
+    observed: Vec<Observation>,
+    condition: Vec<(Observation, Value)>,
+}
+
+impl<'t> Prepared<'t> {
+    fn new(test: &'t LitmusTest) -> Self {
+        let renamable = renamable_addresses(test).unwrap_or_default();
+        let threads = test.program().threads();
+        let mut regs: Vec<RegRenamer> = threads.iter().map(|_| RegRenamer::new()).collect();
+        let mut uses = vec![Vec::new(); threads.len()];
+        let renamed = threads
+            .iter()
+            .zip(&mut regs)
+            .zip(&mut uses)
+            .map(|((thread, regs), uses)| rename_thread(thread, regs, &renamable, uses))
+            .collect();
+        // Observed registers are renamed after every instruction, observed
+        // list first, so an observed register no instruction writes takes
+        // the next free number.
+        let mut rename_obs = |obs: &Observation| match *obs {
+            Observation::Register(proc, reg) => {
+                Observation::Register(proc, regs[proc.index()].map(reg))
+            }
+            memory @ Observation::Memory(_) => memory,
+        };
+        let observed = test.observed().iter().map(&mut rename_obs).collect();
+        let condition =
+            test.condition().iter().map(|(obs, &value)| (rename_obs(obs), value)).collect();
+        let mut leftovers: Vec<u64> =
+            renamable.iter().copied().filter(|a| !uses.iter().any(|u| u.contains(a))).collect();
+        leftovers.sort_by_key(|&a| leftover_signature(test, &renamable, a));
+        let pool = canonical_pool(renamable.len());
+        let mut names = NameTable::empty();
+        for (name, _) in &pool {
+            names.add(name);
+        }
+        let pool = pool.into_iter().map(|(_, address)| address).collect();
+        Prepared {
+            test,
             renamable,
+            threads: renamed,
+            uses,
+            leftovers,
+            pool,
+            names,
+            observed,
+            condition,
         }
     }
 
-    fn map_addr(&mut self, v: u64) -> u64 {
-        if !self.renamable.contains(&v) {
-            return v;
+    /// The smallest canonical text over the thread orders, and its order:
+    /// every permutation up to [`MAX_PERMUTED_THREADS`] threads, the
+    /// skeleton order above that.
+    fn search(&self) -> (Vec<usize>, String) {
+        let n = self.threads.len();
+        let exhaustive = n <= MAX_PERMUTED_THREADS;
+        let mut order: Vec<usize> =
+            if exhaustive { (0..n).collect() } else { skeleton_order(self.test, &self.renamable) };
+        let mut best_order = order.clone();
+        let mut best: Option<String> = None;
+        let mut candidate = String::new();
+        let mut scratch = Scratch::default();
+        loop {
+            if self.render(&order, &mut scratch, &mut candidate, best.as_deref()) {
+                let loser = best.replace(std::mem::take(&mut candidate));
+                candidate = loser.unwrap_or_default();
+                best_order.copy_from_slice(&order);
+            }
+            if !exhaustive || !next_permutation(&mut order) {
+                break;
+            }
         }
-        if let Some(&mapped) = self.addr_map.get(&v) {
-            return mapped;
-        }
-        let mapped = self.pool[self.next_addr].1;
-        self.next_addr += 1;
-        self.addr_map.insert(v, mapped);
-        mapped
+        (best_order, best.expect("at least one thread order"))
     }
 
-    fn map_value(&mut self, v: Value) -> Value {
-        Value::new(self.map_addr(v.raw()))
-    }
-
-    fn map_operand(&mut self, operand: &Operand, regs: &mut RegRenamer) -> Operand {
-        match operand {
-            Operand::Imm(v) => Operand::Imm(self.map_value(*v)),
-            Operand::Reg(r) => Operand::Reg(regs.map(*r)),
+    /// Everything but the threads' instructions for one thread order: the
+    /// canonical names of the renamable addresses (the ones the
+    /// instructions use, in first-use order, then the leftovers), each
+    /// thread's position, the renamed initial memory sorted by address, and
+    /// the observed list and condition exactly as [`LitmusTestBuilder`]
+    /// stores them: the renamed observations deduplicated and sorted, then
+    /// any condition quantity not yet observed, and the condition sorted.
+    ///
+    /// [`LitmusTestBuilder`]: gam_isa::litmus::LitmusTestBuilder
+    fn arrange(&self, order: &[usize], scratch: &mut Scratch) {
+        let Scratch { addr_map, positions, initial, observed, condition, .. } = scratch;
+        addr_map.clear();
+        for &thread in order {
+            for &address in &self.uses[thread] {
+                if !addr_map.iter().any(|&(old, _)| old == address) {
+                    addr_map.push((address, self.pool[addr_map.len()]));
+                }
+            }
+        }
+        for &address in &self.leftovers {
+            addr_map.push((address, self.pool[addr_map.len()]));
+        }
+        positions.resize(order.len(), 0);
+        for (position, &thread) in order.iter().enumerate() {
+            positions[thread] = position;
+        }
+        let rename = |value: u64| rename_address(addr_map, value);
+        let rename_obs = |obs: &Observation| match *obs {
+            Observation::Register(proc, reg) => {
+                Observation::Register(ProcId::new(positions[proc.index()]), reg)
+            }
+            Observation::Memory(loc) => {
+                Observation::Memory(Loc::from_address(rename(loc.address())))
+            }
+        };
+        initial.clear();
+        initial.extend(
+            self.test
+                .initial_memory()
+                .iter()
+                .map(|(&address, &value)| (rename(address), Value::new(rename(value.raw())))),
+        );
+        initial.sort_unstable_by_key(|&(address, _)| address);
+        observed.clear();
+        for obs in &self.observed {
+            let renamed = rename_obs(obs);
+            if !observed.contains(&renamed) {
+                observed.push(renamed);
+            }
+        }
+        observed.sort_unstable();
+        condition.clear();
+        condition.extend(
+            self.condition
+                .iter()
+                .map(|(obs, value)| (rename_obs(obs), Value::new(rename(value.raw())))),
+        );
+        condition.sort_unstable();
+        for (obs, _) in condition.iter() {
+            if !observed.contains(obs) {
+                observed.push(*obs);
+            }
         }
     }
 
-    fn name_table(&self) -> NameTable {
-        let mut table = NameTable::empty();
-        for (name, _) in &self.pool {
-            table.add(name);
+    /// Renders the canonical text under one thread order into `out`,
+    /// comparing it with `best` as it goes. Returns false, leaving `out`
+    /// partly written, as soon as the text compares no smaller than `best`;
+    /// true when `out` holds a complete text smaller than `best` (or there
+    /// is no `best` yet).
+    fn render(
+        &self,
+        order: &[usize],
+        scratch: &mut Scratch,
+        out: &mut String,
+        best: Option<&str>,
+    ) -> bool {
+        self.arrange(order, scratch);
+        let mut race = Race { best, checked: 0, ahead: false };
+        out.clear();
+        write_head(out, CANONICAL_NAME, "");
+        write_init(out, scratch.initial.iter().copied(), &self.names);
+        if !race.keeps(out) {
+            return false;
         }
-        table
+        let Scratch { addr_map, columns, .. } = scratch;
+        let rename = |value: u64| rename_address(addr_map, value);
+        columns.clear();
+        for &thread in order {
+            columns.push_thread(&self.threads[thread], &self.names, &rename);
+        }
+        columns.write_header(out);
+        if !race.keeps(out) {
+            return false;
+        }
+        for row in 0..columns.rows() {
+            columns.write_row(out, row);
+            if !race.keeps(out) {
+                return false;
+            }
+        }
+        write_locations(out, &scratch.observed, &self.names);
+        write_condition(
+            out,
+            scratch.condition.iter().map(|(obs, value)| (obs, value)),
+            &self.names,
+        );
+        race.keeps(out) && race.wins(out)
     }
+
+    /// Builds the canonical test of one thread order, the one whose text
+    /// [`Prepared::render`] writes.
+    fn build(&self, order: &[usize]) -> LitmusTest {
+        let mut scratch = Scratch::default();
+        self.arrange(order, &mut scratch);
+        let rename = |value: u64| rename_address(&scratch.addr_map, value);
+        let threads = order
+            .iter()
+            .enumerate()
+            .map(|(position, &thread)| {
+                let thread = &self.threads[thread];
+                let mut builder = ThreadProgram::builder(ProcId::new(position));
+                for (index, instr) in thread.instructions().iter().enumerate() {
+                    add_labels(&mut builder, thread, index);
+                    builder.push(rename_immediates(instr, &rename));
+                }
+                add_labels(&mut builder, thread, thread.len());
+                builder.build()
+            })
+            .collect();
+        let mut builder = LitmusTest::builder(CANONICAL_NAME, Program::new(threads));
+        for &(address, value) in &scratch.initial {
+            builder = builder.init(Loc::from_address(address), value);
+        }
+        for &obs in &scratch.observed {
+            builder = builder.observe(obs);
+        }
+        for &(obs, value) in &scratch.condition {
+            builder = builder.expect(obs, value);
+        }
+        builder.build()
+    }
+}
+
+/// Compares a candidate text, while it is written, with the best so far.
+struct Race<'b> {
+    best: Option<&'b str>,
+    /// Bytes of the candidate already compared.
+    checked: usize,
+    /// Whether a compared byte was already smaller than the best's.
+    ahead: bool,
+}
+
+impl Race<'_> {
+    /// Compares what was written since the last call; false once the
+    /// candidate is known to compare larger.
+    fn keeps(&mut self, out: &str) -> bool {
+        let Some(best) = self.best else { return true };
+        if self.ahead {
+            return true;
+        }
+        let written = &out.as_bytes()[self.checked..];
+        let rest = best.as_bytes().get(self.checked..).unwrap_or_default();
+        let shared = written.len().min(rest.len());
+        match written[..shared].cmp(&rest[..shared]) {
+            std::cmp::Ordering::Less => self.ahead = true,
+            std::cmp::Ordering::Greater => return false,
+            // Equal so far: a candidate that runs past the end of the best
+            // text has the best as a proper prefix, so it is larger.
+            std::cmp::Ordering::Equal if written.len() > rest.len() => return false,
+            std::cmp::Ordering::Equal => self.checked = out.len(),
+        }
+        true
+    }
+
+    /// Whether the finished candidate is smaller than the best.
+    fn wins(&self, out: &str) -> bool {
+        self.best.is_none_or(|best| self.ahead || out.len() < best.len())
+    }
+}
+
+/// An address's canonical name under `addr_map`; any other value maps to
+/// itself.
+fn rename_address(addr_map: &[(u64, u64)], value: u64) -> u64 {
+    addr_map.iter().find(|&&(old, _)| old == value).map_or(value, |&(_, new)| new)
+}
+
+/// A thread with registers renamed in first-use order and labels renamed to
+/// `L1, L2, …` by target position; immediates are kept, and the renamable
+/// ones are appended to `uses` in first-use order.
+fn rename_thread(
+    thread: &ThreadProgram,
+    regs: &mut RegRenamer,
+    renamable: &BTreeSet<u64>,
+    uses: &mut Vec<u64>,
+) -> ThreadProgram {
+    let mut labels: Vec<(&String, usize)> =
+        thread.labels().iter().map(|(name, &target)| (name, target)).collect();
+    labels.sort_by(|a, b| (a.1, a.0).cmp(&(b.1, b.0)));
+    let label_map: BTreeMap<&str, String> = labels
+        .iter()
+        .enumerate()
+        .map(|(k, (name, _))| (name.as_str(), format!("L{}", k + 1)))
+        .collect();
+    let mut builder = ThreadProgram::builder(thread.proc());
+    let add_labels_at = |builder: &mut gam_isa::ThreadBuilder, index: usize| {
+        for (name, _) in labels.iter().filter(|(_, target)| *target == index) {
+            builder.label(label_map[name.as_str()].clone());
+        }
+    };
+    // Operand visit order is fixed per instruction shape so that register
+    // first-use assignment is naming-independent: sources before
+    // destinations, address bases before data.
+    let mut operand = |op: &Operand, regs: &mut RegRenamer| match *op {
+        Operand::Imm(v) => {
+            if renamable.contains(&v.raw()) && !uses.contains(&v.raw()) {
+                uses.push(v.raw());
+            }
+            Operand::Imm(v)
+        }
+        Operand::Reg(r) => Operand::Reg(regs.map(r)),
+    };
+    for (i, instr) in thread.instructions().iter().enumerate() {
+        add_labels_at(&mut builder, i);
+        let rebuilt = match instr {
+            Instruction::Alu { dst, op, lhs, rhs } => {
+                let lhs = operand(lhs, regs);
+                let rhs = operand(rhs, regs);
+                Instruction::Alu { dst: regs.map(*dst), op: *op, lhs, rhs }
+            }
+            Instruction::Load { dst, addr } => {
+                let base = operand(&addr.base, regs);
+                Instruction::Load { dst: regs.map(*dst), addr: Addr { base, offset: addr.offset } }
+            }
+            Instruction::Store { addr, data } => {
+                let base = operand(&addr.base, regs);
+                let data = operand(data, regs);
+                Instruction::Store { addr: Addr { base, offset: addr.offset }, data }
+            }
+            Instruction::Fence { kind } => Instruction::Fence { kind: *kind },
+            Instruction::Branch { cond, lhs, rhs, target } => {
+                let lhs = operand(lhs, regs);
+                let rhs = operand(rhs, regs);
+                let target = match label_map.get(target.name()) {
+                    Some(name) => gam_isa::Label::new(name.clone()),
+                    None => target.clone(),
+                };
+                Instruction::Branch { cond: *cond, lhs, rhs, target }
+            }
+        };
+        builder.push(rebuilt);
+    }
+    add_labels_at(&mut builder, thread.len());
+    builder.build()
+}
+
+/// Re-attaches the labels of `thread` that target `index`.
+fn add_labels(builder: &mut gam_isa::ThreadBuilder, thread: &ThreadProgram, index: usize) {
+    for (name, &target) in thread.labels() {
+        if target == index {
+            builder.label(name.clone());
+        }
+    }
+}
+
+/// An instruction with every immediate passed through `rename`.
+fn rename_immediates(instr: &Instruction, rename: &impl Fn(u64) -> u64) -> Instruction {
+    let operand = |op: Operand| match op {
+        Operand::Imm(v) => Operand::Imm(Value::new(rename(v.raw()))),
+        reg @ Operand::Reg(_) => reg,
+    };
+    let addr = |addr: Addr| Addr { base: operand(addr.base), offset: addr.offset };
+    match instr {
+        Instruction::Alu { dst, op, lhs, rhs } => {
+            Instruction::Alu { dst: *dst, op: *op, lhs: operand(*lhs), rhs: operand(*rhs) }
+        }
+        Instruction::Load { dst, addr: a } => Instruction::Load { dst: *dst, addr: addr(*a) },
+        Instruction::Store { addr: a, data } => {
+            Instruction::Store { addr: addr(*a), data: operand(*data) }
+        }
+        Instruction::Fence { kind } => Instruction::Fence { kind: *kind },
+        Instruction::Branch { cond, lhs, rhs, target } => Instruction::Branch {
+            cond: *cond,
+            lhs: operand(*lhs),
+            rhs: operand(*rhs),
+            target: target.clone(),
+        },
+    }
+}
+
+/// Steps `order` to the next permutation in lexicographic order; false
+/// after the last one.
+fn next_permutation(order: &mut [usize]) -> bool {
+    let Some(i) = order.windows(2).rposition(|pair| pair[0] < pair[1]) else {
+        return false;
+    };
+    let j = order.iter().rposition(|&x| x > order[i]).expect("a larger element follows");
+    order.swap(i, j);
+    order[i + 1..].reverse();
+    true
 }
 
 /// Per-thread register renaming in first-use order.
@@ -420,150 +782,6 @@ impl RegRenamer {
         self.map.insert(r, mapped);
         mapped
     }
-}
-
-fn normal_form(
-    test: &LitmusTest,
-    order: &[usize],
-    renamable: Option<&BTreeSet<u64>>,
-) -> CanonicalForm {
-    let threads = test.program().threads();
-    let mut renamer = Renamer::new(renamable);
-    let mut reg_renamers: Vec<RegRenamer> = (0..threads.len()).map(|_| RegRenamer::new()).collect();
-    // new_pos[old thread index] = position in the canonical order.
-    let mut new_pos = vec![0usize; threads.len()];
-    for (pos, &old) in order.iter().enumerate() {
-        new_pos[old] = pos;
-    }
-
-    let mut new_threads = Vec::with_capacity(threads.len());
-    for (pos, &old) in order.iter().enumerate() {
-        let thread = &threads[old];
-        let regs = &mut reg_renamers[old];
-        // Labels renamed to L1, L2, … ordered by target position.
-        let mut labels: Vec<(&String, usize)> =
-            thread.labels().iter().map(|(name, &target)| (name, target)).collect();
-        labels.sort_by(|a, b| (a.1, a.0).cmp(&(b.1, b.0)));
-        let label_map: BTreeMap<&str, String> = labels
-            .iter()
-            .enumerate()
-            .map(|(k, (name, _))| (name.as_str(), format!("L{}", k + 1)))
-            .collect();
-        let labels_at = |index: usize| {
-            labels
-                .iter()
-                .filter(move |(_, target)| *target == index)
-                .map(|(name, _)| label_map[name.as_str()].clone())
-        };
-
-        let mut builder = ThreadProgram::builder(ProcId::new(pos));
-        for (i, instr) in thread.instructions().iter().enumerate() {
-            for label in labels_at(i) {
-                builder.label(label);
-            }
-            // Operand visit order is fixed per instruction shape so that
-            // register first-use assignment is naming-independent:
-            // sources before destinations, address bases before data.
-            let rebuilt = match instr {
-                Instruction::Alu { dst, op, lhs, rhs } => {
-                    let lhs = renamer.map_operand(lhs, regs);
-                    let rhs = renamer.map_operand(rhs, regs);
-                    Instruction::Alu { dst: regs.map(*dst), op: *op, lhs, rhs }
-                }
-                Instruction::Load { dst, addr } => {
-                    let base = renamer.map_operand(&addr.base, regs);
-                    Instruction::Load {
-                        dst: regs.map(*dst),
-                        addr: Addr { base, offset: addr.offset },
-                    }
-                }
-                Instruction::Store { addr, data } => {
-                    let base = renamer.map_operand(&addr.base, regs);
-                    let data = renamer.map_operand(data, regs);
-                    Instruction::Store { addr: Addr { base, offset: addr.offset }, data }
-                }
-                Instruction::Fence { kind } => Instruction::Fence { kind: *kind },
-                Instruction::Branch { cond, lhs, rhs, target } => {
-                    let lhs = renamer.map_operand(lhs, regs);
-                    let rhs = renamer.map_operand(rhs, regs);
-                    let target = match label_map.get(target.name()) {
-                        Some(name) => gam_isa::Label::new(name.clone()),
-                        None => target.clone(),
-                    };
-                    Instruction::Branch { cond: *cond, lhs, rhs, target }
-                }
-            };
-            builder.push(rebuilt);
-        }
-        for label in labels_at(thread.len()) {
-            builder.label(label);
-        }
-        new_threads.push(builder.build());
-    }
-
-    // Assign canonical names to renamable addresses that never appear in an
-    // instruction (initial-memory-only or observation-only locations), in an
-    // order derived from renaming-invariant signatures; ties fall back to the
-    // old address, which is only reachable for fully symmetric locations
-    // where either assignment yields identical text.
-    let leftovers: Vec<u64> = {
-        let mut left: Vec<u64> = renamer
-            .renamable
-            .iter()
-            .copied()
-            .filter(|a| !renamer.addr_map.contains_key(a))
-            .collect();
-        left.sort_by_key(|&a| leftover_signature(test, &renamer.renamable, a));
-        left
-    };
-    for addr in leftovers {
-        renamer.map_addr(addr);
-    }
-
-    let mut initial: Vec<(u64, Value)> = test
-        .initial_memory()
-        .iter()
-        .map(|(&key, &value)| (renamer.map_addr(key), renamer.map_value(value)))
-        .collect();
-    initial.sort_by_key(|&(key, _)| key);
-
-    let mut map_observation = |renamer: &mut Renamer, obs: &Observation| match obs {
-        Observation::Register(proc, reg) => {
-            let t = proc.index();
-            Observation::Register(ProcId::new(new_pos[t]), reg_renamers[t].map(*reg))
-        }
-        Observation::Memory(loc) => {
-            Observation::Memory(Loc::from_address(renamer.map_addr(loc.address())))
-        }
-    };
-    let mut observed: Vec<Observation> = Vec::new();
-    for obs in test.observed() {
-        let mapped = map_observation(&mut renamer, obs);
-        if !observed.contains(&mapped) {
-            observed.push(mapped);
-        }
-    }
-    observed.sort();
-    let mut condition: Vec<(Observation, Value)> = test
-        .condition()
-        .iter()
-        .map(|(obs, &value)| (map_observation(&mut renamer, obs), renamer.map_value(value)))
-        .collect();
-    condition.sort();
-
-    let mut builder = LitmusTest::builder("canon", Program::new(new_threads));
-    for (key, value) in initial {
-        builder = builder.init(Loc::from_address(key), value);
-    }
-    for obs in observed {
-        builder = builder.observe(obs);
-    }
-    for (obs, value) in condition {
-        builder = builder.expect(obs, value);
-    }
-    let canonical = builder.build();
-    let text = print_litmus_with(&canonical, &renamer.name_table());
-    CanonicalForm { test: canonical, text }
 }
 
 /// A renaming-invariant sort key for a renamable address that never appears
@@ -634,38 +852,10 @@ fn alpha_name(mut index: usize) -> String {
     String::from_utf8(bytes).expect("ascii")
 }
 
-/// All permutations of `0..n` in lexicographic order.
-fn permutations(n: usize) -> Vec<Vec<usize>> {
-    if n == 0 {
-        return vec![Vec::new()];
-    }
-    let mut out = Vec::new();
-    let mut current: Vec<usize> = Vec::with_capacity(n);
-    let mut remaining: Vec<usize> = (0..n).collect();
-    permute_into(&mut current, &mut remaining, &mut out);
-    out
-}
-
-fn permute_into(current: &mut Vec<usize>, remaining: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-    if remaining.is_empty() {
-        out.push(current.clone());
-        return;
-    }
-    for i in 0..remaining.len() {
-        let picked = remaining.remove(i);
-        current.push(picked);
-        permute_into(current, remaining, out);
-        current.pop();
-        remaining.insert(i, picked);
-    }
-}
-
 /// Deterministic thread order for programs too large to permute: sort by a
 /// per-thread skeleton rendered with thread-local register numbering and
 /// renamable addresses replaced by their thread-local first-use index.
-fn skeleton_order(test: &LitmusTest, renamable: Option<&BTreeSet<u64>>) -> Vec<usize> {
-    let empty = BTreeSet::new();
-    let renamable = renamable.unwrap_or(&empty);
+fn skeleton_order(test: &LitmusTest, renamable: &BTreeSet<u64>) -> Vec<usize> {
     let mut keyed: Vec<(String, usize)> = test
         .program()
         .threads()
@@ -725,6 +915,7 @@ fn thread_skeleton(thread: &ThreadProgram, renamable: &BTreeSet<u64>) -> String 
 mod tests {
     use super::*;
     use gam_isa::litmus::library;
+    use gam_isa::{BranchCond, FenceKind};
 
     #[test]
     fn library_tests_have_stable_distinct_hashes() {
@@ -853,6 +1044,90 @@ mod tests {
         assert_eq!(form.text, canonical_form(&build("lock")).text);
         // The renamed location prints as a dictionary name, not an integer.
         assert!(form.text.contains("[a]"), "renamed to `a`:\n{}", form.text);
+    }
+
+    /// The canonical text by definition: build and print the canonical test
+    /// of every thread order and keep the smallest text.
+    fn reference_text(test: &LitmusTest) -> String {
+        let prepared = Prepared::new(test);
+        let mut order: Vec<usize> = (0..test.program().num_threads()).collect();
+        let mut texts = Vec::new();
+        loop {
+            texts.push(crate::printer::print_litmus_with(&prepared.build(&order), &prepared.names));
+            if !next_permutation(&mut order) {
+                break;
+            }
+        }
+        texts.into_iter().min().expect("at least one thread order")
+    }
+
+    /// A random program over three locations with forward branches and
+    /// labels: several labels on one instruction, labels past the last
+    /// instruction and often more than nine labels per thread, so label
+    /// names sort apart from their numbers (`L10` < `L2`).
+    fn branchy_test(seed: u64) -> LitmusTest {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut below = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let locations = [Loc::new("x"), Loc::new("y"), Loc::new("z")];
+        let mut threads = Vec::new();
+        let mut expected = Vec::new();
+        for proc in 0..1 + below(4) as usize {
+            let mut thread = ThreadProgram::builder(ProcId::new(proc));
+            let len = 1 + below(6);
+            for i in 0..=len {
+                thread.label(format!("t{i}"));
+                for k in 0..below(3) {
+                    thread.label(format!("e{i}_{k}"));
+                }
+                if i == len {
+                    break;
+                }
+                let loc = locations[below(3) as usize];
+                let reg = Reg::new(1 + below(3) as u32);
+                match below(5) {
+                    0 => {
+                        thread.store(Addr::loc(loc), Operand::imm(below(3)));
+                    }
+                    1 => {
+                        thread.load(reg, Addr::loc(loc));
+                        expected.push((ProcId::new(proc), reg, below(2)));
+                    }
+                    2 => {
+                        let target = format!("t{}", i + 1 + below(len - i));
+                        thread.branch(BranchCond::Eq, reg, Operand::imm(below(2)), target.as_str());
+                    }
+                    3 => {
+                        thread.mov(reg, Operand::loc(loc));
+                    }
+                    _ => {
+                        thread.fence(FenceKind::ALL[below(4) as usize]);
+                    }
+                }
+            }
+            threads.push(thread.build());
+        }
+        let mut builder = LitmusTest::builder("branchy", Program::new(threads));
+        for (proc, reg, value) in expected {
+            builder = builder.expect_reg(proc, reg, value);
+        }
+        builder.observe_mem(locations[0]).build()
+    }
+
+    #[test]
+    fn search_finds_the_smallest_text_of_every_thread_order() {
+        let mut tests = library::all_tests();
+        tests.extend((0..300).map(branchy_test));
+        for test in &tests {
+            let form = canonical_form(test);
+            assert_eq!(form.text, reference_text(test), "{}", test.name());
+            let names = Prepared::new(test).names;
+            assert_eq!(crate::printer::print_litmus_with(&form.test, &names), form.text);
+        }
     }
 
     #[test]
