@@ -7,7 +7,8 @@
 //! for the journal truncation after a compaction snapshot), run checkpoints
 //! (`checkpoint.write`), arena spill segments (`spill.write` before a cold
 //! segment lands on disk, `spill.read` before each spill block reload),
-//! the HTTP I/O paths (`http.read`, `http.write`) and
+//! the HTTP I/O paths (`http.read`, `http.write`), the wall-budget poll
+//! (`interrupt.deadline`, where a kill expires the deadline) and
 //! the CLI's trace export (`obs.export`, between the tmp write and the
 //! rename) each call [`hit`] with a stable point name. With no plan installed a hit
 //! is a single relaxed atomic load, so the instrumentation is free in normal

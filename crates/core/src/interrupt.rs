@@ -138,7 +138,10 @@ impl Interrupt {
             }
         }
         if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
+            // Fault-injection point: `interrupt.deadline` — a kill expires
+            // the deadline at this poll, so a test can stop a search at a
+            // chosen poll without racing it against wall time.
+            if Instant::now() >= deadline || crate::fault::hit("interrupt.deadline") {
                 let budget = self.wall_budget.unwrap_or_default();
                 return Some(StopReason::WallBudget { budget });
             }

@@ -7,18 +7,24 @@
 //! of a heavy test comes back `Inconclusive` with partial outcomes, those
 //! partial outcomes are a sound under-approximation of the full outcome
 //! set, and the blocking API's verdict is unaffected.
+//!
+//! No test here races a deadline against the machine's speed: the
+//! interrupted check expires its deadline through the
+//! `interrupt.deadline` fault point at a fixed poll, so it stops at the
+//! same state on every run, idle or loaded. Both tests hold the fault
+//! guard, since every poll of a wall budget counts as a hit of that point.
 
 use std::time::Duration;
 
-use gam_core::ModelKind;
+use gam_core::{fault, ModelKind};
 use gam_engine::{Backend, CheckBudget, Engine, SessionVerdict};
 use gam_frontend::parse_litmus;
 use gam_isa::litmus::LitmusTest;
 use gam_operational::OperationalChecker;
 
-/// The heaviest test of the stress corpus (hundreds of milliseconds of
-/// unbudgeted exploration in a debug build) — slow enough that a
-/// few-millisecond budget reliably interrupts it mid-flight.
+/// The heaviest test of the stress corpus: its exploration runs far past
+/// the explorer's second interrupt poll (after 256 expansions), and it
+/// has reached final states by then.
 fn heavy_stress_test() -> LitmusTest {
     let text = std::fs::read_to_string("tests/corpus-stress/stress-133.litmus")
         .expect("stress corpus is checked in");
@@ -27,14 +33,21 @@ fn heavy_stress_test() -> LitmusTest {
 
 #[test]
 fn wall_budget_on_a_stress_test_is_inconclusive_with_partial_outcomes() {
+    let _guard = fault::exclusive();
     let test = heavy_stress_test();
     let engine = Engine::operational(ModelKind::Gam).expect("operational engine");
-    let budget = CheckBudget::none().with_max_wall(Duration::from_millis(5));
-    let outcome = engine.check_budgeted(&test, &budget).expect("budgeted check runs");
+    // The deadline is an hour away, so no run reaches it in wall time. The
+    // fault expires it at the explorer's second poll instead: past the
+    // first final states, long before the search ends.
+    let budget = CheckBudget::none().with_max_wall(Duration::from_secs(3600));
+    fault::install("interrupt.deadline=kill@2").expect("valid fault spec");
+    let outcome = engine.check_budgeted(&test, &budget);
+    fault::reset();
+    let outcome = outcome.expect("budgeted check runs");
 
     let SessionVerdict::Inconclusive { partial_outcomes, states_visited, reason } = outcome.verdict
     else {
-        panic!("a 5 ms budget must interrupt this exploration, got {}", outcome.verdict);
+        panic!("an expired deadline must interrupt this exploration, got {}", outcome.verdict);
     };
     assert!(reason.to_string().contains("wall budget"), "reason: {reason}");
     assert!(states_visited > 0, "the exploration must have started");
@@ -53,6 +66,7 @@ fn wall_budget_on_a_stress_test_is_inconclusive_with_partial_outcomes() {
 
 #[test]
 fn generous_budget_matches_the_blocking_api_on_stress_tests() {
+    let _guard = fault::exclusive();
     let test = heavy_stress_test();
     for backend in Backend::ALL {
         let engine =
