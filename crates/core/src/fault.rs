@@ -2,9 +2,9 @@
 //!
 //! Production code is instrumented with named *injection points* — the
 //! operational explorer (`explore`), the axiomatic enumeration (`axiomatic`),
-//! cache persistence (`cache.persist` for the snapshot rename,
-//! `cache.journal.append` for write-ahead-journal appends, `cache.compact`
-//! for the journal truncation after a compaction snapshot), run checkpoints
+//! cache persistence (`cache.journal.append` for write-ahead-journal
+//! appends, `cache.compact` between a compacted journal's write and its
+//! rename over the live one), run checkpoints
 //! (`checkpoint.write`), arena spill segments (`spill.write` before a cold
 //! segment lands on disk, `spill.read` before each spill block reload),
 //! the HTTP I/O paths (`http.read`, `http.write`), the wall-budget poll
@@ -19,7 +19,7 @@
 //! * `panic` — the hit panics, exercising `catch_unwind` isolation;
 //! * `delay:MS` — the hit sleeps for `MS` milliseconds, exercising timeouts;
 //! * `kill` — [`hit`] returns `true` and the caller simulates a crash at that
-//!   point (e.g. the cache persist path dies between its tmp write and the
+//!   point (e.g. cache compaction dies between its tmp write and the
 //!   rename).
 //!
 //! Plans come from the `GAM_FAULTS` environment variable (read once, on the
@@ -31,7 +31,7 @@
 //! deterministic regardless of thread interleaving.
 //!
 //! ```text
-//! GAM_FAULTS="explore=panic@3,cache.persist=kill,http.write=delay:50@2"
+//! GAM_FAULTS="explore=panic@3,cache.compact=kill,http.write=delay:50@2"
 //! ```
 
 use std::collections::HashMap;

@@ -37,7 +37,7 @@
 //! `write(2)` into the page cache survives the process. Keeping appends
 //! sync-free is what lets the journaled cache stay on the serve hot path.
 
-use std::fs::{File, OpenOptions};
+use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -155,7 +155,6 @@ pub struct Wal {
     path: PathBuf,
     file: File,
     end: u64,
-    header_len: u64,
 }
 
 impl Wal {
@@ -182,11 +181,12 @@ impl Wal {
             file.write_all(header.as_bytes())?;
             (Vec::new(), header.len() as u64)
         } else if !bytes.starts_with(header.as_bytes()) {
+            // Quote at most 64 bytes: a foreign file may be one long line.
             let first = bytes.split(|&b| b == b'\n').next().unwrap_or(&[]);
             warning = Some(format!(
                 "journal {}: magic `{}` (want `{magic}`); starting a fresh journal",
                 path.display(),
-                String::from_utf8_lossy(first),
+                String::from_utf8_lossy(&first[..first.len().min(64)]),
             ));
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
@@ -208,7 +208,7 @@ impl Wal {
             (recovery.frames, end)
         };
         file.seek(SeekFrom::Start(end))?;
-        let wal = Wal { path: path.to_path_buf(), file, end, header_len: header.len() as u64 };
+        let wal = Wal { path: path.to_path_buf(), file, end };
         Ok((wal, frames, warning))
     }
 
@@ -254,16 +254,16 @@ impl Wal {
         Ok(())
     }
 
-    /// Truncates the log back to just the magic header — the compaction
-    /// step after the snapshot rename has made the records redundant.
+    /// Moves the log's file to `path` — the last step of a compaction that
+    /// wrote a fresh log beside the live one. Appends continue at the new
+    /// path.
     ///
     /// # Errors
     ///
-    /// Propagates truncate/seek errors.
-    pub fn reset(&mut self) -> io::Result<()> {
-        self.file.set_len(self.header_len)?;
-        self.end = self.header_len;
-        self.file.seek(SeekFrom::Start(self.end))?;
+    /// Propagates the rename error.
+    pub fn rename(&mut self, path: &Path) -> io::Result<()> {
+        fs::rename(&self.path, path)?;
+        self.path = path.to_path_buf();
         Ok(())
     }
 }
@@ -337,9 +337,17 @@ mod tests {
         assert_eq!(frames, vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()]);
         assert!(warning.is_none());
 
-        // A wrong magic abandons the content entirely.
-        wal.reset().unwrap();
+        // A rename moves the log; appends continue at the new path.
+        let moved = dir.join("moved.wal");
+        wal.rename(&moved).unwrap();
+        wal.append(b"four").unwrap();
         drop(wal);
+        assert!(!path.exists());
+        let (_wal, frames, _) = Wal::open(&moved, "gam-test-wal/v1").unwrap();
+        assert_eq!(frames.len(), 4);
+        fs::rename(&moved, &path).unwrap();
+
+        // A wrong magic abandons the content entirely.
         let (_wal, frames, warning) = Wal::open(&path, "gam-test-wal/v2").unwrap();
         assert!(frames.is_empty());
         assert!(warning.unwrap().contains("magic"));

@@ -1,4 +1,4 @@
-//! The persistent, canonicalizing outcome cache.
+//! The canonicalizing outcome cache.
 //!
 //! Entries are keyed by `"{canonical_hash}/{model}/{backend}"` — the hash
 //! comes from [`gam_frontend::canonical_hash`], so every naming variant of a
@@ -9,28 +9,11 @@
 //! evicted first, which is the right bias for a service whose misses are
 //! paid in explorer time.
 //!
-//! The on-disk format is a versioned JSON document (the engine's in-tree
-//! [`Json`], no external dependencies) written atomically: serialize to
-//! `<path>.tmp`, then rename over `<path>`. Loading is corruption-tolerant —
-//! a truncated or syntactically invalid file, or one with an unknown schema
-//! version, yields an *empty* cache and a warning string rather than a
-//! panic or an error, so a damaged cache file can never keep the service
-//! from starting.
-//!
-//! Since the write-ahead journal landed, [`OutcomeCache::save`] is no longer
-//! the per-mutation persistence path — it is the *compaction snapshot* that
-//! [`crate::journal::JournaledCache`] folds its journal into. Per-mutation
-//! durability is one appended journal record.
+//! This type is memory only. Its one file is the write-ahead journal of
+//! [`crate::journal::JournaledCache`], which records every mutation and
+//! periodically rewrites itself as one `insert` record per live entry.
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
-
-use gam_engine::Json;
-
-/// Schema identifier of the cache file; bump on incompatible changes.
-pub const CACHE_SCHEMA: &str = "gam-serve-cache/v1";
 
 /// One cached check result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,7 +37,7 @@ impl CacheEntry {
     }
 }
 
-/// An in-memory outcome cache with cost-based eviction and JSON persistence.
+/// An in-memory outcome cache with cost-based eviction.
 #[derive(Debug)]
 pub struct OutcomeCache {
     entries: BTreeMap<String, CacheEntry>,
@@ -87,7 +70,7 @@ impl OutcomeCache {
         self.entries.is_empty()
     }
 
-    /// Total evictions since this cache was created (or loaded).
+    /// Total evictions since this cache was created.
     #[must_use]
     pub fn evictions(&self) -> u64 {
         self.evictions
@@ -107,6 +90,21 @@ impl OutcomeCache {
     /// so a write-ahead journal can record them.
     pub fn insert(&mut self, key: String, entry: CacheEntry) -> Vec<String> {
         self.entries.insert(key, entry);
+        self.enforce_capacity()
+    }
+
+    /// Inserts without enforcing capacity — journal replay applies the
+    /// journal's explicit `evict` records instead of re-deriving evictions
+    /// mid-stream. Pair with [`Self::enforce_capacity`] after the replay.
+    pub(crate) fn insert_unbounded(&mut self, key: String, entry: CacheEntry) {
+        self.entries.insert(key, entry);
+    }
+
+    /// Evicts the cheapest-to-recompute entries until the cache fits its
+    /// capacity, returning the evicted keys. After a journal replay it only
+    /// does anything when the configured capacity shrank between process
+    /// lives.
+    pub(crate) fn enforce_capacity(&mut self) -> Vec<String> {
         let mut evicted = Vec::new();
         while self.entries.len() > self.capacity {
             let cheapest = self
@@ -122,32 +120,9 @@ impl OutcomeCache {
         evicted
     }
 
-    /// Inserts without enforcing capacity — journal replay applies the
-    /// journal's explicit `evict` records instead of re-deriving evictions
-    /// mid-stream. Pair with [`Self::enforce_capacity`] after the replay.
-    pub(crate) fn insert_unbounded(&mut self, key: String, entry: CacheEntry) {
-        self.entries.insert(key, entry);
-    }
-
-    /// Evicts cheapest-first down to capacity — the post-replay cleanup
-    /// (only does anything when the configured capacity shrank between
-    /// process lives).
-    pub(crate) fn enforce_capacity(&mut self) {
-        while self.entries.len() > self.capacity {
-            let cheapest = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.cost())
-                .map(|(k, _)| k.clone())
-                .expect("cache over capacity is non-empty");
-            self.entries.remove(&cheapest);
-            self.evictions += 1;
-        }
-    }
-
     /// Removes an entry outright (journal replay of an `evict` record).
     /// A missing key is a no-op — replay must converge regardless of which
-    /// snapshot it starts from. Does not count towards [`Self::evictions`]:
+    /// records came before it. Does not count towards [`Self::evictions`]:
     /// the eviction happened in a previous process life.
     pub fn remove(&mut self, key: &str) -> bool {
         self.entries.remove(key).is_some()
@@ -167,119 +142,9 @@ impl OutcomeCache {
         self.entries.get(key)
     }
 
-    /// Iterates entries in key order — equality checks and serialization.
+    /// Iterates entries in key order — equality checks and compaction.
     pub fn entries(&self) -> impl Iterator<Item = (&String, &CacheEntry)> {
         self.entries.iter()
-    }
-
-    /// Serializes the cache to the versioned JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let entries = Json::array(self.entries.iter().map(|(key, e)| {
-            Json::object([
-                ("key", Json::Str(key.clone())),
-                ("allowed", Json::Bool(e.allowed)),
-                ("wall_us", Json::UInt(e.wall_us)),
-                ("states", Json::UInt(e.states)),
-                ("hits", Json::UInt(e.hits)),
-            ])
-        }));
-        Json::object([
-            ("schema", Json::Str(CACHE_SCHEMA.to_string())),
-            ("capacity", Json::UInt(self.capacity as u64)),
-            ("entries", entries),
-        ])
-    }
-
-    /// Writes the cache atomically: serialize to `<path>.tmp`, then rename
-    /// over `path`, so a crash mid-write can never leave a half-written
-    /// cache behind.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from the temporary write or the rename.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        let mut tmp: PathBuf = path.to_path_buf();
-        let mut name = path
-            .file_name()
-            .map_or_else(|| "cache".to_string(), |n| n.to_string_lossy().into_owned());
-        name.push_str(".tmp");
-        tmp.set_file_name(name);
-        fs::write(&tmp, format!("{}\n", self.to_json()))?;
-        // Fault-injection point: `cache.persist` kills the save between the
-        // temporary write and the rename — the crash window the atomic
-        // protocol must survive (the crash-atomicity test drives this).
-        if gam_core::fault::hit("cache.persist") {
-            return Err(io::Error::new(
-                io::ErrorKind::Interrupted,
-                "injected fault: cache.persist killed between write and rename",
-            ));
-        }
-        fs::rename(&tmp, path)
-    }
-
-    /// Loads a cache from `path`, tolerating damage: a missing file is a
-    /// normal cold start; a truncated/corrupt/mis-versioned file yields an
-    /// empty cache plus a warning describing what was ignored.
-    #[must_use]
-    pub fn load(path: &Path, capacity: usize) -> (Self, Option<String>) {
-        let empty = OutcomeCache::new(capacity);
-        let text = match fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(err) if err.kind() == io::ErrorKind::NotFound => return (empty, None),
-            Err(err) => {
-                return (
-                    empty,
-                    Some(format!("cache {}: unreadable ({err}); starting empty", path.display())),
-                );
-            }
-        };
-        let json = match Json::parse(&text) {
-            Ok(json) => json,
-            Err(err) => {
-                return (
-                    empty,
-                    Some(format!("cache {}: corrupt ({err}); starting empty", path.display())),
-                );
-            }
-        };
-        let schema = json.get("schema").and_then(Json::as_str).unwrap_or("<missing>");
-        if schema != CACHE_SCHEMA {
-            return (
-                empty,
-                Some(format!(
-                    "cache {}: schema `{schema}` (want `{CACHE_SCHEMA}`); starting empty",
-                    path.display()
-                )),
-            );
-        }
-        let mut cache = OutcomeCache::new(capacity);
-        let mut skipped = 0usize;
-        for item in json.get("entries").and_then(Json::as_array).unwrap_or(&[]) {
-            let entry = (|| {
-                Some((
-                    item.get("key")?.as_str()?.to_string(),
-                    CacheEntry {
-                        allowed: match item.get("allowed")? {
-                            Json::Bool(b) => *b,
-                            _ => return None,
-                        },
-                        wall_us: item.get("wall_us")?.as_u64()?,
-                        states: item.get("states")?.as_u64()?,
-                        hits: item.get("hits")?.as_u64()?,
-                    },
-                ))
-            })();
-            match entry {
-                Some((key, entry)) => {
-                    cache.insert(key, entry);
-                }
-                None => skipped += 1,
-            }
-        }
-        let warning = (skipped > 0)
-            .then(|| format!("cache {}: skipped {skipped} malformed entries", path.display()));
-        (cache, warning)
     }
 }
 

@@ -1,42 +1,40 @@
 //! The write-ahead-journaled outcome cache.
 //!
-//! PR 6 persisted the cache by rewriting the whole JSON document after every
-//! mutation — O(cache) I/O per miss, and everything since the last completed
-//! rename was the crash-loss window. [`JournaledCache`] replaces that with
-//! the classic snapshot-plus-journal arrangement:
+//! [`JournaledCache`] keeps the cache in one file: a CRC-framed write-ahead
+//! log (schema [`JOURNAL_SCHEMA`], framing from [`gam_core::wal`]) at the
+//! `--cache` path.
 //!
-//! * every mutation appends one CRC-framed record
-//!   (schema [`JOURNAL_SCHEMA`], framing from [`gam_core::wal`]) to
-//!   `<cache>.journal` — a `kill -9` at any instruction loses at most the
-//!   record being written;
-//! * startup loads the snapshot (the PR 6 `gam-serve-cache/v1` document,
-//!   unchanged) and replays the journal over it, tolerating a torn or
-//!   corrupted tail by recovering the longest valid prefix and warning;
-//! * every [`JournaledCache::compact_every`] records, the journal is folded
-//!   into a fresh snapshot through the existing atomic tmp+rename path and
-//!   truncated.
+//! * every mutation appends one record, so a `kill -9` at any instruction
+//!   loses at most the record being written;
+//! * startup replays the file, tolerating a torn or corrupted tail by
+//!   recovering the longest valid prefix and warning;
+//! * every [`JournaledCache::compact`] (each `compact_every` records, and at
+//!   graceful shutdown) writes one `insert` record per live entry into a
+//!   fresh log at `<path>.tmp` and renames it over `<path>` — Bitcask's
+//!   merge, or LevelDB's log rewrite. A crash before the rename leaves the
+//!   old log whole, so a killed compaction loses nothing acknowledged.
+//!
+//! A file at `<path>` that is not a journal (for instance a JSON snapshot
+//! written by an older version) fails the magic check and is replaced by an
+//! empty journal with one warning.
 //!
 //! ## Records are absolute, so replay converges
 //!
 //! Each record carries the *full resulting state* of the key it touches —
 //! `insert` carries the whole entry, `hit` carries the new absolute hit
-//! count (not "+1"), `evict` is naturally absolute. That makes replay
-//! idempotent over any snapshot at least as old as the journal: if the
-//! process dies *between* the compaction snapshot rename and the journal
-//! truncation, the next startup replays a stale journal over a fresh
-//! snapshot and lands on exactly the snapshot state. No generation counters
-//! needed.
+//! count (not "+1"), `evict` is naturally absolute. Replay therefore needs
+//! no generation counters, and a compacted log (inserts only) replays to
+//! exactly the cache it was written from.
 //!
 //! ## Fault points
 //!
 //! * `cache.journal.append` — `kill` leaves a genuinely torn half-record on
 //!   disk (via [`gam_core::wal::Wal::append_torn`]) and degrades the cache
 //!   to memory-only, simulating death mid-`write(2)`;
-//! * `cache.compact` — `kill` dies after the snapshot rename but before the
-//!   journal truncation, the window the absolute-record design exists for;
-//! * `cache.persist` (pre-existing, inside [`OutcomeCache::save`]) — dies
-//!   between the snapshot tmp write and its rename.
+//! * `cache.compact` — `kill` dies after the fresh log is written but
+//!   before it is renamed over the live one.
 
+use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -48,8 +46,8 @@ use crate::cache::{CacheEntry, OutcomeCache};
 /// Magic line of the journal file; bump on incompatible record changes.
 pub const JOURNAL_SCHEMA: &str = "gam-serve-journal/v1";
 
-/// How many journal records accumulate before a compaction folds them into
-/// the snapshot, by default.
+/// How many journal records accumulate before a compaction rewrites the
+/// log, by default.
 pub const DEFAULT_COMPACT_EVERY: u64 = 4096;
 
 /// One journal record. Public so recovery tests can build reference
@@ -151,7 +149,7 @@ impl Record {
 pub struct JournalStats {
     /// Records appended since this process opened the journal.
     pub appends: u64,
-    /// Compactions (journal folded into snapshot) since open.
+    /// Compactions (log rewritten from the live entries) since open.
     pub compactions: u64,
     /// Records replayed from the journal at open.
     pub replayed: u64,
@@ -165,63 +163,45 @@ pub struct JournaledCache {
     /// rather than failing checks (durability is best-effort, serving is
     /// not).
     wal: Option<Wal>,
-    snapshot_path: PathBuf,
-    journal_path: PathBuf,
+    path: PathBuf,
     compact_every: u64,
     records_since_compact: u64,
     stats: JournalStats,
 }
 
-/// The journal path for a given snapshot path: `<snapshot>.journal`.
-#[must_use]
-pub fn journal_path_for(snapshot: &Path) -> PathBuf {
-    let mut name = snapshot
-        .file_name()
-        .map_or_else(|| "cache".to_string(), |n| n.to_string_lossy().into_owned());
-    name.push_str(".journal");
-    let mut path = snapshot.to_path_buf();
-    path.set_file_name(name);
-    path
-}
-
 impl JournaledCache {
-    /// Opens the cache at `snapshot_path`: loads the snapshot, replays the
-    /// journal's longest valid prefix over it, re-enforces capacity and
-    /// positions the journal for appending. Damage of any kind — missing
-    /// files, corrupt snapshot, torn journal tail — is tolerated and
-    /// reported as warnings; an unopenable journal *file* degrades to a
-    /// memory-only cache instead of failing.
+    /// Opens the cache at `path`: replays the journal's longest valid
+    /// prefix, re-enforces capacity and positions the journal for
+    /// appending. Damage of any kind — a missing file, a foreign file, a
+    /// torn tail, an unparseable record — is tolerated and reported as
+    /// warnings; an unopenable file degrades to a memory-only cache instead
+    /// of failing.
     #[must_use]
-    pub fn open(snapshot_path: &Path, capacity: usize, compact_every: u64) -> (Self, Vec<String>) {
+    pub fn open(path: &Path, capacity: usize, compact_every: u64) -> (Self, Vec<String>) {
         let mut warnings = Vec::new();
-        let (mut cache, snapshot_warning) = OutcomeCache::load(snapshot_path, capacity);
-        warnings.extend(snapshot_warning);
-
-        let journal_path = journal_path_for(snapshot_path);
+        let mut cache = OutcomeCache::new(capacity);
         let mut replayed = 0u64;
-        let wal = match Wal::open(&journal_path, JOURNAL_SCHEMA) {
+        let mut stopped_early = false;
+        let wal = match Wal::open(path, JOURNAL_SCHEMA) {
             Ok((wal, frames, warning)) => {
                 warnings.extend(warning);
                 for (index, frame) in frames.iter().enumerate() {
-                    match Record::parse(frame) {
-                        Some(record) => {
-                            record.apply(&mut cache);
-                            replayed += 1;
-                        }
-                        None => {
-                            // A frame that passed CRC but fails to parse is
-                            // a writer bug or version skew, not tail damage;
-                            // stop replaying (prefix semantics) but keep
-                            // everything before it.
-                            warnings.push(format!(
-                                "journal {}: record {index} unparseable; \
-                                 ignoring it and {} later records",
-                                journal_path.display(),
-                                frames.len() - index - 1,
-                            ));
-                            break;
-                        }
-                    }
+                    let Some(record) = Record::parse(frame) else {
+                        // A frame that passed CRC but fails to parse is a
+                        // writer bug or version skew, not tail damage: keep
+                        // the prefix before it, and compact below so that
+                        // new records do not land behind it.
+                        warnings.push(format!(
+                            "journal {}: record {index} unparseable; \
+                             ignoring it and {} later records",
+                            path.display(),
+                            frames.len() - index - 1,
+                        ));
+                        stopped_early = true;
+                        break;
+                    };
+                    record.apply(&mut cache);
+                    replayed += 1;
                 }
                 cache.enforce_capacity();
                 Some(wal)
@@ -229,28 +209,31 @@ impl JournaledCache {
             Err(err) => {
                 warnings.push(format!(
                     "journal {}: unopenable ({err}); cache is memory-only",
-                    journal_path.display()
+                    path.display()
                 ));
                 None
             }
         };
 
         let mut journaled = JournaledCache {
+            // A compacted log holds one record per live entry; only the
+            // records beyond those count towards the next compaction.
+            records_since_compact: replayed.saturating_sub(cache.len() as u64),
             cache,
             wal,
-            snapshot_path: snapshot_path.to_path_buf(),
-            journal_path,
+            path: path.to_path_buf(),
             compact_every: compact_every.max(1),
-            records_since_compact: replayed,
             stats: JournalStats { appends: 0, compactions: 0, replayed },
         };
-        // A recovered journal may already be due for folding.
-        if journaled.records_since_compact >= journaled.compact_every {
+        // A recovered journal may already be due for rewriting.
+        if stopped_early || journaled.records_since_compact >= journaled.compact_every {
             if let Err(err) = journaled.compact() {
-                warnings.push(format!(
-                    "cache {}: startup compaction failed: {err}",
-                    snapshot_path.display()
-                ));
+                warnings.push(format!("cache {}: compaction failed: {err}", path.display()));
+                if stopped_early {
+                    // New records would land behind the unparseable one.
+                    journaled.wal = None;
+                    warnings.push(format!("journal {}: cache is memory-only", path.display()));
+                }
             }
         }
         (journaled, warnings)
@@ -296,40 +279,41 @@ impl JournaledCache {
         }
         if self.wal.is_some() && self.records_since_compact >= self.compact_every {
             if let Err(err) = self.compact() {
-                warnings.push(format!(
-                    "cache {}: compaction failed: {err}",
-                    self.snapshot_path.display()
-                ));
+                warnings.push(format!("cache {}: compaction failed: {err}", self.path.display()));
             }
         }
         warnings
     }
 
-    /// Folds the journal into the snapshot: atomic snapshot save
-    /// (tmp+rename, fault point `cache.persist`), then journal truncation
-    /// (fault point `cache.compact` in between — the crash window the
-    /// absolute-record replay covers).
+    /// Rewrites the journal as one `insert` record per live entry: a fresh
+    /// log at `<path>.tmp`, renamed over `<path>` (fault point
+    /// `cache.compact` in between). Appends continue in the new log, which
+    /// also re-attaches a journal that an append failure had detached.
     ///
     /// # Errors
     ///
-    /// Propagates snapshot-write and truncation I/O errors (including the
-    /// injected `cache.persist`/`cache.compact` kills).
+    /// Propagates write and rename I/O errors (including the injected
+    /// `cache.compact` kill); the old log is then left as it was.
     pub fn compact(&mut self) -> io::Result<()> {
         let _phase = gam_obs::phase("persist");
-        self.cache.save(&self.snapshot_path)?;
-        // Fault-injection point: `cache.compact` dies after the snapshot
-        // rename, before the journal truncation. Startup then replays a
-        // stale journal over the fresh snapshot — absolute records make
-        // that a no-op rather than double-application.
+        let mut tmp = self.path.clone().into_os_string();
+        tmp.push(".tmp");
+        File::create(&tmp)?;
+        let (mut wal, _, _) = Wal::open(Path::new(&tmp), JOURNAL_SCHEMA)?;
+        for (key, entry) in self.cache.entries() {
+            let record = Record::Insert { key: key.clone(), entry: entry.clone() };
+            wal.append(record.to_json().to_string().as_bytes())?;
+        }
+        // Fault-injection point: `cache.compact` dies after the fresh log is
+        // written, before the rename. The old log stays whole at `path`.
         if fault::hit("cache.compact") {
             return Err(io::Error::new(
                 io::ErrorKind::Interrupted,
-                "injected fault: cache.compact killed between snapshot rename and journal reset",
+                "injected fault: cache.compact killed between write and rename",
             ));
         }
-        if let Some(wal) = self.wal.as_mut() {
-            wal.reset()?;
-        }
+        wal.rename(&self.path)?;
+        self.wal = Some(wal);
         self.records_since_compact = 0;
         self.stats.compactions += 1;
         Ok(())
@@ -365,7 +349,7 @@ impl JournaledCache {
                 self.wal = None;
                 Some(format!(
                     "journal {}: append failed ({err}); cache is memory-only until restart",
-                    self.journal_path.display()
+                    self.path.display()
                 ))
             }
         }

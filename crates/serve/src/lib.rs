@@ -11,13 +11,13 @@
 //!
 //! Three layers, bottom-up:
 //!
-//! * [`cache`] — the outcome cache proper: cost-based eviction
-//!   (wall µs × states), versioned JSON snapshots, atomic writes,
-//!   corruption-tolerant loads.
-//! * [`journal`] — crash durability for the cache: every mutation is one
-//!   appended CRC-framed record in a write-ahead journal, replayed over the
-//!   snapshot at startup (tolerating a torn tail) and periodically folded
-//!   back into it — `kill -9` loses at most the in-flight record.
+//! * [`cache`] — the outcome cache proper, in memory: cost-based eviction
+//!   (wall µs × states).
+//! * [`journal`] — crash durability for the cache, in one file: every
+//!   mutation is one appended CRC-framed record in a write-ahead journal,
+//!   replayed at startup (tolerating a torn tail) and periodically
+//!   rewritten as one record per live entry — `kill -9` loses at most the
+//!   in-flight record.
 //! * [`http`] — a minimal HTTP/1.1 server+client layer over `std::net`
 //!   (the build environment is offline; no external dependencies), plus a
 //!   retrying client (bounded exponential backoff + jitter, honoring
@@ -39,7 +39,7 @@ pub mod http;
 pub mod journal;
 pub mod server;
 
-pub use cache::{CacheEntry, OutcomeCache, CACHE_SCHEMA};
+pub use cache::{CacheEntry, OutcomeCache};
 pub use http::{ClientConfig, RetryPolicy, RetryStats};
 pub use journal::{JournalStats, JournaledCache, JOURNAL_SCHEMA};
 pub use server::{

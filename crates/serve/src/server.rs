@@ -28,8 +28,9 @@
 //! item 5).
 //!
 //! Persistence is write-ahead journaled ([`crate::journal`]): every cache
-//! mutation appends one CRC-framed record, periodically folded into the
-//! JSON snapshot — `kill -9` loses at most the in-flight record.
+//! mutation appends one CRC-framed record to the cache file, which is
+//! periodically rewritten from the live entries — `kill -9` loses at most
+//! the in-flight record.
 //!
 //! Robustness contract: every check runs panic-isolated (a panicking checker
 //! becomes a typed error row and a `panics_total` tick, never a dead
@@ -84,7 +85,8 @@ pub struct ServeConfig {
     /// Bound of the pending-connection queue; beyond it requests are shed
     /// with `503 Service Unavailable` + `Retry-After`.
     pub queue_depth: usize,
-    /// Path of the persistent cache file.
+    /// Path of the cache file: the write-ahead journal itself (schema
+    /// [`crate::JOURNAL_SCHEMA`]). Compaction writes `<path>.tmp` beside it.
     pub cache_path: PathBuf,
     /// Maximum number of cache entries before cost-based eviction.
     pub cache_capacity: usize,
@@ -95,8 +97,8 @@ pub struct ServeConfig {
     /// Server-side socket write timeout: the longest a worker blocks
     /// writing a response to a client that stopped reading.
     pub write_timeout: Duration,
-    /// Journal records between compactions (folding the write-ahead journal
-    /// into the snapshot).
+    /// Journal records between compactions (rewriting the journal as one
+    /// `insert` record per live entry).
     pub compact_every: u64,
     /// Wall budget (ms) imposed on checks while the service is overloaded
     /// (standing queue ≥ half [`ServeConfig::queue_depth`]) — the degrade
@@ -345,7 +347,7 @@ impl Shared {
         self.shutdown_cond.notify_all();
     }
 
-    /// Folds the journal into a fresh snapshot, warning on (but not
+    /// Compacts the journal (one record per live entry), warning on (but not
     /// propagating) I/O failure: a read-only filesystem degrades the
     /// service to memory-only caching. Called on graceful shutdown; steady
     /// state compacts automatically inside the journal layer.
@@ -432,8 +434,8 @@ pub struct Server {
 
 impl Server {
     /// Binds the address and starts the acceptor + worker pool. Returns the
-    /// server and an optional warning from recovering the cache (corrupt or
-    /// mis-versioned snapshots start empty; torn journal tails are truncated
+    /// server and an optional warning from recovering the cache (a file
+    /// that is not a journal starts empty; torn journal tails are truncated
     /// to the longest valid prefix — neither keeps the service from
     /// starting).
     ///

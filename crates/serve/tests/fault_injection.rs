@@ -5,7 +5,7 @@
 //! `gam serve`: non-faulted requests keep getting correct verdicts,
 //! faulted ones get *typed* errors (never a hang, never a dead worker),
 //! the metrics counters reconcile exactly, and the persistent cache
-//! survives a crash in the middle of its own save.
+//! survives a crash in the middle of its own compaction.
 //!
 //! The fault plan is process-global, so every test holds
 //! [`fault::exclusive`] for its entire `install`..`reset` span, and the
@@ -22,7 +22,7 @@ use gam_engine::{Engine, Json};
 use gam_frontend::print_litmus;
 use gam_isa::litmus::library;
 use gam_serve::http::{request, request_with, ClientConfig};
-use gam_serve::{JournaledCache, OutcomeCache, ServeConfig, Server};
+use gam_serve::{JournaledCache, ServeConfig, Server};
 
 struct Scratch(PathBuf);
 
@@ -33,7 +33,6 @@ impl Scratch {
         let scratch = Scratch(path);
         let _ = fs::remove_file(&scratch.0);
         let _ = fs::remove_file(scratch.tmp_sibling());
-        let _ = fs::remove_file(scratch.journal_sibling());
         scratch
     }
 
@@ -41,18 +40,12 @@ impl Scratch {
         let name = self.0.file_name().expect("scratch has a name").to_string_lossy();
         self.0.with_file_name(format!("{name}.tmp"))
     }
-
-    fn journal_sibling(&self) -> PathBuf {
-        let name = self.0.file_name().expect("scratch has a name").to_string_lossy();
-        self.0.with_file_name(format!("{name}.journal"))
-    }
 }
 
 impl Drop for Scratch {
     fn drop(&mut self) {
         let _ = fs::remove_file(&self.0);
         let _ = fs::remove_file(self.tmp_sibling());
-        let _ = fs::remove_file(self.journal_sibling());
     }
 }
 
@@ -371,61 +364,57 @@ fn slow_client_gets_408_and_is_counted() {
 }
 
 #[test]
-fn cache_persist_crash_is_atomic_and_loses_no_committed_entries() {
+fn cache_compact_crash_leaves_the_journal_whole_and_loses_no_committed_entries() {
     let _guard = fault::exclusive();
     fault::reset();
-    let scratch = Scratch::new("persist");
+    let scratch = Scratch::new("compact");
 
-    // Round 1, no faults: commit one entry to disk (shutdown compacts the
-    // journal into the snapshot).
+    // Round 1, no faults: commit one entry (shutdown compacts the journal).
     let server = start(&scratch);
     let addr = server.local_addr().to_string();
     let (_, json) = post_check(&addr, &print_litmus(&library::corr()));
     assert_eq!(only_row(&json).get("cached"), Some(&Json::Bool(false)));
     server.shutdown();
-    let committed = fs::read_to_string(&scratch.0).expect("cache persisted");
 
-    // Round 2: every snapshot save dies between the tmp write and the
-    // rename. Mutations still reach the write-ahead journal.
-    fault::install("cache.persist=kill").expect("valid fault spec");
+    // Round 2: every compaction dies between writing the fresh log and
+    // renaming it over the live one. Mutations still reach the journal.
+    fault::install("cache.compact=kill").expect("valid fault spec");
     let server = start(&scratch);
     let addr = server.local_addr().to_string();
     // The committed entry is still served warm.
     let (_, json) = post_check(&addr, &print_litmus(&library::corr()));
     assert_eq!(only_row(&json).get("cached"), Some(&Json::Bool(true)));
-    // A new entry mutates the cache; the shutdown compaction is killed
-    // mid-save, but the insert record is already journaled.
+    // A new entry is journaled before its response goes out...
     let (_, json) = post_check(&addr, &print_litmus(&library::mp()));
     assert_eq!(only_row(&json).get("cached"), Some(&Json::Bool(false)));
+    let acknowledged = fs::read(&scratch.0).expect("journal present");
+    // ...and the shutdown compaction is killed before its rename.
     server.shutdown();
     fault::reset();
 
-    // Snapshot atomicity: the real file is byte-identical to the committed
-    // version (the kill hit after the tmp write, before the rename).
-    let after_crash = fs::read_to_string(&scratch.0).expect("cache file still present");
-    assert_eq!(after_crash, committed, "a killed save must never tear the committed file");
+    // The live journal is byte-identical to what was acknowledged; the
+    // orphaned tmp file marks the crash point.
+    let after_crash = fs::read(&scratch.0).expect("journal still present");
+    assert_eq!(after_crash, acknowledged, "a killed compaction must never touch the journal");
     assert!(scratch.tmp_sibling().exists(), "the orphaned tmp file marks the crash point");
-
-    // The snapshot alone holds only the committed entry...
-    let (cache, warning) = OutcomeCache::load(&scratch.0, 256);
-    assert!(warning.is_none(), "reload must be clean: {warning:?}");
-    assert_eq!(cache.len(), 1);
-    // ...but snapshot + journal recovers both: the failed compaction cost
-    // nothing that had been acknowledged.
     let (journaled, warnings) = JournaledCache::open(&scratch.0, 256, 4096);
     assert!(warnings.is_empty(), "journal recovery must be clean: {warnings:?}");
-    assert_eq!(journaled.cache().len(), 2, "the journaled mp insert survives the killed save");
+    assert_eq!(journaled.cache().len(), 2, "the journaled mp insert survives");
+    drop(journaled);
 
-    // Round 3, faults off: the recovered service serves mp warm and the
-    // shutdown compaction folds everything into the snapshot.
+    // Round 3, faults off: the recovered service serves both entries warm,
+    // and its shutdown compaction replaces the orphan.
     let server = start(&scratch);
     let addr = server.local_addr().to_string();
-    let (_, json) = post_check(&addr, &print_litmus(&library::mp()));
-    assert_eq!(only_row(&json).get("cached"), Some(&Json::Bool(true)), "mp was journaled");
+    for test in [library::corr(), library::mp()] {
+        let (_, json) = post_check(&addr, &print_litmus(&test));
+        assert_eq!(only_row(&json).get("cached"), Some(&Json::Bool(true)), "{}", test.name());
+    }
     server.shutdown();
-    let (cache, warning) = OutcomeCache::load(&scratch.0, 256);
-    assert!(warning.is_none());
-    assert_eq!(cache.len(), 2, "both entries are committed once saves work again");
+    assert!(!scratch.tmp_sibling().exists(), "a completed compaction renames its tmp file");
+    let (journaled, warnings) = JournaledCache::open(&scratch.0, 256, 4096);
+    assert!(warnings.is_empty());
+    assert_eq!(journaled.cache().len(), 2, "both entries are committed once compactions work");
 }
 
 #[test]

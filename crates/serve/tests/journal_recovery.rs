@@ -6,47 +6,65 @@
 //! written. Never a panic, never an entry that was not genuinely inserted
 //! (a corrupted record cannot be served because it cannot pass its CRC).
 //!
-//! Alongside the property, two directed tests pin the fault-injection
-//! crash windows: a kill mid-append (torn record, memory-only degradation)
-//! and a kill between the compaction snapshot rename and the journal
-//! truncation (stale journal replayed over a fresh snapshot — the window
-//! the absolute-record design exists for).
+//! Alongside the property, directed tests pin the fault-injection crash
+//! windows — a kill mid-append (torn record, memory-only degradation) and a
+//! kill between a compaction's write and its rename (the live journal left
+//! whole) — and what compaction and reopening keep: hit counts, the
+//! costliest entries under a smaller capacity, one file holding one record
+//! per entry, and a cold start with one short warning on a foreign file.
 
 use std::fs;
 use std::path::PathBuf;
 
 use gam_core::{fault, wal};
-use gam_serve::journal::{journal_path_for, Record, JOURNAL_SCHEMA};
+use gam_serve::journal::{Record, JOURNAL_SCHEMA};
 use gam_serve::{CacheEntry, JournaledCache, OutcomeCache};
 use proptest::prelude::*;
 
+/// A fresh directory holding one cache file; removed on drop.
 struct Scratch(PathBuf);
 
 impl Scratch {
     fn new(tag: &str) -> Self {
-        let mut path = std::env::temp_dir();
-        path.push(format!("gam-journal-recovery-{}-{tag}.json", std::process::id()));
-        let scratch = Scratch(path);
-        scratch.clean();
-        scratch
+        let dir =
+            std::env::temp_dir().join(format!("gam-journal-recovery-{}-{tag}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("scratch directory");
+        Scratch(dir.join("cache.wal"))
     }
 
-    fn journal(&self) -> PathBuf {
-        journal_path_for(&self.0)
+    fn tmp(&self) -> PathBuf {
+        self.0.with_file_name("cache.wal.tmp")
     }
 
-    fn clean(&self) {
-        let _ = fs::remove_file(&self.0);
-        let _ = fs::remove_file(self.journal());
-        let name = self.0.file_name().expect("scratch has a name").to_string_lossy();
-        let _ = fs::remove_file(self.0.with_file_name(format!("{name}.tmp")));
+    /// Names of every file in the scratch directory.
+    fn files(&self) -> Vec<String> {
+        let dir = fs::read_dir(self.0.parent().expect("scratch has a directory"));
+        let mut names: Vec<String> = dir
+            .expect("scratch directory")
+            .map(|entry| entry.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
     }
 }
 
 impl Drop for Scratch {
     fn drop(&mut self) {
-        self.clean();
+        let _ = fs::remove_dir_all(self.0.parent().expect("scratch has a directory"));
     }
+}
+
+fn entry(wall_us: u64, states: u64) -> CacheEntry {
+    CacheEntry { allowed: true, wall_us, states, hits: 0 }
+}
+
+/// The CRC-valid frames of the journal at `scratch`.
+fn frames(scratch: &Scratch) -> Vec<Vec<u8>> {
+    let bytes = fs::read(&scratch.0).expect("journal exists");
+    let header = format!("{JOURNAL_SCHEMA}\n");
+    assert!(bytes.starts_with(header.as_bytes()), "journal starts with its magic");
+    wal::scan(&bytes[header.len()..]).frames
 }
 
 /// A deterministic xorshift-style stream so each proptest case journals a
@@ -85,7 +103,7 @@ fn build_journal(scratch: &Scratch, seed: u64) -> Vec<u8> {
         }
     }
     assert!(cache.journaling());
-    fs::read(scratch.journal()).expect("journal exists")
+    fs::read(&scratch.0).expect("journal exists")
 }
 
 /// The reference replay: apply `frames` (which must all parse — they are a
@@ -142,7 +160,7 @@ proptest! {
             bytes[pos] ^= 1 << flip_bit;
             bytes
         };
-        fs::write(scratch.journal(), &damaged).expect("write damaged journal");
+        fs::write(&scratch.0, &damaged).expect("write damaged journal");
 
         // Reopening must not panic, must not error, and must land on the
         // replay of exactly the longest valid record prefix.
@@ -202,7 +220,7 @@ fn append_kill_leaves_torn_record_and_degrades_to_memory_only() {
 }
 
 #[test]
-fn compaction_kill_between_rename_and_truncate_converges_on_restart() {
+fn compaction_kill_before_rename_leaves_the_journal_whole_and_converges_on_restart() {
     let _guard = fault::exclusive();
     let scratch = Scratch::new("compact-kill");
     let (mut cache, warnings) = JournaledCache::open(&scratch.0, 64, 100_000);
@@ -215,23 +233,135 @@ fn compaction_kill_between_rename_and_truncate_converges_on_restart() {
         assert!(warnings.is_empty());
     }
     let before = entries_of(cache.cache());
+    let journal = fs::read(&scratch.0).expect("journal exists");
 
-    // Die in the crash window: snapshot renamed, journal not yet truncated.
+    // Die in the crash window: the fresh log is written, not yet renamed.
     fault::install("cache.compact=kill").expect("valid plan");
     let err = cache.compact().expect_err("injected kill surfaces");
     assert_eq!(err.kind(), std::io::ErrorKind::Interrupted);
     fault::reset();
     drop(cache);
 
-    // The snapshot is fresh AND the journal still holds every record: the
-    // restart replays a stale journal over an up-to-date snapshot. Absolute
-    // records make that convergent — the result is exactly the
-    // pre-compaction cache, with nothing doubled and nothing lost.
-    let (snapshot_only, warning) = OutcomeCache::load(&scratch.0, 64);
-    assert!(warning.is_none());
-    assert_eq!(entries_of(&snapshot_only), before, "snapshot landed before the kill");
+    // The live journal is untouched and the orphaned tmp file marks the
+    // crash point; the restart replays the journal in full.
+    assert_eq!(fs::read(&scratch.0).expect("journal exists"), journal);
+    assert!(scratch.tmp().exists(), "the orphaned tmp file marks the crash point");
     let (recovered, warnings) = JournaledCache::open(&scratch.0, 64, 100_000);
     assert!(warnings.is_empty(), "nothing was torn: {warnings:?}");
-    assert_eq!(recovered.stats().replayed, 6, "stale journal replays in full");
+    assert_eq!(recovered.stats().replayed, 6, "the journal replays in full");
     assert_eq!(entries_of(recovered.cache()), before);
+}
+
+#[test]
+fn appends_after_an_unparseable_record_survive_the_next_restart() {
+    let scratch = Scratch::new("unparseable");
+    let (mut cache, _) = JournaledCache::open(&scratch.0, 64, 100_000);
+    assert!(cache.insert("a/gam/operational".into(), entry(10, 10)).is_empty());
+    drop(cache);
+    // A frame that passes its CRC but is no record stops the replay.
+    let mut bytes = fs::read(&scratch.0).expect("journal exists");
+    bytes.extend_from_slice(&wal::encode_frame(br#"{"op":"bogus","key":"x"}"#));
+    fs::write(&scratch.0, bytes).expect("append the bogus frame");
+
+    let (mut cache, warnings) = JournaledCache::open(&scratch.0, 64, 100_000);
+    assert!(warnings.iter().any(|w| w.contains("unparseable")), "{warnings:?}");
+    assert!(cache.insert("b/gam/operational".into(), entry(20, 20)).is_empty());
+    drop(cache);
+
+    // The insert acknowledged after the bad frame is not lost behind it.
+    let (recovered, warnings) = JournaledCache::open(&scratch.0, 64, 100_000);
+    assert!(warnings.is_empty(), "the bad frame was compacted away: {warnings:?}");
+    assert!(recovered.cache().get("a/gam/operational").is_some());
+    assert!(recovered.cache().get("b/gam/operational").is_some());
+}
+
+#[test]
+fn hit_counts_survive_compaction_and_reopen() {
+    let scratch = Scratch::new("hits");
+    let (mut cache, _) = JournaledCache::open(&scratch.0, 16, 100_000);
+    cache.insert(OutcomeCache::key("aaaa", "gam", "operational"), entry(1234, 567));
+    cache.insert(OutcomeCache::key("bbbb", "sc", "axiomatic"), entry(89, 0));
+    for _ in 0..3 {
+        assert!(cache.lookup(&OutcomeCache::key("aaaa", "gam", "operational")).0.is_some());
+    }
+    cache.compact().expect("compaction succeeds");
+    let before = entries_of(cache.cache());
+    drop(cache);
+
+    let (recovered, warnings) = JournaledCache::open(&scratch.0, 16, 100_000);
+    assert!(warnings.is_empty(), "clean reopen must not warn: {warnings:?}");
+    assert_eq!(entries_of(recovered.cache()), before);
+    let served = recovered.cache().get(&OutcomeCache::key("aaaa", "gam", "operational"));
+    assert_eq!(served.expect("entry survives").hits, 3);
+}
+
+#[test]
+fn reopen_with_smaller_capacity_keeps_the_costliest_entries() {
+    let scratch = Scratch::new("shrink");
+    let (mut cache, _) = JournaledCache::open(&scratch.0, 8, 100_000);
+    cache.insert("cheap".into(), entry(2, 2));
+    cache.insert("medium".into(), entry(100, 100));
+    cache.insert("expensive".into(), entry(10_000, 10_000));
+    drop(cache);
+
+    let (recovered, _) = JournaledCache::open(&scratch.0, 1, 100_000);
+    let keys: Vec<&String> = recovered.cache().entries().map(|(k, _)| k).collect();
+    assert_eq!(keys, ["expensive"]);
+    assert!(recovered.cache().evictions() >= 2);
+}
+
+#[test]
+fn compaction_leaves_one_file_with_one_record_per_entry() {
+    let scratch = Scratch::new("one-file");
+    let (mut cache, _) = JournaledCache::open(&scratch.0, 4, 100_000);
+    for i in 0..10u64 {
+        cache.insert(format!("{i:016x}/gam/operational"), entry(10 + i, 10));
+        cache.lookup(&format!("{i:016x}/gam/operational"));
+    }
+    assert!(frames(&scratch).len() > cache.cache().len(), "evicts and hits were journaled");
+    cache.compact().expect("compaction succeeds");
+
+    assert_eq!(scratch.files(), ["cache.wal"], "no tmp file, no second file");
+    let records: Vec<Record> =
+        frames(&scratch).iter().map(|f| Record::parse(f).expect("parses")).collect();
+    assert_eq!(records.len(), cache.cache().len());
+    assert!(records.iter().all(|r| matches!(r, Record::Insert { .. })));
+    // Appends continue in the compacted file.
+    cache.insert("late/gam/operational".into(), entry(1_000, 10));
+    drop(cache);
+    let (recovered, warnings) = JournaledCache::open(&scratch.0, 4, 100_000);
+    assert!(warnings.is_empty(), "{warnings:?}");
+    assert!(recovered.cache().get("late/gam/operational").is_some());
+}
+
+#[test]
+fn a_foreign_file_opens_cold_with_one_short_warning() {
+    // A `gam-serve-cache/v1` snapshot as older versions wrote it: one JSON
+    // line of about 100 bytes per entry.
+    let entries: Vec<String> = (0..100)
+        .map(|i| {
+            format!(
+                r#"{{"key":"{i:016x}/gam/operational","allowed":true,"wall_us":{i},"states":7,"hits":0}}"#
+            )
+        })
+        .collect();
+    let legacy = format!(
+        r#"{{"schema":"gam-serve-cache/v1","capacity":4096,"entries":[{}]}}"#,
+        entries.join(",")
+    );
+    let garbage = "this is not json {{{{".to_string();
+    let misversioned = format!("gam-serve-journal/v999\n{}", "x".repeat(500));
+    for (tag, content) in [("legacy", legacy), ("garbage", garbage), ("version", misversioned)] {
+        let scratch = Scratch::new(tag);
+        fs::write(&scratch.0, &content).expect("write the foreign file");
+        let (cache, warnings) = JournaledCache::open(&scratch.0, 64, 100_000);
+        assert!(cache.cache().is_empty(), "{tag}: opens cold");
+        assert_eq!(warnings.len(), 1, "{tag}: exactly one warning: {warnings:?}");
+        assert!(warnings[0].contains(JOURNAL_SCHEMA), "{tag}: names the schema: {warnings:?}");
+        assert!(warnings[0].len() < 256, "{tag}: a short warning: {}", warnings[0]);
+        drop(cache);
+        // The file is a journal now.
+        let (_, warnings) = JournaledCache::open(&scratch.0, 64, 100_000);
+        assert!(warnings.is_empty(), "{tag}: {warnings:?}");
+    }
 }

@@ -16,7 +16,6 @@ use gam_frontend::print_litmus;
 use gam_isa::litmus::library;
 use gam_operational::OperationalChecker;
 use gam_serve::http::request;
-use gam_serve::journal::journal_path_for;
 use gam_serve::{ServeConfig, Server};
 
 /// `(cached, states, verdict)` of the first row of a `/check` or `/batch`
@@ -39,14 +38,13 @@ fn post(server: &Server, path: &str, body: &Json) -> (bool, u64, String) {
 }
 
 /// A one-worker server over a fresh cache file named after `tag`, and the
-/// closure that removes that file and its journal.
+/// closure that removes that file.
 fn fresh_config(tag: &str) -> (ServeConfig, impl Fn()) {
     let cache_path =
         std::env::temp_dir().join(format!("gam-serve-{tag}-{}.json", std::process::id()));
     let clean = {
         let cache_path = cache_path.clone();
         move || {
-            let _ = std::fs::remove_file(journal_path_for(&cache_path));
             let _ = std::fs::remove_file(&cache_path);
         }
     };

@@ -63,8 +63,8 @@
 //! `serve` starts the long-running check service (`gam-serve`): an HTTP
 //! API over a persistent, canonicalizing outcome cache whose every
 //! mutation is write-ahead journaled (a `kill -9` loses at most the one
-//! in-flight record; the journal folds into the snapshot every
-//! `--compact-every` records and at graceful shutdown). It runs until a
+//! in-flight record; the journal is rewritten as one record per live entry
+//! every `--compact-every` records and at graceful shutdown). It runs until a
 //! client POSTs `/shutdown`, then drains and compacts. `bench --serve` is
 //! its load-generating client: it replays a corpus concurrently against a
 //! live server (with per-request `--timeout-ms` client timeouts and
@@ -253,7 +253,8 @@ const USAGE: &str = "usage:
                        honoring Retry-After (default 4; 0 disables)
   --out PATH           bench --serve: also write the JSON report to PATH
   --addr ADDR          serve: bind address (default 127.0.0.1:7117)
-  --cache PATH         serve: cache file (default gam-serve-cache.json)
+  --cache PATH         serve: cache file, a write-ahead journal (default
+                       gam-serve-cache.json)
   --cache-capacity N   serve: max cache entries (default 4096)
   --workers N          serve: worker threads (default: all cores)
   --queue-depth N      serve: request queue bound; beyond it requests are
@@ -261,8 +262,8 @@ const USAGE: &str = "usage:
   --read-timeout-ms MS serve: per-socket read timeout; a stalled client
                        gets 408 instead of wedging a worker (default 10s)
   --write-timeout-ms MS serve: per-socket write timeout (default 10s)
-  --compact-every N    serve: fold the cache journal into the snapshot
-                       after N appended records (default 4096)
+  --compact-every N    serve: rewrite the cache journal as one record per
+                       live entry after N appended records (default 4096)
   --overload-wall-ms MS serve: while the queue is half full, clamp each
                        request's wall budget to MS so the server degrades
                        before it sheds (default 2000)
@@ -445,7 +446,7 @@ fn obs_setup(args: &[String]) -> Option<String> {
 /// Exports the recorded spans as Chrome `trace_event` JSON: tmp write, then
 /// atomic rename, so the trace file is either absent or complete — never
 /// torn. Fault-injection point `obs.export` kills the export between the
-/// two, mirroring `cache.persist`.
+/// two, mirroring `cache.compact`.
 fn write_trace(path: &str) -> Result<(), String> {
     let dropped = gam_obs::trace::dropped_records();
     if dropped > 0 {
@@ -1486,10 +1487,9 @@ fn cmd_serve(args: &[String]) -> Result<bool, String> {
         config.cache_capacity.max(1),
     );
     // Serve until a client POSTs /shutdown, then drain gracefully: stop
-    // accepting, join the workers and compact the journal into the
-    // snapshot. Every cache mutation was already journaled when it
-    // happened, so an external `kill -9` loses at most the one record
-    // that was mid-write.
+    // accepting, join the workers and compact the journal. Every cache
+    // mutation was already journaled when it happened, so an external
+    // `kill -9` loses at most the one record that was mid-write.
     server.wait_for_shutdown_request();
     println!("gam serve: shutdown requested; draining");
     server.shutdown();
