@@ -14,6 +14,10 @@
 //! it inherits the journal's crash contract: a `kill -9` mid-append loses at
 //! most the record being written, and [`RunCheckpoint::open`] recovers the
 //! longest valid prefix of whatever survived, warning instead of failing.
+//! A record that passes its checksum but does not parse also stops the
+//! replay; the file is then rewritten from the records before it (a fresh
+//! log at `PATH.tmp`, renamed over `PATH`), so units recorded later are not
+//! appended behind it, where the next resume would ignore them.
 //!
 //! Records are keyed by caller-chosen strings that embed the unit's
 //! identity *and* its content fingerprint (the CLI uses the canonical test
@@ -27,6 +31,7 @@
 //! loss must never fail the run it exists to protect.
 
 use std::collections::BTreeMap;
+use std::fs::File;
 use std::io;
 use std::path::Path;
 
@@ -56,13 +61,15 @@ impl RunCheckpoint {
     /// Opens (or creates) the checkpoint at `path`, recovering the longest
     /// valid record prefix. Returns the checkpoint and an optional warning
     /// describing tolerated damage (torn tail, wrong magic, unparseable
-    /// record).
+    /// record). After an unparseable record the file is rewritten from the
+    /// records before it.
     ///
     /// # Errors
     ///
-    /// Only genuine I/O failures; damaged content is recovered, not fatal.
+    /// Only genuine I/O failures (including a failed rewrite); damaged
+    /// content is recovered, not fatal.
     pub fn open(path: &Path) -> io::Result<(RunCheckpoint, Option<String>)> {
-        let (wal, frames, mut warning) = Wal::open(path, CHECKPOINT_SCHEMA)?;
+        let (mut wal, frames, mut warning) = Wal::open(path, CHECKPOINT_SCHEMA)?;
         let mut completed = BTreeMap::new();
         for (index, frame) in frames.iter().enumerate() {
             let record = std::str::from_utf8(frame)
@@ -79,7 +86,8 @@ impl RunCheckpoint {
                 }
                 None => {
                     // CRC-valid but unparseable: writer bug or version skew.
-                    // Keep the prefix before it, ignore the rest.
+                    // Keep the prefix before it, ignore the rest, and rewrite
+                    // the file so that new records do not land behind it.
                     warning.get_or_insert_with(|| {
                         format!(
                             "checkpoint {}: record {index} unparseable; \
@@ -88,6 +96,7 @@ impl RunCheckpoint {
                             frames.len() - index - 1,
                         )
                     });
+                    wal = rewrite(path, &frames[..index])?;
                     break;
                 }
             }
@@ -180,6 +189,20 @@ impl RunCheckpoint {
         }
         base64_decode(record.get("snapshot")?.as_str()?)
     }
+}
+
+/// Writes `frames` into a fresh log at `PATH.tmp` and renames it over
+/// `path`; appends continue in the new log.
+fn rewrite(path: &Path, frames: &[Vec<u8>]) -> io::Result<Wal> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    File::create(&tmp)?;
+    let (mut wal, _, _) = Wal::open(Path::new(&tmp), CHECKPOINT_SCHEMA)?;
+    for frame in frames {
+        wal.append(frame)?;
+    }
+    wal.rename(path)?;
+    Ok(wal)
 }
 
 fn explore_key(key: &str) -> String {

@@ -1,11 +1,13 @@
 //! The run checkpoint's crash contract: everything `record` returned `Ok`
-//! for is visible after reopening, damage only ever costs the torn tail,
-//! and duplicate keys resolve last-writer-wins.
+//! for is visible after reopening, damage only ever costs the torn tail
+//! (or, for a record that does not parse, that record and the ones after
+//! it, but never a unit recorded after the reopen), and duplicate keys
+//! resolve last-writer-wins.
 
 use std::fs;
 use std::path::PathBuf;
 
-use gam_core::fault;
+use gam_core::{fault, wal};
 use gam_engine::{Json, RunCheckpoint};
 
 struct Scratch(PathBuf);
@@ -22,6 +24,9 @@ impl Scratch {
 impl Drop for Scratch {
     fn drop(&mut self) {
         let _ = fs::remove_file(&self.0);
+        let mut tmp = self.0.clone().into_os_string();
+        tmp.push(".tmp");
+        let _ = fs::remove_file(tmp);
     }
 }
 
@@ -122,4 +127,30 @@ fn a_foreign_file_is_abandoned_not_trusted() {
     let (checkpoint, warning) = RunCheckpoint::open(&scratch.0).expect("open");
     assert!(checkpoint.is_empty(), "foreign content must not masquerade as completed units");
     assert!(warning.expect("abandonment is reported").contains("magic"));
+}
+
+#[test]
+fn units_recorded_after_an_unparseable_record_survive_the_next_resume() {
+    let _guard = fault::exclusive();
+    let scratch = Scratch::new("unparseable");
+    let (mut checkpoint, _) = RunCheckpoint::open(&scratch.0).expect("open");
+    checkpoint.record("unit/a", unit(1)).expect("record");
+    drop(checkpoint);
+    // A frame that passes its checksum but is no record stops the replay.
+    let mut bytes = fs::read(&scratch.0).expect("checkpoint bytes");
+    bytes.extend_from_slice(&wal::encode_frame(br#"{"op":"bogus"}"#));
+    fs::write(&scratch.0, &bytes).expect("append the bogus frame");
+
+    let (mut checkpoint, warning) = RunCheckpoint::open(&scratch.0).expect("reopen");
+    assert!(warning.expect("the bad record is reported").contains("unparseable"));
+    assert_eq!(checkpoint.resumed(), 1);
+    checkpoint.record("unit/b", unit(2)).expect("record");
+    drop(checkpoint);
+
+    // The unit recorded after the bad frame is not lost behind it.
+    let (resumed, warning) = RunCheckpoint::open(&scratch.0).expect("reopen");
+    assert!(warning.is_none(), "the bad frame was rewritten away: {warning:?}");
+    assert!(resumed.completed("unit/a").is_some());
+    assert!(resumed.completed("unit/b").is_some(), "unit/b must be completed");
+    assert_eq!(resumed.resumed(), 2);
 }

@@ -12,7 +12,9 @@
 //!   graceful shutdown) writes one `insert` record per live entry into a
 //!   fresh log at `<path>.tmp` and renames it over `<path>` — Bitcask's
 //!   merge, or LevelDB's log rewrite. A crash before the rename leaves the
-//!   old log whole, so a killed compaction loses nothing acknowledged.
+//!   old log whole, so a killed compaction loses nothing acknowledged, and
+//!   a failed compaction is retried only after another `compact_every`
+//!   records.
 //!
 //! A file at `<path>` that is not a journal (for instance a JSON snapshot
 //! written by an older version) fails the magic check and is replaced by an
@@ -25,6 +27,15 @@
 //! count (not "+1"), `evict` is naturally absolute. Replay therefore needs
 //! no generation counters, and a compacted log (inserts only) replays to
 //! exactly the cache it was written from.
+//!
+//! ## Recency is record order
+//!
+//! The cache evicts its least recently used entry, and the journal needs no
+//! field for that: replaying an `insert` or a `hit` record makes its key
+//! the most recent, just as the insert or lookup that wrote it did, and
+//! compaction writes its `insert` records least recently used first. A
+//! replay, of the live log or of a compacted one, rebuilds the recency
+//! order the writer had.
 //!
 //! ## Fault points
 //!
@@ -127,7 +138,8 @@ impl Record {
 
     /// Applies the record to a cache, without journaling or eviction — the
     /// replay primitive. Absolute semantics: missing keys no-op for
-    /// `evict`/`hit`, `insert` overwrites.
+    /// `evict`/`hit`, `insert` overwrites; `insert` and `hit` make their key
+    /// the most recently used.
     pub fn apply(&self, cache: &mut OutcomeCache) {
         match self {
             Record::Insert { key, entry } => {
@@ -165,6 +177,8 @@ pub struct JournaledCache {
     wal: Option<Wal>,
     path: PathBuf,
     compact_every: u64,
+    /// Records appended (or replayed beyond the live entries) since the last
+    /// compaction attempt, successful or not.
     records_since_compact: u64,
     stats: JournalStats,
 }
@@ -225,16 +239,17 @@ impl JournaledCache {
             compact_every: compact_every.max(1),
             stats: JournalStats { appends: 0, compactions: 0, replayed },
         };
-        // A recovered journal may already be due for rewriting.
-        if stopped_early || journaled.records_since_compact >= journaled.compact_every {
+        if stopped_early {
+            // New records would land behind the unparseable one: rewrite the
+            // recovered prefix now, or stop journaling.
             if let Err(err) = journaled.compact() {
-                warnings.push(format!("cache {}: compaction failed: {err}", path.display()));
-                if stopped_early {
-                    // New records would land behind the unparseable one.
-                    journaled.wal = None;
-                    warnings.push(format!("journal {}: cache is memory-only", path.display()));
-                }
+                warnings.push(journaled.compaction_failed(&err));
+                journaled.wal = None;
+                warnings.push(format!("journal {}: cache is memory-only", path.display()));
             }
+        } else {
+            // A recovered journal may already be due for rewriting.
+            warnings.extend(journaled.compact_if_due());
         }
         (journaled, warnings)
     }
@@ -259,36 +274,28 @@ impl JournaledCache {
     }
 
     /// Looks an entry up, bumping its hit counter and journaling the new
-    /// absolute count. Returns the entry and an optional warning (journal
-    /// degradation).
-    pub fn lookup(&mut self, key: &str) -> (Option<CacheEntry>, Option<String>) {
-        let Some(entry) = self.cache.lookup(key) else { return (None, None) };
-        let warning = self.append(&Record::Hit { key: key.to_string(), hits: entry.hits });
-        (Some(entry), warning)
+    /// absolute count, compacting when due. Returns the entry and warnings
+    /// (journal degradation or a failed compaction).
+    pub fn lookup(&mut self, key: &str) -> (Option<CacheEntry>, Vec<String>) {
+        let Some(entry) = self.cache.lookup(key) else { return (None, Vec::new()) };
+        let warnings = self.journal([Record::Hit { key: key.to_string(), hits: entry.hits }]);
+        (Some(entry), warnings)
     }
 
     /// Inserts an entry, journaling the insert and any evictions it caused,
     /// compacting when due. Returns warnings (journal degradation or a
     /// failed compaction).
     pub fn insert(&mut self, key: String, entry: CacheEntry) -> Vec<String> {
-        let mut warnings = Vec::new();
         let evicted = self.cache.insert(key.clone(), entry.clone());
-        warnings.extend(self.append(&Record::Insert { key, entry }));
-        for key in evicted {
-            warnings.extend(self.append(&Record::Evict { key }));
-        }
-        if self.wal.is_some() && self.records_since_compact >= self.compact_every {
-            if let Err(err) = self.compact() {
-                warnings.push(format!("cache {}: compaction failed: {err}", self.path.display()));
-            }
-        }
-        warnings
+        let evicts = evicted.into_iter().map(|key| Record::Evict { key });
+        self.journal(std::iter::once(Record::Insert { key, entry }).chain(evicts))
     }
 
-    /// Rewrites the journal as one `insert` record per live entry: a fresh
-    /// log at `<path>.tmp`, renamed over `<path>` (fault point
-    /// `cache.compact` in between). Appends continue in the new log, which
-    /// also re-attaches a journal that an append failure had detached.
+    /// Rewrites the journal as one `insert` record per live entry, least
+    /// recently used first: a fresh log at `<path>.tmp`, renamed over
+    /// `<path>` (fault point `cache.compact` in between). Appends continue
+    /// in the new log, which also re-attaches a journal that an append
+    /// failure had detached.
     ///
     /// # Errors
     ///
@@ -300,7 +307,7 @@ impl JournaledCache {
         tmp.push(".tmp");
         File::create(&tmp)?;
         let (mut wal, _, _) = Wal::open(Path::new(&tmp), JOURNAL_SCHEMA)?;
-        for (key, entry) in self.cache.entries() {
+        for (key, entry) in self.cache.by_recency() {
             let record = Record::Insert { key: key.clone(), entry: entry.clone() };
             wal.append(record.to_json().to_string().as_bytes())?;
         }
@@ -317,6 +324,32 @@ impl JournaledCache {
         self.records_since_compact = 0;
         self.stats.compactions += 1;
         Ok(())
+    }
+
+    /// Appends `records`, then compacts if due: every mutation's records
+    /// pass through here, so hits count towards compaction as inserts do.
+    fn journal(&mut self, records: impl IntoIterator<Item = Record>) -> Vec<String> {
+        let mut warnings: Vec<String> =
+            records.into_iter().filter_map(|record| self.append(&record)).collect();
+        warnings.extend(self.compact_if_due());
+        warnings
+    }
+
+    /// Compacts once `compact_every` records have accumulated since the last
+    /// attempt. A failed attempt waits as long as a successful one before
+    /// the next, so a standing failure costs one rewrite and one warning per
+    /// `compact_every` records, not one per mutation.
+    fn compact_if_due(&mut self) -> Option<String> {
+        if self.wal.is_none() || self.records_since_compact < self.compact_every {
+            return None;
+        }
+        self.records_since_compact = 0;
+        let err = self.compact().err()?;
+        Some(self.compaction_failed(&err))
+    }
+
+    fn compaction_failed(&self, err: &io::Error) -> String {
+        format!("cache {}: compaction failed: {err}", self.path.display())
     }
 
     /// Appends one record, handling the `cache.journal.append` fault point

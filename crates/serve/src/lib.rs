@@ -11,8 +11,8 @@
 //!
 //! Three layers, bottom-up:
 //!
-//! * [`cache`] — the outcome cache proper, in memory: cost-based eviction
-//!   (wall µs × states).
+//! * [`cache`] — the outcome cache proper, in memory: least-recently-used
+//!   eviction.
 //! * [`journal`] — crash durability for the cache, in one file: every
 //!   mutation is one appended CRC-framed record in a write-ahead journal,
 //!   replayed at startup (tolerating a torn tail) and periodically

@@ -16,7 +16,7 @@
 //! Every cache miss, on either endpoint, is one [`Engine::run`] call: the
 //! engine's single fenced check path, asked for the verdict or for the
 //! full outcome set ([`Query`]) and answering with the states it visited,
-//! which the cache records as the entry's recomputation cost.
+//! which the cache records (with the wall time) as the entry's cost.
 //!
 //! Overload is handled in two stages. Under sustained pressure (standing
 //! queue at least half the configured depth) the service first *degrades*:
@@ -88,7 +88,8 @@ pub struct ServeConfig {
     /// Path of the cache file: the write-ahead journal itself (schema
     /// [`crate::JOURNAL_SCHEMA`]). Compaction writes `<path>.tmp` beside it.
     pub cache_path: PathBuf,
-    /// Maximum number of cache entries before cost-based eviction.
+    /// Maximum number of cache entries; beyond it the least recently used
+    /// entry is evicted.
     pub cache_capacity: usize,
     /// Server-side socket read timeout: the longest a worker waits for a
     /// slow (or half-open) client to deliver its request before answering
@@ -1037,8 +1038,8 @@ fn check_one(shared: &Shared, test: &LitmusTest, options: &CheckOptions) -> Json
 /// The result row of one (test, model, backend) cell, counted in the
 /// metrics: the cached entry when there is one, otherwise a miss computed
 /// through [`Engine::run`] and cached when conclusive. An unbudgeted miss
-/// asks for the verdict only, so its `states` (and its eviction cost)
-/// count the states the verdict needed, not the whole space.
+/// asks for the verdict only, so its `states` count the states the verdict
+/// needed, not the whole space.
 ///
 /// With a budget (`budget_states`/`budget_wall_ms`/`budget_max_bytes`), an
 /// early stop is an `inconclusive` row carrying the partial outcome count,
@@ -1065,8 +1066,8 @@ fn result_row(
     let key = OutcomeCache::key(hash, model_name(model), backend_name(backend));
     let cached = {
         let _phase = gam_obs::phase("cache_lookup");
-        let (entry, warning) = shared.cache.lock().expect("cache lock").lookup(&key);
-        warn_cache(&shared.metrics, warning);
+        let (entry, warnings) = shared.cache.lock().expect("cache lock").lookup(&key);
+        warn_cache(&shared.metrics, warnings);
         entry
     };
     if let Some(entry) = cached {

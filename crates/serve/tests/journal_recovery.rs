@@ -9,9 +9,12 @@
 //! Alongside the property, directed tests pin the fault-injection crash
 //! windows — a kill mid-append (torn record, memory-only degradation) and a
 //! kill between a compaction's write and its rename (the live journal left
-//! whole) — and what compaction and reopening keep: hit counts, the
-//! costliest entries under a smaller capacity, one file holding one record
-//! per entry, and a cold start with one short warning on a foreign file.
+//! whole) — and what compaction and reopening keep: hit counts, the order
+//! of recent use, the most recently used entries under a smaller capacity,
+//! one file holding one record per entry, and a cold start with one short
+//! warning on a foreign file. Two more pin when compaction runs: a hit-only
+//! phase compacts, and a failing compaction is retried only after another
+//! `compact_every` records.
 
 use std::fs;
 use std::path::PathBuf;
@@ -98,8 +101,8 @@ fn build_journal(scratch: &Scratch, seed: u64) -> Vec<u8> {
         assert!(warnings.is_empty(), "journal must stay attached: {warnings:?}");
         if step % 3 == 0 {
             let target = &keys[(mix(&mut x) as usize) % keys.len()];
-            let (_, warning) = cache.lookup(target);
-            assert!(warning.is_none(), "journal must stay attached: {warning:?}");
+            let (_, warnings) = cache.lookup(target);
+            assert!(warnings.is_empty(), "journal must stay attached: {warnings:?}");
         }
     }
     assert!(cache.journaling());
@@ -108,30 +111,44 @@ fn build_journal(scratch: &Scratch, seed: u64) -> Vec<u8> {
 
 /// The reference replay: apply `frames` (which must all parse — they are a
 /// prefix of genuinely written records) over an empty capacity-4 cache,
-/// then re-enforce capacity cheapest-first, exactly as recovery does. The
-/// enforcement matters: damage can land *between* an insert record and the
-/// evict records that insert caused, so a valid prefix may describe a
-/// momentarily over-capacity cache.
+/// then re-enforce capacity least-recent-first, exactly as recovery does.
+/// Recency is tracked here on its own: an `insert`, or a `hit` on a live
+/// key, makes that key the most recent. The enforcement matters: damage can
+/// land *between* an insert record and the evict records that insert
+/// caused, so a valid prefix may describe a momentarily over-capacity cache.
 fn replay_reference(frames: &[Vec<u8>]) -> OutcomeCache {
     let mut cache = OutcomeCache::new(4);
+    let mut recency: Vec<String> = Vec::new(); // least recent first
     for frame in frames {
-        Record::parse(frame)
-            .expect("a CRC-valid prefix frame parses — it was written by us")
-            .apply(&mut cache);
+        let record =
+            Record::parse(frame).expect("a CRC-valid prefix frame parses — it was written by us");
+        match &record {
+            Record::Insert { key, .. } => {
+                recency.retain(|k| k != key);
+                recency.push(key.clone());
+            }
+            Record::Hit { key, .. } if cache.get(key).is_some() => {
+                recency.retain(|k| k != key);
+                recency.push(key.clone());
+            }
+            Record::Hit { .. } => {}
+            Record::Evict { key } => recency.retain(|k| k != key),
+        }
+        record.apply(&mut cache);
     }
-    while cache.len() > 4 {
-        let cheapest = cache
-            .entries()
-            .min_by_key(|(_, e)| e.cost())
-            .map(|(k, _)| k.clone())
-            .expect("over-capacity cache is non-empty");
-        cache.remove(&cheapest);
+    for key in &recency[..recency.len().saturating_sub(4)] {
+        cache.remove(key);
     }
     cache
 }
 
 fn entries_of(cache: &OutcomeCache) -> Vec<(String, CacheEntry)> {
     cache.entries().map(|(k, e)| (k.clone(), e.clone())).collect()
+}
+
+/// Live keys, least recently used first.
+fn recency_of(cache: &OutcomeCache) -> Vec<String> {
+    cache.by_recency().map(|(k, _)| k.clone()).collect()
 }
 
 proptest! {
@@ -254,6 +271,7 @@ fn compaction_kill_before_rename_leaves_the_journal_whole_and_converges_on_resta
 
 #[test]
 fn appends_after_an_unparseable_record_survive_the_next_restart() {
+    let _guard = fault::exclusive();
     let scratch = Scratch::new("unparseable");
     let (mut cache, _) = JournaledCache::open(&scratch.0, 64, 100_000);
     assert!(cache.insert("a/gam/operational".into(), entry(10, 10)).is_empty());
@@ -277,6 +295,7 @@ fn appends_after_an_unparseable_record_survive_the_next_restart() {
 
 #[test]
 fn hit_counts_survive_compaction_and_reopen() {
+    let _guard = fault::exclusive();
     let scratch = Scratch::new("hits");
     let (mut cache, _) = JournaledCache::open(&scratch.0, 16, 100_000);
     cache.insert(OutcomeCache::key("aaaa", "gam", "operational"), entry(1234, 567));
@@ -296,22 +315,130 @@ fn hit_counts_survive_compaction_and_reopen() {
 }
 
 #[test]
-fn reopen_with_smaller_capacity_keeps_the_costliest_entries() {
+fn recency_survives_a_plain_replay() {
+    let scratch = Scratch::new("recency-replay");
+    let (mut cache, _) = JournaledCache::open(&scratch.0, 8, 100_000);
+    for key in ["a", "b", "c", "d"] {
+        assert!(cache.insert(key.into(), entry(10, 10)).is_empty());
+    }
+    assert!(cache.lookup("b").0.is_some());
+    assert!(cache.insert("a".into(), entry(20, 20)).is_empty());
+    assert!(cache.lookup("missing").0.is_none());
+    let order = recency_of(cache.cache());
+    assert_eq!(order, ["c", "d", "b", "a"]);
+    drop(cache);
+
+    let (recovered, warnings) = JournaledCache::open(&scratch.0, 8, 100_000);
+    assert!(warnings.is_empty(), "{warnings:?}");
+    assert_eq!(recovered.stats().replayed, 6, "no compaction ran");
+    assert_eq!(recency_of(recovered.cache()), order);
+}
+
+#[test]
+fn recency_survives_compaction_and_reopen() {
+    let _guard = fault::exclusive();
+    let scratch = Scratch::new("recency-compact");
+    let (mut cache, _) = JournaledCache::open(&scratch.0, 8, 100_000);
+    for key in ["a", "b", "c", "d"] {
+        assert!(cache.insert(key.into(), entry(10, 10)).is_empty());
+    }
+    for key in ["c", "a", "c"] {
+        assert!(cache.lookup(key).0.is_some());
+    }
+    let order = recency_of(cache.cache());
+    assert_eq!(order, ["b", "d", "a", "c"]);
+    cache.compact().expect("compaction succeeds");
+    assert_eq!(recency_of(cache.cache()), order, "compaction leaves recency alone");
+
+    // The compacted file is one insert per entry, least recently used first.
+    let written: Vec<String> = frames(&scratch)
+        .iter()
+        .map(|f| match Record::parse(f).expect("parses") {
+            Record::Insert { key, .. } => key,
+            other => panic!("a compacted journal holds only inserts: {other:?}"),
+        })
+        .collect();
+    assert_eq!(written, order);
+    drop(cache);
+
+    let (mut recovered, warnings) = JournaledCache::open(&scratch.0, 8, 100_000);
+    assert!(warnings.is_empty(), "{warnings:?}");
+    assert_eq!(recency_of(recovered.cache()), order);
+    assert_eq!(recovered.cache().get("c").expect("entry survives").hits, 2);
+    // The rebuilt order decides evictions as the original would have.
+    recovered.compact().expect("compaction succeeds");
+    drop(recovered);
+    let (shrunk, _) = JournaledCache::open(&scratch.0, 2, 100_000);
+    assert_eq!(recency_of(shrunk.cache()), ["a", "c"]);
+}
+
+#[test]
+fn reopen_with_smaller_capacity_keeps_the_most_recently_used_entries() {
     let scratch = Scratch::new("shrink");
     let (mut cache, _) = JournaledCache::open(&scratch.0, 8, 100_000);
     cache.insert("cheap".into(), entry(2, 2));
-    cache.insert("medium".into(), entry(100, 100));
     cache.insert("expensive".into(), entry(10_000, 10_000));
+    cache.insert("medium".into(), entry(100, 100));
+    assert!(cache.lookup("cheap").0.is_some());
     drop(cache);
 
-    let (recovered, _) = JournaledCache::open(&scratch.0, 1, 100_000);
-    let keys: Vec<&String> = recovered.cache().entries().map(|(k, _)| k).collect();
-    assert_eq!(keys, ["expensive"]);
-    assert!(recovered.cache().evictions() >= 2);
+    // Cost plays no part: the costliest entry is the least recently used.
+    let (recovered, _) = JournaledCache::open(&scratch.0, 2, 100_000);
+    assert_eq!(recency_of(recovered.cache()), ["medium", "cheap"]);
+    assert_eq!(recovered.cache().evictions(), 1);
+}
+
+#[test]
+fn a_hit_only_phase_compacts() {
+    let _guard = fault::exclusive();
+    let scratch = Scratch::new("hit-only");
+    let (mut cache, _) = JournaledCache::open(&scratch.0, 8, 8);
+    for i in 0..4u64 {
+        assert!(cache.insert(format!("{i}/gam/operational"), entry(10, 10)).is_empty());
+    }
+    for i in 0..40u64 {
+        let (served, warnings) = cache.lookup(&format!("{}/gam/operational", i % 4));
+        assert!(served.is_some());
+        assert!(warnings.is_empty(), "{warnings:?}");
+    }
+    assert!(cache.stats().compactions >= 1, "{:?}", cache.stats());
+    let written = frames(&scratch).len();
+    assert!(written < 20, "the journal holds {written} frames");
+    drop(cache);
+
+    let (recovered, warnings) = JournaledCache::open(&scratch.0, 8, 8);
+    assert!(warnings.is_empty(), "{warnings:?}");
+    let hits: u64 = recovered.cache().entries().map(|(_, e)| e.hits).sum();
+    assert_eq!(hits, 40, "every hit count survives");
+}
+
+#[test]
+fn a_failing_compaction_is_retried_only_after_another_compact_every_records() {
+    let _guard = fault::exclusive();
+    let scratch = Scratch::new("compact-backoff");
+    let (mut cache, _) = JournaledCache::open(&scratch.0, 4096, 64);
+    fault::install("cache.compact=kill").expect("valid plan");
+    let mut warnings = Vec::new();
+    for i in 0..116u64 {
+        warnings.extend(cache.insert(format!("{i:016x}/gam/operational"), entry(10 + i, 10)));
+    }
+    fault::reset();
+    let failed = warnings.iter().filter(|w| w.contains("compaction failed")).count();
+    assert!(failed >= 1, "the due compaction was attempted: {warnings:?}");
+    assert!(failed <= 2, "{failed} compaction warnings for 116 inserts");
+    assert_eq!(warnings.len(), failed, "nothing else went wrong: {warnings:?}");
+    assert!(cache.journaling(), "a failed compaction leaves the journal attached");
+    let before = entries_of(cache.cache());
+    drop(cache);
+
+    let (recovered, warnings) = JournaledCache::open(&scratch.0, 4096, 64);
+    assert!(warnings.is_empty(), "{warnings:?}");
+    assert_eq!(entries_of(recovered.cache()), before, "no acknowledged entry is lost");
 }
 
 #[test]
 fn compaction_leaves_one_file_with_one_record_per_entry() {
+    let _guard = fault::exclusive();
     let scratch = Scratch::new("one-file");
     let (mut cache, _) = JournaledCache::open(&scratch.0, 4, 100_000);
     for i in 0..10u64 {

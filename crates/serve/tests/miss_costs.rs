@@ -1,10 +1,10 @@
 //! Every conclusive cache miss records what it cost to compute.
 //!
-//! Eviction ranks entries by `wall_us × max(states, 1)`, so an entry
-//! stored with `states: 0` looks as cheap as its wall time alone and is
-//! evicted ahead of entries that cost as much to recompute. Budgeted
-//! `/check` misses and `/batch` misses must persist the states their
-//! search visited, like unbudgeted `/check` misses do.
+//! A hit answers with the `states` its entry recorded, and the journal
+//! keeps them across restarts, so an entry stored with `states: 0` tells
+//! every later client the check cost nothing. Budgeted `/check` misses and
+//! `/batch` misses must persist the states their search visited, like
+//! unbudgeted `/check` misses do.
 //!
 //! An unbudgeted miss asks for the verdict only, so the states it records
 //! are the states the verdict needed: an allowed operational verdict stops

@@ -255,7 +255,8 @@ const USAGE: &str = "usage:
   --addr ADDR          serve: bind address (default 127.0.0.1:7117)
   --cache PATH         serve: cache file, a write-ahead journal (default
                        gam-serve-cache.json)
-  --cache-capacity N   serve: max cache entries (default 4096)
+  --cache-capacity N   serve: max cache entries; the least recently used
+                       is evicted first (default 4096)
   --workers N          serve: worker threads (default: all cores)
   --queue-depth N      serve: request queue bound; beyond it requests are
                        shed with 503 + Retry-After (default 64)
