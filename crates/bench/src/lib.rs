@@ -1,8 +1,7 @@
 //! # gam-bench
 //!
 //! The paper-reproduction harness: shared code used by the `fig18`, `table1`,
-//! `table2`, `table3` and `litmus-tables` binaries and by the Criterion
-//! benches.
+//! `table2`, `table3` and `ablation` binaries.
 //!
 //! The harness runs the synthetic workload suite
 //! ([`gam_uarch::WorkloadSuite::paper`]) under the four memory-model policies
@@ -248,12 +247,6 @@ pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
 }
 
-/// Returns true if a bare `--flag` is present in a raw argument list.
-#[must_use]
-pub fn arg_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
 /// Validates the formal-model foundation through the parallel engine facade
 /// before a long simulation run: every paper litmus test under every model,
 /// checked against the paper's expectation table.
@@ -354,15 +347,11 @@ mod tests {
 
     #[test]
     fn arg_value_parses_flags() {
-        let args: Vec<String> = ["prog", "--ops", "1000", "--seed", "9", "--json"]
-            .iter()
-            .map(ToString::to_string)
-            .collect();
+        let args: Vec<String> =
+            ["prog", "--ops", "1000", "--seed", "9"].iter().map(ToString::to_string).collect();
         assert_eq!(arg_value(&args, "--ops"), Some("1000".into()));
         assert_eq!(arg_value(&args, "--seed"), Some("9".into()));
         assert_eq!(arg_value(&args, "--missing"), None);
-        assert!(arg_flag(&args, "--json"));
-        assert!(!arg_flag(&args, "--quiet"));
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Crash-durable run checkpoints: resume a killed `gam check`/`gam bench`.
+//! Crash-durable run checkpoints: resume a killed `gam check`.
 //!
-//! A corpus run is a sequence of independent *work units* — one
-//! (test, model) exploration for `gam bench`, one (model, backend) pair for
-//! `gam check`. Each unit is deterministic: the sequential explorer visits
-//! the same states and produces the same outcome set every time. That makes
-//! the right checkpoint granularity the *unit*, not the explorer frontier:
-//! a resumed run skips every completed unit and recomputes only the one the
-//! crash interrupted, which by determinism yields outcome sets and
-//! visited-state counts identical to an uninterrupted run.
+//! A check is a sequence of independent *work units*, one per (model,
+//! backend) pair. Each unit is deterministic: the sequential explorer
+//! visits the same states and produces the same outcome set every time.
+//! That makes the unit the natural checkpoint granularity: a resumed run
+//! skips every completed unit and recomputes only the one the crash
+//! interrupted, which by determinism yields the verdicts of an
+//! uninterrupted run. An operational unit can additionally record
+//! intra-exploration snapshots ([`RunCheckpoint::record_explore_snapshot`])
+//! so that the interrupted unit resumes mid-exploration.
 //!
 //! The file is an append-only log built on [`gam_core::wal`] (magic line
 //! [`CHECKPOINT_SCHEMA`], one CRC-framed JSON record per completed unit), so

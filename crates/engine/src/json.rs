@@ -2,8 +2,7 @@
 //!
 //! The build environment has no registry access, so `serde` cannot be used;
 //! this module is the machine-readable export path for suite results (the
-//! `--json` flag of the `litmus_tables` binary and any perf-trajectory
-//! tooling). The emitted JSON is plain and stable: objects keep insertion
+//! `--json` reports of the `gam` CLI and `gam serve`). The emitted JSON is plain and stable: objects keep insertion
 //! order, strings are escaped per RFC 8259.
 
 use std::fmt;

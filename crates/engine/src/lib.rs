@@ -27,8 +27,8 @@
 //!   panicking checker into [`EngineError::Panicked`];
 //! * [`checkpoint`] — crash-durable run checkpoints ([`RunCheckpoint`]): an
 //!   append-only CRC-framed log of completed work units that lets
-//!   `gam check --checkpoint` / `gam bench --resume` continue a killed run,
-//!   skipping every unit that already finished.
+//!   `gam check --checkpoint` continue a killed run, skipping every unit
+//!   that already finished.
 //!
 //! # Quick start
 //!

@@ -10,9 +10,9 @@
 //!
 //! [`stress_tests`] generates whole litmus *programs* instead: seeded,
 //! straight-line, multi-threaded tests with dependent addresses — the
-//! source of `tests/corpus-stress/` (see `gam gen-corpus` and `gam bench`),
-//! which gives throughput measurements a workload an order of magnitude
-//! bigger than the 29-test paper library.
+//! source of `tests/corpus-stress/` (see `gam gen-corpus`), which gives
+//! cross-backend agreement checks and throughput measurements a workload an
+//! order of magnitude bigger than the 29-test paper library.
 
 use std::collections::BTreeMap;
 

@@ -185,8 +185,9 @@ pub struct JournaledCache {
 
 impl JournaledCache {
     /// Opens the cache at `path`: replays the journal's longest valid
-    /// prefix, re-enforces capacity and positions the journal for
-    /// appending. Damage of any kind — a missing file, a foreign file, a
+    /// prefix, re-enforces capacity (journaling an `evict` record for each
+    /// entry that no longer fits, so a later open at a larger capacity does
+    /// not bring it back) and positions the journal for appending. Damage of any kind — a missing file, a foreign file, a
     /// torn tail, an unparseable record — is tolerated and reported as
     /// warnings; an unopenable file degrades to a memory-only cache instead
     /// of failing.
@@ -196,6 +197,7 @@ impl JournaledCache {
         let mut cache = OutcomeCache::new(capacity);
         let mut replayed = 0u64;
         let mut stopped_early = false;
+        let mut evicted = Vec::new();
         let wal = match Wal::open(path, JOURNAL_SCHEMA) {
             Ok((wal, frames, warning)) => {
                 warnings.extend(warning);
@@ -217,7 +219,7 @@ impl JournaledCache {
                     record.apply(&mut cache);
                     replayed += 1;
                 }
-                cache.enforce_capacity();
+                evicted = cache.enforce_capacity();
                 Some(wal)
             }
             Err(err) => {
@@ -248,8 +250,9 @@ impl JournaledCache {
                 warnings.push(format!("journal {}: cache is memory-only", path.display()));
             }
         } else {
-            // A recovered journal may already be due for rewriting.
-            warnings.extend(journaled.compact_if_due());
+            // Journaling the evictions also compacts a journal that is due.
+            let evicts = evicted.into_iter().map(|key| Record::Evict { key });
+            warnings.extend(journaled.journal(evicts));
         }
         (journaled, warnings)
     }

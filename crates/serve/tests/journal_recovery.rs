@@ -386,6 +386,13 @@ fn reopen_with_smaller_capacity_keeps_the_most_recently_used_entries() {
     let (recovered, _) = JournaledCache::open(&scratch.0, 2, 100_000);
     assert_eq!(recency_of(recovered.cache()), ["medium", "cheap"]);
     assert_eq!(recovered.cache().evictions(), 1);
+    drop(recovered);
+
+    // The shrink's eviction is journaled: growing the capacity again does
+    // not bring the evicted entry back.
+    let (regrown, _) = JournaledCache::open(&scratch.0, 8, 100_000);
+    assert_eq!(recency_of(regrown.cache()), ["medium", "cheap"]);
+    assert_eq!(regrown.cache().evictions(), 0);
 }
 
 #[test]

@@ -9,9 +9,6 @@
 //!                 [--json] [--no-expectations]
 //!   gam run DIR   [--models LIST] [--backends LIST] [--jobs N]
 //!                 [--explorer-threads N] [--json] [--no-expectations]
-//!   gam bench DIR [--models LIST] [--explorer-threads N]
-//!                 [--mem-budget BYTES] [--spill-dir DIR]
-//!                 [--checkpoint FILE] [--json]
 //!   gam bench DIR --serve ADDR [--models LIST] [--jobs N]
 //!                 [--min-hit-rate R] [--timeout-ms MS] [--retries N]
 //!                 [--json] [--out PATH]
@@ -25,8 +22,8 @@
 //!   gam --version
 //!
 //!   --models LIST        comma-separated: sc,tso,gam,gam0,gam-arm
-//!                        (default: sc,tso,gam,gam0 for `run`/`bench`; all
-//!                        five for `check`)
+//!                        (default: sc,tso,gam,gam0 for `run`, gam for
+//!                        `bench --serve`, all five for `check`)
 //!   --backends LIST      comma-separated: axiomatic,operational (default:
 //!                        both; model/backend pairs without semantics are
 //!                        skipped)
@@ -50,15 +47,10 @@
 //! pair, prints a verdict matrix and diffs the verdicts against the corpus
 //! `expectations.txt` (and against each backend pair) — failing also on
 //! coverage gaps: corpus tests with no expectations row, or rows naming no
-//! corpus test. `bench` is the throughput runner: it explores every corpus
-//! test operationally under every requested machine model, reports wall
-//! time, states visited, states/second and component-arena occupancy, and
-//! cross-checks the complete outcome set against the axiomatic backend —
-//! any disagreement fails the run. `gen-corpus` writes a deterministic
-//! random corpus (`gam_operational::stress_tests`) plus an
-//! `expectations.txt` computed — and backend-cross-checked — by the
-//! engine. `print` normalizes a file to canonical text. `export-library`
-//! writes the in-code library as a corpus.
+//! corpus test. `gen-corpus` writes a deterministic random corpus
+//! (`gam_operational::stress_tests`) plus an `expectations.txt` computed —
+//! and backend-cross-checked — by the engine. `print` normalizes a file to
+//! canonical text. `export-library` writes the in-code library as a corpus.
 //!
 //! `serve` starts the long-running check service (`gam-serve`): an HTTP
 //! API over a persistent, canonicalizing outcome cache whose every
@@ -79,29 +71,26 @@
 //! set under a wall budget: a check that exhausts it reports INCONCLUSIVE
 //! with its partial outcomes instead of running open-ended.
 //!
-//! `check --mem-budget BYTES` and `bench --mem-budget BYTES` cap the
-//! operational explorer's accounted in-RAM footprint. Over the soft
-//! watermark the explorer degrades — with `--spill-dir DIR`, cold
-//! visited-state rows spill to CRC-framed segment files — and only when
-//! degradation cannot free enough does the check stop
-//! with INCONCLUSIVE (memory budget) and its partial outcomes. Spilling
+//! `check --mem-budget BYTES` caps the operational explorer's accounted
+//! in-RAM footprint. Over the soft watermark the explorer degrades — with
+//! `--spill-dir DIR`, cold visited-state rows spill to CRC-framed segment
+//! files — and only when degradation cannot free enough does the check
+//! stop with INCONCLUSIVE (memory budget) and its partial outcomes. Spilling
 //! changes nothing about the verdicts: a capped run that completes via
 //! spill reports exactly the outcome sets of an uncapped run.
 //!
-//! `check --checkpoint FILE` and `bench --checkpoint FILE` (alias
-//! `--resume FILE`) append every completed work unit — one
-//! (model, backend) verdict for `check`, one (model, test) exploration
-//! for `bench` — to a crash-durable log, and skip units already recorded
-//! there. A killed run relaunched with the same flag recomputes only the
-//! unit the crash interrupted; because exploration is deterministic, the
-//! resumed report carries outcome sets and visited-state counts identical
-//! to an uninterrupted run's. Checkpoint keys embed the canonical test
-//! hash, so a checkpoint pointed at a different corpus matches nothing.
-//! For `check`, the log additionally records *intra-exploration* snapshots
-//! of the in-flight operational pair every `--checkpoint-every N`
-//! expansions (default 65536; 0 disables), so a killed run resumes the
-//! interrupted exploration mid-test — with counters identical to an
-//! uninterrupted run's — instead of restarting it from scratch.
+//! `check --checkpoint FILE` (alias `--resume FILE`) appends every
+//! completed work unit — one (model, backend) verdict — to a crash-durable
+//! log, and skips units already recorded there. A killed run relaunched
+//! with the same flag recomputes only the unit the crash interrupted;
+//! because checking is deterministic, the resumed report carries the
+//! verdicts of an uninterrupted run. Checkpoint keys embed the canonical
+//! test hash, so a checkpoint pointed at a different test matches nothing.
+//! The log also records *intra-exploration* snapshots of the in-flight
+//! operational pair every `--checkpoint-every N` expansions (default 65536;
+//! 0 disables), so a killed run resumes the interrupted exploration
+//! mid-test — with counters identical to an uninterrupted run's — instead
+//! of restarting it from scratch.
 //!
 //! Exit status (all subcommands): 0 = clean, 1 = the command ran but found
 //! mismatches, disagreements, coverage gaps or check errors, 2 = usage or
@@ -120,7 +109,6 @@ use gam_engine::{
 };
 use gam_frontend::{export_library, parse_litmus, print_litmus, Corpus};
 use gam_isa::litmus::LitmusTest;
-use gam_operational::{ExplorerConfig, OperationalChecker};
 use gam_verify::expectations::{render_expectations, OwnedExpectation};
 
 /// Terminal status of a subcommand.
@@ -200,9 +188,6 @@ const USAGE: &str = "usage:
                 [--json] [--no-expectations] [--trace-out FILE] [--progress]
   gam run DIR   [--models LIST] [--backends LIST] [--jobs N] [--explorer-threads N]
                 [--json] [--no-expectations] [--trace-out FILE] [--progress]
-  gam bench DIR [--models LIST] [--explorer-threads N] [--mem-budget BYTES]
-                [--spill-dir DIR] [--checkpoint FILE] [--json]
-                [--trace-out FILE] [--progress]
   gam bench DIR --serve ADDR [--models LIST] [--jobs N] [--min-hit-rate R]
                 [--timeout-ms MS] [--retries N] [--json] [--out PATH]
   gam serve [--addr ADDR] [--cache PATH] [--cache-capacity N] [--workers N]
@@ -227,15 +212,15 @@ const USAGE: &str = "usage:
   --time-budget MS     check: wall-clock budget per (model, backend) pair;
                        a check that exhausts it reports INCONCLUSIVE with
                        its partial outcomes and the command exits 3
-  --mem-budget BYTES   check/bench: accounted-byte budget per operational
+  --mem-budget BYTES   check: accounted-byte budget per operational
                        exploration; over the soft watermark the explorer
                        spills cold states (with --spill-dir), over the hard
                        limit the check reports INCONCLUSIVE (memory budget)
                        and check exits 3
-  --spill-dir DIR      check/bench: directory for cold visited-state
+  --spill-dir DIR      check: directory for cold visited-state
                        segments spilled under memory pressure (needs
                        --mem-budget; without it the ladder skips spilling)
-  --checkpoint FILE    check/bench: log each completed work unit to FILE and
+  --checkpoint FILE    check: log each completed work unit to FILE and
                        skip units already recorded there — a killed run
                        relaunched with the same FILE recomputes only the
                        unit the crash interrupted (--resume is an alias)
@@ -243,7 +228,7 @@ const USAGE: &str = "usage:
                        exploration every N expansions into the checkpoint,
                        enabling mid-test resume (default 65536; 0 disables)
   --serve ADDR         bench: replay the corpus against a live `gam serve`
-                       at ADDR instead of checking in-process
+                       at ADDR (required; `gam run DIR` checks in-process)
   --min-hit-rate R     bench --serve: fail unless the observed cache hit
                        rate is at least R (0.0-1.0, default 0)
   --timeout-ms MS      bench --serve: client connect/read timeout per
@@ -279,10 +264,10 @@ const USAGE: &str = "usage:
                        (gam_operational::big_tests; defaults become
                        --count 4 --seed 2024) — tests big enough to need
                        memory budgets, for the spill/budget CI gates
-  --trace-out FILE     check/run/bench: record phase and engine spans and
+  --trace-out FILE     check/run: record phase and engine spans and
                        write them as Chrome trace_event JSON to FILE on
                        exit (load in Perfetto or chrome://tracing)
-  --progress           check/run/bench: periodic exploration/search
+  --progress           check/run: periodic exploration/search
                        progress lines on stderr (states/sec, frontier
                        depth, escalation)
 
@@ -473,20 +458,17 @@ fn write_trace(path: &str) -> Result<(), String> {
 /// either flag is given. Recovered damage and a non-empty resume are
 /// announced on stderr; only a genuine I/O failure to open the file is a
 /// startup error.
-fn open_checkpoint(
-    args: &[String],
-    command: &str,
-) -> Result<Option<gam_engine::RunCheckpoint>, String> {
+fn open_checkpoint(args: &[String]) -> Result<Option<gam_engine::RunCheckpoint>, String> {
     let Some(path) = arg_value(args, "--checkpoint").or_else(|| arg_value(args, "--resume")) else {
         return Ok(None);
     };
     let (checkpoint, warning) = gam_engine::RunCheckpoint::open(std::path::Path::new(&path))
         .map_err(|err| format!("cannot open checkpoint {path}: {err}"))?;
     if let Some(warning) = warning {
-        gam_obs::warn!("{command}: {warning}");
+        gam_obs::warn!("gam check: {warning}");
     }
     if checkpoint.resumed() > 0 {
-        eprintln!("{command}: resuming {} completed units from {path}", checkpoint.resumed());
+        eprintln!("gam check: resuming {} completed units from {path}", checkpoint.resumed());
     }
     Ok(Some(checkpoint))
 }
@@ -759,8 +741,7 @@ fn cmd_check(args: &[String]) -> Result<Status, String> {
     };
     // The checkpoint is shared with the explorer's snapshot sink, which runs
     // inside the exploration loop; a mutex keeps the two writers ordered.
-    let checkpoint =
-        std::sync::Arc::new(std::sync::Mutex::new(open_checkpoint(args, "gam check")?));
+    let checkpoint = std::sync::Arc::new(std::sync::Mutex::new(open_checkpoint(args)?));
     let hash = gam_frontend::canonical_hash(&test).to_string();
     let mut rows: Vec<((ModelKind, Backend), Json)> = Vec::new();
     let mut reports = BTreeMap::new();
@@ -1039,251 +1020,8 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
     Ok(clean)
 }
 
-/// One `(model, test)` throughput measurement of `gam bench`, as the JSON
-/// row the report carries — which is also exactly what the `--checkpoint`
-/// log records, so a resumed run replays completed rows verbatim.
-#[allow(clippy::too_many_arguments)]
-fn bench_row_json(
-    test: &str,
-    operational_wall_us: u64,
-    states_visited: u64,
-    states_per_sec: u64,
-    occupancy: Option<&gam_engine::ArenaOccupancy>,
-    memory: Option<&gam_operational::MemoryStats>,
-    axiomatic_wall_us: u64,
-    outcomes: &std::collections::BTreeSet<gam_isa::litmus::Outcome>,
-    agree: bool,
-) -> Json {
-    let mut pairs = vec![
-        ("test", Json::from(test)),
-        ("wall_us_operational", Json::UInt(operational_wall_us)),
-        ("states_visited", Json::UInt(states_visited)),
-        ("states_per_sec", Json::UInt(states_per_sec)),
-    ];
-    // Omitted (rather than zeroed) when the exploration escalated to the
-    // parallel driver, which does no component interning.
-    if let Some(occupancy) = occupancy {
-        pairs.push(("distinct_components", Json::UInt(occupancy.distinct_components() as u64)));
-        pairs.push(("interned_bytes", Json::UInt(occupancy.interned_bytes as u64)));
-    }
-    // Present only when a `--mem-budget` armed the accountant.
-    if let Some(memory) = memory {
-        pairs.push(("peak_accounted_bytes", Json::UInt(memory.peak_bytes as u64)));
-        pairs.push(("spilled_bytes", Json::UInt(memory.spilled_bytes as u64)));
-        pairs.push(("spill_segments", Json::UInt(memory.spill_segments as u64)));
-        pairs.push(("spill_read_bytes", Json::UInt(memory.spill_read_bytes as u64)));
-    }
-    // A content fingerprint of the complete outcome set, so the
-    // checkpoint round-trip test can assert a resumed run reproduced the
-    // *same set*, not merely the same cardinality.
-    let mut rendered = String::new();
-    for outcome in outcomes {
-        rendered.push_str(&outcome.to_string());
-        rendered.push('\n');
-    }
-    pairs.extend([
-        ("wall_us_axiomatic", Json::UInt(axiomatic_wall_us)),
-        ("outcomes", Json::UInt(outcomes.len() as u64)),
-        ("outcome_hash", Json::from(format!("{:08x}", gam_core::wal::crc32(rendered.as_bytes())))),
-        ("agree", Json::from(agree)),
-    ]);
-    Json::object(pairs)
-}
-
 fn micros(duration: std::time::Duration) -> u64 {
     u64::try_from(duration.as_micros()).unwrap_or(u64::MAX)
-}
-
-fn cmd_bench(args: &[String]) -> Result<bool, String> {
-    let Some(dir) = positional(args) else {
-        return Err("`gam bench` needs a corpus DIR argument".to_string());
-    };
-    if let Some(server) = arg_value(args, "--serve") {
-        return cmd_bench_serve(args, dir, &server);
-    }
-    let corpus = match Corpus::load(dir) {
-        Ok(corpus) => corpus,
-        Err(err) => {
-            eprintln!("{err}");
-            return Ok(false);
-        }
-    };
-    let models = match arg_value(args, "--models") {
-        Some(list) => parse_models(&list)?,
-        None => vec![ModelKind::Sc, ModelKind::Tso, ModelKind::Gam, ModelKind::Gam0],
-    };
-    let explorer_workers = explorer_threads(args)?;
-    let (mem_budget, spill_dir) = memory_flags(args)?;
-    let as_json = arg_flag(args, "--json");
-    let mut checkpoint = open_checkpoint(args, "gam bench")?;
-    let tests = corpus.tests();
-    let name = corpus.name();
-    let started = Instant::now();
-
-    // Checkpoint keys embed each test's canonical hash: a log pointed at a
-    // different corpus matches nothing instead of poisoning the run.
-    let hashes: Vec<String> =
-        tests.iter().map(|test| gam_frontend::canonical_hash(test).to_string()).collect();
-
-    let mut sections = Vec::new();
-    let mut disagreements = 0usize;
-    let mut errors = 0usize;
-    let mut total_states = 0u64;
-    let mut total_op_wall = 0u64;
-    let mut total_ax_wall = 0u64;
-    for &model in &models {
-        if !Backend::Operational.supports(model) {
-            eprintln!("gam bench: skipping {model} (no operational machine)");
-            continue;
-        }
-        let checker = OperationalChecker::with_config(
-            model,
-            ExplorerConfig { parallelism: explorer_workers, ..ExplorerConfig::default() },
-        )
-        // Every model shares one spill directory: live stores name their
-        // segments apart, and a finished store's names pass to the next,
-        // so segment files are overwritten store-by-store.
-        .with_memory(gam_operational::MemoryConfig {
-            max_bytes: mem_budget,
-            spill_dir: spill_dir.clone(),
-            checkpoint: None,
-        });
-        let axiomatic = Engine::axiomatic(model);
-        let mut rows: Vec<Json> = Vec::new();
-        for (test, hash) in tests.iter().zip(&hashes) {
-            let key = format!("bench/{model}/{}/{hash}", test.name());
-            let row = if let Some(recorded) = checkpoint.as_ref().and_then(|c| c.completed(&key)) {
-                // A completed unit replays verbatim: exploration is
-                // deterministic, so the recorded outcome set and state
-                // count are exactly what recomputing would produce.
-                recorded.clone()
-            } else {
-                let start = Instant::now();
-                let exploration = match checker.explore(test) {
-                    Ok(exploration) => exploration,
-                    Err(err) => {
-                        eprintln!("gam bench: {model}/{}: operational: {err}", test.name());
-                        errors += 1;
-                        continue;
-                    }
-                };
-                let operational_wall = start.elapsed();
-                let start = Instant::now();
-                let ax_outcomes = match axiomatic.allowed_outcomes(test) {
-                    Ok(outcomes) => outcomes,
-                    Err(err) => {
-                        eprintln!("gam bench: {model}/{}: axiomatic: {err}", test.name());
-                        errors += 1;
-                        continue;
-                    }
-                };
-                let axiomatic_wall = start.elapsed();
-                let agree = ax_outcomes == exploration.outcomes;
-                if !agree {
-                    eprintln!(
-                        "gam bench: DISAGREEMENT {model}/{}: axiomatic {} outcomes vs \
-                         operational {}",
-                        test.name(),
-                        ax_outcomes.len(),
-                        exploration.outcomes.len()
-                    );
-                }
-                #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
-                #[allow(clippy::cast_sign_loss)]
-                let states_per_sec = if operational_wall.as_secs_f64() > 0.0 {
-                    (exploration.states_visited as f64 / operational_wall.as_secs_f64()) as u64
-                } else {
-                    0
-                };
-                let row = bench_row_json(
-                    test.name(),
-                    micros(operational_wall),
-                    exploration.states_visited as u64,
-                    states_per_sec,
-                    exploration.arena.as_ref(),
-                    exploration.memory.as_ref(),
-                    micros(axiomatic_wall),
-                    &exploration.outcomes,
-                    agree,
-                );
-                record_unit(&mut checkpoint, &key, &row);
-                row
-            };
-            if !matches!(row.get("agree"), Some(Json::Bool(true))) {
-                disagreements += 1;
-            }
-            total_states += row.get("states_visited").and_then(Json::as_u64).unwrap_or(0);
-            total_op_wall += row.get("wall_us_operational").and_then(Json::as_u64).unwrap_or(0);
-            total_ax_wall += row.get("wall_us_axiomatic").and_then(Json::as_u64).unwrap_or(0);
-            rows.push(row);
-        }
-        sections.push((model, rows));
-    }
-    let clean = disagreements == 0 && errors == 0;
-
-    if as_json {
-        let mut fields = vec![
-            ("schema", Json::from("gam-bench/v1")),
-            ("suite", Json::from(name.as_str())),
-            ("tests", Json::UInt(tests.len() as u64)),
-            ("explorer_threads", Json::UInt(explorer_workers as u64)),
-        ];
-        if let Some(ckpt) = &checkpoint {
-            fields.push(("resumed_units", Json::UInt(ckpt.resumed() as u64)));
-        }
-        fields.extend([
-            (
-                "totals",
-                Json::object([
-                    ("wall_us_operational", Json::UInt(total_op_wall)),
-                    ("wall_us_axiomatic", Json::UInt(total_ax_wall)),
-                    ("states_visited", Json::UInt(total_states)),
-                    ("disagreements", Json::UInt(disagreements as u64)),
-                    ("errors", Json::UInt(errors as u64)),
-                ]),
-            ),
-            (
-                "per_model",
-                Json::array(sections.iter().map(|(model, rows)| {
-                    Json::object([
-                        ("model", Json::from(model.to_string())),
-                        ("tests", Json::array(rows.iter().cloned())),
-                    ])
-                })),
-            ),
-            ("ok", Json::from(clean)),
-        ]);
-        println!("{}", Json::object(fields));
-    } else {
-        println!(
-            "bench {name}: {} tests x {} models, explorer threads {explorer_workers}",
-            tests.len(),
-            sections.len()
-        );
-        if let Some(ckpt) = &checkpoint {
-            if ckpt.resumed() > 0 {
-                println!("  resumed {} completed units from checkpoint", ckpt.resumed());
-            }
-        }
-        let field = |row: &Json, key: &str| row.get(key).and_then(Json::as_u64).unwrap_or(0);
-        for (model, rows) in &sections {
-            let model_states: u64 = rows.iter().map(|r| field(r, "states_visited")).sum();
-            let model_wall: u64 = rows.iter().map(|r| field(r, "wall_us_operational")).sum();
-            let rate = (model_states * 1_000_000).checked_div(model_wall).unwrap_or(0);
-            println!(
-                "  {:<8} operational {model_wall:>8}us  {model_states:>8} states \
-                 ({rate:>9} states/s)  axiomatic {:>8}us",
-                model.to_string(),
-                rows.iter().map(|r| field(r, "wall_us_axiomatic")).sum::<u64>()
-            );
-        }
-        println!(
-            "totals: operational {total_op_wall}us, axiomatic {total_ax_wall}us, {total_states} \
-             states, {disagreements} disagreements, {errors} errors in {:?}",
-            started.elapsed()
-        );
-    }
-    Ok(clean)
 }
 
 fn cmd_gen_corpus(args: &[String]) -> Result<bool, String> {
@@ -1531,8 +1269,19 @@ struct ReplayRow {
     retry: gam_serve::RetryStats,
 }
 
-fn cmd_bench_serve(args: &[String], dir: &str, server: &str) -> Result<bool, String> {
-    let addr = server_addr(server).to_string();
+/// `gam bench DIR --serve ADDR`: replays the corpus against a live server.
+/// Without `--serve` there is nothing to bench: `gam run DIR` checks a
+/// corpus in-process.
+fn cmd_bench(args: &[String]) -> Result<bool, String> {
+    let Some(dir) = positional(args) else {
+        return Err("`gam bench` needs a corpus DIR argument".to_string());
+    };
+    let Some(server) = arg_value(args, "--serve") else {
+        return Err(format!(
+            "`gam bench {dir}` needs --serve ADDR; check a corpus in-process with `gam run {dir}`"
+        ));
+    };
+    let addr = server_addr(&server).to_string();
     let corpus = match Corpus::load(dir) {
         Ok(corpus) => corpus,
         Err(err) => {

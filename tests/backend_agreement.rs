@@ -1,13 +1,16 @@
 //! Cross-backend agreement property test — the machine-checked counterpart
-//! of the paper's Theorem 1 at library scale, driven through the unified
-//! `dyn Checker` trait.
+//! of the paper's Theorem 1, driven through the unified `dyn Checker` trait.
 //!
-//! Every litmus test in the library is checked under every model that both
-//! backends support ({SC, TSO, GAM, GAM0}), through trait objects so that
-//! the two backends are literally indistinguishable to the test driver, and
-//! the *complete* allowed-outcome sets must be identical. Witnesses and
+//! Every litmus test in the library, `tests/corpus-stress` and
+//! `tests/corpus-big` is checked under every model that both backends
+//! support ({SC, TSO, GAM, GAM0}), through trait objects so that the two
+//! backends are literally indistinguishable to the test driver, and the
+//! *complete* allowed-outcome sets must be identical. Witnesses and
 //! verdicts are cross-checked as well, and the one capability gap (GAM-ARM
 //! has no abstract machine) must be reported uniformly by `supports`.
+//!
+//! The two corpus cases are release tests: the axiomatic side of the stress
+//! corpus alone takes over a minute of CPU, so a debug build skips them.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -16,8 +19,12 @@ use gam::core::{model, ModelKind};
 use gam::engine::{
     Answer, Backend, CancelToken, CheckBudget, Checker, Engine, EngineError, Query, SessionVerdict,
 };
+use gam::frontend::{Corpus, CorpusError};
 use gam::isa::litmus::{library, LitmusTest};
 use gam::operational::OperationalChecker;
+
+const MACHINE_MODELS: [ModelKind; 4] =
+    [ModelKind::Sc, ModelKind::Tso, ModelKind::Gam, ModelKind::Gam0];
 
 /// Both backends for one model, erased to the unified trait.
 fn checkers_for(kind: ModelKind) -> [Box<dyn Checker>; 2] {
@@ -30,11 +37,10 @@ fn run(checker: &dyn Checker, test: &LitmusTest, query: Query) -> Result<Answer,
     Ok(answer)
 }
 
-/// Drives every library test through both backends via `dyn Checker` (work
-/// is fanned out over a few threads to keep the full-library sweep fast) and
-/// asserts identical allowed-outcome sets, verdicts and witness consistency.
-fn assert_backends_agree(kind: ModelKind) {
-    let tests = library::all_tests();
+/// Drives every test through both backends via `dyn Checker` (work is
+/// fanned out over a few threads to keep the sweep fast) and asserts
+/// identical allowed-outcome sets, verdicts and witness consistency.
+fn assert_backends_agree(kind: ModelKind, tests: &[LitmusTest]) {
     let [axiomatic, operational] = checkers_for(kind);
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -85,27 +91,47 @@ fn assert_backends_agree(kind: ModelKind) {
 
 #[test]
 fn sc_backends_agree_on_the_whole_library() {
-    assert_backends_agree(ModelKind::Sc);
+    assert_backends_agree(ModelKind::Sc, &library::all_tests());
 }
 
 #[test]
 fn tso_backends_agree_on_the_whole_library() {
-    assert_backends_agree(ModelKind::Tso);
+    assert_backends_agree(ModelKind::Tso, &library::all_tests());
 }
 
 #[test]
 fn gam_backends_agree_on_the_whole_library() {
-    assert_backends_agree(ModelKind::Gam);
+    assert_backends_agree(ModelKind::Gam, &library::all_tests());
 }
 
 #[test]
 fn gam0_backends_agree_on_the_whole_library() {
-    assert_backends_agree(ModelKind::Gam0);
+    assert_backends_agree(ModelKind::Gam0, &library::all_tests());
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release test: run with --release")]
+fn backends_agree_on_the_stress_corpus() -> Result<(), CorpusError> {
+    let tests = Corpus::load("tests/corpus-stress")?.tests();
+    for kind in MACHINE_MODELS {
+        assert_backends_agree(kind, &tests);
+    }
+    Ok(())
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release test: run with --release")]
+fn backends_agree_on_the_big_corpus() -> Result<(), CorpusError> {
+    let tests = Corpus::load("tests/corpus-big")?.tests();
+    for kind in MACHINE_MODELS {
+        assert_backends_agree(kind, &tests);
+    }
+    Ok(())
 }
 
 #[test]
 fn capability_gaps_are_uniform_across_the_trait() {
-    for kind in [ModelKind::Sc, ModelKind::Tso, ModelKind::Gam, ModelKind::Gam0] {
+    for kind in MACHINE_MODELS {
         for checker in checkers_for(kind) {
             assert!(checker.supports(kind), "{}/{kind}", checker.name());
             assert_eq!(
@@ -131,7 +157,7 @@ fn capability_gaps_are_uniform_across_the_trait() {
 /// routing a check through the trait must not change it.
 #[test]
 fn outcome_answers_count_the_explorers_states() {
-    for kind in [ModelKind::Sc, ModelKind::Tso, ModelKind::Gam, ModelKind::Gam0] {
+    for kind in MACHINE_MODELS {
         let checker = OperationalChecker::new(kind);
         for test in library::all_tests() {
             let explored = checker.explore(&test).expect("explores").states_visited;

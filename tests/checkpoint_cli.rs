@@ -1,21 +1,40 @@
-//! End-to-end checkpoint/resume through the real binary: a `gam bench` run
-//! killed (SIGKILL — no cleanup, no flush) partway through and resumed from
-//! its checkpoint must report outcome sets, outcome fingerprints and
-//! visited-state counts identical to an uninterrupted run.
+//! End-to-end checkpoint/resume through the real binary: a `gam check
+//! --checkpoint` over every (model, backend) pair of a library test, killed
+//! (SIGKILL — no cleanup, no flush) once its log holds a completed pair and
+//! resumed from that log, must report the rows of an uninterrupted run.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use gam_engine::Json;
+use gam_engine::{Json, RunCheckpoint};
+
+/// Pause before every checkpoint append of the victim, so the kill that
+/// follows its first recorded pair lands before the run can finish.
+const VICTIM_APPEND_DELAY: &str = "checkpoint.write=delay:500";
 
 fn gam() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_gam"))
+    let mut command = Command::new(env!("CARGO_BIN_EXE_gam"));
+    command.env_remove("GAM_FAULTS");
+    command
 }
 
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("corpus")
+}
+
+/// `gam check` of the library's IRIW under all five models and both
+/// backends (nine supported pairs), logging each completed pair to
+/// `checkpoint`. Intra-exploration snapshots are off, so every record on
+/// the log is a completed pair.
+fn checked(checkpoint: &Path) -> Command {
+    let mut command = gam();
+    command
+        .arg("check")
+        .arg(corpus_dir().join("iriw.litmus"))
+        .args(["--json", "--checkpoint-every", "0", "--checkpoint"])
+        .arg(checkpoint);
+    command
 }
 
 struct Scratch(PathBuf);
@@ -35,101 +54,90 @@ impl Drop for Scratch {
     }
 }
 
-/// The verdict-relevant projection of a `gam-bench/v1` report: everything
-/// that must be identical between an interrupted-and-resumed run and an
-/// uninterrupted one. Wall times and rates are measurements, not verdicts,
-/// and legitimately differ run to run.
-fn verdict_fields(report: &Json) -> BTreeMap<(String, String), (u64, u64, String, bool)> {
-    let mut fields = BTreeMap::new();
-    for section in report.get("per_model").and_then(Json::as_array).expect("per_model") {
-        let model = section.get("model").and_then(Json::as_str).expect("model").to_string();
-        for row in section.get("tests").and_then(Json::as_array).expect("tests") {
-            let test = row.get("test").and_then(Json::as_str).expect("test").to_string();
-            fields.insert(
-                (model.clone(), test),
-                (
-                    row.get("states_visited").and_then(Json::as_u64).expect("states_visited"),
-                    row.get("outcomes").and_then(Json::as_u64).expect("outcomes"),
-                    row.get("outcome_hash")
-                        .and_then(Json::as_str)
-                        .expect("outcome_hash")
-                        .to_string(),
-                    matches!(row.get("agree"), Some(Json::Bool(true))),
-                ),
-            );
-        }
-    }
-    fields
-}
-
-fn run_bench(checkpoint: &Path) -> Json {
-    let output = gam()
-        .args(["bench"])
-        .arg(corpus_dir())
-        .args(["--json", "--checkpoint"])
-        .arg(checkpoint)
-        .output()
-        .expect("gam bench runs");
+fn run_check(checkpoint: &Path) -> Json {
+    let output = checked(checkpoint).output().expect("gam check runs");
     assert!(
         output.status.success(),
-        "bench failed: {}\n{}",
+        "check failed: {}\n{}",
         output.status,
         String::from_utf8_lossy(&output.stderr)
     );
-    Json::parse(&String::from_utf8_lossy(&output.stdout)).expect("bench report parses")
+    Json::parse(&String::from_utf8_lossy(&output.stdout)).expect("check report parses")
+}
+
+/// The report's rows without `wall_us`: a wall time is a measurement, not a
+/// verdict, and a replayed row carries the wall of the run that recorded it.
+fn rows_without_walls(report: &Json) -> Vec<Json> {
+    let rows = report.get("results").and_then(Json::as_array).expect("results");
+    rows.iter()
+        .map(|row| match row {
+            Json::Object(fields) => {
+                Json::Object(fields.iter().filter(|(key, _)| key != "wall_us").cloned().collect())
+            }
+            other => panic!("a result row is an object: {other}"),
+        })
+        .collect()
+}
+
+fn resumed_units(report: &Json) -> u64 {
+    report.get("resumed_units").and_then(Json::as_u64).expect("resumed_units")
 }
 
 #[test]
-fn a_sigkilled_bench_resumed_from_its_checkpoint_matches_an_uninterrupted_run() {
+fn a_sigkilled_check_resumed_from_its_checkpoint_matches_an_uninterrupted_run() {
     // Ground truth: one uninterrupted checkpointed run.
     let uninterrupted = Scratch::new("uninterrupted");
-    let baseline = run_bench(&uninterrupted.0);
+    let baseline = run_check(&uninterrupted.0);
     assert!(matches!(baseline.get("ok"), Some(Json::Bool(true))));
+    assert_eq!(resumed_units(&baseline), 0);
+    assert_eq!(rows_without_walls(&baseline).len(), 9, "five models, nine supported pairs");
 
-    // The victim: same bench, SIGKILLed once its checkpoint shows progress.
-    // SIGKILL gives the process no chance to flush or clean up — whatever
-    // the checkpoint holds is exactly what completed appends left behind.
+    // The victim: the same check, SIGKILLed once a recovered copy of its
+    // log holds a completed pair. SIGKILL gives the process no chance to
+    // flush or clean up — whatever the log holds is exactly what completed
+    // appends left behind.
     let killed = Scratch::new("killed");
-    let mut child = gam()
-        .args(["bench"])
-        .arg(corpus_dir())
-        .args(["--json", "--checkpoint"])
-        .arg(&killed.0)
+    let mut child = checked(&killed.0)
+        .env("GAM_FAULTS", VICTIM_APPEND_DELAY)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
-        .expect("gam bench spawns");
+        .expect("gam check spawns");
+    let copy = Scratch::new("killed-copy");
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        let progressed = std::fs::metadata(&killed.0).map(|m| m.len() > 1_000).unwrap_or(false);
-        let exited = child.try_wait().expect("try_wait").is_some();
-        if progressed || exited {
+        // Recover a copy, never the live file: opening truncates a torn tail.
+        let progressed = std::fs::copy(&killed.0, &copy.0).is_ok()
+            && RunCheckpoint::open(&copy.0).is_ok_and(|(log, _)| !log.is_empty());
+        if progressed {
             break;
         }
-        assert!(Instant::now() < deadline, "bench never made checkpoint progress");
+        assert!(
+            child.try_wait().expect("try_wait").is_none(),
+            "the victim exited before it recorded a pair"
+        );
+        assert!(Instant::now() < deadline, "check never recorded a pair");
         std::thread::sleep(Duration::from_millis(2));
     }
-    // Racing the kill against completion is fine: if the child already
-    // finished, the resume below is a pure replay — still required to
-    // match the baseline exactly.
     let _ = child.kill();
     let _ = child.wait();
 
-    // Resume. Completed units replay from the log; whatever the kill
-    // interrupted is recomputed — determinism makes the union identical.
-    let resumed = run_bench(&killed.0);
+    // Resume. Recorded pairs replay from the log; the rest are recomputed —
+    // determinism makes the union identical.
+    let resumed = run_check(&killed.0);
     assert!(matches!(resumed.get("ok"), Some(Json::Bool(true))));
+    assert!(resumed_units(&resumed) >= 1, "the resume must replay the recorded pair");
     assert_eq!(
-        verdict_fields(&baseline),
-        verdict_fields(&resumed),
-        "resumed run must reproduce outcome sets and state counts exactly"
+        rows_without_walls(&baseline),
+        rows_without_walls(&resumed),
+        "a resumed run must reproduce the uninterrupted rows exactly"
     );
-    let totals = |report: &Json| {
-        report
-            .get("totals")
-            .and_then(|t| t.get("states_visited"))
-            .and_then(Json::as_u64)
-            .expect("totals")
-    };
-    assert_eq!(totals(&baseline), totals(&resumed));
+}
+
+#[test]
+fn bench_without_serve_is_a_usage_error_naming_run() {
+    let output = gam().arg("bench").arg(corpus_dir()).output().expect("gam bench runs");
+    assert_eq!(output.status.code(), Some(2), "a usage error exits 2");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("--serve") && stderr.contains("gam run"), "{stderr}");
 }
