@@ -10,7 +10,7 @@
 //!
 //! The figures are *accounted* bytes — what the explorer knows it allocated —
 //! not allocator-truth. That keeps them deterministic across runs (a
-//! requirement for reproducible budget trips and checkpoint/resume) while
+//! requirement for reproducible budget trips and counter pins) while
 //! staying within a small constant factor of resident-set reality.
 //! [`process_resident_bytes`] reads the OS view for watermark-style admission
 //! control, where determinism does not matter.

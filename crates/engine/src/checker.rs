@@ -238,8 +238,8 @@ impl Checker for OperationalChecker {
         cancel: CancelToken,
     ) -> Result<Answer, EngineError> {
         // Rebuild the explorer with the budget's state cap, memory cap and
-        // interrupt. The checker's own memory config (spill directory,
-        // checkpoint plan) carries over; the budget's byte cap overrides.
+        // interrupt. The checker's own memory config (spill directory)
+        // carries over; the budget's byte cap overrides.
         let mut config = self.config();
         if let Some(max_states) = budget.max_states {
             config.max_states = max_states;

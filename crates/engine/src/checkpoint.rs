@@ -3,12 +3,12 @@
 //! A check is a sequence of independent *work units*, one per (model,
 //! backend) pair. Each unit is deterministic: the sequential explorer
 //! visits the same states and produces the same outcome set every time.
-//! That makes the unit the natural checkpoint granularity: a resumed run
-//! skips every completed unit and recomputes only the one the crash
-//! interrupted, which by determinism yields the verdicts of an
-//! uninterrupted run. An operational unit can additionally record
-//! intra-exploration snapshots ([`RunCheckpoint::record_explore_snapshot`])
-//! so that the interrupted unit resumes mid-exploration.
+//! The completed unit is the only resume granularity: a resumed run skips
+//! every completed unit and recomputes the one the crash interrupted from
+//! scratch, which by determinism yields the verdicts of an uninterrupted
+//! run. No search state is persisted mid-unit: every operational unit of
+//! the checked-in corpora explores in well under a second, so a restart
+//! loses little.
 //!
 //! The file is an append-only log built on [`gam_core::wal`] (magic line
 //! [`CHECKPOINT_SCHEMA`], one CRC-framed JSON record per completed unit), so
@@ -42,12 +42,6 @@ use crate::json::Json;
 
 /// Magic line of the checkpoint file; bump on incompatible record changes.
 pub const CHECKPOINT_SCHEMA: &str = "gam-checkpoint/v1";
-
-/// Schema tag of intra-exploration snapshot records: the explorer's
-/// frontier, visited-set and spill-manifest snapshot of one *in-flight*
-/// test, so a killed run resumes mid-exploration instead of restarting
-/// the test.
-pub const EXPLORE_CHECKPOINT_SCHEMA: &str = "gam-explore-checkpoint/v1";
 
 /// An open checkpoint: the completed-unit map recovered from disk plus the
 /// log handle for appending new completions.
@@ -162,34 +156,6 @@ impl RunCheckpoint {
     pub fn path(&self) -> &Path {
         self.wal.path()
     }
-
-    /// Records the in-flight exploration snapshot of the unit `key` (an
-    /// [`EXPLORE_CHECKPOINT_SCHEMA`] record under a derived key, so it never
-    /// collides with the unit's completion record). Re-recording overwrites:
-    /// only the newest snapshot matters on replay.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RunCheckpoint::record`].
-    pub fn record_explore_snapshot(&mut self, key: &str, snapshot: &[u8]) -> io::Result<()> {
-        let record = Json::object([
-            ("schema", Json::Str(EXPLORE_CHECKPOINT_SCHEMA.to_string())),
-            ("snapshot", Json::Str(base64_encode(snapshot))),
-        ]);
-        self.record(&explore_key(key), record)
-    }
-
-    /// The recovered in-flight exploration snapshot of the unit `key`, if a
-    /// valid one was recorded. Schema skew or corrupt base64 yields `None`
-    /// (the caller restarts the test from scratch, which is always sound).
-    #[must_use]
-    pub fn explore_snapshot(&self, key: &str) -> Option<Vec<u8>> {
-        let record = self.completed(&explore_key(key))?;
-        if record.get("schema")?.as_str()? != EXPLORE_CHECKPOINT_SCHEMA {
-            return None;
-        }
-        base64_decode(record.get("snapshot")?.as_str()?)
-    }
 }
 
 /// Writes `frames` into a fresh log at `PATH.tmp` and renames it over
@@ -204,95 +170,4 @@ fn rewrite(path: &Path, frames: &[Vec<u8>]) -> io::Result<Wal> {
     }
     wal.rename(path)?;
     Ok(wal)
-}
-
-fn explore_key(key: &str) -> String {
-    format!("explore-snapshot:{key}")
-}
-
-const BASE64_ALPHABET: &[u8; 64] =
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-
-/// Standard base64 with padding (snapshots are binary; JSON strings are not).
-fn base64_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len().div_ceil(3) * 4);
-    for chunk in bytes.chunks(3) {
-        let b = [chunk[0], chunk.get(1).copied().unwrap_or(0), chunk.get(2).copied().unwrap_or(0)];
-        let group = (u32::from(b[0]) << 16) | (u32::from(b[1]) << 8) | u32::from(b[2]);
-        for position in 0..4 {
-            if position <= chunk.len() {
-                let index = (group >> (18 - 6 * position)) & 0x3f;
-                out.push(BASE64_ALPHABET[index as usize] as char);
-            } else {
-                out.push('=');
-            }
-        }
-    }
-    out
-}
-
-/// Inverse of [`base64_encode`]; `None` on any malformed input.
-fn base64_decode(text: &str) -> Option<Vec<u8>> {
-    let text = text.as_bytes();
-    if !text.len().is_multiple_of(4) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(text.len() / 4 * 3);
-    for chunk in text.chunks(4) {
-        let pad = chunk.iter().rev().take_while(|&&c| c == b'=').count();
-        if pad > 2 || chunk[..4 - pad].contains(&b'=') {
-            return None;
-        }
-        let mut group: u32 = 0;
-        for &c in &chunk[..4 - pad] {
-            let value = BASE64_ALPHABET.iter().position(|&a| a == c)?;
-            group = (group << 6) | value as u32;
-        }
-        group <<= 6 * pad as u32;
-        let bytes = group.to_be_bytes();
-        out.extend_from_slice(&bytes[1..4 - pad]);
-    }
-    Some(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn base64_round_trips_all_lengths() {
-        for len in 0..64usize {
-            let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-            let encoded = base64_encode(&bytes);
-            assert_eq!(encoded.len() % 4, 0);
-            assert_eq!(base64_decode(&encoded).as_deref(), Some(bytes.as_slice()), "len {len}");
-        }
-        assert_eq!(base64_encode(b"any carnal pleasure."), "YW55IGNhcm5hbCBwbGVhc3VyZS4=");
-        assert!(base64_decode("a===").is_none());
-        assert!(base64_decode("abc").is_none());
-        assert!(base64_decode("ab=c").is_none());
-        assert!(base64_decode("ab!d").is_none());
-    }
-
-    #[test]
-    fn explore_snapshots_record_and_recover() {
-        let dir = std::env::temp_dir().join(format!("gam-ckpt-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.ckpt");
-        let snapshot: Vec<u8> = (0..=255u8).collect();
-        {
-            let (mut ckpt, warning) = RunCheckpoint::open(&path).unwrap();
-            assert!(warning.is_none());
-            ckpt.record_explore_snapshot("unit-a", b"stale").unwrap();
-            ckpt.record_explore_snapshot("unit-a", &snapshot).unwrap();
-            // Snapshot keys never shadow completion records.
-            assert!(ckpt.completed("unit-a").is_none());
-        }
-        let (ckpt, warning) = RunCheckpoint::open(&path).unwrap();
-        assert!(warning.is_none());
-        // Last writer wins on replay.
-        assert_eq!(ckpt.explore_snapshot("unit-a").as_deref(), Some(snapshot.as_slice()));
-        assert!(ckpt.explore_snapshot("unit-b").is_none());
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }

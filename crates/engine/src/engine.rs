@@ -122,20 +122,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the operational explorer's memory-pressure configuration:
-    /// byte budget, spill directory and/or intra-exploration checkpoint
-    /// plan (operational backend only). A [`CheckBudget::max_bytes`] on an
-    /// individual check overrides the budget set here; the spill directory
-    /// and checkpoint plan always carry over into budgeted checks.
-    #[must_use]
-    pub fn explorer_memory(mut self, memory: MemoryConfig) -> Self {
-        self.explorer_memory = memory;
-        self
-    }
-
     /// Sets the directory the operational explorer may spill cold arena
     /// segments into when a memory budget nears exhaustion (operational
-    /// backend only; spilling stays off without a byte budget).
+    /// backend only; spilling stays off without a byte budget). A
+    /// [`CheckBudget::max_bytes`] on an individual check supplies that
+    /// budget, and the spill directory carries over into it.
     #[must_use]
     pub fn explorer_spill_dir(mut self, dir: std::path::PathBuf) -> Self {
         self.explorer_memory.spill_dir = Some(dir);

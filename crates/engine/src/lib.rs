@@ -73,7 +73,7 @@ pub mod report;
 pub mod session;
 
 pub use checker::{Answer, Checker, Query};
-pub use checkpoint::{RunCheckpoint, CHECKPOINT_SCHEMA, EXPLORE_CHECKPOINT_SCHEMA};
+pub use checkpoint::{RunCheckpoint, CHECKPOINT_SCHEMA};
 pub use engine::{Backend, Engine, EngineBuilder};
 pub use error::EngineError;
 pub use json::{Json, JsonParseError, ToJson};
@@ -84,6 +84,4 @@ pub use session::{CheckBudget, SessionVerdict};
 // depending on the backend crates directly.
 pub use gam_axiomatic::{CheckerConfig, Verdict};
 pub use gam_core::{CancelToken, Interrupt, StopReason};
-pub use gam_operational::{
-    ArenaOccupancy, CheckpointPlan, ExplorerConfig, MemoryConfig, MemoryStats,
-};
+pub use gam_operational::{ArenaOccupancy, ExplorerConfig, MemoryConfig, MemoryStats};

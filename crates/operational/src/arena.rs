@@ -31,11 +31,9 @@
 //! interned — the numbers `tests/explorer_counters.rs` pins per test.
 
 use std::hash::{BuildHasher, Hash};
-use std::path::Path;
 
 use rustc_hash::{FxBuildHasher, FxHashMap};
 
-use crate::codec;
 use crate::explore::{Bucket, InternedStates};
 use crate::machine::Action;
 use crate::spill::{SpillError, SpillStore};
@@ -106,17 +104,6 @@ pub trait ComposedState: Clone + Eq + Hash {
     fn mem_bytes(mem: &Self::Mem) -> usize;
     /// Approximate bytes a distinct proc component occupies once interned.
     fn proc_bytes(proc: &Self::Proc) -> usize;
-
-    /// Serializes a memory component for an intra-exploration checkpoint
-    /// snapshot. Must be the exact inverse of [`ComposedState::decode_mem`].
-    fn encode_mem(mem: &Self::Mem, out: &mut Vec<u8>);
-    /// Deserializes a memory component from the front of `input`, returning
-    /// `None` on truncated or malformed bytes.
-    fn decode_mem(input: &mut &[u8]) -> Option<Self::Mem>;
-    /// Serializes a proc component (see [`ComposedState::encode_mem`]).
-    fn encode_proc(proc: &Self::Proc, out: &mut Vec<u8>);
-    /// Deserializes a proc component (see [`ComposedState::decode_mem`]).
-    fn decode_proc(input: &mut &[u8]) -> Option<Self::Proc>;
 }
 
 /// Sharing statistics of a [`ComponentArena`] (or, degenerately, of a plain
@@ -211,11 +198,9 @@ impl<S: ComposedState> ComponentArena<S> {
         &self.ids[start..start + self.stride]
     }
 
-    /// Arms spill-to-disk for cold rows. The store's existing rows (a
-    /// checkpoint-resume manifest) must match what this arena already
-    /// counts as spilled.
+    /// Arms spill-to-disk for cold rows with a fresh store.
     pub(crate) fn arm_spill(&mut self, store: SpillStore) {
-        debug_assert_eq!(store.rows(), self.spilled_rows, "manifest matches spilled rows");
+        debug_assert_eq!(store.rows(), self.spilled_rows, "a fresh store on an unspilled arena");
         self.spill = Some(store);
     }
 
@@ -244,8 +229,8 @@ impl<S: ComposedState> ComponentArena<S> {
     /// Live memory accounting: `(component bytes, resident id-table bytes,
     /// hash-index bytes)`. Deterministic for a fixed exploration sequence —
     /// the budget ladder and its tests rely on that, which is why the index
-    /// estimate uses entry counts rather than table capacity (capacity is
-    /// not reproducible across a checkpoint resume).
+    /// estimate uses entry counts rather than table capacity (capacity
+    /// follows the table's growth policy, not the search).
     pub(crate) fn account(&self) -> (usize, usize, usize) {
         let index = self.by_hash.len()
             * (std::mem::size_of::<(u64, Bucket)>() + std::mem::size_of::<u64>());
@@ -275,11 +260,6 @@ impl<S: ComposedState> ComponentArena<S> {
     /// Frame bytes the spill layer has read back from disk.
     pub(crate) fn spill_read_bytes(&self) -> usize {
         self.spill.as_ref().map_or(0, SpillStore::read_bytes)
-    }
-
-    /// The spill manifest for a checkpoint snapshot.
-    fn spill_manifest(&self) -> Vec<(String, usize)> {
-        self.spill.as_ref().map(SpillStore::manifest).unwrap_or_default()
     }
 
     /// Fills `scratch` with the row of `slot`, reloading a cold row from
@@ -490,125 +470,6 @@ impl<S: ComposedState> ComponentArena<S> {
             })
             .collect()
     }
-
-    /// Serializes the arena for an intra-exploration checkpoint: every
-    /// distinct component in id order, the spill-segment manifest, and the
-    /// resident rows. The hash index is *not* stored — it is rebuilt
-    /// deterministically on decode.
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        codec::put_usize(out, self.stride);
-        codec::put_usize(out, self.mems.len());
-        for id in 0..self.mems.len() {
-            S::encode_mem(self.mems.get(id as u32), out);
-        }
-        codec::put_usize(out, self.procs.len());
-        for id in 0..self.procs.len() {
-            S::encode_proc(self.procs.get(id as u32), out);
-        }
-        let manifest = self.spill_manifest();
-        codec::put_usize(out, manifest.len());
-        for (name, rows) in &manifest {
-            codec::put_bytes(out, name.as_bytes());
-            codec::put_usize(out, *rows);
-        }
-        codec::put_usize(out, self.spilled_rows);
-        codec::put_usize(out, self.ids.len());
-        for &word in &self.ids {
-            codec::put_u32(out, word);
-        }
-    }
-
-    /// Rebuilds an arena from [`ComponentArena::encode`] bytes. Needs the
-    /// spill directory when the snapshot references spilled segments (their
-    /// rows are re-read to rebuild the hash index). Errors carry a message
-    /// suitable for the trace stream.
-    pub(crate) fn decode(
-        input: &mut &[u8],
-        num_procs: usize,
-        spill_dir: Option<&Path>,
-    ) -> Result<Self, String> {
-        let truncated = || "truncated arena snapshot".to_string();
-        let stride = codec::take_usize(input).ok_or_else(truncated)?;
-        if stride != 1 + num_procs {
-            return Err(format!("arena snapshot stride {stride} != {}", 1 + num_procs));
-        }
-        let mut arena = ComponentArena::new(num_procs);
-
-        let mem_count = codec::take_usize(input).ok_or_else(truncated)?;
-        for _ in 0..mem_count {
-            let mem = S::decode_mem(input).ok_or_else(truncated)?;
-            arena.component_bytes += S::mem_bytes(&mem);
-            arena.mems.intern(mem);
-        }
-        let proc_count = codec::take_usize(input).ok_or_else(truncated)?;
-        for _ in 0..proc_count {
-            let proc = S::decode_proc(input).ok_or_else(truncated)?;
-            arena.component_bytes += S::proc_bytes(&proc);
-            arena.procs.intern(proc);
-        }
-
-        let manifest_len = codec::take_usize(input).ok_or_else(truncated)?;
-        let mut manifest = Vec::with_capacity(manifest_len);
-        for _ in 0..manifest_len {
-            let name = codec::take_bytes(input).ok_or_else(truncated)?;
-            let name = String::from_utf8(name.to_vec())
-                .map_err(|_| "non-utf8 segment name in arena snapshot".to_string())?;
-            let rows = codec::take_usize(input).ok_or_else(truncated)?;
-            manifest.push((name, rows));
-        }
-        let spilled_rows = codec::take_usize(input).ok_or_else(truncated)?;
-        if spilled_rows != manifest.iter().map(|(_, rows)| rows).sum::<usize>() {
-            return Err("arena snapshot manifest does not cover its spilled rows".to_string());
-        }
-        if spilled_rows > 0 {
-            let dir = spill_dir
-                .ok_or_else(|| "snapshot has spilled segments but no --spill-dir".to_string())?;
-            let store =
-                SpillStore::from_manifest(dir, stride, manifest).map_err(|err| err.message)?;
-            arena.spilled_rows = spilled_rows;
-            arena.spill = Some(store);
-        }
-
-        let word_count = codec::take_usize(input).ok_or_else(truncated)?;
-        if word_count % stride != 0 {
-            return Err("arena snapshot id table is not whole rows".to_string());
-        }
-        arena.ids.reserve(word_count);
-        for _ in 0..word_count {
-            arena.ids.push(codec::take_u32(input).ok_or_else(truncated)?);
-        }
-
-        // Rebuild the hash index in slot order: resident rows directly,
-        // cold rows through their segments (sequential, so each block is
-        // read once).
-        let mut row_buf: Vec<u32> = Vec::with_capacity(stride);
-        for slot in 0..arena.len() {
-            if slot < arena.spilled_rows {
-                let store = arena.spill.as_mut().expect("cold rows imply a store");
-                store.read_row(slot, &mut row_buf).map_err(|err| err.message)?;
-            } else {
-                row_buf.clear();
-                let start = (slot - arena.spilled_rows) * stride;
-                row_buf.extend_from_slice(&arena.ids[start..start + stride]);
-            }
-            let component_ok = row_buf[..1].iter().all(|&id| (id as usize) < arena.mems.len())
-                && row_buf[1..].iter().all(|&id| (id as usize) < arena.procs.len());
-            if !component_ok {
-                return Err(format!("arena snapshot row {slot} references unknown components"));
-            }
-            let hash = arena.hasher.hash_one(&row_buf);
-            let slot = u32::try_from(slot).expect("state count fits u32");
-            match arena.by_hash.entry(hash) {
-                std::collections::hash_map::Entry::Occupied(mut entry) => {
-                    entry.get_mut().push(slot);
-                }
-                std::collections::hash_map::Entry::Vacant(entry) => {
-                    entry.insert(Bucket::One(slot));
-                }
-            }
-        }
-        Ok(arena)
-    }
 }
 
 #[cfg(test)]
@@ -812,37 +673,6 @@ mod tests {
         }
         let (slot, is_new) = arena.intern(&initial, (before - 1) as u32).unwrap();
         assert!(!is_new, "the spilled root still deduplicates");
-        assert_eq!(slot, root);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn snapshot_round_trips_including_spilled_segments() {
-        let machine = GamMachine::new(&library::mp());
-        let initial = machine.initial_state();
-        let mut arena: ComponentArena<GamState> = ComponentArena::new(initial.procs().len());
-        let root = arena.intern_root(&initial);
-        for (_, successor) in machine.labeled_successors(&initial) {
-            arena.intern(&successor, root).unwrap();
-        }
-        let _guard = gam_core::fault::exclusive();
-        let dir =
-            std::env::temp_dir().join(format!("gam-arena-snapshot-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        arena.arm_spill(SpillStore::new(&dir, 1 + initial.procs().len()).unwrap());
-        arena.spill_oldest(1).unwrap();
-
-        let mut bytes = Vec::new();
-        arena.encode(&mut bytes);
-        let mut input = bytes.as_slice();
-        let mut rebuilt: ComponentArena<GamState> =
-            ComponentArena::decode(&mut input, initial.procs().len(), Some(&dir)).unwrap();
-        assert!(input.is_empty(), "snapshot is fully consumed");
-        assert_eq!(rebuilt.len(), arena.len());
-        assert_eq!(rebuilt.occupancy(), arena.occupancy());
-        // Dedup behaves identically after the round trip.
-        let (slot, is_new) = rebuilt.intern(&initial, 1).unwrap();
-        assert!(!is_new);
         assert_eq!(slot, root);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -80,9 +80,9 @@ impl OperationalChecker {
         self
     }
 
-    /// Attaches a memory-pressure configuration (budget, spill directory,
-    /// checkpoint plan) to the underlying explorer. Arming any part of it
-    /// pins the exploration to the deterministic sequential driver.
+    /// Attaches a memory-pressure configuration (budget, spill directory)
+    /// to the underlying explorer. A budget pins the exploration to the
+    /// deterministic sequential driver.
     #[must_use]
     pub fn with_memory(mut self, memory: crate::explore::MemoryConfig) -> Self {
         self.explorer = self.explorer.with_memory(memory);

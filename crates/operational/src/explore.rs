@@ -11,8 +11,10 @@
 //! a row of hash-consed component ids so unchanged per-proc states and
 //! memories are shared across the visited set. It carries everything a
 //! production run needs: the memory governor and its spill ladder,
-//! periodic checkpoint snapshots and resume, interrupt polling, the early
-//! exit at the first witness, and the escalation below. It always applies
+//! interrupt polling, the early exit at the first witness, and the
+//! escalation below. It keeps no persisted form of its search state: a run
+//! checkpoint resumes per completed (model, backend) unit, and an
+//! unfinished exploration restarts from its initial state. It always applies
 //! the persistent-set and sleep-set partial-order reduction:
 //!
 //! * **Persistent sets** — when every enabled action of some thread is
@@ -58,15 +60,13 @@ use std::fmt;
 use std::hash::BuildHasher;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use gam_core::{fault, Interrupt, MemoryAccountant, StopReason};
-use gam_isa::litmus::{Observation, Outcome};
-use gam_isa::{Loc, ProcId, Reg, Value};
+use gam_isa::litmus::Outcome;
 use rustc_hash::{FxBuildHasher, FxHashMap};
 
 use crate::arena::{ComponentArena, ComposedState, Touched};
-use crate::codec;
 use crate::machine::{Action, ActionKind, LabeledMachine};
 use crate::spill::{SpillError, SpillStore};
 
@@ -103,13 +103,11 @@ impl Default for ExplorerConfig {
     }
 }
 
-/// Memory budgeting, spill-to-disk and intra-exploration checkpointing for
-/// the sequential driver.
+/// Memory budgeting and spill-to-disk for the sequential driver.
 ///
-/// Arming either the budget or a checkpoint plan forces the exploration to
-/// stay sequential (the adaptive escalation to the sharded continuation is
-/// disabled): the budget ladder and checkpoint snapshots rely on the
-/// deterministic single-frontier search.
+/// Arming the budget forces the exploration to stay sequential (the
+/// adaptive escalation to the sharded continuation is disabled): the
+/// budget ladder relies on the deterministic single-frontier search.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryConfig {
     /// Hard in-RAM budget in *accounted* bytes (see
@@ -124,55 +122,18 @@ pub struct MemoryConfig {
     /// `max_bytes`) nothing is ever spilled and the ladder goes straight to
     /// the hard stop.
     pub spill_dir: Option<PathBuf>,
-    /// Intra-exploration checkpointing: periodic snapshots of the full
-    /// search state, enabling mid-exploration resume after a crash.
-    pub checkpoint: Option<CheckpointPlan>,
 }
 
 impl MemoryConfig {
     /// Does this configuration constrain the exploration (and therefore
     /// force the sequential driver)?
     pub(crate) fn armed(&self) -> bool {
-        self.max_bytes.is_some() || self.checkpoint.is_some()
-    }
-}
-
-/// Receiver of encoded intra-exploration snapshots (e.g. a run-checkpoint
-/// journal). Must be fast relative to the snapshot cadence.
-pub type SnapshotSink = Arc<dyn Fn(&[u8]) + Send + Sync>;
-
-/// Periodic intra-exploration checkpointing: every `every_expansions`
-/// expansions the sequential driver encodes its complete search
-/// state (arena, frontier, outcomes, reduction bookkeeping) and hands the
-/// bytes to `sink`. A run killed between snapshots resumes from `resume`
-/// with counters identical to an uninterrupted run — the search is
-/// deterministic and the snapshot captures all of it.
-#[derive(Clone)]
-pub struct CheckpointPlan {
-    /// Snapshot cadence in expansions (0 disables snapshots; `resume` still
-    /// applies).
-    pub every_expansions: usize,
-    /// Receives each encoded snapshot (e.g. records it into a run
-    /// checkpoint journal). Must be fast relative to the cadence.
-    pub sink: SnapshotSink,
-    /// A snapshot produced by a previous incarnation to resume from. An
-    /// undecodable snapshot is reported on the trace stream and the
-    /// exploration restarts from scratch (still sound, just slower).
-    pub resume: Option<Arc<Vec<u8>>>,
-}
-
-impl fmt::Debug for CheckpointPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CheckpointPlan")
-            .field("every_expansions", &self.every_expansions)
-            .field("resume", &self.resume.as_ref().map(|bytes| bytes.len()))
-            .finish_non_exhaustive()
+        self.max_bytes.is_some()
     }
 }
 
 /// Memory-pressure statistics of a budgeted exploration (accounted bytes —
-/// deterministic for a fixed search; resumed runs may legitimately differ in
-/// `peak_bytes`, so default reports exclude these figures).
+/// deterministic for a fixed search).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryStats {
     /// High-water mark of the accounted in-RAM total.
@@ -181,8 +142,7 @@ pub struct MemoryStats {
     pub spilled_bytes: usize,
     /// Spill segment files written.
     pub spill_segments: usize,
-    /// Bytes of spill block frames read back from disk (this incarnation
-    /// only: a resumed run counts its own reads).
+    /// Bytes of spill block frames read back from disk.
     pub spill_read_bytes: usize,
     /// Always 0: the memory ladder has no sleep-set rung (spilling arena
     /// rows is its first). Kept so reports that name the column still
@@ -279,7 +239,7 @@ pub struct Explorer {
     /// [`INTERRUPT_POLL_MASK`] cadence and by every sharded worker once per
     /// batch. Defaults to never triggering.
     interrupt: Interrupt,
-    /// Memory budgeting / spilling / checkpointing (sequential driver only).
+    /// Memory budgeting and spilling (sequential driver only).
     memory: MemoryConfig,
 }
 
@@ -785,22 +745,11 @@ const EMPTY_SET: u32 = 0;
 #[repr(u8)]
 enum Expansion {
     /// Never expanded.
-    Pending = 0,
+    Pending,
     /// Expanded with the sleep set it stores now.
-    Current = 1,
+    Current,
     /// Expanded, but the stored sleep set shrank since: due again.
-    Stale = 2,
-}
-
-impl Expansion {
-    fn from_u8(byte: u8) -> Option<Expansion> {
-        match byte {
-            0 => Some(Expansion::Pending),
-            1 => Some(Expansion::Current),
-            2 => Some(Expansion::Stale),
-            _ => None,
-        }
-    }
+    Stale,
 }
 
 /// Accounted bytes of one [`SleepBook`] table entry besides its heap-backed
@@ -821,8 +770,8 @@ const SLEEP_TABLE_ENTRY_BYTES: usize =
 struct SleepBook {
     /// Every distinct set a slot names or named, once; id 0 is the empty set.
     table: InternedStates<ActionSet>,
-    /// Accounted bytes of `table` (length-based, so a resumed run that
-    /// decodes the same table reports the same figure).
+    /// Accounted bytes of `table` (length-based, so every run of one
+    /// search reports the same figure).
     table_bytes: usize,
     /// Per slot: the id of the smallest sleep set it has been reached with.
     sleep: Vec<u32>,
@@ -905,8 +854,7 @@ impl SleepBook {
     }
 
     /// The accounted footprint: an id and a state byte per slot plus the
-    /// table (lengths, never capacities, so the figure survives a
-    /// checkpoint resume).
+    /// table (lengths, never capacities, so the figure is deterministic).
     fn bytes(&self) -> usize {
         self.sleep.len() * std::mem::size_of::<u32>()
             + self.expanded.len() * std::mem::size_of::<Expansion>()
@@ -993,13 +941,6 @@ const SPILL_CHUNK_ROWS: usize = 64 * 1024;
 /// Rows always kept resident: the hot tail the DFS is actively revisiting.
 const MIN_RESIDENT_ROWS: usize = 256;
 
-/// The snapshot tag ([`CheckpointPlan`] payload versioning within the
-/// `gam-explore-checkpoint/v1` record that wraps these bytes): the search
-/// state with its interned sleep bookkeeping after the frontier. Retired
-/// tags — 1, an unreduced search, and 2, inline per-slot sleep sets — no
-/// longer decode, so a run resuming from one restarts.
-const SNAP_TAG: u8 = 3;
-
 /// The memory governor of a budgeted exploration: refreshes the
 /// [`MemoryAccountant`] at poll cadence and walks the degradation ladder
 /// (spill cold rows → hard stop).
@@ -1025,7 +966,7 @@ impl MemGovernor {
 
     /// Refreshes every category from the live structures and returns the
     /// accounted total. All inputs are length-based (never capacity-based),
-    /// so the figures are identical across a checkpoint resume.
+    /// so the figures are deterministic for a fixed search.
     fn refresh<S: ComposedState>(
         &mut self,
         arena: &ComponentArena<S>,
@@ -1038,8 +979,7 @@ impl MemGovernor {
         self.acct.index_bytes = index;
         self.acct.frontier_bytes = frontier_len * std::mem::size_of::<u32>();
         self.acct.sleep_bytes = sleep_bytes;
-        // Spill figures come from the arena, not a running tally, so a
-        // resumed exploration reports the segments it inherited.
+        // Spill figures come from the arena, not a running tally.
         let (spilled_bytes, spill_segments) = arena.spill_stats();
         self.acct.spilled_bytes = spilled_bytes;
         self.acct.spill_segments = spill_segments;
@@ -1126,204 +1066,6 @@ fn spill_read_interrupt(
     }
 }
 
-fn encode_action(action: &Action, out: &mut Vec<u8>) {
-    codec::put_u32(out, action.thread);
-    codec::put_u32(out, action.id);
-    codec::put_u8(
-        out,
-        match action.kind {
-            ActionKind::Local => 0,
-            ActionKind::Fence => 1,
-            ActionKind::MemoryRead => 2,
-            ActionKind::MemoryCommit => 3,
-            ActionKind::BufferDrain => 4,
-        },
-    );
-    codec::put_u64(out, action.addr);
-}
-
-fn decode_action(input: &mut &[u8]) -> Option<Action> {
-    let thread = codec::take_u32(input)?;
-    let id = codec::take_u32(input)?;
-    let kind = match codec::take_u8(input)? {
-        0 => ActionKind::Local,
-        1 => ActionKind::Fence,
-        2 => ActionKind::MemoryRead,
-        3 => ActionKind::MemoryCommit,
-        4 => ActionKind::BufferDrain,
-        _ => return None,
-    };
-    let addr = codec::take_u64(input)?;
-    Some(Action { thread, id, kind, addr })
-}
-
-fn encode_action_set(set: &ActionSet, out: &mut Vec<u8>) {
-    let actions = set.as_slice();
-    codec::put_u32(out, u32::try_from(actions.len()).expect("set fits u32"));
-    for action in actions {
-        encode_action(action, out);
-    }
-}
-
-fn decode_action_set(input: &mut &[u8]) -> Option<ActionSet> {
-    let len = codec::take_u32(input)? as usize;
-    let mut set = ActionSet::new();
-    for _ in 0..len {
-        set.push(decode_action(input)?);
-    }
-    // Encoded from a valid set, so already sorted — but cheap to re-assert
-    // the invariant against hand-edited payloads.
-    set.sort_dedup();
-    Some(set)
-}
-
-fn encode_outcome(outcome: &Outcome, out: &mut Vec<u8>) {
-    codec::put_u32(out, u32::try_from(outcome.len()).expect("outcome fits u32"));
-    for (observation, value) in outcome.iter() {
-        match observation {
-            Observation::Register(proc, reg) => {
-                codec::put_u8(out, 0);
-                codec::put_u64(out, proc.index() as u64);
-                codec::put_u32(out, reg.index());
-            }
-            Observation::Memory(loc) => {
-                codec::put_u8(out, 1);
-                codec::put_u64(out, loc.address());
-            }
-        }
-        codec::put_u64(out, value.raw());
-    }
-}
-
-fn decode_outcome(input: &mut &[u8]) -> Option<Outcome> {
-    let len = codec::take_u32(input)? as usize;
-    let mut pairs = Vec::with_capacity(len);
-    for _ in 0..len {
-        let observation = match codec::take_u8(input)? {
-            0 => {
-                let proc = ProcId::new(usize::try_from(codec::take_u64(input)?).ok()?);
-                let reg = Reg::new(codec::take_u32(input)?);
-                Observation::Register(proc, reg)
-            }
-            1 => Observation::Memory(Loc::from_address(codec::take_u64(input)?)),
-            _ => return None,
-        };
-        let value = Value::new(codec::take_u64(input)?);
-        pairs.push((observation, value));
-    }
-    Some(pairs.into_iter().collect())
-}
-
-/// The decoded search state of the sequential driver, mid-run.
-struct SeqSnapshot<S: ComposedState> {
-    expansions: usize,
-    final_states: usize,
-    pruned: usize,
-    outcomes: BTreeSet<Outcome>,
-    arena: ComponentArena<S>,
-    stack: Vec<u32>,
-    book: SleepBook,
-}
-
-/// Encodes the complete search state of the sequential driver, tagged
-/// [`SNAP_TAG`]. Everything a resumed run needs to continue with identical
-/// counters is here; accounted-memory peaks are deliberately *not* (they
-/// restart from the resumed footprint).
-fn encode_snapshot<S: ComposedState>(
-    expansions: usize,
-    final_states: usize,
-    pruned: usize,
-    outcomes: &BTreeSet<Outcome>,
-    arena: &ComponentArena<S>,
-    stack: &[u32],
-    book: &SleepBook,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    codec::put_u8(&mut out, SNAP_TAG);
-    codec::put_usize(&mut out, expansions);
-    codec::put_usize(&mut out, final_states);
-    codec::put_usize(&mut out, pruned);
-    codec::put_u32(&mut out, u32::try_from(outcomes.len()).expect("outcomes fit u32"));
-    for outcome in outcomes {
-        encode_outcome(outcome, &mut out);
-    }
-    arena.encode(&mut out);
-    codec::put_usize(&mut out, stack.len());
-    for &slot in stack {
-        codec::put_u32(&mut out, slot);
-    }
-    codec::put_usize(&mut out, book.table.len());
-    for id in 0..book.table.len() {
-        encode_action_set(book.table.get(id as u32), &mut out);
-    }
-    codec::put_usize(&mut out, book.sleep.len());
-    for (&id, &expanded) in book.sleep.iter().zip(&book.expanded) {
-        codec::put_u32(&mut out, id);
-        codec::put_u8(&mut out, expanded as u8);
-    }
-    out
-}
-
-/// Decodes an [`encode_snapshot`] payload, re-reading spilled segments
-/// from `spill_dir` to rebuild the dedup index.
-fn decode_snapshot<S: ComposedState>(
-    bytes: &[u8],
-    num_procs: usize,
-    spill_dir: Option<&std::path::Path>,
-) -> Result<SeqSnapshot<S>, String> {
-    let truncated = || "truncated exploration snapshot".to_string();
-    let input = &mut &bytes[..];
-    let tag = codec::take_u8(input).ok_or_else(truncated)?;
-    if tag != SNAP_TAG {
-        return Err(format!("snapshot tag {tag} is not {SNAP_TAG}"));
-    }
-    let expansions = codec::take_usize(input).ok_or_else(truncated)?;
-    let final_states = codec::take_usize(input).ok_or_else(truncated)?;
-    let pruned = codec::take_usize(input).ok_or_else(truncated)?;
-    let outcome_count = codec::take_u32(input).ok_or_else(truncated)? as usize;
-    let mut outcomes = BTreeSet::new();
-    for _ in 0..outcome_count {
-        outcomes.insert(decode_outcome(input).ok_or_else(truncated)?);
-    }
-    let arena = ComponentArena::decode(input, num_procs, spill_dir)?;
-    let stack_len = codec::take_usize(input).ok_or_else(truncated)?;
-    let mut stack = Vec::with_capacity(stack_len);
-    for _ in 0..stack_len {
-        let slot = codec::take_u32(input).ok_or_else(truncated)?;
-        if (slot as usize) >= arena.len() {
-            return Err(format!("snapshot frontier references unknown slot {slot}"));
-        }
-        stack.push(slot);
-    }
-    let mut book = SleepBook::new();
-    let sets_len = codec::take_usize(input).ok_or_else(truncated)?;
-    for index in 0..sets_len {
-        let set = decode_action_set(input).ok_or_else(truncated)?;
-        if book.intern(&set) as usize != index {
-            return Err("snapshot sleep table is not deduplicated".to_string());
-        }
-    }
-    let len = codec::take_usize(input).ok_or_else(truncated)?;
-    if len != arena.len() {
-        return Err("snapshot sleep bookkeeping does not cover the arena".to_string());
-    }
-    for _ in 0..len {
-        let id = codec::take_u32(input).ok_or_else(truncated)?;
-        if (id as usize) >= sets_len {
-            return Err(format!("snapshot names unknown sleep set {id}"));
-        }
-        let byte = codec::take_u8(input).ok_or_else(truncated)?;
-        let expanded = Expansion::from_u8(byte)
-            .ok_or_else(|| format!("snapshot has unknown expansion state {byte}"))?;
-        book.sleep.push(id);
-        book.expanded.push(expanded);
-    }
-    if !input.is_empty() {
-        return Err("trailing bytes after exploration snapshot".to_string());
-    }
-    Ok(SeqSnapshot { expansions, final_states, pruned, outcomes, arena, stack, book })
-}
-
 impl Explorer {
     /// Creates an explorer with the given limits.
     #[must_use]
@@ -1342,8 +1084,7 @@ impl Explorer {
     }
 
     /// Attaches a [`MemoryConfig`]: a hard accounted-byte budget with a
-    /// spill-to-disk degradation ladder, and/or intra-exploration
-    /// checkpointing. Arming a budget or a checkpoint plan disables the
+    /// spill-to-disk degradation ladder. Arming a budget disables the
     /// escalation to the sharded continuation (the run stays sequential
     /// and deterministic).
     #[must_use]
@@ -1367,7 +1108,7 @@ impl Explorer {
     /// The escalation budget of the sequential driver: `None` runs it to
     /// completion, `Some(n)` hands over to the sharded continuation once
     /// more than `n` states are interned with frontier work remaining.
-    /// Memory budgets and checkpoint plans pin the run to the driver.
+    /// A memory budget pins the run to the driver.
     fn escalation(&self) -> Option<usize> {
         (self.config.parallelism > 1 && !self.memory.armed())
             .then_some(self.config.parallel_threshold)
@@ -1475,35 +1216,14 @@ impl Explorer {
         let mut reducer = Reducer::new(machine);
         let mut current = machine.initial_state();
         let num_procs = current.procs().len();
-        // A fresh run starts from the snapshot of expansion zero.
-        let snap = self.try_resume(num_procs).unwrap_or_else(|| {
-            let mut arena = ComponentArena::new(num_procs);
-            let root = arena.intern_root(&current);
-            let mut book = SleepBook::new();
-            book.push(&ActionSet::new());
-            SeqSnapshot {
-                expansions: 0,
-                final_states: 0,
-                pruned: 0,
-                outcomes: BTreeSet::new(),
-                arena,
-                stack: vec![root],
-                book,
-            }
-        });
-        let SeqSnapshot {
-            mut expansions,
-            mut final_states,
-            pruned,
-            mut outcomes,
-            mut arena,
-            mut stack,
-            mut book,
-        } = snap;
-        reducer.pruned = pruned;
+        let mut arena = ComponentArena::new(num_procs);
+        let mut stack = vec![arena.intern_root(&current)];
+        let mut book = SleepBook::new();
+        book.push(&ActionSet::new());
+        let (mut expansions, mut final_states) = (0, 0);
+        let mut outcomes = BTreeSet::new();
         self.arm_spill(&mut arena, num_procs);
         let mut governor = MemGovernor::new(&self.memory);
-        let plan = self.memory.checkpoint.clone();
         let hard_budget = self.memory.max_bytes.unwrap_or(0);
         let mut next = machine.initial_state();
         let mut witness = None;
@@ -1520,22 +1240,6 @@ impl Explorer {
                         states_visited: arena.len(),
                         partial_outcomes: outcomes,
                     });
-                }
-            }
-            if let Some(plan) = &plan {
-                if plan.every_expansions != 0
-                    && expansions != 0
-                    && expansions % plan.every_expansions == 0
-                {
-                    (plan.sink)(&encode_snapshot(
-                        expansions,
-                        final_states,
-                        reducer.pruned,
-                        &outcomes,
-                        &arena,
-                        &stack,
-                        &book,
-                    ));
                 }
             }
             let Some(slot) = stack.pop() else { break };
@@ -1613,46 +1317,17 @@ impl Explorer {
         Ok(SeqOutcome::Finished(exploration, witness))
     }
 
-    /// Decodes the configured resume snapshot, if any. An undecodable or
-    /// mismatched snapshot is reported on the trace stream and ignored — the
-    /// exploration restarts from scratch, which is sound (just slower).
-    fn try_resume<S: ComposedState>(&self, num_procs: usize) -> Option<SeqSnapshot<S>> {
-        let plan = self.memory.checkpoint.as_ref()?;
-        let bytes = plan.resume.as_ref()?;
-        match decode_snapshot(bytes, num_procs, self.memory.spill_dir.as_deref()) {
-            Ok(snap) => {
-                gam_obs::trace::event(
-                    "explore.resume",
-                    &[
-                        ("expansions", snap.expansions.to_string()),
-                        ("states", snap.arena.len().to_string()),
-                    ],
-                );
-                Some(snap)
-            }
-            Err(message) => {
-                gam_obs::trace::event("explore.resume_failed", &[("error", message)]);
-                None
-            }
-        }
-    }
-
-    /// Arms the spill store on a fresh or resumed arena when a budget and a
-    /// spill directory are both configured. An unusable directory is
+    /// Arms the spill store on a fresh arena when a budget and a spill
+    /// directory are both configured. An unusable directory is
     /// reported and spilling stays off (the ladder degrades straight to the
     /// hard stop).
     fn arm_spill<S: ComposedState>(&self, arena: &mut ComponentArena<S>, num_procs: usize) {
-        if self.memory.max_bytes.is_none() || arena.spill_armed() {
+        if self.memory.max_bytes.is_none() {
             return;
         }
         let Some(dir) = &self.memory.spill_dir else { return };
         match SpillStore::new(dir, 1 + num_procs) {
-            Ok(mut store) => {
-                if self.memory.checkpoint.is_some() {
-                    store.keep_names();
-                }
-                arena.arm_spill(store);
-            }
+            Ok(store) => arena.arm_spill(store),
             Err(err) => {
                 gam_obs::trace::event("explore.spill_dir_failed", &[("error", err.message)]);
             }
@@ -1952,6 +1627,7 @@ impl<S> Default for InternedStates<S> {
 
 impl<S: std::hash::Hash + Eq> InternedStates<S> {
     /// Interns a state, returning its arena slot and whether it was new.
+    #[cfg(test)]
     pub(crate) fn intern(&mut self, state: S) -> (u32, bool) {
         let hash = self.hasher.hash_one(&state);
         self.intern_hashed(hash, state)
@@ -2056,20 +1732,6 @@ mod tests {
 
                 fn proc_bytes(_proc: &$proc) -> usize {
                     std::mem::size_of::<$proc>()
-                }
-
-                fn encode_mem(_mem: &[u8; 0], _out: &mut Vec<u8>) {}
-
-                fn decode_mem(_input: &mut &[u8]) -> Option<[u8; 0]> {
-                    Some([])
-                }
-
-                fn encode_proc(_proc: &$proc, _out: &mut Vec<u8>) {
-                    unreachable!("toy explorations are never checkpointed")
-                }
-
-                fn decode_proc(_input: &mut &[u8]) -> Option<$proc> {
-                    None
                 }
             }
         };
@@ -2833,49 +2495,6 @@ mod tests {
                 1 | 2 => vec![Colliding(3)],
                 _ => vec![],
             })
-        }
-    }
-
-    /// Every snapshot of a checkpointed run resumes to the uninterrupted
-    /// run's outcomes and counters, and emits the uninterrupted run's
-    /// snapshots from there on; a snapshot carrying a retired tag (1, the
-    /// unreduced search; 2, inline per-slot sleep sets) is ignored and its
-    /// run restarts from scratch.
-    #[test]
-    fn every_snapshot_resumes_to_the_uninterrupted_counters() {
-        let machine = crate::gam::GamMachine::new(&gam_isa::litmus::library::iriw());
-        let counters = |e: &Exploration| {
-            (e.outcomes.clone(), e.states_visited, e.final_states, e.transitions_pruned)
-        };
-        let snapshots: Arc<Mutex<Vec<Vec<u8>>>> = Arc::default();
-        let taken = Arc::clone(&snapshots);
-        let sink: SnapshotSink =
-            Arc::new(move |bytes: &[u8]| taken.lock().expect("sink").push(bytes.to_vec()));
-        let run = |resume: Option<Vec<u8>>| {
-            let checkpoint = CheckpointPlan {
-                every_expansions: 8,
-                sink: Arc::clone(&sink),
-                resume: resume.map(Arc::new),
-            };
-            let memory = MemoryConfig { checkpoint: Some(checkpoint), ..Default::default() };
-            let exploration = Explorer::default().with_memory(memory).explore(&machine);
-            let emitted = std::mem::take(&mut *snapshots.lock().expect("sink"));
-            (exploration.expect("explores"), emitted)
-        };
-        let (full, all) = run(None);
-        assert!(all.len() >= 3, "{} snapshots", all.len());
-        for (index, snapshot) in all.iter().enumerate() {
-            let (resumed, emitted) = run(Some(snapshot.clone()));
-            assert_eq!(counters(&resumed), counters(&full), "snapshot {index}");
-            // The resumed run re-emits the snapshot it starts from.
-            assert!(emitted == all[index..], "snapshots after {index}");
-        }
-        for tag in [1, 2] {
-            let mut retired = all[all.len() / 2].clone();
-            retired[0] = tag;
-            let (restarted, emitted) = run(Some(retired));
-            assert_eq!(counters(&restarted), counters(&full), "retired tag {tag}");
-            assert!(emitted == all, "a snapshot with retired tag {tag} restarts the run");
         }
     }
 

@@ -30,7 +30,6 @@ use std::cell::RefCell;
 use gam_isa::litmus::{LitmusTest, Observation, Outcome};
 use gam_isa::{Instruction, MemAccessType, Operand, Program, Reg, ThreadProgram, Value};
 
-use crate::codec;
 use crate::footprint;
 use crate::machine::{AbstractMachine, Action, AddrSet, LabeledMachine, SuccBuf};
 use crate::mem::Memory;
@@ -398,56 +397,6 @@ impl crate::arena::ComposedState for GamState {
 
     fn proc_bytes(proc: &GamProcState) -> usize {
         std::mem::size_of::<GamProcState>() + proc.rob.len() * std::mem::size_of::<RobEntry>()
-    }
-
-    fn encode_mem(mem: &Memory, out: &mut Vec<u8>) {
-        mem.encode(out);
-    }
-
-    fn decode_mem(input: &mut &[u8]) -> Option<Memory> {
-        Memory::decode(input)
-    }
-
-    fn encode_proc(proc: &GamProcState, out: &mut Vec<u8>) {
-        codec::put_usize(out, proc.pc);
-        codec::put_u32(out, u32::try_from(proc.rob.len()).expect("rob fits u32"));
-        for entry in &proc.rob {
-            codec::put_usize(out, entry.instr_index);
-            codec::put_u8(out, u8::from(entry.done));
-            codec::put_u64(out, entry.result.raw());
-            codec::put_u8(out, u8::from(entry.addr_avail));
-            codec::put_u64(out, entry.addr);
-            codec::put_u8(out, u8::from(entry.data_avail));
-            codec::put_u64(out, entry.data.raw());
-            codec::put_usize(out, entry.predicted_target);
-        }
-    }
-
-    fn decode_proc(input: &mut &[u8]) -> Option<GamProcState> {
-        let pc = codec::take_usize(input)?;
-        let len = codec::take_u32(input)? as usize;
-        let mut rob = Vec::with_capacity(len);
-        for _ in 0..len {
-            let instr_index = codec::take_usize(input)?;
-            let done = codec::take_u8(input)? != 0;
-            let result = Value::new(codec::take_u64(input)?);
-            let addr_avail = codec::take_u8(input)? != 0;
-            let addr = codec::take_u64(input)?;
-            let data_avail = codec::take_u8(input)? != 0;
-            let data = Value::new(codec::take_u64(input)?);
-            let predicted_target = codec::take_usize(input)?;
-            rob.push(RobEntry {
-                instr_index,
-                done,
-                result,
-                addr_avail,
-                addr,
-                data_avail,
-                data,
-                predicted_target,
-            });
-        }
-        Some(GamProcState { pc, rob })
     }
 }
 

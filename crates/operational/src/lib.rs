@@ -38,7 +38,6 @@
 
 pub mod arena;
 pub mod checker;
-mod codec;
 pub mod explore;
 mod footprint;
 pub mod gam;
@@ -53,9 +52,7 @@ pub mod tso;
 
 pub use arena::{ArenaOccupancy, ComposedState};
 pub use checker::{OperationalChecker, OperationalError};
-pub use explore::{
-    CheckpointPlan, Exploration, ExploreError, Explorer, ExplorerConfig, MemoryConfig, MemoryStats,
-};
+pub use explore::{Exploration, ExploreError, Explorer, ExplorerConfig, MemoryConfig, MemoryStats};
 pub use gam::{GamConfig, GamMachine};
 pub use machine::{AbstractMachine, Action, ActionKind, LabeledMachine};
 pub use mem::{Memory, RegFile};

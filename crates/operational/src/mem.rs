@@ -11,8 +11,6 @@
 
 use gam_isa::{Reg, Value};
 
-use crate::codec;
-
 /// Element-wise `clone_from` for vectors: reuses the destination's buffer
 /// *and* every surviving element's own allocations. The machine states'
 /// hand-written `Clone` impls use this for their per-processor vectors.
@@ -100,27 +98,6 @@ impl Memory {
     pub fn approx_bytes(&self) -> usize {
         self.cells.len() * std::mem::size_of::<(u64, Value)>()
     }
-
-    /// Serializes the populated cells (checkpoint snapshots).
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        codec::put_u32(out, u32::try_from(self.cells.len()).expect("cell count fits u32"));
-        for &(addr, value) in &self.cells {
-            codec::put_u64(out, addr);
-            codec::put_u64(out, value.raw());
-        }
-    }
-
-    /// Deserializes a [`Memory::encode`] payload (`None` on truncation).
-    pub(crate) fn decode(input: &mut &[u8]) -> Option<Self> {
-        let len = codec::take_u32(input)? as usize;
-        let mut cells = Vec::with_capacity(len);
-        for _ in 0..len {
-            let addr = codec::take_u64(input)?;
-            let value = Value::new(codec::take_u64(input)?);
-            cells.push((addr, value));
-        }
-        Some(Memory { cells })
-    }
 }
 
 /// A register file: register/value pairs sorted by register.
@@ -189,27 +166,6 @@ impl RegFile {
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         self.regs.len() * std::mem::size_of::<(Reg, Value)>()
-    }
-
-    /// Serializes the populated registers (checkpoint snapshots).
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        codec::put_u32(out, u32::try_from(self.regs.len()).expect("reg count fits u32"));
-        for &(reg, value) in &self.regs {
-            codec::put_u32(out, reg.index());
-            codec::put_u64(out, value.raw());
-        }
-    }
-
-    /// Deserializes a [`RegFile::encode`] payload (`None` on truncation).
-    pub(crate) fn decode(input: &mut &[u8]) -> Option<Self> {
-        let len = codec::take_u32(input)? as usize;
-        let mut regs = Vec::with_capacity(len);
-        for _ in 0..len {
-            let reg = Reg::new(codec::take_u32(input)?);
-            let value = Value::new(codec::take_u64(input)?);
-            regs.push((reg, value));
-        }
-        Some(RegFile { regs })
     }
 }
 

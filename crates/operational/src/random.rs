@@ -148,7 +148,7 @@ fn stress_test(rng: &mut StdRng, index: usize) -> LitmusTest {
 /// interleavings, so the unreduced operational state space still runs into
 /// the tens of thousands with an accounted footprint of megabytes — enough
 /// that a single-digit-megabyte memory budget trips mid-exploration and the
-/// spill/checkpoint machinery has something real to chew on, while an
+/// spill machinery has something real to chew on, while an
 /// *unbudgeted* sequential run finishes in well under a second.
 ///
 /// The same `(seed, count)` always yields byte-identical tests, and the

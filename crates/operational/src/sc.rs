@@ -9,7 +9,6 @@
 use gam_isa::litmus::{LitmusTest, Observation, Outcome};
 use gam_isa::{Instruction, Operand, Program, Reg, ThreadProgram, Value};
 
-use crate::codec;
 use crate::footprint;
 use crate::machine::{AbstractMachine, Action, Footprint, LabeledMachine, SuccBuf};
 use crate::mem::{Memory, RegFile};
@@ -127,36 +126,6 @@ impl crate::arena::ComposedState for ScState {
     fn proc_bytes(proc: &SeqProcState) -> usize {
         std::mem::size_of::<SeqProcState>() + proc.regs.approx_bytes()
     }
-
-    fn encode_mem(mem: &Memory, out: &mut Vec<u8>) {
-        mem.encode(out);
-    }
-
-    fn decode_mem(input: &mut &[u8]) -> Option<Memory> {
-        Memory::decode(input)
-    }
-
-    fn encode_proc(proc: &SeqProcState, out: &mut Vec<u8>) {
-        encode_seq_proc(proc, out);
-    }
-
-    fn decode_proc(input: &mut &[u8]) -> Option<SeqProcState> {
-        decode_seq_proc(input)
-    }
-}
-
-/// Serializes a [`SeqProcState`] for checkpoint snapshots (shared with the
-/// TSO machine, whose per-proc state embeds one).
-pub(crate) fn encode_seq_proc(proc: &SeqProcState, out: &mut Vec<u8>) {
-    proc.regs.encode(out);
-    codec::put_usize(out, proc.pc);
-}
-
-/// Inverse of [`encode_seq_proc`] (`None` on truncation).
-pub(crate) fn decode_seq_proc(input: &mut &[u8]) -> Option<SeqProcState> {
-    let regs = RegFile::decode(input)?;
-    let pc = codec::take_usize(input)?;
-    Some(SeqProcState { regs, pc })
 }
 
 impl ScMachine {

@@ -38,9 +38,10 @@
 //! Segment names carry the process id and a store number, so explorations
 //! running concurrently in one spill directory never read each other's
 //! files. A dropped store hands its number to the next store of the
-//! process, which overwrites the old files instead of piling up new ones —
-//! unless the store backs a checkpointed exploration, whose snapshots may
-//! name its segments after it is gone.
+//! process, which overwrites the old files instead of piling up new ones.
+//! Segments live only as long as their exploration: a run resumed from a
+//! run checkpoint restarts its unfinished (model, backend) unit from
+//! scratch and never reads an earlier incarnation's segments.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -86,8 +87,7 @@ impl fmt::Display for SpillError {
 /// One on-disk segment: `rows` id rows starting at global row `start_row`.
 #[derive(Debug)]
 struct Segment {
-    /// File name within the spill directory (not a full path, so a
-    /// checkpoint manifest stays relocatable across `--spill-dir` values).
+    /// File name within the spill directory.
     name: String,
     start_row: usize,
     rows: usize,
@@ -103,8 +103,6 @@ pub(crate) struct SpillStore {
     block_rows: usize,
     /// This store's number in [`LIVE_STORES`], part of every segment name.
     number: usize,
-    /// Keep `number` when dropped: a checkpoint may name the segments.
-    keep_number: bool,
     segments: Vec<Segment>,
     total_rows: usize,
     /// The last-used segment file (ordinal in `segments`).
@@ -134,7 +132,6 @@ impl SpillStore {
             stride,
             block_rows: (BLOCK_WORDS / stride).max(1),
             number,
-            keep_number: false,
             segments: Vec::new(),
             total_rows: 0,
             file: None,
@@ -143,33 +140,6 @@ impl SpillStore {
             frame: Vec::new(),
             read_bytes: 0,
         })
-    }
-
-    /// Reconstructs a store from a checkpoint manifest: segment files that a
-    /// previous incarnation of this exploration already wrote.
-    pub(crate) fn from_manifest(
-        dir: &Path,
-        stride: usize,
-        manifest: Vec<(String, usize)>,
-    ) -> Result<Self, SpillError> {
-        let mut store = SpillStore::new(dir, stride)?;
-        store.keep_names();
-        for (name, rows) in manifest {
-            store.segments.push(Segment { name, start_row: store.total_rows, rows });
-            store.total_rows += rows;
-        }
-        Ok(store)
-    }
-
-    /// Marks the store as backing a checkpointed exploration: its segment
-    /// names are never handed to a later store of this process.
-    pub(crate) fn keep_names(&mut self) {
-        self.keep_number = true;
-    }
-
-    /// The manifest to embed in a checkpoint snapshot.
-    pub(crate) fn manifest(&self) -> Vec<(String, usize)> {
-        self.segments.iter().map(|seg| (seg.name.clone(), seg.rows)).collect()
     }
 
     /// Rows across all segments.
@@ -201,8 +171,6 @@ impl SpillStore {
     pub(crate) fn write_segment(&mut self, words: &[u32]) -> Result<(), SpillError> {
         debug_assert_eq!(words.len() % self.stride, 0, "segments hold whole rows");
         let rows = words.len() / self.stride;
-        // The index counts on from a manifest's inherited segments, so a
-        // resumed store never reuses a name its snapshot references.
         let name =
             format!("seg-{}-{}-{:05}.gsp", std::process::id(), self.number, self.segments.len());
         let path = self.dir.join(&name);
@@ -297,12 +265,7 @@ impl SpillStore {
 
 impl Drop for SpillStore {
     fn drop(&mut self) {
-        if !self.keep_number {
-            LIVE_STORES
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .remove(&self.number);
-        }
+        LIVE_STORES.lock().unwrap_or_else(std::sync::PoisonError::into_inner).remove(&self.number);
     }
 }
 
@@ -366,12 +329,6 @@ mod tests {
         store.read_row(2, &mut row).unwrap();
         assert_eq!(row, [7, 8, 9]);
         store.read_row(1, &mut row).unwrap();
-        assert_eq!(row, [4, 5, 6]);
-
-        // A manifest rebuild sees the same rows.
-        let manifest = store.manifest();
-        let mut rebuilt = SpillStore::from_manifest(&dir, 3, manifest).unwrap();
-        rebuilt.read_row(1, &mut row).unwrap();
         assert_eq!(row, [4, 5, 6]);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -459,14 +416,14 @@ mod tests {
     #[test]
     fn a_v1_segment_fails_the_magic_check() {
         let (_guard, dir) = temp_dir("v1");
-        std::fs::create_dir_all(&dir).unwrap();
-        // The v1 layout: one frame holding the whole segment.
+        let mut store = SpillStore::new(&dir, 2).unwrap();
+        store.write_segment(&[1, 2]).unwrap();
+        // Overwrite the store's own segment with the v1 layout: one frame
+        // holding the whole segment.
         let payload: Vec<u8> = [1u32, 2].iter().flat_map(|word| word.to_le_bytes()).collect();
         let mut bytes = b"gam-spill/v1\n".to_vec();
         bytes.extend_from_slice(&wal::encode_frame(&payload));
-        std::fs::write(dir.join("seg-00000.gsp"), &bytes).unwrap();
-        let mut store =
-            SpillStore::from_manifest(&dir, 2, vec![("seg-00000.gsp".to_string(), 1)]).unwrap();
+        std::fs::write(segment_path(&store, 0), &bytes).unwrap();
         let err = store.read_row(0, &mut Vec::new()).unwrap_err();
         assert!(err.message.contains("bad magic"), "got {err}");
         std::fs::remove_dir_all(&dir).ok();

@@ -11,7 +11,6 @@
 use gam_isa::litmus::{LitmusTest, Observation, Outcome};
 use gam_isa::{Instruction, MemAccessType, Program, Value};
 
-use crate::codec;
 use crate::footprint;
 use crate::machine::{AbstractMachine, Action, Footprint, LabeledMachine, SuccBuf};
 use crate::mem::Memory;
@@ -100,35 +99,6 @@ impl crate::arena::ComposedState for TsoState {
         std::mem::size_of::<TsoProcState>()
             + proc.seq.regs.approx_bytes()
             + proc.store_buffer.len() * std::mem::size_of::<(u64, Value)>()
-    }
-
-    fn encode_mem(mem: &Memory, out: &mut Vec<u8>) {
-        mem.encode(out);
-    }
-
-    fn decode_mem(input: &mut &[u8]) -> Option<Memory> {
-        Memory::decode(input)
-    }
-
-    fn encode_proc(proc: &TsoProcState, out: &mut Vec<u8>) {
-        crate::sc::encode_seq_proc(&proc.seq, out);
-        codec::put_u32(out, u32::try_from(proc.store_buffer.len()).expect("buffer fits u32"));
-        for &(addr, value) in &proc.store_buffer {
-            codec::put_u64(out, addr);
-            codec::put_u64(out, value.raw());
-        }
-    }
-
-    fn decode_proc(input: &mut &[u8]) -> Option<TsoProcState> {
-        let seq = crate::sc::decode_seq_proc(input)?;
-        let len = codec::take_u32(input)? as usize;
-        let mut store_buffer = Vec::with_capacity(len);
-        for _ in 0..len {
-            let addr = codec::take_u64(input)?;
-            let value = Value::new(codec::take_u64(input)?);
-            store_buffer.push((addr, value));
-        }
-        Some(TsoProcState { seq, store_buffer })
     }
 }
 

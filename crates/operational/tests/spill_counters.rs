@@ -57,11 +57,8 @@ fn counters(kind: ModelKind, test: &gam_isa::litmus::LitmusTest) -> [usize; 4] {
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let capped = MemoryConfig {
-        max_bytes: Some(peak * BUDGET_PERCENT / 100),
-        spill_dir: Some(dir.clone()),
-        checkpoint: None,
-    };
+    let capped =
+        MemoryConfig { max_bytes: Some(peak * BUDGET_PERCENT / 100), spill_dir: Some(dir.clone()) };
     let capped = OperationalChecker::new(kind)
         .with_memory(capped)
         .explore(test)

@@ -7,7 +7,7 @@
 //! suite in parallel, and the matrix is assembled from the structured
 //! [`gam_engine::SuiteReport`]s. Its `Display` implementation prints the same
 //! kind of table the paper uses to discuss its litmus tests, which the
-//! `litmus-tables` benchmark binary reuses.
+//! `litmus_explorer` example prints.
 
 use std::fmt;
 

@@ -2,11 +2,10 @@
 //!
 //! ```text
 //! usage:
-//!   gam check FILE [--models LIST] [--backends LIST] [--jobs N]
+//!   gam check FILE [--models LIST] [--backends LIST]
 //!                 [--explorer-threads N] [--time-budget MS]
 //!                 [--mem-budget BYTES] [--spill-dir DIR]
-//!                 [--checkpoint FILE] [--checkpoint-every N]
-//!                 [--json] [--no-expectations]
+//!                 [--checkpoint FILE] [--json] [--no-expectations]
 //!   gam run DIR   [--models LIST] [--backends LIST] [--jobs N]
 //!                 [--explorer-threads N] [--json] [--no-expectations]
 //!   gam bench DIR --serve ADDR [--models LIST] [--jobs N]
@@ -27,8 +26,8 @@
 //!   --backends LIST      comma-separated: axiomatic,operational (default:
 //!                        both; model/backend pairs without semantics are
 //!                        skipped)
-//!   --jobs N             suite worker threads (default: all cores;
-//!                        `--parallelism N` is accepted as an alias)
+//!   --jobs N             `run`/`bench`: suite worker threads (default: all
+//!                        cores; `--parallelism N` is accepted as an alias)
 //!   --explorer-threads N worker threads *inside* each operational
 //!                        exploration (default 1; sharding is adaptive and
 //!                        only kicks in on state spaces past the threshold)
@@ -86,15 +85,16 @@
 //! because checking is deterministic, the resumed report carries the
 //! verdicts of an uninterrupted run. Checkpoint keys embed the canonical
 //! test hash, so a checkpoint pointed at a different test matches nothing.
-//! The log also records *intra-exploration* snapshots of the in-flight
-//! operational pair every `--checkpoint-every N` expansions (default 65536;
-//! 0 disables), so a killed run resumes the interrupted exploration
-//! mid-test — with counters identical to an uninterrupted run's — instead
-//! of restarting it from scratch.
+//! The completed unit is the only resume granularity: the interrupted unit
+//! restarts from scratch.
+//!
+//! Every subcommand rejects a flag it does not read ([`FLAGS`] lists them
+//! all), or a value-taking flag given no value, with exit status 2. Reports go to stdout; when a reader closes it
+//! early the command stops writing and still exits with its own status.
 //!
 //! Exit status (all subcommands): 0 = clean, 1 = the command ran but found
 //! mismatches, disagreements, coverage gaps or check errors, 2 = usage or
-//! startup error (bad flags, unreadable input, `serve` bind failure),
+//! startup error (bad or unknown flags, unreadable input, `serve` bind failure),
 //! 3 = `check --time-budget` ran error-free but left at least one verdict
 //! inconclusive.
 
@@ -110,6 +110,44 @@ use gam_engine::{
 use gam_frontend::{export_library, parse_litmus, print_litmus, Corpus};
 use gam_isa::litmus::LitmusTest;
 use gam_verify::expectations::{render_expectations, OwnedExpectation};
+
+/// `println!` for reports: stops writing once stdout is closed, so a
+/// reader that quits early (`gam run DIR --json | head`) ends the output,
+/// not the run, which still exits with its own status.
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` counterpart of [`outln!`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// Set once a write to stdout has failed; later writes are skipped.
+static STDOUT_CLOSED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+/// Writes to stdout. A closed pipe ends the output silently; any other
+/// write error is reported once on stderr. Neither stops the command.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    use std::sync::atomic::Ordering;
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(err) = std::io::stdout().lock().write_fmt(args) {
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        if err.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("gam: cannot write to stdout: {err}");
+        }
+    }
+}
 
 /// Terminal status of a subcommand.
 enum Status {
@@ -153,25 +191,27 @@ fn run(args: &[String]) -> Result<Status, String> {
     let Some(command) = args.first() else {
         return Err(format!("missing subcommand\n\n{USAGE}"));
     };
-    let trace_out = obs_setup(&args[1..]);
-    let result = match command.as_str() {
-        "check" => cmd_check(&args[1..]),
-        "run" => cmd_run(&args[1..]).map(Status::from_clean),
-        "bench" => cmd_bench(&args[1..]).map(Status::from_clean),
-        "serve" => cmd_serve(&args[1..]).map(Status::from_clean),
-        "gen-corpus" => cmd_gen_corpus(&args[1..]).map(Status::from_clean),
-        "print" => cmd_print(&args[1..]).map(Status::from_clean),
-        "export-library" => cmd_export(&args[1..]).map(Status::from_clean),
+    let subcommand: fn(&[String]) -> Result<Status, String> = match command.as_str() {
+        "check" => cmd_check,
+        "run" => |args| cmd_run(args).map(Status::from_clean),
+        "bench" => |args| cmd_bench(args).map(Status::from_clean),
+        "serve" => |args| cmd_serve(args).map(Status::from_clean),
+        "gen-corpus" => |args| cmd_gen_corpus(args).map(Status::from_clean),
+        "print" => |args| cmd_print(args).map(Status::from_clean),
+        "export-library" => |args| cmd_export(args).map(Status::from_clean),
         "--version" | "-V" | "version" => {
-            println!("gam {}", env!("CARGO_PKG_VERSION"));
-            Ok(Status::Clean)
+            outln!("gam {}", env!("CARGO_PKG_VERSION"));
+            return Ok(Status::Clean);
         }
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(Status::Clean)
+            outln!("{USAGE}");
+            return Ok(Status::Clean);
         }
-        other => Err(format!("unknown subcommand `{other}`\n\n{USAGE}")),
+        other => return Err(format!("unknown subcommand `{other}`\n\n{USAGE}")),
     };
+    check_flags(command, &args[1..])?;
+    let trace_out = obs_setup(&args[1..]);
+    let result = subcommand(&args[1..]);
     match (result, trace_out) {
         (Ok(status), Some(path)) => {
             write_trace(&path)?;
@@ -182,10 +222,10 @@ fn run(args: &[String]) -> Result<Status, String> {
 }
 
 const USAGE: &str = "usage:
-  gam check FILE [--models LIST] [--backends LIST] [--jobs N] [--explorer-threads N]
+  gam check FILE [--models LIST] [--backends LIST] [--explorer-threads N]
                 [--time-budget MS] [--mem-budget BYTES] [--spill-dir DIR]
-                [--checkpoint FILE] [--checkpoint-every N]
-                [--json] [--no-expectations] [--trace-out FILE] [--progress]
+                [--checkpoint FILE] [--json] [--no-expectations]
+                [--trace-out FILE] [--progress]
   gam run DIR   [--models LIST] [--backends LIST] [--jobs N] [--explorer-threads N]
                 [--json] [--no-expectations] [--trace-out FILE] [--progress]
   gam bench DIR --serve ADDR [--models LIST] [--jobs N] [--min-hit-rate R]
@@ -201,7 +241,7 @@ const USAGE: &str = "usage:
 
   --models LIST        comma-separated: sc,tso,gam,gam0,gam-arm
   --backends LIST      comma-separated: axiomatic,operational
-  --jobs N             suite worker threads (default: all cores;
+  --jobs N             run/bench: suite worker threads (default: all cores;
                        --parallelism N is accepted as an alias)
   --explorer-threads N worker threads inside each operational exploration
                        (default 1; sharding kicks in adaptively)
@@ -223,10 +263,8 @@ const USAGE: &str = "usage:
   --checkpoint FILE    check: log each completed work unit to FILE and
                        skip units already recorded there — a killed run
                        relaunched with the same FILE recomputes only the
-                       unit the crash interrupted (--resume is an alias)
-  --checkpoint-every N check: also snapshot the in-flight operational
-                       exploration every N expansions into the checkpoint,
-                       enabling mid-test resume (default 65536; 0 disables)
+                       unit the crash interrupted, from its start
+                       (--resume is an alias)
   --serve ADDR         bench: replay the corpus against a live `gam serve`
                        at ADDR (required; `gam run DIR` checks in-process)
   --min-hit-rate R     bench --serve: fail unless the observed cache hit
@@ -272,7 +310,7 @@ const USAGE: &str = "usage:
                        depth, escalation)
 
 exit status: 0 = clean; 1 = ran but found mismatches, disagreements,
-coverage gaps or check errors; 2 = usage/startup error (bad flags,
+coverage gaps or check errors; 2 = usage/startup error (bad or unknown flags,
 unreadable input, serve bind failure); 3 = check ran error-free but a
 --time-budget ran out, leaving at least one verdict inconclusive";
 
@@ -288,6 +326,66 @@ fn arg_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
+/// Every flag `gam` knows: its name, whether it takes a value, and the
+/// subcommands that read it. Anything else is a usage error, so a
+/// misspelled or retired flag is never silently ignored.
+const FLAGS: &[(&str, bool, &[&str])] = &[
+    ("--models", true, &["check", "run", "bench"]),
+    ("--backends", true, &["check", "run"]),
+    ("--jobs", true, &["run", "bench"]),
+    ("--parallelism", true, &["run", "bench"]),
+    ("--explorer-threads", true, &["check", "run"]),
+    ("--json", false, &["check", "run", "bench"]),
+    ("--no-expectations", false, &["check", "run"]),
+    ("--trace-out", true, &["check", "run"]),
+    ("--progress", false, &["check", "run"]),
+    ("--time-budget", true, &["check"]),
+    ("--mem-budget", true, &["check"]),
+    ("--spill-dir", true, &["check"]),
+    ("--checkpoint", true, &["check"]),
+    ("--resume", true, &["check"]),
+    ("--serve", true, &["bench"]),
+    ("--min-hit-rate", true, &["bench"]),
+    ("--timeout-ms", true, &["bench"]),
+    ("--retries", true, &["bench"]),
+    ("--out", true, &["bench"]),
+    ("--addr", true, &["serve"]),
+    ("--cache", true, &["serve"]),
+    ("--cache-capacity", true, &["serve"]),
+    ("--workers", true, &["serve"]),
+    ("--queue-depth", true, &["serve"]),
+    ("--read-timeout-ms", true, &["serve"]),
+    ("--write-timeout-ms", true, &["serve"]),
+    ("--compact-every", true, &["serve"]),
+    ("--overload-wall-ms", true, &["serve"]),
+    ("--mem-watermark", true, &["serve"]),
+    ("--overload-mem-bytes", true, &["serve"]),
+    ("--count", true, &["gen-corpus"]),
+    ("--seed", true, &["gen-corpus"]),
+    ("--big", false, &["gen-corpus"]),
+];
+
+/// Rejects every `--flag` in `args` that `command` does not read, and a
+/// value-taking flag with nothing after it.
+fn check_flags(command: &str, args: &[String]) -> Result<(), String> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        match FLAGS.iter().find(|&&(name, ..)| name == arg) {
+            Some(&(_, value, commands)) if commands.contains(&command) => {
+                if value && args.next().is_none() {
+                    return Err(format!("{arg} needs a value (see `gam help`)"));
+                }
+            }
+            Some(_) => return Err(format!("`gam {command}` does not take {arg} (see `gam help`)")),
+            None => return Err(format!("unknown flag {arg} (see `gam help`)")),
+        }
+    }
+    Ok(())
+}
+
 /// The first argument that is not a flag or a flag's value.
 fn positional(args: &[String]) -> Option<&String> {
     let mut skip = false;
@@ -297,39 +395,7 @@ fn positional(args: &[String]) -> Option<&String> {
             continue;
         }
         if arg.starts_with("--") {
-            skip = matches!(
-                arg.as_str(),
-                "--models"
-                    | "--backends"
-                    | "--parallelism"
-                    | "--jobs"
-                    | "--explorer-threads"
-                    | "--count"
-                    | "--seed"
-                    | "--serve"
-                    | "--min-hit-rate"
-                    | "--out"
-                    | "--addr"
-                    | "--cache"
-                    | "--cache-capacity"
-                    | "--workers"
-                    | "--queue-depth"
-                    | "--read-timeout-ms"
-                    | "--write-timeout-ms"
-                    | "--time-budget"
-                    | "--mem-budget"
-                    | "--spill-dir"
-                    | "--mem-watermark"
-                    | "--overload-mem-bytes"
-                    | "--timeout-ms"
-                    | "--checkpoint"
-                    | "--checkpoint-every"
-                    | "--resume"
-                    | "--retries"
-                    | "--compact-every"
-                    | "--overload-wall-ms"
-                    | "--trace-out"
-            );
+            skip = FLAGS.iter().any(|&(name, value, _)| name == arg && value);
             continue;
         }
         return Some(arg);
@@ -337,43 +403,41 @@ fn positional(args: &[String]) -> Option<&String> {
     None
 }
 
-fn parse_models(list: &str) -> Result<Vec<ModelKind>, String> {
-    let mut models = Vec::new();
+/// Parses a comma-separated `flag` list with `parse`, dropping repeats.
+fn parse_list<T: PartialEq>(
+    list: &str,
+    flag: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut items = Vec::new();
     for word in list.split(',').filter(|w| !w.is_empty()) {
-        let model = match word.to_ascii_lowercase().as_str() {
-            "sc" => ModelKind::Sc,
-            "tso" => ModelKind::Tso,
-            "gam" => ModelKind::Gam,
-            "gam0" => ModelKind::Gam0,
-            "gam-arm" | "gamarm" | "gam_arm" => ModelKind::GamArm,
-            other => return Err(format!("unknown model `{other}` (try sc,tso,gam,gam0,gam-arm)")),
-        };
-        if !models.contains(&model) {
-            models.push(model);
+        let item = parse(word)?;
+        if !items.contains(&item) {
+            items.push(item);
         }
     }
-    if models.is_empty() {
-        return Err("empty --models list".to_string());
+    if items.is_empty() {
+        return Err(format!("empty {flag} list"));
     }
-    Ok(models)
+    Ok(items)
+}
+
+fn parse_models(list: &str) -> Result<Vec<ModelKind>, String> {
+    parse_list(list, "--models", |word| {
+        gam_serve::parse_model(word).ok_or_else(|| {
+            let word = word.to_ascii_lowercase();
+            format!("unknown model `{word}` (try sc,tso,gam,gam0,gam-arm)")
+        })
+    })
 }
 
 fn parse_backends(list: &str) -> Result<Vec<Backend>, String> {
-    let mut backends = Vec::new();
-    for word in list.split(',').filter(|w| !w.is_empty()) {
-        let backend = match word.to_ascii_lowercase().as_str() {
-            "axiomatic" | "ax" => Backend::Axiomatic,
-            "operational" | "op" => Backend::Operational,
-            other => return Err(format!("unknown backend `{other}` (try axiomatic,operational)")),
-        };
-        if !backends.contains(&backend) {
-            backends.push(backend);
-        }
-    }
-    if backends.is_empty() {
-        return Err("empty --backends list".to_string());
-    }
-    Ok(backends)
+    parse_list(list, "--backends", |word| {
+        gam_serve::parse_backend(word).ok_or_else(|| {
+            let word = word.to_ascii_lowercase();
+            format!("unknown backend `{word}` (try axiomatic,operational)")
+        })
+    })
 }
 
 fn parallelism(args: &[String]) -> Result<usize, String> {
@@ -471,15 +535,6 @@ fn open_checkpoint(args: &[String]) -> Result<Option<gam_engine::RunCheckpoint>,
         eprintln!("gam check: resuming {} completed units from {path}", checkpoint.resumed());
     }
     Ok(Some(checkpoint))
-}
-
-/// Locks a shared checkpoint, shrugging off poisoning: the only writers are
-/// `record_unit` and the exploration-snapshot sink, and both tolerate a
-/// half-finished peer (the log itself is torn-record safe).
-fn lock_checkpoint(
-    checkpoint: &std::sync::Mutex<Option<gam_engine::RunCheckpoint>>,
-) -> std::sync::MutexGuard<'_, Option<gam_engine::RunCheckpoint>> {
-    checkpoint.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Records one completed work unit, warning instead of failing: the
@@ -715,8 +770,6 @@ fn cmd_check(args: &[String]) -> Result<Status, String> {
         Some(list) => parse_backends(&list)?,
         None => Backend::ALL.to_vec(),
     };
-    // One test runs one pair at a time; `--jobs` is validated, not used.
-    parallelism(args)?;
     let explorer_workers = explorer_threads(args)?;
     let budget_ms = match arg_value(args, "--time-budget") {
         Some(ms) => Some(ms.parse().map_err(|_| format!("invalid --time-budget `{ms}`"))?),
@@ -735,13 +788,7 @@ fn cmd_check(args: &[String]) -> Result<Status, String> {
     if let Some(bytes) = mem_budget {
         budget = budget.with_max_bytes(bytes);
     }
-    let checkpoint_every = match arg_value(args, "--checkpoint-every").filter(|_| budgeted) {
-        None => 65_536usize,
-        Some(n) => n.parse().map_err(|_| format!("invalid --checkpoint-every `{n}`"))?,
-    };
-    // The checkpoint is shared with the explorer's snapshot sink, which runs
-    // inside the exploration loop; a mutex keeps the two writers ordered.
-    let checkpoint = std::sync::Arc::new(std::sync::Mutex::new(open_checkpoint(args)?));
+    let mut checkpoint = open_checkpoint(args)?;
     let hash = gam_frontend::canonical_hash(&test).to_string();
     let mut rows: Vec<((ModelKind, Backend), Json)> = Vec::new();
     let mut reports = BTreeMap::new();
@@ -753,54 +800,18 @@ fn cmd_check(args: &[String]) -> Result<Status, String> {
             // The key pins the unit *and* the test's content: a checkpoint
             // accidentally pointed at a different test matches nothing.
             let key = format!("check/{model}/{}/{hash}", backend.name());
-            if let Some(recorded) =
-                lock_checkpoint(&checkpoint).as_ref().and_then(|c| c.completed(&key)).cloned()
-            {
+            if let Some(recorded) = checkpoint.as_ref().and_then(|c| c.completed(&key)).cloned() {
                 rows.push(((model, backend), recorded));
                 continue;
             }
-            // Intra-exploration snapshots: only meaningful with a checkpoint
-            // file to land in, and only on operational backends (the plan is
-            // ignored elsewhere). `--checkpoint-every 0` disables them.
-            let plan = if checkpoint_every != 0 && lock_checkpoint(&checkpoint).is_some() {
-                let resume = lock_checkpoint(&checkpoint)
-                    .as_ref()
-                    .and_then(|c| c.explore_snapshot(&key))
-                    .map(std::sync::Arc::new);
-                if resume.is_some() {
-                    eprintln!("gam check: resuming {key} mid-exploration from its snapshot");
-                }
-                let sink_checkpoint = std::sync::Arc::clone(&checkpoint);
-                let sink_key = key.clone();
-                Some(gam_operational::CheckpointPlan {
-                    every_expansions: checkpoint_every,
-                    sink: std::sync::Arc::new(move |bytes: &[u8]| {
-                        if let Some(ckpt) = lock_checkpoint(&sink_checkpoint).as_mut() {
-                            if let Err(err) = ckpt.record_explore_snapshot(&sink_key, bytes) {
-                                gam_obs::warn!(
-                                    "gam check: exploration snapshot for {sink_key}: {err}; \
-                                     continuing without it"
-                                );
-                            }
-                        }
-                    }),
-                    resume,
-                })
-            } else {
-                None
-            };
             let mut builder = Engine::builder()
                 .model(model)
                 .backend(backend)
                 .explorer_parallelism(explorer_workers);
-            if spill_dir.is_some() || plan.is_some() {
-                builder = builder.explorer_memory(gam_operational::MemoryConfig {
-                    // The byte ceiling arrives through the check budget; the
-                    // explorer config only carries where to degrade to.
-                    max_bytes: None,
-                    spill_dir: spill_dir.clone(),
-                    checkpoint: plan,
-                });
+            // The byte ceiling arrives through the check budget; the
+            // builder only carries where to degrade to.
+            if let Some(dir) = &spill_dir {
+                builder = builder.explorer_spill_dir(dir.clone());
             }
             let engine = builder.build().map_err(|err| err.to_string())?;
             let start = Instant::now();
@@ -837,7 +848,7 @@ fn cmd_check(args: &[String]) -> Result<Status, String> {
                 // inconclusive ones are recorded — rerunning with the same
                 // budget would only reproduce the same partial answer.
                 if row.get("error").is_none() {
-                    record_unit(&mut lock_checkpoint(&checkpoint), &key, &row);
+                    record_unit(&mut checkpoint, &key, &row);
                 }
             } else {
                 let report = TestReport::new(&test, backend, query, result, wall);
@@ -878,7 +889,7 @@ fn cmd_check(args: &[String]) -> Result<Status, String> {
     let any_inconclusive =
         rows.iter().any(|row| row.get("verdict").and_then(Json::as_str) == Some("inconclusive"));
     if arg_flag(args, "--json") && !budgeted {
-        println!("{}", json_report(path, &models, &reports, &mismatches, &[]));
+        outln!("{}", json_report(path, &models, &reports, &mismatches, &[]));
     } else if arg_flag(args, "--json") {
         let mut fields = vec![("suite", Json::from(path.as_str()))];
         if let Some(ms) = budget_ms {
@@ -887,7 +898,7 @@ fn cmd_check(args: &[String]) -> Result<Status, String> {
         if let Some(bytes) = mem_budget {
             fields.push(("mem_budget_bytes", Json::UInt(bytes as u64)));
         }
-        if let Some(ckpt) = lock_checkpoint(&checkpoint).as_ref() {
+        if let Some(ckpt) = &checkpoint {
             fields.push(("resumed_units", Json::UInt(ckpt.resumed() as u64)));
         }
         fields.extend([
@@ -895,31 +906,31 @@ fn cmd_check(args: &[String]) -> Result<Status, String> {
             ("ok", Json::from(!any_error)),
             ("inconclusive", Json::from(any_inconclusive)),
         ]);
-        println!("{}", Json::object(fields));
+        outln!("{}", Json::object(fields));
     } else {
-        print!("{}", print_litmus(&test));
-        println!();
+        out!("{}", print_litmus(&test));
+        outln!();
         for row in &rows {
             let model = row.get("model").and_then(Json::as_str).unwrap_or("?");
             let backend = row.get("backend").and_then(Json::as_str).unwrap_or("?");
             if let Some(error) = row.get("error").and_then(Json::as_str) {
-                println!("{model:<8} {backend:<12} ERROR: {error}");
+                outln!("{model:<8} {backend:<12} ERROR: {error}");
             } else if row.get("verdict").and_then(Json::as_str) == Some("inconclusive") {
-                println!(
+                outln!(
                     "{model:<8} {backend:<12} INCONCLUSIVE: {} ({} states, {} partial outcomes)",
                     row.get("reason").and_then(Json::as_str).unwrap_or("?"),
                     row.get("states_visited").and_then(Json::as_u64).unwrap_or(0),
                     row.get("partial_outcomes").and_then(Json::as_u64).unwrap_or(0),
                 );
             } else {
-                println!(
+                outln!(
                     "{model:<8} {backend:<12} {}",
                     row.get("verdict").and_then(Json::as_str).unwrap_or("?")
                 );
             }
         }
         for m in &mismatches {
-            println!("MISMATCH {} under {}: {}", m.test, m.model, m.detail);
+            outln!("MISMATCH {} under {}: {}", m.test, m.model, m.detail);
         }
     }
     Ok(if !budgeted {
@@ -972,7 +983,7 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
         if use_expectations { corpus.expectation_coverage_gaps() } else { Vec::new() };
     let clean = mismatches.is_empty() && coverage_gaps.is_empty();
     if arg_flag(args, "--json") {
-        println!("{}", json_report(&name, &models, &reports, &mismatches, &coverage_gaps));
+        outln!("{}", json_report(&name, &models, &reports, &mismatches, &coverage_gaps));
     } else {
         let model_names: Vec<String> = models.iter().map(ToString::to_string).collect();
         let backend_names: Vec<String> = backends.iter().map(ToString::to_string).collect();
@@ -981,23 +992,23 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
         } else {
             "no expectations".to_string()
         };
-        println!(
+        outln!(
             "corpus {name}: {} tests; models {}; backends {}; {expectations}\n",
             tests.len(),
             model_names.join(", "),
             backend_names.join(", "),
         );
-        print!("{}", render_matrix(&tests, &models, &reports, &mismatches));
-        println!();
+        out!("{}", render_matrix(&tests, &models, &reports, &mismatches));
+        outln!();
         for m in &mismatches {
-            println!("MISMATCH {} under {}: {}", m.test, m.model, m.detail);
+            outln!("MISMATCH {} under {}: {}", m.test, m.model, m.detail);
         }
         for gap in &coverage_gaps {
-            println!("COVERAGE {gap}");
+            outln!("COVERAGE {gap}");
         }
         let pairs = reports.len();
         if clean {
-            println!(
+            outln!(
                 "{} tests x {} (model, backend) pairs: all verdicts agree{}",
                 tests.len(),
                 pairs,
@@ -1008,7 +1019,7 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
                 }
             );
         } else {
-            println!(
+            outln!(
                 "{} tests x {} (model, backend) pairs: {} mismatches, {} coverage gaps",
                 tests.len(),
                 pairs,
@@ -1119,7 +1130,7 @@ fn cmd_gen_corpus(args: &[String]) -> Result<bool, String> {
     let expectations_path = std::path::Path::new(dir).join("expectations.txt");
     std::fs::write(&expectations_path, render_expectations(&rows))
         .map_err(|err| format!("cannot write {}: {err}", expectations_path.display()))?;
-    println!(
+    outln!(
         "wrote {count} tests (seed {seed}) + expectations.txt under {dir}; all verdicts \
          backend-agreed"
     );
@@ -1133,7 +1144,7 @@ fn cmd_print(args: &[String]) -> Result<bool, String> {
     let text = std::fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))?;
     match parse_litmus(&text) {
         Ok(test) => {
-            print!("{}", print_litmus(&test));
+            out!("{}", print_litmus(&test));
             Ok(true)
         }
         Err(err) => {
@@ -1148,7 +1159,7 @@ fn cmd_export(args: &[String]) -> Result<bool, String> {
         return Err("`gam export-library` needs a DIR argument".to_string());
     };
     let written = export_library(dir).map_err(|err| format!("cannot export to {dir}: {err}"))?;
-    println!("wrote {} files under {dir}", written.len());
+    outln!("wrote {} files under {dir}", written.len());
     Ok(true)
 }
 
@@ -1217,7 +1228,7 @@ fn cmd_serve(args: &[String]) -> Result<bool, String> {
     if let Some(warning) = warning {
         gam_obs::warn!("gam serve: {warning}");
     }
-    println!(
+    outln!(
         "gam serve: listening on {} ({} workers, queue {}, cache {} [capacity {}])",
         server.local_addr(),
         config.workers.max(1),
@@ -1230,7 +1241,7 @@ fn cmd_serve(args: &[String]) -> Result<bool, String> {
     // mutation was already journaled when it happened, so an external
     // `kill -9` loses at most the one record that was mid-write.
     server.wait_for_shutdown_request();
-    println!("gam serve: shutdown requested; draining");
+    outln!("gam serve: shutdown requested; draining");
     server.shutdown();
     Ok(true)
 }
@@ -1532,35 +1543,38 @@ fn cmd_bench(args: &[String]) -> Result<bool, String> {
             .map_err(|err| format!("cannot write {path}: {err}"))?;
     }
     if as_json {
-        println!("{report}");
+        outln!("{report}");
     } else {
-        println!(
+        outln!(
             "serve bench {name} @ {addr}: {requests} requests ({} tests x {} models, {jobs} \
              jobs) in {wall_us}us ({requests_per_sec} req/s)",
             tests.len(),
             models.len()
         );
-        println!(
+        outln!(
             "  verdicts: {} agree, {} disagree, {} errors; cache hits {hits} \
              ({hit_permille}%o, floor {min_hit_permille}%o)",
             answered - disagreements.len() as u64 - errors.len() as u64,
             disagreements.len(),
             errors.len()
         );
-        println!(
+        outln!(
             "  overload: {sheds} shed after retries; {retried_requests} requests retried \
              ({retries_total} retries, {backoff_us_total}us backing off, budget {} per request)",
             policy.max_retries
         );
-        println!(
+        outln!(
             "  latency: /check p50 {}us p90 {}us p99 {}us (max {}us)",
-            check_snapshot.p50, check_snapshot.p90, check_snapshot.p99, check_snapshot.max
+            check_snapshot.p50,
+            check_snapshot.p90,
+            check_snapshot.p99,
+            check_snapshot.max
         );
         for line in disagreements.iter().chain(&errors).chain(&metric_faults) {
-            println!("  FAIL {line}");
+            outln!("  FAIL {line}");
         }
         if !hit_rate_ok {
-            println!("  FAIL hit rate {hit_permille}%o below floor {min_hit_permille}%o");
+            outln!("  FAIL hit rate {hit_permille}%o below floor {min_hit_permille}%o");
         }
     }
     Ok(clean)

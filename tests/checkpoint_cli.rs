@@ -25,14 +25,13 @@ fn corpus_dir() -> PathBuf {
 
 /// `gam check` of the library's IRIW under all five models and both
 /// backends (nine supported pairs), logging each completed pair to
-/// `checkpoint`. Intra-exploration snapshots are off, so every record on
-/// the log is a completed pair.
+/// `checkpoint`. Every record on the log is a completed pair.
 fn checked(checkpoint: &Path) -> Command {
     let mut command = gam();
     command
         .arg("check")
         .arg(corpus_dir().join("iriw.litmus"))
-        .args(["--json", "--checkpoint-every", "0", "--checkpoint"])
+        .args(["--json", "--checkpoint"])
         .arg(checkpoint);
     command
 }

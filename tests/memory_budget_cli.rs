@@ -9,9 +9,9 @@
 //!   segments to disk, and the verdict matches an uncapped run;
 //! * injected spill faults (`spill.write`, `spill.read`) degrade the run
 //!   back to a sound inconclusive at worst;
-//! * a budgeted `gam check --checkpoint` killed (SIGKILL) mid-exploration
-//!   resumes from its intra-exploration snapshot and reports the same
-//!   verdict as an uninterrupted run.
+//! * a budgeted, spilling `gam check --checkpoint` killed (SIGKILL) after
+//!   its first completed (model, backend) unit resumes from that unit and
+//!   reports the rows of an uninterrupted run.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -25,13 +25,9 @@ use gam_engine::{Json, RunCheckpoint};
 /// longer suffices, so the exploration can only finish by spilling.
 const BIG_003_WINDOW_BUDGET: &str = "164000";
 
-/// Expansions between two intra-exploration snapshots of the resume test:
-/// the capped big-003 GAM run (1,989 states) spans several of them.
-const SNAPSHOT_EVERY: &str = "256";
-
 /// Pause before every checkpoint append of the resume test's victim, so
-/// the kill that follows its first snapshot lands mid-exploration: the
-/// victim cannot record its completed unit sooner than this after it.
+/// the kill that follows its first recorded unit lands before it can
+/// record the second.
 const VICTIM_APPEND_DELAY: &str = "checkpoint.write=delay:500";
 
 /// A budget below any big test's floor: trips before the witness search
@@ -201,44 +197,59 @@ fn an_injected_spill_read_fault_degrades_soundly() {
     spill_fault_degrades_soundly("spill.read");
 }
 
+/// A capped, spilling `gam check` of big-003 under SC and GAM on the
+/// operational backend, logging each completed unit to `checkpoint`.
+fn budgeted_checkpointed(spill: &Path, checkpoint: &Path) -> Command {
+    let mut command = gam();
+    command
+        .args(["check"])
+        .arg(big_test("big-003.litmus"))
+        .args(["--models", "sc,gam", "--backends", "operational", "--json"])
+        .args(["--mem-budget", BIG_003_WINDOW_BUDGET, "--spill-dir"])
+        .arg(spill)
+        .args(["--checkpoint"])
+        .arg(checkpoint);
+    command
+}
+
+/// The report's rows without `wall_us`, which a replayed row carries from
+/// the run that recorded it.
+fn rows_without_walls(report: &Json) -> Vec<Json> {
+    let rows = report.get("results").and_then(Json::as_array).expect("results");
+    rows.iter()
+        .map(|row| match row {
+            Json::Object(fields) => {
+                Json::Object(fields.iter().filter(|(key, _)| key != "wall_us").cloned().collect())
+            }
+            other => panic!("a result row is an object: {other}"),
+        })
+        .collect()
+}
+
+fn resumed_units(report: &Json) -> u64 {
+    report.get("resumed_units").and_then(Json::as_u64).expect("resumed_units")
+}
+
 #[test]
-fn a_sigkilled_budgeted_check_resumes_mid_exploration_to_the_same_report() {
+fn a_sigkilled_budgeted_check_resumes_per_unit_to_the_same_report() {
     // Ground truth: an uninterrupted capped run (spill makes the window
     // budget completable).
     let spill_a = Scratch::new("resume-truth-spill");
-    let truth = gam()
-        .args(["check"])
-        .arg(big_test("big-003.litmus"))
-        .args(["--models", "gam", "--backends", "operational", "--json"])
-        .args(["--mem-budget", BIG_003_WINDOW_BUDGET, "--spill-dir"])
-        .arg(&spill_a.0)
-        .output()
-        .expect("gam check runs");
+    let checkpoint_a = Scratch::new("resume-truth-ckpt");
+    let truth =
+        budgeted_checkpointed(&spill_a.0, &checkpoint_a.0).output().expect("gam check runs");
     assert!(truth.status.success(), "{}", String::from_utf8_lossy(&truth.stderr));
-    let truth_verdict = only_row(&parse_stdout(&truth))
-        .get("verdict")
-        .and_then(Json::as_str)
-        .expect("verdict")
-        .to_string();
+    let truth = parse_stdout(&truth);
+    assert_eq!(resumed_units(&truth), 0);
+    assert_eq!(rows_without_walls(&truth).len(), 2, "SC and GAM on the operational backend");
 
-    // The victim: same run, checkpointed with frequent intra-exploration
-    // snapshots, SIGKILLed once the checkpoint holds a complete snapshot
-    // record. A size threshold is not enough: the kill could land inside
-    // the first snapshot append, and the resume would restart from scratch.
-    // Every append of the victim waits first, so it is still exploring
-    // (or waiting to append its next snapshot) when the kill lands.
+    // The victim: the same run, SIGKILLed once a recovered copy of its log
+    // holds a completed unit. Every append of the victim waits first, so it
+    // cannot record its second unit before the kill lands.
     let spill_b = Scratch::new("resume-victim-spill");
     let checkpoint = Scratch::new("resume-ckpt");
-    let mut child = gam()
+    let mut child = budgeted_checkpointed(&spill_b.0, &checkpoint.0)
         .env("GAM_FAULTS", VICTIM_APPEND_DELAY)
-        .args(["check"])
-        .arg(big_test("big-003.litmus"))
-        .args(["--models", "gam", "--backends", "operational", "--json"])
-        .args(["--mem-budget", BIG_003_WINDOW_BUDGET, "--spill-dir"])
-        .arg(&spill_b.0)
-        .args(["--checkpoint"])
-        .arg(&checkpoint.0)
-        .args(["--checkpoint-every", SNAPSHOT_EVERY])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -254,35 +265,25 @@ fn a_sigkilled_budgeted_check_resumes_mid_exploration_to_the_same_report() {
         }
         assert!(
             child.try_wait().expect("try_wait").is_none(),
-            "the victim exited before it snapshotted its exploration"
+            "the victim exited before it recorded a unit"
         );
-        assert!(Instant::now() < deadline, "check never snapshotted its exploration");
+        assert!(Instant::now() < deadline, "check never recorded a unit");
         std::thread::sleep(Duration::from_millis(2));
     }
     let _ = child.kill();
     let _ = child.wait();
 
-    let resumed = gam()
-        .args(["check"])
-        .arg(big_test("big-003.litmus"))
-        .args(["--models", "gam", "--backends", "operational", "--json"])
-        .args(["--mem-budget", BIG_003_WINDOW_BUDGET, "--spill-dir"])
-        .arg(&spill_b.0)
-        .args(["--checkpoint"])
-        .arg(&checkpoint.0)
-        .args(["--checkpoint-every", SNAPSHOT_EVERY])
-        .output()
-        .expect("gam check resumes");
+    // Resume: the recorded unit replays from the log, the other restarts
+    // from scratch under the same budget and spill directory.
+    let resumed =
+        budgeted_checkpointed(&spill_b.0, &checkpoint.0).output().expect("gam check resumes");
     assert_no_panic(&resumed);
     assert!(resumed.status.success(), "{}", String::from_utf8_lossy(&resumed.stderr));
+    let resumed = parse_stdout(&resumed);
+    assert!(resumed_units(&resumed) >= 1, "the resume must replay the recorded unit");
     assert_eq!(
-        only_row(&parse_stdout(&resumed)).get("verdict").and_then(Json::as_str),
-        Some(truth_verdict.as_str()),
-        "the resumed run must reproduce the uninterrupted verdict"
-    );
-    let stderr = String::from_utf8_lossy(&resumed.stderr);
-    assert!(
-        stderr.contains("mid-exploration"),
-        "the resume must continue from the victim's snapshot: {stderr}"
+        rows_without_walls(&resumed),
+        rows_without_walls(&truth),
+        "the resumed run must reproduce the uninterrupted verdicts"
     );
 }
