@@ -11,14 +11,17 @@
 //! loses little.
 //!
 //! The file is an append-only log built on [`gam_core::wal`] (magic line
-//! [`CHECKPOINT_SCHEMA`], one CRC-framed JSON record per completed unit), so
-//! it inherits the journal's crash contract: a `kill -9` mid-append loses at
-//! most the record being written, and [`RunCheckpoint::open`] recovers the
-//! longest valid prefix of whatever survived, warning instead of failing.
-//! A record that passes its checksum but does not parse also stops the
-//! replay; the file is then rewritten from the records before it (a fresh
-//! log at `PATH.tmp`, renamed over `PATH`), so units recorded later are not
-//! appended behind it, where the next resume would ignore them.
+//! [`CHECKPOINT_SCHEMA`], one CRC-framed JSON record per completed unit:
+//! its key and its [`ResultRow`]), so it inherits the journal's crash
+//! contract: a `kill -9` mid-append loses at most the record being
+//! written, and [`RunCheckpoint::open`] recovers the longest valid prefix
+//! of whatever survived, warning instead of failing. A record that passes
+//! its checksum but does not parse — not JSON, or a row
+//! [`ResultRow::from_json`] rejects — also stops the replay, so its unit
+//! is recomputed, never replayed as a broken row. The file is then
+//! rewritten from the records before it (a fresh log at `PATH.tmp`,
+//! renamed over `PATH`), so units recorded later are not appended behind
+//! it, where the next resume would ignore them.
 //!
 //! Records are keyed by caller-chosen strings that embed the unit's
 //! identity *and* its content fingerprint (the CLI uses the canonical test
@@ -38,17 +41,19 @@ use std::path::Path;
 
 use gam_core::{fault, wal::Wal};
 
-use crate::json::Json;
+use crate::json::{Json, ToJson};
+use crate::report::ResultRow;
 
 /// Magic line of the checkpoint file; bump on incompatible record changes.
-pub const CHECKPOINT_SCHEMA: &str = "gam-checkpoint/v1";
+/// A file of another version starts cold, with a wrong-magic warning.
+pub const CHECKPOINT_SCHEMA: &str = "gam-checkpoint/v2";
 
 /// An open checkpoint: the completed-unit map recovered from disk plus the
 /// log handle for appending new completions.
 #[derive(Debug)]
 pub struct RunCheckpoint {
     wal: Wal,
-    completed: BTreeMap<String, Json>,
+    completed: BTreeMap<String, ResultRow>,
     resumed: usize,
 }
 
@@ -72,12 +77,11 @@ impl RunCheckpoint {
                 .and_then(|text| Json::parse(text).ok())
                 .and_then(|json| {
                     let key = json.get("key")?.as_str()?.to_string();
-                    let result = json.get("result")?.clone();
-                    Some((key, result))
+                    Some((key, ResultRow::from_json(json.get("result")?)?))
                 });
             match record {
-                Some((key, result)) => {
-                    completed.insert(key, result);
+                Some((key, row)) => {
+                    completed.insert(key, row);
                 }
                 None => {
                     // CRC-valid but unparseable: writer bug or version skew.
@@ -119,9 +123,9 @@ impl RunCheckpoint {
         self.resumed
     }
 
-    /// The recorded result of a completed unit, if any.
+    /// The recorded row of a completed unit, if any.
     #[must_use]
-    pub fn completed(&self, key: &str) -> Option<&Json> {
+    pub fn completed(&self, key: &str) -> Option<&ResultRow> {
         self.completed.get(key)
     }
 
@@ -135,11 +139,10 @@ impl RunCheckpoint {
     /// `checkpoint.write` kill (which first leaves a genuinely torn record
     /// on disk, as a real crash would). The in-memory map is updated either
     /// way, so the running process keeps its own progress.
-    pub fn record(&mut self, key: &str, result: Json) -> io::Result<()> {
+    pub fn record(&mut self, key: &str, row: &ResultRow) -> io::Result<()> {
         let payload =
-            Json::object([("key", Json::Str(key.to_string())), ("result", result.clone())])
-                .to_string();
-        self.completed.insert(key.to_string(), result);
+            Json::object([("key", Json::from(key)), ("result", row.to_json())]).to_string();
+        self.completed.insert(key.to_string(), row.clone());
         // Fault-injection point: `checkpoint.write` — a kill dies mid-append.
         if fault::hit("checkpoint.write") {
             self.wal.append_torn(payload.as_bytes())?;

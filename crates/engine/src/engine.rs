@@ -14,7 +14,7 @@ use gam_operational::{ExplorerConfig, MemoryConfig, OperationalChecker};
 
 use crate::checker::{Answer, Checker, Query};
 use crate::error::EngineError;
-use crate::report::{SuiteReport, TestReport};
+use crate::report::{ResultRow, SuiteReport, TestReport};
 use crate::session::CheckBudget;
 
 /// The two formal backends of the reproduction.
@@ -315,6 +315,23 @@ impl Engine {
         self.run(test, query, &CheckBudget::none())?.complete(self.backend(), test)
     }
 
+    /// Checks the test under `budget` by the one rule every report row
+    /// follows ([`CheckBudget::query`]): with a limit, the check enumerates
+    /// outcomes and an early stop is an inconclusive answer; without one, it
+    /// stops at its first witness and an early stop (the explorer's own
+    /// state limit) is the backend's error, see [`Answer::complete`].
+    ///
+    /// # Errors
+    ///
+    /// See [`Engine::run`]; unbudgeted, also the early stop.
+    pub fn answer(&self, test: &LitmusTest, budget: &CheckBudget) -> Result<Answer, EngineError> {
+        let answer = self.run(test, budget.query(), budget)?;
+        match budget.query() {
+            Query::Outcomes => Ok(answer),
+            Query::Verdict => answer.complete(self.backend(), test),
+        }
+    }
+
     /// Decides the test under a [`CheckBudget`] by enumerating its outcome
     /// set, blocking until the check finishes or exhausts the budget,
     /// whichever comes first: `run(test, Query::Outcomes, budget)`. Budget
@@ -391,9 +408,14 @@ impl Engine {
                     }
                     let test = &tests[index];
                     let start = Instant::now();
-                    let result = self.run(test, query, &CheckBudget::none());
-                    let report =
-                        TestReport::new(test, self.backend(), query, result, start.elapsed());
+                    let result = self.run_to_end(test, query);
+                    let row =
+                        ResultRow::new(self.model(), self.backend(), &result, start.elapsed());
+                    let outcomes = match result {
+                        Ok(answer) if query == Query::Outcomes => answer.outcomes,
+                        _ => BTreeSet::new(),
+                    };
+                    let report = TestReport { test: test.name().to_string(), row, outcomes };
                     slots.lock().expect("suite slot lock")[index] = Some(report);
                 });
             }
@@ -470,7 +492,7 @@ mod tests {
         assert_eq!(report.reports[2].test, "mp");
         // dekker has 4 memory events > limit 3 => captured error, not a panic.
         assert!(!report.reports[0].is_ok());
-        assert!(report.reports[0].error.as_deref().unwrap().contains("memory events"));
+        assert!(report.reports[0].row.to_string().contains("memory events"));
         assert!(report.reports[1].is_ok());
         assert!(!report.all_ok());
     }
@@ -510,7 +532,7 @@ mod tests {
             let full = OperationalChecker::new(ModelKind::Gam).explore_reference(test).unwrap();
             let allowed = full.outcomes.iter().any(|outcome| test.condition().matched_by(outcome));
             let verdict = if allowed { Verdict::Allowed } else { Verdict::Forbidden };
-            assert_eq!(Some(verdict), fast.verdict, "{}", fast.test);
+            assert_eq!(Some(verdict), fast.row.verdict(), "{}", fast.test);
             assert_eq!(full.outcomes, fast.outcomes, "{}", fast.test);
         }
     }
@@ -537,7 +559,7 @@ mod tests {
             .run_suite(&tests);
         assert!(report.all_ok());
         for (seq, par) in baseline.reports.iter().zip(&report.reports) {
-            assert_eq!(seq.verdict, par.verdict, "{}", seq.test);
+            assert_eq!(seq.row.verdict(), par.row.verdict(), "{}", seq.test);
             assert_eq!(seq.outcomes, par.outcomes, "{}", seq.test);
         }
     }

@@ -8,7 +8,6 @@
 use std::fmt;
 
 use gam_axiomatic::Verdict;
-use gam_isa::litmus::Outcome;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -416,27 +415,9 @@ impl ToJson for Verdict {
     }
 }
 
-impl ToJson for Outcome {
-    fn to_json(&self) -> Json {
-        Json::Object(
-            self.iter()
-                .map(|(observation, value)| (observation.to_string(), Json::UInt(value.raw())))
-                .collect(),
-        )
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
-        self.as_ref().map_or(Json::Null, ToJson::to_json)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gam_isa::litmus::Observation;
-    use gam_isa::{Loc, ProcId, Reg};
 
     #[test]
     fn scalars_render() {
@@ -462,23 +443,9 @@ mod tests {
     }
 
     #[test]
-    fn verdict_and_outcome_serialize() {
+    fn verdicts_serialize() {
         assert_eq!(Verdict::Allowed.to_json().to_string(), "\"allowed\"");
         assert_eq!(Verdict::Forbidden.to_json().to_string(), "\"forbidden\"");
-        let outcome = Outcome::new()
-            .with_reg(ProcId::new(1), Reg::new(2), 7u64)
-            .with_mem(Loc::new("a"), 3u64);
-        let json = outcome.to_json().to_string();
-        assert!(json.contains(":7"));
-        assert!(json.contains(":3"));
-        let observation = Observation::Register(ProcId::new(1), Reg::new(2));
-        assert!(json.contains(&format!("\"{observation}\"")));
-    }
-
-    #[test]
-    fn option_serializes_to_null_or_value() {
-        assert_eq!(None::<Verdict>.to_json().to_string(), "null");
-        assert_eq!(Some(Verdict::Allowed).to_json().to_string(), "\"allowed\"");
     }
 
     #[test]

@@ -25,8 +25,11 @@
 //!   partial outcomes*, not an error. [`Engine::check_budgeted`] is the
 //!   budgeted shorthand of [`Engine::run`], whose panic fence turns a
 //!   panicking checker into [`EngineError::Panicked`];
+//! * [`report`] — [`ResultRow`], the one row of one (model, backend)
+//!   answer that every check, suite, serve and checkpoint report prints,
+//!   and the [`SuiteReport`] that groups a suite's rows;
 //! * [`checkpoint`] — crash-durable run checkpoints ([`RunCheckpoint`]): an
-//!   append-only CRC-framed log of completed work units that lets
+//!   append-only CRC-framed log of completed work units' rows that lets
 //!   `gam check --checkpoint` continue a killed run, skipping every unit
 //!   that already finished.
 //!
@@ -77,7 +80,7 @@ pub use checkpoint::{RunCheckpoint, CHECKPOINT_SCHEMA};
 pub use engine::{Backend, Engine, EngineBuilder};
 pub use error::EngineError;
 pub use json::{Json, JsonParseError, ToJson};
-pub use report::{SuiteReport, TestReport};
+pub use report::{ResultRow, RowAnswer, SuiteReport, TestReport};
 pub use session::{CheckBudget, SessionVerdict};
 
 // Re-exported so facade users can name verdicts and configs without

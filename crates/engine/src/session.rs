@@ -31,6 +31,8 @@ use std::time::Duration;
 use gam_core::{CancelToken, Interrupt, StopReason};
 use gam_isa::litmus::{LitmusTest, Outcome};
 
+use crate::checker::Query;
+
 /// Per-check resource limits.
 ///
 /// The default ([`CheckBudget::none`]) is unlimited: a budgeted check with no
@@ -77,6 +79,19 @@ impl CheckBudget {
     pub fn with_max_bytes(mut self, max_bytes: usize) -> Self {
         self.max_bytes = Some(max_bytes);
         self
+    }
+
+    /// What a check under this budget asks for. A limited check enumerates
+    /// outcomes, so an early stop has partial outcomes to report as
+    /// [`SessionVerdict::Inconclusive`]; an unlimited one decides the verdict
+    /// alone. [`crate::Engine::answer`] applies this rule.
+    #[must_use]
+    pub fn query(&self) -> Query {
+        if *self == CheckBudget::none() {
+            Query::Verdict
+        } else {
+            Query::Outcomes
+        }
     }
 
     /// Builds the [`Interrupt`] a backend should poll for this budget: the
@@ -163,7 +178,6 @@ mod tests {
     use gam_core::ModelKind;
     use gam_isa::litmus::library;
 
-    use crate::checker::Query;
     use crate::engine::{Backend, Engine};
 
     #[test]
@@ -180,6 +194,10 @@ mod tests {
         assert!(budget.interrupt(CancelToken::new()).is_armed());
         // Even an unlimited budget arms the interrupt: the cancel token.
         assert!(CheckBudget::none().interrupt(CancelToken::new()).is_armed());
+        // Any limit at all makes the check enumerate outcomes.
+        assert_eq!(CheckBudget::none().query(), Query::Verdict);
+        assert_eq!(CheckBudget::none().with_max_bytes(1).query(), Query::Outcomes);
+        assert_eq!(budget.query(), Query::Outcomes);
     }
 
     #[test]

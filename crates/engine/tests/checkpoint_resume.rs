@@ -1,14 +1,15 @@
 //! The run checkpoint's crash contract: everything `record` returned `Ok`
 //! for is visible after reopening, damage only ever costs the torn tail
 //! (or, for a record that does not parse, that record and the ones after
-//! it, but never a unit recorded after the reopen), and duplicate keys
-//! resolve last-writer-wins.
+//! it, but never a unit recorded after the reopen), a record whose row does
+//! not parse is never replayed, and duplicate keys resolve
+//! last-writer-wins.
 
 use std::fs;
 use std::path::PathBuf;
 
-use gam_core::{fault, wal};
-use gam_engine::{Json, RunCheckpoint};
+use gam_core::{fault, wal, ModelKind};
+use gam_engine::{Backend, ResultRow, RowAnswer, RunCheckpoint, Verdict};
 
 struct Scratch(PathBuf);
 
@@ -30,8 +31,15 @@ impl Drop for Scratch {
     }
 }
 
-fn unit(value: u64) -> Json {
-    Json::object([("states_visited", Json::UInt(value)), ("agree", Json::Bool(true))])
+/// A completed unit's row, told apart by its state count.
+fn unit(states: u64) -> ResultRow {
+    ResultRow {
+        model: ModelKind::Gam,
+        backend: Backend::Operational,
+        answer: RowAnswer::Verdict(Verdict::Allowed),
+        states,
+        wall_us: 5,
+    }
 }
 
 #[test]
@@ -44,11 +52,11 @@ fn recorded_units_survive_reopen_and_duplicates_take_the_last_writer() {
     assert!(checkpoint.is_empty());
     assert_eq!(checkpoint.resumed(), 0);
 
-    checkpoint.record("bench/GAM/mp/abc", unit(10)).expect("record");
-    checkpoint.record("bench/GAM/sb/abc", unit(20)).expect("record");
+    checkpoint.record("bench/GAM/mp/abc", &unit(10)).expect("record");
+    checkpoint.record("bench/GAM/sb/abc", &unit(20)).expect("record");
     // Re-recording a key (a resumed run finishing the interrupted unit
     // again) overwrites: last writer wins on replay.
-    checkpoint.record("bench/GAM/mp/abc", unit(11)).expect("record");
+    checkpoint.record("bench/GAM/mp/abc", &unit(11)).expect("record");
     assert_eq!(checkpoint.len(), 2);
     drop(checkpoint);
 
@@ -56,20 +64,11 @@ fn recorded_units_survive_reopen_and_duplicates_take_the_last_writer() {
     assert!(warning.is_none());
     assert_eq!(reopened.resumed(), 2);
     assert_eq!(
-        reopened
-            .completed("bench/GAM/mp/abc")
-            .and_then(|r| r.get("states_visited"))
-            .and_then(Json::as_u64),
-        Some(11),
+        reopened.completed("bench/GAM/mp/abc"),
+        Some(&unit(11)),
         "duplicate key must resolve to the later record"
     );
-    assert_eq!(
-        reopened
-            .completed("bench/GAM/sb/abc")
-            .and_then(|r| r.get("states_visited"))
-            .and_then(Json::as_u64),
-        Some(20)
-    );
+    assert_eq!(reopened.completed("bench/GAM/sb/abc"), Some(&unit(20)));
     assert!(reopened.completed("bench/GAM/mp/DIFFERENT-HASH").is_none());
 }
 
@@ -78,8 +77,8 @@ fn a_torn_tail_costs_only_the_record_being_written() {
     let _guard = fault::exclusive();
     let scratch = Scratch::new("torn");
     let (mut checkpoint, _) = RunCheckpoint::open(&scratch.0).expect("open");
-    checkpoint.record("unit/1", unit(1)).expect("record");
-    checkpoint.record("unit/2", unit(2)).expect("record");
+    checkpoint.record("unit/1", &unit(1)).expect("record");
+    checkpoint.record("unit/2", &unit(2)).expect("record");
     drop(checkpoint);
 
     // Simulate a crash mid-append: garbage where the third record's frame
@@ -100,10 +99,10 @@ fn checkpoint_write_kill_errs_but_keeps_in_memory_progress() {
     let _guard = fault::exclusive();
     let scratch = Scratch::new("fault");
     let (mut checkpoint, _) = RunCheckpoint::open(&scratch.0).expect("open");
-    checkpoint.record("unit/1", unit(1)).expect("record");
+    checkpoint.record("unit/1", &unit(1)).expect("record");
 
     fault::install("checkpoint.write=kill").expect("valid plan");
-    let err = checkpoint.record("unit/2", unit(2)).expect_err("injected kill surfaces");
+    let err = checkpoint.record("unit/2", &unit(2)).expect_err("injected kill surfaces");
     assert_eq!(err.kind(), std::io::ErrorKind::Interrupted);
     fault::reset();
     // The running process keeps its own progress even though durability for
@@ -134,7 +133,7 @@ fn units_recorded_after_an_unparseable_record_survive_the_next_resume() {
     let _guard = fault::exclusive();
     let scratch = Scratch::new("unparseable");
     let (mut checkpoint, _) = RunCheckpoint::open(&scratch.0).expect("open");
-    checkpoint.record("unit/a", unit(1)).expect("record");
+    checkpoint.record("unit/a", &unit(1)).expect("record");
     drop(checkpoint);
     // A frame that passes its checksum but is no record stops the replay.
     let mut bytes = fs::read(&scratch.0).expect("checkpoint bytes");
@@ -144,7 +143,7 @@ fn units_recorded_after_an_unparseable_record_survive_the_next_resume() {
     let (mut checkpoint, warning) = RunCheckpoint::open(&scratch.0).expect("reopen");
     assert!(warning.expect("the bad record is reported").contains("unparseable"));
     assert_eq!(checkpoint.resumed(), 1);
-    checkpoint.record("unit/b", unit(2)).expect("record");
+    checkpoint.record("unit/b", &unit(2)).expect("record");
     drop(checkpoint);
 
     // The unit recorded after the bad frame is not lost behind it.
@@ -153,4 +152,37 @@ fn units_recorded_after_an_unparseable_record_survive_the_next_resume() {
     assert!(resumed.completed("unit/a").is_some());
     assert!(resumed.completed("unit/b").is_some(), "unit/b must be completed");
     assert_eq!(resumed.resumed(), 2);
+}
+
+#[test]
+fn a_record_whose_row_does_not_parse_is_recomputed_not_replayed() {
+    let _guard = fault::exclusive();
+    let scratch = Scratch::new("bad-row");
+    let (mut checkpoint, _) = RunCheckpoint::open(&scratch.0).expect("open");
+    checkpoint.record("unit/a", &unit(1)).expect("record");
+    drop(checkpoint);
+    // CRC-valid and well-formed JSON with a key, but its row is one of the
+    // former schema (`states_visited`, no `states`).
+    let mut bytes = fs::read(&scratch.0).expect("checkpoint bytes");
+    let record = br#"{"key":"unit/b","result":{"model":"GAM","backend":"operational","verdict":"allowed","states_visited":3,"wall_us":5}}"#;
+    bytes.extend_from_slice(&wal::encode_frame(record));
+    fs::write(&scratch.0, &bytes).expect("append the record");
+
+    let (checkpoint, warning) = RunCheckpoint::open(&scratch.0).expect("reopen");
+    assert!(warning.expect("the bad record is reported").contains("unparseable"));
+    assert_eq!(checkpoint.completed("unit/a"), Some(&unit(1)));
+    assert_eq!(checkpoint.completed("unit/b"), None, "its unit must be recomputed");
+    assert_eq!(checkpoint.resumed(), 1);
+}
+
+#[test]
+fn a_checkpoint_of_the_former_schema_starts_cold() {
+    let scratch = Scratch::new("v1");
+    let record = br#"{"key":"unit/a","result":{"verdict":"allowed"}}"#;
+    let mut bytes = b"gam-checkpoint/v1\n".to_vec();
+    bytes.extend_from_slice(&wal::encode_frame(record));
+    fs::write(&scratch.0, &bytes).expect("write a v1 checkpoint");
+    let (checkpoint, warning) = RunCheckpoint::open(&scratch.0).expect("open");
+    assert!(checkpoint.is_empty(), "a v1 record must not be replayed");
+    assert!(warning.expect("the wrong magic is reported").contains("magic"));
 }

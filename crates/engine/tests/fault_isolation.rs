@@ -83,9 +83,9 @@ fn suite_runs_report_panics_per_test_and_finish() {
     let panicked: Vec<_> = report
         .reports
         .iter()
-        .filter(|r| r.error.as_deref().is_some_and(|e| e.starts_with("the checker panicked")))
+        .filter(|r| r.row.to_string().starts_with("ERROR: the checker panicked"))
         .collect();
-    let clean = report.reports.iter().filter(|r| r.verdict.is_some()).count();
+    let clean = report.reports.iter().filter(|r| r.row.verdict().is_some()).count();
     assert!(!panicked.is_empty(), "the armed plan must catch some tests");
     assert!(clean > 0, "the plan must spare some tests");
     assert_eq!(panicked.len() + clean, tests.len());

@@ -43,6 +43,5 @@ pub use cache::{CacheEntry, OutcomeCache};
 pub use http::{ClientConfig, RetryPolicy, RetryStats};
 pub use journal::{JournalStats, JournaledCache, JOURNAL_SCHEMA};
 pub use server::{
-    backend_name, model_name, parse_backend, parse_model, ServeConfig, ServeError, Server,
-    METRICS_SCHEMA,
+    model_name, parse_backend, parse_model, ServeConfig, ServeError, Server, METRICS_SCHEMA,
 };

@@ -13,10 +13,11 @@
 //! * `POST /shutdown` — graceful drain: the CLI observes the request, stops
 //!   accepting, drains in-flight work and persists the cache.
 //!
-//! Every cache miss, on either endpoint, is one [`Engine::run`] call: the
-//! engine's single fenced check path, asked for the verdict or for the
-//! full outcome set ([`Query`]) and answering with the states it visited,
-//! which the cache records (with the wall time) as the entry's cost.
+//! Every cache miss, on either endpoint, is one [`Engine::answer`] call:
+//! the engine's single fenced check path, whose query the request's budget
+//! picks ([`CheckBudget::query`]), answering with the states it visited,
+//! which the cache records (with the wall time) as the entry's cost. Every
+//! result row is the engine's [`ResultRow`] plus `cached`.
 //!
 //! Overload is handled in two stages. Under sustained pressure (standing
 //! queue at least half the configured depth) the service first *degrades*:
@@ -51,7 +52,10 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use gam_core::{ModelKind, StopReason};
-use gam_engine::{Answer, Backend, CheckBudget, Engine, EngineError, Json, Query, SessionVerdict};
+use gam_engine::{
+    Answer, Backend, CheckBudget, Engine, EngineError, Json, ResultRow, RowAnswer, SessionVerdict,
+    Verdict,
+};
 use gam_frontend::{canonical_hash, parse_litmus};
 use gam_isa::litmus::LitmusTest;
 use gam_obs::metrics::{Counter, Histogram, Registry};
@@ -128,7 +132,7 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:7117".to_string(),
             workers: thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get),
             queue_depth: 64,
-            cache_path: PathBuf::from("gam-serve-cache.json"),
+            cache_path: PathBuf::from("gam-serve-cache.journal"),
             cache_capacity: 4096,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(30),
@@ -379,11 +383,10 @@ impl Shared {
         if standing.saturating_mul(2) < self.queue_depth {
             return;
         }
-        let clamped = options
-            .budget_wall_ms
-            .map_or(self.overload_wall_ms, |requested| requested.min(self.overload_wall_ms));
-        if options.budget_wall_ms != Some(clamped) {
-            options.budget_wall_ms = Some(clamped);
+        let cap = Duration::from_millis(self.overload_wall_ms);
+        let clamped = options.budget.max_wall.map_or(cap, |requested| requested.min(cap));
+        if options.budget.max_wall != Some(clamped) {
+            options.budget.max_wall = Some(clamped);
             self.metrics.overload_tightened_total.inc();
         }
     }
@@ -405,9 +408,9 @@ impl Shared {
             return;
         }
         let clamp = usize::try_from(self.overload_mem_bytes).unwrap_or(usize::MAX);
-        let clamped = options.budget_max_bytes.map_or(clamp, |requested| requested.min(clamp));
-        if options.budget_max_bytes != Some(clamped) {
-            options.budget_max_bytes = Some(clamped);
+        let clamped = options.budget.max_bytes.map_or(clamp, |requested| requested.min(clamp));
+        if options.budget.max_bytes != Some(clamped) {
+            options.budget.max_bytes = Some(clamped);
             self.metrics.memory_tightened_total.inc();
         }
     }
@@ -861,15 +864,6 @@ pub fn parse_model(name: &str) -> Option<ModelKind> {
     })
 }
 
-/// The wire name of a backend (also the cache-key component).
-#[must_use]
-pub fn backend_name(backend: Backend) -> &'static str {
-    match backend {
-        Backend::Axiomatic => "axiomatic",
-        Backend::Operational => "operational",
-    }
-}
-
 /// Parses a wire backend name.
 #[must_use]
 pub fn parse_backend(name: &str) -> Option<Backend> {
@@ -884,56 +878,17 @@ pub fn parse_backend(name: &str) -> Option<Backend> {
 struct CheckOptions {
     models: Vec<ModelKind>,
     backends: Vec<Backend>,
-    /// Operational state budget (`max_states`), if the request set one.
-    budget_states: Option<usize>,
-    /// Per-check wall-clock budget in milliseconds, if the request set one.
-    budget_wall_ms: Option<u64>,
-    /// Operational explorer memory budget in accounted bytes, if the request
-    /// set one (or admission control clamped one on).
-    budget_max_bytes: Option<usize>,
+    /// The request's `budget_states`, `budget_wall_ms` and
+    /// `budget_max_bytes`, as admission control may have tightened them.
+    budget: CheckBudget,
 }
 
 impl CheckOptions {
-    /// Whether any budget is armed — budgeted requests enumerate outcome
-    /// sets, and budget exhaustion is an inconclusive row, not an error row.
-    fn budgeted(&self) -> bool {
-        self.budget_states.is_some()
-            || self.budget_wall_ms.is_some()
-            || self.budget_max_bytes.is_some()
-    }
-
-    /// What a miss asks its checker for: a budgeted check enumerates the
-    /// outcomes it reaches (an early stop reports them as partial), any
-    /// other check stops at its first witness.
-    fn query(&self) -> Query {
-        if self.budgeted() {
-            Query::Outcomes
-        } else {
-            Query::Verdict
-        }
-    }
-
-    fn budget(&self) -> CheckBudget {
-        let mut budget = CheckBudget::none();
-        if let Some(states) = self.budget_states {
-            budget = budget.with_max_states(states);
-        }
-        if let Some(wall_ms) = self.budget_wall_ms {
-            budget = budget.with_max_wall(Duration::from_millis(wall_ms));
-        }
-        if let Some(max_bytes) = self.budget_max_bytes {
-            budget = budget.with_max_bytes(max_bytes);
-        }
-        budget
-    }
-
     fn from_json(json: &Json) -> Result<CheckOptions, String> {
         let mut options = CheckOptions {
             models: vec![ModelKind::Gam],
             backends: vec![Backend::Operational],
-            budget_states: None,
-            budget_wall_ms: None,
-            budget_max_bytes: None,
+            budget: CheckBudget::none(),
         };
         if let Some(models) = json.get("models") {
             let list = models.as_array().ok_or("`models` must be an array")?;
@@ -963,16 +918,16 @@ impl CheckOptions {
         }
         if let Some(budget) = json.get("budget_states") {
             let value = budget.as_u64().ok_or("`budget_states` must be an integer")?;
-            options.budget_states =
+            options.budget.max_states =
                 Some(usize::try_from(value).map_err(|_| "`budget_states` too large")?);
         }
         if let Some(budget) = json.get("budget_wall_ms") {
-            options.budget_wall_ms =
-                Some(budget.as_u64().ok_or("`budget_wall_ms` must be an integer")?);
+            let ms = budget.as_u64().ok_or("`budget_wall_ms` must be an integer")?;
+            options.budget.max_wall = Some(Duration::from_millis(ms));
         }
         if let Some(budget) = json.get("budget_max_bytes") {
             let value = budget.as_u64().ok_or("`budget_max_bytes` must be an integer")?;
-            options.budget_max_bytes =
+            options.budget.max_bytes =
                 Some(usize::try_from(value).map_err(|_| "`budget_max_bytes` too large")?);
         }
         Ok(options)
@@ -981,8 +936,8 @@ impl CheckOptions {
 
 fn handle_check(shared: &Shared, request: &Request) -> RouteResponse {
     let body = request.body_text();
-    let trimmed = body.trim_start();
-    let (litmus_text, options) = if trimmed.starts_with('{') {
+    // A raw `.litmus` body takes the defaults an envelope without fields does.
+    let (litmus_text, envelope) = if body.trim_start().starts_with('{') {
         let json = match Json::parse(&body) {
             Ok(json) => json,
             Err(err) => return error_response(400, format!("bad JSON: {err}")),
@@ -990,80 +945,43 @@ fn handle_check(shared: &Shared, request: &Request) -> RouteResponse {
         let Some(litmus) = json.get("litmus").and_then(Json::as_str) else {
             return error_response(400, "missing `litmus` field".to_string());
         };
-        match CheckOptions::from_json(&json) {
-            Ok(options) => (litmus.to_string(), options),
-            Err(err) => return error_response(400, err),
-        }
+        (litmus.to_string(), json)
     } else {
-        (
-            body,
-            CheckOptions {
-                models: vec![ModelKind::Gam],
-                backends: vec![Backend::Operational],
-                budget_states: None,
-                budget_wall_ms: None,
-                budget_max_bytes: None,
-            },
-        )
+        (body, Json::Null)
     };
-    let mut options = options;
+    let mut options = match CheckOptions::from_json(&envelope) {
+        Ok(options) => options,
+        Err(err) => return error_response(400, err),
+    };
     let test = match parse_litmus(&litmus_text) {
         Ok(test) => test,
         Err(err) => return error_response(400, format!("litmus parse error: {err}")),
     };
     shared.tighten_for_overload(&mut options);
     shared.tighten_for_memory(&mut options);
-    let result = check_one(shared, &test, &options);
+    let result = check_tests(shared, std::slice::from_ref(&test), &options).pop();
+    let result = result.expect("one entry per test");
     ok_response(&Json::object([("ok", Json::Bool(true)), ("result", result)]))
-}
-
-/// Checks one test against every requested (model, backend) pair, answering
-/// from the cache when possible. Mutations are durable the moment the
-/// journal append returns — no whole-cache rewrite on this path anymore.
-fn check_one(shared: &Shared, test: &LitmusTest, options: &CheckOptions) -> Json {
-    let hash = canonical_hash(test).to_string();
-    let mut results = Vec::new();
-    for &model in &options.models {
-        for &backend in &options.backends {
-            results.push(result_row(shared, test, &hash, model, backend, options));
-        }
-    }
-    Json::object([
-        ("test", Json::Str(test.name().to_string())),
-        ("canonical_hash", Json::Str(hash)),
-        ("results", Json::Array(results)),
-    ])
 }
 
 /// The result row of one (test, model, backend) cell, counted in the
 /// metrics: the cached entry when there is one, otherwise a miss computed
-/// through [`Engine::run`] and cached when conclusive. An unbudgeted miss
-/// asks for the verdict only, so its `states` count the states the verdict
-/// needed, not the whole space.
-///
-/// With a budget (`budget_states`/`budget_wall_ms`/`budget_max_bytes`), an
-/// early stop is an `inconclusive` row carrying the partial outcome count,
-/// never cached; without one it is an error row, as on the blocking API. A
-/// panicking checker is an error row and a `panics_total` tick, never a
-/// dead worker: the engine fences every check.
+/// through [`Engine::answer`] and cached when conclusive. The budget picks
+/// the query: an unbudgeted miss decides the verdict only, so its `states`
+/// count the states the verdict needed, not the whole space, and an early
+/// stop is an error row; a budgeted miss enumerates outcomes, and an early
+/// stop is an `inconclusive` row carrying the partial outcome count, never
+/// cached. A panicking checker is an error row and a `panics_total` tick,
+/// never a dead worker: the engine fences every check.
 fn result_row(
     shared: &Shared,
     test: &LitmusTest,
     hash: &str,
     model: ModelKind,
     backend: Backend,
-    options: &CheckOptions,
+    budget: &CheckBudget,
 ) -> Json {
-    let mut row = vec![
-        ("model", Json::Str(model_name(model).to_string())),
-        ("backend", Json::Str(backend_name(backend).to_string())),
-    ];
-    if !backend.supports(model) {
-        let message = format!("backend {} does not support {}", backend_name(backend), model);
-        row.push(("error", Json::Str(message)));
-        return Json::object(row);
-    }
-    let key = OutcomeCache::key(hash, model_name(model), backend_name(backend));
+    let key = OutcomeCache::key(hash, model_name(model), backend.name());
     let cached = {
         let _phase = gam_obs::phase("cache_lookup");
         let (entry, warnings) = shared.cache.lock().expect("cache lock").lookup(&key);
@@ -1072,66 +990,45 @@ fn result_row(
     };
     if let Some(entry) = cached {
         shared.metrics.record_hit(model);
-        row.extend(entry_fields(&entry, true));
-        return Json::object(row);
+        let verdict = if entry.allowed { Verdict::Allowed } else { Verdict::Forbidden };
+        let answer = RowAnswer::Verdict(verdict);
+        let row =
+            ResultRow { model, backend, answer, states: entry.states, wall_us: entry.wall_us };
+        return served(&row, true);
     }
     let start = Instant::now();
-    let mut answer = Engine::builder()
+    let answer = Engine::builder()
         .model(model)
         .backend(backend)
         .build()
-        .and_then(|engine| engine.run(test, options.query(), &options.budget()));
-    if !options.budgeted() {
-        answer = answer.and_then(|answer| answer.complete(backend, test));
-    }
-    let wall_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    match answer {
-        Ok(Answer {
-            verdict: SessionVerdict::Inconclusive { partial_outcomes, states_visited, reason },
-            ..
-        }) => {
-            shared.metrics.record_inconclusive(model, reason);
-            row.extend([
-                ("verdict", Json::Str("inconclusive".to_string())),
-                ("reason", Json::Str(reason.to_string())),
-                ("cached", Json::Bool(false)),
-                ("wall_us", Json::UInt(wall_us)),
-                ("states", Json::UInt(states_visited as u64)),
-                ("partial_outcomes", Json::UInt(partial_outcomes.len() as u64)),
-            ]);
+        .and_then(|engine| engine.answer(test, budget));
+    let row = ResultRow::new(model, backend, &answer, start.elapsed());
+    match &answer {
+        Ok(Answer { verdict: SessionVerdict::Inconclusive { reason, .. }, .. }) => {
+            shared.metrics.record_inconclusive(model, *reason);
         }
-        Ok(answer) => {
+        Ok(_) => {
             let entry = CacheEntry {
-                allowed: answer.verdict == SessionVerdict::Allowed,
-                wall_us,
-                states: answer.states_visited as u64,
+                allowed: row.verdict() == Some(Verdict::Allowed),
+                wall_us: row.wall_us,
+                states: row.states,
                 hits: 0,
             };
             shared.metrics.record_miss(model, entry.states, entry.wall_us);
-            row.extend(entry_fields(&entry, false));
             warn_cache(
                 &shared.metrics,
                 shared.cache.lock().expect("cache lock").insert(key, entry),
             );
         }
-        Err(err) => {
-            if matches!(err, EngineError::Panicked { .. }) {
-                shared.metrics.record_panicked(model);
-            }
-            row.push(("error", Json::Str(err.to_string())));
-        }
+        Err(EngineError::Panicked { .. }) => shared.metrics.record_panicked(model),
+        Err(_) => {}
     }
-    Json::object(row)
+    served(&row, false)
 }
 
-/// The JSON fields of a conclusive result row.
-fn entry_fields(entry: &CacheEntry, cached: bool) -> [(&'static str, Json); 4] {
-    [
-        ("verdict", Json::Str(if entry.allowed { "allowed" } else { "forbidden" }.to_string())),
-        ("cached", Json::Bool(cached)),
-        ("wall_us", Json::UInt(entry.wall_us)),
-        ("states", Json::UInt(entry.states)),
-    ]
+/// A served row: the engine's row plus whether the cache answered it.
+fn served(row: &ResultRow, cached: bool) -> Json {
+    Json::object(row.fields().into_iter().chain([("cached", Json::Bool(cached))]))
 }
 
 fn handle_batch(shared: &Shared, request: &Request) -> RouteResponse {
@@ -1160,19 +1057,21 @@ fn handle_batch(shared: &Shared, request: &Request) -> RouteResponse {
             }
         }
     }
-    let results = batch_check(shared, &tests, &options);
+    let results = check_tests(shared, &tests, &options);
     ok_response(&Json::object([("ok", Json::Bool(true)), ("results", Json::Array(results))]))
 }
 
-/// The `/batch` core: every (model, backend) pair of every test through
-/// the same cell path as `/check`, assembled per test in input order.
-fn batch_check(shared: &Shared, tests: &[LitmusTest], options: &CheckOptions) -> Vec<Json> {
+/// The `/check` and `/batch` core: every (model, backend) pair of every
+/// test, answered from the cache when possible and assembled per test in
+/// input order. Mutations are durable the moment the journal append
+/// returns.
+fn check_tests(shared: &Shared, tests: &[LitmusTest], options: &CheckOptions) -> Vec<Json> {
     let hashes: Vec<String> = tests.iter().map(|t| canonical_hash(t).to_string()).collect();
     let mut rows: Vec<Vec<Json>> = vec![Vec::new(); tests.len()];
     for &model in &options.models {
         for &backend in &options.backends {
             for ((test, hash), row) in tests.iter().zip(&hashes).zip(&mut rows) {
-                row.push(result_row(shared, test, hash, model, backend, options));
+                row.push(result_row(shared, test, hash, model, backend, &options.budget));
             }
         }
     }

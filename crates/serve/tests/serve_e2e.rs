@@ -273,7 +273,7 @@ fn check_json_envelope_selects_models_and_backends() {
         let verdict = row.get("verdict").and_then(Json::as_str);
         // Dekker (store buffering): its relaxed outcome is forbidden under
         // SC and allowed under TSO, on both backends.
-        let expected = if model == "sc" { "forbidden" } else { "allowed" };
+        let expected = if model == "SC" { "forbidden" } else { "allowed" };
         assert_eq!(verdict, Some(expected), "{model}/{backend}");
     }
 
@@ -307,7 +307,7 @@ fn batch_agrees_with_in_process_suite_and_metrics_add_up() {
     for (test, row) in tests.iter().zip(results) {
         let in_process = suite
             .report_for(test.name())
-            .and_then(|r| r.verdict)
+            .and_then(|r| r.row.verdict())
             .unwrap_or_else(|| panic!("in-process verdict for {}", test.name()));
         let expected = if in_process.is_allowed() { "allowed" } else { "forbidden" };
         let pair = &row.get("results").and_then(Json::as_array).unwrap()[0];

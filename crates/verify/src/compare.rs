@@ -98,7 +98,7 @@ impl ComparisonMatrix {
                 .zip(&suites)
                 .map(|(spec, suite)| {
                     let verdict =
-                        suite.reports[index].verdict.expect("error-free suite has verdicts");
+                        suite.reports[index].row.verdict().expect("error-free suite has verdicts");
                     (spec.kind(), verdict)
                 })
                 .collect();

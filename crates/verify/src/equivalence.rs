@@ -99,8 +99,8 @@ impl EquivalenceReport {
             .iter()
             .zip(&operational.reports)
             .map(|(ax, op)| {
-                assert!(ax.is_ok(), "axiomatic check succeeds: {:?}", ax.error);
-                assert!(op.is_ok(), "operational check succeeds: {:?}", op.error);
+                assert!(ax.is_ok(), "axiomatic check succeeds: {}", ax.row);
+                assert!(op.is_ok(), "operational check succeeds: {}", op.row);
                 let axiomatic_only: BTreeSet<Outcome> =
                     ax.outcomes.difference(&op.outcomes).cloned().collect();
                 let operational_only: BTreeSet<Outcome> =

@@ -66,46 +66,49 @@
 //! request the server sheds even after the retry budget is *counted*, not
 //! an error.
 //!
-//! `check --time-budget MS` enumerates each (model, backend) pair's outcome
-//! set under a wall budget: a check that exhausts it reports INCONCLUSIVE
-//! with its partial outcomes instead of running open-ended.
-//!
-//! `check --mem-budget BYTES` caps the operational explorer's accounted
-//! in-RAM footprint. Over the soft watermark the explorer degrades — with
+//! `check` and `run` report every (model, backend) answer as the engine's
+//! one result row ([`ResultRow`]), and the budget alone picks what a check
+//! asks for ([`CheckBudget::query`]). Without a budget a check decides the
+//! verdict and stops at its first witness. `check --time-budget MS` (a wall
+//! budget) and `check --mem-budget BYTES` (a cap on the operational
+//! explorer's accounted in-RAM footprint) make it enumerate outcomes
+//! instead, so a check that exhausts its budget reports INCONCLUSIVE with
+//! its partial outcome count rather than running open-ended. Over the soft
+//! watermark of a memory budget the explorer first degrades — with
 //! `--spill-dir DIR`, cold visited-state rows spill to CRC-framed segment
-//! files — and only when degradation cannot free enough does the check
-//! stop with INCONCLUSIVE (memory budget) and its partial outcomes. Spilling
+//! files — and stops only when degradation cannot free enough. Spilling
 //! changes nothing about the verdicts: a capped run that completes via
-//! spill reports exactly the outcome sets of an uncapped run.
+//! spill reports the verdicts of an uncapped run.
 //!
-//! `check --checkpoint FILE` (alias `--resume FILE`) appends every
-//! completed work unit — one (model, backend) verdict — to a crash-durable
-//! log, and skips units already recorded there. A killed run relaunched
-//! with the same flag recomputes only the unit the crash interrupted;
-//! because checking is deterministic, the resumed report carries the
-//! verdicts of an uninterrupted run. Checkpoint keys embed the canonical
-//! test hash, so a checkpoint pointed at a different test matches nothing.
-//! The completed unit is the only resume granularity: the interrupted unit
-//! restarts from scratch.
+//! `check --checkpoint FILE` appends every completed work unit — one
+//! (model, backend) row — to a crash-durable log, and replays units already
+//! recorded there instead of checking them. It changes no query and no
+//! row: the report is the one without the flag plus `resumed_units`. A
+//! killed run relaunched with the same flag recomputes only the unit the
+//! crash interrupted, from its start; because checking is deterministic,
+//! the resumed report carries the rows of an uninterrupted run. Checkpoint
+//! keys embed the canonical test hash, so a checkpoint pointed at a
+//! different test matches nothing.
 //!
 //! Every subcommand rejects a flag it does not read ([`FLAGS`] lists them
-//! all), or a value-taking flag given no value, with exit status 2. Reports go to stdout; when a reader closes it
-//! early the command stops writing and still exits with its own status.
+//! all), or a value-taking flag given no value, with exit status 2.
+//! Reports go to stdout; when a reader closes it early the command stops
+//! writing and still exits with its own status.
 //!
 //! Exit status (all subcommands): 0 = clean, 1 = the command ran but found
 //! mismatches, disagreements, coverage gaps or check errors, 2 = usage or
 //! startup error (bad or unknown flags, unreadable input, `serve` bind failure),
-//! 3 = `check --time-budget` ran error-free but left at least one verdict
-//! inconclusive.
+//! 3 = `check` ran without those but a `--time-budget` or `--mem-budget`
+//! ran out, leaving at least one verdict inconclusive.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use gam_core::ModelKind;
 use gam_engine::{
-    Answer, Backend, CheckBudget, Engine, Json, Query, SessionVerdict, SuiteReport, TestReport,
-    ToJson, Verdict,
+    Backend, CheckBudget, Engine, Json, ResultRow, RowAnswer, SuiteReport, TestReport, ToJson,
+    Verdict,
 };
 use gam_frontend::{export_library, parse_litmus, print_litmus, Corpus};
 use gam_isa::litmus::LitmusTest;
@@ -156,8 +159,9 @@ enum Status {
     /// The command ran but found mismatches, disagreements or errors — exit 1.
     Findings,
     /// Every check ran error-free but at least one verdict is inconclusive
-    /// (a `--time-budget` ran out) — exit 3, distinct from both a mismatch
-    /// (1) and a usage error (2) so scripts can retry with a bigger budget.
+    /// (a `--time-budget` or `--mem-budget` ran out) — exit 3, distinct
+    /// from both a mismatch (1) and a usage error (2) so scripts can retry
+    /// with a bigger budget.
     Inconclusive,
 }
 
@@ -167,6 +171,19 @@ impl Status {
             Status::Clean
         } else {
             Status::Findings
+        }
+    }
+
+    /// The one exit rule of `check` and `run`: findings (mismatches, which
+    /// include errors, and coverage gaps) first, then an inconclusive row.
+    fn of_reports(reports: &BTreeMap<(ModelKind, Backend), SuiteReport>, clean: bool) -> Status {
+        let mut rows = reports.values().flat_map(|suite| &suite.reports);
+        if !clean {
+            Status::Findings
+        } else if rows.any(|report| report.row.is_inconclusive()) {
+            Status::Inconclusive
+        } else {
+            Status::Clean
         }
     }
 }
@@ -193,7 +210,7 @@ fn run(args: &[String]) -> Result<Status, String> {
     };
     let subcommand: fn(&[String]) -> Result<Status, String> = match command.as_str() {
         "check" => cmd_check,
-        "run" => |args| cmd_run(args).map(Status::from_clean),
+        "run" => cmd_run,
         "bench" => |args| cmd_bench(args).map(Status::from_clean),
         "serve" => |args| cmd_serve(args).map(Status::from_clean),
         "gen-corpus" => |args| cmd_gen_corpus(args).map(Status::from_clean),
@@ -264,7 +281,6 @@ const USAGE: &str = "usage:
                        skip units already recorded there — a killed run
                        relaunched with the same FILE recomputes only the
                        unit the crash interrupted, from its start
-                       (--resume is an alias)
   --serve ADDR         bench: replay the corpus against a live `gam serve`
                        at ADDR (required; `gam run DIR` checks in-process)
   --min-hit-rate R     bench --serve: fail unless the observed cache hit
@@ -277,7 +293,7 @@ const USAGE: &str = "usage:
   --out PATH           bench --serve: also write the JSON report to PATH
   --addr ADDR          serve: bind address (default 127.0.0.1:7117)
   --cache PATH         serve: cache file, a write-ahead journal (default
-                       gam-serve-cache.json)
+                       gam-serve-cache.journal)
   --cache-capacity N   serve: max cache entries; the least recently used
                        is evicted first (default 4096)
   --workers N          serve: worker threads (default: all cores)
@@ -311,8 +327,9 @@ const USAGE: &str = "usage:
 
 exit status: 0 = clean; 1 = ran but found mismatches, disagreements,
 coverage gaps or check errors; 2 = usage/startup error (bad or unknown flags,
-unreadable input, serve bind failure); 3 = check ran error-free but a
---time-budget ran out, leaving at least one verdict inconclusive";
+unreadable input, serve bind failure); 3 = check ran without those but a
+--time-budget or --mem-budget ran out, leaving at least one verdict
+inconclusive";
 
 // ---------------------------------------------------------------------------
 // argument helpers
@@ -343,7 +360,6 @@ const FLAGS: &[(&str, bool, &[&str])] = &[
     ("--mem-budget", true, &["check"]),
     ("--spill-dir", true, &["check"]),
     ("--checkpoint", true, &["check"]),
-    ("--resume", true, &["check"]),
     ("--serve", true, &["bench"]),
     ("--min-hit-rate", true, &["bench"]),
     ("--timeout-ms", true, &["bench"]),
@@ -518,12 +534,11 @@ fn write_trace(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Opens the `--checkpoint FILE` (alias `--resume FILE`) work-unit log when
-/// either flag is given. Recovered damage and a non-empty resume are
-/// announced on stderr; only a genuine I/O failure to open the file is a
-/// startup error.
+/// Opens the `--checkpoint FILE` work-unit log when the flag is given.
+/// Recovered damage and a non-empty resume are announced on stderr; only a
+/// genuine I/O failure to open the file is a startup error.
 fn open_checkpoint(args: &[String]) -> Result<Option<gam_engine::RunCheckpoint>, String> {
-    let Some(path) = arg_value(args, "--checkpoint").or_else(|| arg_value(args, "--resume")) else {
+    let Some(path) = arg_value(args, "--checkpoint") else {
         return Ok(None);
     };
     let (checkpoint, warning) = gam_engine::RunCheckpoint::open(std::path::Path::new(&path))
@@ -540,9 +555,9 @@ fn open_checkpoint(args: &[String]) -> Result<Option<gam_engine::RunCheckpoint>,
 /// Records one completed work unit, warning instead of failing: the
 /// checkpoint exists to protect the run, so losing it must never sink the
 /// run it protects.
-fn record_unit(checkpoint: &mut Option<gam_engine::RunCheckpoint>, key: &str, result: &Json) {
+fn record_unit(checkpoint: &mut Option<gam_engine::RunCheckpoint>, key: &str, row: &ResultRow) {
     if let Some(checkpoint) = checkpoint.as_mut() {
-        if let Err(err) = checkpoint.record(key, result.clone()) {
+        if let Err(err) = checkpoint.record(key, row) {
             gam_obs::warn!(
                 "gam: checkpoint {}: {err}; continuing without durability for this unit",
                 checkpoint.path().display()
@@ -597,7 +612,8 @@ fn run_matrix(
 
 /// Diffs the reports: backends must agree pairwise per `(test, model)`, no
 /// backend may error, and (where an expectation exists) the agreed verdict
-/// must match it.
+/// must match it. Only conclusive rows are diffed: an inconclusive one
+/// claims nothing.
 fn diff_reports(
     tests: &[LitmusTest],
     models: &[ModelKind],
@@ -612,18 +628,15 @@ fn diff_reports(
                 if *m != model {
                     continue;
                 }
-                let Some(row) = report.report_for(test.name()) else { continue };
-                match (row.verdict, &row.error) {
-                    (Some(verdict), _) => verdicts.push((*backend, verdict)),
-                    (None, error) => mismatches.push(Mismatch {
+                let Some(report) = report.report_for(test.name()) else { continue };
+                match &report.row.answer {
+                    RowAnswer::Verdict(verdict) => verdicts.push((*backend, *verdict)),
+                    RowAnswer::Error(error) => mismatches.push(Mismatch {
                         test: test.name().to_string(),
                         model,
-                        detail: format!(
-                            "{} backend error: {}",
-                            backend,
-                            error.as_deref().unwrap_or("no verdict")
-                        ),
+                        detail: format!("{backend} backend error: {error}"),
                     }),
+                    RowAnswer::Inconclusive { .. } => {}
                 }
             }
             if let Some((first, rest)) = verdicts.split_first() {
@@ -690,7 +703,7 @@ fn render_matrix(
                 .iter()
                 .find(|((m, _), _)| *m == model)
                 .and_then(|(_, report)| report.report_for(test.name()))
-                .and_then(|row| row.verdict);
+                .and_then(|report| report.row.verdict());
             let mut cell = match verdict {
                 Some(Verdict::Allowed) => "A".to_string(),
                 Some(Verdict::Forbidden) => "F".to_string(),
@@ -737,19 +750,14 @@ fn json_report(
 // ---------------------------------------------------------------------------
 
 /// `gam check`: one sequential loop over the supported (model, backend)
-/// pairs, each pair one [`Engine::run`] of the parsed test.
-///
-/// Plain checks ask for the verdict alone and report each pair as a
-/// single-test suite report, diffed across backends and — for an
-/// unmodified library test — against the paper's expectation table.
-/// `--time-budget`, `--mem-budget` and `--checkpoint` make the loop
-/// enumerate outcome sets instead: an exhausted budget surfaces as an
-/// INCONCLUSIVE row carrying partial outcomes (exit 3) instead of an
-/// open-ended run, and with a checkpoint every finished pair is logged
-/// before the next one starts while pairs already on the log are replayed
-/// from it — verdicts are deterministic, so a resumed run's rows are
-/// identical to an uninterrupted run's. Expectation diffing is skipped
-/// there: a budgeted verdict may be partial by design.
+/// pairs, each pair one [`Engine::answer`] of the parsed test under the
+/// `--time-budget`/`--mem-budget` budget, reported as a single-test suite
+/// report of its one row. Conclusive rows are diffed across backends and —
+/// for an unmodified library test — against the paper's expectation table.
+/// With `--checkpoint`, every finished pair is logged before the next one
+/// starts, and pairs already on the log are replayed from it instead of
+/// checked: rows are deterministic, so a resumed report is an
+/// uninterrupted one.
 fn cmd_check(args: &[String]) -> Result<Status, String> {
     let Some(path) = positional(args) else {
         return Err("`gam check` needs a FILE argument".to_string());
@@ -771,27 +779,19 @@ fn cmd_check(args: &[String]) -> Result<Status, String> {
         None => Backend::ALL.to_vec(),
     };
     let explorer_workers = explorer_threads(args)?;
-    let budget_ms = match arg_value(args, "--time-budget") {
-        Some(ms) => Some(ms.parse().map_err(|_| format!("invalid --time-budget `{ms}`"))?),
-        None => None,
-    };
-    let (mem_budget, spill_dir) = memory_flags(args)?;
-    let budgeted = budget_ms.is_some()
-        || mem_budget.is_some()
-        || arg_value(args, "--checkpoint").is_some()
-        || arg_value(args, "--resume").is_some();
-    let query = if budgeted { Query::Outcomes } else { Query::Verdict };
     let mut budget = CheckBudget::none();
-    if let Some(ms) = budget_ms {
-        budget = budget.with_max_wall(std::time::Duration::from_millis(ms));
+    if let Some(ms) = arg_value(args, "--time-budget") {
+        let ms = ms.parse().map_err(|_| format!("invalid --time-budget `{ms}`"))?;
+        budget = budget.with_max_wall(Duration::from_millis(ms));
     }
+    let (mem_budget, spill_dir) = memory_flags(args)?;
     if let Some(bytes) = mem_budget {
         budget = budget.with_max_bytes(bytes);
     }
     let mut checkpoint = open_checkpoint(args)?;
     let hash = gam_frontend::canonical_hash(&test).to_string();
-    let mut rows: Vec<((ModelKind, Backend), Json)> = Vec::new();
     let mut reports = BTreeMap::new();
+    let mut resumed_units = 0u64;
     for &model in &models {
         for &backend in &backends {
             if !backend.supports(model) {
@@ -800,81 +800,53 @@ fn cmd_check(args: &[String]) -> Result<Status, String> {
             // The key pins the unit *and* the test's content: a checkpoint
             // accidentally pointed at a different test matches nothing.
             let key = format!("check/{model}/{}/{hash}", backend.name());
-            if let Some(recorded) = checkpoint.as_ref().and_then(|c| c.completed(&key)).cloned() {
-                rows.push(((model, backend), recorded));
-                continue;
-            }
-            let mut builder = Engine::builder()
-                .model(model)
-                .backend(backend)
-                .explorer_parallelism(explorer_workers);
-            // The byte ceiling arrives through the check budget; the
-            // builder only carries where to degrade to.
-            if let Some(dir) = &spill_dir {
-                builder = builder.explorer_spill_dir(dir.clone());
-            }
-            let engine = builder.build().map_err(|err| err.to_string())?;
-            let start = Instant::now();
-            let result = engine.run(&test, query, &budget);
-            let wall = start.elapsed();
-            // Without a budget an early stop (the explorer's state limit) is
-            // an error, as everywhere on the blocking path.
-            let result =
-                if budgeted { result } else { result.and_then(|a| a.complete(backend, &test)) };
-            let base =
-                [("model", Json::from(model.to_string())), ("backend", Json::from(backend.name()))];
-            let row = match &result {
-                Ok(Answer {
-                    verdict:
-                        SessionVerdict::Inconclusive { partial_outcomes, states_visited, reason },
-                    ..
-                }) => Json::object(base.into_iter().chain([
-                    ("verdict", Json::from("inconclusive")),
-                    ("reason", Json::from(reason.to_string())),
-                    ("states_visited", Json::UInt(*states_visited as u64)),
-                    ("partial_outcomes", Json::UInt(partial_outcomes.len() as u64)),
-                    ("wall_us", Json::UInt(micros(wall))),
-                ])),
-                Ok(answer) => Json::object(base.into_iter().chain([
-                    ("verdict", Json::from(answer.verdict.to_string())),
-                    ("wall_us", Json::UInt(micros(wall))),
-                ])),
-                Err(error) => {
-                    Json::object(base.into_iter().chain([("error", Json::from(error.to_string()))]))
+            let row = match checkpoint.as_ref().and_then(|c| c.completed(&key)) {
+                Some(row) => {
+                    resumed_units += 1;
+                    row.clone()
+                }
+                None => {
+                    let mut builder = Engine::builder()
+                        .model(model)
+                        .backend(backend)
+                        .explorer_parallelism(explorer_workers);
+                    // The byte ceiling arrives through the check budget; the
+                    // builder only carries where to degrade to.
+                    if let Some(dir) = &spill_dir {
+                        builder = builder.explorer_spill_dir(dir.clone());
+                    }
+                    let engine = builder.build().map_err(|err| err.to_string())?;
+                    let start = Instant::now();
+                    let result = engine.answer(&test, &budget);
+                    let row = ResultRow::new(model, backend, &result, start.elapsed());
+                    // Errored pairs stay off the log so a resume retries
+                    // them; inconclusive ones are recorded — rerunning with
+                    // the same budget would only reproduce the same row.
+                    if row.is_ok() {
+                        record_unit(&mut checkpoint, &key, &row);
+                    }
+                    row
                 }
             };
-            if budgeted {
-                // Errored pairs stay off the log so a resume retries them;
-                // inconclusive ones are recorded — rerunning with the same
-                // budget would only reproduce the same partial answer.
-                if row.get("error").is_none() {
-                    record_unit(&mut checkpoint, &key, &row);
-                }
-            } else {
-                let report = TestReport::new(&test, backend, query, result, wall);
-                let suite = SuiteReport {
-                    suite: Some(path.clone()),
-                    backend,
-                    model,
-                    parallelism: 1,
-                    wall,
-                    reports: vec![report],
-                };
-                reports.insert((model, backend), suite);
-            }
-            rows.push(((model, backend), row));
+            let report = SuiteReport {
+                suite: Some(path.clone()),
+                backend,
+                model,
+                parallelism: 1,
+                wall: Duration::from_micros(row.wall_us),
+                reports: vec![TestReport {
+                    test: test.name().to_string(),
+                    row,
+                    outcomes: BTreeSet::new(),
+                }],
+            };
+            reports.insert((model, backend), report);
         }
     }
-    if rows.is_empty() {
+    if reports.is_empty() {
         return Err("no supported (model, backend) combination selected".to_string());
     }
-    if !budgeted {
-        // A plain check lists each pair once, in (model, backend) order.
-        rows.sort_by_key(|(pair, _)| *pair);
-        rows.dedup_by_key(|(pair, _)| *pair);
-    }
-    let rows: Vec<Json> = rows.into_iter().map(|(_, row)| row).collect();
-    let use_expectations = !budgeted && !arg_flag(args, "--no-expectations");
+    let use_expectations = !arg_flag(args, "--no-expectations");
     let mismatches = diff_reports(std::slice::from_ref(&test), &models, &reports, |name, model| {
         // The built-in paper table applies only when the parsed test *is*
         // the library test of that name — a user-written variant that merely
@@ -885,66 +857,27 @@ fn cmd_check(args: &[String]) -> Result<Status, String> {
         }
         gam_verify::expectations::expectation_for(name).map(|e| e.allowed(model))
     });
-    let any_error = rows.iter().any(|row| row.get("error").is_some());
-    let any_inconclusive =
-        rows.iter().any(|row| row.get("verdict").and_then(Json::as_str) == Some("inconclusive"));
-    if arg_flag(args, "--json") && !budgeted {
-        outln!("{}", json_report(path, &models, &reports, &mismatches, &[]));
-    } else if arg_flag(args, "--json") {
-        let mut fields = vec![("suite", Json::from(path.as_str()))];
-        if let Some(ms) = budget_ms {
-            fields.push(("time_budget_ms", Json::UInt(ms)));
+    if arg_flag(args, "--json") {
+        let mut report = json_report(path, &models, &reports, &mismatches, &[]);
+        if let (Some(_), Json::Object(fields)) = (&checkpoint, &mut report) {
+            fields.push(("resumed_units".to_string(), Json::UInt(resumed_units)));
         }
-        if let Some(bytes) = mem_budget {
-            fields.push(("mem_budget_bytes", Json::UInt(bytes as u64)));
-        }
-        if let Some(ckpt) = &checkpoint {
-            fields.push(("resumed_units", Json::UInt(ckpt.resumed() as u64)));
-        }
-        fields.extend([
-            ("results", Json::array(rows.iter().cloned())),
-            ("ok", Json::from(!any_error)),
-            ("inconclusive", Json::from(any_inconclusive)),
-        ]);
-        outln!("{}", Json::object(fields));
+        outln!("{report}");
     } else {
         out!("{}", print_litmus(&test));
         outln!();
-        for row in &rows {
-            let model = row.get("model").and_then(Json::as_str).unwrap_or("?");
-            let backend = row.get("backend").and_then(Json::as_str).unwrap_or("?");
-            if let Some(error) = row.get("error").and_then(Json::as_str) {
-                outln!("{model:<8} {backend:<12} ERROR: {error}");
-            } else if row.get("verdict").and_then(Json::as_str) == Some("inconclusive") {
-                outln!(
-                    "{model:<8} {backend:<12} INCONCLUSIVE: {} ({} states, {} partial outcomes)",
-                    row.get("reason").and_then(Json::as_str).unwrap_or("?"),
-                    row.get("states_visited").and_then(Json::as_u64).unwrap_or(0),
-                    row.get("partial_outcomes").and_then(Json::as_u64).unwrap_or(0),
-                );
-            } else {
-                outln!(
-                    "{model:<8} {backend:<12} {}",
-                    row.get("verdict").and_then(Json::as_str).unwrap_or("?")
-                );
-            }
+        for ((model, backend), report) in &reports {
+            let model = model.to_string();
+            outln!("{model:<8} {:<12} {}", backend.name(), report.reports[0].row);
         }
         for m in &mismatches {
             outln!("MISMATCH {} under {}: {}", m.test, m.model, m.detail);
         }
     }
-    Ok(if !budgeted {
-        Status::from_clean(mismatches.is_empty())
-    } else if any_error {
-        Status::Findings
-    } else if any_inconclusive {
-        Status::Inconclusive
-    } else {
-        Status::Clean
-    })
+    Ok(Status::of_reports(&reports, mismatches.is_empty()))
 }
 
-fn cmd_run(args: &[String]) -> Result<bool, String> {
+fn cmd_run(args: &[String]) -> Result<Status, String> {
     let Some(dir) = positional(args) else {
         return Err("`gam run` needs a corpus DIR argument".to_string());
     };
@@ -952,7 +885,7 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
         Ok(corpus) => corpus,
         Err(err) => {
             eprintln!("{err}");
-            return Ok(false);
+            return Ok(Status::Findings);
         }
     };
     let models = match arg_value(args, "--models") {
@@ -1028,7 +961,7 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
             );
         }
     }
-    Ok(clean)
+    Ok(Status::of_reports(&reports, clean))
 }
 
 fn micros(duration: std::time::Duration) -> u64 {
@@ -1170,7 +1103,7 @@ fn cmd_export(args: &[String]) -> Result<bool, String> {
 fn cmd_serve(args: &[String]) -> Result<bool, String> {
     let mut config = gam_serve::ServeConfig {
         cache_path: arg_value(args, "--cache")
-            .map_or_else(|| "gam-serve-cache.json".into(), std::path::PathBuf::from),
+            .map_or_else(|| "gam-serve-cache.journal".into(), std::path::PathBuf::from),
         ..gam_serve::ServeConfig::default()
     };
     if let Some(addr) = arg_value(args, "--addr") {
@@ -1361,13 +1294,10 @@ fn cmd_bench(args: &[String]) -> Result<bool, String> {
         let engine = Engine::operational(model).map_err(|err| err.to_string())?;
         let suite = engine.run_suite_verdicts(&tests);
         for report in &suite.reports {
-            let verdict = report.verdict.ok_or_else(|| {
-                format!(
-                    "in-process {model}/{}: {}",
-                    report.test,
-                    report.error.as_deref().unwrap_or("no verdict")
-                )
-            })?;
+            let verdict = report
+                .row
+                .verdict()
+                .ok_or_else(|| format!("in-process {model}/{}: {}", report.test, report.row))?;
             expected.insert((report.test.clone(), model), verdict.is_allowed());
         }
     }
@@ -1382,7 +1312,7 @@ fn cmd_bench(args: &[String]) -> Result<bool, String> {
             tests.iter().map(move |test| {
                 let body = Json::object([
                     ("litmus", Json::from(print_litmus(test))),
-                    ("models", Json::array([Json::from(model_word(model))])),
+                    ("models", Json::array([Json::from(gam_serve::model_name(model))])),
                     ("backends", Json::array([Json::from("operational")])),
                 ]);
                 (test.name().to_string(), model, body.to_string())
@@ -1578,11 +1508,6 @@ fn cmd_bench(args: &[String]) -> Result<bool, String> {
         }
     }
     Ok(clean)
-}
-
-/// The lowercase wire name of a model, as `gam serve` parses it.
-fn model_word(model: ModelKind) -> &'static str {
-    gam_serve::model_name(model)
 }
 
 /// Sends one `/check` request through the bounded-retry client and extracts

@@ -1,6 +1,6 @@
 //! The unbudgeted `gam check --json` document, pinned through the real
-//! binary: without a budget or a checkpoint, `gam check` reports one
-//! single-test suite report per supported (model, backend) pair, diffed
+//! binary: `gam check` reports one single-test suite report per supported
+//! (model, backend) pair, each holding that pair's result row, diffed
 //! across backends and against the paper's expectation table. The shape,
 //! the per-pair verdicts and the exit codes (0 when clean, 1 on a
 //! mismatch) are what scripts consume.
@@ -50,8 +50,24 @@ fn pairs(document: &Json) -> Vec<(String, String, Option<String>, Option<String>
         assert_eq!(report.get("parallelism").and_then(Json::as_u64), Some(1));
         assert_eq!(len(report, "tests"), Some(1), "a single-test suite per pair");
         let row = &report.get("tests").and_then(Json::as_array).expect("tests")[0];
-        assert_eq!(keys(row), ["test", "verdict", "outcomes", "error", "wall_us"]);
-        assert_eq!(len(row, "outcomes"), Some(0), "a verdict-only check reports no outcome set");
+        assert_eq!(
+            keys(row),
+            [
+                "test",
+                "model",
+                "backend",
+                "verdict",
+                "reason",
+                "states",
+                "partial_outcomes",
+                "wall_us",
+                "error"
+            ]
+        );
+        assert_eq!(text(row, "model"), text(report, "model"), "the row names its pair");
+        assert_eq!(text(row, "backend"), text(report, "backend"), "the row names its pair");
+        assert_eq!(row.get("reason"), Some(&Json::Null), "an unbudgeted check concludes or errs");
+        assert_eq!(row.get("partial_outcomes").and_then(Json::as_u64), Some(0));
         let model = text(report, "model").expect("model");
         (model, text(report, "backend").expect("backend"), text(row, "verdict"), text(row, "error"))
     };

@@ -1,7 +1,9 @@
 //! End-to-end checkpoint/resume through the real binary: a `gam check
 //! --checkpoint` over every (model, backend) pair of a library test, killed
 //! (SIGKILL — no cleanup, no flush) once its log holds a completed pair and
-//! resumed from that log, must report the rows of an uninterrupted run.
+//! resumed from that log, must report the rows of an uninterrupted run; and
+//! a checkpoint, fresh or fully resumed, changes nothing in the report of
+//! a plain check but the added `resumed_units`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -64,17 +66,30 @@ fn run_check(checkpoint: &Path) -> Json {
     Json::parse(&String::from_utf8_lossy(&output.stdout)).expect("check report parses")
 }
 
-/// The report's rows without `wall_us`: a wall time is a measurement, not a
-/// verdict, and a replayed row carries the wall of the run that recorded it.
+/// The document without any `wall_us` field: a wall time is a
+/// measurement, not a verdict, and a replayed row carries the wall of the
+/// run that recorded it.
+fn without_walls(json: &Json) -> Json {
+    match json {
+        Json::Object(fields) => Json::Object(
+            fields
+                .iter()
+                .filter(|(key, _)| key != "wall_us")
+                .map(|(key, value)| (key.clone(), without_walls(value)))
+                .collect(),
+        ),
+        Json::Array(values) => Json::Array(values.iter().map(without_walls).collect()),
+        other => other.clone(),
+    }
+}
+
+/// The report's rows without `wall_us`, in (model, backend) order.
 fn rows_without_walls(report: &Json) -> Vec<Json> {
-    let rows = report.get("results").and_then(Json::as_array).expect("results");
-    rows.iter()
-        .map(|row| match row {
-            Json::Object(fields) => {
-                Json::Object(fields.iter().filter(|(key, _)| key != "wall_us").cloned().collect())
-            }
-            other => panic!("a result row is an object: {other}"),
-        })
+    let reports = report.get("reports").and_then(Json::as_array).expect("reports");
+    reports
+        .iter()
+        .flat_map(|pair| pair.get("tests").and_then(Json::as_array).expect("tests"))
+        .map(without_walls)
         .collect()
 }
 
@@ -131,6 +146,49 @@ fn a_sigkilled_check_resumed_from_its_checkpoint_matches_an_uninterrupted_run() 
         rows_without_walls(&resumed),
         "a resumed run must reproduce the uninterrupted rows exactly"
     );
+}
+
+/// `gam check FILE --json` plus `extra`: the exit code and the document.
+fn check_json(file: &Path, extra: &[&std::ffi::OsStr]) -> (Option<i32>, Json) {
+    let output = gam().arg("check").arg(file).arg("--json").args(extra).output().expect("runs");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    (output.status.code(), Json::parse(&stdout).expect("check report parses"))
+}
+
+#[test]
+fn a_checkpoint_adds_resumed_units_and_changes_nothing_else() {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(corpus_dir())
+        .expect("corpus dir")
+        .map(|entry| entry.expect("corpus entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "litmus"))
+        .collect();
+    files.sort();
+    let stress = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("corpus-stress");
+    files.extend((0..10).map(|i| stress.join(format!("stress-{i:03}.litmus"))));
+    // One log for every file: `resumed_units` counts the units this run
+    // replayed, not the other files' units the log also holds.
+    let log = Scratch::new("gate");
+    let flag = [std::ffi::OsStr::new("--checkpoint"), log.0.as_os_str()];
+    for file in &files {
+        let (code, plain) = check_json(file, &[]);
+        // Error rows stay off the log; every other row is replayed.
+        let recorded = rows_without_walls(&plain)
+            .iter()
+            .filter(|row| row.get("error") == Some(&Json::Null))
+            .count() as u64;
+        for resumed in [0, recorded] {
+            let (checkpointed_code, checkpointed) = check_json(file, &flag);
+            let Json::Object(mut fields) = checkpointed else { panic!("a report is an object") };
+            let last = fields.pop().expect("a field");
+            assert_eq!(last, ("resumed_units".to_string(), Json::UInt(resumed)), "{file:?}");
+            assert_eq!(checkpointed_code, code, "{file:?}");
+            assert_eq!(
+                without_walls(&Json::Object(fields)),
+                without_walls(&plain),
+                "{file:?}: a checkpointed report must be the plain one plus resumed_units"
+            );
+        }
+    }
 }
 
 #[test]

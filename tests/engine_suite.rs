@@ -49,9 +49,9 @@ fn parallel_runs_agree_across_all_supported_models() {
 #[test]
 fn known_verdicts_survive_the_facade() {
     let report = suite(ModelKind::Gam, Backend::Axiomatic, 4);
-    assert_eq!(report.report_for("dekker").unwrap().verdict, Some(Verdict::Allowed));
-    assert_eq!(report.report_for("corr").unwrap().verdict, Some(Verdict::Forbidden));
-    assert_eq!(report.report_for("oota").unwrap().verdict, Some(Verdict::Forbidden));
+    assert_eq!(report.report_for("dekker").unwrap().row.verdict(), Some(Verdict::Allowed));
+    assert_eq!(report.report_for("corr").unwrap().row.verdict(), Some(Verdict::Forbidden));
+    assert_eq!(report.report_for("oota").unwrap().row.verdict(), Some(Verdict::Forbidden));
 }
 
 #[test]
@@ -68,7 +68,7 @@ fn per_test_errors_are_captured_not_fatal() {
     let passed = report.reports.iter().filter(|r| r.is_ok()).count();
     assert!(failed > 0 && passed > 0, "both small and large tests exist in the library");
     for test_report in &report.reports {
-        assert_eq!(test_report.is_ok(), test_report.verdict.is_some());
+        assert_eq!(test_report.is_ok(), test_report.row.verdict().is_some());
     }
 }
 

@@ -63,11 +63,21 @@ impl Drop for Scratch {
     }
 }
 
+/// Every result row of a `gam check --json` report, in (model, backend)
+/// order: each pair's suite report holds the one row of the checked test.
+fn rows(report: &Json) -> Vec<&Json> {
+    let reports = report.get("reports").and_then(Json::as_array).expect("reports");
+    reports
+        .iter()
+        .flat_map(|pair| pair.get("tests").and_then(Json::as_array).expect("tests"))
+        .collect()
+}
+
 /// The single result row of a one-test, one-pair `gam check --json` report.
 fn only_row(report: &Json) -> &Json {
-    let rows = report.get("results").and_then(Json::as_array).expect("results");
+    let rows = rows(report);
     assert_eq!(rows.len(), 1, "expected exactly one (model, backend) row");
-    &rows[0]
+    rows[0]
 }
 
 fn parse_stdout(output: &Output) -> Json {
@@ -100,7 +110,8 @@ fn a_budget_too_small_to_finish_stops_with_a_clean_inconclusive() {
         "the reason must name the exhausted budget: {reason}"
     );
     // A clean stop still reports the partial work it salvaged.
-    assert!(row.get("states_visited").and_then(Json::as_u64).unwrap_or(0) > 0);
+    assert!(row.get("states").and_then(Json::as_u64).unwrap_or(0) > 0);
+    assert!(row.get("partial_outcomes").and_then(Json::as_u64).is_some());
 }
 
 #[test]
@@ -215,8 +226,8 @@ fn budgeted_checkpointed(spill: &Path, checkpoint: &Path) -> Command {
 /// The report's rows without `wall_us`, which a replayed row carries from
 /// the run that recorded it.
 fn rows_without_walls(report: &Json) -> Vec<Json> {
-    let rows = report.get("results").and_then(Json::as_array).expect("results");
-    rows.iter()
+    rows(report)
+        .into_iter()
         .map(|row| match row {
             Json::Object(fields) => {
                 Json::Object(fields.iter().filter(|(key, _)| key != "wall_us").cloned().collect())
