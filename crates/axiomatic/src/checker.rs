@@ -165,28 +165,6 @@ impl AxiomaticChecker {
         }
     }
 
-    /// The complete outcome set computed by the *unoptimised* reference
-    /// pipeline: naive read-from enumeration (no address pruning) and the
-    /// validate-complete-orders-only memory-order search. Exponentially
-    /// slower than [`AxiomaticChecker::allowed_outcomes`]; exists purely as
-    /// the oracle for differential tests of the optimisations.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the program contains branches or exceeds the
-    /// configured event limit.
-    pub fn allowed_outcomes_reference(
-        &self,
-        test: &LitmusTest,
-    ) -> Result<BTreeSet<Outcome>, CheckError> {
-        let mut outcomes = BTreeSet::new();
-        self.enumerate_with(test, SearchStrategy::Reference, |_, _, outcome| {
-            outcomes.insert(outcome.clone());
-            true
-        })?;
-        Ok(outcomes)
-    }
-
     /// Decides whether the test's condition of interest is allowed.
     ///
     /// # Errors
@@ -229,17 +207,6 @@ impl AxiomaticChecker {
     fn enumerate(
         &self,
         test: &LitmusTest,
-        visit: impl FnMut(&ConcreteExecution, &[usize], &Outcome) -> bool,
-    ) -> Result<CheckStats, CheckError> {
-        self.enumerate_with(test, SearchStrategy::Optimized, visit)
-    }
-
-    /// The enumeration core shared by the optimised and the reference
-    /// pipelines.
-    fn enumerate_with(
-        &self,
-        test: &LitmusTest,
-        strategy: SearchStrategy,
         mut visit: impl FnMut(&ConcreteExecution, &[usize], &Outcome) -> bool,
     ) -> Result<CheckStats, CheckError> {
         gam_core::fault::hit("axiomatic");
@@ -265,10 +232,7 @@ impl AxiomaticChecker {
         let mut rf_phase = gam_obs::phase("rf_enum");
         rf_phase.arg("test", test.name());
         let search_start = std::time::Instant::now();
-        let assignments = match strategy {
-            SearchStrategy::Optimized => RfAssignments::address_pruned(test, &index),
-            SearchStrategy::Reference => RfAssignments::new(&index),
-        };
+        let assignments = RfAssignments::address_pruned(test, &index);
         let mut stats = CheckStats::default();
         // One edge-relation allocation recycled across every assignment.
         let mut scratch = Relation::new(events);
@@ -321,12 +285,7 @@ impl AxiomaticChecker {
                 };
                 {
                     let _mo_phase = gam_obs::phase("mo_search");
-                    match strategy {
-                        SearchStrategy::Optimized => problem.for_each_valid_order(&mut on_order),
-                        SearchStrategy::Reference => {
-                            problem.for_each_valid_order_reference(&mut on_order)
-                        }
-                    };
+                    problem.for_each_valid_order(&mut on_order);
                 }
                 scratch = problem.into_precede();
             }
@@ -449,15 +408,6 @@ impl AxiomaticChecker {
         }
         outcome
     }
-}
-
-/// Which enumeration/search pipeline [`AxiomaticChecker::enumerate_with`]
-/// runs: the optimised one (address-pruned assignments, incremental
-/// memory-order pruning) or the naive reference oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SearchStrategy {
-    Optimized,
-    Reference,
 }
 
 /// The final value of a memory location: the datum of the memory-order-last

@@ -5,18 +5,20 @@
 //! enumeration as a reusable iterator so that tests, examples and the
 //! verification crate can inspect the raw assignment space.
 //!
-//! Two enumeration strategies exist. [`RfAssignments::new`] produces the
-//! naive full space of `(stores + 1) ^ loads` assignments and serves as the
-//! reference oracle. [`RfAssignments::address_pruned`] first runs a static
-//! value-set dataflow pass over the program ([`StaticAddrs`]): every register
-//! is mapped to the set of values it can possibly hold across *all* read-from
-//! choices, which resolves memory addresses (exactly or to a small candidate
+//! The checker enumerates one space, [`RfAssignments::address_pruned`]. It
+//! first runs a static value-set dataflow pass over the program
+//! ([`StaticAddrs`]): every register is mapped to the set of values it can
+//! possibly hold across *all* read-from choices, which resolves memory addresses (exactly or to a small candidate
 //! set) before any enumeration happens. A load then only pairs with `Init`
 //! and with stores whose possible addresses intersect the load's — every
 //! skipped pair is one that [`crate::propagate::concretize`] or the
 //! memory-order search would have rejected anyway, so the pruned space yields
 //! exactly the same consistent executions while being orders of magnitude
-//! smaller on real litmus tests.
+//! smaller on real litmus tests. The unit tests below check the pruning
+//! against the naive full space of `(stores + 1) ^ loads` assignments; the
+//! checker as a whole is checked against the oracle (`crate::oracle`), which
+//! enumerates no read-from assignments at all and shares only `gam_core`'s
+//! `<ppo` with the checker.
 
 use gam_isa::litmus::LitmusTest;
 use gam_isa::{AluOp, Instruction, Operand, Reg};
@@ -39,8 +41,8 @@ pub struct RfAssignments {
 impl RfAssignments {
     /// Creates the naive assignment enumeration for an indexed program: every
     /// load pairs with `Init` and with every store, regardless of addresses.
-    /// This is the reference oracle; prefer [`RfAssignments::address_pruned`]
-    /// for checking.
+    /// The unit tests measure the pruning against it.
+    #[cfg(test)]
     #[must_use]
     pub fn new(index: &ProgramIndex) -> Self {
         let all: Vec<RfCandidate> = std::iter::once(RfCandidate::Init)
@@ -105,9 +107,8 @@ impl RfAssignments {
     }
 
     /// Size of the unpruned assignment space `(stores + 1) ^ loads`,
-    /// saturated at `u128::MAX`. For [`RfAssignments::new`] this equals
-    /// [`RfAssignments::total`]; for the address-pruned enumeration the ratio
-    /// of the two is the pruning factor.
+    /// saturated at `u128::MAX`. The ratio of this to
+    /// [`RfAssignments::total`] is the address pruning factor.
     #[must_use]
     pub fn naive_total(&self) -> u128 {
         self.naive_total

@@ -22,6 +22,13 @@
 //! 5. every consistent execution's observable outcome is collected
 //!    ([`checker`]).
 //!
+//! This pipeline is the checker's one search. The test suites compare it with
+//! `oracle`, a brute-force reading of the same two axioms that tries every
+//! total memory order and derives each load's value from it. The oracle
+//! shares none of the pipeline's code; the one definition both call is
+//! `gam_core`'s preserved program order. It is exponential in the memory
+//! events, so the tests run it on programs of at most eight.
+//!
 //! # Example
 //!
 //! ```
@@ -44,6 +51,8 @@ pub mod enumerate;
 pub mod error;
 pub mod execution;
 pub mod mo;
+#[doc(hidden)]
+pub mod oracle;
 pub mod propagate;
 
 pub use checker::{AxiomaticChecker, CheckStats, CheckerConfig, Verdict, Witness};

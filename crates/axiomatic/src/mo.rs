@@ -23,8 +23,12 @@
 //! doomed prefixes are cut without enumerating their exponentially many
 //! completions. Readiness is tracked with per-event predecessor counts
 //! instead of rescanning the edge relation, making each search step O(degree)
-//! rather than O(n²). [`MoProblem::for_each_valid_order_reference`] keeps the
-//! original validate-complete-orders-only search as a differential oracle.
+//! rather than O(n²).
+//!
+//! This is the checker's only memory-order search. Its unit tests compare it
+//! with a filter over every permutation of the events; the checker as a
+//! whole is compared with the oracle (`crate::oracle`), which shares none of
+//! this code, only `gam_core`'s `<ppo`.
 
 use gam_core::Relation;
 
@@ -138,20 +142,6 @@ impl MoProblem {
         search.extend(self, &mut on_valid)
     }
 
-    /// The original reference search: enumerates every linear extension and
-    /// validates the LoadValue axiom only on complete orders. Exponentially
-    /// slower than [`MoProblem::for_each_valid_order`] on constrained
-    /// problems but trivially correct — kept as the oracle for differential
-    /// tests of the incremental pruning.
-    pub fn for_each_valid_order_reference(
-        &self,
-        mut on_valid: impl FnMut(&[usize]) -> bool,
-    ) -> bool {
-        let mut placed = Vec::with_capacity(self.num_events);
-        let mut used = vec![false; self.num_events];
-        self.extend_reference(&mut placed, &mut used, &mut on_valid)
-    }
-
     /// Returns true if at least one valid memory order exists.
     #[must_use]
     pub fn has_valid_order(&self) -> bool {
@@ -161,40 +151,6 @@ impl MoProblem {
             false
         });
         found
-    }
-
-    fn extend_reference(
-        &self,
-        placed: &mut Vec<usize>,
-        used: &mut [bool],
-        on_valid: &mut impl FnMut(&[usize]) -> bool,
-    ) -> bool {
-        if placed.len() == self.num_events {
-            if self.validate_order(placed) {
-                return on_valid(placed);
-            }
-            return true;
-        }
-        for event in 0..self.num_events {
-            if used[event] {
-                continue;
-            }
-            // Every required predecessor must already be placed.
-            let ready = (0..self.num_events)
-                .all(|other| !self.precede.contains(other, event) || used[other]);
-            if !ready {
-                continue;
-            }
-            used[event] = true;
-            placed.push(event);
-            let keep_going = self.extend_reference(placed, used, on_valid);
-            placed.pop();
-            used[event] = false;
-            if !keep_going {
-                return false;
-            }
-        }
-        true
     }
 }
 
@@ -352,8 +308,9 @@ mod tests {
         )
     }
 
-    /// Collects the valid orders of both the incremental and the reference
-    /// search and asserts they are identical (as sets).
+    /// Collects the valid orders of the incremental search and asserts they
+    /// are exactly the permutations that respect every precede edge and
+    /// pass [`MoProblem::validate_order`].
     fn valid_orders(problem: &MoProblem) -> Vec<Vec<usize>> {
         let mut incremental = Vec::new();
         problem.for_each_valid_order(|o| {
@@ -361,15 +318,18 @@ mod tests {
             true
         });
         let mut reference = Vec::new();
-        problem.for_each_valid_order_reference(|o| {
-            reference.push(o.to_vec());
-            true
+        let mut used = vec![false; problem.num_events()];
+        crate::oracle::permute(&mut Vec::new(), &mut used, &mut |order| {
+            let rank = |e: usize| order.iter().position(|&x| x == e);
+            if problem.precede.iter_pairs().all(|(from, to)| rank(from) < rank(to))
+                && problem.validate_order(order)
+            {
+                reference.push(order.to_vec());
+            }
         });
-        let mut a = incremental.clone();
-        let mut b = reference;
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "incremental and reference searches disagree");
+        let mut sorted = incremental.clone();
+        sorted.sort();
+        assert_eq!(sorted, reference, "the incremental search and the permutation filter disagree");
         incremental
     }
 
@@ -489,12 +449,12 @@ mod tests {
     }
 
     #[test]
-    fn randomized_problems_match_the_reference_search() {
+    fn randomized_problems_match_the_permutation_filter() {
         // Pseudo-random small problems: events are a mix of stores over two
         // addresses and loads with arbitrary (possibly unsatisfiable)
         // constraints plus random precedence edges. The incremental search
-        // must produce exactly the reference's valid-order set on all of them
-        // (checked inside `valid_orders`).
+        // must produce exactly the permutation filter's valid-order set on all
+        // of them (checked inside `valid_orders`).
         let mut state = 0xDEAD_BEEFu64;
         let mut next = move |bound: u64| {
             state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1442695040888963407);

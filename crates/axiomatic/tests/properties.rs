@@ -1,10 +1,10 @@
 //! Property-based tests of the axiomatic checker on randomly generated
 //! branch-free litmus tests: model-strength inclusion, witness soundness,
 //! basic sanity of the outcome sets, and differential equivalence of the
-//! optimised pipeline (address-pruned read-from enumeration + incremental
-//! memory-order pruning) against the naive reference implementation.
+//! checker against `gam_axiomatic::oracle`, a brute-force reading of the
+//! axioms that shares none of the checker's search code.
 
-use gam_axiomatic::AxiomaticChecker;
+use gam_axiomatic::{oracle, AxiomaticChecker};
 use gam_core::model;
 use gam_isa::litmus::LitmusTest;
 use gam_isa::prelude::*;
@@ -116,14 +116,50 @@ fn two_threads() -> impl Strategy<Value = LitmusTest> {
         .prop_map(|(a, b)| build_test(vec![a, b]))
 }
 
-/// Small programs (the reference pipeline is exponential) with dependent
-/// addresses mixed in.
+/// Small programs (the oracle is exponential) with dependent addresses
+/// mixed in.
 fn two_small_dependent_threads() -> impl Strategy<Value = LitmusTest> {
     (
         proptest::collection::vec(dependent_step(), 1..3),
         proptest::collection::vec(dependent_step(), 1..3),
     )
         .prop_map(|(a, b)| build_test(vec![a, b]))
+}
+
+/// The most memory events a three-thread program gets: 8! = 40,320 orders
+/// for the oracle.
+const THREE_THREAD_MAX_EVENTS: usize = 8;
+
+/// Three threads (the shapes of WRC and its relatives) with dependent
+/// addresses mixed in, cut to at most [`THREE_THREAD_MAX_EVENTS`] memory
+/// events: each thread keeps its steps while they fit.
+fn three_small_dependent_threads() -> impl Strategy<Value = LitmusTest> {
+    let thread = || proptest::collection::vec(dependent_step(), 1..4);
+    (thread(), thread(), thread()).prop_map(|(a, b, c)| {
+        let mut room = THREE_THREAD_MAX_EVENTS;
+        let threads = [a, b, c].map(|steps| {
+            let fits = |step: &Step| {
+                let events = match step {
+                    Step::Fence { .. } => 0,
+                    Step::LoadDep { .. } => 2,
+                    _ => 1,
+                };
+                room.checked_sub(events).map(|left| room = left).is_some()
+            };
+            steps.into_iter().take_while(fits).collect()
+        });
+        build_test(threads.into())
+    })
+}
+
+/// Asserts that the checker and the oracle give `test` the same outcome
+/// set under every model.
+fn assert_checker_matches_oracle(test: &LitmusTest) {
+    for spec in model::all() {
+        let checked = AxiomaticChecker::new(spec.clone()).allowed_outcomes(test).unwrap();
+        let brute = oracle::allowed_outcomes(test, &spec);
+        assert_eq!(checked, brute, "{}: checker and oracle outcome sets differ", spec.name());
+    }
 }
 
 proptest! {
@@ -177,25 +213,21 @@ proptest! {
         }
     }
 
-    /// The optimised pipeline (address-pruned read-from enumeration,
-    /// incremental memory-order pruning, scratch reuse) must produce exactly
-    /// the outcome sets of the naive reference implementation (full
-    /// `(stores+1)^loads` enumeration, complete-order-only validation), for
-    /// every model — including programs with dynamically computed addresses,
-    /// which stress the value-set analysis behind the pruning.
+    /// The checker (address-pruned read-from enumeration, incremental
+    /// memory-order pruning, scratch reuse) gives exactly the oracle's
+    /// outcome sets under every model, including on programs with
+    /// dynamically computed addresses, which stress the value-set analysis
+    /// behind the pruning.
     #[test]
-    fn optimised_pipeline_matches_reference(test in two_small_dependent_threads()) {
-        for spec in model::all() {
-            let checker = AxiomaticChecker::new(spec.clone());
-            let fast = checker.allowed_outcomes(&test).unwrap();
-            let reference = checker.allowed_outcomes_reference(&test).unwrap();
-            prop_assert_eq!(
-                &fast,
-                &reference,
-                "{}: optimised and reference outcome sets differ",
-                spec.name()
-            );
-        }
+    fn checker_matches_oracle(test in two_small_dependent_threads()) {
+        assert_checker_matches_oracle(&test);
+    }
+
+    /// The same on three-thread programs of up to eight memory events that
+    /// observe memory.
+    #[test]
+    fn checker_matches_oracle_on_three_threads(test in three_small_dependent_threads()) {
+        assert_checker_matches_oracle(&test);
     }
 
     /// Loads only ever observe values that some store in the program (or the

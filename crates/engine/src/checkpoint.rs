@@ -54,7 +54,6 @@ pub const CHECKPOINT_SCHEMA: &str = "gam-checkpoint/v2";
 pub struct RunCheckpoint {
     wal: Wal,
     completed: BTreeMap<String, ResultRow>,
-    resumed: usize,
 }
 
 impl RunCheckpoint {
@@ -100,8 +99,7 @@ impl RunCheckpoint {
                 }
             }
         }
-        let resumed = completed.len();
-        Ok((RunCheckpoint { wal, completed, resumed }, warning))
+        Ok((RunCheckpoint { wal, completed }, warning))
     }
 
     /// Number of completed units currently recorded.
@@ -114,13 +112,6 @@ impl RunCheckpoint {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.completed.is_empty()
-    }
-
-    /// How many completed units were recovered from disk at open — the
-    /// units a resumed run gets to skip.
-    #[must_use]
-    pub fn resumed(&self) -> usize {
-        self.resumed
     }
 
     /// The recorded row of a completed unit, if any.

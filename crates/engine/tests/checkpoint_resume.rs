@@ -50,7 +50,7 @@ fn recorded_units_survive_reopen_and_duplicates_take_the_last_writer() {
     let (mut checkpoint, warning) = RunCheckpoint::open(&scratch.0).expect("open fresh");
     assert!(warning.is_none());
     assert!(checkpoint.is_empty());
-    assert_eq!(checkpoint.resumed(), 0);
+    assert_eq!(checkpoint.len(), 0);
 
     checkpoint.record("bench/GAM/mp/abc", &unit(10)).expect("record");
     checkpoint.record("bench/GAM/sb/abc", &unit(20)).expect("record");
@@ -62,7 +62,7 @@ fn recorded_units_survive_reopen_and_duplicates_take_the_last_writer() {
 
     let (reopened, warning) = RunCheckpoint::open(&scratch.0).expect("reopen");
     assert!(warning.is_none());
-    assert_eq!(reopened.resumed(), 2);
+    assert_eq!(reopened.len(), 2);
     assert_eq!(
         reopened.completed("bench/GAM/mp/abc"),
         Some(&unit(11)),
@@ -88,7 +88,7 @@ fn a_torn_tail_costs_only_the_record_being_written() {
     fs::write(&scratch.0, &bytes).expect("write damaged");
 
     let (recovered, warning) = RunCheckpoint::open(&scratch.0).expect("damage is not an error");
-    assert_eq!(recovered.resumed(), 2, "the committed prefix survives");
+    assert_eq!(recovered.len(), 2, "the committed prefix survives");
     assert!(recovered.completed("unit/1").is_some());
     assert!(recovered.completed("unit/2").is_some());
     assert!(warning.expect("damage is reported").contains("torn"));
@@ -113,7 +113,7 @@ fn checkpoint_write_kill_errs_but_keeps_in_memory_progress() {
     // ...and a restart sees the committed record plus a genuinely torn tail
     // where the killed append stopped.
     let (recovered, warning) = RunCheckpoint::open(&scratch.0).expect("reopen");
-    assert_eq!(recovered.resumed(), 1);
+    assert_eq!(recovered.len(), 1);
     assert!(recovered.completed("unit/1").is_some());
     assert!(recovered.completed("unit/2").is_none());
     assert!(warning.expect("torn tail is reported").contains("torn"));
@@ -142,7 +142,7 @@ fn units_recorded_after_an_unparseable_record_survive_the_next_resume() {
 
     let (mut checkpoint, warning) = RunCheckpoint::open(&scratch.0).expect("reopen");
     assert!(warning.expect("the bad record is reported").contains("unparseable"));
-    assert_eq!(checkpoint.resumed(), 1);
+    assert_eq!(checkpoint.len(), 1);
     checkpoint.record("unit/b", &unit(2)).expect("record");
     drop(checkpoint);
 
@@ -151,7 +151,7 @@ fn units_recorded_after_an_unparseable_record_survive_the_next_resume() {
     assert!(warning.is_none(), "the bad frame was rewritten away: {warning:?}");
     assert!(resumed.completed("unit/a").is_some());
     assert!(resumed.completed("unit/b").is_some(), "unit/b must be completed");
-    assert_eq!(resumed.resumed(), 2);
+    assert_eq!(resumed.len(), 2);
 }
 
 #[test]
@@ -172,7 +172,7 @@ fn a_record_whose_row_does_not_parse_is_recomputed_not_replayed() {
     assert!(warning.expect("the bad record is reported").contains("unparseable"));
     assert_eq!(checkpoint.completed("unit/a"), Some(&unit(1)));
     assert_eq!(checkpoint.completed("unit/b"), None, "its unit must be recomputed");
-    assert_eq!(checkpoint.resumed(), 1);
+    assert_eq!(checkpoint.len(), 1);
 }
 
 #[test]

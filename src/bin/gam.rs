@@ -80,15 +80,16 @@
 //! changes nothing about the verdicts: a capped run that completes via
 //! spill reports the verdicts of an uncapped run.
 //!
-//! `check --checkpoint FILE` appends every completed work unit — one
-//! (model, backend) row — to a crash-durable log, and replays units already
-//! recorded there instead of checking them. It changes no query and no
-//! row: the report is the one without the flag plus `resumed_units`. A
-//! killed run relaunched with the same flag recomputes only the unit the
-//! crash interrupted, from its start; because checking is deterministic,
-//! the resumed report carries the rows of an uninterrupted run. Checkpoint
-//! keys embed the canonical test hash, so a checkpoint pointed at a
-//! different test matches nothing.
+//! `check --checkpoint FILE` appends every conclusive work unit — one
+//! (model, backend) row with a verdict — to a crash-durable log, and
+//! replays units already recorded there instead of checking them. It
+//! changes no query and no row: the report is the one without the flag
+//! plus `resumed_units`. A killed run relaunched with the same flag
+//! recomputes only the unit the crash interrupted, from its start; because
+//! checking is deterministic, the resumed report carries the rows of an
+//! uninterrupted run. Checkpoint keys embed the canonical test hash, so a
+//! checkpoint pointed at a different test matches nothing. They name no
+//! budget, which is why an inconclusive row is never logged.
 //!
 //! Every subcommand rejects a flag it does not read ([`FLAGS`] lists them
 //! all), or a value-taking flag given no value, with exit status 2.
@@ -277,7 +278,7 @@ const USAGE: &str = "usage:
   --spill-dir DIR      check: directory for cold visited-state
                        segments spilled under memory pressure (needs
                        --mem-budget; without it the ladder skips spilling)
-  --checkpoint FILE    check: log each completed work unit to FILE and
+  --checkpoint FILE    check: log each conclusive work unit to FILE and
                        skip units already recorded there — a killed run
                        relaunched with the same FILE recomputes only the
                        unit the crash interrupted, from its start
@@ -535,8 +536,8 @@ fn write_trace(path: &str) -> Result<(), String> {
 }
 
 /// Opens the `--checkpoint FILE` work-unit log when the flag is given.
-/// Recovered damage and a non-empty resume are announced on stderr; only a
-/// genuine I/O failure to open the file is a startup error.
+/// Recovered damage is announced on stderr; only a genuine I/O failure to
+/// open the file is a startup error.
 fn open_checkpoint(args: &[String]) -> Result<Option<gam_engine::RunCheckpoint>, String> {
     let Some(path) = arg_value(args, "--checkpoint") else {
         return Ok(None);
@@ -545,9 +546,6 @@ fn open_checkpoint(args: &[String]) -> Result<Option<gam_engine::RunCheckpoint>,
         .map_err(|err| format!("cannot open checkpoint {path}: {err}"))?;
     if let Some(warning) = warning {
         gam_obs::warn!("gam check: {warning}");
-    }
-    if checkpoint.resumed() > 0 {
-        eprintln!("gam check: resuming {} completed units from {path}", checkpoint.resumed());
     }
     Ok(Some(checkpoint))
 }
@@ -790,58 +788,67 @@ fn cmd_check(args: &[String]) -> Result<Status, String> {
     }
     let mut checkpoint = open_checkpoint(args)?;
     let hash = gam_frontend::canonical_hash(&test).to_string();
+    // One unit per supported (model, backend) pair. The key pins the unit
+    // *and* the test's content: a checkpoint accidentally pointed at a
+    // different test matches nothing.
+    let units: Vec<(ModelKind, Backend, String)> = models
+        .iter()
+        .flat_map(|&model| backends.iter().map(move |&backend| (model, backend)))
+        .filter(|(model, backend)| backend.supports(*model))
+        .map(|(model, backend)| {
+            (model, backend, format!("check/{model}/{}/{hash}", backend.name()))
+        })
+        .collect();
+    let resumed_units = checkpoint
+        .as_ref()
+        .map_or(0, |log| units.iter().filter(|(_, _, key)| log.completed(key).is_some()).count());
+    if let Some(log) = checkpoint.as_ref().filter(|_| resumed_units > 0) {
+        eprintln!(
+            "gam check: resuming {resumed_units} completed units from {}",
+            log.path().display()
+        );
+    }
     let mut reports = BTreeMap::new();
-    let mut resumed_units = 0u64;
-    for &model in &models {
-        for &backend in &backends {
-            if !backend.supports(model) {
-                continue;
+    for (model, backend, key) in units {
+        let row = match checkpoint.as_ref().and_then(|c| c.completed(&key)) {
+            Some(row) => row.clone(),
+            None => {
+                let mut builder = Engine::builder()
+                    .model(model)
+                    .backend(backend)
+                    .explorer_parallelism(explorer_workers);
+                // The byte ceiling arrives through the check budget; the
+                // builder only carries where to degrade to.
+                if let Some(dir) = &spill_dir {
+                    builder = builder.explorer_spill_dir(dir.clone());
+                }
+                let engine = builder.build().map_err(|err| err.to_string())?;
+                let start = Instant::now();
+                let result = engine.answer(&test, &budget);
+                let row = ResultRow::new(model, backend, &result, start.elapsed());
+                // Only conclusive rows are logged. An errored pair is
+                // retried on resume; an inconclusive one is checked again
+                // too, because the key names no budget and a resume may
+                // run with a larger one or none.
+                if row.verdict().is_some() {
+                    record_unit(&mut checkpoint, &key, &row);
+                }
+                row
             }
-            // The key pins the unit *and* the test's content: a checkpoint
-            // accidentally pointed at a different test matches nothing.
-            let key = format!("check/{model}/{}/{hash}", backend.name());
-            let row = match checkpoint.as_ref().and_then(|c| c.completed(&key)) {
-                Some(row) => {
-                    resumed_units += 1;
-                    row.clone()
-                }
-                None => {
-                    let mut builder = Engine::builder()
-                        .model(model)
-                        .backend(backend)
-                        .explorer_parallelism(explorer_workers);
-                    // The byte ceiling arrives through the check budget; the
-                    // builder only carries where to degrade to.
-                    if let Some(dir) = &spill_dir {
-                        builder = builder.explorer_spill_dir(dir.clone());
-                    }
-                    let engine = builder.build().map_err(|err| err.to_string())?;
-                    let start = Instant::now();
-                    let result = engine.answer(&test, &budget);
-                    let row = ResultRow::new(model, backend, &result, start.elapsed());
-                    // Errored pairs stay off the log so a resume retries
-                    // them; inconclusive ones are recorded — rerunning with
-                    // the same budget would only reproduce the same row.
-                    if row.is_ok() {
-                        record_unit(&mut checkpoint, &key, &row);
-                    }
-                    row
-                }
-            };
-            let report = SuiteReport {
-                suite: Some(path.clone()),
-                backend,
-                model,
-                parallelism: 1,
-                wall: Duration::from_micros(row.wall_us),
-                reports: vec![TestReport {
-                    test: test.name().to_string(),
-                    row,
-                    outcomes: BTreeSet::new(),
-                }],
-            };
-            reports.insert((model, backend), report);
-        }
+        };
+        let report = SuiteReport {
+            suite: Some(path.clone()),
+            backend,
+            model,
+            parallelism: 1,
+            wall: Duration::from_micros(row.wall_us),
+            reports: vec![TestReport {
+                test: test.name().to_string(),
+                row,
+                outcomes: BTreeSet::new(),
+            }],
+        };
+        reports.insert((model, backend), report);
     }
     if reports.is_empty() {
         return Err("no supported (model, backend) combination selected".to_string());
@@ -860,7 +867,7 @@ fn cmd_check(args: &[String]) -> Result<Status, String> {
     if arg_flag(args, "--json") {
         let mut report = json_report(path, &models, &reports, &mismatches, &[]);
         if let (Some(_), Json::Object(fields)) = (&checkpoint, &mut report) {
-            fields.push(("resumed_units".to_string(), Json::UInt(resumed_units)));
+            fields.push(("resumed_units".to_string(), Json::UInt(resumed_units as u64)));
         }
         outln!("{report}");
     } else {

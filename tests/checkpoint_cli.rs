@@ -3,7 +3,8 @@
 //! (SIGKILL — no cleanup, no flush) once its log holds a completed pair and
 //! resumed from that log, must report the rows of an uninterrupted run; and
 //! a checkpoint, fresh or fully resumed, changes nothing in the report of
-//! a plain check but the added `resumed_units`.
+//! a plain check but the added `resumed_units`. Only conclusive rows are
+//! replayed, and the resume notice counts the units this check replays.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -171,10 +172,10 @@ fn a_checkpoint_adds_resumed_units_and_changes_nothing_else() {
     let flag = [std::ffi::OsStr::new("--checkpoint"), log.0.as_os_str()];
     for file in &files {
         let (code, plain) = check_json(file, &[]);
-        // Error rows stay off the log; every other row is replayed.
+        // Only conclusive rows are logged, so only they are replayed.
         let recorded = rows_without_walls(&plain)
             .iter()
-            .filter(|row| row.get("error") == Some(&Json::Null))
+            .filter(|row| matches!(row.get("verdict"), Some(Json::Str(v)) if v != "inconclusive"))
             .count() as u64;
         for resumed in [0, recorded] {
             let (checkpointed_code, checkpointed) = check_json(file, &flag);
@@ -189,6 +190,59 @@ fn a_checkpoint_adds_resumed_units_and_changes_nothing_else() {
             );
         }
     }
+}
+
+#[test]
+fn an_inconclusive_unit_is_checked_again_not_replayed() {
+    // The first run stops at its first deadline poll: the injected kill
+    // expires a generous budget, so the row is inconclusive, exit 3.
+    let log = Scratch::new("inconclusive");
+    let mp = corpus_dir().join("mp.litmus");
+    let unit = ["--models", "gam", "--backends", "axiomatic", "--json", "--checkpoint"];
+    let output = gam()
+        .arg("check")
+        .arg(&mp)
+        .args(unit)
+        .arg(&log.0)
+        .args(["--time-budget", "60000"])
+        .env("GAM_FAULTS", "interrupt.deadline=kill@1")
+        .output()
+        .expect("gam check runs");
+    assert_eq!(output.status.code(), Some(3), "{}", String::from_utf8_lossy(&output.stderr));
+
+    // The same unit on the same log with no fault and no budget: a stop
+    // recorded under another budget must not be replayed as the answer.
+    let output =
+        gam().arg("check").arg(&mp).args(unit).arg(&log.0).output().expect("gam check runs");
+    assert_eq!(output.status.code(), Some(0), "{}", String::from_utf8_lossy(&output.stderr));
+    let report = Json::parse(&String::from_utf8_lossy(&output.stdout)).expect("report parses");
+    let rows = rows_without_walls(&report);
+    assert_eq!(rows.len(), 1);
+    assert_eq!(rows[0].get("verdict").and_then(Json::as_str), Some("allowed"), "{report}");
+    assert_eq!(resumed_units(&report), 0, "nothing was replayed");
+    assert!(!String::from_utf8_lossy(&output.stderr).contains("resuming"));
+}
+
+#[test]
+fn the_resume_notice_counts_only_the_units_this_check_replays() {
+    let log = Scratch::new("notice");
+    let check = |file: &str| {
+        let output = gam()
+            .arg("check")
+            .arg(corpus_dir().join(file))
+            .arg("--checkpoint")
+            .arg(&log.0)
+            .output()
+            .expect("gam check runs");
+        assert!(output.status.success(), "{file}: {}", String::from_utf8_lossy(&output.stderr));
+        String::from_utf8_lossy(&output.stderr).into_owned()
+    };
+    assert!(!check("dekker.litmus").contains("resuming"), "a fresh log replays nothing");
+    // The log now holds dekker's nine units, none of which is mp's.
+    let stderr = check("mp.litmus");
+    assert!(!stderr.contains("resuming"), "mp replays none of dekker's units: {stderr}");
+    let stderr = check("dekker.litmus");
+    assert!(stderr.contains("resuming 9 completed units"), "{stderr}");
 }
 
 #[test]
