@@ -1,11 +1,11 @@
 //! The public axiomatic-checking API.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
 use gam_core::{model::ModelSpec, ppo, Relation, RfSource};
 use gam_isa::litmus::{LitmusTest, Observation, Outcome};
-use gam_isa::Value;
+use gam_isa::{Loc, Value};
 
 use crate::enumerate::RfAssignments;
 use crate::error::CheckError;
@@ -200,10 +200,11 @@ impl AxiomaticChecker {
         Ok(witness)
     }
 
-    /// Enumerates every consistent execution of the test under the model and
-    /// invokes `visit` with the concrete execution, the memory order (as
-    /// event indices) and the projected outcome. `visit` returns `false` to
-    /// stop the enumeration. Returns the search statistics.
+    /// Enumerates every consistent execution of the test under the model.
+    /// `visit` sees each (read-from assignment, final-store vector) once: with
+    /// the concrete execution, the first memory order that yields the vector
+    /// (as event indices) and the projected outcome. `visit` returns `false`
+    /// to stop the enumeration. Returns the search statistics.
     fn enumerate(
         &self,
         test: &LitmusTest,
@@ -223,11 +224,13 @@ impl AxiomaticChecker {
             });
         }
 
-        // Memory observations make the outcome depend on the memory order, so
-        // every valid order must be visited; otherwise one order per read-from
-        // assignment suffices.
-        let needs_all_orders =
-            test.observed().iter().any(|obs| matches!(obs, Observation::Memory(_)));
+        // Memory observations make the outcome depend on the memory order
+        // (through each observed location's mo-last store), so every valid
+        // order is visited; otherwise one order per read-from assignment
+        // suffices. Either way `projection` builds each outcome once per
+        // (assignment, final-store vector), not once per order.
+        let mut projection = Projection::new(test, events);
+        let needs_all_orders = !projection.locations.is_empty();
 
         let mut rf_phase = gam_obs::phase("rf_enum");
         rf_phase.arg("test", test.name());
@@ -252,6 +255,7 @@ impl AxiomaticChecker {
                 stats.assignments_concretized += 1;
                 scratch.clear();
                 let problem = self.build_problem(test, &index, &exec, scratch);
+                projection.start(test, &index, &exec);
                 let mut on_order = |order: &[usize]| {
                     stats.orders_visited += 1;
                     if stats.orders_visited & ORDER_POLL_MASK == 0 {
@@ -276,10 +280,11 @@ impl AxiomaticChecker {
                             );
                         }
                     }
-                    let outcome = self.project_outcome(test, &index, &exec, order);
-                    if !visit(&exec, order, &outcome) {
-                        stop = true;
-                        return false;
+                    if let Some(outcome) = projection.project(&index, &exec, order) {
+                        if !visit(&exec, order, &outcome) {
+                            stop = true;
+                            return false;
+                        }
                     }
                     needs_all_orders
                 };
@@ -385,51 +390,93 @@ impl AxiomaticChecker {
 
         MoProblem::new(n, precede, store_addr, loads)
     }
+}
 
-    /// Projects the observable outcome of one consistent execution.
-    fn project_outcome(
-        &self,
-        test: &LitmusTest,
+/// Projects consistent executions onto a test's observed quantities.
+///
+/// A read-from assignment fixes every register, and LoadValue makes a
+/// location's final value the datum of its memory-order-last store. So within
+/// one assignment an order's outcome depends only on which store is mo-last at
+/// each observed location: its *final-store vector*. The projection builds the
+/// register part once per assignment and an outcome once per new vector.
+struct Projection {
+    /// The distinct observed memory locations with their initial values; a
+    /// location's position here is its slot in a final-store vector.
+    locations: Vec<(Loc, Value)>,
+    /// The register part of the current execution's outcome.
+    registers: Outcome,
+    /// Per memory event: the slot of the observed location it stores to.
+    slot_of_event: Vec<Option<usize>>,
+    /// The final-store vector of the order being projected: per slot, the
+    /// event of the mo-last store, or `None` if no store writes the location.
+    last_store: Vec<Option<usize>>,
+    /// The final-store vectors the current execution has already projected.
+    seen: HashSet<Vec<Option<usize>>>,
+}
+
+impl Projection {
+    fn new(test: &LitmusTest, events: usize) -> Self {
+        let mut locations = Vec::new();
+        for observation in test.observed() {
+            if let Observation::Memory(loc) = *observation {
+                if !locations.iter().any(|&(seen, _)| seen == loc) {
+                    locations.push((loc, test.initial_value(loc.address())));
+                }
+            }
+        }
+        Projection {
+            last_store: vec![None; locations.len()],
+            locations,
+            registers: Outcome::new(),
+            slot_of_event: vec![None; events],
+            seen: HashSet::new(),
+        }
+    }
+
+    /// Prepares the projection of one concrete execution's orders.
+    fn start(&mut self, test: &LitmusTest, index: &ProgramIndex, exec: &ConcreteExecution) {
+        self.seen.clear();
+        self.registers = Outcome::new();
+        for observation in test.observed() {
+            if let Observation::Register(proc, reg) = *observation {
+                let value = exec.final_register_value(test.program(), proc.index(), reg);
+                self.registers.set(*observation, value);
+            }
+        }
+        self.slot_of_event.fill(None);
+        for &store_ref in &index.stores {
+            let addr = exec.address(store_ref);
+            self.slot_of_event[index.event_index(store_ref).expect("store is an event")] =
+                self.locations.iter().position(|(loc, _)| Some(loc.address()) == addr);
+        }
+    }
+
+    /// The outcome of one valid order of the current execution, or `None`
+    /// when an earlier order of the same execution had the same final-store
+    /// vector (and so the same outcome).
+    fn project(
+        &mut self,
         index: &ProgramIndex,
         exec: &ConcreteExecution,
         order: &[usize],
-    ) -> Outcome {
-        let mut outcome = Outcome::new();
-        for observation in test.observed() {
-            let value = match observation {
-                Observation::Register(proc, reg) => {
-                    exec.final_register_value(test.program(), proc.index(), *reg)
-                }
-                Observation::Memory(loc) => {
-                    final_memory_value(test, index, exec, order, loc.address())
-                }
-            };
-            outcome.set(*observation, value);
+    ) -> Option<Outcome> {
+        self.last_store.fill(None);
+        for &event in order {
+            if let Some(slot) = self.slot_of_event[event] {
+                self.last_store[slot] = Some(event);
+            }
         }
-        outcome
+        if self.seen.contains(&self.last_store) {
+            return None;
+        }
+        self.seen.insert(self.last_store.clone());
+        let mut outcome = self.registers.clone();
+        for (&(loc, initial), last) in self.locations.iter().zip(&self.last_store) {
+            let value = last.map_or(initial, |event| exec.value(index.memory_events[event]));
+            outcome.set(Observation::Memory(loc), value);
+        }
+        Some(outcome)
     }
-}
-
-/// The final value of a memory location: the datum of the memory-order-last
-/// store to it, or the initial value if no store touches it.
-fn final_memory_value(
-    test: &LitmusTest,
-    index: &ProgramIndex,
-    exec: &ConcreteExecution,
-    order: &[usize],
-    addr: u64,
-) -> Value {
-    let mut position = vec![0usize; index.memory_events.len()];
-    for (rank, &event) in order.iter().enumerate() {
-        position[event] = rank;
-    }
-    index
-        .stores
-        .iter()
-        .filter(|s| exec.address(**s) == Some(addr))
-        .max_by_key(|s| position[index.event_index(**s).expect("store is an event")])
-        .map(|s| exec.value(*s))
-        .unwrap_or_else(|| test.initial_value(addr))
 }
 
 #[cfg(test)]
@@ -437,7 +484,7 @@ mod tests {
     use super::*;
     use gam_core::model;
     use gam_isa::litmus::library;
-    use gam_isa::{Loc, ProcId, Reg};
+    use gam_isa::{Addr, Instruction, Operand, ProcId, Program, Reg, ThreadProgram};
 
     fn verdict(model: ModelSpec, test: &LitmusTest) -> Verdict {
         AxiomaticChecker::new(model).check(test).expect("checkable")
@@ -594,6 +641,113 @@ mod tests {
         let only = outcomes.iter().next().unwrap();
         assert_eq!(only.get(&Observation::Memory(a)), Some(Value::new(2)));
         assert_eq!(verdict(model::gam(), &test), Verdict::Forbidden);
+    }
+
+    /// 2+2W observed through both locations: no loads, so one read-from
+    /// assignment, whose orders end in every one of the four final-store
+    /// vectors once store-store order is relaxed.
+    #[test]
+    fn one_assignment_yields_every_final_store_vector() {
+        let test = library::two_plus_two_w();
+        let a = Loc::new("a");
+        let b = Loc::new("b");
+        let checker = AxiomaticChecker::new(model::gam());
+        let (outcomes, stats) = checker.allowed_outcomes_with_stats(&test).unwrap();
+        assert_eq!(stats.assignments_concretized, 1);
+        let expected: BTreeSet<Outcome> = [(1, 1), (1, 2), (2, 1), (2, 2)]
+            .into_iter()
+            .map(|(x, y)| Outcome::new().with_mem(a, x).with_mem(b, y))
+            .collect();
+        assert_eq!(outcomes, expected);
+        assert!(stats.orders_visited > 4, "several orders share each final-store vector");
+        // SC keeps each thread's stores in order, which rules out a=2,b=2.
+        let sc = AxiomaticChecker::new(model::sc()).allowed_outcomes(&test).unwrap();
+        assert_eq!(sc.len(), 3);
+        assert!(!sc.contains(&Outcome::new().with_mem(a, 2).with_mem(b, 2)));
+    }
+
+    /// An observed location that no store writes reports its initial value,
+    /// also when whether a store writes it depends on the read-from
+    /// assignment.
+    #[test]
+    fn an_unwritten_observed_location_reports_its_initial_value() {
+        let (a, b, c, x) = (Loc::new("a"), Loc::new("b"), Loc::new("c"), Loc::new("x"));
+        let mut p0 = ThreadProgram::builder(ProcId::new(0));
+        p0.load(Reg::new(1), Addr::loc(x)).store(Addr::reg(Reg::new(1)), Operand::imm(1));
+        let mut p1 = ThreadProgram::builder(ProcId::new(1));
+        p1.store(Addr::loc(x), Operand::loc(b));
+        let test = LitmusTest::builder("unwritten", Program::new(vec![p0.build(), p1.build()]))
+            .init(x, a.value())
+            .init(c, 5u64)
+            .observe_mem(a)
+            .observe_mem(b)
+            .observe_mem(c)
+            .build();
+        let outcome =
+            |va: u64, vb: u64| Outcome::new().with_mem(a, va).with_mem(b, vb).with_mem(c, 5);
+        let expected: BTreeSet<Outcome> = [outcome(1, 0), outcome(0, 1)].into_iter().collect();
+        for m in model::all() {
+            let outcomes = AxiomaticChecker::new(m.clone()).allowed_outcomes(&test).unwrap();
+            assert_eq!(outcomes, expected, "{}", m.name());
+        }
+    }
+
+    /// A witness's memory order puts last, at every observed location, the
+    /// store whose datum the witness reports (or no store, for the initial
+    /// value).
+    #[test]
+    fn witness_memory_order_ends_in_the_reported_final_stores() {
+        let mut checked = 0;
+        for test in library::all_tests() {
+            let locations: Vec<Loc> = test
+                .observed()
+                .iter()
+                .filter_map(|obs| match obs {
+                    Observation::Memory(loc) => Some(*loc),
+                    Observation::Register(..) => None,
+                })
+                .collect();
+            if locations.is_empty() {
+                continue;
+            }
+            let threads = test.program().threads();
+            for m in model::all() {
+                let Some(witness) = AxiomaticChecker::new(m.clone()).find_witness(&test).unwrap()
+                else {
+                    continue;
+                };
+                for &loc in &locations {
+                    let last_datum = witness.memory_order.iter().rev().find_map(|event| {
+                        match threads[event.proc].instructions()[event.idx] {
+                            Instruction::Store { addr, data: Operand::Imm(datum) }
+                                if addr == Addr::loc(loc) =>
+                            {
+                                Some(datum)
+                            }
+                            Instruction::Store { addr, .. } => {
+                                assert!(
+                                    addr.source_reg().is_none(),
+                                    "{}: static stores only",
+                                    test.name()
+                                );
+                                None
+                            }
+                            _ => None,
+                        }
+                    });
+                    let expected = last_datum.unwrap_or_else(|| test.initial_value(loc.address()));
+                    assert_eq!(
+                        witness.outcome.get(&Observation::Memory(loc)),
+                        Some(expected),
+                        "{} under {}: m[{loc}]",
+                        test.name(),
+                        m.name()
+                    );
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked >= 10, "only {checked} memory-observing witnesses checked");
     }
 
     #[test]

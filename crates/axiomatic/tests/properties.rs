@@ -34,6 +34,13 @@ enum Step {
     Fence {
         kind: u8,
     },
+    /// A store, a load of the same location that may forward from it, and
+    /// a load of the other location that depends on the forwarded value
+    /// (artificially, as in `corr+intervening-store`).
+    ForwardDep {
+        loc: u8,
+        value: u8,
+    },
 }
 
 fn step() -> impl Strategy<Value = Step> {
@@ -97,6 +104,20 @@ fn build_test(threads: Vec<Vec<Step>>) -> LitmusTest {
                 Step::Fence { kind } => {
                     builder.fence(fences[*kind as usize]);
                 }
+                Step::ForwardDep { loc, value } => {
+                    let forwarded = Reg::new(next_reg);
+                    let address = Reg::new(next_reg + 1);
+                    let dependent = Reg::new(next_reg + 2);
+                    next_reg += 3;
+                    let location = locations[*loc as usize];
+                    builder
+                        .store(Addr::loc(location), Operand::imm(u64::from(*value)))
+                        .load(forwarded, Addr::loc(location))
+                        .artificial_addr_dep(address, locations[1 - *loc as usize], forwarded)
+                        .load(dependent, Addr::reg(address));
+                    observed.push((proc, forwarded));
+                    observed.push((proc, dependent));
+                }
             }
         }
         programs.push(builder.build());
@@ -150,6 +171,32 @@ fn three_small_dependent_threads() -> impl Strategy<Value = LitmusTest> {
         });
         build_test(threads.into())
     })
+}
+
+/// Two threads aimed at local store forwarding. One thread ends in a
+/// [`Step::ForwardDep`] on a location; the other writes the other location,
+/// then (after a random fence) the first. The final value of the first
+/// location then orders the two threads' stores to it, so only forwarding
+/// lets the dependent load read the other location's initial value.
+fn forwarding_threads() -> impl Strategy<Value = LitmusTest> {
+    (
+        0u8..2,
+        1u8..3,
+        0u8..4,
+        proptest::collection::vec(step(), 0..2),
+        proptest::collection::vec(step(), 0..2),
+    )
+        .prop_map(|(loc, value, fence, prefix, suffix)| {
+            let mut forwarder = prefix;
+            forwarder.push(Step::ForwardDep { loc, value });
+            let mut writer = vec![
+                Step::Store { loc: 1 - loc, value: 1 },
+                Step::Fence { kind: fence },
+                Step::Store { loc, value: 3 - value },
+            ];
+            writer.extend(suffix);
+            build_test(vec![forwarder, writer])
+        })
 }
 
 /// Asserts that the checker and the oracle give `test` the same outcome
@@ -227,6 +274,12 @@ proptest! {
     /// observe memory.
     #[test]
     fn checker_matches_oracle_on_three_threads(test in three_small_dependent_threads()) {
+        assert_checker_matches_oracle(&test);
+    }
+
+    /// The same on programs shaped to need local store forwarding.
+    #[test]
+    fn checker_matches_oracle_on_local_forwarding(test in forwarding_threads()) {
         assert_checker_matches_oracle(&test);
     }
 
