@@ -1,17 +1,18 @@
 //! The public axiomatic-checking API.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 
-use gam_core::{model::ModelSpec, ppo, Relation, RfSource};
+use gam_core::model::{ModelSpec, SameAddrLoadLoad};
+use gam_core::{ppo, Relation, RfSource};
 use gam_isa::litmus::{LitmusTest, Observation, Outcome};
-use gam_isa::{Loc, Value};
+use gam_isa::{Loc, Program, Value};
 
 use crate::enumerate::RfAssignments;
 use crate::error::CheckError;
-use crate::execution::{ConcreteExecution, InstrRef, ProgramIndex};
-use crate::mo::{LoadConstraint, MoProblem};
-use crate::propagate::concretize;
+use crate::execution::{last_writer, ConcreteExecution, InstrRef, ProgramIndex};
+use crate::mo::{LoadConstraint, MoProblem, Search};
+use crate::propagate::{concretize_into, Propagation};
 
 /// The answer to "does the model allow the test's condition of interest?".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -150,7 +151,7 @@ impl AxiomaticChecker {
         test: &LitmusTest,
     ) -> Result<(BTreeSet<Outcome>, CheckStats), CheckError> {
         let mut outcomes = BTreeSet::new();
-        let result = self.enumerate(test, |_, _, outcome| {
+        let result = self.enumerate(test, |_, _, _, outcome| {
             outcomes.insert(outcome.clone());
             true
         });
@@ -183,13 +184,16 @@ impl AxiomaticChecker {
     /// Returns an error if the program contains branches or exceeds the
     /// configured event limit.
     pub fn find_witness(&self, test: &LitmusTest) -> Result<Option<Witness>, CheckError> {
-        let index = ProgramIndex::new(test.program());
         let mut witness = None;
-        self.enumerate(test, |exec, order, outcome| {
+        self.enumerate(test, |index, exec, order, outcome| {
             if test.condition().matched_by(outcome) {
                 witness = Some(Witness {
                     outcome: outcome.clone(),
-                    rf: exec.rf.iter().map(|(&r, &s)| (r, s)).collect(),
+                    rf: index
+                        .loads
+                        .iter()
+                        .map(|&load| (load, exec.rf_source(load).expect("load has a source")))
+                        .collect(),
                     memory_order: order.iter().map(|&e| index.memory_events[e]).collect(),
                 });
                 false
@@ -202,13 +206,14 @@ impl AxiomaticChecker {
 
     /// Enumerates every consistent execution of the test under the model.
     /// `visit` sees each (read-from assignment, final-store vector) once: with
-    /// the concrete execution, the first memory order that yields the vector
-    /// (as event indices) and the projected outcome. `visit` returns `false`
-    /// to stop the enumeration. Returns the search statistics.
+    /// the program index, the concrete execution, the first memory order that
+    /// yields the vector (as event indices) and the projected outcome.
+    /// `visit` returns `false` to stop the enumeration. Returns the search
+    /// statistics.
     fn enumerate(
         &self,
         test: &LitmusTest,
-        mut visit: impl FnMut(&ConcreteExecution, &[usize], &Outcome) -> bool,
+        mut visit: impl FnMut(&ProgramIndex, &ConcreteExecution, &[usize], &Outcome) -> bool,
     ) -> Result<CheckStats, CheckError> {
         gam_core::fault::hit("axiomatic");
         if test.program().has_branches() {
@@ -229,7 +234,7 @@ impl AxiomaticChecker {
         // order is visited; otherwise one order per read-from assignment
         // suffices. Either way `projection` builds each outcome once per
         // (assignment, final-store vector), not once per order.
-        let mut projection = Projection::new(test, events);
+        let mut projection = Projection::new(test, &index);
         let needs_all_orders = !projection.locations.is_empty();
 
         let mut rf_phase = gam_obs::phase("rf_enum");
@@ -237,8 +242,21 @@ impl AxiomaticChecker {
         let search_start = std::time::Instant::now();
         let assignments = RfAssignments::address_pruned(test, &index);
         let mut stats = CheckStats::default();
-        // One edge-relation allocation recycled across every assignment.
-        let mut scratch = Relation::new(events);
+        // Buffers recycled across every assignment: the propagation state,
+        // the concrete execution, the memory-order problem (one constraint
+        // per load) and the search state. `ppo` keeps each thread's memory
+        // `<ppo` per distinct resolution for the whole check.
+        let mut propagation = Propagation::default();
+        let mut exec = ConcreteExecution::blank(test.program());
+        let mut ppo = PpoMemo::new(&self.model, test.program());
+        let blank_load = LoadConstraint { load: 0, addr: 0, source: None, po_older_stores: vec![] };
+        let mut problem = MoProblem::new(
+            events,
+            Relation::new(events),
+            vec![None; events],
+            vec![blank_load; index.loads.len()],
+        );
+        let mut search = Search::default();
         let mut stop = false;
         let interrupt_armed = self.interrupt.is_armed();
         let mut interrupted: Option<gam_core::StopReason> = None;
@@ -251,11 +269,10 @@ impl AxiomaticChecker {
                 }
             }
             stats.assignments_enumerated += 1;
-            if let Some(exec) = concretize(test, &index, &assignment) {
+            if concretize_into(test, &index, &assignment, &mut propagation, &mut exec) {
                 stats.assignments_concretized += 1;
-                scratch.clear();
-                let problem = self.build_problem(test, &index, &exec, scratch);
-                projection.start(test, &index, &exec);
+                self.build_problem(test.program(), &index, &exec, &mut ppo, &mut problem);
+                projection.start(&index, &exec);
                 let mut on_order = |order: &[usize]| {
                     stats.orders_visited += 1;
                     if stats.orders_visited & ORDER_POLL_MASK == 0 {
@@ -281,7 +298,7 @@ impl AxiomaticChecker {
                         }
                     }
                     if let Some(outcome) = projection.project(&index, &exec, order) {
-                        if !visit(&exec, order, &outcome) {
+                        if !visit(&index, &exec, order, &outcome) {
                             stop = true;
                             return false;
                         }
@@ -290,9 +307,8 @@ impl AxiomaticChecker {
                 };
                 {
                     let _mo_phase = gam_obs::phase("mo_search");
-                    problem.for_each_valid_order(&mut on_order);
+                    problem.for_each_valid_order_in(&mut search, &mut on_order);
                 }
-                scratch = problem.into_precede();
             }
             if stop {
                 break;
@@ -311,59 +327,52 @@ impl AxiomaticChecker {
         Ok(stats)
     }
 
-    /// Builds the memory-order search problem for one concrete execution.
-    /// `precede` is a cleared scratch relation of the right size, recycled by
-    /// the caller across assignments.
+    /// Refills `problem`, recycled by the caller across assignments, with
+    /// the memory-order search problem of one concrete execution. It has one
+    /// event per memory instruction and one constraint per load.
     fn build_problem(
         &self,
-        test: &LitmusTest,
+        program: &Program,
         index: &ProgramIndex,
         exec: &ConcreteExecution,
-        mut precede: Relation,
-    ) -> MoProblem {
-        let program = test.program();
-        let events = &index.memory_events;
-        let n = events.len();
+        ppo: &mut PpoMemo<'_>,
+        problem: &mut MoProblem,
+    ) {
+        let MoProblem { precede, store_addr, loads, .. } = problem;
         let event_of = |r: InstrRef| index.event_index(r).expect("memory event");
 
-        debug_assert_eq!(precede.len(), n, "scratch relation sized to the event count");
-        debug_assert_eq!(precede.edge_count(), 0, "scratch relation starts cleared");
-
-        let mut store_addr = vec![None; n];
+        precede.clear();
+        store_addr.fill(None);
         for &store_ref in &index.stores {
             store_addr[event_of(store_ref)] = exec.address(store_ref);
         }
 
         // Axiom InstOrder: ppo edges, restricted to memory instructions.
         for proc in 0..program.num_threads() {
-            let resolved = exec.resolved_thread(program, proc);
-            let thread_ppo = gam_core::preserved_program_order(&resolved, &self.model);
-            let memory_only = ppo::memory_ppo(&resolved, &thread_ppo);
-            for (i, j) in memory_only.iter_pairs() {
-                precede.insert(event_of(InstrRef::new(proc, i)), event_of(InstrRef::new(proc, j)));
+            for &(from, to) in ppo.memory_ppo(program, index, exec, proc) {
+                precede.insert(from, to);
             }
         }
 
         // Read-from pruning edges and LoadValue constraints.
         let bypass = self.model.load_value_local_bypass();
-        let mut loads = Vec::with_capacity(index.loads.len());
-        for &load_ref in &index.loads {
+        for (constraint, &load_ref) in loads.iter_mut().zip(&index.loads) {
             let load_event = event_of(load_ref);
             let addr = exec.address(load_ref).expect("resolved load address");
-            let po_older_stores: Vec<usize> = if bypass {
-                index
-                    .stores
-                    .iter()
-                    .filter(|s| {
-                        s.proc == load_ref.proc
-                            && s.idx < load_ref.idx
-                            && exec.address(**s) == Some(addr)
-                    })
-                    .map(|s| event_of(*s))
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            constraint.po_older_stores.clear();
+            if bypass {
+                constraint.po_older_stores.extend(
+                    index
+                        .stores
+                        .iter()
+                        .filter(|s| {
+                            s.proc == load_ref.proc
+                                && s.idx < load_ref.idx
+                                && exec.address(**s) == Some(addr)
+                        })
+                        .map(|s| event_of(*s)),
+                );
+            }
             let source = match exec.rf_source(load_ref).expect("load has a read-from source") {
                 RfSource::Init(_) => {
                     // Reading the initial value requires every same-address
@@ -385,10 +394,83 @@ impl AxiomaticChecker {
                     Some(event_of(store_ref))
                 }
             };
-            loads.push(LoadConstraint { load: load_event, addr, source, po_older_stores });
+            constraint.load = load_event;
+            constraint.addr = addr;
+            constraint.source = source;
         }
+    }
+}
 
-        MoProblem::new(n, precede, store_addr, loads)
+/// Each thread's memory `<ppo` edges, built once per distinct resolution of
+/// the thread within one check.
+///
+/// `<ppo` (Definition 6) depends on an execution only through the thread's
+/// resolved addresses and, under SALdLdARM, the read-from sources of its
+/// loads. So the memo key is the thread's memory addresses, plus each
+/// load's source when the model's same-address load policy is
+/// [`SameAddrLoadLoad::UnlessSameStore`]. Many read-from assignments of a
+/// check share a thread's key.
+struct PpoMemo<'m> {
+    model: &'m ModelSpec,
+    /// Whether a load's read-from source is part of the key.
+    keyed_by_rf: bool,
+    /// Per thread: key → position in `edges`.
+    seen: Vec<HashMap<Vec<u64>, usize>>,
+    /// Per memoised resolution: the memory `<ppo` edges as (older, younger)
+    /// event pairs.
+    edges: Vec<Vec<(usize, usize)>>,
+    /// The key being looked up.
+    key: Vec<u64>,
+}
+
+impl<'m> PpoMemo<'m> {
+    fn new(model: &'m ModelSpec, program: &Program) -> Self {
+        PpoMemo {
+            model,
+            keyed_by_rf: model.same_addr_load_load() == SameAddrLoadLoad::UnlessSameStore,
+            seen: vec![HashMap::new(); program.num_threads()],
+            edges: Vec::new(),
+            key: Vec::new(),
+        }
+    }
+
+    /// The memory `<ppo` edges of thread `proc` in `exec`, as event pairs.
+    fn memory_ppo(
+        &mut self,
+        program: &Program,
+        index: &ProgramIndex,
+        exec: &ConcreteExecution,
+        proc: usize,
+    ) -> &[(usize, usize)] {
+        self.key.clear();
+        for (address, rf) in exec.addresses[proc].iter().zip(&exec.rf[proc]) {
+            let Some(address) = *address else { continue };
+            self.key.push(address);
+            if self.keyed_by_rf {
+                match rf {
+                    Some(RfSource::Store(sid)) => self.key.push(u64::from(*sid)),
+                    Some(RfSource::Init(_)) => self.key.push(u64::MAX),
+                    None => {}
+                }
+            }
+        }
+        let slot = match self.seen[proc].get(self.key.as_slice()) {
+            Some(&slot) => slot,
+            None => {
+                let resolved = exec.resolved_thread(program, proc);
+                let thread_ppo = gam_core::preserved_program_order(&resolved, self.model);
+                let event =
+                    |idx| index.event_index(InstrRef::new(proc, idx)).expect("memory event");
+                let edges = ppo::memory_ppo(&resolved, &thread_ppo)
+                    .iter_pairs()
+                    .map(|(i, j)| (event(i), event(j)))
+                    .collect();
+                self.edges.push(edges);
+                self.seen[proc].insert(self.key.clone(), self.edges.len() - 1);
+                self.edges.len() - 1
+            }
+        };
+        &self.edges[slot]
     }
 }
 
@@ -403,7 +485,11 @@ struct Projection {
     /// The distinct observed memory locations with their initial values; a
     /// location's position here is its slot in a final-store vector.
     locations: Vec<(Loc, Value)>,
-    /// The register part of the current execution's outcome.
+    /// The observed registers, each with the instruction that last writes
+    /// it (`None`: never written, so zero).
+    register_writers: Vec<(Observation, Option<InstrRef>)>,
+    /// The register part of the current execution's outcome. Every
+    /// execution sets the same observations, so it is overwritten in place.
     registers: Outcome,
     /// Per memory event: the slot of the observed location it stores to.
     slot_of_event: Vec<Option<usize>>,
@@ -415,33 +501,39 @@ struct Projection {
 }
 
 impl Projection {
-    fn new(test: &LitmusTest, events: usize) -> Self {
+    fn new(test: &LitmusTest, index: &ProgramIndex) -> Self {
         let mut locations = Vec::new();
-        for observation in test.observed() {
-            if let Observation::Memory(loc) = *observation {
-                if !locations.iter().any(|&(seen, _)| seen == loc) {
-                    locations.push((loc, test.initial_value(loc.address())));
+        let mut register_writers = Vec::new();
+        for &observation in test.observed() {
+            match observation {
+                Observation::Memory(loc) => {
+                    if !locations.iter().any(|&(seen, _)| seen == loc) {
+                        locations.push((loc, test.initial_value(loc.address())));
+                    }
+                }
+                Observation::Register(proc, reg) => {
+                    let proc = proc.index();
+                    let writer = last_writer(test.program(), proc, reg);
+                    register_writers
+                        .push((observation, writer.map(|idx| InstrRef::new(proc, idx))));
                 }
             }
         }
         Projection {
             last_store: vec![None; locations.len()],
             locations,
+            register_writers,
             registers: Outcome::new(),
-            slot_of_event: vec![None; events],
+            slot_of_event: vec![None; index.memory_events.len()],
             seen: HashSet::new(),
         }
     }
 
     /// Prepares the projection of one concrete execution's orders.
-    fn start(&mut self, test: &LitmusTest, index: &ProgramIndex, exec: &ConcreteExecution) {
+    fn start(&mut self, index: &ProgramIndex, exec: &ConcreteExecution) {
         self.seen.clear();
-        self.registers = Outcome::new();
-        for observation in test.observed() {
-            if let Observation::Register(proc, reg) = *observation {
-                let value = exec.final_register_value(test.program(), proc.index(), reg);
-                self.registers.set(*observation, value);
-            }
+        for &(observation, writer) in &self.register_writers {
+            self.registers.set(observation, writer.map_or(Value::ZERO, |r| exec.value(r)));
         }
         self.slot_of_event.fill(None);
         for &store_ref in &index.stores {
@@ -482,7 +574,7 @@ impl Projection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gam_core::model;
+    use gam_core::{model, ModelKind};
     use gam_isa::litmus::library;
     use gam_isa::{Addr, Instruction, Operand, ProcId, Program, Reg, ThreadProgram};
 
@@ -748,6 +840,73 @@ mod tests {
             }
         }
         assert!(checked >= 10, "only {checked} memory-observing witnesses checked");
+    }
+
+    /// Checks the memoised memory `<ppo` of every thread of every
+    /// concretized assignment of `test` under `spec` against a fresh
+    /// `preserved_program_order` → `memory_ppo`. Returns how many lookups
+    /// it made and how many resolutions the memo built.
+    fn check_ppo_memo(test: &LitmusTest, spec: &ModelSpec) -> (usize, usize) {
+        let program = test.program();
+        let index = ProgramIndex::new(program);
+        let mut memo = PpoMemo::new(spec, program);
+        let mut lookups = 0;
+        for assignment in RfAssignments::address_pruned(test, &index) {
+            let Some(exec) = crate::propagate::concretize(test, &index, &assignment) else {
+                continue;
+            };
+            for proc in 0..program.num_threads() {
+                let event =
+                    |idx| index.event_index(InstrRef::new(proc, idx)).expect("memory event");
+                let resolved = exec.resolved_thread(program, proc);
+                let thread_ppo = gam_core::preserved_program_order(&resolved, spec);
+                let fresh: Vec<(usize, usize)> = ppo::memory_ppo(&resolved, &thread_ppo)
+                    .iter_pairs()
+                    .map(|(i, j)| (event(i), event(j)))
+                    .collect();
+                assert_eq!(
+                    memo.memory_ppo(program, &index, &exec, proc),
+                    fresh.as_slice(),
+                    "{} under {}: thread P{}, assignment {assignment:?}",
+                    test.name(),
+                    spec.name(),
+                    proc + 1
+                );
+                lookups += 1;
+            }
+        }
+        (lookups, memo.edges.len())
+    }
+
+    /// The `<ppo` memo returns, for every concretized assignment, exactly
+    /// the memory `<ppo` a fresh computation gives: on every library test
+    /// under all five models, and on the stress programs with at most eight
+    /// memory events under SC, TSO, GAM and GAM0.
+    #[test]
+    fn memoised_ppo_matches_a_fresh_computation() {
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus-stress");
+        let stress: Vec<LitmusTest> = gam_frontend::Corpus::load(corpus)
+            .expect("the stress corpus loads")
+            .tests()
+            .into_iter()
+            .filter(|test| test.program().memory_instruction_count() <= 8)
+            .collect();
+        assert!(stress.len() > 100, "only {} small stress programs", stress.len());
+        let weak_and_strong: Vec<ModelSpec> =
+            [ModelKind::Sc, ModelKind::Tso, ModelKind::Gam, ModelKind::Gam0]
+                .map(model::by_kind)
+                .into();
+        let (mut lookups, mut built) = (0, 0);
+        for (tests, models) in [(library::all_tests(), model::all()), (stress, weak_and_strong)] {
+            for spec in &models {
+                for test in &tests {
+                    let (test_lookups, test_built) = check_ppo_memo(test, spec);
+                    lookups += test_lookups;
+                    built += test_built;
+                }
+            }
+        }
+        assert!(built * 2 < lookups, "the memo built {built} resolutions for {lookups} lookups");
     }
 
     #[test]

@@ -21,9 +21,8 @@
 //! `<ppo` with the checker.
 
 use gam_isa::litmus::LitmusTest;
-use gam_isa::{AluOp, Instruction, Operand, Reg};
 
-use crate::execution::{InstrRef, ProgramIndex, RfCandidate};
+use crate::execution::{InstrRef, ProgramIndex, RfCandidate, Source, Transfer};
 
 /// An iterator over read-from assignments of a program.
 ///
@@ -65,7 +64,7 @@ impl RfAssignments {
     ///    a `ppo`/`rf` cycle the memory-order search can never satisfy.
     #[must_use]
     pub fn address_pruned(test: &LitmusTest, index: &ProgramIndex) -> Self {
-        let addrs = StaticAddrs::analyze(test);
+        let addrs = StaticAddrs::analyze_indexed(test, index);
         let candidates = index
             .loads
             .iter()
@@ -248,16 +247,20 @@ impl StaticAddrs {
     /// Runs the value-set analysis over every thread of the test's program.
     #[must_use]
     pub fn analyze(test: &LitmusTest) -> Self {
-        let program = test.program();
-        let mut analysis = Analysis::new(test);
-        if program.has_branches() {
+        StaticAddrs::analyze_indexed(test, &ProgramIndex::new(test.program()))
+    }
+
+    /// [`StaticAddrs::analyze`] on the test's already-built program index.
+    pub(crate) fn analyze_indexed(test: &LitmusTest, index: &ProgramIndex) -> Self {
+        let mut analysis = Analysis::new(test, index);
+        if test.program().has_branches() {
             // The checker never enumerates branchy programs; map everything
             // to "unknown" instead of reasoning about control flow.
             analysis.addrs.fill(None);
         } else {
             while analysis.pass() {}
         }
-        StaticAddrs { starts: analysis.starts, addrs: analysis.addrs }
+        StaticAddrs { starts: index.starts.clone(), addrs: analysis.addrs }
     }
 
     /// The statically resolved address of the instruction at `(proc, idx)`:
@@ -294,43 +297,11 @@ impl StaticAddrs {
     }
 }
 
-/// Where an operand's value comes from, resolved once per program: an
-/// immediate (an unwritten register reads as the immediate zero), or the
-/// flat index of the youngest older instruction that writes the register.
-#[derive(Debug, Clone, Copy)]
-enum Source {
-    Imm(u64),
-    Writer(usize),
-}
-
-/// The transfer function of one instruction, with its operands resolved.
-#[derive(Debug, Clone, Copy)]
-enum Transfer {
-    Alu {
-        op: AluOp,
-        lhs: Source,
-        rhs: Source,
-    },
-    Load {
-        proc: usize,
-        base: Source,
-        offset: u64,
-    },
-    Store {
-        base: Source,
-        offset: u64,
-        data: Source,
-    },
-    /// Fences and branches: the value zero, no address.
-    Zero,
-}
-
 /// The mutable state of the value-set fixpoint, over the program's
 /// instructions in flat (thread-major, program-order) order.
 struct Analysis<'t> {
     test: &'t LitmusTest,
-    starts: Vec<usize>,
-    transfers: Vec<Transfer>,
+    transfers: &'t [Transfer],
     /// Possible result values per instruction (ALU result, load value, store
     /// data).
     values: Vec<ValueSet>,
@@ -342,54 +313,14 @@ struct Analysis<'t> {
 }
 
 impl<'t> Analysis<'t> {
-    fn new(test: &'t LitmusTest) -> Self {
-        let threads = test.program().threads();
-        let total = threads.iter().map(|thread| thread.len()).sum();
-        let mut starts = Vec::with_capacity(threads.len());
-        let mut transfers = Vec::with_capacity(total);
-        let mut stores = Vec::new();
-        // The youngest writer of each register so far in the current thread.
-        let mut writers: Vec<(Reg, usize)> = Vec::new();
-        for (proc, thread) in threads.iter().enumerate() {
-            starts.push(transfers.len());
-            writers.clear();
-            for instr in thread.instructions() {
-                let flat = transfers.len();
-                let source = |op: &Operand| match op {
-                    Operand::Imm(v) => Source::Imm(v.raw()),
-                    Operand::Reg(reg) => writers
-                        .iter()
-                        .find(|(written, _)| written == reg)
-                        .map_or(Source::Imm(0), |&(_, writer)| Source::Writer(writer)),
-                };
-                let (transfer, dst) = match instr {
-                    Instruction::Alu { dst, op, lhs, rhs } => {
-                        (Transfer::Alu { op: *op, lhs: source(lhs), rhs: source(rhs) }, Some(dst))
-                    }
-                    Instruction::Load { dst, addr } => {
-                        let base = source(&addr.base);
-                        (Transfer::Load { proc, base, offset: addr.offset }, Some(dst))
-                    }
-                    Instruction::Store { addr, data } => {
-                        stores.push((proc, flat));
-                        let (base, data) = (source(&addr.base), source(data));
-                        (Transfer::Store { base, offset: addr.offset, data }, None)
-                    }
-                    Instruction::Fence { .. } | Instruction::Branch { .. } => {
-                        (Transfer::Zero, None)
-                    }
-                };
-                transfers.push(transfer);
-                if let Some(&dst) = dst {
-                    match writers.iter_mut().find(|(written, _)| *written == dst) {
-                        Some(entry) => entry.1 = flat,
-                        None => writers.push((dst, flat)),
-                    }
-                }
-            }
-        }
-        let empty = vec![Some(SmallSet::EMPTY); total];
-        Analysis { test, starts, transfers, values: empty.clone(), addrs: empty, stores }
+    fn new(test: &'t LitmusTest, index: &'t ProgramIndex) -> Self {
+        let stores = index
+            .stores
+            .iter()
+            .map(|&store| (store.proc, index.flat(store).expect("indexed store")))
+            .collect();
+        let empty = vec![Some(SmallSet::EMPTY); index.transfers.len()];
+        Analysis { test, transfers: &index.transfers, values: empty.clone(), addrs: empty, stores }
     }
 
     fn value(&self, source: Source) -> ValueSet {

@@ -1,10 +1,9 @@
 //! Concrete executions: identifiers, read-from candidates and resolved values.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use gam_core::{ResolvedInstr, RfSource};
-use gam_isa::{Instruction, Program, Value};
+use gam_isa::{AluOp, Instruction, Operand, Program, Reg, Value};
 
 /// Identifies one static instruction instance: processor index plus
 /// program-order index within that processor's thread.
@@ -42,6 +41,12 @@ pub enum RfCandidate {
 
 /// A static index of a program's loads and stores, assigning each store a
 /// stable global identifier.
+///
+/// Besides the public lists, the index keeps per-instruction tables built
+/// once per program: each instruction's event, store and load number, and
+/// its transfer function with every register operand resolved to the
+/// instruction that writes it. Value propagation and the static address
+/// analysis run on these tables instead of rescanning the program.
 #[derive(Debug, Clone)]
 pub struct ProgramIndex {
     /// All loads in the program, in (processor, program-order) order.
@@ -53,39 +58,146 @@ pub struct ProgramIndex {
     /// the position in this vector is the instruction's *event index* used by
     /// the memory-order search.
     pub memory_events: Vec<InstrRef>,
+    /// The flat index of each thread's first instruction, plus one entry
+    /// past the last thread; instructions are numbered thread-major.
+    pub(crate) starts: Vec<usize>,
+    /// The transfer function of each instruction, by flat index.
+    pub(crate) transfers: Vec<Transfer>,
+    /// The event index of each instruction, by flat index.
+    event_of: Vec<Option<usize>>,
+    /// The store identifier of each instruction, by flat index.
+    store_of: Vec<Option<usize>>,
+    /// The position in [`ProgramIndex::loads`] of each instruction, by flat
+    /// index.
+    pub(crate) load_of: Vec<Option<usize>>,
+}
+
+/// Where an operand's value comes from, resolved once per program: an
+/// immediate (an unwritten register reads as the immediate zero), or the
+/// flat index of the youngest older instruction that writes the register.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Source {
+    Imm(u64),
+    Writer(usize),
+}
+
+/// The transfer function of one instruction, with its operands resolved.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Transfer {
+    Alu {
+        op: AluOp,
+        lhs: Source,
+        rhs: Source,
+    },
+    Load {
+        proc: usize,
+        base: Source,
+        offset: u64,
+    },
+    Store {
+        base: Source,
+        offset: u64,
+        data: Source,
+    },
+    /// Fences and branches: the value zero, no address.
+    Zero,
+}
+
+impl Transfer {
+    /// Whether the instruction is a memory access (and so has an address).
+    pub(crate) fn is_memory(self) -> bool {
+        matches!(self, Transfer::Load { .. } | Transfer::Store { .. })
+    }
 }
 
 impl ProgramIndex {
     /// Builds the index of a program.
     #[must_use]
     pub fn new(program: &Program) -> Self {
-        let mut loads = Vec::new();
-        let mut stores = Vec::new();
-        let mut memory_events = Vec::new();
-        for (proc, idx, instr) in program.iter_instructions() {
-            let reference = InstrRef::new(proc.index(), idx);
-            if instr.is_load() {
-                loads.push(reference);
-                memory_events.push(reference);
-            } else if instr.is_store() {
-                stores.push(reference);
-                memory_events.push(reference);
+        let threads = program.threads();
+        let total = threads.iter().map(|thread| thread.len()).sum();
+        let mut index = ProgramIndex {
+            loads: Vec::new(),
+            stores: Vec::new(),
+            memory_events: Vec::new(),
+            starts: Vec::with_capacity(threads.len() + 1),
+            transfers: Vec::with_capacity(total),
+            event_of: vec![None; total],
+            store_of: vec![None; total],
+            load_of: vec![None; total],
+        };
+        // The youngest writer of each register so far in the current thread.
+        let mut writers: Vec<(Reg, usize)> = Vec::new();
+        for (proc, thread) in threads.iter().enumerate() {
+            index.starts.push(index.transfers.len());
+            writers.clear();
+            for (idx, instr) in thread.instructions().iter().enumerate() {
+                let flat = index.transfers.len();
+                let reference = InstrRef::new(proc, idx);
+                let source = |op: &Operand| match op {
+                    Operand::Imm(v) => Source::Imm(v.raw()),
+                    Operand::Reg(reg) => writers
+                        .iter()
+                        .find(|(written, _)| written == reg)
+                        .map_or(Source::Imm(0), |&(_, writer)| Source::Writer(writer)),
+                };
+                let (transfer, dst) = match instr {
+                    Instruction::Alu { dst, op, lhs, rhs } => {
+                        (Transfer::Alu { op: *op, lhs: source(lhs), rhs: source(rhs) }, Some(dst))
+                    }
+                    Instruction::Load { dst, addr } => {
+                        index.load_of[flat] = Some(index.loads.len());
+                        index.loads.push(reference);
+                        let base = source(&addr.base);
+                        (Transfer::Load { proc, base, offset: addr.offset }, Some(dst))
+                    }
+                    Instruction::Store { addr, data } => {
+                        index.store_of[flat] = Some(index.stores.len());
+                        index.stores.push(reference);
+                        let (base, data) = (source(&addr.base), source(data));
+                        (Transfer::Store { base, offset: addr.offset, data }, None)
+                    }
+                    Instruction::Fence { .. } | Instruction::Branch { .. } => {
+                        (Transfer::Zero, None)
+                    }
+                };
+                if instr.is_memory() {
+                    index.event_of[flat] = Some(index.memory_events.len());
+                    index.memory_events.push(reference);
+                }
+                index.transfers.push(transfer);
+                if let Some(&dst) = dst {
+                    match writers.iter_mut().find(|(written, _)| *written == dst) {
+                        Some(entry) => entry.1 = flat,
+                        None => writers.push((dst, flat)),
+                    }
+                }
             }
         }
-        ProgramIndex { loads, stores, memory_events }
+        index.starts.push(total);
+        index
+    }
+
+    /// The flat (thread-major) index of the instruction at `reference`, or
+    /// `None` if the program has no such instruction.
+    #[must_use]
+    pub(crate) fn flat(&self, reference: InstrRef) -> Option<usize> {
+        let start = *self.starts.get(reference.proc)?;
+        let end = *self.starts.get(reference.proc + 1)?;
+        (start + reference.idx < end).then_some(start + reference.idx)
     }
 
     /// Returns the global store identifier of the store at `reference`.
     #[must_use]
     pub fn store_id(&self, reference: InstrRef) -> Option<usize> {
-        self.stores.iter().position(|&s| s == reference)
+        self.store_of[self.flat(reference)?]
     }
 
     /// Returns the event index (position in [`ProgramIndex::memory_events`])
     /// of the memory instruction at `reference`.
     #[must_use]
     pub fn event_index(&self, reference: InstrRef) -> Option<usize> {
-        self.memory_events.iter().position(|&e| e == reference)
+        self.event_of[self.flat(reference)?]
     }
 }
 
@@ -100,11 +212,23 @@ pub struct ConcreteExecution {
     /// Per-thread, per-instruction resolved addresses (only memory
     /// instructions have one).
     pub addresses: Vec<Vec<Option<u64>>>,
-    /// Read-from source of every load.
-    pub rf: BTreeMap<InstrRef, RfSource>,
+    /// Per-thread, per-instruction read-from sources (only loads have one).
+    pub rf: Vec<Vec<Option<RfSource>>>,
 }
 
 impl ConcreteExecution {
+    /// An execution shaped like `program` with every value zero and no
+    /// address or read-from source, to be filled in place.
+    #[must_use]
+    pub(crate) fn blank(program: &Program) -> Self {
+        let threads = program.threads();
+        ConcreteExecution {
+            values: threads.iter().map(|t| vec![Value::ZERO; t.len()]).collect(),
+            addresses: threads.iter().map(|t| vec![None; t.len()]).collect(),
+            rf: threads.iter().map(|t| vec![None; t.len()]).collect(),
+        }
+    }
+
     /// The result value of the instruction at `reference`.
     #[must_use]
     pub fn value(&self, reference: InstrRef) -> Value {
@@ -120,7 +244,7 @@ impl ConcreteExecution {
     /// The read-from source of the load at `reference`.
     #[must_use]
     pub fn rf_source(&self, reference: InstrRef) -> Option<RfSource> {
-        self.rf.get(&reference).copied()
+        self.rf[reference.proc][reference.idx]
     }
 
     /// Builds the resolved-instruction view of one thread, the input to
@@ -134,31 +258,20 @@ impl ConcreteExecution {
             .enumerate()
             .map(|(idx, instr)| {
                 let reference = InstrRef::new(proc, idx);
-                let addr = self.address(reference);
-                let rf = self.rf_source(reference);
-                resolve_one(instr, addr, rf)
+                ResolvedInstr::from_instruction(
+                    instr,
+                    self.address(reference),
+                    self.rf_source(reference),
+                )
             })
             .collect()
     }
-
-    /// The final value of a register in a thread: the result of the youngest
-    /// instruction writing it, or zero if it is never written.
-    #[must_use]
-    pub fn final_register_value(&self, program: &Program, proc: usize, reg: gam_isa::Reg) -> Value {
-        let thread = &program.threads()[proc];
-        thread
-            .instructions()
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, instr)| instr.write_set().contains(&reg))
-            .map(|(idx, _)| self.value(InstrRef::new(proc, idx)))
-            .unwrap_or(Value::ZERO)
-    }
 }
 
-fn resolve_one(instr: &Instruction, addr: Option<u64>, rf: Option<RfSource>) -> ResolvedInstr {
-    ResolvedInstr::from_instruction(instr, addr, rf)
+/// The index of the youngest instruction of thread `proc` that writes `reg`
+/// (a register no instruction writes reads as zero).
+pub(crate) fn last_writer(program: &Program, proc: usize, reg: Reg) -> Option<usize> {
+    program.threads()[proc].instructions().iter().rposition(|instr| instr.writes(reg))
 }
 
 #[cfg(test)]
@@ -185,6 +298,8 @@ mod tests {
         }
         assert_eq!(index.store_id(index.stores[1]), Some(1));
         assert_eq!(index.store_id(InstrRef::new(0, 1)), None, "the load is not a store");
+        assert_eq!(index.event_index(InstrRef::new(0, 2)), None, "past the end of the thread");
+        assert_eq!(index.event_index(InstrRef::new(2, 0)), None, "no third thread");
     }
 
     #[test]
@@ -196,14 +311,14 @@ mod tests {
         let exec = ConcreteExecution {
             values: vec![vec![Value::new(7), Value::new(7)]],
             addresses: vec![vec![Some(a.address()), Some(a.address())]],
-            rf: [(InstrRef::new(0, 1), RfSource::Store(0))].into_iter().collect(),
+            rf: vec![vec![None, Some(RfSource::Store(0))]],
         };
         assert_eq!(exec.value(InstrRef::new(0, 0)), Value::new(7));
         assert_eq!(exec.address(InstrRef::new(0, 1)), Some(a.address()));
         assert_eq!(exec.rf_source(InstrRef::new(0, 1)), Some(RfSource::Store(0)));
         assert_eq!(exec.rf_source(InstrRef::new(0, 0)), None);
-        assert_eq!(exec.final_register_value(&program, 0, Reg::new(1)), Value::new(7));
-        assert_eq!(exec.final_register_value(&program, 0, Reg::new(9)), Value::ZERO);
+        assert_eq!(last_writer(&program, 0, Reg::new(1)), Some(1));
+        assert_eq!(last_writer(&program, 0, Reg::new(9)), None);
         let resolved = exec.resolved_thread(&program, 0);
         assert_eq!(resolved.len(), 2);
         assert!(resolved[0].is_store());

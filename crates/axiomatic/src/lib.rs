@@ -14,7 +14,8 @@
 //!    assignments with unresolvable (cyclic) value dependencies are rejected
 //!    ([`propagate`]);
 //! 3. **preserved program order** — `<ppo` is computed per thread by
-//!    `gam-core` on the resolved instructions;
+//!    `gam-core` on the resolved instructions, once per distinct
+//!    resolution of the thread within a check ([`checker`]);
 //! 4. **memory-order search** — a backtracking search looks for a total
 //!    global memory order `<mo` over all memory events that contains `<ppo`
 //!    (axiom *InstOrder*) and satisfies the model's *LoadValue* axiom

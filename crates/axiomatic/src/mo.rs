@@ -49,12 +49,15 @@ pub struct LoadConstraint {
 }
 
 /// A memory-order search problem for one concretised execution and one model.
+///
+/// The checker refills one problem's fields in place for every assignment of
+/// a check, so they are visible to the crate.
 #[derive(Debug, Clone)]
 pub struct MoProblem {
     num_events: usize,
-    precede: Relation,
-    store_addr: Vec<Option<u64>>,
-    loads: Vec<LoadConstraint>,
+    pub(crate) precede: Relation,
+    pub(crate) store_addr: Vec<Option<u64>>,
+    pub(crate) loads: Vec<LoadConstraint>,
 }
 
 impl MoProblem {
@@ -81,14 +84,6 @@ impl MoProblem {
     #[must_use]
     pub fn num_events(&self) -> usize {
         self.num_events
-    }
-
-    /// Consumes the problem and returns its edge relation, so callers that
-    /// solve one problem per enumerated execution can recycle the allocation
-    /// (clear + refill) instead of reallocating per assignment.
-    #[must_use]
-    pub fn into_precede(self) -> Relation {
-        self.precede
     }
 
     /// Checks the LoadValue axiom on a complete memory order (given as the
@@ -131,14 +126,23 @@ impl MoProblem {
     ///
     /// Returns `true` if the enumeration ran to completion and `false` if it
     /// was stopped by the callback.
-    pub fn for_each_valid_order(&self, mut on_valid: impl FnMut(&[usize]) -> bool) -> bool {
+    pub fn for_each_valid_order(&self, on_valid: impl FnMut(&[usize]) -> bool) -> bool {
+        self.for_each_valid_order_in(&mut Search::default(), on_valid)
+    }
+
+    /// [`MoProblem::for_each_valid_order`] on recycled search buffers.
+    pub(crate) fn for_each_valid_order_in(
+        &self,
+        search: &mut Search,
+        mut on_valid: impl FnMut(&[usize]) -> bool,
+    ) -> bool {
         // A load reading the initial value while a locally forwardable
         // same-address store exists can never validate: the forwardable store
         // is always in the candidate set. Fail before searching.
         if self.loads.iter().any(|c| c.source.is_none() && !c.po_older_stores.is_empty()) {
             return true;
         }
-        let mut search = Search::new(self);
+        search.reset(self);
         search.extend(self, &mut on_valid)
     }
 
@@ -154,8 +158,10 @@ impl MoProblem {
     }
 }
 
-/// The incremental backtracking state of one enumeration.
-struct Search {
+/// The incremental backtracking state of one enumeration. One `Search` can
+/// serve many problems in turn: [`Search::reset`] refills its buffers.
+#[derive(Debug, Default)]
+pub(crate) struct Search {
     placed: Vec<usize>,
     used: Vec<bool>,
     /// `position[e]` is the rank of `e`; only meaningful while `used[e]`.
@@ -174,40 +180,47 @@ struct Search {
     store_watch: Vec<Vec<usize>>,
 }
 
+/// Clears `lists` and resizes it to `len` empty lists, keeping the
+/// allocations of the lists it already had.
+fn reset_lists<T>(lists: &mut Vec<Vec<T>>, len: usize) {
+    lists.resize_with(len, Vec::new);
+    lists.iter_mut().for_each(Vec::clear);
+}
+
+/// Clears `values` and refills it with `len` copies of `value`.
+fn reset_values<T: Clone>(values: &mut Vec<T>, len: usize, value: T) {
+    values.clear();
+    values.resize(len, value);
+}
+
 impl Search {
-    fn new(problem: &MoProblem) -> Self {
+    /// Prepares the search of `problem`, with nothing placed yet.
+    fn reset(&mut self, problem: &MoProblem) {
         let n = problem.num_events;
-        let mut successors = vec![Vec::new(); n];
-        let mut pred_remaining = vec![0usize; n];
+        self.placed.clear();
+        reset_values(&mut self.used, n, false);
+        reset_values(&mut self.position, n, 0);
+        reset_lists(&mut self.successors, n);
+        reset_values(&mut self.pred_remaining, n, 0);
         for (from, to) in problem.precede.iter_pairs() {
-            successors[from].push(to);
-            pred_remaining[to] += 1;
+            self.successors[from].push(to);
+            self.pred_remaining[to] += 1;
         }
-        let mut constraint_of = vec![None; n];
-        let mut po_older = Vec::with_capacity(problem.loads.len());
-        let mut store_watch = vec![Vec::new(); n];
+        reset_values(&mut self.constraint_of, n, None);
+        reset_lists(&mut self.po_older, problem.loads.len());
+        reset_lists(&mut self.store_watch, n);
         for (ci, constraint) in problem.loads.iter().enumerate() {
-            constraint_of[constraint.load] = Some(ci);
-            let mut flags = vec![false; n];
+            self.constraint_of[constraint.load] = Some(ci);
+            let flags = &mut self.po_older[ci];
+            flags.resize(n, false);
             for &store in &constraint.po_older_stores {
                 flags[store] = true;
             }
-            po_older.push(flags);
             for (event, addr) in problem.store_addr.iter().enumerate() {
                 if *addr == Some(constraint.addr) {
-                    store_watch[event].push(ci);
+                    self.store_watch[event].push(ci);
                 }
             }
-        }
-        Search {
-            placed: Vec::with_capacity(n),
-            used: vec![false; n],
-            position: vec![0; n],
-            successors,
-            pred_remaining,
-            constraint_of,
-            po_older,
-            store_watch,
         }
     }
 

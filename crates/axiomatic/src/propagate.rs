@@ -7,19 +7,18 @@
 //! or whose addresses are inconsistent (a load "reading from" a store to a
 //! different address) are rejected by returning `None`.
 
-use std::collections::BTreeMap;
-
 use gam_core::RfSource;
 use gam_isa::litmus::LitmusTest;
-use gam_isa::{Instruction, Operand, Program, Value};
+use gam_isa::Value;
 
-use crate::execution::{ConcreteExecution, InstrRef, ProgramIndex, RfCandidate};
+use crate::execution::{ConcreteExecution, ProgramIndex, RfCandidate, Source, Transfer};
 
-/// Per-instruction resolution state during propagation.
+/// The per-instruction resolution state of a propagation, by flat index,
+/// recycled across the assignments of one check.
 #[derive(Debug, Clone, Default)]
-struct Slot {
-    value: Option<Value>,
-    address: Option<u64>,
+pub(crate) struct Propagation {
+    values: Vec<Option<Value>>,
+    addresses: Vec<Option<u64>>,
 }
 
 /// Attempts to concretise an execution from a read-from assignment.
@@ -35,38 +34,65 @@ pub fn concretize(
     index: &ProgramIndex,
     assignment: &[RfCandidate],
 ) -> Option<ConcreteExecution> {
-    let program = test.program();
-    let mut slots: Vec<Vec<Slot>> =
-        program.threads().iter().map(|t| vec![Slot::default(); t.len()]).collect();
+    let mut exec = ConcreteExecution::blank(test.program());
+    concretize_into(test, index, assignment, &mut Propagation::default(), &mut exec).then_some(exec)
+}
 
-    // Fences produce no value; mark them resolved immediately so the fixpoint
-    // terminates on the remaining instructions only.
-    for (proc, idx, instr) in program.iter_instructions() {
-        if instr.is_fence() {
-            slots[proc.index()][idx].value = Some(Value::ZERO);
-        }
-    }
+/// [`concretize`] into a recycled execution of the program's shape (see
+/// [`ConcreteExecution::blank`]). Returns false, leaving `exec` in an
+/// unspecified state, when the assignment is inconsistent.
+pub(crate) fn concretize_into(
+    test: &LitmusTest,
+    index: &ProgramIndex,
+    assignment: &[RfCandidate],
+    state: &mut Propagation,
+    exec: &mut ConcreteExecution,
+) -> bool {
+    let total = index.transfers.len();
+    let (values, addresses) = (&mut state.values, &mut state.addresses);
+    values.clear();
+    values.resize(total, None);
+    addresses.clear();
+    addresses.resize(total, None);
+    let store_flat = |sid: usize| index.flat(index.stores[sid]).expect("indexed store");
 
-    let rf_of_load: BTreeMap<InstrRef, RfCandidate> =
-        index.loads.iter().copied().zip(assignment.iter().copied()).collect();
-
+    // Propagate values to a fixpoint. A fence (and a branch, which the
+    // checker rejects before propagation) produces the value zero.
     loop {
         let mut progress = false;
-        for (proc, idx, instr) in program.iter_instructions() {
-            let reference = InstrRef::new(proc.index(), idx);
-            let slot = &slots[proc.index()][idx];
-            if slot.value.is_some() && (slot.address.is_some() || !instr.is_memory()) {
+        for flat in 0..total {
+            let transfer = index.transfers[flat];
+            if values[flat].is_some() && (addresses[flat].is_some() || !transfer.is_memory()) {
                 continue;
             }
-            let (value, address) =
-                evaluate(program, &slots, &rf_of_load, index, test, reference, instr);
-            let slot = &mut slots[proc.index()][idx];
-            if slot.value.is_none() && value.is_some() {
-                slot.value = value;
+            let operand = |source: Source| match source {
+                Source::Imm(v) => Some(Value::new(v)),
+                Source::Writer(writer) => values[writer],
+            };
+            let (value, address) = match transfer {
+                Transfer::Alu { op, lhs, rhs } => {
+                    (operand(lhs).zip(operand(rhs)).map(|(a, b)| op.apply(a, b)), None)
+                }
+                Transfer::Load { base, offset, .. } => {
+                    let address = operand(base).map(|b| b.raw().wrapping_add(offset));
+                    let load = index.load_of[flat].expect("indexed load");
+                    let value = address.and_then(|resolved| match assignment[load] {
+                        RfCandidate::Init => Some(test.initial_value(resolved)),
+                        RfCandidate::Store(sid) => values[store_flat(sid)],
+                    });
+                    (value, address)
+                }
+                Transfer::Store { base, offset, data } => {
+                    (operand(data), operand(base).map(|b| b.raw().wrapping_add(offset)))
+                }
+                Transfer::Zero => (Some(Value::ZERO), None),
+            };
+            if values[flat].is_none() && value.is_some() {
+                values[flat] = value;
                 progress = true;
             }
-            if slot.address.is_none() && address.is_some() {
-                slot.address = address;
+            if addresses[flat].is_none() && address.is_some() {
+                addresses[flat] = address;
                 progress = true;
             }
         }
@@ -76,110 +102,36 @@ pub fn concretize(
     }
 
     // Every instruction must be fully resolved.
-    for (proc, idx, instr) in program.iter_instructions() {
-        let slot = &slots[proc.index()][idx];
-        slot.value?;
-        if instr.is_memory() && slot.address.is_none() {
-            return None;
+    for (flat, transfer) in index.transfers.iter().enumerate() {
+        if values[flat].is_none() || (transfer.is_memory() && addresses[flat].is_none()) {
+            return false;
         }
     }
 
     // Address consistency: a load must read from a store to the same address.
-    for (load_ref, candidate) in &rf_of_load {
-        if let RfCandidate::Store(sid) = candidate {
-            let store_ref = index.stores[*sid];
-            let load_addr = slots[load_ref.proc][load_ref.idx].address;
-            let store_addr = slots[store_ref.proc][store_ref.idx].address;
-            if load_addr != store_addr {
-                return None;
+    for (&load_ref, candidate) in index.loads.iter().zip(assignment) {
+        if let RfCandidate::Store(sid) = *candidate {
+            let load = index.flat(load_ref).expect("indexed load");
+            if addresses[load] != addresses[store_flat(sid)] {
+                return false;
             }
         }
     }
 
-    let rf = rf_of_load
-        .iter()
-        .map(|(&load_ref, candidate)| {
-            let source = match candidate {
-                RfCandidate::Init => {
-                    let addr = slots[load_ref.proc][load_ref.idx]
-                        .address
-                        .expect("resolved load has an address");
-                    RfSource::Init(addr)
-                }
-                RfCandidate::Store(sid) => RfSource::Store(*sid as u32),
-            };
-            (load_ref, source)
-        })
-        .collect();
-
-    Some(ConcreteExecution {
-        values: slots
-            .iter()
-            .map(|thread| thread.iter().map(|s| s.value.expect("resolved")).collect())
-            .collect(),
-        addresses: slots.iter().map(|thread| thread.iter().map(|s| s.address).collect()).collect(),
-        rf,
-    })
-}
-
-/// Tries to compute the value and address of one instruction from the current
-/// partial resolution. Returns `(value, address)` with `None` for parts that
-/// are not yet computable.
-fn evaluate(
-    program: &Program,
-    slots: &[Vec<Slot>],
-    rf_of_load: &BTreeMap<InstrRef, RfCandidate>,
-    index: &ProgramIndex,
-    test: &LitmusTest,
-    reference: InstrRef,
-    instr: &Instruction,
-) -> (Option<Value>, Option<u64>) {
-    let operand = |op: &Operand| -> Option<Value> {
-        match op {
-            Operand::Imm(v) => Some(*v),
-            Operand::Reg(reg) => {
-                // Value of the youngest older writer of `reg`, or zero.
-                let thread = &program.threads()[reference.proc];
-                let writer = (0..reference.idx)
-                    .rev()
-                    .find(|&i| thread.instructions()[i].write_set().contains(reg));
-                match writer {
-                    Some(i) => slots[reference.proc][i].value,
-                    None => Some(Value::ZERO),
-                }
-            }
+    for (proc, window) in index.starts.windows(2).enumerate() {
+        let flats = window[0]..window[1];
+        for (slot, value) in exec.values[proc].iter_mut().zip(&values[flats.clone()]) {
+            *slot = value.expect("resolved");
         }
-    };
-
-    match instr {
-        Instruction::Alu { op, lhs, rhs, .. } => {
-            let value = match (operand(lhs), operand(rhs)) {
-                (Some(a), Some(b)) => Some(op.apply(a, b)),
-                _ => None,
-            };
-            (value, None)
-        }
-        Instruction::Load { addr, .. } => {
-            let address = operand(&addr.base).map(|base| addr.evaluate(base).raw());
-            let value = address.and_then(|resolved_addr| {
-                match rf_of_load.get(&reference).copied().unwrap_or(RfCandidate::Init) {
-                    RfCandidate::Init => Some(test.initial_value(resolved_addr)),
-                    RfCandidate::Store(sid) => {
-                        let store_ref = index.stores[sid];
-                        slots[store_ref.proc][store_ref.idx].value
-                    }
-                }
-            });
-            (value, address)
-        }
-        Instruction::Store { addr, data } => {
-            let address = operand(&addr.base).map(|base| addr.evaluate(base).raw());
-            (operand(data), address)
-        }
-        Instruction::Fence { .. } => (Some(Value::ZERO), None),
-        // Branches are rejected by the checker before propagation starts.
-        Instruction::Branch { .. } => (None, None),
+        exec.addresses[proc].copy_from_slice(&addresses[flats]);
     }
+    for (&load_ref, candidate) in index.loads.iter().zip(assignment) {
+        exec.rf[load_ref.proc][load_ref.idx] = Some(match *candidate {
+            RfCandidate::Init => RfSource::Init(exec.address(load_ref).expect("resolved load")),
+            RfCandidate::Store(sid) => RfSource::Store(sid as u32),
+        });
+    }
+    true
 }
 
 #[cfg(test)]

@@ -7,11 +7,12 @@
 
 use crate::diag::{ParseError, Span};
 
-/// One token of the structured `.litmus` sections.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Tok {
+/// One token of the structured `.litmus` sections. Identifiers borrow their
+/// text from the input, so a token is a plain copyable value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tok<'a> {
     /// An identifier: `St`, `r1`, `P2`, `a`, `FenceSS`, a label name, …
-    Ident(String),
+    Ident(&'a str),
     /// An unsigned integer literal (decimal, or hexadecimal with `0x`).
     Num(u64),
     /// `{`
@@ -46,7 +47,7 @@ pub(crate) enum Tok {
     Eof,
 }
 
-impl Tok {
+impl Tok<'_> {
     /// How the token reads in an error message.
     pub(crate) fn describe(&self) -> String {
         match self {
@@ -72,132 +73,153 @@ impl Tok {
 }
 
 /// A token plus the position it starts at.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Token {
-    pub(crate) tok: Tok,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Token<'a> {
+    pub(crate) tok: Tok<'a>,
     pub(crate) span: Span,
+}
+
+/// Whether `byte` is ASCII whitespace other than a newline.
+fn is_blank_byte(byte: u8) -> bool {
+    matches!(byte, b' ' | b'\t' | b'\r' | b'\x0b' | b'\x0c')
+}
+
+/// Whether `byte` continues an identifier or an integer literal.
+fn is_word_byte(byte: u8) -> bool {
+    byte.is_ascii_alphanumeric() || byte == b'_'
+}
+
+/// The one-byte token `byte` spells, if any.
+fn punctuation(byte: u8) -> Option<Tok<'static>> {
+    Some(match byte {
+        b'{' => Tok::LBrace,
+        b'}' => Tok::RBrace,
+        b'[' => Tok::LBracket,
+        b']' => Tok::RBracket,
+        b'(' => Tok::LParen,
+        b')' => Tok::RParen,
+        b'|' => Tok::Pipe,
+        b';' => Tok::Semi,
+        b':' => Tok::Colon,
+        b',' => Tok::Comma,
+        b'=' => Tok::Eq,
+        b'+' => Tok::Plus,
+        _ => return None,
+    })
+}
+
+/// Parses an integer literal: decimal, or hexadecimal after `0x`/`0X`, with
+/// `_` separators allowed anywhere.
+fn parse_integer(digits: &str) -> Option<u64> {
+    let cleaned;
+    let digits = if digits.contains('_') {
+        cleaned = digits.replace('_', "");
+        cleaned.as_str()
+    } else {
+        digits
+    };
+    match digits.strip_prefix("0x").or_else(|| digits.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => digits.parse::<u64>().ok(),
+    }
 }
 
 /// Tokenizes `text`, whose first line is line `start_line` of the original
 /// file. `//` starts a comment running to the end of the line. The returned
 /// stream always ends with a single [`Tok::Eof`].
-pub(crate) fn lex(text: &str, start_line: usize) -> Result<Vec<Token>, ParseError> {
-    let mut tokens = Vec::new();
+///
+/// The scan walks bytes, since every token is ASCII; a column still counts
+/// characters, so a multi-byte character (in a comment, or as whitespace)
+/// advances it by one.
+pub(crate) fn lex(text: &str, start_line: usize) -> Result<Vec<Token<'_>>, ParseError> {
+    let bytes = text.as_bytes();
+    // Litmus text runs at about one token per three bytes; half a token per
+    // byte leaves room so the vector never grows.
+    let mut tokens = Vec::with_capacity(text.len() / 2 + 1);
     let mut line = start_line;
     let mut col = 1usize;
-    let mut chars = text.chars().peekable();
-    while let Some(&c) = chars.peek() {
+    let mut at = 0usize;
+    while at < bytes.len() {
         let span = Span::new(line, col);
-        match c {
-            '\n' => {
-                chars.next();
+        let byte = bytes[at];
+        let tok = match byte {
+            b'\n' => {
+                at += 1;
                 line += 1;
                 col = 1;
+                continue;
             }
-            c if c.is_whitespace() => {
-                chars.next();
-                col += 1;
+            byte if is_blank_byte(byte) => {
+                let run = bytes[at..].iter().take_while(|&&b| is_blank_byte(b)).count();
+                at += run;
+                col += run;
+                continue;
             }
-            '/' => {
-                chars.next();
-                col += 1;
-                match chars.peek() {
-                    Some('/') => {
-                        // Comment: consume to (but not including) the newline.
-                        while chars.peek().is_some_and(|&c| c != '\n') {
-                            chars.next();
-                            col += 1;
-                        }
-                    }
-                    Some('\\') => {
-                        chars.next();
-                        col += 1;
-                        tokens.push(Token { tok: Tok::And, span });
-                    }
-                    _ => {
-                        return Err(ParseError::new(span, "expected `//` comment or `/\\`"));
-                    }
+            b'/' => match bytes.get(at + 1) {
+                Some(b'/') => {
+                    // Comment: consume to (but not including) the newline.
+                    let end = bytes[at..]
+                        .iter()
+                        .position(|&b| b == b'\n')
+                        .map_or(bytes.len(), |n| at + n);
+                    col += text[at..end].chars().count();
+                    at = end;
+                    continue;
                 }
-            }
-            '-' => {
-                chars.next();
-                col += 1;
-                if chars.peek() == Some(&'>') {
-                    chars.next();
-                    col += 1;
-                    tokens.push(Token { tok: Tok::Arrow, span });
-                } else {
+                Some(b'\\') => {
+                    at += 2;
+                    col += 2;
+                    Tok::And
+                }
+                _ => return Err(ParseError::new(span, "expected `//` comment or `/\\`")),
+            },
+            b'-' => {
+                if bytes.get(at + 1) != Some(&b'>') {
                     return Err(ParseError::new(span, "expected `->`"));
                 }
+                at += 2;
+                col += 2;
+                Tok::Arrow
             }
-            '0'..='9' => {
-                let mut digits = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_alphanumeric() || d == '_' {
-                        digits.push(d);
-                        chars.next();
-                        col += 1;
-                    } else {
-                        break;
+            b'0'..=b'9' | b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                let end = bytes[at..]
+                    .iter()
+                    .position(|&b| !is_word_byte(b))
+                    .map_or(bytes.len(), |n| at + n);
+                let word = &text[at..end];
+                col += end - at;
+                at = end;
+                if byte.is_ascii_digit() {
+                    match parse_integer(word) {
+                        Some(value) => Tok::Num(value),
+                        None => {
+                            return Err(ParseError::new(
+                                span,
+                                format!("`{word}` is not a valid integer literal"),
+                            ))
+                        }
                     }
-                }
-                let cleaned = digits.replace('_', "");
-                let parsed = if let Some(hex) = cleaned.strip_prefix("0x") {
-                    u64::from_str_radix(hex, 16)
-                } else if let Some(hex) = cleaned.strip_prefix("0X") {
-                    u64::from_str_radix(hex, 16)
                 } else {
-                    cleaned.parse::<u64>()
-                };
-                match parsed {
-                    Ok(value) => tokens.push(Token { tok: Tok::Num(value), span }),
-                    Err(_) => {
-                        return Err(ParseError::new(
-                            span,
-                            format!("`{digits}` is not a valid integer literal"),
-                        ))
-                    }
+                    Tok::Ident(word)
                 }
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut name = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_alphanumeric() || d == '_' {
-                        name.push(d);
-                        chars.next();
-                        col += 1;
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push(Token { tok: Tok::Ident(name), span });
             }
             _ => {
-                let tok = match c {
-                    '{' => Tok::LBrace,
-                    '}' => Tok::RBrace,
-                    '[' => Tok::LBracket,
-                    ']' => Tok::RBracket,
-                    '(' => Tok::LParen,
-                    ')' => Tok::RParen,
-                    '|' => Tok::Pipe,
-                    ';' => Tok::Semi,
-                    ':' => Tok::Colon,
-                    ',' => Tok::Comma,
-                    '=' => Tok::Eq,
-                    '+' => Tok::Plus,
-                    other => {
-                        return Err(ParseError::new(
-                            span,
-                            format!("unexpected character `{other}`"),
-                        ))
+                if let Some(tok) = punctuation(byte) {
+                    at += 1;
+                    col += 1;
+                    tok
+                } else {
+                    let c = text[at..].chars().next().expect("a character starts here");
+                    if !c.is_whitespace() {
+                        return Err(ParseError::new(span, format!("unexpected character `{c}`")));
                     }
-                };
-                chars.next();
-                col += 1;
-                tokens.push(Token { tok, span });
+                    at += c.len_utf8();
+                    col += 1;
+                    continue;
+                }
             }
-        }
+        };
+        tokens.push(Token { tok, span });
     }
     tokens.push(Token { tok: Tok::Eof, span: Span::new(line, col) });
     Ok(tokens)
@@ -207,7 +229,7 @@ pub(crate) fn lex(text: &str, start_line: usize) -> Result<Vec<Token>, ParseErro
 mod tests {
     use super::*;
 
-    fn kinds(text: &str) -> Vec<Tok> {
+    fn kinds(text: &str) -> Vec<Tok<'_>> {
         lex(text, 1).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
@@ -216,11 +238,11 @@ mod tests {
         assert_eq!(
             kinds("r1 = Ld [b + 8]"),
             vec![
-                Tok::Ident("r1".into()),
+                Tok::Ident("r1"),
                 Tok::Eq,
-                Tok::Ident("Ld".into()),
+                Tok::Ident("Ld"),
                 Tok::LBracket,
-                Tok::Ident("b".into()),
+                Tok::Ident("b"),
                 Tok::Plus,
                 Tok::Num(8),
                 Tok::RBracket,
@@ -234,15 +256,15 @@ mod tests {
         assert_eq!(
             kinds("exists (P2:r1 = 1 /\\ a = 0x10)"),
             vec![
-                Tok::Ident("exists".into()),
+                Tok::Ident("exists"),
                 Tok::LParen,
-                Tok::Ident("P2".into()),
+                Tok::Ident("P2"),
                 Tok::Colon,
-                Tok::Ident("r1".into()),
+                Tok::Ident("r1"),
                 Tok::Eq,
                 Tok::Num(1),
                 Tok::And,
-                Tok::Ident("a".into()),
+                Tok::Ident("a"),
                 Tok::Eq,
                 Tok::Num(16),
                 Tok::RParen,
@@ -262,7 +284,7 @@ mod tests {
 
     #[test]
     fn comments_run_to_end_of_line() {
-        assert_eq!(kinds("a // b c d\n;"), vec![Tok::Ident("a".into()), Tok::Semi, Tok::Eof]);
+        assert_eq!(kinds("a // b c d\n;"), vec![Tok::Ident("a"), Tok::Semi, Tok::Eof]);
     }
 
     #[test]
@@ -280,12 +302,12 @@ mod tests {
         assert_eq!(
             kinds("beq r1, 0 -> done"),
             vec![
-                Tok::Ident("beq".into()),
-                Tok::Ident("r1".into()),
+                Tok::Ident("beq"),
+                Tok::Ident("r1"),
                 Tok::Comma,
                 Tok::Num(0),
                 Tok::Arrow,
-                Tok::Ident("done".into()),
+                Tok::Ident("done"),
                 Tok::Eof,
             ]
         );

@@ -62,49 +62,71 @@ const KEYWORDS: [&str; 17] = [
 pub fn parse_litmus(text: &str) -> Result<LitmusTest, ParseError> {
     let _phase = gam_obs::phase("parse");
     // ---- line-oriented phase: header and description -----------------------
-    let lines: Vec<&str> = text.split('\n').collect();
-    let mut line_offsets = Vec::with_capacity(lines.len());
-    let mut offset = 0usize;
-    for line in &lines {
-        line_offsets.push(offset);
-        offset += line.len() + 1;
-    }
-    let is_blank = |line: &str| strip_comment(line).trim().is_empty();
-
-    let mut index = 0usize;
-    while index < lines.len() && is_blank(lines[index]) {
-        index += 1;
-    }
-    if index == lines.len() {
+    let mut lines = Lines { text, offset: 0, taken: 0 };
+    lines.skip_blank();
+    let Some(header) = lines.take() else {
         return Err(ParseError::new(Span::new(1, 1), "empty litmus file"));
-    }
-    let header_line = index + 1;
-    let header = strip_comment(lines[index]).trim();
-    let (_arch, name) = match header.split_once(char::is_whitespace) {
-        Some((arch, rest)) if !rest.trim().is_empty() => (arch, rest.trim().to_string()),
+    };
+    let header = strip_comment(header).trim();
+    let name = match header.split_once(char::is_whitespace) {
+        Some((_arch, rest)) if !rest.trim().is_empty() => rest.trim().to_string(),
         _ => {
             return Err(ParseError::new(
-                Span::new(header_line, 1),
+                Span::new(lines.taken, 1),
                 "header must be `<arch> <test-name>` (e.g. `GAM dekker`)",
             ))
         }
     };
-    index += 1;
 
-    while index < lines.len() && is_blank(lines[index]) {
-        index += 1;
-    }
+    lines.skip_blank();
     let mut description = String::new();
-    if index < lines.len() && lines[index].trim_start().starts_with('"') {
-        description = parse_description(lines[index], index + 1)?;
-        index += 1;
+    if let Some(line) = lines.peek().filter(|line| line.trim_start().starts_with('"')) {
+        description = parse_description(line, lines.taken + 1)?;
+        lines.take();
     }
 
     // ---- token phase: everything below -------------------------------------
-    let body = if index < lines.len() { &text[line_offsets[index]..] } else { "" };
-    let tokens = lex(body, index + 1)?;
+    let tokens = lex(lines.rest(), lines.taken + 1)?;
     let mut parser = Parser { tokens, pos: 0 };
     parser.document(name, description)
+}
+
+/// A cursor over the `\n`-separated lines of a text, for the line-oriented
+/// header and description.
+struct Lines<'a> {
+    text: &'a str,
+    /// Byte offset of the first line not taken; past the end once the last
+    /// line is taken.
+    offset: usize,
+    /// Lines taken so far (the 1-based number of the last one taken).
+    taken: usize,
+}
+
+impl<'a> Lines<'a> {
+    /// The next line, without taking it.
+    fn peek(&self) -> Option<&'a str> {
+        let rest = self.text.get(self.offset..)?;
+        Some(rest.split('\n').next().unwrap_or(rest))
+    }
+
+    fn take(&mut self) -> Option<&'a str> {
+        let line = self.peek()?;
+        self.offset += line.len() + 1;
+        self.taken += 1;
+        Some(line)
+    }
+
+    /// Takes every line that is empty but for whitespace and a comment.
+    fn skip_blank(&mut self) {
+        while self.peek().is_some_and(|line| strip_comment(line).trim().is_empty()) {
+            self.take();
+        }
+    }
+
+    /// The text from the first line not taken on.
+    fn rest(&self) -> &'a str {
+        self.text.get(self.offset..).unwrap_or("")
+    }
 }
 
 /// Cuts a line at the first `//`.
@@ -210,37 +232,37 @@ fn plain_name(name: &str, span: Span, what: &str) -> Result<(), ParseError> {
 
 /// Everything parsed out of one thread column cell.
 #[derive(Default)]
-struct Cell {
-    labels: Vec<(String, Span)>,
+struct Cell<'a> {
+    labels: Vec<(&'a str, Span)>,
     instr: Option<Instruction>,
     /// Branch target referenced by the instruction, for late resolution.
-    branch_target: Option<(String, Span)>,
+    branch_target: Option<(&'a str, Span)>,
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Token<'a> {
         &self.tokens[self.pos]
     }
 
     /// The token after the next one (saturating at `Eof`).
-    fn peek2(&self) -> &Token {
+    fn peek2(&self) -> &Token<'a> {
         self.tokens.get(self.pos + 1).unwrap_or_else(|| self.tokens.last().expect("eof token"))
     }
 
-    fn advance(&mut self) -> Token {
-        let token = self.tokens[self.pos].clone();
+    fn advance(&mut self) -> Token<'a> {
+        let token = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         token
     }
 
-    fn expect(&mut self, tok: &Tok, context: &str) -> Result<Span, ParseError> {
+    fn expect(&mut self, tok: &Tok<'_>, context: &str) -> Result<Span, ParseError> {
         if &self.peek().tok == tok {
             Ok(self.advance().span)
         } else {
@@ -252,8 +274,8 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, context: &str) -> Result<(String, Span), ParseError> {
-        match self.peek().tok.clone() {
+    fn ident(&mut self, context: &str) -> Result<(&'a str, Span), ParseError> {
+        match self.peek().tok {
             Tok::Ident(name) => {
                 let span = self.advance().span;
                 Ok((name, span))
@@ -269,7 +291,7 @@ impl Parser {
     fn at_trailer(&self) -> bool {
         match &self.peek().tok {
             Tok::Eof => true,
-            Tok::Ident(name) => matches!(name.as_str(), "locations" | "exists" | "forbidden"),
+            Tok::Ident(name) => matches!(*name, "locations" | "exists" | "forbidden"),
             _ => false,
         }
     }
@@ -280,14 +302,10 @@ impl Parser {
         let init = if self.peek().tok == Tok::LBrace { self.init_block()? } else { Vec::new() };
         let (threads, branch_refs) = self.thread_columns()?;
 
-        let mut label_maps = Vec::new();
-        for thread in &threads {
-            label_maps.push(thread.labels().clone());
-        }
-        for (thread_idx, target, span) in &branch_refs {
-            if !label_maps[*thread_idx].contains_key(target.as_str()) {
+        for &(thread_idx, target, span) in &branch_refs {
+            if !threads[thread_idx].labels().contains_key(target) {
                 return Err(ParseError::new(
-                    *span,
+                    span,
                     format!(
                         "branch target `{target}` is not defined in thread P{}",
                         thread_idx + 1
@@ -300,7 +318,7 @@ impl Parser {
             .map_err(|err| ParseError::new(Span::new(1, 1), format!("invalid program: {err}")))?;
 
         let mut observed: Vec<(Observation, Span)> = Vec::new();
-        if matches!(&self.peek().tok, Tok::Ident(name) if name == "locations") {
+        if self.peek().tok == Tok::Ident("locations") {
             self.advance();
             self.expect(&Tok::LParen, "after `locations`")?;
             if self.peek().tok != Tok::RParen {
@@ -321,7 +339,7 @@ impl Parser {
         }
 
         let mut condition: Vec<(Observation, Value, Span)> = Vec::new();
-        if let Tok::Ident(word) = &self.peek().tok {
+        if let Tok::Ident(word) = self.peek().tok {
             if word == "exists" || word == "forbidden" {
                 self.advance();
                 self.expect(&Tok::LParen, "after the condition keyword")?;
@@ -359,28 +377,31 @@ impl Parser {
         // ---- assembly and semantic validation ------------------------------
         let mut builder = LitmusTest::builder(name, program).description(description);
         let mut seen_init: BTreeMap<u64, Span> = BTreeMap::new();
-        for (addr, value, rendered, span) in init {
+        for (addr, value, written, span) in init {
             if seen_init.insert(addr, span).is_some() {
                 return Err(ParseError::new(
                     span,
-                    format!("location `{rendered}` initialised twice"),
+                    format!("location {} initialised twice", written.describe()),
                 ));
             }
             builder = builder.init(Loc::from_address(addr), value);
         }
-        let mut spans: BTreeMap<Observation, Span> = BTreeMap::new();
-        for (obs, span) in &observed {
-            spans.entry(*obs).or_insert(*span);
-            builder = builder.observe(*obs);
+        for &(obs, _) in &observed {
+            builder = builder.observe(obs);
         }
-        for (obs, value, span) in &condition {
-            spans.entry(*obs).or_insert(*span);
-            builder = builder.expect(*obs, *value);
+        for &(obs, value, _) in &condition {
+            builder = builder.expect(obs, value);
         }
         builder.try_build().map_err(|err| match err {
             IsaError::UnwrittenObservedRegister { proc, reg } => {
+                // Point at the observation's first mention.
                 let obs = Observation::Register(ProcId::new(proc), Reg::new(reg));
-                let span = spans.get(&obs).copied().unwrap_or(Span::new(1, 1));
+                let span = observed
+                    .iter()
+                    .find(|(seen, _)| *seen == obs)
+                    .map(|&(_, span)| span)
+                    .or_else(|| condition.iter().find(|(seen, ..)| *seen == obs).map(|c| c.2))
+                    .unwrap_or(Span::new(1, 1));
                 ParseError::new(
                     span,
                     format!("observed register r{reg} is never written by thread P{}", proc + 1),
@@ -392,22 +413,23 @@ impl Parser {
 
     // ---- init block --------------------------------------------------------
 
-    /// `{ a = 1; 0x10 = 2; }` — returns `(address, value, written-form, span)`
-    /// per entry in file order.
+    /// `{ a = 1; 0x10 = 2; }` — returns `(address, value, location token,
+    /// span)` per entry in file order.
     #[allow(clippy::type_complexity)]
-    fn init_block(&mut self) -> Result<Vec<(u64, Value, String, Span)>, ParseError> {
+    fn init_block(&mut self) -> Result<Vec<(u64, Value, Tok<'a>, Span)>, ParseError> {
         self.expect(&Tok::LBrace, "to open the initial-state block")?;
         let mut entries = Vec::new();
         while self.peek().tok != Tok::RBrace {
-            let (addr, rendered, span) = match self.peek().tok.clone() {
+            let Token { tok: written, span } = *self.peek();
+            let addr = match written {
                 Tok::Ident(name) => {
-                    let span = self.advance().span;
-                    plain_name(&name, span, "location name")?;
-                    (Loc::new(&name).address(), name, span)
+                    self.advance();
+                    plain_name(name, span, "location name")?;
+                    Loc::new(name).address()
                 }
                 Tok::Num(addr) => {
-                    let span = self.advance().span;
-                    (addr, addr.to_string(), span)
+                    self.advance();
+                    addr
                 }
                 other => {
                     return Err(ParseError::new(
@@ -422,7 +444,7 @@ impl Parser {
             self.expect(&Tok::Eq, "in the initial-state entry")?;
             let value = self.value()?;
             self.expect(&Tok::Semi, "after the initial-state entry")?;
-            entries.push((addr, value, rendered, span));
+            entries.push((addr, value, written, span));
         }
         self.advance(); // the `}`
         Ok(entries)
@@ -435,12 +457,12 @@ impl Parser {
     #[allow(clippy::type_complexity)]
     fn thread_columns(
         &mut self,
-    ) -> Result<(Vec<ThreadProgram>, Vec<(usize, String, Span)>), ParseError> {
+    ) -> Result<(Vec<ThreadProgram>, Vec<(usize, &'a str, Span)>), ParseError> {
         // Header row.
         let mut num_threads = 0usize;
         loop {
             let (word, span) = self.ident("a thread column header (`P1`, `P2`, …)")?;
-            match classify(&word, span)? {
+            match classify(word, span)? {
                 Word::Proc(proc) if proc.index() == num_threads => num_threads += 1,
                 _ => {
                     return Err(ParseError::new(
@@ -476,16 +498,16 @@ impl Parser {
 
         let mut builders: Vec<_> =
             (0..num_threads).map(|i| ThreadProgram::builder(ProcId::new(i))).collect();
-        let mut label_spans: Vec<BTreeMap<String, Span>> =
+        let mut label_spans: Vec<BTreeMap<&str, Span>> =
             (0..num_threads).map(|_| BTreeMap::new()).collect();
-        let mut branch_refs: Vec<(usize, String, Span)> = Vec::new();
+        let mut branch_refs: Vec<(usize, &str, Span)> = Vec::new();
 
         // Instruction rows, until the trailer or end of input.
         while !self.at_trailer() {
             for column in 0..num_threads {
                 let cell = self.cell()?;
                 for (label, span) in cell.labels {
-                    if label_spans[column].insert(label.clone(), span).is_some() {
+                    if label_spans[column].insert(label, span).is_some() {
                         return Err(ParseError::new(
                             span,
                             format!(
@@ -535,19 +557,19 @@ impl Parser {
 
     /// One cell of an instruction row: zero or more `label:` definitions
     /// followed by at most one instruction.
-    fn cell(&mut self) -> Result<Cell, ParseError> {
+    fn cell(&mut self) -> Result<Cell<'a>, ParseError> {
         let mut cell = Cell::default();
         // Labels: an identifier directly followed by `:`.
         while matches!(self.peek().tok, Tok::Ident(_)) && self.peek2().tok == Tok::Colon {
             let (label, span) = self.ident("a label")?;
-            plain_name(&label, span, "label name")?;
+            plain_name(label, span, "label name")?;
             self.advance(); // the `:`
             cell.labels.push((label, span));
         }
         if matches!(self.peek().tok, Tok::Pipe | Tok::Semi | Tok::Eof) {
             return Ok(cell); // empty or labels-only cell
         }
-        let (word, span) = match self.peek().tok.clone() {
+        let (word, span) = match self.peek().tok {
             Tok::Ident(word) => (word, self.peek().span),
             other => {
                 return Err(ParseError::new(
@@ -556,7 +578,7 @@ impl Parser {
                 ))
             }
         };
-        match word.as_str() {
+        match word {
             "St" => {
                 self.advance();
                 let addr = self.address()?;
@@ -565,7 +587,7 @@ impl Parser {
             }
             "FenceLL" | "FenceLS" | "FenceSL" | "FenceSS" => {
                 self.advance();
-                let kind = match word.as_str() {
+                let kind = match word {
                     "FenceLL" => FenceKind::LL,
                     "FenceLS" => FenceKind::LS,
                     "FenceSL" => FenceKind::SL,
@@ -581,27 +603,27 @@ impl Parser {
                 let rhs = self.operand("as the second branch operand")?;
                 self.expect(&Tok::Arrow, "before the branch target")?;
                 let (target, target_span) = self.ident("a branch target label")?;
-                plain_name(&target, target_span, "label name")?;
+                plain_name(target, target_span, "label name")?;
                 cell.instr = Some(Instruction::Branch {
                     cond,
                     lhs,
                     rhs,
-                    target: gam_isa::Label::new(target.clone()),
+                    target: gam_isa::Label::new(target),
                 });
                 cell.branch_target = Some((target, target_span));
             }
-            _ => match classify(&word, span)? {
+            _ => match classify(word, span)? {
                 Word::Reg(dst) => {
                     self.advance();
                     self.expect(&Tok::Eq, "after the destination register")?;
                     let (op, op_span) = self.ident("`Ld` or an ALU operation")?;
-                    match op.as_str() {
+                    match op {
                         "Ld" => {
                             let addr = self.address()?;
                             cell.instr = Some(Instruction::Load { dst, addr });
                         }
                         "add" | "sub" | "and" | "or" | "xor" | "mov" => {
-                            let alu = match op.as_str() {
+                            let alu = match op {
                                 "add" => AluOp::Add,
                                 "sub" => AluOp::Sub,
                                 "and" => AluOp::And,
@@ -671,18 +693,18 @@ impl Parser {
 
     /// A register, location name or integer literal.
     fn operand(&mut self, context: &str) -> Result<Operand, ParseError> {
-        match self.peek().tok.clone() {
+        match self.peek().tok {
             Tok::Num(n) => {
                 self.advance();
                 Ok(Operand::imm(n))
             }
             Tok::Ident(name) => {
                 let span = self.advance().span;
-                match classify(&name, span)? {
+                match classify(name, span)? {
                     Word::Reg(reg) => Ok(Operand::Reg(reg)),
                     Word::Plain => {
-                        plain_name(&name, span, "location name")?;
-                        Ok(Operand::Imm(Loc::new(&name).value()))
+                        plain_name(name, span, "location name")?;
+                        Ok(Operand::Imm(Loc::new(name).value()))
                     }
                     Word::Proc(_) => Err(ParseError::new(
                         span,
@@ -702,17 +724,17 @@ impl Parser {
 
     /// A value: a location name or an integer literal (no registers).
     fn value(&mut self) -> Result<Value, ParseError> {
-        match self.peek().tok.clone() {
+        match self.peek().tok {
             Tok::Num(n) => {
                 self.advance();
                 Ok(Value::new(n))
             }
             Tok::Ident(name) => {
                 let span = self.advance().span;
-                match classify(&name, span)? {
+                match classify(name, span)? {
                     Word::Plain => {
-                        plain_name(&name, span, "location name")?;
-                        Ok(Loc::new(&name).value())
+                        plain_name(name, span, "location name")?;
+                        Ok(Loc::new(name).value())
                     }
                     _ => Err(ParseError::new(
                         span,
@@ -730,14 +752,14 @@ impl Parser {
     /// `P2:r1` (a register) or `a` / `0x10` (a memory location), validated
     /// against the thread count.
     fn observation(&mut self, num_threads: usize) -> Result<(Observation, Span), ParseError> {
-        match self.peek().tok.clone() {
+        match self.peek().tok {
             Tok::Num(addr) => {
                 let span = self.advance().span;
                 Ok((Observation::Memory(Loc::from_address(addr)), span))
             }
             Tok::Ident(name) => {
                 let span = self.advance().span;
-                match classify(&name, span)? {
+                match classify(name, span)? {
                     Word::Proc(proc) => {
                         if proc.index() >= num_threads {
                             return Err(ParseError::new(
@@ -750,7 +772,7 @@ impl Parser {
                         }
                         self.expect(&Tok::Colon, "between the processor and the register")?;
                         let (reg_name, reg_span) = self.ident("a register")?;
-                        match classify(&reg_name, reg_span)? {
+                        match classify(reg_name, reg_span)? {
                             Word::Reg(reg) => Ok((Observation::Register(proc, reg), span)),
                             _ => Err(ParseError::new(
                                 reg_span,
@@ -759,8 +781,8 @@ impl Parser {
                         }
                     }
                     Word::Plain => {
-                        plain_name(&name, span, "location name")?;
-                        Ok((Observation::Memory(Loc::new(&name)), span))
+                        plain_name(name, span, "location name")?;
+                        Ok((Observation::Memory(Loc::new(name)), span))
                     }
                     Word::Reg(_) => Err(ParseError::new(
                         span,

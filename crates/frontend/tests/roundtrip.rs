@@ -354,6 +354,31 @@ fn structural_errors_carry_positions() {
     assert_error("GAM t\nP1 ;\nr1 = Ld [a] ;\nexists (P1:r1 = 0)\njunk\n", 5, 1, "unexpected");
 }
 
+#[test]
+fn lexer_errors_carry_character_positions() {
+    // A `/` that starts neither a comment nor `/\`.
+    assert_error("GAM t\nP1 ;\nSt [a] 1 / ;\n", 3, 10, "expected `//` comment or `/\\`");
+    // A `-` that does not start `->`.
+    assert_error("GAM t\nP1 ;\nbeq r1, 0 - done ;\n", 3, 11, "expected `->`");
+    // An integer literal that does not fit in 64 bits.
+    assert_error(
+        "GAM t\nP1 ;\nSt [a] 99999999999999999999 ;\n",
+        3,
+        8,
+        "`99999999999999999999` is not a valid integer literal",
+    );
+    // A character no token starts with.
+    assert_error("GAM t\nP1 ;\nSt [a] $ ;\n", 3, 8, "unexpected character `$`");
+    // Columns count characters: the ideographic space (three bytes in
+    // UTF-8) before the error moves it by one column, not three.
+    assert_error("GAM t\nP1 ;\nSt\u{3000}[a] 1 $ ;\n", 3, 10, "unexpected character `$`");
+    assert_error("GAM t\nP1 ;\nSt [a]\u{3000}\u{e9} ;\n", 3, 8, "unexpected character `\u{e9}`");
+    // A multi-byte comment before the next line leaves that line's columns
+    // alone, and the end of input after it is a column past the comment.
+    assert_error("GAM t\nP1 ;\n// \u{e9}\u{e9}\nSt [a] $ ;\n", 4, 8, "unexpected character");
+    assert_error("GAM t\nP1 ;\nr1 = Ld [a] ;\nexists (P1:r1 = 0 // \u{e9}", 4, 23, "end of input");
+}
+
 // ---------------------------------------------------------------------------
 // corpus export / load
 // ---------------------------------------------------------------------------

@@ -266,6 +266,13 @@ impl Instruction {
         }
     }
 
+    /// Whether `reg` is in the write set `WS(I)`; unlike
+    /// [`Instruction::write_set`] it allocates nothing.
+    #[must_use]
+    pub fn writes(&self, reg: Reg) -> bool {
+        matches!(self, Instruction::Alu { dst, .. } | Instruction::Load { dst, .. } if *dst == reg)
+    }
+
     /// The address read set `ARS(I)` of the paper (Definition 3): registers
     /// read to compute the address of a memory instruction.
     #[must_use]

@@ -333,9 +333,10 @@ impl LitmusTestBuilder {
     pub fn try_build(self) -> Result<LitmusTest, crate::IsaError> {
         for observation in &self.observed {
             let Observation::Register(proc, reg) = observation else { continue };
-            let written = self.program.thread(*proc).is_some_and(|thread| {
-                thread.instructions().iter().any(|instr| instr.write_set().contains(reg))
-            });
+            let written = self
+                .program
+                .thread(*proc)
+                .is_some_and(|thread| thread.instructions().iter().any(|instr| instr.writes(*reg)));
             if !written {
                 return Err(crate::IsaError::UnwrittenObservedRegister {
                     proc: proc.index(),

@@ -68,6 +68,20 @@ proptest! {
             prop_assert!(store.read_set().contains(&reg));
         }
         prop_assert!(store.write_set().is_empty());
+
+        // `writes` is membership in the write set, for every instruction class.
+        let alu = Instruction::Alu {
+            dst: Reg::new(dst),
+            op: AluOp::Add,
+            lhs: Operand::reg(Reg::new(addr_reg)),
+            rhs: Operand::imm(1),
+        };
+        let fence = Instruction::Fence { kind: FenceKind::SS };
+        for instr in [&load, &store, &alu, &fence] {
+            for reg in (0..8).map(Reg::new) {
+                prop_assert_eq!(instr.writes(reg), instr.write_set().contains(&reg));
+            }
+        }
     }
 
     /// The builder preserves instruction order and memory-instruction counts.
