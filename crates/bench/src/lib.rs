@@ -259,22 +259,25 @@ pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
 /// Panics if any verdict disagrees with the expectation table.
 #[must_use]
 pub fn validate_models_via_engine() -> String {
+    use gam_verify::matrix::{diff_reports, run_matrix};
     let tests = gam_isa::litmus::library::paper_tests();
-    let matrix =
-        gam_verify::ComparisonMatrix::compute(&tests).expect("paper litmus tests are checkable");
+    let models = gam_core::ModelKind::ALL;
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let reports =
+        run_matrix(&tests, "paper", &models, &[gam_engine::Backend::Axiomatic], workers, 1)
+            .expect("the axiomatic backend supports every model");
+    let mismatches = diff_reports(&tests, &models, &reports, |test, model| {
+        gam_verify::expectations::expectation_for(test).map(|row| row.allowed(model))
+    });
     assert!(
-        matrix.matches_expectations(),
+        mismatches.is_empty(),
         "litmus verdicts disagree with the paper: {:?}",
-        matrix
-            .mismatched_rows()
-            .iter()
-            .map(|row| (row.test.clone(), row.mismatches.clone()))
-            .collect::<Vec<_>>()
+        mismatches.iter().map(ToString::to_string).collect::<Vec<_>>()
     );
     format!(
         "model sanity (engine facade): {} litmus tests x {} models match the paper",
         tests.len(),
-        gam_core::ModelKind::ALL.len()
+        models.len()
     )
 }
 

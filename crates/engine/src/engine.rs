@@ -108,13 +108,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the parallelism to the machine's available hardware parallelism.
-    #[must_use]
-    pub fn parallelism_available(self) -> Self {
-        let n = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        self.parallelism(n)
-    }
-
     /// Overrides the axiomatic checker limits (axiomatic backend only).
     #[must_use]
     pub fn axiomatic_config(mut self, config: CheckerConfig) -> Self {

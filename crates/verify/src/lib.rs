@@ -1,22 +1,21 @@
 //! # gam-verify
 //!
-//! The verification layer of the GAM reproduction. It ties the litmus-test
-//! library, the axiomatic checker and the operational machines together:
+//! The verification layer of the GAM reproduction: what the two backends'
+//! verdicts are checked against, and the one path that checks them.
 //!
 //! * [`expectations`] — the paper's (and the classical literature's) expected
 //!   verdict of every model on every litmus test in the library, as a
 //!   machine-readable table;
-//! * [`compare`] — runs every model over tests through the parallel
-//!   [`gam_engine::Engine`] facade and builds a comparison matrix, flagging
-//!   any disagreement with the expectations;
-//! * [`equivalence`] — cross-checks the axiomatic and operational definitions
-//!   of each model by driving *both* backends through the same
-//!   [`gam_engine::Checker`] trait and comparing their complete
-//!   allowed-outcome sets on every litmus test (the machine-checkable
-//!   counterpart of the paper's equivalence proof for GAM).
+//! * [`matrix`] — runs a suite under every `(model, backend)` pair through
+//!   the parallel [`gam_engine::Engine`] facade, diffs the verdicts across
+//!   backends and against expectations, and renders the test × model
+//!   verdict matrix. Every consumer that compares verdicts (`gam run`,
+//!   `gam check`, `gam gen-corpus`, the serve bench's ground truth, the
+//!   paper harness) goes through it.
 //!
-//! Both modules are thin layers over `gam-engine`; they no longer talk to the
-//! backend crates' checker types directly.
+//! Complete outcome sets of the two backends (the machine-checkable
+//! counterpart of the paper's Section IV equivalence proof) are compared by
+//! the umbrella crate's `backend_agreement` test, not here.
 //!
 //! # Example
 //!
@@ -34,12 +33,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod compare;
-pub mod equivalence;
 pub mod expectations;
+pub mod matrix;
 
-pub use compare::{ComparisonMatrix, ComparisonRow};
-pub use equivalence::{EquivalenceReport, EquivalenceResult};
 pub use expectations::{
     parse_expectations, render_expectations, Expectation, ExpectationParseError, OwnedExpectation,
 };

@@ -1,5 +1,6 @@
-//! Explore the full litmus-test library: print every test, every model's
-//! verdict, and (for allowed behaviours under GAM) a witness execution.
+//! Explore the full litmus-test library: print every model's verdict on
+//! every test (the verdict matrix of both backends, diffed against the
+//! paper), or one test with a witness execution for each allowed verdict.
 //! Verdicts and witness outcomes come from the engine facade; the detailed
 //! read-from relation and memory order are a backend-specific extra fetched
 //! from the axiomatic checker directly (the soft-deprecated direct API
@@ -13,12 +14,13 @@
 //! user-supplied workloads, not just the built-in library.
 
 use gam::axiomatic::AxiomaticChecker;
-use gam::core::model;
-use gam::engine::Engine;
+use gam::core::{model, ModelKind};
+use gam::engine::{Backend, Engine};
 use gam::frontend::{parse_litmus, print_litmus};
 use gam::isa::litmus::library;
 use gam::isa::litmus::LitmusTest;
-use gam::verify::ComparisonMatrix;
+use gam::verify::expectations;
+use gam::verify::matrix::{diff_reports, render_matrix, run_matrix};
 
 /// Resolves the argument: a `.litmus` path goes through the text frontend,
 /// anything else is looked up in the built-in library.
@@ -51,9 +53,21 @@ fn main() {
         None => {
             let tests = library::all_tests();
             println!("{} litmus tests in the library\n", tests.len());
-            let matrix = ComparisonMatrix::compute(&tests).expect("all tests are checkable");
-            print!("{matrix}");
+            let models = ModelKind::ALL;
+            let reports = run_matrix(&tests, "library", &models, &Backend::ALL, 4, 1)
+                .expect("every model has a backend");
+            let mismatches = diff_reports(&tests, &models, &reports, |test, model| {
+                expectations::expectation_for(test).map(|row| row.allowed(model))
+            });
+            print!("{}", render_matrix(&tests, &models, &reports, &mismatches));
             println!();
+            for mismatch in &mismatches {
+                println!("MISMATCH {mismatch}");
+            }
+            if !mismatches.is_empty() {
+                std::process::exit(1);
+            }
+            println!("A = allowed, F = forbidden; both backends agree and match the paper.\n");
             println!(
                 "Run `cargo run --example litmus_explorer -- <name | file.litmus>` for details \
                  on one test."

@@ -27,7 +27,7 @@
 //!                        both; model/backend pairs without semantics are
 //!                        skipped)
 //!   --jobs N             `run`/`bench`: suite worker threads (default: all
-//!                        cores; `--parallelism N` is accepted as an alias)
+//!                        cores)
 //!   --explorer-threads N worker threads *inside* each operational
 //!                        exploration (default 1; sharding is adaptive and
 //!                        only kicks in on state spaces past the threshold)
@@ -107,13 +107,12 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use gam_core::ModelKind;
-use gam_engine::{
-    Backend, CheckBudget, Engine, Json, ResultRow, RowAnswer, SuiteReport, TestReport, ToJson,
-    Verdict,
-};
+use gam_engine::{Backend, CheckBudget, Engine, Json, ResultRow, SuiteReport, TestReport, ToJson};
 use gam_frontend::{export_library, parse_litmus, print_litmus, Corpus};
-use gam_isa::litmus::LitmusTest;
 use gam_verify::expectations::{render_expectations, OwnedExpectation};
+use gam_verify::matrix::{
+    diff_reports, render_matrix, run_matrix, verdict_word, Mismatch, Reports,
+};
 
 /// `println!` for reports: stops writing once stdout is closed, so a
 /// reader that quits early (`gam run DIR --json | head`) ends the output,
@@ -177,7 +176,7 @@ impl Status {
 
     /// The one exit rule of `check` and `run`: findings (mismatches, which
     /// include errors, and coverage gaps) first, then an inconclusive row.
-    fn of_reports(reports: &BTreeMap<(ModelKind, Backend), SuiteReport>, clean: bool) -> Status {
+    fn of_reports(reports: &Reports, clean: bool) -> Status {
         let mut rows = reports.values().flat_map(|suite| &suite.reports);
         if !clean {
             Status::Findings
@@ -259,8 +258,7 @@ const USAGE: &str = "usage:
 
   --models LIST        comma-separated: sc,tso,gam,gam0,gam-arm
   --backends LIST      comma-separated: axiomatic,operational
-  --jobs N             run/bench: suite worker threads (default: all cores;
-                       --parallelism N is accepted as an alias)
+  --jobs N             run/bench: suite worker threads (default: all cores)
   --explorer-threads N worker threads inside each operational exploration
                        (default 1; sharding kicks in adaptively)
   --count N, --seed S  gen-corpus: corpus size (default 200), seed (default 2026)
@@ -351,7 +349,6 @@ const FLAGS: &[(&str, bool, &[&str])] = &[
     ("--models", true, &["check", "run", "bench"]),
     ("--backends", true, &["check", "run"]),
     ("--jobs", true, &["run", "bench"]),
-    ("--parallelism", true, &["run", "bench"]),
     ("--explorer-threads", true, &["check", "run"]),
     ("--json", false, &["check", "run", "bench"]),
     ("--no-expectations", false, &["check", "run"]),
@@ -457,11 +454,13 @@ fn parse_backends(list: &str) -> Result<Vec<Backend>, String> {
     })
 }
 
-fn parallelism(args: &[String]) -> Result<usize, String> {
-    // `--jobs` is the documented spelling; `--parallelism` stays as an
-    // alias for scripts written against the PR 4 CLI.
-    match arg_value(args, "--jobs").or_else(|| arg_value(args, "--parallelism")) {
-        None => Ok(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)),
+fn all_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+fn jobs(args: &[String]) -> Result<usize, String> {
+    match arg_value(args, "--jobs") {
+        None => Ok(all_cores()),
         Some(n) => n.parse::<usize>().map_err(|_| format!("invalid --jobs `{n}`")),
     }
 }
@@ -565,162 +564,13 @@ fn record_unit(checkpoint: &mut Option<gam_engine::RunCheckpoint>, key: &str, ro
 }
 
 // ---------------------------------------------------------------------------
-// suite running shared by `check` and `run`
+// the report shared by `check` and `run`
 // ---------------------------------------------------------------------------
-
-/// One verdict discrepancy found while diffing suite results.
-struct Mismatch {
-    test: String,
-    model: ModelKind,
-    detail: String,
-}
-
-/// Runs `tests` under every supported `(model, backend)` pair and returns
-/// the reports keyed by pair. Unsupported pairs (operational GAM-ARM) are
-/// skipped.
-fn run_matrix(
-    tests: &[LitmusTest],
-    suite_name: &str,
-    models: &[ModelKind],
-    backends: &[Backend],
-    workers: usize,
-    explorer_workers: usize,
-) -> Result<BTreeMap<(ModelKind, Backend), SuiteReport>, String> {
-    let mut reports = BTreeMap::new();
-    for &model in models {
-        for &backend in backends {
-            if !backend.supports(model) {
-                continue;
-            }
-            let engine = Engine::builder()
-                .model(model)
-                .backend(backend)
-                .parallelism(workers)
-                .explorer_parallelism(explorer_workers)
-                .build()
-                .map_err(|err| err.to_string())?;
-            reports.insert((model, backend), engine.run_suite_verdicts(tests).named(suite_name));
-        }
-    }
-    if reports.is_empty() {
-        return Err("no supported (model, backend) combination selected".to_string());
-    }
-    Ok(reports)
-}
-
-/// Diffs the reports: backends must agree pairwise per `(test, model)`, no
-/// backend may error, and (where an expectation exists) the agreed verdict
-/// must match it. Only conclusive rows are diffed: an inconclusive one
-/// claims nothing.
-fn diff_reports(
-    tests: &[LitmusTest],
-    models: &[ModelKind],
-    reports: &BTreeMap<(ModelKind, Backend), SuiteReport>,
-    expectation: impl Fn(&str, ModelKind) -> Option<bool>,
-) -> Vec<Mismatch> {
-    let mut mismatches = Vec::new();
-    for test in tests {
-        for &model in models {
-            let mut verdicts: Vec<(Backend, Verdict)> = Vec::new();
-            for ((m, backend), report) in reports {
-                if *m != model {
-                    continue;
-                }
-                let Some(report) = report.report_for(test.name()) else { continue };
-                match &report.row.answer {
-                    RowAnswer::Verdict(verdict) => verdicts.push((*backend, *verdict)),
-                    RowAnswer::Error(error) => mismatches.push(Mismatch {
-                        test: test.name().to_string(),
-                        model,
-                        detail: format!("{backend} backend error: {error}"),
-                    }),
-                    RowAnswer::Inconclusive { .. } => {}
-                }
-            }
-            if let Some((first, rest)) = verdicts.split_first() {
-                for (backend, verdict) in rest {
-                    if verdict != &first.1 {
-                        mismatches.push(Mismatch {
-                            test: test.name().to_string(),
-                            model,
-                            detail: format!(
-                                "backends disagree: {}={} {}={}",
-                                first.0, first.1, backend, verdict
-                            ),
-                        });
-                    }
-                }
-                if let Some(expected) = expectation(test.name(), model) {
-                    let got = first.1.is_allowed();
-                    if got != expected {
-                        mismatches.push(Mismatch {
-                            test: test.name().to_string(),
-                            model,
-                            detail: format!(
-                                "expected {}, every backend says {}",
-                                verdict_word(expected),
-                                verdict_word(got)
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    mismatches
-}
-
-fn verdict_word(allowed: bool) -> &'static str {
-    if allowed {
-        "allowed"
-    } else {
-        "forbidden"
-    }
-}
-
-/// Renders the test × model verdict matrix (letters A/F, `!` on any
-/// mismatch involving the cell).
-fn render_matrix(
-    tests: &[LitmusTest],
-    models: &[ModelKind],
-    reports: &BTreeMap<(ModelKind, Backend), SuiteReport>,
-    mismatches: &[Mismatch],
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let name_width = tests.iter().map(|t| t.name().len()).max().unwrap_or(4).max("test".len());
-    let _ = write!(out, "{:<name_width$}", "test");
-    for model in models {
-        let _ = write!(out, "  {:>7}", model.to_string());
-    }
-    let _ = writeln!(out);
-    for test in tests {
-        let _ = write!(out, "{:<name_width$}", test.name());
-        for &model in models {
-            let verdict = reports
-                .iter()
-                .find(|((m, _), _)| *m == model)
-                .and_then(|(_, report)| report.report_for(test.name()))
-                .and_then(|report| report.row.verdict());
-            let mut cell = match verdict {
-                Some(Verdict::Allowed) => "A".to_string(),
-                Some(Verdict::Forbidden) => "F".to_string(),
-                None => "-".to_string(),
-            };
-            if mismatches.iter().any(|m| m.test == test.name() && m.model == model) {
-                cell.push('!');
-            }
-            let _ = write!(out, "  {cell:>7}");
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
 
 fn json_report(
     suite: &str,
     models: &[ModelKind],
-    reports: &BTreeMap<(ModelKind, Backend), SuiteReport>,
+    reports: &Reports,
     mismatches: &[Mismatch],
     coverage_gaps: &[String],
 ) -> Json {
@@ -878,7 +728,7 @@ fn cmd_check(args: &[String]) -> Result<Status, String> {
             outln!("{model:<8} {:<12} {}", backend.name(), report.reports[0].row);
         }
         for m in &mismatches {
-            outln!("MISMATCH {} under {}: {}", m.test, m.model, m.detail);
+            outln!("MISMATCH {m}");
         }
     }
     Ok(Status::of_reports(&reports, mismatches.is_empty()))
@@ -903,7 +753,7 @@ fn cmd_run(args: &[String]) -> Result<Status, String> {
         Some(list) => parse_backends(&list)?,
         None => Backend::ALL.to_vec(),
     };
-    let workers = parallelism(args)?;
+    let workers = jobs(args)?;
     let explorer_workers = explorer_threads(args)?;
     let use_expectations = !arg_flag(args, "--no-expectations");
     let tests = corpus.tests();
@@ -941,7 +791,7 @@ fn cmd_run(args: &[String]) -> Result<Status, String> {
         out!("{}", render_matrix(&tests, &models, &reports, &mismatches));
         outln!();
         for m in &mismatches {
-            outln!("MISMATCH {} under {}: {}", m.test, m.model, m.detail);
+            outln!("MISMATCH {m}");
         }
         for gap in &coverage_gaps {
             outln!("COVERAGE {gap}");
@@ -980,24 +830,13 @@ fn cmd_gen_corpus(args: &[String]) -> Result<bool, String> {
         return Err("`gam gen-corpus` needs a DIR argument".to_string());
     };
     let big = arg_flag(args, "--big");
-    let count = match arg_value(args, "--count") {
-        None => {
-            if big {
-                4usize
-            } else {
-                200usize
-            }
-        }
+    let (default_count, default_seed) = if big { (4, 2024) } else { (200, 2026) };
+    let count: usize = match arg_value(args, "--count") {
+        None => default_count,
         Some(n) => n.parse().map_err(|_| format!("invalid --count `{n}`"))?,
     };
-    let seed = match arg_value(args, "--seed") {
-        None => {
-            if big {
-                2024u64
-            } else {
-                2026u64
-            }
-        }
+    let seed: u64 = match arg_value(args, "--seed") {
+        None => default_seed,
         Some(n) => n.parse().map_err(|_| format!("invalid --seed `{n}`"))?,
     };
     // `--big` trades breadth for depth: a handful of 3-thread, 15-memory-event
@@ -1033,40 +872,34 @@ fn cmd_gen_corpus(args: &[String]) -> Result<bool, String> {
             .map_err(|err| format!("cannot write {}: {err}", path.display()))?;
     }
 
-    // Compute (and cross-check) every test's verdicts: the axiomatic
-    // backend covers all five models; the operational backend must agree
-    // wherever a machine exists.
-    let mut rows = Vec::new();
-    for test in &tests {
-        let mut allowed = BTreeMap::new();
-        for model in ModelKind::ALL {
-            let axiomatic = Engine::axiomatic(model)
-                .check(test)
-                .map_err(|err| format!("{model}/{}: axiomatic: {err}", test.name()))?;
-            if Backend::Operational.supports(model) {
-                let operational = Engine::operational(model)
-                    .map_err(|err| err.to_string())?
-                    .check(test)
-                    .map_err(|err| format!("{model}/{}: operational: {err}", test.name()))?;
-                if operational != axiomatic {
-                    return Err(format!(
-                        "{model}/{}: backends disagree ({axiomatic} vs {operational})",
-                        test.name()
-                    ));
-                }
-            }
-            allowed.insert(model, axiomatic.is_allowed());
-        }
-        rows.push(OwnedExpectation {
-            test: test.name().to_string(),
-            sc: allowed[&ModelKind::Sc],
-            tso: allowed[&ModelKind::Tso],
-            gam: allowed[&ModelKind::Gam],
-            gam0: allowed[&ModelKind::Gam0],
-            gam_arm: allowed[&ModelKind::GamArm],
-            source: format!("computed by both backends (seed {seed})"),
-        });
+    // Compute (and cross-check) every test's verdicts across all cores: the
+    // axiomatic backend covers all five models; the operational backend must
+    // agree wherever a machine exists.
+    let reports = run_matrix(&tests, dir, &ModelKind::ALL, &Backend::ALL, all_cores(), 1)?;
+    let mismatches = diff_reports(&tests, &ModelKind::ALL, &reports, |_, _| None);
+    if !mismatches.is_empty() {
+        let lines: Vec<String> = mismatches.iter().map(|m| format!("MISMATCH {m}")).collect();
+        return Err(format!("the generated corpus does not check cleanly:\n{}", lines.join("\n")));
     }
+    let rows: Vec<OwnedExpectation> = (0..tests.len())
+        .map(|index| {
+            // Unbudgeted rows are never inconclusive, and a clean diff has no
+            // errors: every row is decided.
+            let allowed = |model| {
+                let row = &reports[&(model, Backend::Axiomatic)].reports[index].row;
+                row.verdict().expect("a clean diff leaves every row decided").is_allowed()
+            };
+            OwnedExpectation {
+                test: tests[index].name().to_string(),
+                sc: allowed(ModelKind::Sc),
+                tso: allowed(ModelKind::Tso),
+                gam: allowed(ModelKind::Gam),
+                gam0: allowed(ModelKind::Gam0),
+                gam_arm: allowed(ModelKind::GamArm),
+                source: format!("computed by both backends (seed {seed})"),
+            }
+        })
+        .collect();
     let expectations_path = std::path::Path::new(dir).join("expectations.txt");
     std::fs::write(&expectations_path, render_expectations(&rows))
         .map_err(|err| format!("cannot write {}: {err}", expectations_path.display()))?;
@@ -1249,7 +1082,7 @@ fn cmd_bench(args: &[String]) -> Result<bool, String> {
             return Err(format!("--serve replays operationally; {model} has no machine"));
         }
     }
-    let jobs = parallelism(args)?.max(1);
+    let jobs = jobs(args)?.max(1);
     let min_hit_rate = match arg_value(args, "--min-hit-rate") {
         None => 0.0f64,
         Some(r) => {
@@ -1297,9 +1130,8 @@ fn cmd_bench(args: &[String]) -> Result<bool, String> {
 
     // Ground truth: the same verdicts computed in-process.
     let mut expected: BTreeMap<(String, ModelKind), bool> = BTreeMap::new();
-    for &model in &models {
-        let engine = Engine::operational(model).map_err(|err| err.to_string())?;
-        let suite = engine.run_suite_verdicts(&tests);
+    let in_process = run_matrix(&tests, &name, &models, &[Backend::Operational], jobs, 1)?;
+    for ((model, _), suite) in in_process {
         for report in &suite.reports {
             let verdict = report
                 .row

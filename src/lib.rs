@@ -21,9 +21,9 @@
 //!   pretty-printer with a round-trip guarantee, the corpus loader behind
 //!   `tests/corpus/`, and the `gam` CLI binary that batch-runs corpora
 //!   through the engine;
-//! * [`verify`] — paper expectations, model comparison and
-//!   axiomatic-vs-operational equivalence checking (thin layers over the
-//!   engine);
+//! * [`verify`] — paper expectations and the verdict matrix: every
+//!   (model, backend) pair over a suite, diffed across backends and against
+//!   expectations (a thin layer over the engine);
 //! * [`uarch`] — the out-of-order core timing simulator and the synthetic
 //!   workload suite used to reproduce Figure 18 and Tables I–III.
 //!

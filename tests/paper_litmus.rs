@@ -1,12 +1,15 @@
 //! Integration test: every litmus test that appears as a figure in the paper
 //! gets exactly the verdict the paper states, under every model in the
 //! catalogue, using the axiomatic checker. The classical tests are checked
-//! against the expectation table as well.
+//! against the expectation table as well, and the whole library through the
+//! verdict matrix on both backends.
 
 use gam::axiomatic::AxiomaticChecker;
 use gam::core::{model, ModelKind};
+use gam::engine::Backend;
 use gam::isa::litmus::library;
-use gam::verify::{expectations, ComparisonMatrix};
+use gam::verify::expectations;
+use gam::verify::matrix::{diff_reports, run_matrix};
 
 /// Checks one test against its expectation row under every model.
 fn check_against_expectations(test: &gam::isa::litmus::LitmusTest) {
@@ -91,16 +94,17 @@ fn classical_tests_match_the_expectation_table() {
 
 #[test]
 fn the_full_matrix_matches_expectations() {
-    let matrix = ComparisonMatrix::compute(&library::all_tests()).expect("checkable");
-    assert!(
-        matrix.matches_expectations(),
-        "mismatched rows: {:?}",
-        matrix
-            .mismatched_rows()
-            .iter()
-            .map(|r| (r.test.clone(), r.mismatches.clone()))
-            .collect::<Vec<_>>()
-    );
+    // Every model on both backends: the verdicts must agree across backends
+    // and match the expectation table, exactly as `gam run` diffs a corpus.
+    let tests = library::all_tests();
+    let reports = run_matrix(&tests, "library", &ModelKind::ALL, &Backend::ALL, 4, 1)
+        .expect("every model has a backend");
+    assert_eq!(reports.len(), 9, "five axiomatic and four operational suites");
+    let mismatches = diff_reports(&tests, &ModelKind::ALL, &reports, |test, model| {
+        expectations::expectation_for(test).map(|row| row.allowed(model))
+    });
+    let mismatches: Vec<String> = mismatches.iter().map(ToString::to_string).collect();
+    assert!(mismatches.is_empty(), "mismatches: {mismatches:#?}");
 }
 
 #[test]
