@@ -17,9 +17,9 @@ use gam_core::{model::ModelSpec, ppo, ResolvedInstr, RfSource};
 use gam_isa::litmus::{LitmusTest, Observation, Outcome};
 use gam_isa::{Instruction, Operand, Reg, Value};
 
-/// The memory `<ppo` pairs of every thread, by the addresses and read-from
-/// sources they were computed from.
-type PpoMemo = HashMap<(Vec<Option<u64>>, Vec<Option<RfSource>>), Vec<(usize, usize)>>;
+/// The memory `<ppo` pairs of every thread, by the read-from sources they
+/// were computed from.
+type PpoMemo = HashMap<Vec<Option<RfSource>>, Vec<(usize, usize)>>;
 
 /// Every outcome `model` allows for the branch-free `test`, projected onto
 /// its observations.
@@ -33,12 +33,22 @@ pub fn allowed_outcomes(test: &LitmusTest, model: &ModelSpec) -> BTreeSet<Outcom
     let memory: Vec<usize> = (0..instrs.len()).filter(|&k| instrs[k].1.is_memory()).collect();
     // `rank[k]`: the `<mo` position of memory instruction `k`.
     let mut rank = vec![usize::MAX; instrs.len()];
-    let (mut outcomes, mut ppo_memo) = (BTreeSet::new(), PpoMemo::new());
+    let stores: Vec<usize> = memory.iter().copied().filter(|&k| instrs[k].1.is_store()).collect();
+    // `sources[k]`: each register instruction `k` reads, with the instruction
+    // whose value it holds there (`None`: still its initial 0).
+    let sources: Vec<Vec<(Reg, Option<usize>)>> = instrs
+        .iter()
+        .enumerate()
+        .map(|(k, &(p, instr))| {
+            instr.read_set().into_iter().map(|r| (r, writer(&instrs, k, p, r))).collect()
+        })
+        .collect();
+    let (mut outcomes, mut ppo_memo) = (BTreeSet::new(), PpoMemo::default());
     permute(&mut Vec::new(), &mut vec![false; memory.len()], &mut |order| {
         for (position, &event) in order.iter().enumerate() {
             rank[memory[event]] = position;
         }
-        outcomes.extend(execute(test, model, &instrs, &rank, &mut ppo_memo));
+        outcomes.extend(execute(test, model, &instrs, &stores, &sources, &rank, &mut ppo_memo));
     });
     outcomes
 }
@@ -65,6 +75,8 @@ fn execute(
     test: &LitmusTest,
     model: &ModelSpec,
     instrs: &[(usize, &Instruction)],
+    stores: &[usize],
+    sources: &[Vec<(Reg, Option<usize>)>],
     rank: &[usize],
     ppo_memo: &mut PpoMemo,
 ) -> Option<Outcome> {
@@ -81,7 +93,10 @@ fn execute(
             }
             let operand = |op: &Operand| match op {
                 Operand::Imm(v) => Some(*v),
-                Operand::Reg(r) => writer(instrs, k, p, *r).map_or(Some(Value::ZERO), |w| value[w]),
+                Operand::Reg(r) => {
+                    let read = sources[k].iter().find(|(read, _)| read == r);
+                    read.expect("a read register").1.map_or(Some(Value::ZERO), |w| value[w])
+                }
             };
             if let Instruction::Load { addr: a, .. } | Instruction::Store { addr: a, .. } = instr {
                 addr[k] = operand(&a.base).map(|base| a.evaluate(base).raw());
@@ -95,9 +110,10 @@ fn execute(
                     // LoadValue: the candidates are the stores before the load
                     // in `<mo` or, with local bypass, in `<po`. Each one's
                     // address must be known to tell whether it writes `a`.
-                    let candidates = (0..n).filter(|&s| {
-                        is_store(s) && (rank[s] < rank[k] || (bypass && instrs[s].0 == p && s < k))
-                    });
+                    let candidates = stores
+                        .iter()
+                        .copied()
+                        .filter(|&s| rank[s] < rank[k] || (bypass && instrs[s].0 == p && s < k));
                     if candidates.clone().any(|s| addr[s].is_none()) {
                         return None;
                     }
@@ -117,9 +133,12 @@ fn execute(
     }
 
     // InstOrder: every thread's memory `<ppo` is contained in `<mo`. `<ppo`
-    // depends on the addresses and read-from sources alone, so it is
-    // computed once per distinct pair of them.
-    let ppo_pairs = ppo_memo.entry((addr.clone(), rf.clone())).or_insert_with(|| {
+    // depends on the addresses and read-from sources alone, and once every
+    // value resolved, the read-from sources fix every value and so every
+    // address. So `<ppo` is computed once per distinct read-from vector.
+    let ppo_pairs = if let Some(pairs) = ppo_memo.get(&rf) {
+        pairs
+    } else {
         let mut pairs = Vec::new();
         for p in 0..test.program().num_threads() {
             let thread: Vec<usize> = (0..n).filter(|&k| instrs[k].0 == p).collect();
@@ -131,8 +150,8 @@ fn execute(
             let memory_ppo = ppo::memory_ppo(&resolved, &thread_ppo);
             pairs.extend(memory_ppo.iter_pairs().map(|(i, j)| (thread[i], thread[j])));
         }
-        pairs
-    });
+        ppo_memo.entry(rf).or_insert(pairs)
+    };
     if ppo_pairs.iter().any(|&(i, j)| rank[i] > rank[j]) {
         return None;
     }

@@ -3,9 +3,9 @@
 //!
 //! The build environment has no access to crates.io, so the real `proptest`
 //! cannot be vendored. This crate keeps the same import paths and test syntax
-//! working: the `proptest!` macro, `prop_assert*`/`prop_assume!`/`prop_oneof!`,
-//! `Strategy` + `prop_map`, integer-range / tuple / string-pattern / `any`
-//! strategies and `collection::vec`.
+//! working: the `proptest!` macro, `prop_assert*`/`prop_assume!`, `Strategy`
+//! with `prop_map`, integer-range / tuple / string-pattern / `any` strategies
+//! and `collection::vec`.
 //!
 //! Differences from the real crate: no shrinking of failing inputs and no
 //! persisted failure seeds — each test runs a fixed number of deterministic
@@ -98,25 +98,6 @@ pub mod strategy {
         {
             Map { source: self, f }
         }
-
-        /// Type-erases the strategy (used by `prop_oneof!`).
-        fn boxed(self) -> BoxedStrategy<Self::Value>
-        where
-            Self: Sized + 'static,
-        {
-            Box::new(self)
-        }
-    }
-
-    /// A type-erased strategy.
-    pub type BoxedStrategy<T> = Box<dyn Strategy<Value = T>>;
-
-    impl<T> Strategy for BoxedStrategy<T> {
-        type Value = T;
-
-        fn generate(&self, rng: &mut TestRng) -> T {
-            (**self).generate(rng)
-        }
     }
 
     /// The result of [`Strategy::prop_map`].
@@ -135,47 +116,6 @@ pub mod strategy {
 
         fn generate(&self, rng: &mut TestRng) -> O {
             (self.f)(self.source.generate(rng))
-        }
-    }
-
-    /// Always generates a clone of one value.
-    #[derive(Debug, Clone)]
-    pub struct Just<T>(pub T);
-
-    impl<T: Clone> Strategy for Just<T> {
-        type Value = T;
-
-        fn generate(&self, _rng: &mut TestRng) -> T {
-            self.0.clone()
-        }
-    }
-
-    /// A uniform choice between type-erased alternatives (`prop_oneof!`).
-    pub struct Union<T> {
-        arms: Vec<BoxedStrategy<T>>,
-    }
-
-    impl<T> Union<T> {
-        /// Builds a union; `arms` must be non-empty.
-        #[must_use]
-        pub fn new(arms: Vec<BoxedStrategy<T>>) -> Self {
-            assert!(!arms.is_empty(), "prop_oneof! needs at least one arm");
-            Union { arms }
-        }
-    }
-
-    impl<T> std::fmt::Debug for Union<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("Union").field("arms", &self.arms.len()).finish()
-        }
-    }
-
-    impl<T> Strategy for Union<T> {
-        type Value = T;
-
-        fn generate(&self, rng: &mut TestRng) -> T {
-            let arm = rng.below(self.arms.len() as u64) as usize;
-            self.arms[arm].generate(rng)
         }
     }
 
@@ -215,8 +155,6 @@ pub mod strategy {
         (A/0, B/1)
         (A/0, B/1, C/2)
         (A/0, B/1, C/2, D/3)
-        (A/0, B/1, C/2, D/3, E/4)
-        (A/0, B/1, C/2, D/3, E/4, F/5)
     }
 
     /// Full-domain strategy selected by `any::<T>()`.
@@ -336,7 +274,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// The result of [`vec`].
+    /// The result of [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,
@@ -365,11 +303,9 @@ pub mod collection {
 pub mod prelude {
     //! The usual glob import, mirroring `proptest::prelude::*`.
 
-    pub use crate::strategy::{any, Just, Strategy};
+    pub use crate::strategy::{any, Strategy};
     pub use crate::test_runner::Config as ProptestConfig;
-    pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
-    };
+    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest};
 }
 
 /// Runs a block of property tests (see the crate docs for the differences
@@ -445,14 +381,6 @@ macro_rules! prop_assume {
     };
 }
 
-/// A uniform choice between strategies producing the same value type.
-#[macro_export]
-macro_rules! prop_oneof {
-    ($($strat:expr),+ $(,)?) => {
-        $crate::strategy::Union::new(vec![$($crate::strategy::Strategy::boxed($strat)),+])
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
@@ -491,18 +419,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         #[test]
-        fn the_macro_itself_works(x in 0u64..100, v in crate::collection::vec(0u8..4, 0..5)) {
+        fn the_macro_itself_works(
+            x in 0u64..100,
+            v in crate::collection::vec(0u8..4, 0..5),
+            y in any::<bool>(),
+        ) {
             prop_assume!(x != 13);
             prop_assert!(x < 100);
             prop_assert_eq!(v.len(), v.len());
             prop_assert_ne!(x, 13);
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn oneof_and_any(choice in prop_oneof![Just(1u8), Just(2u8)], y in any::<bool>()) {
-            prop_assert!(choice == 1 || choice == 2);
             let _ = y;
         }
     }

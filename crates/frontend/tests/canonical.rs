@@ -14,9 +14,12 @@ use std::collections::BTreeMap;
 
 use gam_engine::Engine;
 use gam_frontend::{canonical_form, canonical_hash, canonical_test, canonical_text};
-use gam_isa::litmus::{library, LitmusTest, Observation};
+use gam_isa::litmus::{library, space, LitmusTest, Observation};
 use gam_isa::prelude::*;
 use proptest::prelude::*;
+
+mod common;
+use common::random_test;
 
 // ---------------------------------------------------------------------------
 // renaming machinery
@@ -284,104 +287,11 @@ fn canonicalization_preserves_the_operational_gam_verdict() {
 // random programs
 // ---------------------------------------------------------------------------
 
-/// Deterministic xorshift, as in the round-trip suite.
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
-
-/// A random straight-line litmus test over three locations: immediate and
-/// address-valued stores, direct and register-indirect loads, `mov`s of
-/// addresses, the artificial-dependency idiom, and fences — the full
-/// vocabulary the renaming screen is designed to admit.
-fn random_test(seed: u64) -> LitmusTest {
-    let mut rng = XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
-    let locations = [Loc::new("x"), Loc::new("y"), Loc::new("z")];
-    let num_threads = 1 + rng.below(3) as usize;
-    let mut threads = Vec::new();
-    let mut written: Vec<(ProcId, Reg)> = Vec::new();
-    for proc_index in 0..num_threads {
-        let proc = ProcId::new(proc_index);
-        let mut builder = ThreadProgram::builder(proc);
-        let mut next_reg = 1u32;
-        for _ in 0..1 + rng.below(4) {
-            let loc = locations[rng.below(3) as usize];
-            match rng.below(6) {
-                0 => {
-                    let data: Operand = match rng.below(2) {
-                        0 => Operand::imm(rng.below(3)),
-                        _ => Operand::loc(locations[rng.below(3) as usize]),
-                    };
-                    builder.store(Addr::loc(loc), data);
-                }
-                1 => {
-                    let reg = Reg::new(next_reg);
-                    next_reg += 1;
-                    builder.load(reg, Addr::loc(loc));
-                    written.push((proc, reg));
-                }
-                2 if next_reg > 1 => {
-                    // Chase a previously loaded value as an address.
-                    let pointer = Reg::new(1 + rng.below(u64::from(next_reg - 1)) as u32);
-                    let reg = Reg::new(next_reg);
-                    next_reg += 1;
-                    builder.load(reg, Addr::reg(pointer));
-                    written.push((proc, reg));
-                }
-                3 => {
-                    let reg = Reg::new(next_reg);
-                    next_reg += 1;
-                    builder.mov(reg, Operand::loc(loc));
-                    written.push((proc, reg));
-                }
-                4 if next_reg > 1 => {
-                    // The paper's artificial address dependency.
-                    let dep = Reg::new(1 + rng.below(u64::from(next_reg - 1)) as u32);
-                    let reg = Reg::new(next_reg);
-                    next_reg += 1;
-                    builder.artificial_addr_dep(reg, loc, dep);
-                    written.push((proc, reg));
-                }
-                _ => {
-                    builder.fence(FenceKind::ALL[rng.below(4) as usize]);
-                }
-            }
-        }
-        threads.push(builder.build());
-    }
-    let program = Program::new(threads);
-    let mut builder = LitmusTest::builder(format!("canon-random-{seed}"), program);
-    if rng.below(2) == 0 {
-        builder = builder.init(locations[0], rng.below(3));
-    }
-    if rng.below(2) == 0 {
-        builder = builder.init(locations[1], locations[2].value());
-    }
-    builder = builder.observe_mem(locations[rng.below(3) as usize]);
-    for (proc, reg) in written {
-        builder = match rng.below(3) {
-            0 => builder.observe_reg(proc, reg),
-            1 => builder.expect_reg(proc, reg, rng.below(3)),
-            _ => builder.expect_reg(proc, reg, locations[rng.below(3) as usize].value()),
-        };
-    }
-    builder.try_build().expect("observed registers are written")
-}
-
+/// Checks the renaming invariants on the program of `seed` in
+/// `space::CANONICAL`, the vocabulary the renaming screen is designed to
+/// admit.
 fn assert_invariant(seed: u64) {
-    let test = random_test(seed);
+    let test = random_test(&space::CANONICAL, seed);
     let base = canonical_hash(&test);
     let order = reversed_order(test.program().num_threads());
     // Thread + register renaming: always invariant.
@@ -400,7 +310,7 @@ fn random_programs_hash_invariantly() {
     let mut admitted = 0usize;
     for seed in 0..200u64 {
         assert_invariant(seed);
-        if fully_renamed(&canonical_text(&random_test(seed))) {
+        if fully_renamed(&canonical_text(&random_test(&space::CANONICAL, seed))) {
             admitted += 1;
         }
     }

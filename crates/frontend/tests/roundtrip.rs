@@ -10,9 +10,12 @@
 //!   reproduces the in-code library and its expectation table.
 
 use gam_frontend::{export_library, parse_litmus, print_litmus, Corpus};
-use gam_isa::litmus::{library, LitmusTest};
+use gam_isa::litmus::{library, space, LitmusTest};
 use gam_isa::prelude::*;
 use proptest::prelude::*;
+
+mod common;
+use common::random_test;
 
 // ---------------------------------------------------------------------------
 // round-trip: the library
@@ -42,116 +45,13 @@ fn printing_is_idempotent_on_the_library() {
 // round-trip: random programs
 // ---------------------------------------------------------------------------
 
-/// Deterministic xorshift, as used by the cross-checker fuzz suite.
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
-
-/// Generates a random litmus test exercising every instruction class the
-/// format supports: loads and stores (direct, register-indirect and offset
-/// addressing), all six ALU operations, all four fences, forward branches
-/// with labels, initial memory, and a condition mixing integer and
-/// location-address values.
-fn random_test(seed: u64) -> LitmusTest {
-    let mut rng = XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
-    let locations = [Loc::new("x"), Loc::new("y"), Loc::new("z")];
-    let num_threads = 1 + rng.below(3) as usize;
-    let mut threads = Vec::new();
-    let mut written: Vec<(ProcId, Reg)> = Vec::new();
-    for proc_index in 0..num_threads {
-        let proc = ProcId::new(proc_index);
-        let mut builder = ThreadProgram::builder(proc);
-        let mut next_reg = 1u32;
-        for _ in 0..1 + rng.below(4) {
-            let loc = locations[rng.below(3) as usize];
-            match rng.below(6) {
-                0 => {
-                    let data: Operand = match rng.below(3) {
-                        0 => Operand::imm(rng.below(3)),
-                        1 => Operand::loc(locations[rng.below(3) as usize]),
-                        _ => Operand::reg(Reg::new(1 + rng.below(3) as u32)),
-                    };
-                    builder.store(Addr::loc(loc), data);
-                }
-                1 => {
-                    let reg = Reg::new(next_reg);
-                    next_reg += 1;
-                    let addr = match rng.below(3) {
-                        0 => Addr::loc(loc),
-                        1 => Addr::reg(Reg::new(1 + rng.below(3) as u32)),
-                        _ => Addr::reg_offset(Reg::new(1 + rng.below(3) as u32), 8 * rng.below(3)),
-                    };
-                    builder.load(reg, addr);
-                    written.push((proc, reg));
-                }
-                2 => {
-                    let reg = Reg::new(next_reg);
-                    next_reg += 1;
-                    let op =
-                        [AluOp::Add, AluOp::Sub, AluOp::And, AluOp::Or, AluOp::Xor, AluOp::Mov]
-                            [rng.below(6) as usize];
-                    builder.alu(reg, op, Operand::loc(loc), Operand::imm(rng.below(5)));
-                    written.push((proc, reg));
-                }
-                3 => {
-                    let kind = FenceKind::ALL[rng.below(4) as usize];
-                    builder.fence(kind);
-                }
-                4 => {
-                    // A forward branch to the end-of-thread label.
-                    let cond = if rng.below(2) == 0 { BranchCond::Eq } else { BranchCond::Ne };
-                    builder.branch(cond, Operand::reg(Reg::new(1)), Operand::imm(0), "end");
-                }
-                _ => {
-                    builder.store(Addr::reg(Reg::new(1 + rng.below(3) as u32)), Operand::imm(1));
-                }
-            }
-        }
-        threads.push(builder);
-    }
-    // Every thread defines the `end` label its branches may target.
-    let mut finished = Vec::new();
-    for mut builder in threads {
-        builder.label("end");
-        finished.push(builder.build());
-    }
-    let program = Program::new(finished);
-    let mut builder = LitmusTest::builder(format!("random-{seed}"), program)
-        .description(format!("randomly generated round-trip program, seed {seed}"));
-    if rng.below(2) == 0 {
-        builder = builder.init(locations[0], rng.below(3));
-    }
-    if rng.below(2) == 0 {
-        builder = builder.init(locations[1], locations[2].value());
-    }
-    builder = builder.observe_mem(locations[0]);
-    for (proc, reg) in written {
-        builder = match rng.below(3) {
-            0 => builder.observe_reg(proc, reg),
-            1 => builder.expect_reg(proc, reg, rng.below(3)),
-            _ => builder.expect_reg(proc, reg, locations[rng.below(3) as usize].value()),
-        };
-    }
-    builder.try_build().expect("generated observations are all written registers")
-}
-
+/// `space::PRINTABLE` holds every step kind: direct, register-indirect and
+/// offset addressing, all six ALU operations, all four fences and forward
+/// branches with labels.
 #[test]
 fn random_programs_round_trip() {
     for seed in 0..300u64 {
-        let test = random_test(seed);
+        let test = random_test(&space::PRINTABLE, seed);
         let text = print_litmus(&test);
         let parsed = parse_litmus(&text).unwrap_or_else(|err| {
             panic!("seed {seed}: printed text fails to parse: {err}\n{text}")
@@ -165,7 +65,7 @@ proptest! {
 
     #[test]
     fn random_programs_round_trip_property(seed in 1000u64..100_000) {
-        let test = random_test(seed);
+        let test = random_test(&space::PRINTABLE, seed);
         let text = print_litmus(&test);
         let parsed = parse_litmus(&text).expect("printed text parses");
         prop_assert_eq!(parsed, test);

@@ -14,6 +14,7 @@
 //! IRIW, WRC, CoRW, 2+2W, …) used by the verification and benchmark crates.
 
 pub mod library;
+pub mod space;
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -15,7 +15,7 @@
 //!   bounded ring buffer, with per-thread parent links and a per-operation
 //!   `trace_id`, exported as Chrome `trace_event` JSON (`gam check
 //!   --trace-out trace.json`, then load in Perfetto / `chrome://tracing`).
-//! * [`phase`] — named phase timers (`parse`, `canon`, `rf_enum`,
+//! * [`mod@phase`] — named phase timers (`parse`, `canon`, `rf_enum`,
 //!   `mo_search`, `explore_seq`, `explore_sharded`, `cache_lookup`,
 //!   `journal_append`, `persist`) bracketing the pipeline's stages; they
 //!   feed spans when tracing is armed and `phase.<name>.us` histograms when

@@ -5,24 +5,11 @@
 use std::sync::Barrier;
 
 use gam_obs::metrics::Registry;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const THREADS: usize = 8;
 const ROUNDS: usize = 64;
-
-/// A tiny deterministic PRNG (xorshift64*), so each thread's increments are
-/// irregular but reproducible.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
 
 #[test]
 fn eight_threads_hammering_reconcile_exactly() {
@@ -39,16 +26,17 @@ fn eight_threads_hammering_reconcile_exactly() {
                     let counter = registry.counter("hammer.count");
                     let gauge = registry.gauge("hammer.level");
                     let histogram = registry.histogram("hammer.lat_us");
-                    let mut rng = Rng(0x9E37_79B9 + t as u64);
+                    // Seeded per thread: irregular but reproducible increments.
+                    let mut rng = StdRng::seed_from_u64(t as u64);
                     let mut added = 0u64;
                     let mut observed = 0u64;
                     let mut observed_sum = 0u64;
                     barrier.wait();
                     for _ in 0..ROUNDS {
-                        let n = rng.next() % 7 + 1;
+                        let n = rng.gen_range(1..8u64);
                         counter.add(n);
                         added += n;
-                        let v = rng.next() % 100_000;
+                        let v = rng.gen_range(0..100_000u64);
                         histogram.observe(v);
                         observed += 1;
                         observed_sum += v;

@@ -7,7 +7,7 @@
 //! states and memory maps thousands of times, and hashing a candidate
 //! successor re-hashes all of that unchanged context on every expansion.
 //!
-//! [`ComponentArena`] splits a [`ComposedState`] into its components — the
+//! `ComponentArena` splits a [`ComposedState`] into its components — the
 //! shared memory and one entry per processor — and hash-conses each
 //! component into its own arena. An interned state is then a flat row of
 //! `u32` component ids: state equality and hashing collapse to comparing
@@ -17,14 +17,14 @@
 //! component exactly once no matter how many states share it.
 //!
 //! Under memory pressure the id-row table is *segmented*: the oldest rows
-//! can be spilled to CRC-framed disk segments ([`crate::spill`]) while the
+//! can be spilled to CRC-framed disk segments (`crate::spill`) while the
 //! hash index keeps covering every slot, so spilled states still
 //! deduplicate. The index holds hashes, not rows, so every revisit of a
 //! spilled state re-reads its cold row for the full comparison, as does
 //! the expansion of a spilled frontier entry; each read costs one 4 KiB
 //! CRC-checked block of a segment. Methods that
 //! may touch cold rows are fallible: a lost or injected-faulty segment
-//! surfaces as a [`SpillError`] the explorer degrades on, never a panic.
+//! surfaces as a `SpillError` the explorer degrades on, never a panic.
 //!
 //! The arena reports its sharing through [`ArenaOccupancy`]: how many
 //! distinct components back how many states, and the bytes actually
@@ -93,11 +93,11 @@ pub trait ComposedState: Clone + Eq + Hash {
 
     /// The shared-memory component.
     fn memory(&self) -> &Self::Mem;
-    /// Mutable access for [`ComponentArena::load`]'s `clone_from` reuse.
+    /// Mutable access for `ComponentArena::load`'s `clone_from` reuse.
     fn memory_mut(&mut self) -> &mut Self::Mem;
     /// The per-processor components.
     fn procs(&self) -> &[Self::Proc];
-    /// Mutable access for [`ComponentArena::load`]'s `clone_from` reuse.
+    /// Mutable access for `ComponentArena::load`'s `clone_from` reuse.
     fn procs_mut(&mut self) -> &mut [Self::Proc];
 
     /// Approximate bytes a distinct memory component occupies once interned.
@@ -106,7 +106,7 @@ pub trait ComposedState: Clone + Eq + Hash {
     fn proc_bytes(proc: &Self::Proc) -> usize;
 }
 
-/// Sharing statistics of a [`ComponentArena`] (or, degenerately, of a plain
+/// Sharing statistics of a `ComponentArena` (or, degenerately, of a plain
 /// full-state arena), reported through `Exploration`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArenaOccupancy {

@@ -1118,7 +1118,7 @@ impl Explorer {
     /// reduction, and collects every reachable final outcome.
     ///
     /// Visited states are stored as rows of hash-consed component ids
-    /// ([`crate::arena::ComponentArena`]), so unchanged per-proc states and
+    /// (`crate::arena::ComponentArena`), so unchanged per-proc states and
     /// memory maps are shared across the whole visited set and successor
     /// deduplication hashes only the components an expansion actually
     /// changed. With [`ExplorerConfig::parallelism`] above 1 the

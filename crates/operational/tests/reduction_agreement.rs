@@ -16,6 +16,7 @@
 //! paths are asserted verdict-identical to full exploration.
 
 use gam_core::ModelKind;
+use gam_isa::litmus::space::{self, Step};
 use gam_isa::litmus::{library, LitmusTest};
 use gam_isa::prelude::*;
 use gam_operational::{ExplorerConfig, OperationalChecker};
@@ -137,22 +138,15 @@ fn early_exit_verdicts_match_full_exploration() {
 /// sharded: branches exercise the non-eager fetch path.
 #[test]
 fn branchy_program_agrees_across_modes() {
-    let a = Loc::new("a");
-    let b = Loc::new("b");
-    let mut p1 = ThreadProgram::builder(ProcId::new(0));
-    p1.load(Reg::new(1), Addr::loc(a))
-        .branch(BranchCond::Ne, Operand::reg(Reg::new(1)), Operand::imm(0), "skip")
-        .store(Addr::loc(b), Operand::imm(1))
-        .label("skip")
-        .load(Reg::new(2), Addr::loc(b));
-    let mut p2 = ThreadProgram::builder(ProcId::new(1));
-    p2.store(Addr::loc(a), Operand::imm(1));
-    let program = Program::new(vec![p1.build(), p2.build()]);
-    let test = LitmusTest::builder("branchy-agreement", program)
-        .observe_reg(ProcId::new(0), Reg::new(1))
-        .observe_reg(ProcId::new(0), Reg::new(2))
-        .observe_mem(b)
-        .build();
+    let test = space::build(&[
+        vec![
+            Step::Load(0),
+            Step::Branch { cond: BranchCond::Ne, over: 1 },
+            Step::Store { loc: 1, value: 1 },
+            Step::Load(1),
+        ],
+        vec![Step::Store { loc: 0, value: 1 }],
+    ]);
     for kind in MACHINE_MODELS {
         let baseline = oracle(kind, &test);
         for parallelism in [1, 4] {
@@ -165,106 +159,6 @@ fn branchy_program_agrees_across_modes() {
     }
 }
 
-/// One randomly chosen straight-line instruction acting on two locations
-/// (mirrors the generator differential-testing the axiomatic pipelines).
-#[derive(Debug, Clone)]
-enum Step {
-    Store {
-        loc: u8,
-        value: u8,
-    },
-    /// Stores the *address* of a location, so register-indirect loads can
-    /// chase it (exercises the footprint value-set analysis).
-    StoreLoc {
-        loc: u8,
-        target: u8,
-    },
-    Load {
-        loc: u8,
-    },
-    /// A load followed by a load through the first load's result — a real
-    /// address dependency whose target address is only known dynamically.
-    LoadDep {
-        loc: u8,
-    },
-    Fence {
-        kind: u8,
-    },
-}
-
-fn dependent_step() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (0u8..2, 1u8..3).prop_map(|(loc, value)| Step::Store { loc, value }),
-        (0u8..2, 0u8..2).prop_map(|(loc, target)| Step::StoreLoc { loc, target }),
-        (0u8..2).prop_map(|loc| Step::Load { loc }),
-        (0u8..2).prop_map(|loc| Step::LoadDep { loc }),
-        (0u8..4).prop_map(|kind| Step::Fence { kind }),
-    ]
-}
-
-fn build_test(threads: Vec<Vec<Step>>) -> LitmusTest {
-    let locations = [Loc::new("px"), Loc::new("py")];
-    let fences = [FenceKind::LL, FenceKind::LS, FenceKind::SL, FenceKind::SS];
-    let mut programs = Vec::new();
-    let mut observed = Vec::new();
-    for (proc_index, steps) in threads.iter().enumerate() {
-        let proc = ProcId::new(proc_index);
-        let mut builder = ThreadProgram::builder(proc);
-        let mut next_reg = 1u32;
-        for step in steps {
-            match step {
-                Step::Store { loc, value } => {
-                    builder.store(
-                        Addr::loc(locations[*loc as usize]),
-                        Operand::imm(u64::from(*value)),
-                    );
-                }
-                Step::StoreLoc { loc, target } => {
-                    builder.store(
-                        Addr::loc(locations[*loc as usize]),
-                        Operand::loc(locations[*target as usize]),
-                    );
-                }
-                Step::Load { loc } => {
-                    let reg = Reg::new(next_reg);
-                    next_reg += 1;
-                    builder.load(reg, Addr::loc(locations[*loc as usize]));
-                    observed.push((proc, reg));
-                }
-                Step::LoadDep { loc } => {
-                    let pointer = Reg::new(next_reg);
-                    let value = Reg::new(next_reg + 1);
-                    next_reg += 2;
-                    builder.load(pointer, Addr::loc(locations[*loc as usize]));
-                    builder.load(value, Addr::reg(pointer));
-                    observed.push((proc, pointer));
-                    observed.push((proc, value));
-                }
-                Step::Fence { kind } => {
-                    builder.fence(fences[*kind as usize]);
-                }
-            }
-        }
-        programs.push(builder.build());
-    }
-    let program = Program::new(programs);
-    let mut builder = LitmusTest::builder("reduction-proptest", program)
-        .observe_mem(locations[0])
-        .observe_mem(locations[1]);
-    for (proc, reg) in observed {
-        builder = builder.observe_reg(proc, reg);
-    }
-    builder.build()
-}
-
-fn two_dependent_threads() -> impl Strategy<Value = LitmusTest> {
-    (
-        proptest::collection::vec(dependent_step(), 1..4),
-        proptest::collection::vec(dependent_step(), 1..4),
-    )
-        .prop_map(|(a, b)| build_test(vec![a, b]))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(30))]
 
@@ -272,7 +166,8 @@ proptest! {
     /// reduced explorations (sequential and parallel) agree with the
     /// unreduced oracle for every machine model.
     #[test]
-    fn random_programs_agree_across_modes(test in two_dependent_threads()) {
+    fn random_programs_agree_across_modes(seed in any::<u64>()) {
+        let test = space::build(&space::DEPENDENT.sample(seed));
         for kind in MACHINE_MODELS {
             let baseline = oracle(kind, &test);
             let fast = checker(kind, 1).explore(&test).unwrap();

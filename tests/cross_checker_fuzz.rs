@@ -2,85 +2,22 @@
 //! operational machines on *randomly generated* litmus tests, plus structural
 //! properties of the checker outputs.
 //!
-//! Random program generation is kept small (2 threads, up to 3 memory
-//! instructions each, 2 locations) so the exhaustive checkers stay fast while
-//! still covering a space of programs far larger than the hand-written
-//! library.
+//! The programs (`space::CROSS_BACKEND`: immediate and address stores,
+//! plain and address-dependent loads, stores of a loaded register, fences)
+//! are kept small (2 threads, up to 3 steps each, 2 locations, at most 6
+//! memory events) so the exhaustive checkers stay fast while still covering
+//! a space of programs far larger than the hand-written library, including
+//! addresses that are only known at run time.
 
 use gam::axiomatic::AxiomaticChecker;
 use gam::core::{model, ModelKind};
-use gam::isa::litmus::LitmusTest;
-use gam::isa::prelude::*;
+use gam::isa::litmus::space;
 use gam::operational::OperationalChecker;
-
-/// A tiny deterministic pseudo-random generator (xorshift), so this test has
-/// no dependency on the `rand` crate's distribution stability.
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
-
-/// Generates a random branch-free litmus test over two locations.
-fn random_test(seed: u64) -> LitmusTest {
-    let mut rng = XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
-    let locations = [Loc::new("x"), Loc::new("y")];
-    let mut threads = Vec::new();
-    let mut observed = Vec::new();
-    for proc_index in 0..2usize {
-        let mut builder = ThreadProgram::builder(ProcId::new(proc_index));
-        let instructions = 1 + rng.below(3);
-        let mut next_reg = 1u32;
-        for _ in 0..instructions {
-            let loc = locations[rng.below(2) as usize];
-            match rng.below(3) {
-                0 => {
-                    builder.store(Addr::loc(loc), Operand::imm(1 + rng.below(2)));
-                }
-                1 => {
-                    let reg = Reg::new(next_reg);
-                    next_reg += 1;
-                    builder.load(reg, Addr::loc(loc));
-                    observed.push((ProcId::new(proc_index), reg));
-                }
-                _ => {
-                    let kind = match rng.below(4) {
-                        0 => FenceKind::LL,
-                        1 => FenceKind::LS,
-                        2 => FenceKind::SL,
-                        _ => FenceKind::SS,
-                    };
-                    builder.fence(kind);
-                }
-            }
-        }
-        threads.push(builder.build());
-    }
-    let program = Program::new(threads);
-    let mut builder = LitmusTest::builder(format!("fuzz-{seed}"), program)
-        .observe_mem(locations[0])
-        .observe_mem(locations[1]);
-    for (proc, reg) in observed {
-        builder = builder.observe_reg(proc, reg);
-    }
-    builder.build()
-}
 
 #[test]
 fn axiomatic_and_operational_agree_on_random_programs() {
     for seed in 0..60u64 {
-        let test = random_test(seed);
+        let test = space::build(&space::CROSS_BACKEND.sample(seed));
         for kind in [ModelKind::Sc, ModelKind::Tso, ModelKind::Gam, ModelKind::Gam0] {
             let axiomatic = AxiomaticChecker::new(model::by_kind(kind))
                 .allowed_outcomes(&test)
@@ -101,7 +38,7 @@ fn axiomatic_and_operational_agree_on_random_programs() {
 #[test]
 fn stronger_models_allow_fewer_outcomes_on_random_programs() {
     for seed in 0..60u64 {
-        let test = random_test(seed);
+        let test = space::build(&space::CROSS_BACKEND.sample(seed));
         let sc = AxiomaticChecker::new(model::sc()).allowed_outcomes(&test).unwrap();
         let tso = AxiomaticChecker::new(model::tso()).allowed_outcomes(&test).unwrap();
         let gam = AxiomaticChecker::new(model::gam()).allowed_outcomes(&test).unwrap();
