@@ -4,7 +4,7 @@
 //! The build environment has no access to crates.io, so the real `proptest`
 //! cannot be vendored. This crate keeps the same import paths and test syntax
 //! working: the `proptest!` macro, `prop_assert*`/`prop_assume!`, `Strategy`
-//! with `prop_map`, integer-range / tuple / string-pattern / `any` strategies
+//! with `prop_map`, integer-range / tuple / `any` strategies
 //! and `collection::vec`.
 //!
 //! Differences from the real crate: no shrinking of failing inputs and no
@@ -191,81 +191,6 @@ pub mod strategy {
             rng.next_u64() & 1 == 1
         }
     }
-
-    // String-pattern strategies: a small subset of regex sufficient for the
-    // patterns this workspace uses (sequences of literals and character
-    // classes like `[a-z]`, each with an optional `{m}` / `{m,n}` repetition).
-    impl Strategy for &'static str {
-        type Value = String;
-
-        fn generate(&self, rng: &mut TestRng) -> String {
-            generate_from_pattern(self, rng)
-        }
-    }
-
-    fn generate_from_pattern(pattern: &str, rng: &mut TestRng) -> String {
-        let mut out = String::new();
-        let mut chars = pattern.chars().peekable();
-        while let Some(c) = chars.next() {
-            let choices: Vec<char> = if c == '[' {
-                let mut class = Vec::new();
-                let mut prev: Option<char> = None;
-                loop {
-                    match chars.next() {
-                        None => panic!("unterminated character class in pattern `{pattern}`"),
-                        Some(']') => break,
-                        Some('-') => {
-                            let lo = prev
-                                .take()
-                                .unwrap_or_else(|| panic!("dangling `-` in pattern `{pattern}`"));
-                            let hi = chars
-                                .next()
-                                .unwrap_or_else(|| panic!("dangling `-` in pattern `{pattern}`"));
-                            class.pop();
-                            for ch in lo..=hi {
-                                class.push(ch);
-                            }
-                        }
-                        Some(ch) => {
-                            class.push(ch);
-                            prev = Some(ch);
-                        }
-                    }
-                }
-                class
-            } else {
-                vec![c]
-            };
-            assert!(!choices.is_empty(), "empty character class in pattern `{pattern}`");
-            let (min, max) = if chars.peek() == Some(&'{') {
-                chars.next();
-                let mut spec = String::new();
-                for ch in chars.by_ref() {
-                    if ch == '}' {
-                        break;
-                    }
-                    spec.push(ch);
-                }
-                match spec.split_once(',') {
-                    Some((m, n)) => (
-                        m.trim().parse::<usize>().expect("repetition lower bound"),
-                        n.trim().parse::<usize>().expect("repetition upper bound"),
-                    ),
-                    None => {
-                        let n = spec.trim().parse::<usize>().expect("repetition count");
-                        (n, n)
-                    }
-                }
-            } else {
-                (1, 1)
-            };
-            let count = min + rng.below((max - min + 1) as u64) as usize;
-            for _ in 0..count {
-                out.push(choices[rng.below(choices.len() as u64) as usize]);
-            }
-        }
-        out
-    }
 }
 
 pub mod collection {
@@ -400,19 +325,6 @@ mod tests {
             assert!((1..4).contains(&v.len()));
             assert!(v.iter().all(|&x| x < 5));
         }
-    }
-
-    #[test]
-    fn string_patterns_generate_matching_strings() {
-        let mut rng = crate::test_runner::TestRng::from_name("strings");
-        for _ in 0..200 {
-            let s = "[a-z]{1,6}".generate(&mut rng);
-            assert!((1..=6).contains(&s.len()));
-            assert!(s.chars().all(|c| c.is_ascii_lowercase()));
-        }
-        let s = "ab[0-1]{2}".generate(&mut rng);
-        assert_eq!(&s[..2], "ab");
-        assert_eq!(s.len(), 4);
     }
 
     proptest! {

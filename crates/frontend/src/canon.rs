@@ -363,9 +363,11 @@ struct Prepared<'t> {
     /// Per thread, the renamable addresses its instructions use, in
     /// first-use order.
     uses: Vec<Vec<u64>>,
-    /// Renamable addresses no instruction uses, in the order they take
-    /// canonical names after the used ones.
-    leftovers: Vec<u64>,
+    /// Renamable addresses no instruction uses, each with the rank of its
+    /// [`leftover_signature`], in the order they take canonical names after
+    /// the used ones (ties are ordered per thread order, see
+    /// [`Prepared::arrange`]).
+    leftovers: Vec<(usize, u64)>,
     /// Canonical location addresses, handed out in order.
     pool: Vec<u64>,
     /// Prints the pool's addresses as their canonical names.
@@ -413,9 +415,19 @@ impl<'t> Prepared<'t> {
         let observed = test.observed().iter().map(&mut rename_obs).collect();
         let condition =
             test.condition().iter().map(|(obs, &value)| (rename_obs(obs), value)).collect();
-        let mut leftovers: Vec<u64> =
-            renamable.iter().copied().filter(|a| !uses.iter().any(|u| u.contains(a))).collect();
-        leftovers.sort_by_key(|&a| leftover_signature(test, &renamable, a));
+        let mut signed: Vec<_> = renamable
+            .iter()
+            .filter(|a| !uses.iter().any(|u| u.contains(a)))
+            .map(|&a| (leftover_signature(test, &renamable, a), a))
+            .collect();
+        signed.sort();
+        let mut rank = 0;
+        let leftovers = (0..signed.len())
+            .map(|i| {
+                rank += usize::from(i > 0 && signed[i - 1].0 != signed[i].0);
+                (rank, signed[i].1)
+            })
+            .collect();
         let pool = canonical_pool(renamable.len());
         let mut names = NameTable::empty();
         for (name, _) in &pool {
@@ -462,7 +474,9 @@ impl<'t> Prepared<'t> {
 
     /// Everything but the threads' instructions for one thread order: the
     /// canonical names of the renamable addresses (the ones the
-    /// instructions use, in first-use order, then the leftovers), each
+    /// instructions use, in first-use order, then the leftovers, whose
+    /// signature ties are broken by the registers the condition expects to
+    /// hold them, at their threads' positions in this order), each
     /// thread's position, the renamed initial memory sorted by address, and
     /// the observed list and condition exactly as [`LitmusTestBuilder`]
     /// stores them: the renamed observations deduplicated and sorted, then
@@ -479,12 +493,38 @@ impl<'t> Prepared<'t> {
                 }
             }
         }
-        for &address in &self.leftovers {
-            addr_map.push((address, self.pool[addr_map.len()]));
-        }
         positions.resize(order.len(), 0);
         for (position, &thread) in order.iter().enumerate() {
             positions[thread] = position;
+        }
+        let holders = |address: u64| {
+            let mut holders: Vec<(usize, Reg)> = self
+                .condition
+                .iter()
+                .filter_map(|&(obs, value)| match obs {
+                    Observation::Register(proc, reg) if value.raw() == address => {
+                        Some((positions[proc.index()], reg))
+                    }
+                    _ => None,
+                })
+                .collect();
+            holders.sort_unstable();
+            holders
+        };
+        if self.leftovers.windows(2).all(|pair| pair[0].0 != pair[1].0) {
+            for &(_, address) in &self.leftovers {
+                addr_map.push((address, self.pool[addr_map.len()]));
+            }
+        } else {
+            let mut keyed: Vec<_> = self
+                .leftovers
+                .iter()
+                .map(|&(rank, address)| (rank, holders(address), address))
+                .collect();
+            keyed.sort_unstable();
+            for (_, _, address) in keyed {
+                addr_map.push((address, self.pool[addr_map.len()]));
+            }
         }
         let rename = |value: u64| rename_address(addr_map, value);
         let rename_obs = |obs: &Observation| match *obs {

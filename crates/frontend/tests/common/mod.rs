@@ -9,8 +9,8 @@ use rand::{Rng, SeedableRng};
 /// observed location, and each written register observed or expected to
 /// hold a value or a location's address.
 pub fn random_test(space: &Space, seed: u64) -> LitmusTest {
-    let generated = space::build(&space.sample(seed));
     let mut rng = StdRng::seed_from_u64(seed);
+    let generated = space::build(&space.draw(&mut rng));
     let mut builder = LitmusTest::builder(format!("random-{seed}"), generated.program().clone())
         .description(format!("randomly generated program, seed {seed}"));
     if rng.gen_bool(0.5) {

@@ -12,10 +12,15 @@
 //! Steps name locations by index into [`LOCATIONS`] and never name a
 //! register: [`build`] numbers each thread's registers `r1`, `r2`, … in the
 //! order the thread writes them, and "the last register" of a step is the
-//! latest one its thread wrote (the immediate 0 before any).
+//! latest one its thread wrote. Before any, it holds 0: as an operand it is
+//! the immediate 0, and as an address the register the thread writes next,
+//! which is still unwritten.
 
 use std::collections::BTreeSet;
 use std::ops::RangeInclusive;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use super::LitmusTest;
 use crate::instr::{Addr, Operand};
@@ -57,6 +62,10 @@ pub enum Step {
     },
     /// `r = Ld [loc]`.
     Load(u8),
+    /// `r = Ld [last]`: a load through whatever wrote the last register.
+    LoadLast,
+    /// `St [last] value`: a store of an immediate through the last register.
+    StoreLast(u8),
     /// `p = Ld [loc]; r = Ld [p + 8 * offset]`: an address dependency whose
     /// target is known only at run time.
     LoadDep {
@@ -112,47 +121,28 @@ pub enum Step {
     },
 }
 
-/// A kind of [`Step`]. A space's alphabet is a list of kinds, and each kind
-/// stands for all its steps over the space's locations.
+/// A kind of [`Step`]: a space's alphabet is a list of kinds, and each kind
+/// stands for all its steps over the space's locations, as [`Kind::steps`]
+/// lists them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Kind {
-    /// [`Step::Store`] of 1 and 2.
+enum Kind {
     Store,
-    /// [`Step::StoreAddr`].
     StoreAddr,
-    /// [`Step::Load`].
     Load,
-    /// [`Step::LoadDep`] at offset 0.
     LoadDep,
-    /// [`Step::StoreLoaded`] to another location.
+    LoadLast,
+    StoreLast,
     StoreLoaded,
-    /// [`Step::ForwardDep`] of 1 and 2 with another target location.
     ForwardDep,
-    /// [`Step::Fence`] of each basic kind.
     Fence,
-    /// [`Step::Alu`] of each operation with 0 and 1.
     Alu,
-    /// [`Step::Branch`] on `Eq` and `Ne`, over one or two steps.
     Branch,
-    /// [`Step::MovAddr`].
     MovAddr,
-    /// [`Step::AddrDep`].
     AddrDep,
-    /// [`Step::LoadDep`] at offsets 1 and 2.
     LoadOffset,
 }
 
 impl Kind {
-    /// The memory instructions each step of this kind adds.
-    fn events(self) -> usize {
-        match self {
-            Kind::Fence | Kind::Alu | Kind::Branch | Kind::MovAddr => 0,
-            Kind::Store | Kind::StoreAddr | Kind::Load | Kind::AddrDep => 1,
-            Kind::LoadDep | Kind::StoreLoaded | Kind::LoadOffset => 2,
-            Kind::ForwardDep => 3,
-        }
-    }
-
     /// Every step of this kind over the first `locations` locations.
     fn steps(self, locations: u8) -> Vec<Step> {
         const OPS: [AluOp; 6] =
@@ -169,6 +159,8 @@ impl Kind {
             }
             Kind::Load => locs.map(Step::Load).collect(),
             Kind::LoadDep => locs.map(|loc| Step::LoadDep { loc, offset: 0 }).collect(),
+            Kind::LoadLast => vec![Step::LoadLast],
+            Kind::StoreLast => vec![Step::StoreLast(1), Step::StoreLast(2)],
             Kind::StoreLoaded => {
                 distinct().map(|(loc, to)| Step::StoreLoaded { loc, to }).collect()
             }
@@ -272,6 +264,12 @@ impl Thread<'_> {
         }
     }
 
+    /// The last register as an address: the latest register the thread
+    /// wrote or, before any, the unwritten one it writes next.
+    fn base(&self) -> Reg {
+        Reg::new(self.registers.max(1))
+    }
+
     /// The location of index `index`, noted as named.
     fn loc(&mut self, index: u8) -> Loc {
         self.named.insert(index);
@@ -297,6 +295,13 @@ impl Thread<'_> {
                 let (pointer, reg, at) = (self.fresh(), self.fresh(), Addr::loc(self.loc(loc)));
                 let through = Addr::reg_offset(pointer, 8 * u64::from(offset));
                 self.builder.load(pointer, at).load(reg, through);
+            }
+            Step::LoadLast => {
+                let (base, reg) = (self.base(), self.fresh());
+                self.builder.load(reg, Addr::reg(base));
+            }
+            Step::StoreLast(value) => {
+                self.builder.store(Addr::reg(self.base()), Operand::imm(value.into()));
             }
             Step::StoreLoaded { loc, to } => {
                 let (reg, at, to) = (self.fresh(), Addr::loc(self.loc(loc)), self.loc(to));
@@ -340,18 +345,20 @@ fn events(program: &[Vec<Step>]) -> usize {
 /// A set of programs: every program of `threads` threads, each of `steps`
 /// steps drawn from the kinds of `alphabet` over the first `locations`
 /// locations, with at most `max_events` memory instructions in total.
+///
+/// Every space is one of the constants below, so the unit tests check each.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Space {
     /// The kinds of step a thread draws from.
-    pub alphabet: &'static [Kind],
+    alphabet: &'static [Kind],
     /// How many threads a program has.
-    pub threads: RangeInclusive<usize>,
+    threads: RangeInclusive<usize>,
     /// How many steps each thread has.
-    pub steps: RangeInclusive<usize>,
+    steps: RangeInclusive<usize>,
     /// How many locations the steps name, at most [`LOCATIONS`]`.len()`.
-    pub locations: u8,
+    locations: u8,
     /// The most memory instructions a program may have, if bounded.
-    pub max_events: Option<usize>,
+    max_events: Option<usize>,
 }
 
 impl Space {
@@ -365,35 +372,37 @@ impl Space {
         self.max_events.is_none_or(|cap| events(program) <= cap)
     }
 
-    /// The program of seed `seed`: the thread count, each thread's step
+    /// The program of seed `seed`: [`Space::draw`] from a generator seeded
+    /// with it.
+    #[must_use]
+    pub fn sample(&self, seed: u64) -> Vec<Vec<Step>> {
+        self.draw(&mut StdRng::seed_from_u64(seed))
+    }
+
+    /// A program drawn from `rng`: the thread count, each thread's step
     /// count, each step's kind and then the step itself are drawn uniformly.
     /// Under a memory-event cap, a step that does not fit ends its thread,
     /// unless the thread is still short of its minimum step count: then the
     /// step is drawn again from the kinds that fit.
-    #[must_use]
-    pub fn sample(&self, seed: u64) -> Vec<Vec<Step>> {
-        let mut rng = Rng(seed);
+    pub fn draw(&self, rng: &mut StdRng) -> Vec<Vec<Step>> {
+        let cost = |kind: Kind| events(&[vec![kind.steps(self.locations)[0]]]);
         let mut room = self.max_events.unwrap_or(usize::MAX);
         let mut program = Vec::new();
-        for _ in 0..rng.within(&self.threads) {
+        for _ in 0..rng.gen_range(*self.threads.start()..self.threads.end() + 1) {
             let mut thread = Vec::new();
-            for _ in 0..rng.within(&self.steps) {
-                let mut kind = self.alphabet[rng.below(self.alphabet.len())];
-                if kind.events() > room {
-                    let fitting: Vec<Kind> = self
-                        .alphabet
-                        .iter()
-                        .copied()
-                        .filter(|kind| kind.events() <= room)
-                        .collect();
+            for _ in 0..rng.gen_range(*self.steps.start()..self.steps.end() + 1) {
+                let mut kind = self.alphabet[rng.gen_range(0..self.alphabet.len())];
+                if cost(kind) > room {
+                    let fitting: Vec<Kind> =
+                        self.alphabet.iter().copied().filter(|&kind| cost(kind) <= room).collect();
                     if thread.len() >= *self.steps.start() || fitting.is_empty() {
                         break;
                     }
-                    kind = fitting[rng.below(fitting.len())];
+                    kind = fitting[rng.gen_range(0..fitting.len())];
                 }
-                room -= kind.events();
+                room -= cost(kind);
                 let steps = kind.steps(self.locations);
-                thread.push(steps[rng.below(steps.len())]);
+                thread.push(steps[rng.gen_range(0..steps.len())]);
             }
             program.push(thread);
         }
@@ -441,26 +450,6 @@ impl Space {
     }
 }
 
-/// SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the generator behind
-/// [`Space::sample`].
-struct Rng(u64);
-
-impl Rng {
-    /// A uniform draw from `0..bound`.
-    fn below(&mut self, bound: usize) -> usize {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        ((z ^ (z >> 31)) % bound as u64) as usize
-    }
-
-    /// A uniform draw from `range`.
-    fn within(&mut self, range: &RangeInclusive<usize>) -> usize {
-        range.start() + self.below(range.end() - range.start() + 1)
-    }
-}
-
 /// Stores of immediates, loads and fences, 2 threads × 1–3 steps over 2
 /// locations: every value a load returns is one some store wrote.
 pub const PLAIN: Space = Space {
@@ -504,15 +493,16 @@ pub const CROSS_BACKEND: Space = Space {
     ..PLAIN
 };
 
-/// [`DEPENDENT`] plus arithmetic and forward branches, 2–3 threads × 2–5
-/// steps: the machines' label API, where only branches make GAM fetch
-/// speculatively.
+/// [`DEPENDENT`] plus arithmetic, loads through the last register and
+/// forward branches, 2–3 threads × 2–5 steps: the machines' label API, where
+/// only branches make GAM fetch speculatively.
 pub const BRANCHY: Space = Space {
     alphabet: &[
         Kind::Store,
         Kind::StoreAddr,
         Kind::Load,
         Kind::LoadDep,
+        Kind::LoadLast,
         Kind::Alu,
         Kind::Fence,
         Kind::Branch,
@@ -530,6 +520,7 @@ pub const CANONICAL: Space = Space {
         Kind::StoreAddr,
         Kind::Load,
         Kind::LoadDep,
+        Kind::LoadLast,
         Kind::MovAddr,
         Kind::AddrDep,
         Kind::Fence,
@@ -547,6 +538,8 @@ pub const PRINTABLE: Space = Space {
         Kind::StoreAddr,
         Kind::Load,
         Kind::LoadDep,
+        Kind::LoadLast,
+        Kind::StoreLast,
         Kind::StoreLoaded,
         Kind::ForwardDep,
         Kind::Fence,
@@ -567,6 +560,8 @@ pub const SMALL_SCOPE: Space = Space {
         Kind::StoreAddr,
         Kind::Load,
         Kind::LoadDep,
+        Kind::LoadLast,
+        Kind::StoreLast,
         Kind::StoreLoaded,
         Kind::ForwardDep,
         Kind::Fence,
@@ -594,15 +589,6 @@ mod tests {
         PRINTABLE,
         SMALL_SCOPE,
     ];
-
-    #[test]
-    fn each_kind_counts_the_events_its_steps_build() {
-        for kind in PRINTABLE.alphabet {
-            for step in kind.steps(3) {
-                assert_eq!(events(&[vec![step]]), kind.events(), "{step:?}");
-            }
-        }
-    }
 
     /// Asserts that `program` builds and stays within `space`'s bounds.
     fn assert_within(space: &Space, program: &[Vec<Step>]) {

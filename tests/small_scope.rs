@@ -53,5 +53,5 @@ fn every_two_thread_one_step_program_agrees_across_checkers_and_models() {
             stronger = Some(checked);
         }
     }
-    assert_eq!((raw, canonical.len()), (1_156, 370), "raw and canonical program counts");
+    assert_eq!((raw, canonical.len()), (1_369, 451), "raw and canonical program counts");
 }
